@@ -465,7 +465,7 @@ pub fn capture_instruction_mix(name: &str, g: &CsrGraph) -> InstructionMix {
          (SisaConfig::renamed; full sweep in rename_ooo.json). Host kernel dispatch \
          across this trace's binary set-op opcodes (sisa.int/sisa.uni/sisa.dif and \
          their counting forms): {} merge, {} galloping, {} bitmap selections \
-         (size-ratio policy, sisa_sets::repr; wall-clock effect in BENCH_kernels.json).",
+         (size-ratio policy, sisa_sets::repr).",
         selections.merge, selections.gallop, selections.bitmap
     );
     InstructionMix {
@@ -962,668 +962,6 @@ pub fn multi_cube_sweep(
 }
 
 // ---------------------------------------------------------------------------
-// Host-kernel wall-clock benchmark (`BENCH_kernels.json`)
-// ---------------------------------------------------------------------------
-
-/// Schema version of `results/BENCH_kernels.json`; bump when a field is
-/// added, removed or re-interpreted so downstream tooling can dispatch.
-pub const BENCH_KERNELS_SCHEMA_VERSION: u32 = 1;
-
-/// Provenance of the machine a wall-clock benchmark ran on. Simulated cycle
-/// counts are platform-independent; nanosecond figures are only comparable
-/// against runs with matching host provenance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HostPlatform {
-    /// `std::env::consts::OS` of the benchmarking host.
-    pub os: String,
-    /// `std::env::consts::ARCH` of the benchmarking host.
-    pub arch: String,
-    /// Hardware threads reported by `std::thread::available_parallelism`.
-    pub available_parallelism: usize,
-    /// Whether the binary was compiled with debug assertions (a `true` here
-    /// means the nanosecond figures are not release-grade).
-    pub debug_assertions: bool,
-    /// The workspace version the benchmark binary was built from.
-    pub crate_version: String,
-}
-
-impl HostPlatform {
-    /// Captures the current host's provenance.
-    #[must_use]
-    pub fn capture() -> Self {
-        Self {
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-            available_parallelism: std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get),
-            debug_assertions: cfg!(debug_assertions),
-            crate_version: env!("CARGO_PKG_VERSION").to_string(),
-        }
-    }
-}
-
-/// One measured micro-kernel cell of `bench_kernels`: a set operation on a
-/// fixed-seed operand shape, timed under both kernel policies
-/// ([`sisa_sets::KernelPolicy::Reference`] replays the seed's scalar host
-/// kernels, `Optimized` is the dispatched word-parallel / galloping / arena
-/// path).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct KernelCell {
-    /// The set operation (`intersect`, `union`, `difference`,
-    /// `intersect_count`).
-    pub op: String,
-    /// The operand shape label (`sorted-similar`, `sorted-skewed-64to1`,
-    /// `dense-dense`, `sorted-dense`).
-    pub shape: String,
-    /// Elements in the left operand.
-    pub len_a: usize,
-    /// Elements in the right operand.
-    pub len_b: usize,
-    /// Timing samples taken per policy (each sample is the mean of an inner
-    /// iteration loop).
-    pub samples: usize,
-    /// Median per-operation wall clock of the reference (seed) kernels, ns.
-    pub reference_p50_ns: u64,
-    /// 95th-percentile per-operation wall clock of the reference kernels, ns.
-    pub reference_p95_ns: u64,
-    /// Median per-operation wall clock of the optimized kernels, ns.
-    pub optimized_p50_ns: u64,
-    /// 95th-percentile per-operation wall clock of the optimized kernels, ns.
-    pub optimized_p95_ns: u64,
-    /// `reference_p50_ns / optimized_p50_ns`.
-    pub speedup_p50: f64,
-}
-
-/// The headline end-to-end scenario of `bench_kernels`: a full triangle-count
-/// batch on a sharded engine, measured at three rungs of the host execution
-/// stack. **Baseline** is the seed's only path — a sequential per-op loop
-/// through the priced engine with the scalar reference kernels. **Optimized**
-/// is the raw host execution layer (`ShardedEngine::host_count_batch`):
-/// threaded, word-parallel/galloping/arena-backed, computing the same answers
-/// directly on the shard-resident representations without advancing the
-/// simulated machine. **Priced batch** is `ShardedEngine::execute` — the
-/// fully priced batched path, for runs that need simulated statistics.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HeadlineBench {
-    /// The workload label (`tc`).
-    pub workload: String,
-    /// The input graph's registered name.
-    pub graph: String,
-    /// Shard count of the sharded engine.
-    pub shards: usize,
-    /// Host worker threads the optimized paths resolved to
-    /// ([`SisaConfig::host_threads`] = 0 → available parallelism).
-    pub host_threads: usize,
-    /// Operations in the batch (one `IntersectCount` per oriented edge).
-    pub batch_ops: usize,
-    /// The mined result (triangle count); identical for all paths by
-    /// construction, asserted by the binary.
-    pub result: u64,
-    /// Timing samples taken per path.
-    pub samples: usize,
-    /// Median wall clock of the sequential scalar baseline (per-op priced
-    /// loop, seed reference kernels), ns.
-    pub baseline_p50_ns: u64,
-    /// 95th-percentile wall clock of the baseline loop, ns.
-    pub baseline_p95_ns: u64,
-    /// Median wall clock of the optimized raw host layer
-    /// (`host_count_batch`, optimized kernels, worker threads), ns.
-    pub optimized_p50_ns: u64,
-    /// 95th-percentile wall clock of the optimized raw host layer, ns.
-    pub optimized_p95_ns: u64,
-    /// Median wall clock of the priced batched path
-    /// ([`ShardedEngine::execute`], optimized kernels, worker threads), ns.
-    pub priced_batch_p50_ns: u64,
-    /// 95th-percentile wall clock of the priced batched path, ns.
-    pub priced_batch_p95_ns: u64,
-    /// `baseline_p50_ns / optimized_p50_ns` — the headline speedup.
-    pub speedup_p50: f64,
-    /// Simulated serial work total of one batch, in cycles (platform-level
-    /// cost — identical for every host path; host kernels never touch it).
-    pub simulated_total_cycles: u64,
-    /// Simulated busiest-shard makespan of one batch, in cycles.
-    pub simulated_makespan_cycles: u64,
-    /// Simulated energy of one batch, in nanojoules.
-    pub simulated_energy_nj: f64,
-}
-
-/// The full `results/BENCH_kernels.json` document emitted by the
-/// `bench_kernels` binary: fixed-seed micro-kernel timings, the headline
-/// sharded triangle-count scenario, host-kernel dispatch tallies and
-/// platform provenance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BenchKernels {
-    /// [`BENCH_KERNELS_SCHEMA_VERSION`] at emission time.
-    pub schema_version: u32,
-    /// `smoke` (CI-sized sampling) or `full`.
-    pub mode: String,
-    /// The RNG seed every operand draw and graph generation used.
-    pub seed: u64,
-    /// Host machine provenance for the nanosecond figures.
-    pub host: HostPlatform,
-    /// The simulated PIM platform the cycle figures were produced with.
-    pub pim: PimPlatform,
-    /// Host kernels the dispatch policy chose during the headline batch
-    /// (`merge` / `gallop` / `bitmap` tallies).
-    pub host_kernels: std::collections::BTreeMap<String, u64>,
-    /// The micro-kernel matrix (op × operand shape).
-    pub kernels: Vec<KernelCell>,
-    /// The end-to-end headline scenario.
-    pub headline: HeadlineBench,
-}
-
-impl BenchKernels {
-    /// Pretty-printed JSON for this document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("bench document serializes")
-    }
-
-    /// Parses a `BENCH_kernels.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error's message when `text` is not a valid document.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("{e:?}"))
-    }
-
-    /// Checks the document's internal invariants (the schema validation CI
-    /// runs on the emitted artifact).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema_version != BENCH_KERNELS_SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {} != supported {BENCH_KERNELS_SCHEMA_VERSION}",
-                self.schema_version
-            ));
-        }
-        if self.mode != "smoke" && self.mode != "full" {
-            return Err(format!("mode {:?} is not smoke|full", self.mode));
-        }
-        if self.kernels.is_empty() {
-            return Err("kernel matrix is empty".into());
-        }
-        for cell in &self.kernels {
-            if cell.samples == 0 {
-                return Err(format!("{}/{}: zero samples", cell.op, cell.shape));
-            }
-            if cell.reference_p50_ns > cell.reference_p95_ns
-                || cell.optimized_p50_ns > cell.optimized_p95_ns
-            {
-                return Err(format!("{}/{}: p50 exceeds p95", cell.op, cell.shape));
-            }
-            if !(cell.speedup_p50.is_finite() && cell.speedup_p50 > 0.0) {
-                return Err(format!("{}/{}: bad speedup", cell.op, cell.shape));
-            }
-        }
-        let h = &self.headline;
-        if h.shards == 0 || h.batch_ops == 0 || h.samples == 0 {
-            return Err("headline is degenerate".into());
-        }
-        if h.baseline_p50_ns > h.baseline_p95_ns
-            || h.optimized_p50_ns > h.optimized_p95_ns
-            || h.priced_batch_p50_ns > h.priced_batch_p95_ns
-        {
-            return Err("headline p50 exceeds p95".into());
-        }
-        if !(h.speedup_p50.is_finite() && h.speedup_p50 > 0.0) {
-            return Err("headline speedup is not a positive finite number".into());
-        }
-        if self.host_kernels.values().sum::<u64>() == 0 {
-            return Err("headline recorded no host-kernel selections".into());
-        }
-        Ok(())
-    }
-}
-
-/// Nearest-rank percentile of a sample set (`pct` in `[0, 100]`). Sorts a
-/// copy; panics on an empty slice.
-#[must_use]
-pub fn percentile_ns(samples: &[u64], pct: f64) -> u64 {
-    assert!(!samples.is_empty(), "percentile of an empty sample set");
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-// ---------------------------------------------------------------------------
-// Service benchmark (`BENCH_service.json`)
-// ---------------------------------------------------------------------------
-
-/// Schema version of `results/BENCH_service.json`; bump when a field is
-/// added, removed or re-interpreted so downstream tooling can dispatch.
-///
-/// v2 added the `cache` (repeated-spec result-cache effectiveness) and
-/// `fairness` (two-tenant heavy/light WFQ isolation) scenarios; the arrival
-/// sweep and overload probe now run with the result cache disabled so their
-/// latencies keep measuring *executions*, comparable with v1 documents.
-///
-/// v3 added the `stream` scenario: a rate-controlled update/query mix over
-/// the `mutate` request family, with every streamed answer differentially
-/// checked against a host-side recount and the incremental
-/// (mutate + streamed read) p50 required to undercut the register-replace +
-/// cold-query recompute p50 by at least 2x.
-pub const BENCH_SERVICE_SCHEMA_VERSION: u32 = 3;
-
-/// The streaming-update scenario of schema v3: an open-loop paced stream of
-/// `mutate` batches (each a few inserts and deletes) interleaved with read
-/// queries on the same graph. Reads after the first mutation are served from
-/// the worker's incrementally-maintained counters; every value is checked
-/// against a host-side recount of the reference successor graph. The
-/// recompute baseline replaces the graph wholesale (register + cold query)
-/// per update; the incremental path must undercut its p50 by
-/// `speedup_floor`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StreamScenario {
-    /// Mutation batches applied through the `mutate` request family.
-    pub mutations: u64,
-    /// Edge intents (inserts + deletes) carried by those batches.
-    pub edge_intents: u64,
-    /// Read queries interleaved with the mutation stream.
-    pub queries: u64,
-    /// Reads served from the incrementally-maintained stream counters
-    /// (`sisa_stream_serves_total`).
-    pub stream_serves: u64,
-    /// The paced open-loop update rate, updates per second.
-    pub offered_ups: f64,
-    /// Median wall-clock of one incremental update cycle (mutate + read), ns.
-    pub incremental_p50_latency_ns: u64,
-    /// 95th-percentile wall-clock of an incremental update cycle, ns.
-    pub incremental_p95_latency_ns: u64,
-    /// Median wall-clock of the recompute baseline (register-replace + cold
-    /// query) per update, ns.
-    pub recompute_p50_latency_ns: u64,
-    /// `recompute_p50_latency_ns / incremental_p50_latency_ns`.
-    pub incremental_speedup_p50: f64,
-    /// The asserted floor on `incremental_speedup_p50` (2.0: the acceptance
-    /// bound).
-    pub speedup_floor: f64,
-    /// Whether every streamed read was checked against a from-scratch
-    /// recount of the reference graph. Always `true` in valid documents.
-    pub differential_checked: bool,
-}
-
-impl StreamScenario {
-    /// Checks the stream scenario's invariants, including the incremental
-    /// speedup floor.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.mutations == 0 || self.queries == 0 {
-            return Err("stream scenario applied no mutations or ran no reads".into());
-        }
-        if self.edge_intents < self.mutations {
-            return Err("stream scenario batches averaged below one edge intent".into());
-        }
-        if self.stream_serves == 0 {
-            return Err("no read was served from the maintained stream counters".into());
-        }
-        if !(self.offered_ups.is_finite() && self.offered_ups > 0.0) {
-            return Err("offered update rate is not positive finite".into());
-        }
-        if self.incremental_p50_latency_ns == 0 || self.recompute_p50_latency_ns == 0 {
-            return Err("stream scenario latencies are degenerate".into());
-        }
-        if self.incremental_p50_latency_ns > self.incremental_p95_latency_ns {
-            return Err("stream percentiles out of order".into());
-        }
-        if !(self.speedup_floor.is_finite() && self.speedup_floor >= 1.0) {
-            return Err("stream speedup floor is not a sane bound".into());
-        }
-        if !(self.incremental_speedup_p50.is_finite()
-            && self.incremental_speedup_p50 >= self.speedup_floor)
-        {
-            return Err(format!(
-                "incremental speedup {:.2}x is below the {:.1}x acceptance floor",
-                self.incremental_speedup_p50, self.speedup_floor
-            ));
-        }
-        if !self.differential_checked {
-            return Err("run skipped the differential stream checks".into());
-        }
-        Ok(())
-    }
-}
-
-/// The repeated-spec cache scenario of schema v2: a miss phase executes
-/// `distinct_specs` unique queries once each, then a hit phase re-submits the
-/// same specs `hit_rounds` more times. Engine aggregates are read before and
-/// after the hit phase; the run asserts they are frozen (hits bill zero
-/// engine cycles, recorded in `zero_engine_cost_checked`) and that the hit
-/// p50 undercuts the miss p50 by at least 10x.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CacheScenario {
-    /// Unique query specs in the working set (each executed exactly once).
-    pub distinct_specs: u64,
-    /// Times the whole working set was re-submitted after the miss phase.
-    pub hit_rounds: u64,
-    /// Median submit-to-completion latency of the miss (execution) phase, ns.
-    pub miss_p50_latency_ns: u64,
-    /// Median submit-to-completion latency of the hit phase, ns.
-    pub hit_p50_latency_ns: u64,
-    /// `miss_p50_latency_ns / hit_p50_latency_ns` (>= 10 in valid documents).
-    pub hit_speedup_p50: f64,
-    /// Cache hits counted by the service ledger over the scenario.
-    pub cache_hits: u64,
-    /// Cache misses counted over the scenario.
-    pub cache_misses: u64,
-    /// End-of-scenario hit ratio, permille.
-    pub hit_ratio_permille: u64,
-    /// Whether engine aggregates were asserted frozen across the hit phase
-    /// (integer counters and bit-exact energy). Always `true` in valid
-    /// documents.
-    pub zero_engine_cost_checked: bool,
-}
-
-/// The two-tenant fairness scenario of schema v2: on a single-worker service
-/// at equal weights, a heavy tenant keeps `heavy_factor` times the light
-/// tenant's load queued while the light tenant submits sequentially. Every
-/// submission carries a unique never-truncating budget, so neither the
-/// result cache nor coalescing can mask scheduling. The run asserts the
-/// light tenant's contended p95 stays within `p95_ratio_bound` of its solo
-/// p95 — the weighted-fair-queueing no-starvation bound.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FairnessScenario {
-    /// Sequential queries the light tenant submitted (per run).
-    pub light_queries: u64,
-    /// The heavy tenant's offered-load multiple of the light tenant's.
-    pub heavy_factor: u64,
-    /// The light tenant's p95 latency alone on the service, ns.
-    pub solo_p95_latency_ns: u64,
-    /// The light tenant's p95 latency under heavy contention, ns.
-    pub contended_p95_latency_ns: u64,
-    /// `contended_p95_latency_ns / solo_p95_latency_ns`.
-    pub p95_ratio: f64,
-    /// The asserted ceiling on `p95_ratio` (3.0: the acceptance bound).
-    pub p95_ratio_bound: f64,
-}
-
-/// One offered-rate point of the `bench_service` open-loop arrival sweep:
-/// queries arrive on a fixed schedule (`offered_qps`), irrespective of
-/// completions, and the service answers, coalesces or sheds them.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ServiceSweepPoint {
-    /// The open-loop arrival rate, queries per second.
-    pub offered_qps: f64,
-    /// Arrivals attempted at this rate.
-    pub submitted: u64,
-    /// Queries that completed with a result.
-    pub completed: u64,
-    /// Arrivals shed by admission control (`Rejected { retry_after }`).
-    pub rejected: u64,
-    /// Completions served from a coalesced execution at zero billed cost.
-    pub coalesced: u64,
-    /// Median submit-to-completion latency of completed queries, ns.
-    pub p50_latency_ns: u64,
-    /// 95th-percentile latency, ns.
-    pub p95_latency_ns: u64,
-    /// 99th-percentile latency, ns.
-    pub p99_latency_ns: u64,
-    /// Completed queries divided by the span from first submission to last
-    /// completion.
-    pub achieved_qps: f64,
-}
-
-/// The full `results/BENCH_service.json` document emitted by the
-/// `bench_service` binary: an open-loop arrival sweep over a multi-tenant
-/// [`sisa_service::SisaService`] pool (latency percentiles, the saturation
-/// knee, shed load), the TCP transport smoke, the overload probe, and host
-/// provenance. Simulated-work attribution is verified, not reported: the run
-/// asserts that per-tenant [`sisa_core::ExecStats`] records fold bit-exactly
-/// to the pool aggregate and telescope to the raw engine counters, and
-/// records the outcome in `stats_identity_checked`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BenchService {
-    /// [`BENCH_SERVICE_SCHEMA_VERSION`] at emission time.
-    pub schema_version: u32,
-    /// `smoke` (CI-sized sweep) or `full`.
-    pub mode: String,
-    /// The seed behind the benchmark graph and every derived schedule.
-    pub seed: u64,
-    /// Host machine provenance for the nanosecond figures.
-    pub host: HostPlatform,
-    /// The registry-shared graph every query in the sweep targets.
-    pub graph: String,
-    /// Worker threads of the benchmarked service pool.
-    pub workers: usize,
-    /// Shards per worker engine.
-    pub shards: usize,
-    /// Concurrent tenants submitting during the sweep.
-    pub clients: usize,
-    /// The query kinds cycled through the sweep (wire names).
-    pub query_mix: Vec<String>,
-    /// The offered-rate sweep, in increasing-rate order.
-    pub sweep: Vec<ServiceSweepPoint>,
-    /// The lowest offered rate whose achieved throughput fell below 90% of
-    /// offered (the saturation knee), or the highest swept rate if none did.
-    pub knee_offered_qps: f64,
-    /// The best achieved throughput across the sweep.
-    pub peak_achieved_qps: f64,
-    /// Rejections across the whole run (sweep plus the overload probe, which
-    /// must shed load rather than grow without bound).
-    pub total_rejected: u64,
-    /// Queries answered over line-delimited JSON TCP during the transport
-    /// smoke.
-    pub tcp_smoke_queries: u64,
-    /// Concurrent TCP client connections during the transport smoke.
-    pub tcp_smoke_clients: usize,
-    /// Whether the exact-attribution identities were asserted this run
-    /// (tenant fold ≡ pool aggregate bit-exact; pool + registry overhead
-    /// telescopes to raw engine counters). Always `true` in valid documents.
-    pub stats_identity_checked: bool,
-    /// The repeated-spec result-cache scenario (schema v2).
-    pub cache: CacheScenario,
-    /// The two-tenant WFQ fairness scenario (schema v2).
-    pub fairness: FairnessScenario,
-    /// The streaming update/query-mix scenario (schema v3).
-    pub stream: StreamScenario,
-}
-
-impl BenchService {
-    /// Pretty-printed JSON for this document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("bench document serializes")
-    }
-
-    /// Parses a `BENCH_service.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error's message when `text` is not a valid document.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("{e:?}"))
-    }
-
-    /// Checks the document's internal invariants (the schema validation CI
-    /// runs on the emitted artifact).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema_version != BENCH_SERVICE_SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {} != supported {BENCH_SERVICE_SCHEMA_VERSION}",
-                self.schema_version
-            ));
-        }
-        if self.mode != "smoke" && self.mode != "full" {
-            return Err(format!("mode {:?} is not smoke|full", self.mode));
-        }
-        if self.workers == 0 || self.shards == 0 || self.clients == 0 {
-            return Err("pool geometry is degenerate".into());
-        }
-        if self.query_mix.is_empty() {
-            return Err("query mix is empty".into());
-        }
-        if self.sweep.is_empty() {
-            return Err("arrival sweep is empty".into());
-        }
-        let mut last_rate = 0.0f64;
-        let mut swept_rejected = 0u64;
-        for point in &self.sweep {
-            if !(point.offered_qps.is_finite() && point.offered_qps > 0.0) {
-                return Err(format!(
-                    "offered rate {} is not positive",
-                    point.offered_qps
-                ));
-            }
-            if point.offered_qps <= last_rate {
-                return Err("sweep rates are not strictly increasing".into());
-            }
-            last_rate = point.offered_qps;
-            if point.completed + point.rejected != point.submitted {
-                return Err(format!(
-                    "rate {}: completed {} + rejected {} != submitted {}",
-                    point.offered_qps, point.completed, point.rejected, point.submitted
-                ));
-            }
-            if point.coalesced > point.completed {
-                return Err(format!(
-                    "rate {}: coalesced exceeds completed",
-                    point.offered_qps
-                ));
-            }
-            if point.completed == 0 {
-                return Err(format!("rate {}: nothing completed", point.offered_qps));
-            }
-            if point.p50_latency_ns > point.p95_latency_ns
-                || point.p95_latency_ns > point.p99_latency_ns
-            {
-                return Err(format!(
-                    "rate {}: percentiles out of order",
-                    point.offered_qps
-                ));
-            }
-            if !(point.achieved_qps.is_finite() && point.achieved_qps > 0.0) {
-                return Err(format!(
-                    "rate {}: bad achieved throughput",
-                    point.offered_qps
-                ));
-            }
-            swept_rejected += point.rejected;
-        }
-        if self.total_rejected < swept_rejected {
-            return Err("total_rejected undercounts the sweep".into());
-        }
-        if !(self.knee_offered_qps.is_finite() && self.knee_offered_qps > 0.0) {
-            return Err("saturation knee is not a positive finite rate".into());
-        }
-        if !(self.peak_achieved_qps.is_finite() && self.peak_achieved_qps > 0.0) {
-            return Err("peak achieved throughput is not positive".into());
-        }
-        if self.tcp_smoke_clients < 8 {
-            return Err(format!(
-                "TCP smoke used {} clients; the acceptance floor is 8",
-                self.tcp_smoke_clients
-            ));
-        }
-        if self.tcp_smoke_queries < 100 {
-            return Err(format!(
-                "TCP smoke answered {} queries; the acceptance floor is 100",
-                self.tcp_smoke_queries
-            ));
-        }
-        if !self.stats_identity_checked {
-            return Err("run skipped the exact-attribution identity checks".into());
-        }
-        self.cache.validate()?;
-        self.fairness.validate()?;
-        self.stream.validate()?;
-        Ok(())
-    }
-}
-
-impl CacheScenario {
-    /// Checks the cache scenario's invariants, including the 10x hit-speedup
-    /// acceptance bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.distinct_specs == 0 || self.hit_rounds == 0 {
-            return Err("cache scenario ran no specs or no hit rounds".into());
-        }
-        if self.miss_p50_latency_ns == 0 || self.hit_p50_latency_ns == 0 {
-            return Err("cache scenario latencies are degenerate".into());
-        }
-        if self.hit_p50_latency_ns.saturating_mul(10) > self.miss_p50_latency_ns {
-            return Err(format!(
-                "cache hit p50 {} ns is not >= 10x below the miss p50 {} ns",
-                self.hit_p50_latency_ns, self.miss_p50_latency_ns
-            ));
-        }
-        if !(self.hit_speedup_p50.is_finite() && self.hit_speedup_p50 >= 10.0) {
-            return Err(format!(
-                "cache hit speedup {} is below the 10x acceptance bound",
-                self.hit_speedup_p50
-            ));
-        }
-        if self.cache_hits < self.distinct_specs * self.hit_rounds {
-            return Err("cache scenario undercounts its own hit phase".into());
-        }
-        if self.cache_misses < self.distinct_specs {
-            return Err("cache scenario undercounts its own miss phase".into());
-        }
-        if !(1..=1000).contains(&self.hit_ratio_permille) {
-            return Err(format!(
-                "hit ratio {} permille is not in (0, 1000]",
-                self.hit_ratio_permille
-            ));
-        }
-        if !self.zero_engine_cost_checked {
-            return Err("run skipped the frozen-engine-aggregates check".into());
-        }
-        Ok(())
-    }
-}
-
-impl FairnessScenario {
-    /// Checks the fairness scenario's invariants, including the p95
-    /// isolation bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.light_queries == 0 {
-            return Err("fairness scenario ran no light-tenant queries".into());
-        }
-        if self.heavy_factor < 10 {
-            return Err(format!(
-                "heavy factor {} is below the 10x acceptance load",
-                self.heavy_factor
-            ));
-        }
-        if self.solo_p95_latency_ns == 0 || self.contended_p95_latency_ns == 0 {
-            return Err("fairness scenario latencies are degenerate".into());
-        }
-        if !(self.p95_ratio.is_finite() && self.p95_ratio > 0.0) {
-            return Err("fairness p95 ratio is not positive finite".into());
-        }
-        if !(self.p95_ratio_bound.is_finite() && self.p95_ratio_bound >= 1.0) {
-            return Err("fairness p95 bound is not a sane ceiling".into());
-        }
-        if self.p95_ratio > self.p95_ratio_bound {
-            return Err(format!(
-                "light-tenant p95 ratio {:.3} exceeds the {:.1}x isolation bound",
-                self.p95_ratio, self.p95_ratio_bound
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Summaries and output helpers
 // ---------------------------------------------------------------------------
 
@@ -1804,93 +1142,6 @@ mod tests {
         assert_eq!(Problem::figure6_panels().len(), 11);
     }
 
-    fn sample_bench_document() -> BenchKernels {
-        BenchKernels {
-            schema_version: BENCH_KERNELS_SCHEMA_VERSION,
-            mode: "smoke".into(),
-            seed: 1,
-            host: HostPlatform::capture(),
-            pim: PimPlatform::default(),
-            host_kernels: [("merge".to_string(), 3), ("bitmap".to_string(), 2)]
-                .into_iter()
-                .collect(),
-            kernels: vec![KernelCell {
-                op: "intersect".into(),
-                shape: "sorted-similar".into(),
-                len_a: 4096,
-                len_b: 4096,
-                samples: 5,
-                reference_p50_ns: 900,
-                reference_p95_ns: 1100,
-                optimized_p50_ns: 300,
-                optimized_p95_ns: 350,
-                speedup_p50: 3.0,
-            }],
-            headline: HeadlineBench {
-                workload: "tc".into(),
-                graph: "soc-fbMsg".into(),
-                shards: 16,
-                host_threads: 1,
-                batch_ops: 14336,
-                result: 42,
-                samples: 3,
-                baseline_p50_ns: 9_000_000,
-                baseline_p95_ns: 9_500_000,
-                optimized_p50_ns: 2_000_000,
-                optimized_p95_ns: 2_200_000,
-                priced_batch_p50_ns: 7_000_000,
-                priced_batch_p95_ns: 7_400_000,
-                speedup_p50: 4.5,
-                simulated_total_cycles: 1_000_000,
-                simulated_makespan_cycles: 80_000,
-                simulated_energy_nj: 12.5,
-            },
-        }
-    }
-
-    #[test]
-    fn bench_document_roundtrips_and_validates() {
-        let doc = sample_bench_document();
-        doc.validate().expect("sample document is valid");
-        let parsed = BenchKernels::from_json(&doc.to_json()).expect("roundtrip parses");
-        assert_eq!(parsed, doc);
-        assert!(BenchKernels::from_json("{not json").is_err());
-    }
-
-    #[test]
-    fn bench_document_validation_rejects_violations() {
-        let mut doc = sample_bench_document();
-        doc.schema_version += 1;
-        assert!(doc.validate().is_err(), "wrong schema version");
-        let mut doc = sample_bench_document();
-        doc.mode = "quick".into();
-        assert!(doc.validate().is_err(), "unknown mode");
-        let mut doc = sample_bench_document();
-        doc.kernels.clear();
-        assert!(doc.validate().is_err(), "empty matrix");
-        let mut doc = sample_bench_document();
-        doc.kernels[0].optimized_p50_ns = doc.kernels[0].optimized_p95_ns + 1;
-        assert!(doc.validate().is_err(), "p50 above p95");
-        let mut doc = sample_bench_document();
-        doc.headline.speedup_p50 = f64::NAN;
-        assert!(doc.validate().is_err(), "non-finite headline speedup");
-        let mut doc = sample_bench_document();
-        doc.headline.priced_batch_p50_ns = doc.headline.priced_batch_p95_ns + 1;
-        assert!(doc.validate().is_err(), "priced-batch p50 above p95");
-        let mut doc = sample_bench_document();
-        doc.host_kernels.clear();
-        assert!(doc.validate().is_err(), "no dispatch tallies");
-    }
-
-    #[test]
-    fn percentiles_use_the_nearest_rank() {
-        let samples = [50u64, 10, 40, 20, 30];
-        assert_eq!(percentile_ns(&samples, 50.0), 30);
-        assert_eq!(percentile_ns(&samples, 95.0), 50);
-        assert_eq!(percentile_ns(&samples, 0.0), 10);
-        assert_eq!(percentile_ns(&[7], 95.0), 7);
-    }
-
     #[test]
     fn instruction_mix_records_host_kernel_selections() {
         let g = generators::erdos_renyi(120, 0.08, 3);
@@ -1909,157 +1160,5 @@ mod tests {
         let (rounds, reached) = run_auxiliary_formulations(&g);
         assert!(rounds > 0);
         assert!(reached > 1);
-    }
-
-    fn sample_service_document() -> BenchService {
-        BenchService {
-            schema_version: BENCH_SERVICE_SCHEMA_VERSION,
-            mode: "smoke".into(),
-            seed: 42,
-            host: HostPlatform::capture(),
-            graph: "er-service".into(),
-            workers: 2,
-            shards: 2,
-            clients: 8,
-            query_mix: vec!["tc".into(), "kclique3".into(), "star2".into()],
-            sweep: vec![
-                ServiceSweepPoint {
-                    offered_qps: 50.0,
-                    submitted: 60,
-                    completed: 60,
-                    rejected: 0,
-                    coalesced: 2,
-                    p50_latency_ns: 100_000,
-                    p95_latency_ns: 300_000,
-                    p99_latency_ns: 500_000,
-                    achieved_qps: 49.7,
-                },
-                ServiceSweepPoint {
-                    offered_qps: 800.0,
-                    submitted: 60,
-                    completed: 51,
-                    rejected: 9,
-                    coalesced: 12,
-                    p50_latency_ns: 900_000,
-                    p95_latency_ns: 2_000_000,
-                    p99_latency_ns: 2_500_000,
-                    achieved_qps: 512.0,
-                },
-            ],
-            knee_offered_qps: 800.0,
-            peak_achieved_qps: 512.0,
-            total_rejected: 29,
-            tcp_smoke_queries: 104,
-            tcp_smoke_clients: 8,
-            stats_identity_checked: true,
-            cache: CacheScenario {
-                distinct_specs: 6,
-                hit_rounds: 4,
-                miss_p50_latency_ns: 400_000,
-                hit_p50_latency_ns: 20_000,
-                hit_speedup_p50: 20.0,
-                cache_hits: 24,
-                cache_misses: 6,
-                hit_ratio_permille: 800,
-                zero_engine_cost_checked: true,
-            },
-            fairness: FairnessScenario {
-                light_queries: 12,
-                heavy_factor: 10,
-                solo_p95_latency_ns: 300_000,
-                contended_p95_latency_ns: 600_000,
-                p95_ratio: 2.0,
-                p95_ratio_bound: 3.0,
-            },
-            stream: StreamScenario {
-                mutations: 24,
-                edge_intents: 72,
-                queries: 48,
-                stream_serves: 46,
-                offered_ups: 200.0,
-                incremental_p50_latency_ns: 150_000,
-                incremental_p95_latency_ns: 400_000,
-                recompute_p50_latency_ns: 900_000,
-                incremental_speedup_p50: 6.0,
-                speedup_floor: 2.0,
-                differential_checked: true,
-            },
-        }
-    }
-
-    #[test]
-    fn service_document_roundtrips_and_validates() {
-        let doc = sample_service_document();
-        doc.validate().expect("sample document is valid");
-        let parsed = BenchService::from_json(&doc.to_json()).expect("roundtrip parses");
-        assert_eq!(parsed, doc);
-        assert!(BenchService::from_json("{not json").is_err());
-    }
-
-    #[test]
-    fn service_document_validation_rejects_violations() {
-        let mut doc = sample_service_document();
-        doc.schema_version += 1;
-        assert!(doc.validate().is_err(), "wrong schema version");
-        let mut doc = sample_service_document();
-        doc.sweep.clear();
-        assert!(doc.validate().is_err(), "empty sweep");
-        let mut doc = sample_service_document();
-        doc.sweep[1].offered_qps = doc.sweep[0].offered_qps;
-        assert!(doc.validate().is_err(), "non-increasing rates");
-        let mut doc = sample_service_document();
-        doc.sweep[0].rejected += 1;
-        assert!(doc.validate().is_err(), "submitted != completed + rejected");
-        let mut doc = sample_service_document();
-        doc.sweep[0].p50_latency_ns = doc.sweep[0].p95_latency_ns + 1;
-        assert!(doc.validate().is_err(), "percentiles out of order");
-        let mut doc = sample_service_document();
-        doc.total_rejected = 0;
-        assert!(doc.validate().is_err(), "total undercounts the sweep");
-        let mut doc = sample_service_document();
-        doc.tcp_smoke_clients = 4;
-        assert!(doc.validate().is_err(), "below the 8-client floor");
-        let mut doc = sample_service_document();
-        doc.tcp_smoke_queries = 50;
-        assert!(doc.validate().is_err(), "below the 100-query floor");
-        let mut doc = sample_service_document();
-        doc.stats_identity_checked = false;
-        assert!(doc.validate().is_err(), "identity check skipped");
-        let mut doc = sample_service_document();
-        doc.cache.hit_p50_latency_ns = doc.cache.miss_p50_latency_ns / 5;
-        assert!(doc.validate().is_err(), "hit p50 within 10x of miss p50");
-        let mut doc = sample_service_document();
-        doc.cache.hit_speedup_p50 = 9.9;
-        assert!(doc.validate().is_err(), "speedup below the 10x bound");
-        let mut doc = sample_service_document();
-        doc.cache.cache_hits = 3;
-        assert!(doc.validate().is_err(), "hits undercount the hit phase");
-        let mut doc = sample_service_document();
-        doc.cache.zero_engine_cost_checked = false;
-        assert!(doc.validate().is_err(), "frozen-engines check skipped");
-        let mut doc = sample_service_document();
-        doc.fairness.p95_ratio = doc.fairness.p95_ratio_bound + 0.1;
-        assert!(doc.validate().is_err(), "p95 ratio over the bound");
-        let mut doc = sample_service_document();
-        doc.fairness.heavy_factor = 2;
-        assert!(doc.validate().is_err(), "heavy load below 10x");
-        let mut doc = sample_service_document();
-        doc.fairness.contended_p95_latency_ns = 0;
-        assert!(doc.validate().is_err(), "degenerate fairness latencies");
-        let mut doc = sample_service_document();
-        doc.stream.mutations = 0;
-        assert!(doc.validate().is_err(), "stream ran no mutations");
-        let mut doc = sample_service_document();
-        doc.stream.stream_serves = 0;
-        assert!(doc.validate().is_err(), "no streamed serves");
-        let mut doc = sample_service_document();
-        doc.stream.incremental_speedup_p50 = doc.stream.speedup_floor - 0.5;
-        assert!(doc.validate().is_err(), "speedup below the 2x floor");
-        let mut doc = sample_service_document();
-        doc.stream.edge_intents = doc.stream.mutations - 1;
-        assert!(doc.validate().is_err(), "intents undercount batches");
-        let mut doc = sample_service_document();
-        doc.stream.differential_checked = false;
-        assert!(doc.validate().is_err(), "differential check skipped");
     }
 }

@@ -102,6 +102,29 @@ struct ResolvedBinary {
     temp: Option<SetId>,
 }
 
+/// A binary operation's operands located on their shards, split by the site
+/// rule every path shares (see [`ShardedEngine::place_binary`]).
+struct PlacedBinary {
+    /// The operand that stays put, as (shard, local ID); the operation
+    /// executes on its shard.
+    stay: (usize, SetId),
+    /// The other operand, replicated there if it lives on another shard.
+    moved: (usize, SetId),
+    /// Whether the moving operand is `b` (else it is `a`).
+    move_b: bool,
+}
+
+/// When the shard-side effects of staging an operand reach the aggregate
+/// statistics.
+#[derive(Clone, Copy)]
+enum Settle {
+    /// Per touch, through [`ShardedEngine::on_shard`] (the per-op path).
+    Now,
+    /// Not here: [`ShardedEngine::execute`] checkpoints every shard before
+    /// staging and folds one delta per shard when the batch closes.
+    AtBatchClose,
+}
+
 /// One operation of a [`ShardedEngine::execute`] batch.
 ///
 /// Batches are restricted to the side-effect-free binary forms (materialising
@@ -410,7 +433,7 @@ impl<E: SetEngine> ShardedEngine<E> {
     }
 
     /// Recomputes the aggregate energy as the ordered sum over shards plus the
-    /// link ledger, caching the shard fold for [`Self::charge_transfer`].
+    /// link ledger, caching the shard fold for [`Self::ledger_transfer`].
     /// Summing totals (instead of accumulating per-operation floating-point
     /// deltas) keeps the aggregate bit-for-bit equal to the sum of its parts,
     /// which the conservation tests and the 1-shard ≡ flat equivalence rely
@@ -443,30 +466,10 @@ impl<E: SetEngine> ShardedEngine<E> {
         global
     }
 
-    /// Charges one cross-shard operand transfer of `bytes` bytes from `src`
-    /// to `dst` into the aggregate statistics and the traffic ledger. The
-    /// transfer cycles are attributed to the executing shard `dst`, which
-    /// waits for the operand to arrive — and are handed to that shard's
-    /// overlap timeline as lane work *writing* the staged replica `delivers`,
-    /// so on a pipelined inner engine the wait occupies one virtual vault
-    /// lane, the instruction consuming the replica stays behind the transfer
-    /// (a RAW hazard), and independent instructions keep flowing instead of
-    /// the whole machine stalling.
-    fn charge_transfer(&mut self, src: usize, dst: usize, bytes: u64, delivers: SetId) {
-        let cycles = self.ledger_transfer(src, dst, bytes);
-        // Link wait becomes overlappable lane work on the receiving shard
-        // (no work counters charged there — the ledger above owns the cost).
-        // Routed through `on_shard` so whatever the shard's timeline does
-        // record (makespan growth, a WAW stall behind the replica's create)
-        // is checkpoint-merged into the aggregate like every other counter.
-        self.on_shard(dst, |e| e.absorb_lane_work(cycles, &[delivers]));
-    }
-
     /// Books one `src → dst` transfer of `bytes` bytes into the aggregate
     /// statistics and the traffic ledger, returning the link cycles it cost.
     /// The lane-work absorption on the receiving shard is the caller's
-    /// responsibility (forwarding path: through [`Self::on_shard`]; batch
-    /// path: raw, folded in by the end-of-batch merge).
+    /// responsibility (see [`Self::resolve_binary`]).
     fn ledger_transfer(&mut self, src: usize, dst: usize, bytes: u64) -> u64 {
         let route = self.link.route(src, dst, self.shards.len());
         let cycles = self.link.transfer_cost(bytes as usize, route);
@@ -483,8 +486,8 @@ impl<E: SetEngine> ShardedEngine<E> {
         // batch the shard fold may be stale — the batch's closing
         // `refresh_energy` recomputes it before anyone can observe it.)
         self.stats.energy_nj = self.shard_energy_sum + self.traffic.energy_nj;
-        // Both transfer paths (forwarding and batch staging) funnel through
-        // here, so one hook covers every priced link crossing.
+        // Every priced link crossing funnels through here, so one hook
+        // covers them all.
         if let Some(collector) = &self.collector {
             collector.transfer(&crate::telemetry::TransferEvent {
                 group: self.telemetry_group,
@@ -497,81 +500,84 @@ impl<E: SetEngine> ShardedEngine<E> {
         cycles
     }
 
-    /// Resolves a binary operation's operands to one executing shard. When the
-    /// operands live on different shards, the smaller operand (`pin_to_a`
+    /// Locates a binary operation's operands and decides where it executes:
+    /// on the operands' common shard, else on the shard of the larger operand
+    /// — the paper's streaming model already bills the operands' read-out;
+    /// what a multi-cube machine adds is moving the smaller operand to the
+    /// data of the larger one (§8.4 "Harnessing Parallelism"). `pin_to_a`
     /// forces the result-carrying operand `a` to stay put, as in-place forms
-    /// require) is transferred over the links and staged as a temporary
-    /// replica on the executing shard.
-    fn resolve_binary(&mut self, a: SetId, b: SetId, pin_to_a: bool) -> ResolvedBinary {
-        let (sa, la) = self.locate(a);
-        let (sb, lb) = self.locate(b);
-        if sa == sb {
-            return ResolvedBinary {
-                shard: sa,
-                a: la,
-                b: lb,
-                temp: None,
-            };
-        }
-        let bits_a = self.shards[sa].repr(la).storage_bits();
-        let bits_b = self.shards[sb].repr(lb).storage_bits();
-        // The paper's streaming model already bills the operands' read-out;
-        // what a multi-cube machine adds is moving the smaller operand to the
-        // data of the larger one (§8.4 "Harnessing Parallelism").
-        let move_b = pin_to_a || bits_b <= bits_a;
-        let (dst, src, moved_local, moved_bits) = if move_b {
-            (sa, sb, lb, bits_b)
-        } else {
-            (sb, sa, la, bits_a)
-        };
-        // Stage the replica's slot first, then price the transfer that fills
-        // it: the transfer writes the replica on the destination's overlap
-        // timeline, so the consuming operation waits for the operand to
-        // actually arrive (RAW) instead of racing its own transfer.
-        let replica = self.shards[src].repr(moved_local).clone();
-        let temp = self.on_shard(dst, |e| e.create(replica));
-        self.charge_transfer(src, dst, moved_bits.div_ceil(8) as u64, temp);
-        ResolvedBinary {
-            shard: dst,
-            a: if move_b { la } else { temp },
-            b: if move_b { temp } else { lb },
-            temp: Some(temp),
+    /// require.
+    fn place_binary(&self, a: SetId, b: SetId, pin_to_a: bool) -> PlacedBinary {
+        let at_a = self.locate(a);
+        let at_b = self.locate(b);
+        let bits = |(shard, local): (usize, SetId)| self.shards[shard].repr(local).storage_bits();
+        let move_b = at_a.0 == at_b.0 || pin_to_a || bits(at_b) <= bits(at_a);
+        let (stay, moved) = if move_b { (at_a, at_b) } else { (at_b, at_a) };
+        PlacedBinary {
+            stay,
+            moved,
+            move_b,
         }
     }
 
-    /// Batch-staging variant of [`Self::resolve_binary`]: the shard-level
-    /// effects (replica creation, transfer pricing, lane-work absorption) are
-    /// identical, but nothing is merged into the aggregate per operation —
-    /// [`Self::execute`] checkpoints every shard before staging and folds one
-    /// delta per shard when the batch closes.
-    fn resolve_binary_raw(&mut self, a: SetId, b: SetId) -> ResolvedBinary {
-        let (sa, la) = self.locate(a);
-        let (sb, lb) = self.locate(b);
-        if sa == sb {
-            return ResolvedBinary {
-                shard: sa,
-                a: la,
-                b: lb,
-                temp: None,
-            };
+    /// Runs `f` on one shard, merging what it costs into the aggregate now or
+    /// leaving that to the batch's closing merge.
+    fn touch<R>(&mut self, shard: usize, settle: Settle, f: impl FnOnce(&mut E) -> R) -> R {
+        match settle {
+            Settle::Now => self.on_shard(shard, f),
+            Settle::AtBatchClose => f(&mut self.shards[shard]),
         }
-        let bits_a = self.shards[sa].repr(la).storage_bits();
-        let bits_b = self.shards[sb].repr(lb).storage_bits();
-        let move_b = bits_b <= bits_a;
-        let (dst, src, moved_local, moved_bits) = if move_b {
-            (sa, sb, lb, bits_b)
+    }
+
+    /// Resolves a binary operation's operands to one executing shard (see
+    /// [`Self::place_binary`]). When the operands live on different shards,
+    /// the moving operand is transferred over the links and staged as a
+    /// temporary replica on the executing shard.
+    fn resolve_binary(
+        &mut self,
+        a: SetId,
+        b: SetId,
+        pin_to_a: bool,
+        settle: Settle,
+    ) -> ResolvedBinary {
+        let PlacedBinary {
+            stay: (dst, stay_local),
+            moved: (src, moved_local),
+            move_b,
+        } = self.place_binary(a, b, pin_to_a);
+        let temp = (src != dst).then(|| {
+            // Stage the replica's slot first, then price the transfer that
+            // fills it: the transfer writes the replica on the destination's
+            // overlap timeline, so the consuming operation waits for the
+            // operand to actually arrive (RAW) instead of racing its own
+            // transfer.
+            let replica = self.shards[src].repr(moved_local).clone();
+            let bytes = replica.storage_bits().div_ceil(8) as u64;
+            let temp = self.touch(dst, settle, |e| e.create(replica));
+            // The transfer cycles are attributed to the executing shard,
+            // which waits for the operand to arrive, and are handed to that
+            // shard's overlap timeline as lane work *writing* the replica: on
+            // a pipelined inner engine the wait occupies one virtual vault
+            // lane and independent instructions keep flowing instead of the
+            // whole machine stalling. No work counters are charged there —
+            // the ledger owns the cost — but whatever the shard's timeline
+            // records (makespan growth, a WAW stall behind the replica's
+            // create) reaches the aggregate like every other counter.
+            let cycles = self.ledger_transfer(src, dst, bytes);
+            self.touch(dst, settle, |e| e.absorb_lane_work(cycles, &[temp]));
+            temp
+        });
+        let other = temp.unwrap_or(moved_local);
+        let (a, b) = if move_b {
+            (stay_local, other)
         } else {
-            (sb, sa, la, bits_a)
+            (other, stay_local)
         };
-        let replica = self.shards[src].repr(moved_local).clone();
-        let temp = self.shards[dst].create(replica);
-        let cycles = self.ledger_transfer(src, dst, moved_bits.div_ceil(8) as u64);
-        self.shards[dst].absorb_lane_work(cycles, &[temp]);
         ResolvedBinary {
             shard: dst,
-            a: if move_b { la } else { temp },
-            b: if move_b { temp } else { lb },
-            temp: Some(temp),
+            a,
+            b,
+            temp,
         }
     }
 
@@ -587,7 +593,7 @@ impl<E: SetEngine> ShardedEngine<E> {
         b: SetId,
         f: impl FnOnce(&mut E, SetId, SetId) -> SetId,
     ) -> SetId {
-        let site = self.resolve_binary(a, b, false);
+        let site = self.resolve_binary(a, b, false, Settle::Now);
         let local = self.on_shard(site.shard, |e| f(e, site.a, site.b));
         self.release_temp(&site);
         self.created_load[site.shard] += self.shards[site.shard].repr(local).len() as u64;
@@ -600,14 +606,14 @@ impl<E: SetEngine> ShardedEngine<E> {
         b: SetId,
         f: impl FnOnce(&mut E, SetId, SetId) -> usize,
     ) -> usize {
-        let site = self.resolve_binary(a, b, false);
+        let site = self.resolve_binary(a, b, false, Settle::Now);
         let out = self.on_shard(site.shard, |e| f(e, site.a, site.b));
         self.release_temp(&site);
         out
     }
 
     fn binary_assign(&mut self, a: SetId, b: SetId, f: impl FnOnce(&mut E, SetId, SetId)) {
-        let site = self.resolve_binary(a, b, true);
+        let site = self.resolve_binary(a, b, true, Settle::Now);
         self.on_shard(site.shard, |e| f(e, site.a, site.b));
         self.release_temp(&site);
     }
@@ -670,7 +676,7 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
             }
             for (off, &op) in window.iter().enumerate() {
                 let (a, b) = op.operands();
-                let site = self.resolve_binary_raw(a, b);
+                let site = self.resolve_binary(a, b, false, Settle::AtBatchClose);
                 queues[site.shard].push(QueuedOp {
                     index: w * Self::EXECUTE_WINDOW + off,
                     op,
@@ -775,17 +781,7 @@ impl<E: SetEngine + Sync> ShardedEngine<E> {
                 "host_count_batch evaluates counting forms only"
             );
             let (a, b) = op.operands();
-            let (sa, la) = self.locate(a);
-            let (sb, lb) = self.locate(b);
-            let site = if sa == sb
-                || self.shards[sb].repr(lb).storage_bits()
-                    <= self.shards[sa].repr(la).storage_bits()
-            {
-                sa
-            } else {
-                sb
-            };
-            queues[site].push((index, op));
+            queues[self.place_binary(a, b, false).stay.0].push((index, op));
         }
 
         let eval = |op: BatchOp| -> usize {

@@ -20,8 +20,8 @@
 //!   directly: one track per vault lane, one per shard link, plus counter
 //!   tracks for issue-queue depth and the free physical-tag pool.
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms with
-//!   nearest-rank p50/p95/p99 (the same rank rule `sisa-bench` uses), a
-//!   serialisable [`MetricsSnapshot`] and a Prometheus-style text rendering.
+//!   nearest-rank p50/p95/p99, a serialisable [`MetricsSnapshot`] and a
+//!   Prometheus-style text rendering.
 //!
 //! Events carry the *simulated* clock of the issue pipeline (cycle `start`
 //! and `finish`), so a rendered timeline reproduces the makespan exactly:
@@ -348,9 +348,9 @@ fn json_string(s: &str) -> String {
 }
 
 /// A fixed-bucket histogram: power-of-two upper bounds plus an overflow
-/// bucket, with nearest-rank percentiles over the bucket counts (the same
-/// rank rule — `ceil(p/100 · n)` — that `sisa-bench` applies to raw
-/// samples; a bucketed observation reports its bucket's upper bound).
+/// bucket, with nearest-rank percentiles over the bucket counts (rank
+/// `ceil(p/100 · n)`; a bucketed observation reports its bucket's upper
+/// bound).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     bounds: Vec<u64>,

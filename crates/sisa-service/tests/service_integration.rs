@@ -48,6 +48,30 @@ fn assert_conserved(whole: &ExecStats, parts: &ExecStats) {
     );
 }
 
+/// The two exact-attribution identities of a drained service.
+fn assert_exact_attribution(service: &SisaService) {
+    // Identity 1: the tenant records fold bit-exactly (energy included) to
+    // the pool aggregate — it is defined as that fold.
+    let usage = service.tenant_usage();
+    let mut folded = ExecStats::default();
+    for tenant in usage.values() {
+        folded.merge(&tenant.stats);
+    }
+    let pool = service.pool_stats();
+    assert_eq!(folded, pool, "tenant fold == pool aggregate, bit-exact");
+    assert_eq!(
+        folded.energy_nj.to_bits(),
+        pool.energy_nj.to_bits(),
+        "energy is bit-exact, not merely close"
+    );
+
+    // Identity 2: pool + registry overhead telescopes to the raw engine
+    // counters — every engine cycle accrued inside exactly one StatsScope.
+    let mut attributed = pool;
+    attributed.merge(&service.registry_stats());
+    assert_conserved(&service.engine_stats(), &attributed);
+}
+
 #[test]
 fn second_query_on_a_registered_graph_charges_zero_load_cycles() {
     let service = SisaService::start(ServiceConfig::smoke());
@@ -130,26 +154,7 @@ fn per_tenant_stats_sum_exactly_to_pool_and_telescope_to_engines() {
         handle.wait().expect("completes");
     }
 
-    // Identity 1: the tenant records fold bit-exactly (energy included) to
-    // the pool aggregate — it is defined as that fold.
-    let usage = service.tenant_usage();
-    let mut folded = ExecStats::default();
-    for tenant in usage.values() {
-        folded.merge(&tenant.stats);
-    }
-    let pool = service.pool_stats();
-    assert_eq!(folded, pool, "tenant fold == pool aggregate, bit-exact");
-    assert_eq!(
-        folded.energy_nj.to_bits(),
-        pool.energy_nj.to_bits(),
-        "energy is bit-exact, not merely close"
-    );
-
-    // Identity 2: pool + registry overhead telescopes to the raw engine
-    // counters — every engine cycle accrued inside exactly one StatsScope.
-    let mut attributed = pool;
-    attributed.merge(&service.registry_stats());
-    assert_conserved(&service.engine_stats(), &attributed);
+    assert_exact_attribution(&service);
     service.close();
 }
 
@@ -300,6 +305,72 @@ fn tcp_transport_round_trips_queries_rejections_and_malformed_lines() {
 
     drop(writer);
     drop(lines);
+    server.stop();
+    service.close();
+}
+
+#[test]
+fn concurrent_tcp_connections_each_match_the_in_process_oracle() {
+    const CLIENTS: usize = 8;
+    const QUERIES_PER_CLIENT: usize = 6;
+    let service = SisaService::start(ServiceConfig::smoke());
+    service.register_graph("g", test_graph());
+    let mix = [
+        QueryKind::TriangleCount,
+        QueryKind::KCliqueCount { k: 3 },
+        QueryKind::StarCount { k: 2 },
+    ];
+    let expected: Vec<u64> = mix
+        .iter()
+        .map(|kind| {
+            service
+                .submit("oracle", QuerySpec::new("g", kind.clone()))
+                .expect("admitted")
+                .wait()
+                .expect("completes")
+                .value
+        })
+        .collect();
+
+    let server = TcpServer::serve(service.client(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    std::thread::scope(|scope| {
+        let (mix, expected) = (&mix, &expected);
+        for c in 0..CLIENTS {
+            scope.spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                let mut writer = stream.try_clone().expect("clone");
+                let mut lines = BufReader::new(stream).lines();
+                for q in 0..QUERIES_PER_CLIENT {
+                    let kind = (c + q) % mix.len();
+                    let id = (c * QUERIES_PER_CLIENT + q) as u64;
+                    let spec = QuerySpec::new("g", mix[kind].clone());
+                    let request = Request::from_spec(id, &format!("tcp-{c}"), &spec);
+                    let mut line = serde_json::to_string(&request).expect("request json");
+                    line.push('\n');
+                    writer.write_all(line.as_bytes()).expect("write");
+                    let terminal = loop {
+                        let line = lines.next().expect("frame").expect("read");
+                        let frame: Frame = serde_json::from_str(&line).expect("frame json");
+                        assert_eq!(frame.id, id, "a connection only sees its own frames");
+                        if frame.is_terminal() {
+                            break frame;
+                        }
+                    };
+                    assert_eq!(terminal.frame, "result", "{terminal:?}");
+                    assert_eq!(terminal.value, Some(expected[kind]));
+                }
+            });
+        }
+    });
+
+    let report = service.report();
+    assert_eq!(report.graph_loads, 1, "every connection shared one load");
+    assert_eq!(
+        report.completed,
+        (CLIENTS * QUERIES_PER_CLIENT + mix.len()) as u64
+    );
+    assert_exact_attribution(&service);
     server.stop();
     service.close();
 }

@@ -27,13 +27,11 @@
 //! performed; the benchmark harness uses these to regenerate the empirical
 //! side of the paper's Table 6 complexity analysis.
 //!
-//! Two modules serve raw host-side speed rather than the paper's cost model:
-//! [`kernels`] holds the word-parallel `u64` combines with fused popcounts
-//! that back every dense-bitvector operation, and [`arena`] is the
-//! thread-local scratch-buffer pool the hot [`SetRepr`] paths lease operand
-//! staging from instead of allocating per call. [`repr`] additionally hosts
-//! the size-ratio dispatch policy ([`repr::choose_host_kernel`]) that picks
-//! merge vs galloping vs bitmap execution per operation.
+//! [`kernels`] serves raw host-side speed rather than the paper's cost model:
+//! it holds the word-parallel `u64` combines with fused popcounts that back
+//! every dense-bitvector operation. [`repr`] additionally hosts the
+//! size-ratio dispatch ([`repr::choose_host_kernel`]) that picks merge vs
+//! galloping vs bitmap execution per operation.
 //!
 //! This crate is purely algorithmic: it knows nothing about timing, PIM or the
 //! SISA controller. Those live in `sisa-pim` and `sisa-core`.
@@ -55,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod counting;
 pub mod dense;
 pub mod kernels;
@@ -65,7 +62,7 @@ pub mod serde_impls;
 pub mod sparse;
 
 pub use dense::DenseBitVector;
-pub use repr::{HostKernel, KernelPolicy, KernelSelectionCounts, RepresentationKind, SetRepr};
+pub use repr::{HostKernel, KernelSelectionCounts, RepresentationKind, SetRepr};
 pub use sparse::{SortedVertexArray, UnsortedVertexArray};
 
 /// A vertex identifier.

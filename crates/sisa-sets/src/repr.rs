@@ -13,21 +13,15 @@
 //! actually execute each operation. [`choose_host_kernel`] implements the
 //! size-ratio dispatch policy: heavily skewed sparse operands run the
 //! galloping kernel, similar sizes run the linear merge, and dense operands
-//! run the word-parallel bitmap kernels from [`crate::kernels`]. Operand
-//! staging (sorting an unsorted array, expanding a bitvector) happens on
-//! buffers leased from the thread-local [`crate::arena`] instead of fresh
-//! allocations.
-//!
-//! [`KernelPolicy`] is a per-thread switch between this optimized path and a
-//! [`KernelPolicy::Reference`] mode that reproduces the seed implementation's
-//! behaviour — a fresh sorted `Vec` per operand and always-merge execution —
-//! so benchmarks can measure the host-side speedup against an unchanged
-//! semantic baseline.
+//! run the word-parallel bitmap kernels from [`crate::kernels`]. A sorted
+//! operand is borrowed as it is; an unsorted one is staged as a sorted copy.
+//! The merge kernels in [`crate::ops`] stay as the oracle the galloping
+//! kernels are tested against.
 
 use crate::ops;
-use crate::{arena, DenseBitVector, SortedVertexArray, UnsortedVertexArray, Vertex};
+use crate::{DenseBitVector, SortedVertexArray, UnsortedVertexArray, Vertex};
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::ops::Deref;
 
 /// Which physical representation a set currently uses.
 ///
@@ -70,17 +64,6 @@ pub enum HostKernel {
     Gallop,
     /// Word-parallel bitwise kernel (or single-bit probe) over a bitvector.
     Bitmap,
-}
-
-/// How [`SetRepr`]'s hot binary operations execute on this thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KernelPolicy {
-    /// Arena-staged operands plus size-ratio kernel dispatch (the default).
-    Optimized,
-    /// The seed implementation's behaviour: a freshly allocated sorted `Vec`
-    /// per operand and always-merge sparse execution. Used as the benchmark
-    /// baseline; results are identical to [`KernelPolicy::Optimized`].
-    Reference,
 }
 
 /// Per-thread tally of which host kernel the dispatch policy selected.
@@ -127,7 +110,6 @@ pub fn choose_host_kernel(len_a: usize, len_b: usize) -> HostKernel {
 }
 
 thread_local! {
-    static POLICY: Cell<KernelPolicy> = const { Cell::new(KernelPolicy::Optimized) };
     static SELECTIONS: Cell<KernelSelectionCounts> = const {
         Cell::new(KernelSelectionCounts {
             merge: 0,
@@ -135,18 +117,6 @@ thread_local! {
             bitmap: 0,
         })
     };
-}
-
-/// The kernel policy currently active on this thread.
-#[must_use]
-pub fn kernel_policy() -> KernelPolicy {
-    POLICY.with(Cell::get)
-}
-
-/// Sets the kernel policy for this thread (worker threads start
-/// [`KernelPolicy::Optimized`]).
-pub fn set_kernel_policy(policy: KernelPolicy) {
-    POLICY.with(|p| p.set(policy));
 }
 
 /// This thread's cumulative kernel-selection tallies.
@@ -172,56 +142,19 @@ fn record_selection(kernel: HostKernel) {
     });
 }
 
-/// Chooses (and tallies) the kernel for a sparse×sparse operation under the
-/// active policy: [`KernelPolicy::Reference`] always merges.
+/// Chooses (and tallies) the kernel for a sparse×sparse operation.
 fn dispatch_sparse(len_a: usize, len_b: usize) -> HostKernel {
-    let kernel = match kernel_policy() {
-        KernelPolicy::Optimized => choose_host_kernel(len_a, len_b),
-        KernelPolicy::Reference => HostKernel::Merge,
-    };
+    let kernel = choose_host_kernel(len_a, len_b);
     record_selection(kernel);
     kernel
 }
 
-/// A sorted slice view of one operand, staged per the active policy.
-enum SortedView<'a> {
-    /// The operand was already a sorted array: borrow it, zero cost.
-    Borrowed(&'a [Vertex]),
-    /// Reference policy: a freshly allocated sorted copy (seed behaviour).
-    Owned(Vec<Vertex>),
-    /// Optimized policy: a sorted copy on an arena-leased scratch buffer.
-    Leased(arena::VertexScratch),
-}
-
-impl Deref for SortedView<'_> {
-    type Target = [Vertex];
-    fn deref(&self) -> &[Vertex] {
-        match self {
-            Self::Borrowed(s) => s,
-            Self::Owned(v) => v,
-            Self::Leased(buf) => buf,
-        }
-    }
-}
-
-/// Stages `set` as a sorted slice for a sparse kernel.
-fn staged(set: &SetRepr) -> SortedView<'_> {
-    if kernel_policy() == KernelPolicy::Reference {
-        return SortedView::Owned(set.to_sorted_vec());
-    }
+/// Stages `set` as a sorted slice for a sparse kernel: a sorted array is
+/// borrowed, anything else is copied out in order.
+fn staged(set: &SetRepr) -> Cow<'_, [Vertex]> {
     match set {
-        SetRepr::Sorted(s) => SortedView::Borrowed(s.as_slice()),
-        SetRepr::Unsorted(s) => {
-            let mut buf = arena::vertices();
-            buf.extend_from_slice(s.as_slice());
-            buf.sort_unstable();
-            SortedView::Leased(buf)
-        }
-        SetRepr::Dense(d) => {
-            let mut buf = arena::vertices();
-            buf.extend(d.iter());
-            SortedView::Leased(buf)
-        }
+        SetRepr::Sorted(s) => Cow::Borrowed(s.as_slice()),
+        other => Cow::Owned(other.to_sorted_vec()),
     }
 }
 
@@ -392,9 +325,9 @@ impl SetRepr {
     /// situ); every other combination yields a sorted sparse array, because
     /// the result is no larger than the sparse operand.
     ///
-    /// Host execution follows the active [`KernelPolicy`]: sparse pairs
-    /// dispatch merge vs galloping via [`choose_host_kernel`], dense pairs run
-    /// the word-parallel bitmap kernel.
+    /// Host execution: sparse pairs dispatch merge vs galloping via
+    /// [`choose_host_kernel`], dense pairs run the word-parallel bitmap
+    /// kernel.
     #[must_use]
     pub fn intersect(&self, other: &SetRepr) -> SetRepr {
         match (self, other) {
@@ -512,10 +445,8 @@ impl SetRepr {
             (a, b) => {
                 let av = staged(a);
                 let bv = staged(b);
-                let gallop = kernel_policy() == KernelPolicy::Optimized
-                    && !av.is_empty()
-                    && bv.len() >= av.len().saturating_mul(GALLOP_RATIO);
-                let kernel = if gallop {
+                let kernel = if !av.is_empty() && bv.len() >= av.len().saturating_mul(GALLOP_RATIO)
+                {
                     HostKernel::Gallop
                 } else {
                     HostKernel::Merge
@@ -639,7 +570,6 @@ mod tests {
     #[test]
     fn dispatch_policy_tallies_selections() {
         reset_kernel_selection_counts();
-        set_kernel_policy(KernelPolicy::Optimized);
         let small = SetRepr::sorted_from(0..4u32);
         let large = SetRepr::sorted_from((0..256u32).map(|v| v * 2));
         let even = SetRepr::sorted_from((0..256u32).map(|v| v * 2 + 1));
@@ -663,55 +593,12 @@ mod tests {
     }
 
     #[test]
-    fn reference_policy_matches_optimized_results() {
-        let universe = 512;
-        let a_members: Vec<Vertex> = (0..512u32).filter(|v| v % 3 == 0).collect();
-        let b_members: Vec<Vertex> = (0..512u32).filter(|v| v % 97 == 0).collect();
-        for a in reprs(&a_members, universe) {
-            for b in reprs(&b_members, universe) {
-                set_kernel_policy(KernelPolicy::Optimized);
-                let opt = (
-                    a.intersect(&b).to_sorted_vec(),
-                    a.union(&b).to_sorted_vec(),
-                    a.difference(&b).to_sorted_vec(),
-                    a.intersect_count(&b),
-                );
-                set_kernel_policy(KernelPolicy::Reference);
-                let reference = (
-                    a.intersect(&b).to_sorted_vec(),
-                    a.union(&b).to_sorted_vec(),
-                    a.difference(&b).to_sorted_vec(),
-                    a.intersect_count(&b),
-                );
-                set_kernel_policy(KernelPolicy::Optimized);
-                assert_eq!(opt, reference, "{:?} vs {:?}", a.kind(), b.kind());
-            }
-        }
-    }
-
-    #[test]
     fn skewed_difference_gallops_and_agrees_with_merge() {
         reset_kernel_selection_counts();
-        set_kernel_policy(KernelPolicy::Optimized);
         let a = SetRepr::sorted_from([5u32, 100, 2000, 3999]);
         let b = SetRepr::sorted_from((0..4000u32).filter(|v| v % 2 == 0));
         let diff = a.difference(&b);
         assert_eq!(diff.to_sorted_vec(), vec![5, 3999]);
         assert_eq!(kernel_selection_counts().gallop, 1);
-    }
-
-    #[test]
-    fn optimized_staging_reuses_arena_buffers() {
-        set_kernel_policy(KernelPolicy::Optimized);
-        let a = SetRepr::Unsorted(UnsortedVertexArray::from_iterable([9u32, 1, 5]));
-        let b = SetRepr::Unsorted(UnsortedVertexArray::from_iterable([5u32, 9, 12]));
-        let _ = a.intersect(&b); // warm the pool
-        arena::reset_stats();
-        for _ in 0..8 {
-            assert_eq!(a.intersect(&b).to_sorted_vec(), vec![5, 9]);
-        }
-        let stats = arena::stats();
-        assert_eq!(stats.leases, 16, "two staged operands per op");
-        assert_eq!(stats.reuses, 16, "all leases must be pool hits");
     }
 }

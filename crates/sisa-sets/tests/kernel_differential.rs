@@ -8,8 +8,7 @@
 //! word boundary (63 / 64 / 65).
 
 use proptest::prelude::*;
-use sisa_sets::repr::{self, KernelPolicy};
-use sisa_sets::{kernels, ops, DenseBitVector, RepresentationKind, SetRepr, Vertex};
+use sisa_sets::{kernels, ops, DenseBitVector, SetRepr, UnsortedVertexArray, Vertex};
 use std::collections::BTreeSet;
 
 /// Scalar one-word-at-a-time reference for the word-parallel kernels.
@@ -78,12 +77,19 @@ fn model_difference(a: &BTreeSet<Vertex>, b: &BTreeSet<Vertex>) -> Vec<Vertex> {
     a.difference(b).copied().collect()
 }
 
+/// `members` as an unsorted array stored in descending order, so staging it
+/// for a sparse kernel has to sort.
+fn unsorted(members: &BTreeSet<Vertex>) -> SetRepr {
+    SetRepr::Unsorted(UnsortedVertexArray::from_iterable(
+        members.iter().rev().copied(),
+    ))
+}
+
 /// The same abstract set in each physical representation over `universe`.
 fn all_reprs(members: &BTreeSet<Vertex>, universe: usize) -> [SetRepr; 3] {
     [
         SetRepr::sorted_from(members.iter().copied()),
-        SetRepr::sorted_from(members.iter().copied())
-            .converted_to(RepresentationKind::UnsortedArray, universe),
+        unsorted(members),
         SetRepr::dense_from(universe, members.iter().copied()),
     ]
 }
@@ -166,6 +172,22 @@ proptest! {
             prop_assert_eq!(ops::difference_galloping_slices(a, b), diff.clone());
             prop_assert_eq!(ops::difference_galloping_slices_reference(a, b), diff);
         }
+        // The same skewed draws through `SetRepr`, with an unsorted operand
+        // on either side or both: the sorted copy staged for the kernel must
+        // give the model's answer.
+        let sparse = |m: &BTreeSet<Vertex>| [SetRepr::sorted_from(m.iter().copied()), unsorted(m)];
+        for (ma, mb) in [(&small, &large), (&large, &small)] {
+            let (inter, uni, diff) =
+                (model_intersect(ma, mb), model_union(ma, mb), model_difference(ma, mb));
+            for ra in sparse(ma) {
+                for rb in sparse(mb) {
+                    prop_assert_eq!(&ra.intersect(&rb).to_sorted_vec(), &inter);
+                    prop_assert_eq!(&ra.union(&rb).to_sorted_vec(), &uni);
+                    prop_assert_eq!(&ra.difference(&rb).to_sorted_vec(), &diff);
+                    prop_assert_eq!(ra.intersect_count(&rb), inter.len());
+                }
+            }
+        }
     }
 
     #[test]
@@ -173,33 +195,20 @@ proptest! {
         members_a in proptest::collection::btree_set(0u32..512, 0..128),
         members_b in proptest::collection::btree_set(0u32..512, 0..128),
     ) {
-        // Whatever host kernel the size-ratio policy picks, and whether or
-        // not operand staging goes through the arena, results must match the
-        // Reference policy (the seed's behaviour) and the abstract model.
+        // Whatever host kernel the size-ratio dispatch picks for similar
+        // sizes, in every pairing of representations, results must match the
+        // abstract model.
         let universe = 512;
+        let inter = model_intersect(&members_a, &members_b);
+        let uni = model_union(&members_a, &members_b);
+        let diff = model_difference(&members_a, &members_b);
         for ra in all_reprs(&members_a, universe) {
             for rb in all_reprs(&members_b, universe) {
-                repr::set_kernel_policy(KernelPolicy::Optimized);
-                let opt = (
-                    ra.intersect(&rb).to_sorted_vec(),
-                    ra.union(&rb).to_sorted_vec(),
-                    ra.difference(&rb).to_sorted_vec(),
-                    ra.intersect_count(&rb),
-                    ra.difference_count(&rb),
-                );
-                repr::set_kernel_policy(KernelPolicy::Reference);
-                let reference = (
-                    ra.intersect(&rb).to_sorted_vec(),
-                    ra.union(&rb).to_sorted_vec(),
-                    ra.difference(&rb).to_sorted_vec(),
-                    ra.intersect_count(&rb),
-                    ra.difference_count(&rb),
-                );
-                repr::set_kernel_policy(KernelPolicy::Optimized);
-                prop_assert_eq!(&opt, &reference);
-                prop_assert_eq!(&opt.0, &model_intersect(&members_a, &members_b));
-                prop_assert_eq!(&opt.1, &model_union(&members_a, &members_b));
-                prop_assert_eq!(&opt.2, &model_difference(&members_a, &members_b));
+                prop_assert_eq!(&ra.intersect(&rb).to_sorted_vec(), &inter);
+                prop_assert_eq!(&ra.union(&rb).to_sorted_vec(), &uni);
+                prop_assert_eq!(&ra.difference(&rb).to_sorted_vec(), &diff);
+                prop_assert_eq!(ra.intersect_count(&rb), inter.len());
+                prop_assert_eq!(ra.difference_count(&rb), diff.len());
             }
         }
     }
@@ -243,7 +252,6 @@ fn galloping_handles_adversarial_shapes() {
 /// The word-boundary shapes, driven end-to-end through `SetRepr` dispatch.
 #[test]
 fn dispatch_handles_word_boundary_and_degenerate_sets() {
-    repr::set_kernel_policy(KernelPolicy::Optimized);
     for universe in [63usize, 64, 65] {
         let last = (universe - 1) as Vertex;
         let cases: [(Vec<Vertex>, Vec<Vertex>); 5] = [

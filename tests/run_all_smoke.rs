@@ -1,7 +1,7 @@
 //! Smoke test for the `run_all` pipeline shape: every (problem, scheme) cell
 //! the figure binaries measure must run end-to-end on a tiny generated graph.
-//! This gives CI coverage of the bench path without invoking criterion or the
-//! release-built figure binaries.
+//! This gives CI coverage of the figure path without invoking the release-built
+//! figure binaries.
 
 use sisa::algorithms::SearchLimits;
 use sisa::graph::generators;
