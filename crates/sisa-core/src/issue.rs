@@ -13,7 +13,15 @@
 //! costed result is enqueued into the scoreboarded
 //! [`crate::pipeline::IssueQueue`], which decides where the instruction lands
 //! on the overlapped vault-lane timeline.
+//!
+//! Every operand of every instruction asks "which register holds this ID?",
+//! so the table keeps a reverse index from raw set ID to pool slot beside the
+//! per-register bindings; only the choice of a victim on a miss looks at all
+//! 29 registers. The victim rule — smallest `(stamp, index)`, free registers
+//! first — is what fixes which registers a traced program names, and is
+//! unchanged by the index.
 
+use crate::slots::slot_mut;
 use sisa_isa::{Register, SetId, SisaInstruction, SisaOpcode};
 
 /// Index of the first general-purpose register used for set IDs (`x1`; `x0`
@@ -31,6 +39,9 @@ const SCALAR_RESULT_REGISTER: u8 = 30;
 /// loads the vertex id into it before issuing, like an immediate).
 const VERTEX_OPERAND_REGISTER: u8 = 31;
 
+/// Reverse-index entry of a set ID no register holds.
+const UNBOUND: u8 = u8::MAX;
+
 /// The set-ID → register binding table of the issue stage.
 ///
 /// Binding an unbound set ID claims the least-recently-used register of the
@@ -43,6 +54,9 @@ pub struct RegisterFile {
     bindings: [Option<SetId>; SET_REGISTER_POOL],
     /// LRU stamp per pool register.
     stamps: [u64; SET_REGISTER_POOL],
+    /// The inverse of `bindings`, indexed by raw set ID: the pool slot
+    /// holding the ID, or [`UNBOUND`] (also the answer past the end).
+    slots: Vec<u8>,
     clock: u64,
 }
 
@@ -59,6 +73,7 @@ impl RegisterFile {
         Self {
             bindings: [None; SET_REGISTER_POOL],
             stamps: [0; SET_REGISTER_POOL],
+            slots: Vec::new(),
             clock: 0,
         }
     }
@@ -87,7 +102,10 @@ impl RegisterFile {
         let slot = (0..SET_REGISTER_POOL)
             .min_by_key(|&i| (self.stamps[i], i))
             .expect("the register pool is non-empty");
-        self.bindings[slot] = Some(id);
+        if let Some(evicted) = self.bindings[slot].replace(id) {
+            self.slots[evicted.raw() as usize] = UNBOUND;
+        }
+        *slot_mut(&mut self.slots, id, UNBOUND) = slot as u8;
         self.stamps[slot] = self.clock;
         Self::register_of(slot)
     }
@@ -97,6 +115,7 @@ impl RegisterFile {
         if let Some(slot) = self.slot_of(id) {
             self.bindings[slot] = None;
             self.stamps[slot] = 0;
+            self.slots[id.raw() as usize] = UNBOUND;
         }
     }
 
@@ -113,7 +132,10 @@ impl RegisterFile {
     }
 
     fn slot_of(&self, id: SetId) -> Option<usize> {
-        self.bindings.iter().position(|&b| b == Some(id))
+        match self.slots.get(id.raw() as usize) {
+            Some(&slot) if slot != UNBOUND => Some(slot as usize),
+            _ => None,
+        }
     }
 
     fn register_of(slot: usize) -> Register {

@@ -6,10 +6,19 @@
 //! set" (§3). Metadata lookups normally go through a small cache, the SMB;
 //! when the entry is not cached, "there is a single additional memory access
 //! for one set operation" (§8.4).
+//!
+//! Both structures sit on the priced path of every set instruction, and both
+//! are keyed by set IDs, which the engines mint as dense indices. So both are
+//! flat tables indexed by raw ID: [`SetMetadataTable`] is one vector of
+//! entries, and [`SmbCache`] is an exact `O(1)` LRU whose recency list is
+//! threaded through such a vector. Their length is the largest ID ever
+//! registered or looked up, which is why only IDs the slot allocator minted
+//! may reach them — [`crate::SisaRuntime`] faults on a dangling operand
+//! before it gets here.
 
+use crate::slots::slot_mut;
 use crate::SetId;
 use sisa_sets::RepresentationKind;
-use std::collections::HashMap;
 
 /// One SM entry: everything the SCU needs to know about a set to pick an
 /// instruction variant.
@@ -26,10 +35,15 @@ pub struct SetMetadata {
     pub address: u64,
 }
 
-/// The in-memory SM structure: a map from set IDs to metadata entries.
+/// The in-memory SM structure: one metadata entry per set ID.
+///
+/// Set IDs are dense indices minted by the engines' slot allocator, so the
+/// table is a plain vector indexed by raw ID — the same shape, and the same
+/// length, as the runtime's own `sets` table.
 #[derive(Clone, Debug, Default)]
 pub struct SetMetadataTable {
-    entries: HashMap<SetId, SetMetadata>,
+    entries: Vec<Option<SetMetadata>>,
+    live: usize,
     next_address: u64,
 }
 
@@ -38,7 +52,8 @@ impl SetMetadataTable {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: Vec::new(),
+            live: 0,
             next_address: 0x4000_0000,
         }
     }
@@ -57,21 +72,21 @@ impl SetMetadataTable {
         };
         let address = self.next_address;
         self.next_address += (bits as u64 / 8).max(64) + 64;
-        self.entries.insert(
-            id,
-            SetMetadata {
-                kind,
-                cardinality,
-                universe,
-                address,
-            },
-        );
+        let previous = slot_mut(&mut self.entries, id, None).replace(SetMetadata {
+            kind,
+            cardinality,
+            universe,
+            address,
+        });
+        if previous.is_none() {
+            self.live += 1;
+        }
     }
 
     /// Looks an entry up.
     #[must_use]
     pub fn get(&self, id: SetId) -> Option<&SetMetadata> {
-        self.entries.get(&id)
+        self.entries.get(id.raw() as usize)?.as_ref()
     }
 
     /// Updates the representation and cardinality of an existing entry.
@@ -82,7 +97,8 @@ impl SetMetadataTable {
     pub fn update(&mut self, id: SetId, kind: RepresentationKind, cardinality: usize) {
         let entry = self
             .entries
-            .get_mut(&id)
+            .get_mut(id.raw() as usize)
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("set {id} has no metadata entry"));
         entry.kind = kind;
         entry.cardinality = cardinality;
@@ -90,20 +106,35 @@ impl SetMetadataTable {
 
     /// Removes an entry (set deletion).
     pub fn remove(&mut self, id: SetId) {
-        self.entries.remove(&id);
+        if let Some(entry) = self.entries.get_mut(id.raw() as usize) {
+            if entry.take().is_some() {
+                self.live -= 1;
+            }
+        }
     }
 
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
+}
+
+/// "No neighbour" on the SMB's recency list.
+const NIL: u32 = u32::MAX;
+
+/// A resident SMB entry's neighbours on the recency list (raw set IDs, or
+/// [`NIL`] at either end).
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    newer: u32,
+    older: u32,
 }
 
 /// The Set-Metadata Buffer: a small LRU cache of SM entries held by the SCU.
@@ -111,11 +142,23 @@ impl SetMetadataTable {
 /// Only presence is modelled (the actual metadata lives in
 /// [`SetMetadataTable`]); the SCU charges the hit latency or the SM-miss
 /// memory access depending on the outcome reported here.
+///
+/// The replacement policy is exact LRU in `O(1)` per access: the resident
+/// IDs form a doubly linked recency list whose links live in a vector
+/// indexed by raw set ID, so a hit is one index plus a splice to the front
+/// and a miss evicts the list's tail. Every `lookup` and `prime` moves its
+/// ID to the front, which is precisely "give it a stamp larger than every
+/// other" — so the list order *is* the order of last-touch stamps, and its
+/// tail is the minimum-stamp entry a timestamped LRU would evict.
 #[derive(Clone, Debug)]
 pub struct SmbCache {
     capacity: usize,
-    stamps: HashMap<SetId, u64>,
-    clock: u64,
+    /// `links[raw]` is `Some` exactly when set `raw` is resident.
+    links: Vec<Option<Link>>,
+    /// Most and least recently touched resident IDs ([`NIL`] when empty).
+    newest: u32,
+    oldest: u32,
+    resident: usize,
     hits: u64,
     misses: u64,
 }
@@ -126,8 +169,10 @@ impl SmbCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            stamps: HashMap::new(),
-            clock: 0,
+            links: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
+            resident: 0,
             hits: 0,
             misses: 0,
         }
@@ -136,38 +181,70 @@ impl SmbCache {
     /// Performs a lookup for `id`; returns `true` on hit. Misses install the
     /// entry, evicting the least recently used one if the buffer is full.
     pub fn lookup(&mut self, id: SetId) -> bool {
-        self.clock += 1;
-        if let Some(stamp) = self.stamps.get_mut(&id) {
-            *stamp = self.clock;
+        let hit = self.touch(id);
+        if hit {
             self.hits += 1;
-            return true;
+        } else {
+            self.misses += 1;
         }
-        self.misses += 1;
-        if self.stamps.len() >= self.capacity {
-            if let Some((&victim, _)) = self.stamps.iter().min_by_key(|(_, &s)| s) {
-                self.stamps.remove(&victim);
-            }
-        }
-        self.stamps.insert(id, self.clock);
-        false
+        hit
     }
 
     /// Installs `id` without counting a hit or a miss — used when the SCU has
     /// just written the entry itself (set creation), so the metadata is
     /// necessarily resident.
     pub fn prime(&mut self, id: SetId) {
-        self.clock += 1;
-        if self.stamps.len() >= self.capacity && !self.stamps.contains_key(&id) {
-            if let Some((&victim, _)) = self.stamps.iter().min_by_key(|(_, &s)| s) {
-                self.stamps.remove(&victim);
-            }
-        }
-        self.stamps.insert(id, self.clock);
+        self.touch(id);
     }
 
     /// Drops a set from the buffer (set deletion).
     pub fn invalidate(&mut self, id: SetId) {
-        self.stamps.remove(&id);
+        self.unlink(id.raw());
+    }
+
+    /// Makes `id` the most recently used entry, installing it (and evicting
+    /// the least recently used entry of a full buffer) if it was not
+    /// resident. Returns whether it was.
+    fn touch(&mut self, id: SetId) -> bool {
+        let raw = id.raw();
+        let was_resident = self.unlink(raw);
+        if !was_resident && self.resident >= self.capacity {
+            self.unlink(self.oldest);
+        }
+        *slot_mut(&mut self.links, id, None) = Some(Link {
+            newer: NIL,
+            older: self.newest,
+        });
+        match self.newest {
+            NIL => self.oldest = raw,
+            head => self.link_mut(head).newer = raw,
+        }
+        self.newest = raw;
+        self.resident += 1;
+        was_resident
+    }
+
+    /// Takes `raw` off the recency list; returns whether it was on it.
+    fn unlink(&mut self, raw: u32) -> bool {
+        let Some(link) = self.links.get_mut(raw as usize).and_then(Option::take) else {
+            return false;
+        };
+        match link.newer {
+            NIL => self.newest = link.older,
+            newer => self.link_mut(newer).older = link.older,
+        }
+        match link.older {
+            NIL => self.oldest = link.newer,
+            older => self.link_mut(older).newer = link.newer,
+        }
+        self.resident -= 1;
+        true
+    }
+
+    fn link_mut(&mut self, raw: u32) -> &mut Link {
+        self.links[raw as usize]
+            .as_mut()
+            .expect("recency-list neighbours are resident")
     }
 
     /// Hits recorded so far.

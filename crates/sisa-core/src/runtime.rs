@@ -751,7 +751,12 @@ impl SetEngine for SisaRuntime {
         // Externally billed cycles (cross-shard link transfers) occupy a
         // vault lane on the overlap timeline but charge no work counters
         // here — the composite wrapper owns those. The write set keeps
-        // consumers of whatever the work delivers behind it.
+        // consumers of whatever the work delivers behind it. It names local
+        // sets, and the timeline's tables are indexed by ID: a foreign ID
+        // faults here instead of sizing one.
+        for &id in writes {
+            self.expect_slot(id);
+        }
         if cycles > 0 {
             self.timeline(None, LaneKind::Vault, cycles, &[], writes);
         }
@@ -1078,6 +1083,25 @@ mod tests {
             before.makespan_cycles + 1_000,
             "at depth 1 the absorbed wait serialises onto the timeline"
         );
+    }
+
+    #[test]
+    fn absorbed_lane_work_faults_on_a_set_that_does_not_exist() {
+        let mut rt = runtime();
+        let stats_before = rt.stats().clone();
+        let tracked_before = rt.pipeline().tracked_operands();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.absorb_lane_work(1, &[SetId(u32::MAX)]);
+        }));
+        let message = *outcome
+            .expect_err("a foreign ID must fault")
+            .downcast::<String>()
+            .expect("the fault carries a formatted message");
+        assert!(message.contains("does not exist"), "{message}");
+        // Nothing reached the timeline: no makespan, no hazard entry, no table
+        // grown to the foreign ID.
+        assert_eq!(rt.stats(), &stats_before);
+        assert_eq!(rt.pipeline().tracked_operands(), tracked_before);
     }
 
     /// A materialise → read → delete chain over recycled set IDs: the

@@ -31,12 +31,22 @@
 //!   entry is [released](Scoreboard::release) when the tag is reclaimed.
 //!
 //! Entries whose recorded times can no longer influence any future schedule
-//! are pruned by [`Scoreboard::prune_completed`], so a scoreboard driven
-//! across a long program stays bounded by the *in-flight* operand footprint
-//! instead of growing with every set ID the program ever touched.
+//! are pruned by [`Scoreboard::prune_completed`], so [`Scoreboard::tracked`]
+//! — the number of IDs carrying hazard state — stays bounded by the
+//! *in-flight* operand footprint instead of growing with every set ID the
+//! program ever touched.
+//!
+//! Set IDs and physical tags are dense indices, so the hazard state lives in
+//! a flat table indexed by raw ID and every `ready_at`/`record` is an index,
+//! not a search. The table's *length* is therefore the largest ID ever
+//! recorded — the same bound the runtime's own `sets: Vec<Option<SetRepr>>`
+//! already pays, and the reason only IDs minted by the slot allocator (or,
+//! for tags, by [`crate::rename::RenameMap`]) may be recorded. A side list of
+//! the tracked IDs lets pruning and clearing walk the in-flight footprint
+//! only, never the whole table.
 
+use crate::slots::slot_mut;
 use sisa_isa::SetId;
-use std::collections::BTreeMap;
 
 /// Completion times recorded for one set ID.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,10 +57,22 @@ struct SetTimes {
     reads_done: u64,
 }
 
+/// One tracked ID's hazard state and its position in the tracked-ID list.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    times: SetTimes,
+    /// Index of this ID in the scoreboard's tracked-ID list.
+    position: u32,
+}
+
 /// Tracks RAW/WAW/WAR hazards on operand sets for the issue queue.
 #[derive(Clone, Debug, Default)]
 pub struct Scoreboard {
-    times: BTreeMap<u32, SetTimes>,
+    /// `slots[raw]` is `Some` exactly when `raw` carries hazard state.
+    slots: Vec<Option<Slot>>,
+    /// The raw IDs with a `Some` slot, in no particular order;
+    /// `slots[tracked[i]].position == i`.
+    tracked: Vec<u32>,
 }
 
 impl Scoreboard {
@@ -61,7 +83,23 @@ impl Scoreboard {
     }
 
     fn entry(&self, id: SetId) -> SetTimes {
-        self.times.get(&id.raw()).copied().unwrap_or_default()
+        match self.slots.get(id.raw() as usize) {
+            Some(Some(slot)) => slot.times,
+            _ => SetTimes::default(),
+        }
+    }
+
+    /// The hazard state of `id`, which starts being tracked if it was not.
+    fn entry_mut(&mut self, id: SetId) -> &mut SetTimes {
+        let tracked = &mut self.tracked;
+        let slot = slot_mut(&mut self.slots, id, None).get_or_insert_with(|| {
+            tracked.push(id.raw());
+            Slot {
+                times: SetTimes::default(),
+                position: (tracked.len() - 1) as u32,
+            }
+        });
+        &mut slot.times
     }
 
     /// The earliest cycle at which an instruction reading `reads` and writing
@@ -98,11 +136,11 @@ impl Scoreboard {
     /// Publishes an issued instruction's completion time against its operands.
     pub fn record(&mut self, reads: &[SetId], writes: &[SetId], finish: u64) {
         for &r in reads {
-            let t = self.times.entry(r.raw()).or_default();
+            let t = self.entry_mut(r);
             t.reads_done = t.reads_done.max(finish);
         }
         for &w in writes {
-            let t = self.times.entry(w.raw()).or_default();
+            let t = self.entry_mut(w);
             t.write_done = t.write_done.max(finish);
         }
     }
@@ -121,7 +159,18 @@ impl Scoreboard {
     /// binding of the tag starts with a clean slate instead of inheriting its
     /// predecessor's times).
     pub fn release(&mut self, id: SetId) {
-        self.times.remove(&id.raw());
+        let Some(slot) = self.slots.get_mut(id.raw() as usize).and_then(Option::take) else {
+            return;
+        };
+        // Fill the hole in the tracked list with its last entry.
+        let position = slot.position as usize;
+        self.tracked.swap_remove(position);
+        if let Some(&moved) = self.tracked.get(position) {
+            self.slots[moved as usize]
+                .as_mut()
+                .expect("tracked IDs have a slot")
+                .position = slot.position;
+        }
     }
 
     /// Prunes every entry whose recorded times have fully retired: once the
@@ -131,21 +180,35 @@ impl Scoreboard {
     /// structural/resource floor), so dropping it changes no schedule.
     /// Returns the number of entries dropped.
     pub fn prune_completed(&mut self, horizon: u64) -> usize {
-        let before = self.times.len();
-        self.times
-            .retain(|_, t| t.write_done > horizon || t.reads_done > horizon);
-        before - self.times.len()
+        let before = self.tracked.len();
+        let slots = &mut self.slots;
+        let mut kept = 0u32;
+        self.tracked.retain(|&raw| {
+            let entry = &mut slots[raw as usize];
+            let slot = entry.as_mut().expect("tracked IDs have a slot");
+            let keep = slot.times.write_done > horizon || slot.times.reads_done > horizon;
+            if keep {
+                slot.position = kept;
+                kept += 1;
+            } else {
+                *entry = None;
+            }
+            keep
+        });
+        before - self.tracked.len()
     }
 
     /// Forgets every recorded time (the timeline restarts at cycle 0).
     pub fn clear(&mut self) {
-        self.times.clear();
+        for raw in self.tracked.drain(..) {
+            self.slots[raw as usize] = None;
+        }
     }
 
     /// Number of set IDs with recorded hazard state (capacity telemetry).
     #[must_use]
     pub fn tracked(&self) -> usize {
-        self.times.len()
+        self.tracked.len()
     }
 }
 

@@ -379,8 +379,12 @@ pub struct StatsCheckpoint {
 }
 
 impl StatsCheckpoint {
-    /// One slot per possible `funct7` value (a 7-bit field).
-    const OPCODE_SLOTS: usize = 128;
+    /// Slots of the `funct7`-indexed arrays: the next power of two above the
+    /// ISA's largest `funct7` ([`SisaOpcode::ALL`] ascends, so its last
+    /// entry), not the 7-bit field's 128 — a checkpoint is taken, and these
+    /// arrays zeroed, on every operation a composite engine forwards.
+    const OPCODE_SLOTS: usize =
+        (SisaOpcode::ALL[SisaOpcode::ALL.len() - 1] as usize + 1).next_power_of_two();
 }
 
 #[cfg(test)]
@@ -407,6 +411,17 @@ mod tests {
         assert_eq!(s.total_instructions(), 3);
         assert!((s.pum_fraction() - 0.25).abs() < 1e-12);
         assert!((s.smb_hit_ratio() - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_opcode_indexes_inside_the_checkpoint_arrays() {
+        assert_eq!(StatsCheckpoint::OPCODE_SLOTS, 64);
+        for op in SisaOpcode::ALL {
+            assert!(
+                (op.funct7() as usize) < StatsCheckpoint::OPCODE_SLOTS,
+                "{op:?} would index past a checkpoint array"
+            );
+        }
     }
 
     #[test]

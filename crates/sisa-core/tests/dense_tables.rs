@@ -1,0 +1,353 @@
+//! Differential property tests for the ID-indexed tables on the priced path.
+//!
+//! `SmbCache`, `Scoreboard` and `RegisterFile` used to be associative — a
+//! stamp `HashMap` with a full-scan victim search, a `BTreeMap`, a linear
+//! search over the register bindings — and are now flat tables indexed by raw
+//! set ID. That is a host-speed change only: every simulated figure must stay
+//! bit-identical, which holds exactly when each table answers every call the
+//! way its predecessor did. The predecessors are kept here, verbatim, as the
+//! models:
+//!
+//! 1. **SMB** — the same hit/miss answer per `lookup` and the same
+//!    `hits()`/`misses()` after every `lookup`/`prime`/`invalidate`, at
+//!    capacities 1..=8 over 32 IDs (so eviction is the common case);
+//! 2. **Scoreboard** — every return value equal over random
+//!    `record`/`ready_at`/`raw_ready_at`/`times_of`/`release`/
+//!    `prune_completed`/`clear` streams, `tracked()` after every step, and
+//!    `record(.., finish = 0)` included (it creates a tracked entry);
+//! 3. **Register file** — the same `Register` per `bind` over more distinct
+//!    IDs than the pool holds, so the victim rule is exercised (the trace
+//!    fixture encodes the registers a program names).
+
+use proptest::prelude::*;
+use sisa_core::{RegisterFile, Scoreboard, SmbCache};
+use sisa_isa::{Register, SetId};
+use std::collections::{BTreeMap, HashMap};
+
+// ---------------------------------------------------------------------------
+// Model: the stamp-map SMB
+// ---------------------------------------------------------------------------
+
+struct SmbModel {
+    capacity: usize,
+    stamps: HashMap<SetId, u64>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl SmbModel {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity: capacity.max(1),
+            stamps: HashMap::new(),
+            clock: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn lookup(&mut self, id: SetId) -> bool {
+        self.clock += 1;
+        if let Some(stamp) = self.stamps.get_mut(&id) {
+            *stamp = self.clock;
+            self.hits += 1;
+            return true;
+        }
+        self.misses += 1;
+        if self.stamps.len() >= self.capacity {
+            if let Some((&victim, _)) = self.stamps.iter().min_by_key(|(_, &s)| s) {
+                self.stamps.remove(&victim);
+            }
+        }
+        self.stamps.insert(id, self.clock);
+        false
+    }
+
+    fn prime(&mut self, id: SetId) {
+        self.clock += 1;
+        if self.stamps.len() >= self.capacity && !self.stamps.contains_key(&id) {
+            if let Some((&victim, _)) = self.stamps.iter().min_by_key(|(_, &s)| s) {
+                self.stamps.remove(&victim);
+            }
+        }
+        self.stamps.insert(id, self.clock);
+    }
+
+    fn invalidate(&mut self, id: SetId) {
+        self.stamps.remove(&id);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Model: the BTreeMap scoreboard
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Copy, Default)]
+struct SetTimes {
+    write_done: u64,
+    reads_done: u64,
+}
+
+#[derive(Default)]
+struct ScoreboardModel {
+    times: BTreeMap<u32, SetTimes>,
+}
+
+impl ScoreboardModel {
+    fn entry(&self, id: SetId) -> SetTimes {
+        self.times.get(&id.raw()).copied().unwrap_or_default()
+    }
+
+    fn ready_at(&self, reads: &[SetId], writes: &[SetId]) -> u64 {
+        let mut ready = 0;
+        for &r in reads {
+            ready = ready.max(self.entry(r).write_done);
+        }
+        for &w in writes {
+            let t = self.entry(w);
+            ready = ready.max(t.write_done).max(t.reads_done);
+        }
+        ready
+    }
+
+    fn raw_ready_at(&self, reads: &[SetId]) -> u64 {
+        reads
+            .iter()
+            .map(|&r| self.entry(r).write_done)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn record(&mut self, reads: &[SetId], writes: &[SetId], finish: u64) {
+        for &r in reads {
+            let t = self.times.entry(r.raw()).or_default();
+            t.reads_done = t.reads_done.max(finish);
+        }
+        for &w in writes {
+            let t = self.times.entry(w.raw()).or_default();
+            t.write_done = t.write_done.max(finish);
+        }
+    }
+
+    fn times_of(&self, id: SetId) -> (u64, u64) {
+        let t = self.entry(id);
+        (t.write_done, t.reads_done)
+    }
+
+    fn release(&mut self, id: SetId) {
+        self.times.remove(&id.raw());
+    }
+
+    fn prune_completed(&mut self, horizon: u64) -> usize {
+        let before = self.times.len();
+        self.times
+            .retain(|_, t| t.write_done > horizon || t.reads_done > horizon);
+        before - self.times.len()
+    }
+
+    fn clear(&mut self) {
+        self.times.clear();
+    }
+
+    fn tracked(&self) -> usize {
+        self.times.len()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Model: the scanning register file
+// ---------------------------------------------------------------------------
+
+const FIRST_SET_REGISTER: u8 = 1;
+const SET_REGISTER_POOL: usize = 29;
+
+struct RegisterModel {
+    bindings: [Option<SetId>; SET_REGISTER_POOL],
+    stamps: [u64; SET_REGISTER_POOL],
+    clock: u64,
+}
+
+impl RegisterModel {
+    fn new() -> Self {
+        Self {
+            bindings: [None; SET_REGISTER_POOL],
+            stamps: [0; SET_REGISTER_POOL],
+            clock: 0,
+        }
+    }
+
+    fn bind(&mut self, id: SetId) -> Register {
+        self.clock += 1;
+        if let Some(slot) = self.slot_of(id) {
+            self.stamps[slot] = self.clock;
+            return Self::register_of(slot);
+        }
+        let slot = (0..SET_REGISTER_POOL)
+            .min_by_key(|&i| (self.stamps[i], i))
+            .expect("the register pool is non-empty");
+        self.bindings[slot] = Some(id);
+        self.stamps[slot] = self.clock;
+        Self::register_of(slot)
+    }
+
+    fn release(&mut self, id: SetId) {
+        if let Some(slot) = self.slot_of(id) {
+            self.bindings[slot] = None;
+            self.stamps[slot] = 0;
+        }
+    }
+
+    fn lookup(&self, id: SetId) -> Option<Register> {
+        self.slot_of(id).map(Self::register_of)
+    }
+
+    fn bound(&self) -> usize {
+        self.bindings.iter().filter(|b| b.is_some()).count()
+    }
+
+    fn slot_of(&self, id: SetId) -> Option<usize> {
+        self.bindings.iter().position(|&b| b == Some(id))
+    }
+
+    fn register_of(slot: usize) -> Register {
+        Register::new(FIRST_SET_REGISTER + slot as u8)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Random call streams
+// ---------------------------------------------------------------------------
+
+/// A stream of raw draws; each test decodes a draw into one call (the
+/// vendored proptest shim has no `prop_oneof` and no tuple strategies).
+fn draws(len: usize) -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(0u64..u64::MAX, 0..len)
+}
+
+/// Peels `n` alternatives off a draw.
+fn take(raw: &mut u64, n: u64) -> u64 {
+    let value = *raw % n;
+    *raw /= n;
+    value
+}
+
+/// Peels up to two operand IDs below `ids` off a draw.
+fn operands(raw: &mut u64, ids: u64) -> Vec<SetId> {
+    (0..take(raw, 3))
+        .map(|_| SetId(take(raw, ids) as u32))
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn smb_matches_the_stamp_map_model(capacity in 1usize..=8, stream in draws(400)) {
+        let mut smb = SmbCache::new(capacity);
+        let mut model = SmbModel::new(capacity);
+        for mut raw in stream {
+            let call = take(&mut raw, 8);
+            let id = SetId(take(&mut raw, 32) as u32);
+            match call {
+                0..=4 => prop_assert_eq!(smb.lookup(id), model.lookup(id), "lookup {}", id),
+                5 | 6 => {
+                    smb.prime(id);
+                    model.prime(id);
+                }
+                _ => {
+                    smb.invalidate(id);
+                    model.invalidate(id);
+                }
+            }
+            prop_assert_eq!(smb.hits(), model.hits);
+            prop_assert_eq!(smb.misses(), model.misses);
+        }
+        // What is resident at the end is part of the state too: a last sweep
+        // over every ID must hit and miss alike.
+        for raw in 0..32 {
+            prop_assert_eq!(smb.lookup(SetId(raw)), model.lookup(SetId(raw)), "sweep {}", raw);
+        }
+    }
+
+    #[test]
+    fn scoreboard_matches_the_btreemap_model(stream in draws(400)) {
+        const IDS: u64 = 24;
+        let mut board = Scoreboard::new();
+        let mut model = ScoreboardModel::default();
+        for mut raw in stream {
+            let call = take(&mut raw, 16);
+            match call {
+                0..=5 => {
+                    let reads = operands(&mut raw, IDS);
+                    let writes = operands(&mut raw, IDS);
+                    // One finish in eight is 0: it changes no time, yet the
+                    // operands become tracked.
+                    let finish = take(&mut raw, 8).min(1) * take(&mut raw, 64);
+                    board.record(&reads, &writes, finish);
+                    model.record(&reads, &writes, finish);
+                }
+                6..=8 => {
+                    let reads = operands(&mut raw, IDS);
+                    let writes = operands(&mut raw, IDS);
+                    prop_assert_eq!(
+                        board.ready_at(&reads, &writes),
+                        model.ready_at(&reads, &writes)
+                    );
+                }
+                9 => {
+                    let reads = operands(&mut raw, IDS);
+                    prop_assert_eq!(board.raw_ready_at(&reads), model.raw_ready_at(&reads));
+                }
+                10 | 11 => {
+                    let id = SetId(take(&mut raw, IDS) as u32);
+                    prop_assert_eq!(board.times_of(id), model.times_of(id));
+                }
+                12 | 13 => {
+                    let id = SetId(take(&mut raw, IDS) as u32);
+                    board.release(id);
+                    model.release(id);
+                }
+                14 => {
+                    let horizon = take(&mut raw, 64);
+                    prop_assert_eq!(
+                        board.prune_completed(horizon),
+                        model.prune_completed(horizon),
+                        "prune at {}", horizon
+                    );
+                }
+                _ => {
+                    // Rare, or no stream would ever build up state.
+                    if take(&mut raw, 8) == 0 {
+                        board.clear();
+                        model.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(board.tracked(), model.tracked());
+        }
+        for raw in 0..IDS as u32 {
+            prop_assert_eq!(board.times_of(SetId(raw)), model.times_of(SetId(raw)));
+        }
+    }
+
+    #[test]
+    fn register_file_matches_the_scan_model(stream in draws(600)) {
+        // More IDs than pool registers, so binds keep evicting.
+        const IDS: u64 = 40;
+        let mut regs = RegisterFile::new();
+        let mut model = RegisterModel::new();
+        for mut raw in stream {
+            let call = take(&mut raw, 5);
+            let id = SetId(take(&mut raw, IDS) as u32);
+            if call < 4 {
+                prop_assert_eq!(regs.bind(id), model.bind(id), "bind {}", id);
+            } else {
+                regs.release(id);
+                model.release(id);
+            }
+            prop_assert_eq!(regs.bound(), model.bound());
+        }
+        for raw in 0..IDS as u32 {
+            prop_assert_eq!(regs.lookup(SetId(raw)), model.lookup(SetId(raw)));
+        }
+    }
+}

@@ -1,0 +1,159 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of the repo benchmark: the table a
+# performance claim needs (choosing-metrics §8).
+#
+#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--seconds 24] [--workload W]...
+#
+# "Change" is this checkout as it stands (uncommitted edits included);
+# "parent" is <parent-ref>, checked out into a temporary `git worktree` with
+# its own CARGO_TARGET_DIR. Both sides are built once, then each pair runs
+# every chosen workload (default: all four) on both binaries, on one seed per
+# pair (pair i runs seed 10+i), the side that goes first flipping each pair.
+# Each side runs from its own checkout, with the benchmark code of that
+# checkout: a claimed gain may not edit benchmark/, so the two are the same.
+#
+# Prints, per workload and end-to-end metric: both medians, both quartile
+# pairs, pairs won by each side (ties count for neither), and per workload
+# failed/attempted on each side. Exits non-zero if a run produced no result.
+set -euo pipefail
+
+usage() {
+  sed -n '2,5p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+  exit 2
+}
+
+[ $# -ge 1 ] || usage
+parent_ref="$1"
+shift
+pairs=10
+seconds=24
+workloads=()
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --pairs) pairs="$2"; shift 2 ;;
+    --seconds) seconds="$2"; shift 2 ;;
+    --workload) workloads+=("$2"); shift 2 ;;
+    *) echo "bench_pairs.sh: unknown argument $1" >&2; usage ;;
+  esac
+done
+[ ${#workloads[@]} -gt 0 ] || workloads=(mine-sparse mine-dense serve-hot serve-stream)
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$root"
+parent_commit="$(git rev-parse --verify "$parent_ref^{commit}")"
+
+work="$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")"
+cleanup() {
+  git -C "$root" worktree remove --force "$work/parent" 2>/dev/null || true
+  rm -rf "$work"
+}
+trap cleanup EXIT
+
+git worktree add --detach "$work/parent" "$parent_commit" >&2
+
+# Build both sides once; keep a copy of each binary so that a later build in
+# either target directory cannot change what a pair runs.
+build() { # <checkout> <target dir> <copy>
+  (cd "$1" && CARGO_TARGET_DIR="$2" \
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml >&2)
+  cp "$2/release/sisa-benchmark" "$3"
+}
+build "$work/parent" "$work/target-parent" "$work/bench-parent"
+build "$root" "${CARGO_TARGET_DIR:-$root/target}" "$work/bench-change"
+
+samples="$work/samples.tsv" # workload  side  pair  metric  value
+counts="$work/counts.tsv"   # workload  side  attempted  failed
+: >"$samples"
+: >"$counts"
+status=0
+
+run_side() { # <side> <workload> <pair> <seed>
+  local side="$1" w="$2" pair="$3" seed="$4" dir="$root" log
+  [ "$side" = parent ] && dir="$work/parent"
+  log="$work/$side-$w-$pair.log"
+  if ! (cd "$dir" && "$work/bench-$side" --workload "$w" --seed "$seed" \
+    --seconds "$seconds" --trace 0 --out "$work/out-$side") >"$log"; then
+    echo "bench_pairs.sh: $side $w seed $seed exited non-zero" >&2
+  fi
+  # The six end-to-end lines are `name value unit`; the last line is the JSON
+  # result, of which only the two counts are read.
+  awk -v w="$w" -v side="$side" -v pair="$pair" -v counts="$counts" '
+    $1 ~ /^(setup_s|primary_ms|secondary_ms|cold_ms|throughput|peak_rss_mb)$/ && NF == 3 {
+      print w "\t" side "\t" pair "\t" $1 "\t" $2
+      seen++
+    }
+    /^\{"correct"/ {
+      if (match($0, /"attempted":[0-9]+/)) attempted = substr($0, RSTART + 12, RLENGTH - 12)
+      if (match($0, /"failed":[0-9]+/)) failed = substr($0, RSTART + 9, RLENGTH - 9)
+      print w "\t" side "\t" attempted "\t" failed >>counts
+      result = 1
+    }
+    END { exit !(seen == 6 && result) }
+  ' "$log" >>"$samples" || {
+    echo "bench_pairs.sh: $side $w seed $seed printed no complete result; see below" >&2
+    tail -n 5 "$log" >&2
+    status=1
+  }
+}
+
+for pair in $(seq 1 "$pairs"); do
+  seed=$((10 + pair))
+  if [ $((pair % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
+  for w in "${workloads[@]}"; do
+    for side in $order; do
+      echo "# pair $pair/$pairs, seed $seed, $w, $side" >&2
+      run_side "$side" "$w" "$pair" "$seed"
+    done
+  done
+done
+
+echo "# parent $parent_commit vs change $(git rev-parse HEAD)$(git diff --quiet HEAD || echo ' + uncommitted edits')"
+echo "# $pairs pairs, $seconds s a run, seeds 11..$((10 + pairs)); q1/q3 by linear interpolation; ties win for neither"
+awk -F '\t' '
+  function sort(a, n,    i, j, t) {
+    for (i = 2; i <= n; i++) {
+      t = a[i]
+      for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+      a[j + 1] = t
+    }
+  }
+  function quantile(a, n, p,    h, lo) {
+    h = (n - 1) * p + 1
+    lo = int(h)
+    if (lo >= n) return a[n]
+    return a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+  }
+  function summary(w, m, side,    n, i, a) {
+    n = 0
+    for (i = 1; i <= pairs; i++) if ((w, m, side, i) in value) a[++n] = value[w, m, side, i]
+    if (n == 0) return sprintf("%38s", "-")
+    sort(a, n)
+    return sprintf("%12.6g [%11.6g %11.6g]", quantile(a, n, 0.5), quantile(a, n, 0.25), quantile(a, n, 0.75))
+  }
+  FILENAME == counts { attempted[$1, $2] += $3; failed[$1, $2] += $4; next }
+  {
+    value[$1, $4, $2, $3] = $5 + 0
+    if (!($1 in known)) { known[$1] = 1; order[++workloads] = $1 }
+    if ($3 > pairs) pairs = $3
+  }
+  END {
+    split("setup_s primary_ms secondary_ms cold_ms throughput peak_rss_mb", metrics, " ")
+    for (k = 1; k <= workloads; k++) {
+      w = order[k]
+      printf "\n%s: failed/attempted parent %d/%d, change %d/%d\n", w, failed[w, "parent"], attempted[w, "parent"], failed[w, "change"], attempted[w, "change"]
+      printf "  %-13s %-38s %-38s %s\n", "metric", "parent median [q1 q3]", "change median [q1 q3]", "pairs won parent:change"
+      for (j = 1; j <= 6; j++) {
+        m = metrics[j]
+        won_parent = won_change = 0
+        for (i = 1; i <= pairs; i++) {
+          if (!((w, m, "parent", i) in value) || !((w, m, "change", i) in value)) continue
+          p = value[w, m, "parent", i]; c = value[w, m, "change", i]
+          if (m == "throughput") { t = p; p = c; c = t } # the one metric where higher is better
+          if (c < p) won_change++; else if (p < c) won_parent++
+        }
+        printf "  %-13s %s %s %d:%d of %d\n", m, summary(w, m, "parent"), summary(w, m, "change"), won_parent, won_change, pairs
+      }
+    }
+  }
+' counts="$counts" "$counts" "$samples"
+exit "$status"
