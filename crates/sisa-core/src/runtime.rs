@@ -872,6 +872,18 @@ mod tests {
     }
 
     #[test]
+    fn dense_minus_sparse_ignores_members_outside_the_dense_universe() {
+        let mut rt = runtime();
+        let dense = rt.create(SetRepr::dense_from(32, [1, 2]));
+        let sparse = rt.create_sorted([2, 40]);
+        let diff = rt.difference(dense, sparse);
+        assert_eq!(rt.members(diff), vec![1]);
+        rt.difference_assign(dense, sparse);
+        assert_eq!(rt.members(dense), vec![1]);
+        assert_eq!(rt.cardinality(dense), 1);
+    }
+
+    #[test]
     fn in_place_operations_mutate_their_first_argument() {
         let mut rt = runtime();
         let a = rt.create_dense([1, 2, 3, 4]);

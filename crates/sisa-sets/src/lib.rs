@@ -20,7 +20,10 @@
 //! the paper turns into an instruction: merge and galloping intersection /
 //! difference over sorted SAs, SA∩DB probing, DB∩DB bulk bitwise operations,
 //! unions, cardinality-only variants (which avoid materialising the result),
-//! membership tests, and single-element insert/remove.
+//! membership tests, and single-element insert/remove. On the host the merge
+//! variants compare a block of eight elements of each operand at a time
+//! instead of one pair, without branching on the outcome; they require
+//! strictly increasing inputs.
 //!
 //! The [`counting`] module provides instrumented twins of the hot operations
 //! that additionally report the number of element comparisons / word touches

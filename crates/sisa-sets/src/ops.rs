@@ -18,8 +18,78 @@
 //! (§6.2.2), and every operation has a *cardinality-only* twin that avoids
 //! materialising the result set (§6.2.3), which SISA exposes as dedicated
 //! instructions (e.g. `intersect_count`).
+//!
+//! ## How the merge variants run on the host
+//!
+//! A two-pointer merge branches three ways on every pair of elements, and on
+//! two interleaved neighbourhoods that branch is a coin toss. The merge
+//! intersection and difference instead take a block of `W` elements from
+//! each side, compare all `W × W` pairs without branching on the outcome
+//! (fixed-trip loops the compiler turns into vector compares), and then drop
+//! the block whose last element is the smaller one — nothing later on the
+//! other side can match into it — or both on a tie. What is left when a side
+//! has no full block any more goes through a scalar loop that advances by
+//! arithmetic on the comparison results instead of branching, and the merge
+//! union, which has to place one element a step whichever side it comes
+//! from, is that scalar loop throughout. Materialising kernels store every
+//! candidate into a buffer of the largest possible size and move the write
+//! position on only for the ones that belong to the result.
+//!
+//! **Precondition:** both inputs of a merge kernel are *strictly increasing*
+//! (sorted, no duplicates), which a [`SortedVertexArray`], a CSR adjacency
+//! row and the sorted copy `SetRepr` stages of an unsorted array all are. A
+//! duplicate would be counted once per block it is compared with; the slice
+//! functions check the precondition in debug builds.
 
 use crate::{DenseBitVector, SortedVertexArray, Vertex};
+
+/// Elements per block of the merge kernels.
+const W: usize = 8;
+
+/// The merge kernels' precondition: sorted, and no element twice.
+fn strictly_increasing(s: &[Vertex]) -> bool {
+    s.is_sorted_by(|x, y| x < y)
+}
+
+/// The blocks of `W` elements at `a[i..]` and `b[j..]`, while both sides
+/// still have one.
+#[inline(always)]
+fn blocks<'s>(
+    a: &'s [Vertex],
+    i: usize,
+    b: &'s [Vertex],
+    j: usize,
+) -> Option<(&'s [Vertex; W], &'s [Vertex; W])> {
+    Some((a[i..].first_chunk()?, b[j..].first_chunk()?))
+}
+
+/// For each element of `y`, 1 if it also occurs in `x` and 0 if not. All
+/// `W × W` pairs are compared and no branch depends on an outcome.
+///
+/// Kept out of line: its callers go on to store one lane at a time, and
+/// inlined next to those scalar stores the compares are scalarised as well
+/// (64 `cmp`/`sete` pairs instead of 16 vector compares, which doubles the
+/// time of the whole kernel).
+#[inline(never)]
+fn block_hits(x: &[Vertex; W], y: &[Vertex; W]) -> [u32; W] {
+    let mut hit = [0u32; W];
+    for &xe in x {
+        for (h, &ye) in hit.iter_mut().zip(y) {
+            *h |= u32::from(xe == ye);
+        }
+    }
+    hit
+}
+
+/// Moves `i` and `j` on by `step` after `x` and `y`, the heads of the two
+/// sides (`step` 1) or the last elements of their blocks (`step` `W`), were
+/// compared: nothing later on the other side can match the smaller one or
+/// anything before it, so that side moves; on a tie both do.
+#[inline(always)]
+fn advance(i: &mut usize, j: &mut usize, step: usize, x: Vertex, y: Vertex) {
+    *i += step * usize::from(x <= y);
+    *j += step * usize::from(y <= x);
+}
 
 // ---------------------------------------------------------------------------
 // Intersection
@@ -35,39 +105,55 @@ pub fn intersect_merge(a: &SortedVertexArray, b: &SortedVertexArray) -> SortedVe
     SortedVertexArray::from_sorted(out)
 }
 
-/// Merge-based intersection over raw sorted slices.
+/// Merge-based intersection over raw slices, which must be strictly
+/// increasing (see the [module docs](self)).
 #[must_use]
 pub fn intersect_merge_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+    debug_assert!(strictly_increasing(a) && strictly_increasing(b));
+    // One slot more than the result can have: a lane is stored before it is
+    // known to be a hit.
+    let mut out = vec![0; a.len().min(b.len()) + 1];
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+    while let Some((x, y)) = blocks(a, i, b, j) {
+        let hit = block_hits(x, y);
+        for (&ye, &h) in y.iter().zip(&hit) {
+            out[k] = ye;
+            k += h as usize;
         }
+        advance(&mut i, &mut j, W, x[W - 1], y[W - 1]);
     }
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out[k] = x;
+        k += usize::from(x == y);
+        advance(&mut i, &mut j, 1, x, y);
+    }
+    out.truncate(k);
     out
 }
 
 /// Cardinality of the merge-based intersection without materialising it.
+/// The slices must be strictly increasing (see the [module docs](self)).
 #[must_use]
 pub fn intersect_merge_count(a: &[Vertex], b: &[Vertex]) -> usize {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
+    debug_assert!(strictly_increasing(a) && strictly_increasing(b));
+    let (mut i, mut j) = (0usize, 0usize);
+    // The matches of each lane of `b`'s blocks, added up once at the end: a
+    // total kept per step would be a sum across the lanes per step.
+    let mut lanes = [0u32; W];
+    while let Some((x, y)) = blocks(a, i, b, j) {
+        for &xe in x {
+            for (lane, &ye) in lanes.iter_mut().zip(y) {
+                *lane += u32::from(xe == ye);
             }
         }
+        advance(&mut i, &mut j, W, x[W - 1], y[W - 1]);
+    }
+    let mut count = lanes.iter().sum::<u32>() as usize;
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        count += usize::from(x == y);
+        advance(&mut i, &mut j, 1, x, y);
     }
     count
 }
@@ -172,30 +258,28 @@ pub fn intersect_galloping_count(a: &[Vertex], b: &[Vertex]) -> usize {
     count
 }
 
-/// The seed implementation of the "galloping" intersection: a full-range
-/// `binary_search` per element of the smaller operand, `O(m · log n)` with no
-/// locality. Kept as the scalar reference the differential tests and the
-/// benchmark baseline pin the true galloping kernel against.
-#[must_use]
-pub fn intersect_galloping_slices_reference(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(small.len());
-    for &v in small {
-        if large.binary_search(&v).is_ok() {
-            out.push(v);
-        }
-    }
-    out
+/// 1 if `v` is a member of the bitvector backed by `words`, else 0, with no
+/// branch on the universe: a vertex past the last word reads an empty word,
+/// and the padding bits of the last word are always clear.
+#[inline(always)]
+fn probe(words: &[u64], v: Vertex) -> usize {
+    let idx = v as usize;
+    let word = words.get(idx / 64).copied().unwrap_or(0);
+    ((word >> (idx % 64)) & 1) as usize
 }
 
-/// Cardinality twin of [`intersect_galloping_slices_reference`].
-#[must_use]
-pub fn intersect_galloping_count_reference(a: &[Vertex], b: &[Vertex]) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small
-        .iter()
-        .filter(|&&v| large.binary_search(&v).is_ok())
-        .count()
+/// The elements of `a` whose probe into `b` reads `keep` (1: members of `b`,
+/// 0: the others), in `a`'s order.
+fn probe_filter(a: &[Vertex], b: &DenseBitVector, keep: usize) -> Vec<Vertex> {
+    let words = b.words();
+    let mut out = vec![0; a.len()];
+    let mut k = 0usize;
+    for &v in a {
+        out[k] = v;
+        k += usize::from(probe(words, v) == keep);
+    }
+    out.truncate(k);
+    out
 }
 
 /// Intersection of a sparse array (sorted or unsorted) with a dense bitvector.
@@ -204,13 +288,14 @@ pub fn intersect_galloping_count_reference(a: &[Vertex], b: &[Vertex]) -> usize 
 /// probes (instruction `0x3`). The output preserves the order of `a`.
 #[must_use]
 pub fn intersect_sa_db(a: &[Vertex], b: &DenseBitVector) -> Vec<Vertex> {
-    a.iter().copied().filter(|&v| b.contains(v)).collect()
+    probe_filter(a, b, 1)
 }
 
 /// Cardinality of the SA ∩ DB intersection.
 #[must_use]
 pub fn intersect_sa_db_count(a: &[Vertex], b: &DenseBitVector) -> usize {
-    a.iter().filter(|&&v| b.contains(v)).count()
+    let words = b.words();
+    a.iter().map(|&v| probe(words, v)).sum()
 }
 
 /// Intersection of two dense bitvectors via bulk bitwise AND (instruction
@@ -236,28 +321,20 @@ pub fn union_merge(a: &SortedVertexArray, b: &SortedVertexArray) -> SortedVertex
     SortedVertexArray::from_sorted(union_merge_slices(a.as_slice(), b.as_slice()))
 }
 
-/// Merge-based union over raw sorted slices.
+/// Merge-based union over raw slices, which must be strictly increasing (see
+/// the [module docs](self)).
 #[must_use]
 pub fn union_merge_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
+    debug_assert!(strictly_increasing(a) && strictly_increasing(b));
+    let mut out = vec![0; a.len() + b.len()];
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        out[k] = x.min(y);
+        k += 1;
+        advance(&mut i, &mut j, 1, x, y);
     }
+    out.truncate(k);
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
@@ -302,24 +379,42 @@ pub fn difference_merge(a: &SortedVertexArray, b: &SortedVertexArray) -> SortedV
     SortedVertexArray::from_sorted(difference_merge_slices(a.as_slice(), b.as_slice()))
 }
 
-/// Merge-based difference over raw sorted slices.
+/// Merge-based difference over raw slices, which must be strictly increasing
+/// (see the [module docs](self)).
 #[must_use]
 pub fn difference_merge_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
-    let mut out = Vec::with_capacity(a.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
+    debug_assert!(strictly_increasing(a) && strictly_increasing(b));
+    let mut out = vec![0; a.len()];
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+    // Every element of `a` below `decided` has been kept or dropped, and
+    // every element of `b` passed so far is below it too. (One more than a
+    // vertex, hence the wider type.)
+    let mut decided = 0u64;
+    while let Some((x, y)) = blocks(a, i, b, j) {
+        let hit = block_hits(y, x);
+        // An element of `x` up to `y`'s last can only have its match in `y`
+        // itself: everything before `y` is below `decided`, everything after
+        // it above `y`'s last.
+        let y_max = y[W - 1];
+        for (&xe, &h) in x.iter().zip(&hit) {
+            out[k] = xe;
+            let settled_now = u64::from(xe) >= decided && xe <= y_max;
+            k += usize::from(settled_now) & (h ^ 1) as usize;
         }
+        decided = u64::from(x[W - 1].min(y_max)) + 1;
+        advance(&mut i, &mut j, W, x[W - 1], y[W - 1]);
     }
+    // At most W - 1 elements of a block that stayed while `b` moved on.
+    while i < a.len() && u64::from(a[i]) < decided {
+        i += 1;
+    }
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out[k] = x;
+        k += usize::from(x < y);
+        advance(&mut i, &mut j, 1, x, y);
+    }
+    out.truncate(k);
     out.extend_from_slice(&a[i..]);
     out
 }
@@ -348,16 +443,6 @@ pub fn difference_galloping_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
     out
 }
 
-/// The seed implementation of the galloping difference (full-range
-/// `binary_search` per element); the scalar reference for differential tests.
-#[must_use]
-pub fn difference_galloping_slices_reference(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
-    a.iter()
-        .copied()
-        .filter(|v| b.binary_search(v).is_err())
-        .collect()
-}
-
 /// Cardinality of `A \ B` over sorted slices.
 #[must_use]
 pub fn difference_merge_count(a: &[Vertex], b: &[Vertex]) -> usize {
@@ -368,7 +453,7 @@ pub fn difference_merge_count(a: &[Vertex], b: &[Vertex]) -> usize {
 /// members of `a` whose bit is *not* set in `b`.
 #[must_use]
 pub fn difference_sa_db(a: &[Vertex], b: &DenseBitVector) -> Vec<Vertex> {
-    a.iter().copied().filter(|&v| !b.contains(v)).collect()
+    probe_filter(a, b, 0)
 }
 
 /// Difference of two dense bitvectors, `A ∧ ¬B`, computed as bulk bitwise

@@ -12,11 +12,12 @@
 //! controller (which prices merge vs galloping in cycles), the host has to
 //! actually execute each operation. [`choose_host_kernel`] implements the
 //! size-ratio dispatch policy: heavily skewed sparse operands run the
-//! galloping kernel, similar sizes run the linear merge, and dense operands
-//! run the word-parallel bitmap kernels from [`crate::kernels`]. A sorted
-//! operand is borrowed as it is; an unsorted one is staged as a sorted copy.
-//! The merge kernels in [`crate::ops`] stay as the oracle the galloping
-//! kernels are tested against.
+//! galloping kernel, similar sizes run the merge kernel (block against block,
+//! see [`crate::ops`]), and dense operands run the word-parallel bitmap
+//! kernels from [`crate::kernels`]. A sorted operand is borrowed as it is; an
+//! unsorted one is staged as a sorted copy, so either way the sparse kernels
+//! get the strictly increasing slices they require. The merge kernels are
+//! also the oracle the galloping kernels are tested against.
 
 use crate::ops;
 use crate::{DenseBitVector, SortedVertexArray, UnsortedVertexArray, Vertex};
@@ -58,7 +59,8 @@ impl RepresentationKind {
 /// independently) by the SCU's variant selection in `sisa-core`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum HostKernel {
-    /// Linear two-pointer merge over two sorted arrays.
+    /// Linear merge over two strictly increasing arrays, a block of each
+    /// compared at a time.
     Merge,
     /// Galloping (exponential-probe) search of the larger sorted array.
     Gallop,
@@ -432,8 +434,13 @@ impl SetRepr {
             }
             (Self::Dense(a), sparse) => {
                 record_selection(HostKernel::Bitmap);
-                let b = sparse.to_dense(a.universe());
-                Self::Dense(ops::difference_db_db(a, &b))
+                // Bit by bit, not through `to_dense`: a member of `sparse`
+                // outside `a`'s universe is simply absent from `a`.
+                let mut out = a.clone();
+                for v in sparse.iter() {
+                    out.remove(v);
+                }
+                Self::Dense(out)
             }
             (sparse, Self::Dense(d)) => {
                 record_selection(HostKernel::Bitmap);
@@ -548,6 +555,15 @@ mod tests {
         let d = a.difference(&b);
         assert_eq!(d.kind(), RepresentationKind::DenseBitvector);
         assert_eq!(d.to_sorted_vec(), vec![1, 3]);
+    }
+
+    #[test]
+    fn dense_minus_sparse_ignores_members_outside_the_universe() {
+        let a = SetRepr::dense_from(32, [1u32, 2]);
+        let d = a.difference(&SetRepr::sorted_from([2u32, 40]));
+        assert_eq!(d.kind(), RepresentationKind::DenseBitvector);
+        assert_eq!(d.to_sorted_vec(), vec![1]);
+        assert_eq!(d.len(), 1);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Differential tests pinning the host-side fast paths — the word-parallel
-//! `u64` kernels, the true galloping sparse kernels, and the size-ratio
-//! dispatch policy in `SetRepr` — against naive scalar references.
+//! `u64` kernels, the block merge kernels, the true galloping sparse kernels,
+//! the SA×DB probes and the size-ratio dispatch policy in `SetRepr` — against
+//! naive scalar references.
 //!
-//! Inputs deliberately include the adversarial shapes that bit- and
+//! Inputs deliberately include the adversarial shapes that bit-, block- and
 //! search-kernels historically get wrong: empty operands, disjoint and
-//! identical sets, single-element sets, and universes straddling a 64-bit
-//! word boundary (63 / 64 / 65).
+//! identical sets, single-element sets, lengths on either side of a block
+//! boundary, values at `u32::MAX`, and universes straddling a 64-bit word
+//! boundary (63 / 64 / 65).
 
 use proptest::prelude::*;
 use sisa_sets::{kernels, ops, DenseBitVector, SetRepr, UnsortedVertexArray, Vertex};
@@ -63,6 +65,78 @@ fn word_ops() -> [WordOp; 4] {
             kernels::xor_count,
         ),
     ]
+}
+
+/// The seed's "galloping" intersection: a full-range `binary_search` per
+/// element of the smaller operand, `O(m · log n)` with no locality. The scalar
+/// reference the true galloping kernel is pinned against.
+fn intersect_galloping_slices_reference(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    small
+        .iter()
+        .copied()
+        .filter(|v| large.binary_search(v).is_ok())
+        .collect()
+}
+
+/// The seed's galloping difference (full-range `binary_search` per element).
+fn difference_galloping_slices_reference(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
+    a.iter()
+        .copied()
+        .filter(|v| b.binary_search(v).is_err())
+        .collect()
+}
+
+/// Elements per block of the merge kernels (`ops::W`, which is private).
+const W: usize = 8;
+
+/// Every merge kernel and every SA×DB probe on `a` and `b`, against the
+/// `BTreeSet` model. The bitvector holds the members of `b` below
+/// `universe`; the rest are outside it and must read as absent.
+fn check_merge_kernels_and_probes(a: &BTreeSet<Vertex>, b: &BTreeSet<Vertex>, universe: usize) {
+    let av: Vec<Vertex> = a.iter().copied().collect();
+    let bv: Vec<Vertex> = b.iter().copied().collect();
+    let (inter, uni, diff) = (
+        model_intersect(a, b),
+        model_union(a, b),
+        model_difference(a, b),
+    );
+    assert_eq!(
+        ops::intersect_merge_slices(&av, &bv),
+        inter,
+        "{av:?} ∩ {bv:?}"
+    );
+    assert_eq!(
+        ops::intersect_merge_count(&av, &bv),
+        inter.len(),
+        "|{av:?} ∩ {bv:?}|"
+    );
+    assert_eq!(ops::union_merge_slices(&av, &bv), uni, "{av:?} ∪ {bv:?}");
+    assert_eq!(ops::union_merge_count(&av, &bv), uni.len());
+    assert_eq!(
+        ops::difference_merge_slices(&av, &bv),
+        diff,
+        "{av:?} \\ {bv:?}"
+    );
+    assert_eq!(ops::difference_merge_count(&av, &bv), diff.len());
+
+    let inside: BTreeSet<Vertex> = b
+        .iter()
+        .copied()
+        .filter(|&v| (v as usize) < universe)
+        .collect();
+    let db = DenseBitVector::from_members(universe, inside.iter().copied());
+    let probed = model_intersect(a, &inside);
+    assert_eq!(
+        ops::intersect_sa_db(&av, &db),
+        probed,
+        "{av:?} ∩ DB{inside:?}"
+    );
+    assert_eq!(ops::intersect_sa_db_count(&av, &db), probed.len());
+    assert_eq!(
+        ops::difference_sa_db(&av, &db),
+        model_difference(a, &inside)
+    );
 }
 
 fn model_intersect(a: &BTreeSet<Vertex>, b: &BTreeSet<Vertex>) -> Vec<Vertex> {
@@ -157,6 +231,23 @@ proptest! {
     }
 
     #[test]
+    fn block_kernels_and_probes_match_the_model_at_every_block_boundary(
+        // Lengths 0..=3W+2 on each side independently, from 40 values, so
+        // matches and equal block maxima are the rule, not the exception.
+        low_a in proptest::collection::btree_set(0u32..40, 0..3 * W + 3),
+        low_b in proptest::collection::btree_set(0u32..40, 0..3 * W + 3),
+        high_a in proptest::collection::btree_set(u32::MAX - 39..=u32::MAX, 0..3 * W + 3),
+        high_b in proptest::collection::btree_set(u32::MAX - 39..=u32::MAX, 0..3 * W + 3),
+    ) {
+        check_merge_kernels_and_probes(&low_a, &low_b, 33);
+        // The same shapes ending at `u32::MAX`: nothing may rely on a value
+        // above every vertex. (All of it is outside the bitvector.)
+        check_merge_kernels_and_probes(&high_a, &high_b, 65);
+        // Low against high: disjoint operands a whole range apart.
+        check_merge_kernels_and_probes(&low_a, &high_b, 40);
+    }
+
+    #[test]
     fn galloping_matches_merge_on_skewed_draws(
         small in proptest::collection::btree_set(0u32..4096, 0..8),
         large in proptest::collection::btree_set(0u32..4096, 0..1024),
@@ -166,11 +257,11 @@ proptest! {
         for (a, b) in [(&sv, &lv), (&lv, &sv)] {
             let merged = ops::intersect_merge_slices(a, b);
             prop_assert_eq!(ops::intersect_galloping_slices(a, b), merged.clone());
-            prop_assert_eq!(ops::intersect_galloping_slices_reference(a, b), merged.clone());
+            prop_assert_eq!(intersect_galloping_slices_reference(a, b), merged.clone());
             prop_assert_eq!(ops::intersect_galloping_count(a, b), merged.len());
             let diff = ops::difference_merge_slices(a, b);
             prop_assert_eq!(ops::difference_galloping_slices(a, b), diff.clone());
-            prop_assert_eq!(ops::difference_galloping_slices_reference(a, b), diff);
+            prop_assert_eq!(difference_galloping_slices_reference(a, b), diff);
         }
         // The same skewed draws through `SetRepr`, with an unsorted operand
         // on either side or both: the sorted copy staged for the kernel must
@@ -246,6 +337,58 @@ fn galloping_handles_adversarial_shapes() {
                 "{x:?} \\ {y:?}"
             );
         }
+    }
+}
+
+/// Fixed shapes at the block boundaries of the merge kernels.
+#[test]
+fn block_kernels_handle_boundary_shapes() {
+    fn set(members: impl IntoIterator<Item = Vertex>) -> BTreeSet<Vertex> {
+        members.into_iter().collect()
+    }
+    let w = W as Vertex;
+    let cases: Vec<(BTreeSet<Vertex>, BTreeSet<Vertex>)> = vec![
+        // Identical inputs: one block, two blocks and a tail, ending at MAX.
+        (set(0..w), set(0..w)),
+        (set(0..2 * w + 3), set(0..2 * w + 3)),
+        (
+            set(u32::MAX - 2 * w..=u32::MAX),
+            set(u32::MAX - 2 * w..=u32::MAX),
+        ),
+        // Disjoint and interleaved: evens against odds, three blocks each.
+        (
+            set((0..3 * w).map(|v| 2 * v)),
+            set((0..3 * w).map(|v| 2 * v + 1)),
+        ),
+        // One side a strict prefix of the other, cut on and off a boundary.
+        (set(0..w), set(0..3 * w)),
+        (set(0..w + 3), set(0..3 * w + 1)),
+        // A subset whose last match is the first lane of a block: the lanes
+        // after it are still stored, one past the largest possible result.
+        (set((0..w - 1).chain([w])), set(0..2 * w)),
+        // A match that straddles two blocks: `a`'s second block starts with
+        // the last element of `b`'s first, so the pair meets only after `a`
+        // moved on and `b` stayed.
+        (
+            set((0..w).chain(100..100 + w)),
+            set((50..50 + w - 1).chain(100..=100).chain(200..200 + w)),
+        ),
+        // Equal block maxima with nothing else in common: both sides move.
+        (
+            set((0..w - 1).chain([50]).chain(60..60 + w)),
+            set((10..10 + w - 1).chain([50]).chain(60..60 + w)),
+        ),
+        // A block of `a` that stays while `b` moves past part of it, and `b`
+        // then runs out of full blocks: the tail must not revisit what the
+        // block loop already settled.
+        (
+            set((0..2 * w).map(|v| 3 * v)),
+            set((0..w + 2).map(|v| 2 * v)),
+        ),
+    ];
+    for (a, b) in &cases {
+        check_merge_kernels_and_probes(a, b, 64);
+        check_merge_kernels_and_probes(b, a, 64);
     }
 }
 

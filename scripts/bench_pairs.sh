@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of the repo benchmark: the table a
 # performance claim needs (choosing-metrics §8).
 #
-#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--seconds 24] [--workload W]...
+#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--seconds 24] [--workload W]... [--trace]
 #
 # "Change" is this checkout as it stands (uncommitted edits included);
 # "parent" is <parent-ref>, checked out into a temporary `git worktree` with
@@ -15,6 +15,13 @@
 # Prints, per workload and end-to-end metric: both medians, both quartile
 # pairs, pairs won by each side (ties count for neither), and per workload
 # failed/attempted on each side. Exits non-zero if a run produced no result.
+#
+# --trace adds where the difference sits (choosing-metrics §6.6): after the
+# pairs, one `--trace 1` run a side on seed 1 (the pinned seed) for each chosen
+# workload, and every per-layer line that is non-zero on either side as
+# `name parent → change unit (±%)`. The lines benchmark/pins.json pins are
+# simulated or counted, not timed: they are marked `exact`, and `DIFFERS` if
+# the two sides disagree.
 set -euo pipefail
 
 usage() {
@@ -28,11 +35,13 @@ shift
 pairs=10
 seconds=24
 workloads=()
+trace=0
 while [ $# -gt 0 ]; do
   case "$1" in
     --pairs) pairs="$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
     --workload) workloads+=("$2"); shift 2 ;;
+    --trace) trace=1; shift ;;
     *) echo "bench_pairs.sh: unknown argument $1" >&2; usage ;;
   esac
 done
@@ -67,12 +76,19 @@ counts="$work/counts.tsv"   # workload  side  attempted  failed
 : >"$counts"
 status=0
 
+# One run of a side's binary from that side's checkout; the result on
+# standard output.
+bench() { # <side> <workload> <seed> <trace>
+  local dir="$root"
+  [ "$1" = parent ] && dir="$work/parent"
+  (cd "$dir" && "$work/bench-$1" --workload "$2" --seed "$3" \
+    --seconds "$seconds" --trace "$4" --out "$work/out-$1")
+}
+
 run_side() { # <side> <workload> <pair> <seed>
-  local side="$1" w="$2" pair="$3" seed="$4" dir="$root" log
-  [ "$side" = parent ] && dir="$work/parent"
+  local side="$1" w="$2" pair="$3" seed="$4" log
   log="$work/$side-$w-$pair.log"
-  if ! (cd "$dir" && "$work/bench-$side" --workload "$w" --seed "$seed" \
-    --seconds "$seconds" --trace 0 --out "$work/out-$side") >"$log"; then
+  if ! bench "$side" "$w" "$seed" 0 >"$log"; then
     echo "bench_pairs.sh: $side $w seed $seed exited non-zero" >&2
   fi
   # The six end-to-end lines are `name value unit`; the last line is the JSON
@@ -156,4 +172,41 @@ awk -F '\t' '
     }
   }
 ' counts="$counts" "$counts" "$samples"
+
+if [ "$trace" = 1 ]; then
+  # The names benchmark/pins.json pins.
+  exact="$(sed -n 's/^ *"\([a-z-]*\.[a-z_.]*\)": .*/\1/p' benchmark/pins.json | sort -u | tr '\n' ' ')"
+  for w in "${workloads[@]}"; do
+    for side in parent change; do
+      echo "# traced run, seed 1, $w, $side" >&2
+      bench "$side" "$w" 1 1 >"$work/trace-$side-$w.log" || {
+        echo "bench_pairs.sh: traced $side $w exited non-zero" >&2
+        status=1
+      }
+    done
+    printf '\n%s: per-layer lines of one traced run a side (seed 1, %s s), parent → change\n' "$w" "$seconds"
+    # A per-layer line is `layer.name value unit`.
+    awk -v exact="$exact" -v parent="$work/trace-parent-$w.log" '
+      BEGIN { n = split(exact, e, " "); for (i = 1; i <= n; i++) pinned[e[i]] = 1 }
+      NF != 3 || $1 !~ /^[a-z-]+\.[a-z_.0-9]+$/ { next }
+      !($1 in unit) { unit[$1] = $3; order[++lines] = $1 }
+      FILENAME == parent { p[$1] = $2; next }
+      { c[$1] = $2 }
+      END {
+        for (i = 1; i <= lines; i++) {
+          m = order[i]
+          if (p[m] + 0 == 0 && c[m] + 0 == 0) continue
+          if (m in pinned) note = (p[m] == c[m]) ? "exact" : "exact, DIFFERS"
+          else if (p[m] + 0 == 0) note = "from 0"
+          else note = sprintf("%+.1f%%", (c[m] - p[m]) / p[m] * 100)
+          printf "  %-40s %14.6g → %-14.6g %-8s (%s)\n", m, p[m], c[m], unit[m], note
+        }
+        if (lines == 0) exit 1
+      }
+    ' "$work/trace-parent-$w.log" "$work/trace-change-$w.log" || {
+      echo "bench_pairs.sh: no per-layer lines for $w" >&2
+      status=1
+    }
+  done
+fi
 exit "$status"
