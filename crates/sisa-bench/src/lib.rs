@@ -483,13 +483,11 @@ pub fn capture_instruction_mix(name: &str, g: &CsrGraph) -> InstructionMix {
             .into_iter()
             .map(|(mnemonic, count)| (mnemonic.to_string(), count as u64))
             .collect(),
-        dep_stalls: stats.dep_stall_by_opcode.iter().fold(
-            std::collections::BTreeMap::new(),
-            |mut acc, (&opcode, &cycles)| {
-                *acc.entry(opcode.mnemonic().to_string()).or_insert(0) += cycles;
-                acc
-            },
-        ),
+        dep_stalls: stats
+            .dep_stall_by_opcode
+            .iter()
+            .map(|(opcode, cycles)| (opcode.mnemonic().to_string(), cycles))
+            .collect(),
         host_kernels: [
             ("merge".to_string(), selections.merge),
             ("gallop".to_string(), selections.gallop),

@@ -81,7 +81,7 @@ pub use scu::{ExecutionChoice, ExecutionTarget, Scu};
 pub use set_graph::SetGraph;
 pub use shard::PartitionStrategy;
 pub use sharded::{BatchOp, BatchResult, LinkTraffic, ShardReport, ShardedEngine};
-pub use stats::{ExecStats, StatsCheckpoint, StatsScope};
+pub use stats::{ExecStats, OpcodeCounts, StatsScope};
 pub use telemetry::{
     ChromeTraceCollector, Collector, InstructionEvent, MetricsRegistry, MetricsSnapshot,
     NoopCollector, SharedCollector, TransferEvent,

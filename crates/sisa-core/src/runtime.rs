@@ -247,23 +247,19 @@ impl SisaRuntime {
         if landed.dep_stall > 0 {
             self.stats.dep_stall_cycles += landed.dep_stall;
             if let Some(op) = opcode {
-                *self.stats.dep_stall_by_opcode.entry(op).or_insert(0) += landed.dep_stall;
+                self.stats.dep_stall_by_opcode[op] += landed.dep_stall;
             }
         }
         if landed.false_dep_removed > 0 {
             self.stats.false_dep_stalls_removed += landed.false_dep_removed;
             if let Some(op) = opcode {
-                *self
-                    .stats
-                    .false_dep_removed_by_opcode
-                    .entry(op)
-                    .or_insert(0) += landed.false_dep_removed;
+                self.stats.false_dep_removed_by_opcode[op] += landed.false_dep_removed;
             }
         }
         if landed.bypassed {
             self.stats.bypassed_instructions += 1;
             if let Some(op) = opcode {
-                *self.stats.bypass_by_opcode.entry(op).or_insert(0) += 1;
+                self.stats.bypass_by_opcode[op] += 1;
             }
         }
         if let Some(collector) = &self.collector {
@@ -814,7 +810,7 @@ mod tests {
         let mut rt = runtime();
         let a = rt.create_sorted([1, 2]);
         rt.delete(a);
-        let counts_before = rt.stats().instructions.clone();
+        let counts_before = rt.stats().instructions;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.delete(a);
         }));
@@ -1172,9 +1168,9 @@ mod tests {
             renamed.stats().dep_stall_cycles + renamed.stats().false_dep_stalls_removed,
             inorder.stats().dep_stall_cycles
         );
-        let mut recombined = renamed.stats().dep_stall_by_opcode.clone();
-        for (&op, &n) in &renamed.stats().false_dep_removed_by_opcode {
-            *recombined.entry(op).or_insert(0) += n;
+        let mut recombined = renamed.stats().dep_stall_by_opcode;
+        for (op, n) in renamed.stats().false_dep_removed_by_opcode.iter() {
+            recombined[op] += n;
         }
         assert_eq!(recombined, inorder.stats().dep_stall_by_opcode);
     }

@@ -27,6 +27,19 @@
 //! strategy; clones and binary-operation results stay on the shard that holds
 //! the data they derive from (locality), and host-side scalar work is charged
 //! to shard 0, next to the issuing host core.
+//!
+//! Statistics: the aggregate [`ExecStats`] is kept by one rule. The engine
+//! remembers, per shard, the checkpoint it last settled at; every public
+//! `&mut` call works on its shards directly and ends with one `settle` per
+//! shard it touched — what the shard accrued since its mark is added to the
+//! aggregate, the shard is re-marked, and the energy is overwritten by the
+//! ordered fold over shards plus the link ledger. [`ShardedEngine::execute`]
+//! ends with the same `settle` over all shards. Integer counters telescope
+//! exactly however many marks lie in between, so `stats()` always equals the
+//! sum of the shards plus the ledger. The aggregate is not folded lazily on
+//! `stats()` instead: a [`crate::StatsScope`] reads the tail of
+//! `processed_set_sizes` since its checkpoint, which must therefore grow in
+//! operation order, and a by-shard fold would reorder it.
 
 use crate::config::SisaConfig;
 use crate::engine::SetEngine;
@@ -55,6 +68,17 @@ pub struct LinkTraffic {
     /// Link-transfer cycles attributed to each shard (the executing shard
     /// that waited for the operand to arrive).
     pub cycles_by_shard: Vec<u64>,
+}
+
+impl LinkTraffic {
+    /// An empty ledger for `shards` shards.
+    pub(crate) fn new(shards: usize) -> Self {
+        Self {
+            sent_by_shard: vec![0; shards],
+            cycles_by_shard: vec![0; shards],
+            ..Self::default()
+        }
+    }
 }
 
 /// Aggregated view of a sharded run: per-shard load, cross-shard traffic and
@@ -112,17 +136,6 @@ struct PlacedBinary {
     moved: (usize, SetId),
     /// Whether the moving operand is `b` (else it is `a`).
     move_b: bool,
-}
-
-/// When the shard-side effects of staging an operand reach the aggregate
-/// statistics.
-#[derive(Clone, Copy)]
-enum Settle {
-    /// Per touch, through [`ShardedEngine::on_shard`] (the per-op path).
-    Now,
-    /// Not here: [`ShardedEngine::execute`] checkpoints every shard before
-    /// staging and folds one delta per shard when the batch closes.
-    AtBatchClose,
 }
 
 /// One operation of a [`ShardedEngine::execute`] batch.
@@ -255,12 +268,13 @@ pub struct ShardedEngine<E: SetEngine> {
     free_ids: Vec<u32>,
     universe: usize,
     stats: ExecStats,
+    /// Each shard's statistics as of its last [`Self::settle`]: what the
+    /// aggregate already holds of it.
+    settled: Vec<StatsCheckpoint>,
     traffic: LinkTraffic,
     /// Cumulative created cardinality per shard (the degree-aware placement
     /// signal; results and clones count toward the shard that stores them).
     created_load: Vec<u64>,
-    /// Cached ordered fold of per-shard energies (see `refresh_energy`).
-    shard_energy_sum: f64,
     task_mark: u64,
     /// Worker threads for [`Self::execute`]; 0 = available parallelism.
     host_threads: usize,
@@ -284,6 +298,7 @@ impl<E: SetEngine> ShardedEngine<E> {
         );
         let n = shards.len();
         Self {
+            settled: shards.iter().map(|s| s.stats().checkpoint()).collect(),
             shards,
             strategy,
             link,
@@ -292,13 +307,8 @@ impl<E: SetEngine> ShardedEngine<E> {
             free_ids: Vec::new(),
             universe: 0,
             stats: ExecStats::default(),
-            traffic: LinkTraffic {
-                sent_by_shard: vec![0; n],
-                cycles_by_shard: vec![0; n],
-                ..LinkTraffic::default()
-            },
+            traffic: LinkTraffic::new(n),
             created_load: vec![0; n],
-            shard_energy_sum: 0.0,
             task_mark: 0,
             host_threads: 0,
             collector: None,
@@ -420,31 +430,29 @@ impl<E: SetEngine> ShardedEngine<E> {
     // Internals
     // -----------------------------------------------------------------------
 
-    /// Runs `f` on one shard, absorbing the cost it accumulates into the
-    /// aggregate statistics. `merge_since` handles every counter; the energy
-    /// it accumulates as a floating-point delta is then overwritten by
-    /// `refresh_energy`'s exact ordered fold — keep the two calls paired.
-    fn on_shard<R>(&mut self, shard: usize, f: impl FnOnce(&mut E) -> R) -> R {
-        let at = self.shards[shard].stats().checkpoint();
-        let out = f(&mut self.shards[shard]);
-        self.stats.merge_since(self.shards[shard].stats(), &at);
+    /// The one settlement rule (see the module docs): adds what `shard` has
+    /// accrued since it was last settled to the aggregate statistics and
+    /// re-marks it. `merge_since` handles every counter; the energy it
+    /// accumulates as a floating-point delta is then overwritten by
+    /// `refresh_energy`'s exact ordered fold.
+    fn settle(&mut self, shard: usize) {
+        let now = self.shards[shard].stats();
+        self.stats.merge_since(now, &self.settled[shard]);
+        self.settled[shard] = now.checkpoint();
         self.refresh_energy();
-        out
     }
 
     /// Recomputes the aggregate energy as the ordered sum over shards plus the
-    /// link ledger, caching the shard fold for [`Self::ledger_transfer`].
-    /// Summing totals (instead of accumulating per-operation floating-point
-    /// deltas) keeps the aggregate bit-for-bit equal to the sum of its parts,
-    /// which the conservation tests and the 1-shard ≡ flat equivalence rely
-    /// on; per-shard delta schemes would break that exactness, so the O(N)
-    /// fold (N ≤ #cubes) is deliberate.
+    /// link ledger. Summing totals (instead of accumulating per-operation
+    /// floating-point deltas) keeps the aggregate bit-for-bit equal to the sum
+    /// of its parts, which the conservation tests and the 1-shard ≡ flat
+    /// equivalence rely on; per-shard delta schemes would break that
+    /// exactness, so the O(N) fold (N ≤ #cubes) is deliberate.
     fn refresh_energy(&mut self) {
         let mut energy = 0.0;
         for shard in &self.shards {
             energy += shard.stats().energy_nj;
         }
-        self.shard_energy_sum = energy;
         self.stats.energy_nj = energy + self.traffic.energy_nj;
     }
 
@@ -469,7 +477,8 @@ impl<E: SetEngine> ShardedEngine<E> {
     /// Books one `src → dst` transfer of `bytes` bytes into the aggregate
     /// statistics and the traffic ledger, returning the link cycles it cost.
     /// The lane-work absorption on the receiving shard is the caller's
-    /// responsibility (see [`Self::resolve_binary`]).
+    /// responsibility (see [`Self::resolve_binary`]); the aggregate energy
+    /// takes the ledger's in at the call's closing [`Self::settle`].
     fn ledger_transfer(&mut self, src: usize, dst: usize, bytes: u64) -> u64 {
         let route = self.link.route(src, dst, self.shards.len());
         let cycles = self.link.transfer_cost(bytes as usize, route);
@@ -482,10 +491,6 @@ impl<E: SetEngine> ShardedEngine<E> {
         self.traffic.cycles_by_shard[dst] += cycles;
         self.traffic.energy_nj += energy;
         self.traffic.sent_by_shard[src] += bytes;
-        // Only the ledger changed; reuse the cached shard fold. (During a
-        // batch the shard fold may be stale — the batch's closing
-        // `refresh_energy` recomputes it before anyone can observe it.)
-        self.stats.energy_nj = self.shard_energy_sum + self.traffic.energy_nj;
         // Every priced link crossing funnels through here, so one hook
         // covers them all.
         if let Some(collector) = &self.collector {
@@ -520,26 +525,11 @@ impl<E: SetEngine> ShardedEngine<E> {
         }
     }
 
-    /// Runs `f` on one shard, merging what it costs into the aggregate now or
-    /// leaving that to the batch's closing merge.
-    fn touch<R>(&mut self, shard: usize, settle: Settle, f: impl FnOnce(&mut E) -> R) -> R {
-        match settle {
-            Settle::Now => self.on_shard(shard, f),
-            Settle::AtBatchClose => f(&mut self.shards[shard]),
-        }
-    }
-
     /// Resolves a binary operation's operands to one executing shard (see
     /// [`Self::place_binary`]). When the operands live on different shards,
     /// the moving operand is transferred over the links and staged as a
-    /// temporary replica on the executing shard.
-    fn resolve_binary(
-        &mut self,
-        a: SetId,
-        b: SetId,
-        pin_to_a: bool,
-        settle: Settle,
-    ) -> ResolvedBinary {
+    /// temporary replica on the executing shard, which the caller settles.
+    fn resolve_binary(&mut self, a: SetId, b: SetId, pin_to_a: bool) -> ResolvedBinary {
         let PlacedBinary {
             stay: (dst, stay_local),
             moved: (src, moved_local),
@@ -553,7 +543,7 @@ impl<E: SetEngine> ShardedEngine<E> {
             // transfer.
             let replica = self.shards[src].repr(moved_local).clone();
             let bytes = replica.storage_bits().div_ceil(8) as u64;
-            let temp = self.touch(dst, settle, |e| e.create(replica));
+            let temp = self.shards[dst].create(replica);
             // The transfer cycles are attributed to the executing shard,
             // which waits for the operand to arrive, and are handed to that
             // shard's overlap timeline as lane work *writing* the replica: on
@@ -564,7 +554,7 @@ impl<E: SetEngine> ShardedEngine<E> {
             // records (makespan growth, a WAW stall behind the replica's
             // create) reaches the aggregate like every other counter.
             let cycles = self.ledger_transfer(src, dst, bytes);
-            self.touch(dst, settle, |e| e.absorb_lane_work(cycles, &[temp]));
+            self.shards[dst].absorb_lane_work(cycles, &[temp]);
             temp
         });
         let other = temp.unwrap_or(moved_local);
@@ -581,10 +571,24 @@ impl<E: SetEngine> ShardedEngine<E> {
         }
     }
 
-    fn release_temp(&mut self, site: &ResolvedBinary) {
+    /// Runs one binary operation where [`Self::resolve_binary`] sites it,
+    /// drops the staged replica and settles the executing shard, returning
+    /// that shard beside the operation's result.
+    fn binary<R>(
+        &mut self,
+        a: SetId,
+        b: SetId,
+        pin_to_a: bool,
+        f: impl FnOnce(&mut E, SetId, SetId) -> R,
+    ) -> (usize, R) {
+        let site = self.resolve_binary(a, b, pin_to_a);
+        let engine = &mut self.shards[site.shard];
+        let out = f(engine, site.a, site.b);
         if let Some(temp) = site.temp {
-            self.on_shard(site.shard, |e| e.delete(temp));
+            engine.delete(temp);
         }
+        self.settle(site.shard);
+        (site.shard, out)
     }
 
     fn binary_materialising(
@@ -593,29 +597,9 @@ impl<E: SetEngine> ShardedEngine<E> {
         b: SetId,
         f: impl FnOnce(&mut E, SetId, SetId) -> SetId,
     ) -> SetId {
-        let site = self.resolve_binary(a, b, false, Settle::Now);
-        let local = self.on_shard(site.shard, |e| f(e, site.a, site.b));
-        self.release_temp(&site);
-        self.created_load[site.shard] += self.shards[site.shard].repr(local).len() as u64;
-        self.register_global(site.shard, local)
-    }
-
-    fn binary_counting(
-        &mut self,
-        a: SetId,
-        b: SetId,
-        f: impl FnOnce(&mut E, SetId, SetId) -> usize,
-    ) -> usize {
-        let site = self.resolve_binary(a, b, false, Settle::Now);
-        let out = self.on_shard(site.shard, |e| f(e, site.a, site.b));
-        self.release_temp(&site);
-        out
-    }
-
-    fn binary_assign(&mut self, a: SetId, b: SetId, f: impl FnOnce(&mut E, SetId, SetId)) {
-        let site = self.resolve_binary(a, b, true, Settle::Now);
-        self.on_shard(site.shard, |e| f(e, site.a, site.b));
-        self.release_temp(&site);
+        let (shard, local) = self.binary(a, b, false, f);
+        self.created_load[shard] += self.shards[shard].repr(local).len() as u64;
+        self.register_global(shard, local)
     }
 }
 
@@ -629,14 +613,10 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
     /// Executes a batch of independent binary operations, fanning per-shard
     /// work across host worker threads (see [`Self::set_host_threads`]).
     ///
-    /// The batch runs as staged/run **windows** between one opening
-    /// checkpoint and one closing merge:
+    /// The batch runs as staged/run **windows** and settles like any other
+    /// call, once per shard at the end:
     ///
-    /// 1. **Checkpoint** (main thread): every shard's statistics are
-    ///    checkpointed once, before any staging — the whole batch settles
-    ///    into the aggregate as a single delta per shard at the end, instead
-    ///    of the forwarding path's per-operation checkpoint/merge/refresh.
-    /// 2. **Stage a window** (main thread, batch order): operands of the
+    /// 1. **Stage a window** (main thread, batch order): operands of the
     ///    next `EXECUTE_WINDOW` (1024) operations are resolved and
     ///    cross-shard transfers are priced exactly as the per-op path does —
     ///    the smaller operand crosses the link and is staged as a replica on
@@ -644,18 +624,18 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
     ///    shard's queue. Windowing bounds how many staged replicas are alive
     ///    at once, so the shard allocators keep recycling the same hot slots
     ///    instead of growing a batch-sized cold tail.
-    /// 3. **Run the window**: every shard's queue runs against that shard
+    /// 2. **Run the window**: every shard's queue runs against that shard
     ///    alone, either inline (one worker) or on `std::thread::scope`
     ///    workers over disjoint shard chunks. A shard's state evolution
     ///    depends only on its own queue, so thread count cannot change what
     ///    any shard computes or records.
-    /// 4. **Merge** (main thread, shard order, once after the last window):
-    ///    one checkpoint delta per shard is folded into the aggregate
-    ///    statistics, then the aggregate energy is recomputed as the usual
-    ///    ordered fold over shards. This makes the aggregate — including the
-    ///    floating-point `energy_nj` — bit-for-bit identical for every
-    ///    thread count. Materialised results are then registered in batch
-    ///    order.
+    /// 3. **Settle** (main thread, shard order, once after the last window):
+    ///    what each shard accrued since it was last settled is folded into
+    ///    the aggregate statistics, and the aggregate energy is recomputed as
+    ///    the usual ordered fold over shards. This makes the aggregate —
+    ///    including the floating-point `energy_nj` — bit-for-bit identical
+    ///    for every thread count. Materialised results are then registered in
+    ///    batch order.
     ///
     /// Returns one [`BatchResult`] per operation, in batch order.
     ///
@@ -665,8 +645,6 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
     /// panics.
     pub fn execute(&mut self, ops: &[BatchOp]) -> Vec<BatchResult> {
         let n = self.shards.len();
-        let checkpoints: Vec<StatsCheckpoint> =
-            self.shards.iter().map(|s| s.stats().checkpoint()).collect();
         let threads = self.resolved_host_threads().clamp(1, n);
         let mut results: Vec<Option<(usize, LocalOutcome)>> = ops.iter().map(|_| None).collect();
         let mut queues: Vec<Vec<QueuedOp>> = (0..n).map(|_| Vec::new()).collect();
@@ -676,7 +654,7 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
             }
             for (off, &op) in window.iter().enumerate() {
                 let (a, b) = op.operands();
-                let site = self.resolve_binary(a, b, false, Settle::AtBatchClose);
+                let site = self.resolve_binary(a, b, false);
                 queues[site.shard].push(QueuedOp {
                     index: w * Self::EXECUTE_WINDOW + off,
                     op,
@@ -723,10 +701,9 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
             }
         }
 
-        for (shard, at) in checkpoints.iter().enumerate() {
-            self.stats.merge_since(self.shards[shard].stats(), at);
+        for shard in 0..n {
+            self.settle(shard);
         }
-        self.refresh_energy();
 
         results
             .into_iter()
@@ -878,7 +855,8 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
     fn set_universe(&mut self, n: usize) {
         self.universe = self.universe.max(n);
         for shard in 0..self.shards.len() {
-            self.on_shard(shard, |e| e.set_universe(n));
+            self.shards[shard].set_universe(n);
+            self.settle(shard);
         }
     }
 
@@ -895,12 +873,8 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
             shard.reset_stats();
         }
         self.stats = ExecStats::default();
-        self.traffic = LinkTraffic {
-            sent_by_shard: vec![0; self.shards.len()],
-            cycles_by_shard: vec![0; self.shards.len()],
-            ..LinkTraffic::default()
-        };
-        self.shard_energy_sum = 0.0;
+        self.settled = self.shards.iter().map(|s| s.stats().checkpoint()).collect();
+        self.traffic = LinkTraffic::new(self.shards.len());
         self.task_mark = 0;
     }
 
@@ -914,7 +888,8 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
             .strategy
             .shard_for(global.raw(), self.universe, &self.created_load);
         self.created_load[shard] += repr.len() as u64;
-        let local = self.on_shard(shard, |e| e.create(repr));
+        let local = self.shards[shard].create(repr);
+        self.settle(shard);
         self.placement[global.raw() as usize] = Some((shard, local));
         global
     }
@@ -922,29 +897,37 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
     fn clone_set(&mut self, id: SetId) -> SetId {
         let (shard, local) = self.locate(id);
         self.created_load[shard] += self.shards[shard].repr(local).len() as u64;
-        let new_local = self.on_shard(shard, |e| e.clone_set(local));
+        let new_local = self.shards[shard].clone_set(local);
+        self.settle(shard);
         self.register_global(shard, new_local)
     }
 
     fn delete(&mut self, id: SetId) {
         let (shard, local) = self.locate(id);
-        self.on_shard(shard, |e| e.delete(local));
+        self.shards[shard].delete(local);
+        self.settle(shard);
         crate::slots::release(&mut self.placement, &mut self.free_ids, id);
     }
 
     fn cardinality(&mut self, id: SetId) -> usize {
         let (shard, local) = self.locate(id);
-        self.on_shard(shard, |e| e.cardinality(local))
+        let out = self.shards[shard].cardinality(local);
+        self.settle(shard);
+        out
     }
 
     fn contains(&mut self, id: SetId, v: Vertex) -> bool {
         let (shard, local) = self.locate(id);
-        self.on_shard(shard, |e| e.contains(local, v))
+        let out = self.shards[shard].contains(local, v);
+        self.settle(shard);
+        out
     }
 
     fn members(&mut self, id: SetId) -> Vec<Vertex> {
         let (shard, local) = self.locate(id);
-        self.on_shard(shard, |e| e.members(local))
+        let out = self.shards[shard].members(local);
+        self.settle(shard);
+        out
     }
 
     fn repr(&self, id: SetId) -> &SetRepr {
@@ -954,54 +937,59 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
 
     fn insert(&mut self, id: SetId, v: Vertex) -> bool {
         let (shard, local) = self.locate(id);
-        self.on_shard(shard, |e| e.insert(local, v))
+        let out = self.shards[shard].insert(local, v);
+        self.settle(shard);
+        out
     }
 
     fn remove(&mut self, id: SetId, v: Vertex) -> bool {
         let (shard, local) = self.locate(id);
-        self.on_shard(shard, |e| e.remove(local, v))
+        let out = self.shards[shard].remove(local, v);
+        self.settle(shard);
+        out
     }
 
     fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, |e, a, b| e.intersect(a, b))
+        self.binary_materialising(a, b, E::intersect)
     }
 
     fn union(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, |e, a, b| e.union(a, b))
+        self.binary_materialising(a, b, E::union)
     }
 
     fn difference(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, |e, a, b| e.difference(a, b))
+        self.binary_materialising(a, b, E::difference)
     }
 
     fn intersect_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_counting(a, b, |e, a, b| e.intersect_count(a, b))
+        self.binary(a, b, false, E::intersect_count).1
     }
 
     fn union_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_counting(a, b, |e, a, b| e.union_count(a, b))
+        self.binary(a, b, false, E::union_count).1
     }
 
     fn difference_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_counting(a, b, |e, a, b| e.difference_count(a, b))
+        self.binary(a, b, false, E::difference_count).1
     }
 
     fn intersect_assign(&mut self, a: SetId, b: SetId) {
-        self.binary_assign(a, b, |e, a, b| e.intersect_assign(a, b));
+        self.binary(a, b, true, E::intersect_assign);
     }
 
     fn union_assign(&mut self, a: SetId, b: SetId) {
-        self.binary_assign(a, b, |e, a, b| e.union_assign(a, b));
+        self.binary(a, b, true, E::union_assign);
     }
 
     fn difference_assign(&mut self, a: SetId, b: SetId) {
-        self.binary_assign(a, b, |e, a, b| e.difference_assign(a, b));
+        self.binary(a, b, true, E::difference_assign);
     }
 
     fn host_ops(&mut self, n: u64) {
         // Host-side scalar work executes on the host core, modelled next to
         // shard 0.
-        self.on_shard(0, |e| e.host_ops(n));
+        self.shards[0].host_ops(n);
+        self.settle(0);
     }
 
     fn task_begin(&mut self) {

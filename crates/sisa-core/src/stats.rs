@@ -1,7 +1,105 @@
 //! Execution statistics collected by the SISA runtime.
+//!
+//! [`ExecStats`] is the only description of the counters. Its four
+//! per-opcode tables are [`OpcodeCounts`] — a `Copy` array with one slot per
+//! opcode — so the whole record but `processed_set_sizes` is plain data: a
+//! checkpoint is "the record as it was, without the contents of
+//! `processed_set_sizes`" and declares no counter of its own, `merge` is
+//! `merge_since` against a zero checkpoint, and `merge_since` holds the one
+//! field-by-field list. [`StatsScope`] is the public face of that mechanism;
+//! [`crate::ShardedEngine`] settles its shards with the mechanism itself.
 
 use sisa_isa::SisaOpcode;
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::ops::{Index, IndexMut};
+
+/// `funct7` → position in [`SisaOpcode::ALL`] (which ascends, so its last
+/// entry is the largest `funct7`). Indexing by position rather than by
+/// `funct7` keeps an [`OpcodeCounts`] at 24 words instead of 64: every
+/// checkpoint copies four of them.
+const SLOT_OF_FUNCT7: [u8; SisaOpcode::ALL[SisaOpcode::ALL.len() - 1] as usize + 1] = {
+    let mut table = [0; SisaOpcode::ALL[SisaOpcode::ALL.len() - 1] as usize + 1];
+    let mut slot = 0;
+    while slot < SisaOpcode::ALL.len() {
+        table[SisaOpcode::ALL[slot] as usize] = slot as u8;
+        slot += 1;
+    }
+    table
+};
+
+/// One `u64` counter per [`SisaOpcode`], read and written as `counts[op]`.
+///
+/// It reads like the ordered map it replaced — an opcode whose counter is
+/// zero is absent from [`OpcodeCounts::get`], [`OpcodeCounts::iter`] and
+/// [`OpcodeCounts::is_empty`], and `counts[&op]` names a counter as well as
+/// `counts[op]` — but is a fixed array, so a statistics record is copied and
+/// compared without walking or allocating anything.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpcodeCounts([u64; SisaOpcode::ALL.len()]);
+
+impl OpcodeCounts {
+    fn slot(op: SisaOpcode) -> usize {
+        SLOT_OF_FUNCT7[op.funct7() as usize] as usize
+    }
+
+    /// The opcode's counter, or `None` while it is zero.
+    #[must_use]
+    pub fn get(&self, op: &SisaOpcode) -> Option<&u64> {
+        Some(&self[op]).filter(|&&n| n != 0)
+    }
+
+    /// The non-zero counters, in ascending opcode (`funct7`) order.
+    pub fn iter(&self) -> impl Iterator<Item = (SisaOpcode, u64)> + '_ {
+        SisaOpcode::ALL
+            .into_iter()
+            .zip(self.0)
+            .filter(|&(_, n)| n != 0)
+    }
+
+    /// The sum of all counters.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Whether every counter is zero.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; SisaOpcode::ALL.len()]
+    }
+
+    /// Zeroes every counter.
+    pub fn clear(&mut self) {
+        *self = Self::default();
+    }
+
+    /// Adds `current - at`, slot by slot.
+    fn add_since(&mut self, current: &Self, at: &Self) {
+        for ((n, now), before) in self.0.iter_mut().zip(current.0).zip(at.0) {
+            *n += now - before;
+        }
+    }
+}
+
+impl<O: Borrow<SisaOpcode>> Index<O> for OpcodeCounts {
+    type Output = u64;
+
+    fn index(&self, op: O) -> &u64 {
+        &self.0[Self::slot(*op.borrow())]
+    }
+}
+
+impl<O: Borrow<SisaOpcode>> IndexMut<O> for OpcodeCounts {
+    fn index_mut(&mut self, op: O) -> &mut u64 {
+        &mut self.0[Self::slot(*op.borrow())]
+    }
+}
+
+impl std::fmt::Debug for OpcodeCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// Statistics accumulated while executing SISA instructions.
 ///
@@ -49,15 +147,15 @@ pub struct ExecStats {
     pub bypassed_instructions: u64,
     /// Dependence-stall cycles attributed per opcode (the instruction that
     /// stalled), feeding the instruction-mix stall report.
-    pub dep_stall_by_opcode: BTreeMap<SisaOpcode, u64>,
+    pub dep_stall_by_opcode: OpcodeCounts,
     /// False-dependence stall cycles removed by renaming, attributed per
     /// opcode (the instruction the in-order reference would have stalled).
-    pub false_dep_removed_by_opcode: BTreeMap<SisaOpcode, u64>,
+    pub false_dep_removed_by_opcode: OpcodeCounts,
     /// Out-of-order bypasses attributed per opcode (the instruction that
     /// overtook a stalled predecessor).
-    pub bypass_by_opcode: BTreeMap<SisaOpcode, u64>,
+    pub bypass_by_opcode: OpcodeCounts,
     /// Dynamic instruction counts per opcode.
-    pub instructions: BTreeMap<SisaOpcode, u64>,
+    pub instructions: OpcodeCounts,
     /// Number of operations dispatched to SISA-PUM.
     pub pum_ops: u64,
     /// Number of operations dispatched to SISA-PNM.
@@ -87,12 +185,12 @@ impl ExecStats {
     /// Total dynamic SISA instruction count.
     #[must_use]
     pub fn total_instructions(&self) -> u64 {
-        self.instructions.values().sum()
+        self.instructions.total()
     }
 
     /// Records one executed instruction of the given opcode.
     pub fn record_instruction(&mut self, opcode: SisaOpcode) {
-        *self.instructions.entry(opcode).or_insert(0) += 1;
+        self.instructions[opcode] += 1;
     }
 
     /// Fraction of PIM-dispatched operations that went to SISA-PUM.
@@ -132,96 +230,34 @@ impl ExecStats {
     /// `makespan_cycles` takes the maximum (merged records model units that
     /// ran in parallel, e.g. the shards of a [`crate::ShardedEngine`]).
     pub fn merge(&mut self, other: &ExecStats) {
-        self.scu_cycles += other.scu_cycles;
-        self.pum_cycles += other.pum_cycles;
-        self.pnm_cycles += other.pnm_cycles;
-        self.host_cycles += other.host_cycles;
-        self.link_cycles += other.link_cycles;
-        self.link_bytes += other.link_bytes;
-        self.dep_stall_cycles += other.dep_stall_cycles;
-        self.false_dep_stalls_removed += other.false_dep_stalls_removed;
-        self.bypassed_instructions += other.bypassed_instructions;
-        self.makespan_cycles = self.makespan_cycles.max(other.makespan_cycles);
-        for (&op, &n) in &other.dep_stall_by_opcode {
-            *self.dep_stall_by_opcode.entry(op).or_insert(0) += n;
-        }
-        for (&op, &n) in &other.false_dep_removed_by_opcode {
-            *self.false_dep_removed_by_opcode.entry(op).or_insert(0) += n;
-        }
-        for (&op, &n) in &other.bypass_by_opcode {
-            *self.bypass_by_opcode.entry(op).or_insert(0) += n;
-        }
-        for (&op, &n) in &other.instructions {
-            *self.instructions.entry(op).or_insert(0) += n;
-        }
-        self.pum_ops += other.pum_ops;
-        self.pnm_ops += other.pnm_ops;
-        self.merge_selected += other.merge_selected;
-        self.gallop_selected += other.gallop_selected;
-        self.smb_hits += other.smb_hits;
-        self.smb_misses += other.smb_misses;
-        self.energy_nj += other.energy_nj;
-        self.processed_set_sizes
-            .extend_from_slice(&other.processed_set_sizes);
+        self.merge_since(other, &StatsCheckpoint::default());
     }
 
-    /// Takes a cheap snapshot of the current counters, so that the cost of
-    /// the operations executed after it can be attributed elsewhere with
-    /// [`ExecStats::merge_since`]. The snapshot is allocation-free — opcode
-    /// counts go into a fixed `funct7`-indexed array and only the length of
-    /// `processed_set_sizes` is recorded, not its contents — because
-    /// composite engines checkpoint on every forwarded operation.
+    /// The record as it is now, without the contents of
+    /// `processed_set_sizes` (only their number): what is executed after it
+    /// can be attributed elsewhere with [`ExecStats::merge_since`]. Nothing is
+    /// allocated, because composite engines re-mark a shard on every call.
     #[must_use]
-    pub fn checkpoint(&self) -> StatsCheckpoint {
-        let mut instructions = [0u64; StatsCheckpoint::OPCODE_SLOTS];
-        for (&op, &n) in &self.instructions {
-            instructions[op.funct7() as usize] = n;
-        }
-        let mut dep_stall_by_opcode = [0u64; StatsCheckpoint::OPCODE_SLOTS];
-        for (&op, &n) in &self.dep_stall_by_opcode {
-            dep_stall_by_opcode[op.funct7() as usize] = n;
-        }
-        let mut false_dep_removed_by_opcode = [0u64; StatsCheckpoint::OPCODE_SLOTS];
-        for (&op, &n) in &self.false_dep_removed_by_opcode {
-            false_dep_removed_by_opcode[op.funct7() as usize] = n;
-        }
-        let mut bypass_by_opcode = [0u64; StatsCheckpoint::OPCODE_SLOTS];
-        for (&op, &n) in &self.bypass_by_opcode {
-            bypass_by_opcode[op.funct7() as usize] = n;
-        }
+    pub(crate) fn checkpoint(&self) -> StatsCheckpoint {
         StatsCheckpoint {
-            scu_cycles: self.scu_cycles,
-            pum_cycles: self.pum_cycles,
-            pnm_cycles: self.pnm_cycles,
-            host_cycles: self.host_cycles,
-            link_cycles: self.link_cycles,
-            link_bytes: self.link_bytes,
-            dep_stall_cycles: self.dep_stall_cycles,
-            false_dep_stalls_removed: self.false_dep_stalls_removed,
-            bypassed_instructions: self.bypassed_instructions,
-            dep_stall_by_opcode,
-            false_dep_removed_by_opcode,
-            bypass_by_opcode,
-            instructions,
-            pum_ops: self.pum_ops,
-            pnm_ops: self.pnm_ops,
-            merge_selected: self.merge_selected,
-            gallop_selected: self.gallop_selected,
-            smb_hits: self.smb_hits,
-            smb_misses: self.smb_misses,
-            energy_nj: self.energy_nj,
-            processed_set_sizes_len: self.processed_set_sizes.len(),
+            record: ExecStats {
+                processed_set_sizes: Vec::new(),
+                ..*self
+            },
+            set_sizes: self.processed_set_sizes.len(),
         }
     }
 
     /// Adds `current - at` into `self`: the cost accumulated by the observed
-    /// statistics record since the checkpoint was taken. Counters only grow
-    /// between checkpoints (statistics resets are handled by re-checkpointing),
-    /// so the subtraction is well defined. `makespan_cycles` is not a delta:
-    /// the observed record's current makespan is folded in with `max`, exactly
-    /// as [`ExecStats::merge`] does, so composite engines track the slowest
-    /// parallel unit.
-    pub fn merge_since(&mut self, current: &ExecStats, at: &StatsCheckpoint) {
+    /// statistics record since the checkpoint was taken. This is the only
+    /// arithmetic over the fields — [`ExecStats::merge`] is the same sum
+    /// against a zero checkpoint. Counters only grow between checkpoints
+    /// (statistics resets are handled by re-checkpointing), so the
+    /// subtraction is well defined. `makespan_cycles` is not a delta: the
+    /// observed record's current makespan is folded in with `max`, so
+    /// composite engines track the slowest parallel unit.
+    pub(crate) fn merge_since(&mut self, current: &ExecStats, at: &StatsCheckpoint) {
+        let (at, set_sizes) = (&at.record, at.set_sizes);
         self.scu_cycles += current.scu_cycles - at.scu_cycles;
         self.pum_cycles += current.pum_cycles - at.pum_cycles;
         self.pnm_cycles += current.pnm_cycles - at.pnm_cycles;
@@ -233,30 +269,16 @@ impl ExecStats {
             current.false_dep_stalls_removed - at.false_dep_stalls_removed;
         self.bypassed_instructions += current.bypassed_instructions - at.bypassed_instructions;
         self.makespan_cycles = self.makespan_cycles.max(current.makespan_cycles);
-        for (&op, &n) in &current.dep_stall_by_opcode {
-            let before = at.dep_stall_by_opcode[op.funct7() as usize];
-            if n > before {
-                *self.dep_stall_by_opcode.entry(op).or_insert(0) += n - before;
-            }
-        }
-        for (&op, &n) in &current.false_dep_removed_by_opcode {
-            let before = at.false_dep_removed_by_opcode[op.funct7() as usize];
-            if n > before {
-                *self.false_dep_removed_by_opcode.entry(op).or_insert(0) += n - before;
-            }
-        }
-        for (&op, &n) in &current.bypass_by_opcode {
-            let before = at.bypass_by_opcode[op.funct7() as usize];
-            if n > before {
-                *self.bypass_by_opcode.entry(op).or_insert(0) += n - before;
-            }
-        }
-        for (&op, &n) in &current.instructions {
-            let before = at.instructions[op.funct7() as usize];
-            if n > before {
-                *self.instructions.entry(op).or_insert(0) += n - before;
-            }
-        }
+        self.dep_stall_by_opcode
+            .add_since(&current.dep_stall_by_opcode, &at.dep_stall_by_opcode);
+        self.false_dep_removed_by_opcode.add_since(
+            &current.false_dep_removed_by_opcode,
+            &at.false_dep_removed_by_opcode,
+        );
+        self.bypass_by_opcode
+            .add_since(&current.bypass_by_opcode, &at.bypass_by_opcode);
+        self.instructions
+            .add_since(&current.instructions, &at.instructions);
         self.pum_ops += current.pum_ops - at.pum_ops;
         self.pnm_ops += current.pnm_ops - at.pnm_ops;
         self.merge_selected += current.merge_selected - at.merge_selected;
@@ -265,7 +287,7 @@ impl ExecStats {
         self.smb_misses += current.smb_misses - at.smb_misses;
         self.energy_nj += current.energy_nj - at.energy_nj;
         self.processed_set_sizes
-            .extend_from_slice(&current.processed_set_sizes[at.processed_set_sizes_len..]);
+            .extend_from_slice(&current.processed_set_sizes[set_sizes..]);
     }
 }
 
@@ -273,11 +295,11 @@ impl ExecStats {
 /// accrues between [`StatsScope::begin`] and [`StatsScope::finish`] is carved
 /// out as a standalone [`ExecStats`] delta.
 ///
-/// This is the public face of the [`ExecStats::checkpoint`] /
-/// [`ExecStats::merge_since`] mechanism that composite engines use
-/// internally, packaged for *per-query attribution*: a long-lived engine
-/// (e.g. one worker of a service pool) opens a scope around each piece of
-/// work and bills the resulting delta to whoever asked for it.
+/// This is the public face of the crate-private checkpoint / `merge_since`
+/// mechanism that composite engines use to settle their shards, packaged for
+/// *per-query attribution*: a long-lived engine (e.g. one worker of a service
+/// pool) opens a scope around each piece of work and bills the resulting
+/// delta to whoever asked for it.
 ///
 /// ## Exactness guarantees
 ///
@@ -292,8 +314,8 @@ impl ExecStats {
 ///   running total at most doubles across a scope); wildly unbalanced
 ///   partitions recompose to within 1 ulp per scope boundary.
 /// * `makespan_cycles` is **not** a delta: the scope reports the engine's
-///   overlapped-clock position at `finish`, mirroring
-///   [`ExecStats::merge_since`].
+///   overlapped-clock position at `finish`, as [`ExecStats::merge`] takes the
+///   maximum.
 ///
 /// ## Example
 ///
@@ -346,45 +368,15 @@ impl StatsScope {
     }
 }
 
-/// A snapshot of [`ExecStats`] counters taken by [`ExecStats::checkpoint`],
-/// used by composite engines (e.g. [`crate::ShardedEngine`]) to attribute the
-/// cost of each forwarded operation to an aggregate record.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StatsCheckpoint {
-    scu_cycles: u64,
-    pum_cycles: u64,
-    pnm_cycles: u64,
-    host_cycles: u64,
-    link_cycles: u64,
-    link_bytes: u64,
-    dep_stall_cycles: u64,
-    false_dep_stalls_removed: u64,
-    bypassed_instructions: u64,
-    /// Per-opcode dependence-stall cycles indexed by `funct7`.
-    dep_stall_by_opcode: [u64; Self::OPCODE_SLOTS],
-    /// Per-opcode removed-false-dependence cycles indexed by `funct7`.
-    false_dep_removed_by_opcode: [u64; Self::OPCODE_SLOTS],
-    /// Per-opcode out-of-order bypass counts indexed by `funct7`.
-    bypass_by_opcode: [u64; Self::OPCODE_SLOTS],
-    /// Per-opcode counts indexed by the opcode's 7-bit `funct7` value.
-    instructions: [u64; Self::OPCODE_SLOTS],
-    pum_ops: u64,
-    pnm_ops: u64,
-    merge_selected: u64,
-    gallop_selected: u64,
-    smb_hits: u64,
-    smb_misses: u64,
-    energy_nj: f64,
-    processed_set_sizes_len: usize,
-}
-
-impl StatsCheckpoint {
-    /// Slots of the `funct7`-indexed arrays: the next power of two above the
-    /// ISA's largest `funct7` ([`SisaOpcode::ALL`] ascends, so its last
-    /// entry), not the 7-bit field's 128 — a checkpoint is taken, and these
-    /// arrays zeroed, on every operation a composite engine forwards.
-    const OPCODE_SLOTS: usize =
-        (SisaOpcode::ALL[SisaOpcode::ALL.len() - 1] as usize + 1).next_power_of_two();
+/// An [`ExecStats`] record as it was when [`ExecStats::checkpoint`] took it,
+/// without the contents of `processed_set_sizes`: it declares no counter of
+/// its own, so a counter added to [`ExecStats`] is carried here unasked.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct StatsCheckpoint {
+    /// The record; `processed_set_sizes` is left empty.
+    record: ExecStats,
+    /// How many `processed_set_sizes` the record held.
+    set_sizes: usize,
 }
 
 #[cfg(test)]
@@ -414,13 +406,9 @@ mod tests {
     }
 
     #[test]
-    fn every_opcode_indexes_inside_the_checkpoint_arrays() {
-        assert_eq!(StatsCheckpoint::OPCODE_SLOTS, 64);
-        for op in SisaOpcode::ALL {
-            assert!(
-                (op.funct7() as usize) < StatsCheckpoint::OPCODE_SLOTS,
-                "{op:?} would index past a checkpoint array"
-            );
+    fn every_opcode_indexes_its_position_in_all() {
+        for (position, op) in SisaOpcode::ALL.into_iter().enumerate() {
+            assert_eq!(OpcodeCounts::slot(op), position, "{op:?}");
         }
     }
 
@@ -461,20 +449,11 @@ mod tests {
         grown.link_cycles += 9;
         grown.link_bytes += 128;
         grown.dep_stall_cycles += 6;
-        *grown
-            .dep_stall_by_opcode
-            .entry(SisaOpcode::UnionAuto)
-            .or_insert(0) += 6;
+        grown.dep_stall_by_opcode[SisaOpcode::UnionAuto] += 6;
         grown.false_dep_stalls_removed += 11;
-        *grown
-            .false_dep_removed_by_opcode
-            .entry(SisaOpcode::DeleteSet)
-            .or_insert(0) += 11;
+        grown.false_dep_removed_by_opcode[SisaOpcode::DeleteSet] += 11;
         grown.bypassed_instructions += 2;
-        *grown
-            .bypass_by_opcode
-            .entry(SisaOpcode::IntersectCountAuto)
-            .or_insert(0) += 2;
+        grown.bypass_by_opcode[SisaOpcode::IntersectCountAuto] += 2;
         grown.makespan_cycles = 40;
         grown.energy_nj += 0.5;
         grown.processed_set_sizes.push(8);
@@ -499,6 +478,41 @@ mod tests {
         );
         assert!((agg.energy_nj - 0.5).abs() < 1e-12);
         assert_eq!(agg.processed_set_sizes, vec![8]);
+    }
+
+    #[test]
+    fn merge_is_merge_since_a_zero_checkpoint() {
+        let mut other = ExecStats {
+            scu_cycles: 3,
+            link_bytes: 64,
+            makespan_cycles: 17,
+            gallop_selected: 2,
+            energy_nj: 0.1 + 0.2,
+            processed_set_sizes: vec![4, 8],
+            ..ExecStats::default()
+        };
+        other.record_instruction(SisaOpcode::CloneSet);
+        other.bypass_by_opcode[SisaOpcode::IntersectMerge] += 5;
+        assert_eq!(
+            ExecStats::default().checkpoint(),
+            StatsCheckpoint::default(),
+            "the zero checkpoint is a fresh record's"
+        );
+
+        let mut base = other.clone();
+        base.pnm_cycles = 9;
+        let mut merged = base.clone();
+        merged.merge(&other);
+        let mut since = base.clone();
+        since.merge_since(&other, &ExecStats::default().checkpoint());
+        assert_eq!(merged, since);
+
+        // Nothing is lost on the way: a fresh record that merges `other` is
+        // `other`, energy bit for bit (`x - 0.0` is `x`).
+        let mut fresh = ExecStats::default();
+        fresh.merge(&other);
+        assert_eq!(fresh, other);
+        assert_eq!(fresh.energy_nj.to_bits(), other.energy_nj.to_bits());
     }
 
     #[test]

@@ -18,10 +18,22 @@
 //! 3. **Register file** — the same `Register` per `bind` over more distinct
 //!    IDs than the pool holds, so the victim rule is exercised (the trace
 //!    fixture encodes the registers a program names).
+//!
+//! The statistics record went the same way — its four per-opcode
+//! `BTreeMap<SisaOpcode, u64>` are `OpcodeCounts` arrays — and is held to the
+//! same standard:
+//!
+//! 4. **Opcode counts** — add, `get`, index, `iter` order, `total`,
+//!    `is_empty`, `clear` and `==` against the map, two instances a side;
+//! 5. **Checkpoints**, through their public face `StatsScope` — a scope
+//!    opened on a record carves out exactly what the record grows by
+//!    afterwards (per-opcode counts and `processed_set_sizes` included), in
+//!    one piece or in `split` slices: merged back they give the grown record,
+//!    field for field.
 
 use proptest::prelude::*;
-use sisa_core::{RegisterFile, Scoreboard, SmbCache};
-use sisa_isa::{Register, SetId};
+use sisa_core::{ExecStats, OpcodeCounts, RegisterFile, Scoreboard, SmbCache, StatsScope};
+use sisa_isa::{Register, SetId, SisaOpcode};
 use std::collections::{BTreeMap, HashMap};
 
 // ---------------------------------------------------------------------------
@@ -239,7 +251,125 @@ fn operands(raw: &mut u64, ids: u64) -> Vec<SetId> {
         .collect()
 }
 
+/// Peels an opcode off a draw.
+fn opcode(raw: &mut u64) -> SisaOpcode {
+    SisaOpcode::ALL[take(raw, SisaOpcode::ALL.len() as u64) as usize]
+}
+
+/// Grows one counter of a statistics record by a draw, the way execution
+/// does: every field is reachable, totals move with their per-opcode
+/// attribution, and energy moves in quarters so that sums stay exact.
+fn grow(stats: &mut ExecStats, raw: &mut u64) {
+    let field = take(raw, 20);
+    let n = take(raw, 1000) + 1;
+    match field {
+        0 => stats.scu_cycles += n,
+        1 => stats.pum_cycles += n,
+        2 => stats.pnm_cycles += n,
+        3 => stats.host_cycles += n,
+        4 => stats.link_cycles += n,
+        5 => stats.link_bytes += n,
+        6 => {
+            stats.dep_stall_cycles += n;
+            stats.dep_stall_by_opcode[opcode(raw)] += n;
+        }
+        7 => stats.makespan_cycles += n,
+        8 => {
+            stats.false_dep_stalls_removed += n;
+            stats.false_dep_removed_by_opcode[opcode(raw)] += n;
+        }
+        9 => {
+            stats.bypassed_instructions += 1;
+            stats.bypass_by_opcode[opcode(raw)] += 1;
+        }
+        10 | 11 => stats.record_instruction(opcode(raw)),
+        12 => stats.pum_ops += n,
+        13 => stats.pnm_ops += n,
+        14 => stats.merge_selected += n,
+        15 => stats.gallop_selected += n,
+        16 => stats.smb_hits += n,
+        17 => stats.smb_misses += n,
+        18 => stats.energy_nj += n as f64 * 0.25,
+        _ => stats.processed_set_sizes.push(n as u32),
+    }
+}
+
 proptest! {
+    #[test]
+    fn opcode_counts_match_the_btreemap_model(stream in draws(400)) {
+        // Two instances a side, so that `==` is compared on unequal pairs too.
+        let mut counts = [OpcodeCounts::default(); 2];
+        let mut models: [BTreeMap<SisaOpcode, u64>; 2] = Default::default();
+        for mut raw in stream {
+            let which = take(&mut raw, 2) as usize;
+            let (count, model) = (&mut counts[which], &mut models[which]);
+            let call = take(&mut raw, 16);
+            let op = opcode(&mut raw);
+            match call {
+                0..=8 => {
+                    // The maps never held a zero: every addition was positive.
+                    let n = take(&mut raw, 1000) + 1;
+                    count[op] += n;
+                    *model.entry(op).or_insert(0) += n;
+                }
+                9..=11 => prop_assert_eq!(count.get(&op), model.get(&op), "get {:?}", op),
+                12..=14 => {
+                    prop_assert_eq!(count[op], model.get(&op).copied().unwrap_or(0));
+                    prop_assert_eq!(count[&op], count[op], "either way of naming it");
+                }
+                _ => {
+                    // Rare, or no stream would ever build up state.
+                    if take(&mut raw, 8) == 0 {
+                        count.clear();
+                        model.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(
+                count.iter().collect::<Vec<_>>(),
+                model.iter().map(|(&op, &n)| (op, n)).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(count.total(), model.values().sum::<u64>());
+            prop_assert_eq!(count.is_empty(), model.is_empty());
+            prop_assert_eq!(counts[0] == counts[1], models[0] == models[1]);
+        }
+    }
+
+    #[test]
+    fn scopes_carve_what_a_record_grows_by_and_merge_it_back(
+        before in draws(60),
+        after in draws(120),
+        slices in 1usize..6,
+    ) {
+        let mut base = ExecStats::default();
+        for mut raw in before {
+            grow(&mut base, &mut raw);
+        }
+        let whole = StatsScope::begin(&base);
+        let mut sliced = StatsScope::begin(&base);
+        let mut from_slices = base.clone();
+        let mut grown = base.clone();
+        for chunk in after.chunks(after.len().div_ceil(slices).max(1)) {
+            for &draw in chunk {
+                let mut raw = draw;
+                grow(&mut grown, &mut raw);
+            }
+            from_slices.merge(&sliced.split(&grown));
+        }
+        let delta = whole.finish(&grown);
+        prop_assert_eq!(
+            delta.processed_set_sizes.as_slice(),
+            &grown.processed_set_sizes[base.processed_set_sizes.len()..]
+        );
+        prop_assert_eq!(
+            delta.total_instructions(),
+            grown.total_instructions() - base.total_instructions()
+        );
+        base.merge(&delta);
+        prop_assert_eq!(&base, &grown, "one scope");
+        prop_assert_eq!(&from_slices, &grown, "{} slices", slices);
+    }
+
     #[test]
     fn smb_matches_the_stamp_map_model(capacity in 1usize..=8, stream in draws(400)) {
         let mut smb = SmbCache::new(capacity);

@@ -257,9 +257,9 @@ proptest! {
                 "total decomposition at depth {} window {} tags {}",
                 depth, window, tags
             );
-            let mut recombined = renamed.stats().dep_stall_by_opcode.clone();
-            for (&op, &n) in &renamed.stats().false_dep_removed_by_opcode {
-                *recombined.entry(op).or_insert(0) += n;
+            let mut recombined = renamed.stats().dep_stall_by_opcode;
+            for (op, n) in renamed.stats().false_dep_removed_by_opcode.iter() {
+                recombined[op] += n;
             }
             prop_assert_eq!(
                 &recombined,

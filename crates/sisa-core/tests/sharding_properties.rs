@@ -6,12 +6,17 @@
 //!    sequences.
 //! 2. **1-shard equivalence** — with a single shard the wrapper reproduces the
 //!    flat runtime's [`ExecStats`] cycle-for-cycle.
-//! 3. **Conservation** — the aggregate statistics equal the sum of the
-//!    per-shard statistics plus the cross-shard link ledger, so no cost is
-//!    lost or double-counted in the sharded plumbing.
+//! 3. **Conservation and freshness** — after *every* public call, across
+//!    `execute` batches and `reset_stats`, the aggregate statistics equal the
+//!    sum of the per-shard statistics plus the cross-shard link ledger: no
+//!    cost is lost or double-counted, and none is left unsettled.
 
 use proptest::prelude::*;
-use sisa_core::{ExecStats, PartitionStrategy, SetEngine, ShardedEngine, SisaConfig, SisaRuntime};
+use sisa_core::{
+    BatchOp, BatchResult, ExecStats, PartitionStrategy, SetEngine, ShardedEngine, SisaConfig,
+    SisaRuntime,
+};
+use sisa_isa::SetId;
 use sisa_sets::Vertex;
 use std::collections::BTreeSet;
 
@@ -41,12 +46,15 @@ enum Step {
     CloneAndDelete,
     CreateAndKeep(Vertex),
     HostOps(u64),
+    /// A small batch: `execute` on a sharded engine, op by op on a flat one.
+    Batch,
+    ResetStats,
 }
 
 fn step() -> impl Strategy<Value = Step> {
     (0u64..1_000_000).prop_map(|raw| {
         let v = ((raw / 16) % UNIVERSE as u64) as Vertex;
-        match raw % 16 {
+        match raw % 18 {
             0 => Step::Intersect,
             1 => Step::Union,
             2 => Step::Difference,
@@ -62,51 +70,110 @@ fn step() -> impl Strategy<Value = Step> {
             12 => Step::Members,
             13 => Step::CloneAndDelete,
             14 => Step::CreateAndKeep(v),
-            _ => Step::HostOps(raw % 23 + 1),
+            15 => Step::HostOps(raw % 23 + 1),
+            16 => Step::Batch,
+            _ => Step::ResetStats,
         }
     })
 }
 
+/// What differs between the engines `run_steps` drives.
+trait Driven: SetEngine {
+    /// Runs one [`Step::Batch`].
+    fn batch(&mut self, ops: &[BatchOp]) -> Vec<BatchResult>;
+    /// Called after every public call `run_steps` makes.
+    fn check(&self) {}
+}
+
+impl Driven for SisaRuntime {
+    fn batch(&mut self, ops: &[BatchOp]) -> Vec<BatchResult> {
+        ops.iter()
+            .map(|&op| match op {
+                BatchOp::Intersect(a, b) => BatchResult::Set(self.intersect(a, b)),
+                BatchOp::Union(a, b) => BatchResult::Set(self.union(a, b)),
+                BatchOp::Difference(a, b) => BatchResult::Set(self.difference(a, b)),
+                BatchOp::IntersectCount(a, b) => BatchResult::Count(self.intersect_count(a, b)),
+                BatchOp::UnionCount(a, b) => BatchResult::Count(self.union_count(a, b)),
+                BatchOp::DifferenceCount(a, b) => BatchResult::Count(self.difference_count(a, b)),
+            })
+            .collect()
+    }
+}
+
+impl Driven for ShardedEngine<SisaRuntime> {
+    fn batch(&mut self, ops: &[BatchOp]) -> Vec<BatchResult> {
+        self.execute(ops)
+    }
+
+    /// Freshness: the aggregate is never behind its parts.
+    fn check(&self) {
+        assert_eq!(recompute_aggregate(self), *self.stats());
+    }
+}
+
+/// The batch of one [`Step::Batch`]: every form once, the seeds either way
+/// round (they sit on different shards under `Modulo`, so replicas are staged).
+fn batch_ops(a: SetId, b: SetId) -> [BatchOp; 6] {
+    [
+        BatchOp::Intersect(a, b),
+        BatchOp::UnionCount(b, a),
+        BatchOp::Difference(b, a),
+        BatchOp::IntersectCount(b, a),
+        BatchOp::Union(a, b),
+        BatchOp::DifferenceCount(a, b),
+    ]
+}
+
 /// Runs the workload over one sorted and one dense seed set, collecting every
-/// observable result. `CreateAndKeep` grows the live-set population so that
-/// placement decisions keep happening mid-run.
-fn run_steps<E: SetEngine>(
+/// observable result and calling [`Driven::check`] after every engine call.
+/// `CreateAndKeep` grows the live-set population so that placement decisions
+/// keep happening mid-run.
+fn run_steps<E: Driven>(
     engine: &mut E,
     a_members: &BTreeSet<Vertex>,
     b_members: &BTreeSet<Vertex>,
     steps: &[Step],
 ) -> Vec<Vec<Vertex>> {
     engine.set_universe(UNIVERSE);
+    engine.check();
     let a = engine.create_sorted(a_members.iter().copied());
+    engine.check();
     let b = engine.create_dense(b_members.iter().copied());
+    engine.check();
     let mut observed = Vec::new();
     let scalar = |x: usize| vec![x as Vertex];
+    // A materialised result is read, checked and dropped, checking again.
+    let consume = |engine: &mut E, observed: &mut Vec<Vec<Vertex>>, c: SetId| {
+        engine.check();
+        observed.push(engine.members(c));
+        engine.check();
+        engine.delete(c);
+    };
     for s in steps {
         match s {
             Step::Intersect => {
                 let c = engine.intersect(a, b);
-                observed.push(engine.members(c));
-                engine.delete(c);
+                consume(engine, &mut observed, c);
             }
             Step::Union => {
                 let c = engine.union(a, b);
-                observed.push(engine.members(c));
-                engine.delete(c);
+                consume(engine, &mut observed, c);
             }
             Step::Difference => {
                 let c = engine.difference(b, a);
-                observed.push(engine.members(c));
-                engine.delete(c);
+                consume(engine, &mut observed, c);
             }
             Step::IntersectCount => observed.push(scalar(engine.intersect_count(a, b))),
             Step::UnionCount => observed.push(scalar(engine.union_count(a, b))),
             Step::DifferenceCount => observed.push(scalar(engine.difference_count(a, b))),
             Step::UnionAssign => {
                 engine.union_assign(a, b);
+                engine.check();
                 observed.push(engine.members(a));
             }
             Step::DifferenceAssign => {
                 engine.difference_assign(a, b);
+                engine.check();
                 observed.push(engine.members(a));
             }
             Step::Insert(v) => observed.push(scalar(usize::from(engine.insert(a, *v)))),
@@ -114,23 +181,35 @@ fn run_steps<E: SetEngine>(
             Step::Contains(v) => observed.push(scalar(usize::from(engine.contains(a, *v)))),
             Step::Cardinality => {
                 observed.push(scalar(engine.cardinality(a)));
+                engine.check();
                 observed.push(scalar(engine.cardinality(b)));
             }
             Step::Members => {
                 observed.push(engine.members(a));
+                engine.check();
                 observed.push(engine.members(b));
             }
             Step::CloneAndDelete => {
                 let c = engine.clone_set(b);
-                observed.push(engine.members(c));
-                engine.delete(c);
+                consume(engine, &mut observed, c);
             }
             Step::CreateAndKeep(v) => {
                 let c = engine.create_sorted([*v, v.wrapping_add(1) % UNIVERSE as u32]);
+                engine.check();
                 observed.push(engine.members(c));
             }
             Step::HostOps(n) => engine.host_ops(*n),
+            Step::Batch => {
+                for result in engine.batch(&batch_ops(a, b)) {
+                    match result {
+                        BatchResult::Set(c) => consume(engine, &mut observed, c),
+                        BatchResult::Count(n) => observed.push(scalar(n)),
+                    }
+                }
+            }
+            Step::ResetStats => engine.reset_stats(),
         }
+        engine.check();
     }
     observed
 }
@@ -167,10 +246,9 @@ proptest! {
                 prop_assert_eq!(&reference, &observed, "{:?} x{}", strategy, shards);
                 prop_assert_eq!(engine.live_sets(), flat.live_sets());
 
-                // Conservation: aggregate == Σ shards + link ledger, so the
-                // sharded plumbing neither loses nor double-counts cost.
-                let recomputed = recompute_aggregate(&engine);
-                prop_assert_eq!(&recomputed, engine.stats(), "{:?} x{}", strategy, shards);
+                // Conservation (aggregate == Σ shards + link ledger, so the
+                // sharded plumbing neither loses nor double-counts cost) was
+                // asserted by `run_steps` after every call.
                 if shards == 1 {
                     prop_assert_eq!(engine.traffic().cross_ops, 0);
                 }

@@ -56,7 +56,6 @@ struct ResidentGraph {
     generation: u64,
     oriented: SetGraph,
     plain: SetGraph,
-    queries_served: u64,
 }
 
 /// The incrementally-maintained dynamic graph of a name that has received
@@ -144,6 +143,20 @@ impl Worker {
         }
     }
 
+    /// Runs `work` on the engine and bills what it cost to the registry
+    /// ledger (no tenant asked for it), returning `work`'s value.
+    fn bill_registry<R>(&mut self, work: impl FnOnce(&mut ShardedEngine<SisaRuntime>) -> R) -> R {
+        let scope = StatsScope::begin(self.engine.stats());
+        let out = work(&mut self.engine);
+        let delta = scope.finish(self.engine.stats());
+        self.ledger
+            .lock()
+            .expect("ledger lock")
+            .registry_stats
+            .merge(&delta);
+        out
+    }
+
     /// Loads `name` into shard-resident sets if it is not already resident
     /// *at the registry's current generation*. A resident load whose
     /// generation no longer matches (the registry evicted or replaced the
@@ -163,16 +176,12 @@ impl Worker {
             .registry
             .acquire_lease(name)
             .ok_or_else(|| format!("unknown graph {name:?}"))?;
-        let scope = StatsScope::begin(self.engine.stats());
-        let (oriented, _ordering) =
-            orient_by_degeneracy(&mut self.engine, &lease.graph, &self.graph_cfg);
-        let plain = SetGraph::load(&mut self.engine, &lease.graph, &self.graph_cfg);
-        let delta = scope.finish(self.engine.stats());
-        {
-            let mut ledger = self.ledger.lock().expect("ledger lock");
-            ledger.registry_stats.merge(&delta);
-            ledger.graph_loads += 1;
-        }
+        let cfg = self.graph_cfg;
+        let (oriented, plain) = self.bill_registry(|engine| {
+            let (oriented, _ordering) = orient_by_degeneracy(engine, &lease.graph, &cfg);
+            (oriented, SetGraph::load(engine, &lease.graph, &cfg))
+        });
+        self.ledger.lock().expect("ledger lock").graph_loads += 1;
         self.metrics.counter_add("sisa_graph_loads_total", 1);
         self.graphs.insert(
             name.to_string(),
@@ -181,7 +190,6 @@ impl Worker {
                 generation: lease.generation,
                 oriented,
                 plain,
-                queries_served: 0,
             },
         );
         Ok(())
@@ -191,32 +199,18 @@ impl Worker {
     /// any streaming state); the deletion cost is billed to the registry
     /// ledger.
     fn evict(&mut self, name: &str) {
-        if let Some(stream) = self.streams.remove(name) {
-            let scope = StatsScope::begin(self.engine.stats());
-            stream.miner.unload(&mut self.engine);
-            let delta = scope.finish(self.engine.stats());
-            self.ledger
-                .lock()
-                .expect("ledger lock")
-                .registry_stats
-                .merge(&delta);
-        }
+        self.drop_stream_state(name);
         let Some(resident) = self.graphs.remove(name) else {
             return;
         };
-        let scope = StatsScope::begin(self.engine.stats());
-        for v in 0..resident.oriented.num_vertices() as Vertex {
-            self.engine.delete(resident.oriented.neighborhood(v));
-        }
-        for v in 0..resident.plain.num_vertices() as Vertex {
-            self.engine.delete(resident.plain.neighborhood(v));
-        }
-        let delta = scope.finish(self.engine.stats());
-        {
-            let mut ledger = self.ledger.lock().expect("ledger lock");
-            ledger.registry_stats.merge(&delta);
-            ledger.evictions += 1;
-        }
+        self.bill_registry(|engine| {
+            for graph in [&resident.oriented, &resident.plain] {
+                for v in 0..graph.num_vertices() as Vertex {
+                    engine.delete(graph.neighborhood(v));
+                }
+            }
+        });
+        self.ledger.lock().expect("ledger lock").evictions += 1;
         self.metrics.counter_add("sisa_graph_evictions_total", 1);
     }
 
@@ -278,7 +272,7 @@ impl Worker {
         let scope = StatsScope::begin(self.engine.stats());
         let started = Instant::now();
         let engine = &mut self.engine;
-        let resident = self.graphs.get_mut(&group.spec.graph).expect("resident");
+        let resident = self.graphs.get(&group.spec.graph).expect("resident");
         let spec = &group.spec;
         let entries = &group.entries;
         // Kernels may assert on parameters a direct (non-wire) QuerySpec can
@@ -315,7 +309,6 @@ impl Worker {
                 return;
             }
         };
-        resident.queries_served += group.entries.len() as u64;
 
         // Publish the result under the generation of the lease it was
         // computed against: if the registry has since evicted or replaced
@@ -465,26 +458,18 @@ impl Worker {
             .get(&name)
             .is_none_or(|s| s.generation != pre.generation || !s.miner.fits(&delta));
         if stale {
-            let scope = StatsScope::begin(self.engine.stats());
-            if let Some(old) = self.streams.remove(&name) {
-                old.miner.unload(&mut self.engine);
-            }
+            let old = self.streams.remove(&name);
+            let stream_ks = self.stream_ks.clone();
             let capacity = pre
                 .graph
                 .num_vertices()
                 .max(delta.max_vertex().map_or(0, |v| v as usize + 1));
-            let miner = StreamingMiner::load_with_capacity(
-                &mut self.engine,
-                &pre.graph,
-                &self.stream_ks,
-                capacity,
-            );
-            let load_delta = scope.finish(self.engine.stats());
-            self.ledger
-                .lock()
-                .expect("ledger lock")
-                .registry_stats
-                .merge(&load_delta);
+            let miner = self.bill_registry(|engine| {
+                if let Some(old) = old {
+                    old.miner.unload(engine);
+                }
+                StreamingMiner::load_with_capacity(engine, &pre.graph, &stream_ks, capacity)
+            });
             self.metrics.counter_add("sisa_stream_loads_total", 1);
             self.streams.insert(
                 name.clone(),
@@ -556,14 +541,7 @@ impl Worker {
         let Some(state) = self.streams.remove(name) else {
             return;
         };
-        let scope = StatsScope::begin(self.engine.stats());
-        state.miner.unload(&mut self.engine);
-        let cleanup = scope.finish(self.engine.stats());
-        self.ledger
-            .lock()
-            .expect("ledger lock")
-            .registry_stats
-            .merge(&cleanup);
+        self.bill_registry(|engine| state.miner.unload(engine));
     }
 }
 

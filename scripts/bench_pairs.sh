@@ -5,16 +5,22 @@
 #   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--seconds 24] [--workload W]... [--trace]
 #
 # "Change" is this checkout as it stands (uncommitted edits included);
-# "parent" is <parent-ref>, checked out into a temporary `git worktree` with
-# its own CARGO_TARGET_DIR. Both sides are built once, then each pair runs
+# "parent" is <parent-ref>, unpacked with `git archive` into a temporary
+# directory with its own CARGO_TARGET_DIR. Both sides are built once, then each pair runs
 # every chosen workload (default: all four) on both binaries, on one seed per
 # pair (pair i runs seed 10+i), the side that goes first flipping each pair.
 # Each side runs from its own checkout, with the benchmark code of that
 # checkout: a claimed gain may not edit benchmark/, so the two are the same.
 #
 # Prints, per workload and end-to-end metric: both medians, both quartile
-# pairs, pairs won by each side (ties count for neither), and per workload
-# failed/attempted on each side. Exits non-zero if a run produced no result.
+# pairs, pairs won by each side (ties count for neither), a verdict, and per
+# workload failed/attempted on each side. The verdict reads the metric's
+# `bound` from BENCHMARK.json (simplicity-review, "Benchmark workloads"):
+# `WORSE` when the change's median is worse than the parent's by more than the
+# bound; `unresolved` when the parent's own runs spread wider than the bound
+# (quartile distance over median) and not every run of the change beats every
+# run of the parent; else `ok`. It is printed, not enforced: the script exits
+# non-zero only if a run produced no result.
 #
 # --trace adds where the difference sits (choosing-metrics §6.6): after the
 # pairs, one `--trace 1` run a side on seed 1 (the pinned seed) for each chosen
@@ -52,13 +58,10 @@ cd "$root"
 parent_commit="$(git rev-parse --verify "$parent_ref^{commit}")"
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")"
-cleanup() {
-  git -C "$root" worktree remove --force "$work/parent" 2>/dev/null || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
-git worktree add --detach "$work/parent" "$parent_commit" >&2
+mkdir "$work/parent"
+git archive "$parent_commit" | tar -x -C "$work/parent"
 
 # Build both sides once; keep a copy of each binary so that a later build in
 # either target directory cannot change what a pair runs.
@@ -139,12 +142,33 @@ awk -F '\t' '
     if (lo >= n) return a[n]
     return a[lo] + (h - lo) * (a[lo + 1] - a[lo])
   }
+  # Leaves the runs of one side of one metric in runs[side], med[side],
+  # q1[side], q3[side], min[side] and max[side].
   function summary(w, m, side,    n, i, a) {
     n = 0
     for (i = 1; i <= pairs; i++) if ((w, m, side, i) in value) a[++n] = value[w, m, side, i]
+    runs[side] = n
     if (n == 0) return sprintf("%38s", "-")
     sort(a, n)
-    return sprintf("%12.6g [%11.6g %11.6g]", quantile(a, n, 0.5), quantile(a, n, 0.25), quantile(a, n, 0.75))
+    med[side] = quantile(a, n, 0.5); q1[side] = quantile(a, n, 0.25); q3[side] = quantile(a, n, 0.75)
+    min[side] = a[1]; max[side] = a[n]
+    return sprintf("%12.6g [%11.6g %11.6g]", med[side], q1[side], q3[side])
+  }
+  function verdict(m,    lower, limit, clear) {
+    if (!(m in bound) || !runs["parent"] || !runs["change"]) return "-"
+    lower = (m != "throughput") # the one metric where higher is better
+    limit = bound[m] * med["parent"]
+    if ((lower ? med["change"] - med["parent"] : med["parent"] - med["change"]) > limit) return "WORSE"
+    clear = lower ? max["change"] < min["parent"] : min["change"] > max["parent"]
+    if (q3["parent"] - q1["parent"] > limit && !clear) return "unresolved"
+    return "ok"
+  }
+  # An end-to-end entry of BENCHMARK.json spells "name" some lines before
+  # its "bound"; per-layer entries have no bound.
+  FILENAME == bench {
+    if (match($0, /"name": *"[^"]+"/)) { name = substr($0, RSTART, RLENGTH - 1); sub(/.*"/, "", name) }
+    if (match($0, /"bound": *[0-9.]+/)) { bound[name] = substr($0, RSTART, RLENGTH); sub(/.*: */, "", bound[name]) }
+    next
   }
   FILENAME == counts { attempted[$1, $2] += $3; failed[$1, $2] += $4; next }
   {
@@ -157,7 +181,7 @@ awk -F '\t' '
     for (k = 1; k <= workloads; k++) {
       w = order[k]
       printf "\n%s: failed/attempted parent %d/%d, change %d/%d\n", w, failed[w, "parent"], attempted[w, "parent"], failed[w, "change"], attempted[w, "change"]
-      printf "  %-13s %-38s %-38s %s\n", "metric", "parent median [q1 q3]", "change median [q1 q3]", "pairs won parent:change"
+      printf "  %-13s %-38s %-38s %-24s %s\n", "metric", "parent median [q1 q3]", "change median [q1 q3]", "pairs won parent:change", "verdict (bound)"
       for (j = 1; j <= 6; j++) {
         m = metrics[j]
         won_parent = won_change = 0
@@ -167,11 +191,12 @@ awk -F '\t' '
           if (m == "throughput") { t = p; p = c; c = t } # the one metric where higher is better
           if (c < p) won_change++; else if (p < c) won_parent++
         }
-        printf "  %-13s %s %s %d:%d of %d\n", m, summary(w, m, "parent"), summary(w, m, "change"), won_parent, won_change, pairs
+        line = sprintf("%s %s", summary(w, m, "parent"), summary(w, m, "change"))
+        printf "  %-13s %s %-24s %s (%s)\n", m, line, sprintf("%d:%d of %d", won_parent, won_change, pairs), verdict(m), (m in bound) ? bound[m] : "-"
       }
     }
   }
-' counts="$counts" "$counts" "$samples"
+' bench=BENCHMARK.json BENCHMARK.json counts="$counts" "$counts" "$samples"
 
 if [ "$trace" = 1 ]; then
   # The names benchmark/pins.json pins.

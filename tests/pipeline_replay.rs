@@ -134,9 +134,9 @@ fn renamed_replay_conserves_work_and_beats_the_in_order_schedule() {
         renamed.stats().dep_stall_cycles + renamed.stats().false_dep_stalls_removed,
         inorder8.stats().dep_stall_cycles
     );
-    let mut recombined = renamed.stats().dep_stall_by_opcode.clone();
-    for (&op, &n) in &renamed.stats().false_dep_removed_by_opcode {
-        *recombined.entry(op).or_insert(0) += n;
+    let mut recombined = renamed.stats().dep_stall_by_opcode;
+    for (op, n) in renamed.stats().false_dep_removed_by_opcode.iter() {
+        recombined[op] += n;
     }
     assert_eq!(recombined, inorder8.stats().dep_stall_by_opcode);
     // And the renamed replay is deterministic, cycle for cycle.
