@@ -21,15 +21,180 @@
 //!
 //! The trait surface mirrors the paper's instruction families: set lifecycle
 //! (§6.3.4), `O(1)` metadata queries (§6.2.3), single-element updates (§6.2),
-//! the three binary operations with their counting twins (§6.2.1, Table 5)
-//! plus in-place variants, and the host-side accounting hooks that keep loop
-//! control on the CPU ("Does SISA Execute All Set Operations?", §5).
+//! the binary operations (§6.2.1, Table 5), and the host-side accounting hooks
+//! that keep loop control on the CPU ("Does SISA Execute All Set Operations?",
+//! §5).
+//!
+//! # One currency for the binary instructions
+//!
+//! The binary instructions are one family: {∩, ∪, ∖} × {materialise, count},
+//! the in-place form being the materialising one with `rd = rs1`. [`SetOp`]
+//! is that family as a value, [`Outcome`] what one of them produces, and
+//! [`SetEngine::apply`] executes one. Everything that carries operations
+//! around — [`crate::ShardedEngine`]'s batch queues, [`crate::TraceOp`], the
+//! [`crate::Interpreter`] — carries a `SetOp` and calls `apply`; the two
+//! rules that depend on which member of the family it is live here and in
+//! `scu.rs` and nowhere else: [`SetOp::opcode`] (`(op, dest)` → opcode) and
+//! [`BinarySetOp::combine`] / [`BinarySetOp::count`] (`op` → kernel).
+//!
+//! The nine named methods (`intersect` … `difference_assign`) are what
+//! algorithms call, and they are still *required*: an engine outside this
+//! crate that writes them (the repository benchmark's call-observing wrapper
+//! does) gets `apply` from the provided default, which dispatches to exactly
+//! one of them, so such an engine sees one named call per operation however
+//! the operation reached it. The engines in this crate go the other way
+//! round: each overrides `apply` with its one implementation and takes the
+//! nine from `named_binary_ops!`. They are not mutually defaulted trait
+//! methods because an implementor overriding neither side would then recurse
+//! at run time instead of failing to compile. Once no engine outside the
+//! crate implements the nine by hand, the macro's bodies move into the trait
+//! as provided defaults, `apply` becomes the required method, and the macro
+//! goes.
 
 use crate::parallel::TaskRecord;
+use crate::scu::BinarySetOp;
 use crate::stats::ExecStats;
 use crate::Vertex;
-use sisa_isa::SetId;
+use sisa_isa::{SetId, SisaOpcode};
 use sisa_sets::{DenseBitVector, SetRepr};
+
+/// Where a binary instruction's result goes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dest {
+    /// Materialised as a new set.
+    New,
+    /// Only its cardinality is produced.
+    Count,
+    /// Written back over `A` (`rd = rs1`).
+    InPlace,
+}
+
+/// One binary set instruction: `A op B` and where the result goes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SetOp {
+    /// The abstract operation.
+    pub op: BinarySetOp,
+    /// Left operand (the one an in-place form overwrites).
+    pub a: SetId,
+    /// Right operand.
+    pub b: SetId,
+    /// Where the result goes.
+    pub dest: Dest,
+}
+
+impl SetOp {
+    /// The opcode the issue stage materialises for this instruction. The
+    /// in-place form shares the materialising opcode: it differs only in its
+    /// destination register.
+    #[must_use]
+    pub fn opcode(self) -> SisaOpcode {
+        match (self.op, self.dest == Dest::Count) {
+            (BinarySetOp::Intersection, false) => SisaOpcode::IntersectAuto,
+            (BinarySetOp::Union, false) => SisaOpcode::UnionAuto,
+            (BinarySetOp::Difference, false) => SisaOpcode::DifferenceAuto,
+            (BinarySetOp::Intersection, true) => SisaOpcode::IntersectCountAuto,
+            (BinarySetOp::Union, true) => SisaOpcode::UnionCountAuto,
+            (BinarySetOp::Difference, true) => SisaOpcode::DifferenceCountAuto,
+        }
+    }
+}
+
+/// What one [`SetOp`] produced.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// The set the instruction wrote: the new set of [`Dest::New`], `A` of
+    /// [`Dest::InPlace`].
+    Set(SetId),
+    /// The cardinality [`Dest::Count`] asked for.
+    Count(usize),
+}
+
+impl Outcome {
+    /// The ID of the set written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this outcome is a count.
+    #[must_use]
+    pub fn set(self) -> SetId {
+        match self {
+            Self::Set(id) => id,
+            Self::Count(n) => panic!("expected a set result, got count {n}"),
+        }
+    }
+
+    /// The cardinality of a counting result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this outcome is a set.
+    #[must_use]
+    pub fn count(self) -> usize {
+        match self {
+            Self::Count(n) => n,
+            Self::Set(id) => panic!("expected a count result, got set {id}"),
+        }
+    }
+}
+
+/// The nine named binary methods of [`SetEngine`], each building its
+/// [`SetOp`] and calling [`SetEngine::apply`]: for the engines of this crate,
+/// which implement `apply` (see the module docs for why this is a macro and
+/// not a set of provided trait methods).
+macro_rules! named_binary_ops {
+    (@op $op:ident, $dest:ident, $a:ident, $b:ident) => {
+        $crate::engine::SetOp {
+            op: $crate::scu::BinarySetOp::$op,
+            a: $a,
+            b: $b,
+            dest: $crate::engine::Dest::$dest,
+        }
+    };
+    () => {
+        fn intersect(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) -> sisa_isa::SetId {
+            self.apply($crate::engine::named_binary_ops!(@op Intersection, New, a, b))
+                .set()
+        }
+
+        fn union(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) -> sisa_isa::SetId {
+            self.apply($crate::engine::named_binary_ops!(@op Union, New, a, b))
+                .set()
+        }
+
+        fn difference(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) -> sisa_isa::SetId {
+            self.apply($crate::engine::named_binary_ops!(@op Difference, New, a, b))
+                .set()
+        }
+
+        fn intersect_count(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) -> usize {
+            self.apply($crate::engine::named_binary_ops!(@op Intersection, Count, a, b))
+                .count()
+        }
+
+        fn union_count(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) -> usize {
+            self.apply($crate::engine::named_binary_ops!(@op Union, Count, a, b))
+                .count()
+        }
+
+        fn difference_count(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) -> usize {
+            self.apply($crate::engine::named_binary_ops!(@op Difference, Count, a, b))
+                .count()
+        }
+
+        fn intersect_assign(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) {
+            self.apply($crate::engine::named_binary_ops!(@op Intersection, InPlace, a, b));
+        }
+
+        fn union_assign(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) {
+            self.apply($crate::engine::named_binary_ops!(@op Union, InPlace, a, b));
+        }
+
+        fn difference_assign(&mut self, a: sisa_isa::SetId, b: sisa_isa::SetId) {
+            self.apply($crate::engine::named_binary_ops!(@op Difference, InPlace, a, b));
+        }
+    };
+}
+pub(crate) use named_binary_ops;
 
 /// A backend that executes SISA-style set operations.
 ///
@@ -135,6 +300,37 @@ pub trait SetEngine {
 
     /// In-place difference `A \= B`.
     fn difference_assign(&mut self, a: SetId, b: SetId);
+
+    /// Executes one binary instruction given as a value: the same operation,
+    /// cost and result as the named method of its `(op, dest)` pair. This is
+    /// what carriers of operations (batches, traces, the interpreter) call.
+    ///
+    /// The provided body dispatches to that named method, so an engine that
+    /// implements the nine observes exactly one named call per operation. The
+    /// engines of this crate override it and derive the nine from it.
+    fn apply(&mut self, op: SetOp) -> Outcome {
+        let (kind, a, b, dest) = (op.op, op.a, op.b, op.dest);
+        match (kind, dest) {
+            (BinarySetOp::Intersection, Dest::New) => Outcome::Set(self.intersect(a, b)),
+            (BinarySetOp::Union, Dest::New) => Outcome::Set(self.union(a, b)),
+            (BinarySetOp::Difference, Dest::New) => Outcome::Set(self.difference(a, b)),
+            (BinarySetOp::Intersection, Dest::Count) => Outcome::Count(self.intersect_count(a, b)),
+            (BinarySetOp::Union, Dest::Count) => Outcome::Count(self.union_count(a, b)),
+            (BinarySetOp::Difference, Dest::Count) => Outcome::Count(self.difference_count(a, b)),
+            (BinarySetOp::Intersection, Dest::InPlace) => {
+                self.intersect_assign(a, b);
+                Outcome::Set(a)
+            }
+            (BinarySetOp::Union, Dest::InPlace) => {
+                self.union_assign(a, b);
+                Outcome::Set(a)
+            }
+            (BinarySetOp::Difference, Dest::InPlace) => {
+                self.difference_assign(a, b);
+                Outcome::Set(a)
+            }
+        }
+    }
 
     // -----------------------------------------------------------------------
     // Host-side accounting and task boundaries

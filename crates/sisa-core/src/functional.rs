@@ -8,7 +8,7 @@
 //! fuzzing set-centric algorithms, since it skips the SCU, the cache models
 //! and all instruction materialisation.
 
-use crate::engine::SetEngine;
+use crate::engine::{Dest, Outcome, SetEngine, SetOp};
 use crate::parallel::TaskRecord;
 use crate::stats::ExecStats;
 use crate::Vertex;
@@ -115,46 +115,21 @@ impl SetEngine for FunctionalEngine {
         self.slot_mut(id).remove(v)
     }
 
-    fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
-        let result = self.slot(a).intersect(self.slot(b));
-        self.store(result)
-    }
+    crate::engine::named_binary_ops!();
 
-    fn union(&mut self, a: SetId, b: SetId) -> SetId {
-        let result = self.slot(a).union(self.slot(b));
-        self.store(result)
-    }
-
-    fn difference(&mut self, a: SetId, b: SetId) -> SetId {
-        let result = self.slot(a).difference(self.slot(b));
-        self.store(result)
-    }
-
-    fn intersect_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.slot(a).intersect_count(self.slot(b))
-    }
-
-    fn union_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.slot(a).union_count(self.slot(b))
-    }
-
-    fn difference_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.slot(a).difference_count(self.slot(b))
-    }
-
-    fn intersect_assign(&mut self, a: SetId, b: SetId) {
-        let result = self.slot(a).intersect(self.slot(b));
-        *self.slot_mut(a) = result;
-    }
-
-    fn union_assign(&mut self, a: SetId, b: SetId) {
-        let result = self.slot(a).union(self.slot(b));
-        *self.slot_mut(a) = result;
-    }
-
-    fn difference_assign(&mut self, a: SetId, b: SetId) {
-        let result = self.slot(a).difference(self.slot(b));
-        *self.slot_mut(a) = result;
+    fn apply(&mut self, op: SetOp) -> Outcome {
+        let (ra, rb) = (self.slot(op.a), self.slot(op.b));
+        match op.dest {
+            Dest::Count => Outcome::Count(op.op.count(ra, rb)),
+            Dest::New => {
+                let result = op.op.combine(ra, rb);
+                Outcome::Set(self.store(result))
+            }
+            Dest::InPlace => {
+                *self.slot_mut(op.a) = op.op.combine(ra, rb);
+                Outcome::Set(op.a)
+            }
+        }
     }
 
     fn host_ops(&mut self, _n: u64) {}

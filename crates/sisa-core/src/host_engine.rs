@@ -17,7 +17,7 @@
 //! real stall cycles and DRAM traffic, so [`crate::parallel::schedule_cpu`]
 //! can model memory-bandwidth contention between threads (Figure 1).
 
-use crate::engine::SetEngine;
+use crate::engine::{Dest, Outcome, SetEngine, SetOp};
 use crate::parallel::TaskRecord;
 use crate::stats::ExecStats;
 use crate::Vertex;
@@ -212,32 +212,6 @@ impl HostEngine {
     fn sync(&mut self) {
         self.stats.host_cycles = self.thread.cycles() - self.cycles_at_reset;
     }
-
-    fn binary_result(&mut self, a: SetId, b: SetId, opcode: SisaOpcode) -> SetRepr {
-        self.charge_binary_inputs(a, b);
-        let (ra, rb) = (&self.slot(a).repr, &self.slot(b).repr);
-        let result = match opcode {
-            SisaOpcode::IntersectAuto => ra.intersect(rb),
-            SisaOpcode::UnionAuto => ra.union(rb),
-            SisaOpcode::DifferenceAuto => ra.difference(rb),
-            _ => unreachable!("not a materialising opcode"),
-        };
-        self.count(opcode);
-        result
-    }
-
-    fn binary_count_result(&mut self, a: SetId, b: SetId, opcode: SisaOpcode) -> usize {
-        self.charge_binary_inputs(a, b);
-        let (ra, rb) = (&self.slot(a).repr, &self.slot(b).repr);
-        let count = match opcode {
-            SisaOpcode::IntersectCountAuto => ra.intersect_count(rb),
-            SisaOpcode::UnionCountAuto => ra.union_count(rb),
-            SisaOpcode::DifferenceCountAuto => ra.difference_count(rb),
-            _ => unreachable!("not a counting opcode"),
-        };
-        self.count(opcode);
-        count
-    }
 }
 
 impl Default for HostEngine {
@@ -384,46 +358,26 @@ impl SetEngine for HostEngine {
         changed
     }
 
-    fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
-        let result = self.binary_result(a, b, SisaOpcode::IntersectAuto);
-        self.store_new(result)
-    }
+    crate::engine::named_binary_ops!();
 
-    fn union(&mut self, a: SetId, b: SetId) -> SetId {
-        let result = self.binary_result(a, b, SisaOpcode::UnionAuto);
-        self.store_new(result)
-    }
-
-    fn difference(&mut self, a: SetId, b: SetId) -> SetId {
-        let result = self.binary_result(a, b, SisaOpcode::DifferenceAuto);
-        self.store_new(result)
-    }
-
-    fn intersect_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_count_result(a, b, SisaOpcode::IntersectCountAuto)
-    }
-
-    fn union_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_count_result(a, b, SisaOpcode::UnionCountAuto)
-    }
-
-    fn difference_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_count_result(a, b, SisaOpcode::DifferenceCountAuto)
-    }
-
-    fn intersect_assign(&mut self, a: SetId, b: SetId) {
-        let result = self.binary_result(a, b, SisaOpcode::IntersectAuto);
-        self.store_replace(a, result);
-    }
-
-    fn union_assign(&mut self, a: SetId, b: SetId) {
-        let result = self.binary_result(a, b, SisaOpcode::UnionAuto);
-        self.store_replace(a, result);
-    }
-
-    fn difference_assign(&mut self, a: SetId, b: SetId) {
-        let result = self.binary_result(a, b, SisaOpcode::DifferenceAuto);
-        self.store_replace(a, result);
+    fn apply(&mut self, op: SetOp) -> Outcome {
+        let (kind, a, b, dest) = (op.op, op.a, op.b, op.dest);
+        self.charge_binary_inputs(a, b);
+        let (ra, rb) = (&self.slot(a).repr, &self.slot(b).repr);
+        if dest == Dest::Count {
+            let count = kind.count(ra, rb);
+            self.count(op.opcode());
+            return Outcome::Count(count);
+        }
+        let result = kind.combine(ra, rb);
+        self.count(op.opcode());
+        // The result's write-out is charged by the store.
+        Outcome::Set(if dest == Dest::InPlace {
+            self.store_replace(a, result);
+            a
+        } else {
+            self.store_new(result)
+        })
     }
 
     fn host_ops(&mut self, n: u64) {

@@ -2,7 +2,9 @@
 //!
 //! [`Interpreter::replay`] walks the events of a [`TraceSink`] and re-executes
 //! each one on a target engine, translating the trace's set IDs to the IDs the
-//! target engine allocates. Replaying a complete trace into a fresh
+//! target engine allocates (a flat table indexed by trace ID). A binary event
+//! carries its [`SetOp`] and replays as one [`SetEngine::apply`] call with the
+//! operands rebound. Replaying a complete trace into a fresh
 //! [`crate::SisaRuntime`] with the same configuration reproduces the original
 //! run's [`crate::ExecStats`] cycle-for-cycle (the SCU's decisions depend only
 //! on the set metadata, which the replayed operations rebuild identically);
@@ -16,11 +18,10 @@
 //! the overlapped makespan shrinks — the property `tests/pipeline_replay.rs`
 //! pins on the checked-in triangle-count fixture.
 
-use crate::engine::SetEngine;
-use crate::scu::BinarySetOp;
+use crate::engine::{SetEngine, SetOp};
+use crate::slots::slot_mut;
 use crate::trace::{TraceOp, TraceSink};
 use sisa_isa::SetId;
-use std::collections::HashMap;
 
 /// Summary of one replay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,9 +47,16 @@ impl Interpreter {
     /// Panics if the trace references a set that was never created in it —
     /// which cannot happen for traces captured from the start of a
     /// [`crate::SisaRuntime`]'s life (a bounded sink only ever drops the
-    /// *tail* of a run).
+    /// *tail* of a run) — or if it assigns a set ID no smaller than its own
+    /// event count, which such a trace never does either (IDs are minted
+    /// densely from 0) and which keeps a malformed file from sizing the ID
+    /// table.
     pub fn replay<E: SetEngine>(trace: &TraceSink, engine: &mut E) -> ReplayReport {
-        let mut ids: HashMap<SetId, SetId> = HashMap::new();
+        // Trace ID → the ID this engine assigned, indexed by raw trace ID.
+        let mut ids = IdMap {
+            local: Vec::new(),
+            limit: trace.events().len(),
+        };
         let mut instructions = 0usize;
         for event in trace.events() {
             if event.instruction.is_some() {
@@ -59,55 +67,39 @@ impl Interpreter {
                 TraceOp::ResetStats => engine.reset_stats(),
                 TraceOp::Create { id, repr } => {
                     let local = engine.create(repr.clone());
-                    ids.insert(*id, local);
+                    ids.bind(*id, local);
                 }
                 TraceOp::Clone { src, dst } => {
-                    let local = engine.clone_set(Self::resolve(&ids, *src));
-                    ids.insert(*dst, local);
+                    let local = engine.clone_set(ids.resolve(*src));
+                    ids.bind(*dst, local);
                 }
                 TraceOp::Delete { id } => {
-                    engine.delete(Self::resolve(&ids, *id));
-                    ids.remove(id);
+                    engine.delete(ids.unbind(*id));
                 }
                 TraceOp::Cardinality { id } => {
-                    let _ = engine.cardinality(Self::resolve(&ids, *id));
+                    let _ = engine.cardinality(ids.resolve(*id));
                 }
                 TraceOp::Membership { id, v } => {
-                    let _ = engine.contains(Self::resolve(&ids, *id), *v);
+                    let _ = engine.contains(ids.resolve(*id), *v);
                 }
                 TraceOp::Insert { id, v } => {
-                    let _ = engine.insert(Self::resolve(&ids, *id), *v);
+                    let _ = engine.insert(ids.resolve(*id), *v);
                 }
                 TraceOp::Remove { id, v } => {
-                    let _ = engine.remove(Self::resolve(&ids, *id), *v);
+                    let _ = engine.remove(ids.resolve(*id), *v);
                 }
-                TraceOp::Binary { op, a, b, dst } => {
-                    let (a, b) = (Self::resolve(&ids, *a), Self::resolve(&ids, *b));
-                    let local = match op {
-                        BinarySetOp::Intersection => engine.intersect(a, b),
-                        BinarySetOp::Union => engine.union(a, b),
-                        BinarySetOp::Difference => engine.difference(a, b),
-                    };
-                    ids.insert(*dst, local);
-                }
-                TraceOp::BinaryCount { op, a, b } => {
-                    let (a, b) = (Self::resolve(&ids, *a), Self::resolve(&ids, *b));
-                    let _ = match op {
-                        BinarySetOp::Intersection => engine.intersect_count(a, b),
-                        BinarySetOp::Union => engine.union_count(a, b),
-                        BinarySetOp::Difference => engine.difference_count(a, b),
-                    };
-                }
-                TraceOp::BinaryAssign { op, a, b } => {
-                    let (a, b) = (Self::resolve(&ids, *a), Self::resolve(&ids, *b));
-                    match op {
-                        BinarySetOp::Intersection => engine.intersect_assign(a, b),
-                        BinarySetOp::Union => engine.union_assign(a, b),
-                        BinarySetOp::Difference => engine.difference_assign(a, b),
+                TraceOp::Binary { op, dst } => {
+                    let outcome = engine.apply(SetOp {
+                        a: ids.resolve(op.a),
+                        b: ids.resolve(op.b),
+                        ..*op
+                    });
+                    if let Some(dst) = dst {
+                        ids.bind(*dst, outcome.set());
                     }
                 }
                 TraceOp::Members { id } => {
-                    let _ = engine.members(Self::resolve(&ids, *id));
+                    let _ = engine.members(ids.resolve(*id));
                 }
                 TraceOp::HostOps { n } => engine.host_ops(*n),
             }
@@ -118,10 +110,40 @@ impl Interpreter {
             complete: trace.is_complete(),
         }
     }
+}
 
-    fn resolve(ids: &HashMap<SetId, SetId>, id: SetId) -> SetId {
-        *ids.get(&id)
+/// Trace ID → the ID the target engine assigned, a flat table indexed by raw
+/// trace ID.
+struct IdMap {
+    local: Vec<Option<SetId>>,
+    /// The trace's event count. A run mints IDs densely from 0, at most one
+    /// an event, so a genuine trace never assigns an ID this large — and a
+    /// malformed file cannot make the table grow past it.
+    limit: usize,
+}
+
+impl IdMap {
+    fn bind(&mut self, traced: SetId, local: SetId) {
+        assert!(
+            (traced.0 as usize) < self.limit,
+            "trace assigns set {traced}, more sets than it has events"
+        );
+        *slot_mut(&mut self.local, traced, None) = Some(local);
+    }
+
+    fn resolve(&self, id: SetId) -> SetId {
+        self.local
+            .get(id.0 as usize)
+            .copied()
+            .flatten()
             .unwrap_or_else(|| panic!("trace references unknown set {id}"))
+    }
+
+    /// Resolves `id` for the last time: the trace deletes it.
+    fn unbind(&mut self, id: SetId) -> SetId {
+        let local = self.resolve(id);
+        self.local[id.0 as usize] = None;
+        local
     }
 }
 
@@ -129,6 +151,7 @@ impl Interpreter {
 mod tests {
     use super::*;
     use crate::config::SisaConfig;
+    use crate::functional::FunctionalEngine;
     use crate::runtime::SisaRuntime;
 
     /// A small but representative workload: lifecycle, element ops, all three
@@ -183,6 +206,33 @@ mod tests {
         Interpreter::replay(&trace, &mut replayed);
         // A fresh runtime allocates the same IDs for the same event order.
         assert_eq!(replayed.members(c), original.members(c));
+    }
+
+    #[test]
+    #[should_panic(expected = "trace references unknown set")]
+    fn an_unknown_or_deleted_set_faults_the_replay() {
+        let mut original = SisaRuntime::new(SisaConfig::default());
+        original.enable_default_trace();
+        let a = original.create_sorted([1, 2]);
+        original.delete(a);
+        let mut trace = original.take_trace().unwrap();
+        // The captured run is fine; a use after the delete is not.
+        trace.record(None, TraceOp::Members { id: a });
+        Interpreter::replay(&trace, &mut FunctionalEngine::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "more sets than it has events")]
+    fn a_set_id_beyond_the_event_count_faults_instead_of_sizing_the_table() {
+        let mut trace = TraceSink::default();
+        trace.record(
+            None,
+            TraceOp::Create {
+                id: SetId(u32::MAX),
+                repr: sisa_sets::SetRepr::empty_sorted(),
+            },
+        );
+        Interpreter::replay(&trace, &mut FunctionalEngine::new());
     }
 
     #[test]

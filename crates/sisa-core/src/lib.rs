@@ -66,7 +66,7 @@ pub mod trace;
 
 pub use config::{SetGraphConfig, SisaConfig, VariantSelection};
 pub use dynamic::DynamicSetGraph;
-pub use engine::SetEngine;
+pub use engine::{Dest, Outcome, SetEngine, SetOp};
 pub use functional::FunctionalEngine;
 pub use host_engine::HostEngine;
 pub use interpreter::{Interpreter, ReplayReport};

@@ -1,14 +1,17 @@
 //! The SISA runtime: the simulated SISA platform behind [`SetEngine`].
 //!
 //! [`SisaRuntime`] owns the physical sets (indexed by [`SetId`]), the
-//! Set-Metadata table and the SCU. Every operation flows through two stages:
+//! Set-Metadata table and the SCU. Every operation flows through two stages,
+//! which touch disjoint state (so their order within one operation is not
+//! observable; the binary instructions dispatch first, because the issue
+//! stage names the set the operation wrote):
 //!
 //! 1. **Issue** — the operation is materialised as a genuine
 //!    [`sisa_isa::SisaInstruction`]: operands are mapped onto RISC-V registers
 //!    through the [`crate::issue::RegisterFile`] binding table, the dynamic
-//!    instruction count is recorded, and (when a [`TraceSink`] is attached)
-//!    the instruction plus its semantic payload are captured so the run can
-//!    be replayed by [`crate::Interpreter`].
+//!    instruction count is recorded, and (when a [`TraceSink`] is attached
+//!    and has room) the instruction plus its semantic payload are captured
+//!    so the run can be replayed by [`crate::Interpreter`].
 //! 2. **Dispatch** — the SCU consults the set metadata (through the SMB),
 //!    chooses SISA-PUM or SISA-PNM and merge vs. galloping (§8.2–§8.3), and
 //!    returns a costed [`DispatchOutcome`]; the runtime absorbs the outcome's
@@ -26,12 +29,12 @@
 //! real SISA program would fault on a dangling set ID.
 
 use crate::config::SisaConfig;
-use crate::engine::SetEngine;
+use crate::engine::{Dest, Outcome, SetEngine, SetOp};
 use crate::issue::RegisterFile;
 use crate::metadata::SetMetadataTable;
 use crate::parallel::TaskRecord;
 use crate::pipeline::{IssueQueue, LaneKind, WriteIntent};
-use crate::scu::{BinarySetOp, DispatchOutcome, ExecutionTarget, Scu};
+use crate::scu::{DispatchOutcome, ExecutionTarget, Scu};
 use crate::stats::ExecStats;
 use crate::telemetry::{InstructionEvent, SharedCollector};
 use crate::trace::{TraceOp, TraceSink};
@@ -189,7 +192,11 @@ impl SisaRuntime {
     // -----------------------------------------------------------------------
 
     /// Records the materialised instruction in the dynamic-count statistics
-    /// and the trace, completing the issue stage.
+    /// and the trace, completing the issue stage. The payload is taken by
+    /// value: every payload but a created set's contents is a few words, and
+    /// a closure building it would keep its captures in memory across the
+    /// call on the untraced path of every instruction (`create` records its
+    /// own, lazily).
     fn issued(&mut self, instruction: SisaInstruction, op: TraceOp) {
         self.stats.record_instruction(instruction.opcode);
         if let Some(sink) = &mut self.trace {
@@ -281,33 +288,6 @@ impl SisaRuntime {
         }
     }
 
-    fn binary_dispatch(
-        &mut self,
-        a: SetId,
-        b: SetId,
-        op: BinarySetOp,
-        count_only: bool,
-    ) -> DispatchOutcome {
-        let ma = *self.metadata.get(a).expect("operation on unknown set A");
-        let mb = *self.metadata.get(b).expect("operation on unknown set B");
-        let outcome = self.scu.dispatch_binary(op, count_only, a, &ma, b, &mb);
-        if self.config.track_set_sizes {
-            self.stats.processed_set_sizes.push(ma.cardinality as u32);
-            self.stats.processed_set_sizes.push(mb.cardinality as u32);
-        }
-        self.apply_outcome(&outcome, Some(outcome.choice));
-        outcome
-    }
-
-    /// Functionally applies a binary operation to two representations.
-    fn combine(ra: &SetRepr, rb: &SetRepr, op: BinarySetOp) -> SetRepr {
-        match op {
-            BinarySetOp::Intersection => ra.intersect(rb),
-            BinarySetOp::Union => ra.union(rb),
-            BinarySetOp::Difference => ra.difference(rb),
-        }
-    }
-
     fn register_set(&mut self, repr: SetRepr) -> SetId {
         let id = self.allocate_id();
         self.metadata
@@ -329,12 +309,14 @@ impl SisaRuntime {
             .get(id)
             .expect("element update on unknown set");
         let instr = self.regs.issue_element(opcode, id);
-        let trace_op = if insert {
-            TraceOp::Insert { id, v }
-        } else {
-            TraceOp::Remove { id, v }
-        };
-        self.issued(instr, trace_op);
+        self.issued(
+            instr,
+            if insert {
+                TraceOp::Insert { id, v }
+            } else {
+                TraceOp::Remove { id, v }
+            },
+        );
         let outcome = self.scu.dispatch_element(id, &meta);
         self.apply_outcome(&outcome, None);
         // An element update reads and rewrites its set.
@@ -357,80 +339,6 @@ impl SisaRuntime {
         let (kind, len) = (repr.kind(), repr.len());
         self.metadata.update(id, kind, len);
         changed
-    }
-
-    fn opcode_of(op: BinarySetOp, count_only: bool) -> SisaOpcode {
-        match (op, count_only) {
-            (BinarySetOp::Intersection, false) => SisaOpcode::IntersectAuto,
-            (BinarySetOp::Union, false) => SisaOpcode::UnionAuto,
-            (BinarySetOp::Difference, false) => SisaOpcode::DifferenceAuto,
-            (BinarySetOp::Intersection, true) => SisaOpcode::IntersectCountAuto,
-            (BinarySetOp::Union, true) => SisaOpcode::UnionCountAuto,
-            (BinarySetOp::Difference, true) => SisaOpcode::DifferenceCountAuto,
-        }
-    }
-
-    fn binary_materialising(&mut self, a: SetId, b: SetId, op: BinarySetOp) -> SetId {
-        let outcome = self.binary_dispatch(a, b, op, false);
-        let result = Self::combine(self.repr(a), self.repr(b), op);
-        let id = self.register_set(result);
-        let instr = self
-            .regs
-            .issue_binary(Self::opcode_of(op, false), a, b, Some(id));
-        self.issued(instr, TraceOp::Binary { op, a, b, dst: id });
-        self.timeline(
-            Some(instr.opcode),
-            LaneKind::Vault,
-            outcome.latency(),
-            &[a, b],
-            &[id],
-        );
-        id
-    }
-
-    fn binary_counting(&mut self, a: SetId, b: SetId, op: BinarySetOp) -> usize {
-        // Validate before issuing, so a dangling operand faults without
-        // corrupting the instruction counts or the register binding table.
-        self.expect_slot(a);
-        self.expect_slot(b);
-        let instr = self
-            .regs
-            .issue_binary(Self::opcode_of(op, true), a, b, None);
-        self.issued(instr, TraceOp::BinaryCount { op, a, b });
-        let outcome = self.binary_dispatch(a, b, op, true);
-        self.timeline(
-            Some(instr.opcode),
-            LaneKind::Vault,
-            outcome.latency(),
-            &[a, b],
-            &[],
-        );
-        let (ra, rb) = (self.repr(a), self.repr(b));
-        match op {
-            BinarySetOp::Intersection => ra.intersect_count(rb),
-            BinarySetOp::Union => ra.union_count(rb),
-            BinarySetOp::Difference => ra.difference_count(rb),
-        }
-    }
-
-    fn binary_assign(&mut self, a: SetId, b: SetId, op: BinarySetOp) {
-        self.expect_slot(a);
-        self.expect_slot(b);
-        // The in-place form writes the result back over A, so rd = rs1.
-        let instr = self
-            .regs
-            .issue_binary(Self::opcode_of(op, false), a, b, Some(a));
-        self.issued(instr, TraceOp::BinaryAssign { op, a, b });
-        let outcome = self.binary_dispatch(a, b, op, false);
-        let result = Self::combine(self.repr(a), self.repr(b), op);
-        self.timeline(
-            Some(instr.opcode),
-            LaneKind::Vault,
-            outcome.latency(),
-            &[a, b],
-            &[a],
-        );
-        self.replace(a, result);
     }
 
     /// Dispatches a metadata-only SCU operation, absorbing its cost into the
@@ -526,17 +434,19 @@ impl SetEngine for SisaRuntime {
     // -----------------------------------------------------------------------
 
     fn create(&mut self, repr: SetRepr) -> SetId {
-        // The set contents are cloned into the trace only when one is attached.
-        let traced = self.trace.is_some().then(|| repr.clone());
         let id = self.allocate_id();
         self.metadata
             .register(id, repr.kind(), repr.len(), self.universe_of(&repr));
         let instr = self
             .regs
             .issue_lifecycle(SisaOpcode::CreateSet, None, Some(id));
-        match traced {
-            Some(repr) => self.issued(instr, TraceOp::Create { id, repr }),
-            None => self.stats.record_instruction(instr.opcode),
+        // The set contents are cloned into the trace only if it keeps them.
+        self.stats.record_instruction(instr.opcode);
+        if let Some(sink) = &mut self.trace {
+            sink.record_with(Some(instr), || TraceOp::Create {
+                id,
+                repr: repr.clone(),
+            });
         }
         // The create instruction's own metadata lookup precedes the SMB prime:
         // the SCU only writes the SMB entry once the set exists.
@@ -698,40 +608,55 @@ impl SetEngine for SisaRuntime {
     // Binary set operations
     // -----------------------------------------------------------------------
 
-    fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, BinarySetOp::Intersection)
-    }
+    crate::engine::named_binary_ops!();
 
-    fn union(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, BinarySetOp::Union)
-    }
-
-    fn difference(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, BinarySetOp::Difference)
-    }
-
-    fn intersect_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_counting(a, b, BinarySetOp::Intersection)
-    }
-
-    fn union_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_counting(a, b, BinarySetOp::Union)
-    }
-
-    fn difference_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary_counting(a, b, BinarySetOp::Difference)
-    }
-
-    fn intersect_assign(&mut self, a: SetId, b: SetId) {
-        self.binary_assign(a, b, BinarySetOp::Intersection);
-    }
-
-    fn union_assign(&mut self, a: SetId, b: SetId) {
-        self.binary_assign(a, b, BinarySetOp::Union);
-    }
-
-    fn difference_assign(&mut self, a: SetId, b: SetId) {
-        self.binary_assign(a, b, BinarySetOp::Difference);
+    /// Every form takes the same steps in the same order: validate both
+    /// operands (so a dangling one faults before any statistic or register
+    /// binding changes), SCU dispatch, compute, write the result, issue,
+    /// timeline. The forms differ in the kernel that computes and in what is
+    /// written — a new set, nothing, or `A` itself (`rd = rs1`).
+    fn apply(&mut self, op: SetOp) -> Outcome {
+        let (kind, a, b, dest) = (op.op, op.a, op.b, op.dest);
+        self.expect_slot(a);
+        self.expect_slot(b);
+        let ma = *self.metadata.get(a).expect("operation on unknown set A");
+        let mb = *self.metadata.get(b).expect("operation on unknown set B");
+        let dispatched = self
+            .scu
+            .dispatch_binary(kind, dest == Dest::Count, a, &ma, b, &mb);
+        if self.config.track_set_sizes {
+            self.stats.processed_set_sizes.push(ma.cardinality as u32);
+            self.stats.processed_set_sizes.push(mb.cardinality as u32);
+        }
+        self.apply_outcome(&dispatched, Some(dispatched.choice));
+        let (ra, rb) = (self.repr(a), self.repr(b));
+        let (written, outcome) = match dest {
+            Dest::Count => (None, Outcome::Count(kind.count(ra, rb))),
+            Dest::New => {
+                let id = self.register_set(kind.combine(ra, rb));
+                (Some(id), Outcome::Set(id))
+            }
+            Dest::InPlace => {
+                self.replace(a, kind.combine(ra, rb));
+                (Some(a), Outcome::Set(a))
+            }
+        };
+        let instr = self.regs.issue_binary(op.opcode(), a, b, written);
+        self.issued(
+            instr,
+            TraceOp::Binary {
+                op,
+                dst: written.filter(|_| dest == Dest::New),
+            },
+        );
+        self.timeline(
+            Some(instr.opcode),
+            LaneKind::Vault,
+            dispatched.latency(),
+            &[a, b],
+            written.as_slice(),
+        );
+        outcome
     }
 
     // -----------------------------------------------------------------------
@@ -1241,6 +1166,41 @@ mod tests {
             sisa_isa::SisaProgram::decode(&words).unwrap().len(),
             program.len()
         );
+    }
+
+    #[test]
+    fn a_full_trace_sink_changes_neither_results_nor_statistics() {
+        // Once the sink is full the payloads are never built (a created set
+        // is no longer cloned), and nothing else may differ from an untraced
+        // run: same answers, same statistics, energy bits included.
+        let run = |capacity: Option<usize>| {
+            let mut rt = runtime();
+            if let Some(capacity) = capacity {
+                rt.enable_trace(capacity);
+            }
+            let a = rt.create_sorted([1, 2, 3, 8]);
+            let b = rt.create_dense([2, 3, 4]);
+            let c = rt.union(a, b);
+            rt.difference_assign(a, b);
+            let observed = (rt.members(c), rt.members(a), rt.intersect_count(c, b));
+            rt.delete(c);
+            (observed, rt.stats().clone(), rt.take_trace())
+        };
+        let (untraced, untraced_stats, _) = run(None);
+        for capacity in [0usize, 1] {
+            let (observed, stats, trace) = run(Some(capacity));
+            assert_eq!(observed, untraced, "capacity {capacity}");
+            assert_eq!(stats, untraced_stats, "capacity {capacity}");
+            assert_eq!(
+                stats.energy_nj.to_bits(),
+                untraced_stats.energy_nj.to_bits()
+            );
+            let trace = trace.expect("trace attached");
+            assert_eq!(trace.len(), capacity);
+            // 2 creates, union, difference_assign, 2 members, intersect_count,
+            // delete: eight events, all but `capacity` refused.
+            assert_eq!(trace.dropped(), 8 - capacity as u64);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::metadata::{SetMetadata, SmbCache};
 use crate::SetId;
 use sisa_pim::pum::BulkOp;
 use sisa_pim::{Cycles, EnergyModel, PimPlatform, PnmModel, PumModel};
-use sisa_sets::RepresentationKind;
+use sisa_sets::{RepresentationKind, SetRepr};
 
 /// The abstract binary set operation being dispatched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,6 +41,26 @@ impl BinarySetOp {
             Self::Intersection => BulkOp::And,
             Self::Union => BulkOp::Or,
             Self::Difference => BulkOp::AndNot,
+        }
+    }
+
+    /// Functionally applies the operation to two representations.
+    #[must_use]
+    pub fn combine(self, a: &SetRepr, b: &SetRepr) -> SetRepr {
+        match self {
+            Self::Intersection => a.intersect(b),
+            Self::Union => a.union(b),
+            Self::Difference => a.difference(b),
+        }
+    }
+
+    /// The cardinality of the operation's result, without materialising it.
+    #[must_use]
+    pub fn count(self, a: &SetRepr, b: &SetRepr) -> usize {
+        match self {
+            Self::Intersection => a.intersect_count(b),
+            Self::Union => a.union_count(b),
+            Self::Difference => a.difference_count(b),
         }
     }
 }

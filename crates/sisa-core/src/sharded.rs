@@ -15,6 +15,14 @@
 //! [`LinkTraffic`] ledger — and staged as a short-lived replica on the
 //! executing shard (whose create/delete cost models the staging buffer).
 //!
+//! A binary operation reaches the engine as a [`SetOp`] whichever way it was
+//! spelled — a named method, [`SetEngine::apply`], or a [`BatchOp`] converted
+//! at the door of [`ShardedEngine::execute`] — and takes one route: it is
+//! sited and localised to its executing shard's IDs (`resolve_binary`), run
+//! there through the inner engine's `apply`, the shard is settled, and a set
+//! it created is given its global ID. `execute` differs only in doing those
+//! steps a window at a time.
+//!
 //! Because every set-centric algorithm is generic over [`SetEngine`], wrapping
 //! a runtime in `ShardedEngine` gives any workload multi-cube execution with
 //! no algorithm changes. With a single shard the wrapper is a transparent
@@ -42,9 +50,10 @@
 //! operation order, and a by-shard fold would reorder it.
 
 use crate::config::SisaConfig;
-use crate::engine::SetEngine;
+use crate::engine::{Dest, Outcome, SetEngine, SetOp};
 use crate::parallel::{schedule, RunReport, TaskRecord};
 use crate::runtime::SisaRuntime;
+use crate::scu::BinarySetOp;
 use crate::shard::PartitionStrategy;
 use crate::stats::{ExecStats, StatsCheckpoint};
 use crate::Vertex;
@@ -117,13 +126,26 @@ impl ShardReport {
     }
 }
 
-/// Where a binary operation executes after operand resolution.
+/// A binary operation sited on its executing shard.
 struct ResolvedBinary {
     shard: usize,
-    a: SetId,
-    b: SetId,
+    /// The operation over the executing shard's local IDs.
+    op: SetOp,
     /// A staged replica of the remote operand, deleted after the operation.
     temp: Option<SetId>,
+}
+
+impl ResolvedBinary {
+    /// Runs the operation on its shard's engine and drops the staged replica.
+    /// This is the only code that touches a shard while an operation
+    /// executes, per operation or in a batch.
+    fn run<E: SetEngine>(&self, engine: &mut E) -> Outcome {
+        let outcome = engine.apply(self.op);
+        if let Some(temp) = self.temp {
+            engine.delete(temp);
+        }
+        outcome
+    }
 }
 
 /// A binary operation's operands located on their shards, split by the site
@@ -138,7 +160,8 @@ struct PlacedBinary {
     move_b: bool,
 }
 
-/// One operation of a [`ShardedEngine::execute`] batch.
+/// One operation of a [`ShardedEngine::execute`] batch: the constructors of
+/// the [`SetOp`]s a batch may hold, converted by `SetOp::from` on entry.
 ///
 /// Batches are restricted to the side-effect-free binary forms (materialising
 /// and counting): every operation reads pre-existing sets and at most creates
@@ -162,97 +185,63 @@ pub enum BatchOp {
     DifferenceCount(SetId, SetId),
 }
 
-impl BatchOp {
-    /// The operation's `(A, B)` operand pair.
-    #[must_use]
-    pub fn operands(self) -> (SetId, SetId) {
-        match self {
-            Self::Intersect(a, b)
-            | Self::Union(a, b)
-            | Self::Difference(a, b)
-            | Self::IntersectCount(a, b)
-            | Self::UnionCount(a, b)
-            | Self::DifferenceCount(a, b) => (a, b),
-        }
-    }
-}
-
-/// The outcome of one [`BatchOp`], in batch order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchResult {
-    /// A materialised result set (global ID).
-    Set(SetId),
-    /// A cardinality.
-    Count(usize),
-}
-
-impl BatchResult {
-    /// The global set ID of a materialised result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this result is a count.
-    #[must_use]
-    pub fn set(self) -> SetId {
-        match self {
-            Self::Set(id) => id,
-            Self::Count(n) => panic!("expected a set result, got count {n}"),
-        }
-    }
-
-    /// The cardinality of a counting result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this result is a materialised set.
-    #[must_use]
-    pub fn count(self) -> usize {
-        match self {
-            Self::Count(n) => n,
-            Self::Set(id) => panic!("expected a count result, got set {id}"),
-        }
-    }
-}
-
-/// A batch operation bound to its executing shard's local IDs.
-struct QueuedOp {
-    index: usize,
-    op: BatchOp,
-    a: SetId,
-    b: SetId,
-    temp: Option<SetId>,
-}
-
-/// What a shard worker produced for one queued operation.
-enum LocalOutcome {
-    Set(SetId),
-    Count(usize),
-}
-
-/// Runs one shard's queue against its inner engine, in queue order. This is
-/// the only code that touches a shard during the execution phase, so running
-/// queues inline or on worker threads produces identical shard states.
-fn run_queue<E: SetEngine>(engine: &mut E, queue: &[QueuedOp]) -> Vec<(usize, LocalOutcome)> {
-    let mut out = Vec::with_capacity(queue.len());
-    for item in queue {
-        let outcome = match item.op {
-            BatchOp::Intersect(..) => LocalOutcome::Set(engine.intersect(item.a, item.b)),
-            BatchOp::Union(..) => LocalOutcome::Set(engine.union(item.a, item.b)),
-            BatchOp::Difference(..) => LocalOutcome::Set(engine.difference(item.a, item.b)),
-            BatchOp::IntersectCount(..) => {
-                LocalOutcome::Count(engine.intersect_count(item.a, item.b))
-            }
-            BatchOp::UnionCount(..) => LocalOutcome::Count(engine.union_count(item.a, item.b)),
-            BatchOp::DifferenceCount(..) => {
-                LocalOutcome::Count(engine.difference_count(item.a, item.b))
-            }
+impl From<BatchOp> for SetOp {
+    fn from(op: BatchOp) -> Self {
+        use BinarySetOp::{Difference, Intersection, Union};
+        let (op, a, b, dest) = match op {
+            BatchOp::Intersect(a, b) => (Intersection, a, b, Dest::New),
+            BatchOp::Union(a, b) => (Union, a, b, Dest::New),
+            BatchOp::Difference(a, b) => (Difference, a, b, Dest::New),
+            BatchOp::IntersectCount(a, b) => (Intersection, a, b, Dest::Count),
+            BatchOp::UnionCount(a, b) => (Union, a, b, Dest::Count),
+            BatchOp::DifferenceCount(a, b) => (Difference, a, b, Dest::Count),
         };
-        if let Some(temp) = item.temp {
-            engine.delete(temp);
-        }
-        out.push((item.index, outcome));
+        SetOp { op, a, b, dest }
     }
-    out
+}
+
+/// The outcome of one [`BatchOp`], in batch order: a materialised result's
+/// global ID, or a cardinality.
+pub type BatchResult = Outcome;
+
+/// Runs `work` over every job and hands everything the jobs emit to `sink`
+/// on the calling thread: inline with one worker (each result goes straight
+/// to `sink`), else on `std::thread::scope` workers over contiguous chunks of
+/// the job list, whose results are sunk as the workers are joined. A job owns
+/// or borrows whatever one shard's share of a batch needs, so workers never
+/// share mutable state.
+fn fan_out<J: Send, R: Send>(
+    threads: usize,
+    jobs: Vec<J>,
+    work: impl Fn(J, &mut dyn FnMut(R)) + Sync,
+    mut sink: impl FnMut(R),
+) {
+    if threads <= 1 {
+        return jobs.into_iter().for_each(|job| work(job, &mut sink));
+    }
+    let per_worker = jobs.len().div_ceil(threads);
+    let mut jobs = jobs.into_iter();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        loop {
+            let chunk: Vec<J> = jobs.by_ref().take(per_worker).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            handles.push(scope.spawn(move || {
+                let mut emitted = Vec::new();
+                for job in chunk {
+                    work(job, &mut |result| emitted.push(result));
+                }
+                emitted
+            }));
+        }
+        for handle in handles {
+            let emitted = handle.join().expect("shard worker panicked");
+            emitted.into_iter().for_each(&mut sink);
+        }
+    });
 }
 
 /// A [`SetEngine`] that partitions the set universe across several inner
@@ -509,14 +498,13 @@ impl<E: SetEngine> ShardedEngine<E> {
     /// on the operands' common shard, else on the shard of the larger operand
     /// — the paper's streaming model already bills the operands' read-out;
     /// what a multi-cube machine adds is moving the smaller operand to the
-    /// data of the larger one (§8.4 "Harnessing Parallelism"). `pin_to_a`
-    /// forces the result-carrying operand `a` to stay put, as in-place forms
-    /// require.
-    fn place_binary(&self, a: SetId, b: SetId, pin_to_a: bool) -> PlacedBinary {
-        let at_a = self.locate(a);
-        let at_b = self.locate(b);
+    /// data of the larger one (§8.4 "Harnessing Parallelism"). An in-place
+    /// form pins the result-carrying operand `a`, which must stay put.
+    fn place_binary(&self, op: SetOp) -> PlacedBinary {
+        let at_a = self.locate(op.a);
+        let at_b = self.locate(op.b);
         let bits = |(shard, local): (usize, SetId)| self.shards[shard].repr(local).storage_bits();
-        let move_b = at_a.0 == at_b.0 || pin_to_a || bits(at_b) <= bits(at_a);
+        let move_b = at_a.0 == at_b.0 || op.dest == Dest::InPlace || bits(at_b) <= bits(at_a);
         let (stay, moved) = if move_b { (at_a, at_b) } else { (at_b, at_a) };
         PlacedBinary {
             stay,
@@ -529,12 +517,12 @@ impl<E: SetEngine> ShardedEngine<E> {
     /// [`Self::place_binary`]). When the operands live on different shards,
     /// the moving operand is transferred over the links and staged as a
     /// temporary replica on the executing shard, which the caller settles.
-    fn resolve_binary(&mut self, a: SetId, b: SetId, pin_to_a: bool) -> ResolvedBinary {
+    fn resolve_binary(&mut self, op: SetOp) -> ResolvedBinary {
         let PlacedBinary {
             stay: (dst, stay_local),
             moved: (src, moved_local),
             move_b,
-        } = self.place_binary(a, b, pin_to_a);
+        } = self.place_binary(op);
         let temp = (src != dst).then(|| {
             // Stage the replica's slot first, then price the transfer that
             // fills it: the transfer writes the replica on the destination's
@@ -565,41 +553,22 @@ impl<E: SetEngine> ShardedEngine<E> {
         };
         ResolvedBinary {
             shard: dst,
-            a,
-            b,
+            op: SetOp { a, b, ..op },
             temp,
         }
     }
 
-    /// Runs one binary operation where [`Self::resolve_binary`] sites it,
-    /// drops the staged replica and settles the executing shard, returning
-    /// that shard beside the operation's result.
-    fn binary<R>(
-        &mut self,
-        a: SetId,
-        b: SetId,
-        pin_to_a: bool,
-        f: impl FnOnce(&mut E, SetId, SetId) -> R,
-    ) -> (usize, R) {
-        let site = self.resolve_binary(a, b, pin_to_a);
-        let engine = &mut self.shards[site.shard];
-        let out = f(engine, site.a, site.b);
-        if let Some(temp) = site.temp {
-            engine.delete(temp);
+    /// Turns what a shard produced into what the caller sees: a set a shard
+    /// created gets its global ID (and counts toward that shard's created
+    /// load), a count passes through.
+    fn publish(&mut self, shard: usize, outcome: Outcome) -> Outcome {
+        match outcome {
+            Outcome::Set(local) => {
+                self.created_load[shard] += self.shards[shard].repr(local).len() as u64;
+                Outcome::Set(self.register_global(shard, local))
+            }
+            counted @ Outcome::Count(_) => counted,
         }
-        self.settle(site.shard);
-        (site.shard, out)
-    }
-
-    fn binary_materialising(
-        &mut self,
-        a: SetId,
-        b: SetId,
-        f: impl FnOnce(&mut E, SetId, SetId) -> SetId,
-    ) -> SetId {
-        let (shard, local) = self.binary(a, b, false, f);
-        self.created_load[shard] += self.shards[shard].repr(local).len() as u64;
-        self.register_global(shard, local)
     }
 }
 
@@ -646,59 +615,29 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
     pub fn execute(&mut self, ops: &[BatchOp]) -> Vec<BatchResult> {
         let n = self.shards.len();
         let threads = self.resolved_host_threads().clamp(1, n);
-        let mut results: Vec<Option<(usize, LocalOutcome)>> = ops.iter().map(|_| None).collect();
-        let mut queues: Vec<Vec<QueuedOp>> = (0..n).map(|_| Vec::new()).collect();
+        let mut results: Vec<Option<(usize, Outcome)>> = vec![None; ops.len()];
+        let mut queues: Vec<Vec<(usize, ResolvedBinary)>> = (0..n).map(|_| Vec::new()).collect();
         for (w, window) in ops.chunks(Self::EXECUTE_WINDOW).enumerate() {
             for queue in &mut queues {
                 queue.clear();
             }
             for (off, &op) in window.iter().enumerate() {
-                let (a, b) = op.operands();
-                let site = self.resolve_binary(a, b, false);
-                queues[site.shard].push(QueuedOp {
-                    index: w * Self::EXECUTE_WINDOW + off,
-                    op,
-                    a: site.a,
-                    b: site.b,
-                    temp: site.temp,
-                });
+                let site = self.resolve_binary(op.into());
+                queues[site.shard].push((w * Self::EXECUTE_WINDOW + off, site));
             }
-            if threads <= 1 {
-                for (shard, queue) in queues.iter().enumerate() {
-                    for (index, outcome) in run_queue(&mut self.shards[shard], queue) {
-                        results[index] = Some((shard, outcome));
+            // A shard's state evolves through its own queue alone, in queue
+            // order, so inline and threaded runs leave identical shards.
+            let jobs = self.shards.iter_mut().zip(&queues).collect();
+            fan_out(
+                threads,
+                jobs,
+                |(engine, queue), emit| {
+                    for (index, site) in queue {
+                        emit((*index, (site.shard, site.run(engine))));
                     }
-                }
-            } else {
-                let chunk = n.div_ceil(threads);
-                let shard_chunks = self.shards.chunks_mut(chunk);
-                let results = &mut results;
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for (ci, (shard_chunk, queue_chunk)) in
-                        shard_chunks.zip(queues.chunks(chunk)).enumerate()
-                    {
-                        handles.push(scope.spawn(move || {
-                            let base = ci * chunk;
-                            let mut out = Vec::new();
-                            for (off, (engine, queue)) in
-                                shard_chunk.iter_mut().zip(queue_chunk).enumerate()
-                            {
-                                for (index, outcome) in run_queue(engine, queue) {
-                                    out.push((index, base + off, outcome));
-                                }
-                            }
-                            out
-                        }));
-                    }
-                    for handle in handles {
-                        for (index, shard, outcome) in handle.join().expect("shard worker panicked")
-                        {
-                            results[index] = Some((shard, outcome));
-                        }
-                    }
-                });
-            }
+                },
+                |(index, outcome)| results[index] = Some(outcome),
+            );
         }
 
         for shard in 0..n {
@@ -709,13 +648,7 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
             .into_iter()
             .map(|slot| {
                 let (shard, outcome) = slot.expect("every batch op produces an outcome");
-                match outcome {
-                    LocalOutcome::Set(local) => {
-                        self.created_load[shard] += self.shards[shard].repr(local).len() as u64;
-                        BatchResult::Set(self.register_global(shard, local))
-                    }
-                    LocalOutcome::Count(count) => BatchResult::Count(count),
-                }
+                self.publish(shard, outcome)
             })
             .collect()
     }
@@ -746,59 +679,28 @@ impl<E: SetEngine + Sync> ShardedEngine<E> {
     #[must_use]
     pub fn host_count_batch(&self, ops: &[BatchOp]) -> Vec<usize> {
         let n = self.shards.len();
-        let mut queues: Vec<Vec<(usize, BatchOp)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut queues: Vec<Vec<(usize, SetOp)>> = (0..n).map(|_| Vec::new()).collect();
         for (index, &op) in ops.iter().enumerate() {
+            let op = SetOp::from(op);
             assert!(
-                matches!(
-                    op,
-                    BatchOp::IntersectCount(..)
-                        | BatchOp::UnionCount(..)
-                        | BatchOp::DifferenceCount(..)
-                ),
+                op.dest == Dest::Count,
                 "host_count_batch evaluates counting forms only"
             );
-            let (a, b) = op.operands();
-            queues[self.place_binary(a, b, false).stay.0].push((index, op));
+            queues[self.place_binary(op).stay.0].push((index, op));
         }
 
-        let eval = |op: BatchOp| -> usize {
-            let (a, b) = op.operands();
-            let (ra, rb) = (self.repr_of(a), self.repr_of(b));
-            match op {
-                BatchOp::IntersectCount(..) => ra.intersect_count(rb),
-                BatchOp::UnionCount(..) => ra.union_count(rb),
-                BatchOp::DifferenceCount(..) => ra.difference_count(rb),
-                _ => unreachable!("materialising forms rejected above"),
-            }
-        };
-        let mut results = vec![0usize; ops.len()];
         let threads = self.resolved_host_threads().clamp(1, n);
-        if threads <= 1 {
-            for queue in &queues {
-                for &(index, op) in queue {
-                    results[index] = eval(op);
+        let mut results = vec![0usize; ops.len()];
+        fan_out(
+            threads,
+            queues,
+            |queue, emit| {
+                for (index, op) in queue {
+                    emit((index, op.op.count(self.repr_of(op.a), self.repr_of(op.b))));
                 }
-            }
-        } else {
-            let chunk = n.div_ceil(threads);
-            let results = &mut results;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for queue_chunk in queues.chunks(chunk) {
-                    handles.push(scope.spawn(move || {
-                        queue_chunk
-                            .iter()
-                            .flat_map(|queue| queue.iter().map(|&(index, op)| (index, eval(op))))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for handle in handles {
-                    for (index, count) in handle.join().expect("kernel worker panicked") {
-                        results[index] = count;
-                    }
-                }
-            });
-        }
+            },
+            |(index, count)| results[index] = count,
+        );
         results
     }
 }
@@ -949,40 +851,18 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
         out
     }
 
-    fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, E::intersect)
-    }
+    crate::engine::named_binary_ops!();
 
-    fn union(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, E::union)
-    }
-
-    fn difference(&mut self, a: SetId, b: SetId) -> SetId {
-        self.binary_materialising(a, b, E::difference)
-    }
-
-    fn intersect_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary(a, b, false, E::intersect_count).1
-    }
-
-    fn union_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary(a, b, false, E::union_count).1
-    }
-
-    fn difference_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.binary(a, b, false, E::difference_count).1
-    }
-
-    fn intersect_assign(&mut self, a: SetId, b: SetId) {
-        self.binary(a, b, true, E::intersect_assign);
-    }
-
-    fn union_assign(&mut self, a: SetId, b: SetId) {
-        self.binary(a, b, true, E::union_assign);
-    }
-
-    fn difference_assign(&mut self, a: SetId, b: SetId) {
-        self.binary(a, b, true, E::difference_assign);
+    fn apply(&mut self, op: SetOp) -> Outcome {
+        let site = self.resolve_binary(op);
+        let outcome = site.run(&mut self.shards[site.shard]);
+        self.settle(site.shard);
+        if op.dest == Dest::InPlace {
+            // The shard answered with its local ID of `A`, which did not move.
+            Outcome::Set(op.a)
+        } else {
+            self.publish(site.shard, outcome)
+        }
     }
 
     fn host_ops(&mut self, n: u64) {

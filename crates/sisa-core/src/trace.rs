@@ -9,15 +9,23 @@
 //! [`crate::Interpreter::replay`] can reproduce a captured run's
 //! [`crate::ExecStats`] cycle-for-cycle on a fresh engine.
 //!
+//! A binary instruction is recorded as the [`SetOp`] it was, in one variant
+//! for all nine forms; on the wire its form is the tag (`binary`,
+//! `binary_count`, `binary_assign`), as it was when each had a variant of
+//! its own, so checked-in fixtures read and write byte for byte.
+//!
 //! The sink is **bounded**: once `capacity` events are recorded, further
-//! events are counted but dropped, so tracing a long run cannot exhaust
-//! memory. A truncated trace still replays correctly as a prefix of the run.
+//! events are counted but dropped — and their payloads never built
+//! ([`TraceSink::record_with`]) — so tracing a long run can neither exhaust
+//! memory nor keep paying for what it throws away. A truncated trace still
+//! replays correctly as a prefix of the run.
 //!
 //! Traces record *what* was issued, never *when* it executed: no schedule or
 //! cycle information is stored, so the same capture replays against a serial
 //! (depth-1) runtime or any pipelined configuration and the issue-queue model
 //! is free to evolve without invalidating checked-in fixtures.
 
+use crate::engine::{Dest, SetOp};
 use crate::scu::BinarySetOp;
 use crate::Vertex;
 use sisa_isa::{SetId, SisaInstruction, SisaProgram};
@@ -79,34 +87,13 @@ pub enum TraceOp {
         /// The removed vertex.
         v: Vertex,
     },
-    /// A materialising binary operation `dst = A op B`.
+    /// A binary instruction, in any of its three forms.
     Binary {
-        /// The abstract operation.
-        op: BinarySetOp,
-        /// Left operand.
-        a: SetId,
-        /// Right operand.
-        b: SetId,
-        /// The ID assigned to the result set.
-        dst: SetId,
-    },
-    /// A counting binary operation `|A op B|`.
-    BinaryCount {
-        /// The abstract operation.
-        op: BinarySetOp,
-        /// Left operand.
-        a: SetId,
-        /// Right operand.
-        b: SetId,
-    },
-    /// An in-place binary operation `A op= B`.
-    BinaryAssign {
-        /// The abstract operation.
-        op: BinarySetOp,
-        /// The mutated left operand.
-        a: SetId,
-        /// Right operand.
-        b: SetId,
+        /// The instruction.
+        op: SetOp,
+        /// The ID the run assigned to the new set of a [`Dest::New`]
+        /// instruction; `None` for the other two forms, which create none.
+        dst: Option<SetId>,
     },
     /// The set's members were read out to the host.
     Members {
@@ -155,11 +142,26 @@ impl TraceSink {
 
     /// Records one event (drops it if the sink is full).
     pub fn record(&mut self, instruction: Option<SisaInstruction>, op: TraceOp) {
+        self.record_with(instruction, || op);
+    }
+
+    /// Records one event whose payload is built only if the event will be
+    /// kept: a full sink counts the drop and never calls `op`, so a payload
+    /// that is expensive to build (a created set's contents) costs nothing
+    /// once the capacity is reached.
+    pub fn record_with(
+        &mut self,
+        instruction: Option<SisaInstruction>,
+        op: impl FnOnce() -> TraceOp,
+    ) {
         if self.events.len() >= self.capacity {
             self.dropped += 1;
             return;
         }
-        self.events.push(TraceEvent { instruction, op });
+        self.events.push(TraceEvent {
+            instruction,
+            op: op(),
+        });
     }
 
     /// The recorded events, in issue order.
@@ -243,6 +245,15 @@ impl Deserialize for BinarySetOp {
     }
 }
 
+/// The wire tag of a binary instruction's form.
+fn binary_tag(dest: Dest) -> &'static str {
+    match dest {
+        Dest::New => "binary",
+        Dest::Count => "binary_count",
+        Dest::InPlace => "binary_assign",
+    }
+}
+
 /// Builds the tagged map for one trace op.
 fn tagged(tag: &str, fields: Vec<(String, Content)>) -> Content {
     let mut entries = vec![("op".to_string(), Content::Str(tag.to_string()))];
@@ -256,6 +267,23 @@ fn field<T: Deserialize>(content: &Content, tag: &str, name: &str) -> Result<T, 
         .get(name)
         .ok_or_else(|| Error::custom(format!("trace op `{tag}` missing field `{name}`")))?;
     T::from_content(value)
+}
+
+/// Reads the binary instruction tagged `tag`, the wire tag of `dest`.
+fn binary_from(content: &Content, tag: &str, dest: Dest) -> Result<TraceOp, Error> {
+    Ok(TraceOp::Binary {
+        op: SetOp {
+            op: field(content, tag, "kind")?,
+            a: field(content, tag, "a")?,
+            b: field(content, tag, "b")?,
+            dest,
+        },
+        // Only the materialising form names a new set, and it must.
+        dst: match dest {
+            Dest::New => Some(field(content, tag, "dst")?),
+            Dest::Count | Dest::InPlace => None,
+        },
+    })
 }
 
 impl Serialize for TraceOp {
@@ -294,31 +322,15 @@ impl Serialize for TraceOp {
                 "remove",
                 vec![entry("id", id.to_content()), entry("v", v.to_content())],
             ),
-            TraceOp::Binary { op, a, b, dst } => tagged(
-                "binary",
-                vec![
-                    entry("kind", op.to_content()),
-                    entry("a", a.to_content()),
-                    entry("b", b.to_content()),
-                    entry("dst", dst.to_content()),
-                ],
-            ),
-            TraceOp::BinaryCount { op, a, b } => tagged(
-                "binary_count",
-                vec![
-                    entry("kind", op.to_content()),
-                    entry("a", a.to_content()),
-                    entry("b", b.to_content()),
-                ],
-            ),
-            TraceOp::BinaryAssign { op, a, b } => tagged(
-                "binary_assign",
-                vec![
-                    entry("kind", op.to_content()),
-                    entry("a", a.to_content()),
-                    entry("b", b.to_content()),
-                ],
-            ),
+            TraceOp::Binary { op, dst } => {
+                let mut fields = vec![
+                    entry("kind", op.op.to_content()),
+                    entry("a", op.a.to_content()),
+                    entry("b", op.b.to_content()),
+                ];
+                fields.extend(dst.map(|dst| entry("dst", dst.to_content())));
+                tagged(binary_tag(op.dest), fields)
+            }
             TraceOp::Members { id } => tagged("members", vec![entry("id", id.to_content())]),
             TraceOp::HostOps { n } => tagged("host_ops", vec![entry("n", n.to_content())]),
         }
@@ -364,22 +376,9 @@ impl Deserialize for TraceOp {
                 id: field(content, t, "id")?,
                 v: field(content, t, "v")?,
             }),
-            "binary" => Ok(TraceOp::Binary {
-                op: field(content, t, "kind")?,
-                a: field(content, t, "a")?,
-                b: field(content, t, "b")?,
-                dst: field(content, t, "dst")?,
-            }),
-            "binary_count" => Ok(TraceOp::BinaryCount {
-                op: field(content, t, "kind")?,
-                a: field(content, t, "a")?,
-                b: field(content, t, "b")?,
-            }),
-            "binary_assign" => Ok(TraceOp::BinaryAssign {
-                op: field(content, t, "kind")?,
-                a: field(content, t, "a")?,
-                b: field(content, t, "b")?,
-            }),
+            "binary" => binary_from(content, t, Dest::New),
+            "binary_count" => binary_from(content, t, Dest::Count),
+            "binary_assign" => binary_from(content, t, Dest::InPlace),
             "members" => Ok(TraceOp::Members {
                 id: field(content, t, "id")?,
             }),
@@ -438,6 +437,20 @@ mod tests {
         SisaInstruction::new(op, Register::new(1), Register::new(2), Register::new(3))
     }
 
+    /// A binary instruction over sets `a` and `b`; a materialising one names
+    /// set 3 as its result.
+    fn binary(op: BinarySetOp, a: u32, b: u32, dest: Dest) -> TraceOp {
+        TraceOp::Binary {
+            op: SetOp {
+                op,
+                a: SetId(a),
+                b: SetId(b),
+                dest,
+            },
+            dst: (dest == Dest::New).then_some(SetId(3)),
+        }
+    }
+
     #[test]
     fn records_until_capacity_then_counts_drops() {
         let mut sink = TraceSink::bounded(2);
@@ -449,6 +462,23 @@ mod tests {
         assert_eq!(sink.dropped(), 1);
         assert!(!sink.is_complete());
         assert!(!sink.is_empty());
+    }
+
+    #[test]
+    fn a_full_sink_never_builds_the_payload_and_counts_every_refusal() {
+        for capacity in [0usize, 1] {
+            let mut sink = TraceSink::bounded(capacity);
+            let mut built = 0;
+            for n in 0..4 {
+                sink.record_with(None, || {
+                    built += 1;
+                    TraceOp::HostOps { n }
+                });
+            }
+            assert_eq!(built, capacity, "capacity {capacity}");
+            assert_eq!(sink.len(), capacity);
+            assert_eq!(sink.dropped(), 4 - capacity as u64);
+        }
     }
 
     #[test]
@@ -464,12 +494,7 @@ mod tests {
         sink.record(None, TraceOp::HostOps { n: 5 });
         sink.record(
             Some(instr(SisaOpcode::IntersectAuto)),
-            TraceOp::Binary {
-                op: BinarySetOp::Intersection,
-                a: SetId(0),
-                b: SetId(0),
-                dst: SetId(1),
-            },
+            binary(BinarySetOp::Intersection, 0, 0, Dest::New),
         );
         let program = sink.program();
         assert_eq!(program.len(), 2);
@@ -500,22 +525,9 @@ mod tests {
             TraceOp::Membership { id: SetId(0), v: 2 },
             TraceOp::Insert { id: SetId(1), v: 5 },
             TraceOp::Remove { id: SetId(1), v: 3 },
-            TraceOp::Binary {
-                op: BinarySetOp::Intersection,
-                a: SetId(0),
-                b: SetId(1),
-                dst: SetId(3),
-            },
-            TraceOp::BinaryCount {
-                op: BinarySetOp::Union,
-                a: SetId(0),
-                b: SetId(1),
-            },
-            TraceOp::BinaryAssign {
-                op: BinarySetOp::Difference,
-                a: SetId(0),
-                b: SetId(1),
-            },
+            binary(BinarySetOp::Intersection, 0, 1, Dest::New),
+            binary(BinarySetOp::Union, 0, 1, Dest::Count),
+            binary(BinarySetOp::Difference, 0, 1, Dest::InPlace),
             TraceOp::Members { id: SetId(0) },
             TraceOp::HostOps { n: 17 },
         ]
@@ -544,11 +556,7 @@ mod tests {
         sink.record(None, TraceOp::HostOps { n: 3 });
         sink.record(
             Some(instr(SisaOpcode::IntersectCountAuto)),
-            TraceOp::BinaryCount {
-                op: BinarySetOp::Intersection,
-                a: SetId(0),
-                b: SetId(0),
-            },
+            binary(BinarySetOp::Intersection, 0, 0, Dest::Count),
         );
         // Overflow one event so capacity/dropped state is exercised too.
         sink.record(None, TraceOp::HostOps { n: 1 });

@@ -11,7 +11,12 @@
 //!    same workloads and every priced backend must agree with it, while its
 //!    statistics stay identically zero.
 
+mod common;
+
+use common::{binary, run_steps, Step, A, B};
 use proptest::prelude::*;
+use sisa_core::scu::BinarySetOp::{Difference, Intersection, Union};
+use sisa_core::Dest::{Count, InPlace, New};
 use sisa_core::{
     ExecStats, FunctionalEngine, HostEngine, Interpreter, SetEngine, SisaConfig, SisaRuntime,
 };
@@ -21,125 +26,34 @@ use std::collections::BTreeSet;
 const UNIVERSE: usize = 256;
 
 fn vertex_set() -> impl Strategy<Value = BTreeSet<Vertex>> {
-    proptest::collection::btree_set(0u32..UNIVERSE as u32, 0..64)
+    common::vertex_set(UNIVERSE, 64)
 }
 
-/// One step of a random engine workload. Every binary-operation family is
-/// covered in all three forms — materialising, counting and in-place — so the
+/// The step kinds this suite draws. Every binary-operation family is covered
+/// in all three forms — materialising, counting and in-place — so the
 /// differential tests exercise the full Table 5 instruction surface, not just
 /// the materialising paths.
-#[derive(Clone, Debug)]
-enum Step {
-    Intersect,
-    Union,
-    Difference,
-    IntersectCount,
-    UnionCount,
-    DifferenceCount,
-    IntersectAssign,
-    UnionAssign,
-    DifferenceAssign,
-    Insert(Vertex),
-    Remove(Vertex),
-    Contains(Vertex),
-    Cardinality,
-    Members,
-    CloneAndDelete,
-    HostOps(u64),
-}
+const KINDS: &[Step] = &[
+    binary(Intersection, A, B, New),
+    binary(Union, A, B, New),
+    binary(Difference, A, B, New),
+    binary(Intersection, A, B, Count),
+    binary(Union, A, B, Count),
+    binary(Difference, A, B, Count),
+    binary(Intersection, A, B, InPlace),
+    binary(Union, A, B, InPlace),
+    binary(Difference, A, B, InPlace),
+    Step::Insert(0),
+    Step::Remove(0),
+    Step::Contains(0),
+    Step::Cardinality,
+    Step::Members,
+    Step::CloneAndDelete,
+    Step::HostOps(0),
+];
 
-/// Decodes a random integer into one workload step (the vendored proptest
-/// shim has no `prop_oneof`, so the variant choice and its payload are both
-/// derived from a single draw).
 fn step() -> impl Strategy<Value = Step> {
-    (0u64..1_000_000).prop_map(|raw| {
-        let v = ((raw / 16) % UNIVERSE as u64) as Vertex;
-        match raw % 16 {
-            0 => Step::Intersect,
-            1 => Step::Union,
-            2 => Step::Difference,
-            3 => Step::IntersectCount,
-            4 => Step::UnionCount,
-            5 => Step::DifferenceCount,
-            6 => Step::IntersectAssign,
-            7 => Step::UnionAssign,
-            8 => Step::DifferenceAssign,
-            9 => Step::Insert(v),
-            10 => Step::Remove(v),
-            11 => Step::Contains(v),
-            12 => Step::Cardinality,
-            13 => Step::Members,
-            14 => Step::CloneAndDelete,
-            _ => Step::HostOps(raw % 31 + 1),
-        }
-    })
-}
-
-/// Executes a workload over the two seed sets (one sorted, one dense, so the
-/// SCU sees mixed representation pairings) and collects observable results.
-fn run_steps<E: SetEngine>(
-    engine: &mut E,
-    a_members: &BTreeSet<Vertex>,
-    b_members: &BTreeSet<Vertex>,
-    steps: &[Step],
-) -> Vec<Vec<Vertex>> {
-    engine.set_universe(UNIVERSE);
-    let a = engine.create_sorted(a_members.iter().copied());
-    let b = engine.create_dense(b_members.iter().copied());
-    let mut observed = Vec::new();
-    let scalar = |x: usize| vec![x as Vertex];
-    for s in steps {
-        match s {
-            Step::Intersect => {
-                let c = engine.intersect(a, b);
-                observed.push(engine.members(c));
-                engine.delete(c);
-            }
-            Step::Union => {
-                let c = engine.union(a, b);
-                observed.push(engine.members(c));
-                engine.delete(c);
-            }
-            Step::Difference => {
-                let c = engine.difference(a, b);
-                observed.push(engine.members(c));
-                engine.delete(c);
-            }
-            Step::IntersectCount => observed.push(scalar(engine.intersect_count(a, b))),
-            Step::UnionCount => observed.push(scalar(engine.union_count(a, b))),
-            Step::DifferenceCount => observed.push(scalar(engine.difference_count(a, b))),
-            Step::IntersectAssign => {
-                engine.intersect_assign(a, b);
-                observed.push(engine.members(a));
-            }
-            Step::UnionAssign => {
-                engine.union_assign(a, b);
-                observed.push(engine.members(a));
-            }
-            Step::DifferenceAssign => {
-                engine.difference_assign(a, b);
-                observed.push(engine.members(a));
-            }
-            Step::Insert(v) => observed.push(scalar(usize::from(engine.insert(a, *v)))),
-            Step::Remove(v) => observed.push(scalar(usize::from(engine.remove(b, *v)))),
-            Step::Contains(v) => observed.push(scalar(usize::from(engine.contains(a, *v)))),
-            Step::Cardinality => {
-                observed.push(scalar(engine.cardinality(a)));
-                observed.push(scalar(engine.cardinality(b)));
-            }
-            Step::Members => {
-                observed.push(engine.members(a));
-                observed.push(engine.members(b));
-            }
-            Step::CloneAndDelete => {
-                let c = engine.clone_set(b);
-                observed.push(engine.members(c));
-                engine.delete(c);
-            }
-            Step::HostOps(n) => engine.host_ops(*n),
-        }
-    }
-    observed
+    common::step(UNIVERSE, KINDS)
 }
 
 proptest! {
@@ -152,7 +66,7 @@ proptest! {
     ) {
         let mut original = SisaRuntime::new(SisaConfig::default());
         original.enable_default_trace();
-        let _ = run_steps(&mut original, &a, &b, &steps);
+        let _ = run_steps(&mut original, UNIVERSE, &a, &b, &steps);
         let trace = original.take_trace().expect("trace attached");
         prop_assert!(trace.is_complete());
 
@@ -173,8 +87,8 @@ proptest! {
     ) {
         let mut sisa = SisaRuntime::new(SisaConfig::default());
         let mut host = HostEngine::with_defaults();
-        let from_sisa = run_steps(&mut sisa, &a, &b, &steps);
-        let from_host = run_steps(&mut host, &a, &b, &steps);
+        let from_sisa = run_steps(&mut sisa, UNIVERSE, &a, &b, &steps);
+        let from_host = run_steps(&mut host, UNIVERSE, &a, &b, &steps);
         prop_assert_eq!(from_sisa, from_host);
         prop_assert_eq!(sisa.live_sets(), host.live_sets());
     }
@@ -189,8 +103,8 @@ proptest! {
     ) {
         let mut oracle = FunctionalEngine::new();
         let mut sisa = SisaRuntime::new(SisaConfig::default());
-        let expected = run_steps(&mut oracle, &a, &b, &steps);
-        let from_sisa = run_steps(&mut sisa, &a, &b, &steps);
+        let expected = run_steps(&mut oracle, UNIVERSE, &a, &b, &steps);
+        let from_sisa = run_steps(&mut sisa, UNIVERSE, &a, &b, &steps);
         prop_assert_eq!(&expected, &from_sisa);
         prop_assert_eq!(oracle.live_sets(), sisa.live_sets());
         prop_assert_eq!(oracle.stats(), &ExecStats::default());
@@ -209,7 +123,7 @@ proptest! {
         steps in proptest::collection::vec(step(), 1..40),
     ) {
         let mut serial = SisaRuntime::new(SisaConfig::default());
-        let from_serial = run_steps(&mut serial, &a, &b, &steps);
+        let from_serial = run_steps(&mut serial, UNIVERSE, &a, &b, &steps);
         prop_assert_eq!(serial.config().issue_depth, 1);
         prop_assert_eq!(
             serial.stats().makespan_cycles,
@@ -220,7 +134,7 @@ proptest! {
 
         for (depth, lanes) in [(1usize, 1usize), (8, 4), (32, 16)] {
             let mut deep = SisaRuntime::new(SisaConfig::with_pipeline(depth, lanes));
-            let observed = run_steps(&mut deep, &a, &b, &steps);
+            let observed = run_steps(&mut deep, UNIVERSE, &a, &b, &steps);
             prop_assert_eq!(&from_serial, &observed, "depth {} x {} lanes", depth, lanes);
 
             // Work counters are conserved exactly — compare the full records

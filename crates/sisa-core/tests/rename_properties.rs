@@ -17,7 +17,12 @@
 //!    to the in-order pipeline of the same depth, and rename-on at window 1
 //!    still reproduces the serial work totals.
 
+mod common;
+
+use common::{binary, Step, A, B};
 use proptest::prelude::*;
+use sisa_core::scu::BinarySetOp::{Difference, Intersection, Union};
+use sisa_core::Dest::{Count, InPlace, New};
 use sisa_core::{ExecStats, SetEngine, SisaConfig, SisaRuntime};
 use sisa_sets::Vertex;
 use std::collections::BTreeSet;
@@ -25,64 +30,34 @@ use std::collections::BTreeSet;
 const UNIVERSE: usize = 256;
 
 fn vertex_set() -> impl Strategy<Value = BTreeSet<Vertex>> {
-    proptest::collection::btree_set(0u32..UNIVERSE as u32, 0..64)
+    common::vertex_set(UNIVERSE, 64)
 }
 
-/// One step of a random workload, biased towards the temporary-recycling
+/// The step kinds this suite draws, biased towards the temporary-recycling
 /// patterns (materialise → read → delete → recreate) whose WAR/WAW hazards
-/// the renaming layer exists to break.
-#[derive(Clone, Debug)]
-enum Step {
-    /// Materialise `a ∩ b`, read it back, delete it (the ID recycles).
-    TempIntersect,
-    /// Materialise `a ∪ b`, count against `a`, delete it.
-    TempUnion,
-    /// Materialise `a \ b`, insert into it, delete it.
-    TempDifference,
-    /// Clone `b`, read the clone, delete it.
-    TempClone,
-    IntersectCount,
-    UnionCount,
-    DifferenceCount,
-    UnionAssign,
-    DifferenceAssign,
-    Insert(Vertex),
-    Remove(Vertex),
-    Contains(Vertex),
-    Cardinality,
-    Members,
-    HostOps(u64),
-}
+/// the renaming layer exists to break: a materialising step reads its result
+/// and deletes it, so the next one recycles the ID.
+const KINDS: &[Step] = &[
+    binary(Intersection, A, B, New),
+    binary(Intersection, A, B, New),
+    Step::TempUnion,
+    Step::TempDifference,
+    Step::CloneAndDelete,
+    binary(Intersection, A, B, Count),
+    binary(Union, A, B, Count),
+    binary(Difference, A, B, Count),
+    binary(Union, A, B, InPlace),
+    binary(Difference, A, B, InPlace),
+    Step::Insert(0),
+    Step::Remove(0),
+    Step::Contains(0),
+    Step::Cardinality,
+    Step::Members,
+    Step::HostOps(0),
+];
 
-/// Decodes a random integer into one workload step (the vendored proptest
-/// shim has no `prop_oneof`, so the variant choice and its payload are both
-/// derived from a single draw).
 fn step() -> impl Strategy<Value = Step> {
-    (0u64..1_000_000).prop_map(|raw| {
-        let v = ((raw / 16) % UNIVERSE as u64) as Vertex;
-        match raw % 15 {
-            0 | 1 => Step::TempIntersect,
-            2 => Step::TempUnion,
-            3 => Step::TempDifference,
-            4 => Step::TempClone,
-            5 => Step::IntersectCount,
-            6 => Step::UnionCount,
-            7 => Step::DifferenceCount,
-            8 => Step::UnionAssign,
-            9 => Step::DifferenceAssign,
-            10 => Step::Insert(v),
-            11 => Step::Remove(v),
-            12 => Step::Contains(v),
-            13 => Step::Cardinality,
-            _ => {
-                if raw % 2 == 0 {
-                    Step::Members
-                } else {
-                    Step::HostOps(raw % 31 + 1)
-                }
-            }
-        }
-    })
+    common::step(UNIVERSE, KINDS)
 }
 
 /// Executes a workload over two seed sets (one sorted, one dense) on a fresh
@@ -96,60 +71,8 @@ fn run_steps(
     steps: &[Step],
 ) -> (SisaRuntime, Vec<Vec<Vertex>>) {
     let mut rt = SisaRuntime::new(config);
-    rt.set_universe(UNIVERSE);
-    let a = rt.create_sorted(a_members.iter().copied());
-    let b = rt.create_dense(b_members.iter().copied());
-    rt.reset_stats();
-    let mut observed = Vec::new();
-    let scalar = |x: usize| vec![x as Vertex];
-    for s in steps {
-        match s {
-            Step::TempIntersect => {
-                let t = rt.intersect(a, b);
-                observed.push(rt.members(t));
-                rt.delete(t);
-            }
-            Step::TempUnion => {
-                let t = rt.union(a, b);
-                observed.push(scalar(rt.intersect_count(t, a)));
-                rt.delete(t);
-            }
-            Step::TempDifference => {
-                let t = rt.difference(a, b);
-                rt.insert(t, 7);
-                observed.push(scalar(rt.cardinality(t)));
-                rt.delete(t);
-            }
-            Step::TempClone => {
-                let t = rt.clone_set(b);
-                observed.push(rt.members(t));
-                rt.delete(t);
-            }
-            Step::IntersectCount => observed.push(scalar(rt.intersect_count(a, b))),
-            Step::UnionCount => observed.push(scalar(rt.union_count(a, b))),
-            Step::DifferenceCount => observed.push(scalar(rt.difference_count(a, b))),
-            Step::UnionAssign => {
-                rt.union_assign(a, b);
-                observed.push(scalar(rt.cardinality(a)));
-            }
-            Step::DifferenceAssign => {
-                rt.difference_assign(a, b);
-                observed.push(scalar(rt.cardinality(a)));
-            }
-            Step::Insert(v) => observed.push(scalar(usize::from(rt.insert(a, *v)))),
-            Step::Remove(v) => observed.push(scalar(usize::from(rt.remove(b, *v)))),
-            Step::Contains(v) => observed.push(scalar(usize::from(rt.contains(a, *v)))),
-            Step::Cardinality => {
-                observed.push(scalar(rt.cardinality(a)));
-                observed.push(scalar(rt.cardinality(b)));
-            }
-            Step::Members => {
-                observed.push(rt.members(a));
-                observed.push(rt.members(b));
-            }
-            Step::HostOps(n) => rt.host_ops(*n),
-        }
-    }
+    let program: Vec<Step> = [Step::ResetStats].iter().chain(steps).copied().collect();
+    let observed = common::run_steps(&mut rt, UNIVERSE, a_members, b_members, &program);
     (rt, observed)
 }
 

@@ -10,8 +10,13 @@
 //!    `ExecStats::makespan_cycles` exactly, per engine, which is the claim
 //!    the `trace_timeline` figure asserts on a real dataset.
 
+mod common;
+
+use common::{binary, run_steps, Step, A, B};
 use proptest::prelude::*;
+use sisa_core::scu::BinarySetOp::{Difference, Intersection, Union};
 use sisa_core::telemetry::{ChromeTraceCollector, NoopCollector, SharedCollector};
+use sisa_core::Dest::{Count, InPlace, New};
 use sisa_core::{ExecStats, PartitionStrategy, SetEngine, ShardedEngine, SisaConfig, SisaRuntime};
 use sisa_sets::Vertex;
 use std::collections::BTreeSet;
@@ -20,91 +25,25 @@ use std::sync::{Arc, Mutex};
 const UNIVERSE: usize = 128;
 
 fn vertex_set() -> impl Strategy<Value = BTreeSet<Vertex>> {
-    proptest::collection::btree_set(0u32..UNIVERSE as u32, 0..32)
+    common::vertex_set(UNIVERSE, 32)
 }
 
-/// One step of a random engine workload (single-draw decoding; the vendored
-/// proptest shim has no `prop_oneof`).
-#[derive(Clone, Debug)]
-enum Step {
-    Intersect,
-    Union,
-    Difference,
-    IntersectCount,
-    UnionAssign,
-    Insert(Vertex),
-    Remove(Vertex),
-    CloneAndDelete,
-    CreateAndKeep(Vertex),
-    HostOps(u64),
-}
+/// The step kinds this suite draws.
+const KINDS: &[Step] = &[
+    binary(Intersection, A, B, New),
+    binary(Union, A, B, New),
+    binary(Difference, B, A, New),
+    binary(Intersection, A, B, Count),
+    binary(Union, A, B, InPlace),
+    Step::Insert(0),
+    Step::Remove(0),
+    Step::CloneAndDelete,
+    Step::CreateAndKeep(0),
+    Step::HostOps(0),
+];
 
 fn step() -> impl Strategy<Value = Step> {
-    (0u64..1_000_000).prop_map(|raw| {
-        let v = ((raw / 10) % UNIVERSE as u64) as Vertex;
-        match raw % 10 {
-            0 => Step::Intersect,
-            1 => Step::Union,
-            2 => Step::Difference,
-            3 => Step::IntersectCount,
-            4 => Step::UnionAssign,
-            5 => Step::Insert(v),
-            6 => Step::Remove(v),
-            7 => Step::CloneAndDelete,
-            8 => Step::CreateAndKeep(v),
-            _ => Step::HostOps(raw % 17 + 1),
-        }
-    })
-}
-
-fn run_steps<E: SetEngine>(
-    engine: &mut E,
-    a_members: &BTreeSet<Vertex>,
-    b_members: &BTreeSet<Vertex>,
-    steps: &[Step],
-) -> Vec<Vec<Vertex>> {
-    engine.set_universe(UNIVERSE);
-    let a = engine.create_sorted(a_members.iter().copied());
-    let b = engine.create_dense(b_members.iter().copied());
-    let mut observed = Vec::new();
-    let scalar = |x: usize| vec![x as Vertex];
-    for s in steps {
-        match s {
-            Step::Intersect => {
-                let c = engine.intersect(a, b);
-                observed.push(engine.members(c));
-                engine.delete(c);
-            }
-            Step::Union => {
-                let c = engine.union(a, b);
-                observed.push(engine.members(c));
-                engine.delete(c);
-            }
-            Step::Difference => {
-                let c = engine.difference(b, a);
-                observed.push(engine.members(c));
-                engine.delete(c);
-            }
-            Step::IntersectCount => observed.push(scalar(engine.intersect_count(a, b))),
-            Step::UnionAssign => {
-                engine.union_assign(a, b);
-                observed.push(engine.members(a));
-            }
-            Step::Insert(v) => observed.push(scalar(usize::from(engine.insert(a, *v)))),
-            Step::Remove(v) => observed.push(scalar(usize::from(engine.remove(b, *v)))),
-            Step::CloneAndDelete => {
-                let c = engine.clone_set(b);
-                observed.push(engine.members(c));
-                engine.delete(c);
-            }
-            Step::CreateAndKeep(v) => {
-                let c = engine.create_sorted([*v, v.wrapping_add(1) % UNIVERSE as u32]);
-                observed.push(engine.members(c));
-            }
-            Step::HostOps(n) => engine.host_ops(*n),
-        }
-    }
-    observed
+    common::step(UNIVERSE, KINDS)
 }
 
 /// Which sink (if any) a run attaches.
@@ -127,7 +66,7 @@ fn run_flat(
 ) -> (Vec<Vec<Vertex>>, ExecStats, Option<u64>) {
     let mut engine = SisaRuntime::new(config);
     let trace = attach(sink, |collector| engine.attach_collector(collector, 0));
-    let observed = run_steps(&mut engine, a, b, steps);
+    let observed = run_steps(&mut engine, UNIVERSE, a, b, steps);
     let span = trace.map(|t| t.lock().unwrap().recorded_makespan());
     (observed, engine.stats().clone(), span)
 }
@@ -142,7 +81,7 @@ fn run_sharded(
 ) -> (Vec<Vec<Vertex>>, ExecStats, Option<u64>) {
     let mut engine = ShardedEngine::sisa(2, PartitionStrategy::Modulo, config);
     let trace = attach(sink, |collector| engine.attach_collector(collector, 0));
-    let observed = run_steps(&mut engine, a, b, steps);
+    let observed = run_steps(&mut engine, UNIVERSE, a, b, steps);
     let span = trace.map(|t| t.lock().unwrap().recorded_makespan());
     (observed, engine.stats().clone(), span)
 }

@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of the repo benchmark: the table a
 # performance claim needs (choosing-metrics §8).
 #
-#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--seconds 24] [--workload W]... [--trace]
+#   scripts/bench_pairs.sh <parent-ref> [--pairs 10] [--seconds 24] [--workload W]... [--trace] [--json FILE]
 #
 # "Change" is this checkout as it stands (uncommitted edits included);
 # "parent" is <parent-ref>, unpacked with `git archive` into a temporary
@@ -28,6 +28,13 @@
 # `name parent → change unit (±%)`. The lines benchmark/pins.json pins are
 # simulated or counted, not timed: they are marked `exact`, and `DIFFERS` if
 # the two sides disagree.
+#
+# --json FILE also writes what is printed as one JSON document (the snapshot a
+# PR commits as BENCH_PR<n>.json): host provenance, both refs, and per
+# workload the failed/attempted counts and, per end-to-end metric, both
+# medians and quartile pairs, pairs won, bound and verdict; with --trace, per
+# workload the per-layer pairs with their `exact`/`DIFFERS` marks. Numbers
+# carry the six significant digits of the printed table.
 set -euo pipefail
 
 usage() {
@@ -42,17 +49,21 @@ pairs=10
 seconds=24
 workloads=()
 trace=0
+json=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --pairs) pairs="$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
     --workload) workloads+=("$2"); shift 2 ;;
     --trace) trace=1; shift ;;
+    --json) json="$2"; shift 2 ;;
     *) echo "bench_pairs.sh: unknown argument $1" >&2; usage ;;
   esac
 done
 [ ${#workloads[@]} -gt 0 ] || workloads=(mine-sparse mine-dense serve-hot serve-stream)
 
+# A relative --json path is relative to where the script was called from.
+case "$json" in "" | /*) ;; *) json="$PWD/$json" ;; esac
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 parent_commit="$(git rev-parse --verify "$parent_ref^{commit}")"
@@ -126,7 +137,10 @@ for pair in $(seq 1 "$pairs"); do
   done
 done
 
-echo "# parent $parent_commit vs change $(git rev-parse HEAD)$(git diff --quiet HEAD || echo ' + uncommitted edits')"
+change_commit="$(git rev-parse HEAD)"
+uncommitted=false
+git diff --quiet HEAD || uncommitted=true
+echo "# parent $parent_commit vs change $change_commit$([ $uncommitted = false ] || echo ' + uncommitted edits')"
 echo "# $pairs pairs, $seconds s a run, seeds 11..$((10 + pairs)); q1/q3 by linear interpolation; ties win for neither"
 awk -F '\t' '
   function sort(a, n,    i, j, t) {
@@ -153,6 +167,11 @@ awk -F '\t' '
     med[side] = quantile(a, n, 0.5); q1[side] = quantile(a, n, 0.25); q3[side] = quantile(a, n, 0.75)
     min[side] = a[1]; max[side] = a[n]
     return sprintf("%12.6g [%11.6g %11.6g]", med[side], q1[side], q3[side])
+  }
+  # The summary of one side as it was last computed, for the JSON document.
+  function side_json(side) {
+    if (!runs[side]) return "null"
+    return sprintf("{\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g, \"runs\": %d}", med[side], q1[side], q3[side], runs[side])
   }
   function verdict(m,    lower, limit, clear) {
     if (!(m in bound) || !runs["parent"] || !runs["change"]) return "-"
@@ -181,6 +200,7 @@ awk -F '\t' '
     for (k = 1; k <= workloads; k++) {
       w = order[k]
       printf "\n%s: failed/attempted parent %d/%d, change %d/%d\n", w, failed[w, "parent"], attempted[w, "parent"], failed[w, "change"], attempted[w, "change"]
+      printf "%s    \"%s\": {\n      \"parent\": {\"failed\": %d, \"attempted\": %d},\n      \"change\": {\"failed\": %d, \"attempted\": %d},\n      \"metrics\": {\n", (k > 1 ? ",\n" : ""), w, failed[w, "parent"], attempted[w, "parent"], failed[w, "change"], attempted[w, "change"] >json
       printf "  %-13s %-38s %-38s %-24s %s\n", "metric", "parent median [q1 q3]", "change median [q1 q3]", "pairs won parent:change", "verdict (bound)"
       for (j = 1; j <= 6; j++) {
         m = metrics[j]
@@ -193,10 +213,13 @@ awk -F '\t' '
         }
         line = sprintf("%s %s", summary(w, m, "parent"), summary(w, m, "change"))
         printf "  %-13s %s %-24s %s (%s)\n", m, line, sprintf("%d:%d of %d", won_parent, won_change, pairs), verdict(m), (m in bound) ? bound[m] : "-"
+        printf "%s        \"%s\": {\"parent\": %s, \"change\": %s, \"won_parent\": %d, \"won_change\": %d, \"bound\": %s, \"verdict\": \"%s\"}", (j > 1 ? ",\n" : ""), m, side_json("parent"), side_json("change"), won_parent, won_change, (m in bound) ? bound[m] : "null", verdict(m) >json
       }
+      printf "\n      }\n    }" >json
     }
+    printf "\n" >json
   }
-' bench=BENCHMARK.json BENCHMARK.json counts="$counts" "$counts" "$samples"
+' bench=BENCHMARK.json BENCHMARK.json counts="$counts" "$counts" json="$work/json-workloads" "$samples"
 
 if [ "$trace" = 1 ]; then
   # The names benchmark/pins.json pins.
@@ -211,7 +234,7 @@ if [ "$trace" = 1 ]; then
     done
     printf '\n%s: per-layer lines of one traced run a side (seed 1, %s s), parent → change\n' "$w" "$seconds"
     # A per-layer line is `layer.name value unit`.
-    awk -v exact="$exact" -v parent="$work/trace-parent-$w.log" '
+    awk -v exact="$exact" -v parent="$work/trace-parent-$w.log" -v json="$work/json-layers-$w" '
       BEGIN { n = split(exact, e, " "); for (i = 1; i <= n; i++) pinned[e[i]] = 1 }
       NF != 3 || $1 !~ /^[a-z-]+\.[a-z_.0-9]+$/ { next }
       !($1 in unit) { unit[$1] = $3; order[++lines] = $1 }
@@ -225,7 +248,10 @@ if [ "$trace" = 1 ]; then
           else if (p[m] + 0 == 0) note = "from 0"
           else note = sprintf("%+.1f%%", (c[m] - p[m]) / p[m] * 100)
           printf "  %-40s %14.6g → %-14.6g %-8s (%s)\n", m, p[m], c[m], unit[m], note
+          mark = (m in pinned) ? ((p[m] == c[m]) ? "\"exact\"" : "\"DIFFERS\"") : "null"
+          printf "%s      \"%s\": {\"parent\": %.6g, \"change\": %.6g, \"unit\": \"%s\", \"mark\": %s}", (written++ ? ",\n" : ""), m, p[m], c[m], unit[m], mark >json
         }
+        printf "\n" >json
         if (lines == 0) exit 1
       }
     ' "$work/trace-parent-$w.log" "$work/trace-change-$w.log" || {
@@ -233,5 +259,37 @@ if [ "$trace" = 1 ]; then
       status=1
     }
   done
+fi
+
+if [ -n "$json" ]; then
+  # Free text from the machine goes into JSON strings without the two
+  # characters that would need escaping.
+  plain() { tr -d '"\\' | tr -s ' \t\n' ' ' | sed 's/^ //; s/ $//'; }
+  {
+    printf '{\n  "host": {"kernel": "%s", "cpu": "%s", "cpus": %d, "rustc": "%s"},\n' \
+      "$(uname -srm | plain)" \
+      "$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1 | plain)" \
+      "$(getconf _NPROCESSORS_ONLN)" "$(rustc --version | plain)"
+    printf '  "parent": "%s",\n  "change": "%s",\n  "uncommitted_edits": %s,\n' \
+      "$parent_commit" "$change_commit" "$uncommitted"
+    printf '  "pairs": %d,\n  "seconds": %s,\n  "first_seed": 11,\n  "complete": %s,\n' \
+      "$pairs" "$seconds" "$([ "$status" = 0 ] && echo true || echo false)"
+    printf '  "workloads": {\n'
+    cat "$work/json-workloads"
+    printf '  }'
+    if [ "$trace" = 1 ]; then
+      printf ',\n  "traced": {"seed": 1, "layers": {\n'
+      sep=""
+      for w in "${workloads[@]}"; do
+        printf '%s    "%s": {\n' "$sep" "$w"
+        cat "$work/json-layers-$w"
+        printf '    }'
+        sep=$',\n'
+      done
+      printf '\n  }}'
+    fi
+    printf '\n}\n'
+  } >"$json"
+  echo "# wrote $json" >&2
 fi
 exit "$status"
