@@ -61,8 +61,7 @@ impl CsrGraph {
         directed: bool,
         vertex_labels: Option<Vec<u32>>,
     ) -> Self {
-        let n = adj.len();
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(adj.len() + 1);
         offsets.push(0usize);
         let mut targets = Vec::new();
         for list in &mut adj {
@@ -71,13 +70,37 @@ impl CsrGraph {
             targets.extend_from_slice(list);
             offsets.push(targets.len());
         }
+        Self::from_sorted_parts(offsets, targets, directed, vertex_labels)
+    }
+
+    /// Wraps finished CSR arrays: `offsets` has one entry per vertex plus the
+    /// closing `targets.len()`, and every row of `targets` is already sorted
+    /// and duplicate-free. For callers in this crate that build rows in
+    /// order and have nothing left to sort.
+    pub(crate) fn from_sorted_parts(
+        offsets: Vec<usize>,
+        targets: Vec<Vertex>,
+        directed: bool,
+        vertex_labels: Option<Vec<u32>>,
+    ) -> Self {
+        assert_eq!(offsets.last(), Some(&targets.len()), "offsets must close");
+        debug_assert!(
+            offsets
+                .windows(2)
+                .all(|row| targets[row[0]..row[1]].windows(2).all(|w| w[0] < w[1])),
+            "rows must be sorted and duplicate-free"
+        );
         let edge_count = if directed {
             targets.len()
         } else {
             targets.len() / 2
         };
         if let Some(labels) = &vertex_labels {
-            assert_eq!(labels.len(), n, "one label per vertex required");
+            assert_eq!(
+                labels.len(),
+                offsets.len() - 1,
+                "one label per vertex required"
+            );
         }
         Self {
             offsets,
@@ -86,6 +109,12 @@ impl CsrGraph {
             directed,
             vertex_labels,
         }
+    }
+
+    /// The raw CSR arrays `(offsets, targets)`, for splicing whole runs of
+    /// rows into a successor graph.
+    pub(crate) fn parts(&self) -> (&[usize], &[Vertex]) {
+        (&self.offsets, &self.targets)
     }
 
     /// Number of vertices `n`.

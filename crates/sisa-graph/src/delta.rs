@@ -87,33 +87,92 @@ impl GraphDelta {
 
     /// Applies the delta to `g`, returning the successor graph: deletes
     /// first, then inserts, each filtered to effective changes. The vertex
-    /// set grows to cover any inserted endpoint beyond `g`'s range (isolated
-    /// vertices are representable in CSR form).
+    /// set grows to cover any endpoint an intent names beyond `g`'s range
+    /// (isolated vertices are representable in CSR form). Vertex labels carry
+    /// over; a vertex the delta adds takes label `0`.
+    ///
+    /// The successor is spliced out of `g`'s CSR arrays rather than rebuilt:
+    /// only the rows an effective intent touches (at most `2 · len()`) are
+    /// merged, every run of rows between them is one block copy with shifted
+    /// offsets, and nothing is allocated per vertex. A steady mutation costs
+    /// two array copies plus `O(|Δ| log |Δ|)` of work on what it changes.
     #[must_use]
     pub fn apply_to(&self, g: &CsrGraph) -> CsrGraph {
-        let n = g
-            .num_vertices()
-            .max(self.max_vertex().map_or(0, |v| v as usize + 1));
-        let mut adj: Vec<Vec<Vertex>> = (0..n)
-            .map(|v| {
-                if v < g.num_vertices() {
-                    g.neighbors(v as Vertex).to_vec()
-                } else {
-                    Vec::new()
-                }
-            })
+        debug_assert!(!g.is_directed(), "deltas apply to undirected graphs");
+        let (old_offsets, old_targets) = g.parts();
+        let old_n = g.num_vertices();
+        let n = old_n.max(self.max_vertex().map_or(0, |v| v as usize + 1));
+        // Normalised pairs are `(min, max)`: one range check covers both ends.
+        let present = |&(u, v): &(Vertex, Vertex)| (v as usize) < old_n && g.has_edge(u, v);
+
+        // Deletes apply first, so a deleted edge that is inserted again is
+        // simply still there: the pair cancels and touches neither row.
+        let mut inserts = self.normalized_inserts();
+        inserts.sort_unstable();
+        let deletes = self.normalized_deletes();
+        let deleted = deletes
+            .iter()
+            .filter(|edge| present(edge) && inserts.binary_search(edge).is_err());
+        let inserted = inserts.iter().filter(|edge| !present(edge));
+        // `(row, neighbour, is_insert)` for both directions of every
+        // effective intent, in the order the rows are written.
+        let mut edits: Vec<(Vertex, Vertex, bool)> = deleted
+            .map(|&edge| (edge, false))
+            .chain(inserted.map(|&edge| (edge, true)))
+            .flat_map(|((u, v), insert)| [(u, v, insert), (v, u, insert)])
             .collect();
-        for (u, v) in self.normalized_deletes() {
-            adj[u as usize].retain(|&w| w != v);
-            adj[v as usize].retain(|&w| w != u);
-        }
-        for (u, v) in self.normalized_inserts() {
-            if !adj[u as usize].contains(&v) {
-                adj[u as usize].push(v);
-                adj[v as usize].push(u);
+        edits.sort_unstable();
+
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(old_targets.len() + edits.len());
+        // Writes the rows from the first unwritten one up to `end` untouched:
+        // those `g` has as one copied run, its offsets shifted by how far the
+        // successor has drifted from `g`; those beyond `g`'s range empty.
+        let copy_rows = |offsets: &mut Vec<usize>, targets: &mut Vec<Vertex>, end: usize| {
+            let first = offsets.len() - 1;
+            let run_end = end.min(old_n);
+            if first < run_end {
+                let (base, start) = (old_offsets[first], targets.len());
+                targets.extend_from_slice(&old_targets[base..old_offsets[run_end]]);
+                offsets.extend(
+                    old_offsets[first + 1..=run_end]
+                        .iter()
+                        .map(|&offset| start + (offset - base)),
+                );
             }
+            offsets.resize(end + 1, targets.len());
+        };
+        for row_edits in edits.chunk_by(|a, b| a.0 == b.0) {
+            let row = row_edits[0].0 as usize;
+            copy_rows(&mut offsets, &mut targets, row);
+            let mut rest: &[Vertex] = if row < old_n {
+                g.neighbors(row as Vertex)
+            } else {
+                &[]
+            };
+            for &(_, neighbour, insert) in row_edits {
+                let (below, from) = rest.split_at(rest.partition_point(|&w| w < neighbour));
+                targets.extend_from_slice(below);
+                rest = if insert {
+                    targets.push(neighbour);
+                    from
+                } else {
+                    from.strip_prefix(&[neighbour])
+                        .expect("an undirected graph stores a present edge in both rows")
+                };
+            }
+            targets.extend_from_slice(rest);
+            offsets.push(targets.len());
         }
-        CsrGraph::from_adjacency(adj, false, None)
+        copy_rows(&mut offsets, &mut targets, n);
+
+        let labels = g.vertex_labels().map(|old| {
+            let mut labels = old.to_vec();
+            labels.resize(n, 0);
+            labels
+        });
+        CsrGraph::from_sorted_parts(offsets, targets, false, labels)
     }
 }
 
@@ -193,6 +252,27 @@ mod tests {
         assert_eq!(next.num_vertices(), 6);
         assert!(next.has_edge(1, 5));
         assert_eq!(next.degree(4), 0, "intermediate vertices are isolated");
+    }
+
+    /// Seen to fail with `from_sorted_parts(.., None)`, what the rebuild
+    /// passed: the successor came back unlabelled.
+    #[test]
+    fn vertex_labels_survive_a_mutation() {
+        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).with_vertex_labels(vec![7, 8, 9]);
+        let deleted = GraphDelta::new().delete(0, 1).apply_to(&g);
+        assert_eq!(deleted.vertex_labels(), Some(&[7, 8, 9][..]));
+        let inserted = GraphDelta::new().insert(0, 2).apply_to(&g);
+        assert_eq!(inserted.vertex_labels(), Some(&[7, 8, 9][..]));
+        let grown = GraphDelta::new().insert(2, 4).apply_to(&g);
+        assert_eq!(
+            grown.vertex_labels(),
+            Some(&[7, 8, 9, 0, 0][..]),
+            "vertices the delta adds take label 0"
+        );
+        let plain = GraphDelta::new()
+            .insert(0, 2)
+            .apply_to(&CsrGraph::from_edges(3, &[]));
+        assert_eq!(plain.vertex_labels(), None, "unlabelled stays unlabelled");
     }
 
     #[test]

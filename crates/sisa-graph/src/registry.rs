@@ -98,6 +98,10 @@ struct Inner {
 }
 
 impl Inner {
+    fn generation(&self, name: &str) -> u64 {
+        self.name_generations.get(name).copied().unwrap_or(0)
+    }
+
     fn tick(&mut self, name: &str) -> u64 {
         let counter = self.name_generations.entry(name.to_string()).or_insert(0);
         *counter += 1;
@@ -235,30 +239,50 @@ impl GraphRegistry {
     /// invalidated *structurally*: a pre-mutation key can never match a
     /// post-mutation lookup. Returns `None` (without ticking anything) when
     /// `name` is neither registered nor a known dataset.
+    ///
+    /// The registry lock is held only to read `(graph, generation)` and,
+    /// later, to publish: the successor (and a cold name's stand-in) is built
+    /// with the lock released, so a mutation never makes another name's
+    /// [`GraphRegistry::generation_of`] or [`GraphRegistry::acquire_lease`]
+    /// wait for `O(m)` work. Publishing compares the name's generation with
+    /// the one read; if anything replaced, evicted or mutated the name in
+    /// between, the successor is dropped and rebuilt from the newer graph, so
+    /// concurrent mutations of one name all take effect, in publish order.
     pub fn mutate(&self, name: &str, delta: &GraphDelta) -> Option<GraphLease> {
-        let mut inner = self.inner.lock().expect("registry lock");
-        let current: Arc<CsrGraph> = match inner.graphs.get(name) {
-            Some(entry) => Arc::clone(&entry.graph),
-            None => Arc::new(datasets::by_name(name)?.generate(self.seed)),
-        };
-        let next = Arc::new(delta.apply_to(&current));
-        inner.generations += 1;
-        inner.mutations += 1;
-        let generation = inner.tick(name);
-        let last_used = inner.touch();
-        inner.graphs.insert(
-            name.to_string(),
-            Entry {
-                graph: Arc::clone(&next),
+        loop {
+            let (resident, seen) = {
+                let inner = self.inner.lock().expect("registry lock");
+                (
+                    inner.graphs.get(name).map(|entry| Arc::clone(&entry.graph)),
+                    inner.generation(name),
+                )
+            };
+            let next = Arc::new(match resident {
+                Some(current) => delta.apply_to(&current),
+                None => delta.apply_to(&datasets::by_name(name)?.generate(self.seed)),
+            });
+            let mut inner = self.inner.lock().expect("registry lock");
+            if inner.generation(name) != seen {
+                continue;
+            }
+            inner.generations += 1;
+            inner.mutations += 1;
+            let generation = inner.tick(name);
+            let last_used = inner.touch();
+            inner.graphs.insert(
+                name.to_string(),
+                Entry {
+                    graph: Arc::clone(&next),
+                    generation,
+                    last_used,
+                },
+            );
+            inner.enforce_capacity(self.cfg.max_resident);
+            return Some(GraphLease {
+                graph: next,
                 generation,
-                last_used,
-            },
-        );
-        inner.enforce_capacity(self.cfg.max_resident);
-        Some(GraphLease {
-            graph: next,
-            generation,
-        })
+            });
+        }
     }
 
     /// How many deltas were applied through [`GraphRegistry::mutate`] over
@@ -292,13 +316,7 @@ impl GraphRegistry {
     /// the gap.
     #[must_use]
     pub fn generation_of(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .name_generations
-            .get(name)
-            .copied()
-            .unwrap_or(0)
+        self.inner.lock().expect("registry lock").generation(name)
     }
 
     /// How many graphs were actually materialised (generated or registered)
@@ -528,6 +546,159 @@ mod tests {
             0,
             "failed mutate is free"
         );
+    }
+
+    /// Delta `k` of the contention test: vertices `4k..4k + 4` are its own,
+    /// it deletes the one edge the base graph has there and inserts two, so
+    /// every published generation has exactly one edge more than the last.
+    fn disjoint_delta(k: u32) -> GraphDelta {
+        let v = 4 * k;
+        GraphDelta::new()
+            .delete(v, v + 1)
+            .insert(v + 1, v + 2)
+            .insert(v + 2, v + 3)
+    }
+
+    /// Seen to fail under: publishing without the compare (the
+    /// `generation(name) != seen` check dropped: a lost update, the final
+    /// graph is short of edges); retrying without re-reading the graph (the
+    /// successor built once, before the loop, and published at whatever
+    /// generation comes: same loss, and a lease's edge count disagrees with
+    /// its generation).
+    #[test]
+    fn concurrent_mutations_of_one_name_all_take_effect() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        const THREADS: u32 = 4;
+        const ROUNDS: u32 = 200;
+        let total = THREADS * ROUNDS;
+        let base_edges: Vec<_> = (0..total).map(|k| (4 * k, 4 * k + 1)).collect();
+        let base = CsrGraph::from_edges(4 * total as usize, &base_edges);
+        let reg = GraphRegistry::new(7);
+        reg.register("g", base.clone());
+        let first = reg.generation_of("g");
+        // Generation `first + j` is the base with `j` deltas applied.
+        let edges_at = |generation: u64| base.num_edges() as u64 + (generation - first);
+
+        // Every round releases the four writers together, so their
+        // read-build-publish windows overlap; results are checked after the
+        // scope, because a writer that panicked would strand the others on
+        // the barrier.
+        let barrier = Barrier::new(THREADS as usize);
+        let done = AtomicBool::new(false);
+        let leases: Vec<(u32, Option<GraphLease>)> = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut newest = first;
+                while !done.load(Ordering::SeqCst) {
+                    let generation = reg.generation_of("g");
+                    assert!(generation >= newest, "generation went backwards");
+                    let lease = reg.acquire_lease("g").expect("resident");
+                    assert!(lease.generation >= generation, "lease older than seen");
+                    assert_eq!(lease.graph.num_edges() as u64, edges_at(lease.generation));
+                    newest = lease.generation;
+                }
+            });
+            let writers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (reg, barrier) = (&reg, &barrier);
+                    scope.spawn(move || {
+                        (0..ROUNDS)
+                            .map(|i| {
+                                let k = t * ROUNDS + i;
+                                barrier.wait();
+                                (k, reg.mutate("g", &disjoint_delta(k)))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let leases = writers
+                .into_iter()
+                .flat_map(|writer| writer.join().expect("writer"))
+                .collect();
+            done.store(true, Ordering::SeqCst);
+            reader.join().expect("reader");
+            leases
+        });
+
+        assert_eq!(reg.mutations(), u64::from(total));
+        let mut generations = std::collections::BTreeSet::new();
+        for (k, lease) in &leases {
+            let lease = lease.as_ref().expect("a registered name is mutable");
+            let v = 4 * k;
+            assert!(!lease.graph.has_edge(v, v + 1), "delta {k}: own delete");
+            assert!(lease.graph.has_edge(v + 1, v + 2), "delta {k}: own insert");
+            assert!(lease.graph.has_edge(v + 2, v + 3), "delta {k}: own insert");
+            assert_eq!(lease.graph.num_edges() as u64, edges_at(lease.generation));
+            assert!(generations.insert(lease.generation), "generation reused");
+        }
+        let expected = (0..total).fold(base, |g, k| disjoint_delta(k).apply_to(&g));
+        let last = reg.acquire_lease("g").expect("resident");
+        assert_eq!(*last.graph, expected, "disjoint deltas: order-free");
+        assert_eq!(last.generation, first + u64::from(total));
+    }
+
+    /// A registered name that is evicted has nothing to fall back on, so a
+    /// `mutate` that loses the race must come back empty-handed rather than
+    /// resurrect the graph it read. Nothing can be hooked between `mutate`'s
+    /// read and its publish, so the eviction is aimed there by weight: an
+    /// evictor that never stops, and every other round a delta slow enough to
+    /// build that the eviction lands inside the build.
+    ///
+    /// Seen to fail under: publishing without the compare (the successor of
+    /// the evicted graph is published, under a generation past the
+    /// eviction's); retrying without re-reading the graph (the same, one
+    /// attempt later).
+    #[test]
+    fn a_mutation_racing_an_eviction_never_publishes_a_stale_graph() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const ROUNDS: usize = 200;
+        let base = generators::erdos_renyi(400, 0.05, 9);
+        let quick = GraphDelta::new().insert(0, 399).delete(0, 1);
+        let mut slow = GraphDelta::new();
+        slow.inserts = generators::erdos_renyi(400, 0.1, 10).edges().collect();
+        let reg = GraphRegistry::new(7);
+        let done = AtomicBool::new(false);
+        // Per round: the generation registered, the lease's (if any), and the
+        // name's once the eviction has happened.
+        let outcomes: Vec<(u64, Option<u64>, u64)> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    reg.evict("h");
+                }
+            });
+            let outcomes = (0..ROUNDS)
+                .map(|round| {
+                    let registered = reg.generation_of("h") + 1;
+                    reg.register("h", base.clone());
+                    let lease = reg.mutate("h", if round % 2 == 0 { &slow } else { &quick });
+                    while reg.contains("h") {
+                        std::thread::yield_now();
+                    }
+                    (
+                        registered,
+                        lease.map(|lease| lease.generation),
+                        reg.generation_of("h"),
+                    )
+                })
+                .collect();
+            done.store(true, Ordering::SeqCst);
+            outcomes
+        });
+        let mut published = 0;
+        for (registered, lease, after) in outcomes {
+            match lease {
+                // Published first, evicted second.
+                Some(generation) => {
+                    published += 1;
+                    assert_eq!(generation, registered + 1);
+                    assert_eq!(after, registered + 2);
+                }
+                // Evicted before the read, or between the read and the publish.
+                None => assert_eq!(after, registered + 1, "a failed mutate is free"),
+            }
+        }
+        assert_eq!(reg.mutations(), published);
     }
 
     #[test]

@@ -112,8 +112,17 @@ fn write_locked(writer: &Mutex<TcpStream>, frame: &Frame) -> std::io::Result<()>
     write_frame(&mut stream, frame)
 }
 
-fn handle_connection(stream: TcpStream, client: &ServiceClient) -> std::io::Result<()> {
+/// Sets up an accepted socket: blocking reads (the listener it came from
+/// polls), and no Nagle delay — every frame is one complete `write`, and a
+/// reply held back for the ACK of the one before it waits for the tenant's
+/// *next* request on a pipelined connection.
+fn configure_socket(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)
+}
+
+fn handle_connection(stream: TcpStream, client: &ServiceClient) -> std::io::Result<()> {
+    configure_socket(&stream)?;
     let reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(Mutex::new(stream));
     // The scope keeps reading new request lines while accepted queries drain
@@ -179,5 +188,24 @@ fn drain_query(id: u64, handle: &QueryHandle, writer: &Mutex<TcpStream>) {
         if write_locked(writer, &frame).is_err() || terminal {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Seen to fail with `set_nodelay(true)` dropped from `configure_socket`.
+    #[test]
+    fn accepted_sockets_send_without_nagle_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _peer = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        assert!(
+            !stream.nodelay().expect("readable option"),
+            "off by default"
+        );
+        configure_socket(&stream).expect("configure");
+        assert!(stream.nodelay().expect("readable option"));
     }
 }

@@ -19,8 +19,10 @@
 # `WORSE` when the change's median is worse than the parent's by more than the
 # bound; `unresolved` when the parent's own runs spread wider than the bound
 # (quartile distance over median) and not every run of the change beats every
-# run of the parent; else `ok`. It is printed, not enforced: the script exits
-# non-zero only if a run produced no result.
+# run of the parent; else `ok`. With at least ten pairs the verdict is also the
+# exit status: 3 when any row reads `WORSE`. Below ten pairs a verdict resolves
+# nothing (choosing-metrics §8), so it is only printed. Exit 1 means a run
+# produced no result.
 #
 # --trace adds where the difference sits (choosing-metrics §6.6): after the
 # pairs, one `--trace 1` run a side on seed 1 (the pinned seed) for each chosen
@@ -89,6 +91,7 @@ counts="$work/counts.tsv"   # workload  side  attempted  failed
 : >"$samples"
 : >"$counts"
 status=0
+worse=0
 
 # One run of a side's binary from that side's checkout; the result on
 # standard output.
@@ -212,14 +215,18 @@ awk -F '\t' '
           if (c < p) won_change++; else if (p < c) won_parent++
         }
         line = sprintf("%s %s", summary(w, m, "parent"), summary(w, m, "change"))
-        printf "  %-13s %s %-24s %s (%s)\n", m, line, sprintf("%d:%d of %d", won_parent, won_change, pairs), verdict(m), (m in bound) ? bound[m] : "-"
-        printf "%s        \"%s\": {\"parent\": %s, \"change\": %s, \"won_parent\": %d, \"won_change\": %d, \"bound\": %s, \"verdict\": \"%s\"}", (j > 1 ? ",\n" : ""), m, side_json("parent"), side_json("change"), won_parent, won_change, (m in bound) ? bound[m] : "null", verdict(m) >json
+        v = verdict(m)
+        if (v == "WORSE") worse = 1
+        printf "  %-13s %s %-24s %s (%s)\n", m, line, sprintf("%d:%d of %d", won_parent, won_change, pairs), v, (m in bound) ? bound[m] : "-"
+        printf "%s        \"%s\": {\"parent\": %s, \"change\": %s, \"won_parent\": %d, \"won_change\": %d, \"bound\": %s, \"verdict\": \"%s\"}", (j > 1 ? ",\n" : ""), m, side_json("parent"), side_json("change"), won_parent, won_change, (m in bound) ? bound[m] : "null", v >json
       }
       printf "\n      }\n    }" >json
     }
     printf "\n" >json
+    if (worse) exit 3
   }
-' bench=BENCHMARK.json BENCHMARK.json counts="$counts" "$counts" json="$work/json-workloads" "$samples"
+' bench=BENCHMARK.json BENCHMARK.json counts="$counts" "$counts" json="$work/json-workloads" "$samples" ||
+  { [ $? = 3 ] && worse=1 || status=1; }
 
 if [ "$trace" = 1 ]; then
   # The names benchmark/pins.json pins.
@@ -291,5 +298,9 @@ if [ -n "$json" ]; then
     printf '\n}\n'
   } >"$json"
   echo "# wrote $json" >&2
+fi
+if [ "$status" = 0 ] && [ "$worse" = 1 ] && [ "$pairs" -ge 10 ]; then
+  echo "bench_pairs.sh: a row reads WORSE over $pairs pairs" >&2
+  status=3
 fi
 exit "$status"
