@@ -104,17 +104,11 @@ pub struct SisaConfig {
     /// Reorder-window capacity of the out-of-order scheduler: how many
     /// instructions may be in flight while ready ones bypass stalled
     /// predecessors (retirement stays in program order). 0 (the default)
-    /// keeps the in-order issue window of `issue_depth`; a non-zero window
-    /// arms the out-of-order scheduler even without renaming (it then
-    /// reorders under the full logical-ID hazard rules, which is provably
-    /// identical to an in-order window of the same size).
+    /// uses `issue_depth`. The scheduler is armed by `rename_tags` alone:
+    /// with renaming off a window reorders nothing the full logical-ID hazard
+    /// rules would not also order, so the runtime then runs the in-order
+    /// queue at this depth (`issue_depth` when 0).
     pub ooo_window: usize,
-    /// Host worker threads used by [`crate::ShardedEngine::execute`] to fan
-    /// independent per-shard batch work across OS threads. 0 (the default)
-    /// resolves to the machine's available parallelism at run time; 1 forces
-    /// sequential execution. Purely a host-speed knob: the simulated
-    /// statistics are bit-for-bit identical for every thread count.
-    pub host_threads: usize,
 }
 
 impl Default for SisaConfig {
@@ -128,7 +122,6 @@ impl Default for SisaConfig {
             issue_lanes: 0,
             rename_tags: 0,
             ooo_window: 0,
-            host_threads: 0,
         }
     }
 }
@@ -184,12 +177,11 @@ impl SisaConfig {
         }
     }
 
-    /// Whether the runtime schedules through the renamed out-of-order path
-    /// (either knob arms it; both off reproduces the in-order pipeline
-    /// bit-exactly).
+    /// Whether the runtime schedules through the renamed out-of-order path:
+    /// `rename_tags` arms it, `ooo_window` only sizes it.
     #[must_use]
     pub fn uses_ooo(&self) -> bool {
-        self.rename_tags > 0 || self.ooo_window > 0
+        self.rename_tags > 0
     }
 
     /// The default configuration with set-ID renaming and an out-of-order
@@ -303,7 +295,7 @@ mod tests {
             ),
             (4, 16, 8, 64)
         );
-        // A window alone (no renaming) also routes through the scheduler.
-        assert!(SisaConfig::with_rename_ooo(1, 4, 8, 0).uses_ooo());
+        // A window alone (no renaming) is an in-order queue of that depth.
+        assert!(!SisaConfig::with_rename_ooo(1, 4, 8, 0).uses_ooo());
     }
 }

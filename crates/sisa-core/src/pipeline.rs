@@ -46,6 +46,13 @@
 //!   reports on the same program — the accounting invariant the differential
 //!   tests pin.
 //!
+//! Both timelines are the same scheduling body, `Schedule` — window, lanes,
+//! host, in-order retirement, scoreboard, makespan — under two hazard rules:
+//! full RAW/WAW/WAR on logical IDs for the reference, RAW on physical tags
+//! for the renamed one, which adds only what renaming owns (the tag table,
+//! the tag-pressure wait, reclaim, the stall decomposition, the bypass
+//! count). Without tags there is one timeline and none of that is paid for.
+//!
 //! The queue prices *time*, not *work*: per-unit cycle and energy counters in
 //! [`crate::ExecStats`] stay the serial work totals regardless of depth (they
 //! are conserved quantities, and every existing figure reports them), while
@@ -120,38 +127,148 @@ pub struct IssueOutcome {
     pub phys_tag: Option<SetId>,
 }
 
-/// One instruction in flight in the reorder window.
-#[derive(Clone, Copy, Debug)]
-struct InFlight {
-    start: u64,
-    retire: u64,
-}
-
-/// State of the renamed out-of-order scheduler (absent on the in-order path).
+/// One event-timed timeline — the only scheduling body in this module. The
+/// in-order queue is a `Schedule` under the full RAW/WAW/WAR rule on logical
+/// set IDs; the renamed scheduler is a second `Schedule` under RAW on
+/// physical tags, wrapped by [`Renamed`].
 #[derive(Clone, Debug)]
-struct OooState {
-    /// Reorder-window capacity: in-flight (issued, unretired) instructions.
+struct Schedule {
+    /// Window capacity: in-flight (issued, unretired) items.
     window: usize,
-    /// Busy-until time per virtual vault lane of the out-of-order schedule.
+    /// Busy-until time per virtual vault lane.
     lanes: Vec<u64>,
     /// Busy-until time of the serial host resource.
     host_busy: u64,
-    /// The in-flight instructions, oldest first.
-    inflight: VecDeque<InFlight>,
-    /// Retire time of the youngest in-flight instruction (retirement is in
-    /// program order, so retire times are non-decreasing).
-    last_retire: u64,
-    /// Hazard state keyed by physical tag (renaming on) or logical set ID
-    /// (renaming off).
+    /// Retire times of the in-flight items, oldest first. Retirement is in
+    /// program order, so the deque is non-decreasing.
+    inflight: VecDeque<u64>,
+    /// Hazard state, keyed by whatever IDs the caller places items under.
     board: Scoreboard,
-    /// The renaming table, when `rename_tags > 0`.
-    rename: Option<RenameMap>,
-    /// Shadow decomposition state: per logical ID, the finish time of its
-    /// last producer *in the shadow in-order schedule* — the RAW component a
-    /// renamed machine cannot remove.
-    last_write: BTreeMap<u32, u64>,
-    /// Completion time of the out-of-order schedule.
+    /// Completion time of the schedule.
     makespan: u64,
+}
+
+impl Schedule {
+    fn new(window: usize, lanes: usize) -> Self {
+        Self {
+            window: window.max(1),
+            lanes: vec![0; lanes.max(1)],
+            host_busy: 0,
+            inflight: VecDeque::new(),
+            board: Scoreboard::new(),
+            makespan: 0,
+        }
+    }
+
+    /// Whether the next item must wait for the oldest in-flight retire.
+    fn window_full(&self) -> bool {
+        self.inflight.len() >= self.window
+    }
+
+    /// Places one item: it starts at the latest of its window slot, its
+    /// resource, `not_before` and its operands' readiness — true RAW only
+    /// when `RAW_ONLY`, the full RAW/WAW/WAR rule otherwise. Returns where it
+    /// landed, and the cycles `not_before` alone held it back.
+    #[inline]
+    fn place<const RAW_ONLY: bool>(
+        &mut self,
+        kind: LaneKind,
+        cycles: u64,
+        reads: &[SetId],
+        writes: &[SetId],
+        not_before: u64,
+    ) -> (IssueOutcome, u64) {
+        // Structural constraint: a full window frees its oldest slot at that
+        // item's in-order retire time.
+        let structural = if self.window_full() {
+            self.inflight.pop_front().unwrap_or(0)
+        } else {
+            0
+        };
+        // Resource constraint: the earliest-free vault lane (the lowest such
+        // lane: the scan keeps the first minimum), or the host.
+        let (resource, lane) = match kind {
+            LaneKind::Vault => {
+                let (idx, &busy) = self
+                    .lanes
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &busy)| busy)
+                    .expect("at least one lane");
+                (busy, Some(idx))
+            }
+            LaneKind::Host => (self.host_busy, None),
+        };
+        // Operand constraint.
+        let ready = if RAW_ONLY {
+            self.board.raw_ready_at(reads)
+        } else {
+            self.board.ready_at(reads, writes)
+        };
+
+        let floor = structural.max(resource);
+        let base = floor.max(not_before);
+        let start = base.max(ready);
+        let finish = start + cycles;
+
+        match lane {
+            Some(idx) => self.lanes[idx] = finish,
+            None => self.host_busy = finish,
+        }
+        // In-order retirement: an item cannot retire before its predecessor.
+        let retire = self.inflight.back().map_or(finish, |&r| r.max(finish));
+        self.inflight.push_back(retire);
+        self.board.record(reads, writes, finish);
+        self.makespan = self.makespan.max(finish);
+        let landed = IssueOutcome {
+            start,
+            finish,
+            dep_stall: ready.saturating_sub(base),
+            false_dep_removed: 0,
+            bypassed: false,
+            lane,
+            phys_tag: None,
+        };
+        (landed, not_before.saturating_sub(floor.max(ready)))
+    }
+
+    /// Drops hazard state that can no longer bind a start time and returns
+    /// the horizon it pruned to: every future vault item starts at or after
+    /// the earliest-free lane, and with a full window at or after the oldest
+    /// in-flight retire.
+    fn prune(&mut self) -> u64 {
+        let mut horizon = self.lanes.iter().copied().min().unwrap_or(0);
+        if self.window_full() {
+            horizon = horizon.max(self.inflight.front().copied().unwrap_or(0));
+        }
+        self.board.prune_completed(horizon);
+        horizon
+    }
+
+    fn reset(&mut self) {
+        self.lanes.fill(0);
+        self.host_busy = 0;
+        self.inflight.clear();
+        self.board.clear();
+        self.makespan = 0;
+    }
+}
+
+/// What renaming adds around its own [`Schedule`]: the tag table, the
+/// tag-pressure wait, version reclaim, the decomposition of the reference
+/// timeline's stalls, and the bypass count.
+#[derive(Clone, Debug)]
+struct Renamed {
+    /// The out-of-order timeline, its hazards keyed by physical tag.
+    sched: Schedule,
+    map: RenameMap,
+    /// Start times of `sched`'s in-flight items, oldest first (a bypass is a
+    /// start ahead of one of them).
+    starts: VecDeque<u64>,
+    /// Per logical ID, the finish time of its last producer *on the
+    /// reference timeline* — the RAW component a renamed machine cannot
+    /// remove.
+    last_write: BTreeMap<u32, u64>,
     /// Items that started ahead of a program-earlier in-flight instruction.
     bypasses: u64,
     /// Cycles write allocations waited on tag free-list pressure.
@@ -162,18 +279,13 @@ struct OooState {
     reclaim_buf: Vec<SetId>,
 }
 
-impl OooState {
+impl Renamed {
     fn new(window: usize, lanes: usize, rename_tags: usize) -> Self {
         Self {
-            window: window.max(1),
-            lanes: vec![0; lanes.max(1)],
-            host_busy: 0,
-            inflight: VecDeque::new(),
-            last_retire: 0,
-            board: Scoreboard::new(),
-            rename: (rename_tags > 0).then(|| RenameMap::new(rename_tags)),
+            sched: Schedule::new(window, lanes),
+            map: RenameMap::new(rename_tags),
+            starts: VecDeque::new(),
             last_write: BTreeMap::new(),
-            makespan: 0,
             bypasses: 0,
             pressure_cycles: 0,
             reads_buf: Vec::new(),
@@ -182,10 +294,8 @@ impl OooState {
         }
     }
 
-    /// Issues one item on the out-of-order timeline. Returns
-    /// `(start, finish, lane, bypassed, exposed_dep_stall)` — the exposed
-    /// stall is only meaningful when renaming is off (with renaming on the
-    /// caller reports the shadow decomposition instead).
+    /// Issues one item on the renamed timeline, given where the reference
+    /// timeline (`shadow`) just put it.
     fn issue(
         &mut self,
         kind: LaneKind,
@@ -193,139 +303,97 @@ impl OooState {
         reads: &[SetId],
         writes: &[SetId],
         intent: WriteIntent,
-    ) -> (u64, u64, Option<usize>, bool, u64) {
-        // Operand translation: logical IDs, or physical tags under renaming.
-        // Read tags resolve before write tags bind, so an item that reads and
-        // rewrites the same set (an element update, an in-place binary op)
-        // depends on the previous version and produces the next one.
+        shadow: IssueOutcome,
+    ) -> IssueOutcome {
+        // Decompose the shadow's stall into the true-RAW component (the
+        // producer dependence a renamed machine keeps) and the false WAR/WAW
+        // remainder, *before* the shadow's finish times are published to the
+        // last-producer map.
+        let base = shadow.start - shadow.dep_stall;
+        let produced_at = |id: &SetId| self.last_write.get(&id.raw()).copied().unwrap_or(0);
+        let mut ready_true = reads.iter().map(produced_at).max().unwrap_or(0);
+        if intent == WriteIntent::Release {
+            // A renamed delete still consumes the dying version.
+            ready_true = ready_true.max(writes.iter().map(produced_at).max().unwrap_or(0));
+        }
+        let true_stall = ready_true.saturating_sub(base);
+        debug_assert!(true_stall <= shadow.dep_stall);
+        for &w in writes {
+            self.last_write.insert(w.raw(), shadow.finish);
+        }
+
+        // Operand translation to physical tags. Read tags resolve before
+        // write tags bind, so an item that reads and rewrites the same set
+        // (an element update, an in-place binary op) depends on the previous
+        // version and produces the next one.
         self.reads_buf.clear();
         self.writes_buf.clear();
         self.reclaim_buf.clear();
         let mut tag_avail = 0u64;
-        let renaming = self.rename.is_some();
-        if let Some(rm) = self.rename.as_mut() {
-            for &r in reads {
-                self.reads_buf.push(rm.read_tag(r));
-            }
-            match intent {
-                WriteIntent::Produce => {
-                    for &w in writes {
-                        let alloc = rm.write_tag(w);
-                        tag_avail = tag_avail.max(alloc.available_at);
-                        if let Some(old) = alloc.superseded {
-                            self.reclaim_buf.push(old);
-                        }
-                        self.writes_buf.push(alloc.tag);
+        for &r in reads {
+            self.reads_buf.push(self.map.read_tag(r));
+        }
+        match intent {
+            WriteIntent::Produce => {
+                for &w in writes {
+                    let alloc = self.map.write_tag(w);
+                    tag_avail = tag_avail.max(alloc.available_at);
+                    if let Some(old) = alloc.superseded {
+                        self.reclaim_buf.push(old);
                     }
-                }
-                WriteIntent::Release => {
-                    for &w in writes {
-                        // The delete consumes the dying version: RAW on its
-                        // producer only, then the tag drains back to the pool.
-                        let tag = rm.read_tag(w);
-                        rm.release(w);
-                        self.reads_buf.push(tag);
-                        self.reclaim_buf.push(tag);
-                    }
+                    self.writes_buf.push(alloc.tag);
                 }
             }
-        } else {
-            self.reads_buf.extend_from_slice(reads);
-            self.writes_buf.extend_from_slice(writes);
+            WriteIntent::Release => {
+                for &w in writes {
+                    // The delete consumes the dying version: RAW on its
+                    // producer only, then the tag drains back to the pool.
+                    let tag = self.map.read_tag(w);
+                    self.map.release(w);
+                    self.reads_buf.push(tag);
+                    self.reclaim_buf.push(tag);
+                }
+            }
         }
 
-        // Structural constraint: a full reorder window frees its oldest slot
-        // at that instruction's in-order retire time.
-        let structural = if self.inflight.len() >= self.window {
-            self.inflight.pop_front().map_or(0, |f| f.retire)
-        } else {
-            0
-        };
-        // Resource constraint: the earliest-free vault lane, or the host.
-        let (resource, lane) = match kind {
-            LaneKind::Vault => {
-                let (idx, &busy) = self
-                    .lanes
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(i, &busy)| (busy, i))
-                    .expect("at least one lane");
-                (busy, Some(idx))
-            }
-            LaneKind::Host => (self.host_busy, None),
-        };
-        // Operand constraint: true RAW on tags under renaming, the full
-        // RAW/WAW/WAR rules on logical IDs otherwise.
-        let ready = if renaming {
-            self.board.raw_ready_at(&self.reads_buf)
-        } else {
-            self.board.ready_at(&self.reads_buf, &self.writes_buf)
-        };
-
-        let floor = structural.max(resource);
+        if self.sched.window_full() {
+            self.starts.pop_front();
+        }
+        let (placed, held) =
+            self.sched
+                .place::<true>(kind, cycles, &self.reads_buf, &self.writes_buf, tag_avail);
         // Free-list pressure surfaces as a structural stall, not a
         // dependence stall.
-        self.pressure_cycles += tag_avail.saturating_sub(floor.max(ready));
-        let base = floor.max(tag_avail);
-        let start = base.max(ready);
-        let exposed_dep = ready.saturating_sub(base);
-        let finish = start + cycles;
-
-        match lane {
-            Some(idx) => self.lanes[idx] = finish,
-            None => self.host_busy = finish,
-        }
+        self.pressure_cycles += held;
         // Bypass: the item starts while a program-earlier instruction in the
         // window has not even started yet.
-        let bypassed = self.inflight.iter().any(|f| f.start > start);
-        if bypassed {
-            self.bypasses += 1;
-        }
-        // In-order retirement: an item cannot retire before its predecessor.
-        let retire = self.last_retire.max(finish);
-        self.inflight.push_back(InFlight { start, retire });
-        self.last_retire = retire;
-
-        self.board.record(&self.reads_buf, &self.writes_buf, finish);
+        let bypassed = self.starts.iter().any(|&s| s > placed.start);
+        self.bypasses += u64::from(bypassed);
+        self.starts.push_back(placed.start);
         // Superseded / deleted versions drain once their last recorded use
         // and the superseding item complete; then the tag returns to the pool
         // with a clean hazard slate.
-        if let Some(rm) = &mut self.rename {
-            for &old in &self.reclaim_buf {
-                let (w, r) = self.board.times_of(old);
-                self.board.release(old);
-                rm.reclaim(old, w.max(r).max(finish));
-            }
+        for &old in &self.reclaim_buf {
+            let (w, r) = self.sched.board.times_of(old);
+            self.sched.board.release(old);
+            self.map.reclaim(old, w.max(r).max(placed.finish));
         }
-        self.makespan = self.makespan.max(finish);
-        (start, finish, lane, bypassed, exposed_dep)
-    }
-
-    /// Drops hazard state that can no longer bind any future start time: on
-    /// the out-of-order timeline every vault item starts at or after the
-    /// earliest-free lane, and with a full window at or after the oldest
-    /// in-flight retire.
-    fn prune(&mut self) {
-        let mut horizon = self.lanes.iter().copied().min().unwrap_or(0);
-        if self.inflight.len() >= self.window {
-            horizon = horizon.max(self.inflight.front().map_or(0, |f| f.retire));
+        IssueOutcome {
+            // The shadow decomposition: the two sum to the rename-off stall.
+            dep_stall: true_stall,
+            false_dep_removed: shadow.dep_stall - true_stall,
+            bypassed,
+            // A release binds no tag: it consumed one.
+            phys_tag: self.writes_buf.first().copied(),
+            ..placed
         }
-        self.board.prune_completed(horizon);
     }
 
     fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            *lane = 0;
-        }
-        self.host_busy = 0;
-        self.inflight.clear();
-        self.last_retire = 0;
-        self.board.clear();
-        if let Some(rm) = &mut self.rename {
-            rm.clear();
-        }
+        self.sched.reset();
+        self.map.clear();
+        self.starts.clear();
         self.last_write.clear();
-        self.makespan = 0;
         self.bypasses = 0;
         self.pressure_cycles = 0;
     }
@@ -341,24 +409,17 @@ impl OooState {
 ///
 /// [`IssueQueue::new`] builds the in-order queue; [`IssueQueue::with_ooo`]
 /// adds the renamed out-of-order scheduler on top, in which case the in-order
-/// state keeps advancing as the *shadow reference schedule* that prices what
-/// the same program costs without renaming (the stall-decomposition baseline
-/// and [`IssueQueue::shadow_makespan_cycles`]).
+/// timeline keeps advancing as the *shadow reference schedule* that prices
+/// what the same program costs without renaming (the stall-decomposition
+/// baseline and [`IssueQueue::shadow_makespan_cycles`]).
 #[derive(Clone, Debug)]
 pub struct IssueQueue {
-    depth: usize,
-    /// Busy-until time per virtual vault lane.
-    lanes: Vec<u64>,
-    /// Busy-until time of the serial host resource.
-    host_busy: u64,
-    /// Retire times of the last `depth` issued items, in program order.
-    /// Retirement is in order, so the deque is kept non-decreasing.
-    window: VecDeque<u64>,
-    scoreboard: Scoreboard,
-    makespan: u64,
+    /// The in-order timeline: the only one without renaming, the shadow
+    /// reference with it.
+    reference: Schedule,
     issued: u64,
     /// The renamed out-of-order scheduler, when armed.
-    ooo: Option<Box<OooState>>,
+    renamed: Option<Box<Renamed>>,
 }
 
 impl IssueQueue {
@@ -367,37 +428,30 @@ impl IssueQueue {
     #[must_use]
     pub fn new(depth: usize, lanes: usize) -> Self {
         Self {
-            depth: depth.max(1),
-            lanes: vec![0; lanes.max(1)],
-            host_busy: 0,
-            window: VecDeque::new(),
-            scoreboard: Scoreboard::new(),
-            makespan: 0,
+            reference: Schedule::new(depth, lanes),
             issued: 0,
-            ooo: None,
+            renamed: None,
         }
     }
 
     /// Creates a queue whose items execute on the renamed out-of-order
     /// scheduler: a reorder window of `ooo_window` in-flight instructions
     /// (0 falls back to `depth`) over the same `lanes`, with set-ID renaming
-    /// through a pool of `rename_tags` physical tags (0 disables renaming —
-    /// the window then reorders under the full logical-ID hazard rules).
-    /// The in-order state of `depth` × `lanes` keeps running as the shadow
-    /// reference schedule.
+    /// through a pool of `rename_tags` physical tags. The in-order timeline
+    /// of `depth` × `lanes` keeps running as the shadow reference schedule.
+    ///
+    /// With `rename_tags == 0` there is nothing to rename, and a window that
+    /// reorders under the full logical-ID hazard rules schedules exactly like
+    /// an in-order window of its size: the call returns that plain queue,
+    /// [`IssueQueue::new`] at `ooo_window` (or `depth`) × `lanes`.
     #[must_use]
     pub fn with_ooo(depth: usize, lanes: usize, ooo_window: usize, rename_tags: usize) -> Self {
+        let window = if ooo_window == 0 { depth } else { ooo_window };
+        if rename_tags == 0 {
+            return Self::new(window, lanes);
+        }
         let mut queue = Self::new(depth, lanes);
-        let window = if ooo_window == 0 {
-            queue.depth
-        } else {
-            ooo_window
-        };
-        queue.ooo = Some(Box::new(OooState::new(
-            window,
-            queue.lanes.len(),
-            rename_tags,
-        )));
+        queue.renamed = Some(Box::new(Renamed::new(window, lanes, rename_tags)));
         queue
     }
 
@@ -405,32 +459,35 @@ impl IssueQueue {
     /// reference window when the out-of-order scheduler is armed).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.depth
+        self.reference.window
     }
 
     /// The reorder-window capacity, when the out-of-order scheduler is armed.
     #[must_use]
     pub fn ooo_window(&self) -> Option<usize> {
-        self.ooo.as_ref().map(|o| o.window)
+        self.renamed.as_ref().map(|r| r.sched.window)
     }
 
-    /// Whether set-ID renaming is armed.
+    /// Whether set-ID renaming (and with it the out-of-order scheduler) is
+    /// armed.
     #[must_use]
     pub fn renaming(&self) -> bool {
-        self.ooo.as_ref().is_some_and(|o| o.rename.is_some())
+        self.renamed.is_some()
     }
 
     /// The number of virtual vault lanes.
     #[must_use]
     pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+        self.reference.lanes.len()
     }
 
     /// Completion time of the overlapped schedule so far (the out-of-order
     /// schedule when armed, the in-order schedule otherwise).
     #[must_use]
     pub fn makespan_cycles(&self) -> u64 {
-        self.ooo.as_ref().map_or(self.makespan, |o| o.makespan)
+        self.renamed
+            .as_ref()
+            .map_or(self.reference.makespan, |r| r.sched.makespan)
     }
 
     /// Completion time of the shadow in-order reference schedule, when the
@@ -438,7 +495,7 @@ impl IssueQueue {
     /// `depth` × lanes without renaming.
     #[must_use]
     pub fn shadow_makespan_cycles(&self) -> Option<u64> {
-        self.ooo.as_ref().map(|_| self.makespan)
+        self.renamed.as_ref().map(|_| self.reference.makespan)
     }
 
     /// Number of items issued since the last reset.
@@ -451,24 +508,21 @@ impl IssueQueue {
     /// (0 on the in-order path).
     #[must_use]
     pub fn bypasses(&self) -> u64 {
-        self.ooo.as_ref().map_or(0, |o| o.bypasses)
+        self.renamed.as_ref().map_or(0, |r| r.bypasses)
     }
 
     /// Cycles write allocations waited on renaming free-list pressure (the
     /// structural stall of an exhausted physical-tag pool).
     #[must_use]
     pub fn rename_pressure_cycles(&self) -> u64 {
-        self.ooo.as_ref().map_or(0, |o| o.pressure_cycles)
+        self.renamed.as_ref().map_or(0, |r| r.pressure_cycles)
     }
 
     /// Allocations that grew the tag pool past its configured capacity
     /// (more live set versions than physical slots).
     #[must_use]
     pub fn rename_spills(&self) -> u64 {
-        self.ooo
-            .as_ref()
-            .and_then(|o| o.rename.as_ref())
-            .map_or(0, RenameMap::spills)
+        self.renamed.as_ref().map_or(0, |r| r.map.spills())
     }
 
     /// Items currently occupying the active issue window (the reorder window
@@ -476,9 +530,11 @@ impl IssueQueue {
     /// otherwise) — the queue-depth sample telemetry collectors record.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.ooo
+        self.renamed
             .as_ref()
-            .map_or(self.window.len(), |o| o.inflight.len())
+            .map_or(&self.reference, |r| &r.sched)
+            .inflight
+            .len()
     }
 
     /// Physical tags still allocatable from the renaming pool (`None` when
@@ -487,10 +543,7 @@ impl IssueQueue {
     /// counted.
     #[must_use]
     pub fn free_tags(&self) -> Option<usize> {
-        self.ooo
-            .as_ref()
-            .and_then(|o| o.rename.as_ref())
-            .map(RenameMap::available)
+        self.renamed.as_ref().map(|r| r.map.available())
     }
 
     /// Number of operand IDs (or physical tags) currently carrying hazard
@@ -498,7 +551,8 @@ impl IssueQueue {
     /// pruning keeps this bounded by the in-flight footprint).
     #[must_use]
     pub fn tracked_operands(&self) -> usize {
-        self.scoreboard.tracked() + self.ooo.as_ref().map_or(0, |o| o.board.tracked())
+        self.reference.board.tracked()
+            + self.renamed.as_ref().map_or(0, |r| r.sched.board.tracked())
     }
 
     /// Issues one timed work item producing its written sets: `cycles` of
@@ -532,62 +586,12 @@ impl IssueQueue {
             kind != LaneKind::Host || (reads.is_empty() && writes.is_empty()),
             "host items must not carry operand sets"
         );
-        // The in-order schedule: the only schedule without the out-of-order
-        // scheduler, the shadow reference schedule with it.
-        let shadow = self.issue_in_order(kind, cycles, reads, writes);
-        let outcome = if let Some(ooo) = self.ooo.as_mut() {
-            // Decompose the shadow's stall into the true-RAW component (the
-            // producer dependence a renamed machine keeps) and the false
-            // WAR/WAW remainder, *before* the shadow's finish times are
-            // published to the last-producer map.
-            let renaming = ooo.rename.is_some();
-            let (s_true, s_false) = if renaming {
-                let base = shadow.start - shadow.dep_stall;
-                let mut ready_true = 0u64;
-                for &r in reads {
-                    ready_true = ready_true.max(ooo.last_write.get(&r.raw()).copied().unwrap_or(0));
-                }
-                if intent == WriteIntent::Release {
-                    // A renamed delete still consumes the dying version.
-                    for &w in writes {
-                        ready_true =
-                            ready_true.max(ooo.last_write.get(&w.raw()).copied().unwrap_or(0));
-                    }
-                }
-                let s_true = ready_true.saturating_sub(base);
-                debug_assert!(s_true <= shadow.dep_stall);
-                (s_true, shadow.dep_stall - s_true)
-            } else {
-                (0, 0)
-            };
-            if renaming {
-                // The last-producer map only feeds the decomposition above.
-                for &w in writes {
-                    ooo.last_write.insert(w.raw(), shadow.finish);
-                }
-            }
-            let (start, finish, lane, bypassed, exposed_dep) =
-                ooo.issue(kind, cycles, reads, writes, intent);
-            // The scratch write buffer still holds the physical tags the
-            // issue just bound (it is cleared only on the next issue).
-            let phys_tag = (renaming && intent == WriteIntent::Produce)
-                .then(|| ooo.writes_buf.first().copied())
-                .flatten();
-            IssueOutcome {
-                start,
-                finish,
-                // With renaming on, report the shadow decomposition (it sums
-                // with `false_dep_removed` to the rename-off stall); without
-                // renaming the reordered schedule's own exposed stall is the
-                // full hazard cost.
-                dep_stall: if renaming { s_true } else { exposed_dep },
-                false_dep_removed: s_false,
-                bypassed,
-                lane,
-                phys_tag,
-            }
-        } else {
-            shadow
+        let (shadow, _) = self
+            .reference
+            .place::<false>(kind, cycles, reads, writes, 0);
+        let outcome = match self.renamed.as_mut() {
+            Some(renamed) => renamed.issue(kind, cycles, reads, writes, intent, shadow),
+            None => shadow,
         };
         self.issued += 1;
         if self.issued.is_multiple_of(PRUNE_INTERVAL) {
@@ -596,93 +600,24 @@ impl IssueQueue {
         outcome
     }
 
-    /// The in-order scheduling rule: issue-window slot, earliest-free lane,
-    /// full RAW/WAW/WAR readiness on logical set IDs.
-    fn issue_in_order(
-        &mut self,
-        kind: LaneKind,
-        cycles: u64,
-        reads: &[SetId],
-        writes: &[SetId],
-    ) -> IssueOutcome {
-        // Structural constraint: with the window full, the oldest in-flight
-        // item must retire (in program order) to free a slot.
-        let structural = if self.window.len() >= self.depth {
-            self.window.pop_front().unwrap_or(0)
-        } else {
-            0
-        };
-        // Resource constraint: the earliest-free vault lane, or the host.
-        let (resource_free, lane) = match kind {
-            LaneKind::Vault => {
-                let (idx, &busy) = self
-                    .lanes
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(i, &busy)| (busy, i))
-                    .expect("at least one lane");
-                (busy, Some(idx))
-            }
-            LaneKind::Host => (self.host_busy, None),
-        };
-        // Operand constraint: RAW/WAW/WAR hazards on the named sets.
-        let ready = self.scoreboard.ready_at(reads, writes);
-
-        let base = structural.max(resource_free);
-        let start = base.max(ready);
-        let dep_stall = ready.saturating_sub(base);
-        let finish = start + cycles;
-
-        match lane {
-            Some(idx) => self.lanes[idx] = finish,
-            None => self.host_busy = finish,
-        }
-        // In-order retirement: an item cannot retire before its predecessor.
-        let retire = self.window.back().map_or(finish, |&r| r.max(finish));
-        self.window.push_back(retire);
-        self.scoreboard.record(reads, writes, finish);
-        self.makespan = self.makespan.max(finish);
-        IssueOutcome {
-            start,
-            finish,
-            dep_stall,
-            false_dep_removed: 0,
-            bypassed: false,
-            lane,
-            phys_tag: None,
-        }
-    }
-
-    /// Prunes retired hazard state from both scoreboards and the shadow
-    /// last-producer map. Safe because every future vault item starts at or
-    /// after the earliest-free lane (and the oldest in-flight retire once
-    /// the window is full), so entries at or below that horizon can never
-    /// again bind a start time.
+    /// Prunes retired hazard state from both timelines and the shadow
+    /// last-producer map (against the reference timeline's horizon, whose
+    /// finish times it holds).
     fn prune(&mut self) {
-        let mut horizon = self.lanes.iter().copied().min().unwrap_or(0);
-        if self.window.len() >= self.depth {
-            horizon = horizon.max(self.window.front().copied().unwrap_or(0));
-        }
-        self.scoreboard.prune_completed(horizon);
-        if let Some(ooo) = &mut self.ooo {
-            ooo.last_write.retain(|_, &mut finish| finish > horizon);
-            ooo.prune();
+        let horizon = self.reference.prune();
+        if let Some(renamed) = &mut self.renamed {
+            renamed.last_write.retain(|_, &mut finish| finish > horizon);
+            renamed.sched.prune();
         }
     }
 
     /// Restarts the virtual clock at 0 and forgets all in-flight state (the
     /// load/measure boundary: statistics resets re-zero the timeline too).
     pub fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            *lane = 0;
-        }
-        self.host_busy = 0;
-        self.window.clear();
-        self.scoreboard.clear();
-        self.makespan = 0;
+        self.reference.reset();
         self.issued = 0;
-        if let Some(ooo) = &mut self.ooo {
-            ooo.reset();
+        if let Some(renamed) = &mut self.renamed {
+            renamed.reset();
         }
     }
 }
@@ -803,9 +738,21 @@ mod tests {
         let q = IssueQueue::new(0, 0);
         assert_eq!(q.depth(), 1);
         assert_eq!(q.lane_count(), 1);
+        // Without tags `with_ooo` is the plain queue, at the window if one
+        // was asked for and at the depth otherwise.
         let oq = IssueQueue::with_ooo(0, 0, 0, 0);
-        assert_eq!(oq.ooo_window(), Some(1), "window falls back to the depth");
         assert!(!oq.renaming());
+        assert_eq!((oq.depth(), oq.ooo_window()), (1, None));
+        assert_eq!(oq.shadow_makespan_cycles(), None);
+        assert_eq!(IssueQueue::with_ooo(3, 2, 0, 0).depth(), 3);
+        assert_eq!(IssueQueue::with_ooo(3, 2, 7, 0).depth(), 7);
+        let rq = IssueQueue::with_ooo(3, 0, 0, 4);
+        assert!(rq.renaming());
+        assert_eq!(
+            (rq.depth(), rq.ooo_window(), rq.lane_count()),
+            (3, Some(3), 1),
+            "window falls back to the depth"
+        );
     }
 
     #[test]
@@ -909,9 +856,8 @@ mod tests {
 
     #[test]
     fn reordering_without_renaming_matches_the_in_order_queue() {
-        // With renaming off, the reorder window obeys the same full-hazard
-        // rules and the same window arithmetic as an in-order queue of that
-        // depth: the two schedules must coincide cycle-for-cycle.
+        // A window without tags is the in-order queue of that size: every
+        // outcome field coincides, and no bypass or shadow is reported.
         let items: Vec<(u64, Vec<SetId>, Vec<SetId>)> = (0..50u32)
             .map(|i| (2 + u64::from(i % 6) * 9, ids(&[i % 7]), ids(&[(i * 5) % 9])))
             .collect();
@@ -920,12 +866,11 @@ mod tests {
         for (cost, reads, writes) in &items {
             let a = inorder.issue(LaneKind::Vault, *cost, reads, writes);
             let b = windowed.issue(LaneKind::Vault, *cost, reads, writes);
-            assert_eq!(
-                (a.start, a.finish, a.dep_stall),
-                (b.start, b.finish, b.dep_stall)
-            );
+            assert_eq!(a, b);
         }
         assert_eq!(inorder.makespan_cycles(), windowed.makespan_cycles());
+        assert_eq!(windowed.bypasses(), 0);
+        assert_eq!(windowed.shadow_makespan_cycles(), None);
     }
 
     #[test]

@@ -85,22 +85,17 @@ impl SisaRuntime {
         }
     }
 
-    /// Builds the issue queue the configuration asks for: the in-order
-    /// scoreboarded queue by default, or — when either rename/out-of-order
-    /// knob is set — the renamed out-of-order scheduler whose shadow
-    /// reference is the in-order queue at `issue_depth` × lanes.
+    /// Builds the issue queue the configuration asks for: the renamed
+    /// out-of-order scheduler over its in-order shadow reference when
+    /// `rename_tags` is set, else the in-order scoreboarded queue (see
+    /// [`IssueQueue::with_ooo`]).
     fn build_pipeline(config: &SisaConfig) -> IssueQueue {
-        let lanes = config.resolved_issue_lanes();
-        if config.uses_ooo() {
-            IssueQueue::with_ooo(
-                config.issue_depth,
-                lanes,
-                config.ooo_window,
-                config.rename_tags,
-            )
-        } else {
-            IssueQueue::new(config.issue_depth, lanes)
-        }
+        IssueQueue::with_ooo(
+            config.issue_depth,
+            config.resolved_issue_lanes(),
+            config.ooo_window,
+            config.rename_tags,
+        )
     }
 
     /// Creates a runtime with the default configuration.
@@ -1102,9 +1097,8 @@ mod tests {
 
     #[test]
     fn rename_off_configuration_is_bitexact_with_the_in_order_pipeline() {
-        // Both knobs off must reproduce PR4 behaviour exactly — and a
-        // reorder window without renaming obeys the same hazard rules as an
-        // in-order window of that size.
+        // A reorder window without renaming is the in-order queue of that
+        // size: the whole statistics record, bypass counters included.
         let run = |config: SisaConfig| {
             let mut rt = SisaRuntime::new(config);
             rt.set_universe(256);

@@ -166,9 +166,9 @@ struct PlacedBinary {
 /// Batches are restricted to the side-effect-free binary forms (materialising
 /// and counting): every operation reads pre-existing sets and at most creates
 /// a fresh result, so all operations in a batch are mutually independent and
-/// the engine is free to run different shards' work on different host
-/// threads. Operands must name sets that exist when `execute` is called —
-/// results of earlier operations in the same batch are not yet addressable.
+/// the engine is free to run them a shard at a time. Operands must name sets
+/// that exist when `execute` is called — results of earlier operations in the
+/// same batch are not yet addressable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchOp {
     /// `A ∩ B`, materialised.
@@ -204,46 +204,6 @@ impl From<BatchOp> for SetOp {
 /// global ID, or a cardinality.
 pub type BatchResult = Outcome;
 
-/// Runs `work` over every job and hands everything the jobs emit to `sink`
-/// on the calling thread: inline with one worker (each result goes straight
-/// to `sink`), else on `std::thread::scope` workers over contiguous chunks of
-/// the job list, whose results are sunk as the workers are joined. A job owns
-/// or borrows whatever one shard's share of a batch needs, so workers never
-/// share mutable state.
-fn fan_out<J: Send, R: Send>(
-    threads: usize,
-    jobs: Vec<J>,
-    work: impl Fn(J, &mut dyn FnMut(R)) + Sync,
-    mut sink: impl FnMut(R),
-) {
-    if threads <= 1 {
-        return jobs.into_iter().for_each(|job| work(job, &mut sink));
-    }
-    let per_worker = jobs.len().div_ceil(threads);
-    let mut jobs = jobs.into_iter();
-    let work = &work;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        loop {
-            let chunk: Vec<J> = jobs.by_ref().take(per_worker).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let mut emitted = Vec::new();
-                for job in chunk {
-                    work(job, &mut |result| emitted.push(result));
-                }
-                emitted
-            }));
-        }
-        for handle in handles {
-            let emitted = handle.join().expect("shard worker panicked");
-            emitted.into_iter().for_each(&mut sink);
-        }
-    });
-}
-
 /// A [`SetEngine`] that partitions the set universe across several inner
 /// engines and prices cross-shard operand movement.
 #[derive(Clone, Debug)]
@@ -265,8 +225,6 @@ pub struct ShardedEngine<E: SetEngine> {
     /// signal; results and clones count toward the shard that stores them).
     created_load: Vec<u64>,
     task_mark: u64,
-    /// Worker threads for [`Self::execute`]; 0 = available parallelism.
-    host_threads: usize,
     /// Telemetry sink for link-transfer events (observer-only).
     collector: Option<crate::telemetry::SharedCollector>,
     /// Track-group base reported with transfer events.
@@ -299,7 +257,6 @@ impl<E: SetEngine> ShardedEngine<E> {
             traffic: LinkTraffic::new(n),
             created_load: vec![0; n],
             task_mark: 0,
-            host_threads: 0,
             collector: None,
             telemetry_group: 0,
         }
@@ -333,30 +290,6 @@ impl<E: SetEngine> ShardedEngine<E> {
     #[must_use]
     pub fn traffic(&self) -> &LinkTraffic {
         &self.traffic
-    }
-
-    /// The configured worker-thread knob for [`Self::execute`]
-    /// (0 = resolve to available parallelism at run time).
-    #[must_use]
-    pub fn host_threads(&self) -> usize {
-        self.host_threads
-    }
-
-    /// Sets the worker-thread knob for [`Self::execute`]. 0 (the default)
-    /// resolves to the machine's available parallelism; 1 forces sequential
-    /// execution. Thread count never changes results or simulated statistics.
-    pub fn set_host_threads(&mut self, threads: usize) {
-        self.host_threads = threads;
-    }
-
-    /// The number of worker threads [`Self::execute`] will actually use.
-    #[must_use]
-    pub fn resolved_host_threads(&self) -> usize {
-        if self.host_threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.host_threads
-        }
     }
 
     /// The shard currently storing a set.
@@ -570,74 +503,56 @@ impl<E: SetEngine> ShardedEngine<E> {
             counted @ Outcome::Count(_) => counted,
         }
     }
-}
 
-impl<E: SetEngine + Send> ShardedEngine<E> {
-    /// Operations staged per [`Self::execute`] window: large enough to keep
-    /// every worker's queue full on wide batches, small enough that the
+    /// Operations staged per [`Self::execute`] window: small enough that the
     /// staged replicas alive at once stay within the shard allocators' hot
     /// slot-reuse footprint.
     const EXECUTE_WINDOW: usize = 1024;
 
-    /// Executes a batch of independent binary operations, fanning per-shard
-    /// work across host worker threads (see [`Self::set_host_threads`]).
+    /// Executes a batch of independent binary operations a window at a time,
+    /// each shard's share of a window run back to back.
     ///
     /// The batch runs as staged/run **windows** and settles like any other
     /// call, once per shard at the end:
     ///
-    /// 1. **Stage a window** (main thread, batch order): operands of the
-    ///    next `EXECUTE_WINDOW` (1024) operations are resolved and
-    ///    cross-shard transfers are priced exactly as the per-op path does —
-    ///    the smaller operand crosses the link and is staged as a replica on
-    ///    the executing shard. Each operation is appended to its executing
+    /// 1. **Stage a window** (batch order): operands of the next
+    ///    `EXECUTE_WINDOW` (1024) operations are resolved and cross-shard
+    ///    transfers are priced exactly as the per-op path does — the smaller
+    ///    operand crosses the link and is staged as a replica on the
+    ///    executing shard. Each operation is appended to its executing
     ///    shard's queue. Windowing bounds how many staged replicas are alive
     ///    at once, so the shard allocators keep recycling the same hot slots
     ///    instead of growing a batch-sized cold tail.
-    /// 2. **Run the window**: every shard's queue runs against that shard
-    ///    alone, either inline (one worker) or on `std::thread::scope`
-    ///    workers over disjoint shard chunks. A shard's state evolution
-    ///    depends only on its own queue, so thread count cannot change what
-    ///    any shard computes or records.
-    /// 3. **Settle** (main thread, shard order, once after the last window):
-    ///    what each shard accrued since it was last settled is folded into
-    ///    the aggregate statistics, and the aggregate energy is recomputed as
-    ///    the usual ordered fold over shards. This makes the aggregate —
-    ///    including the floating-point `energy_nj` — bit-for-bit identical
-    ///    for every thread count. Materialised results are then registered in
-    ///    batch order.
+    /// 2. **Run the window** (shard order): every shard's queue runs against
+    ///    that shard alone, in queue order. Stage-then-run is modelled state,
+    ///    not a host detail: all of a window's replicas are staged before its
+    ///    first operation runs, and that is what each shard's allocator and
+    ///    timeline see.
+    /// 3. **Settle** (shard order, once after the last window): what each
+    ///    shard accrued since it was last settled is folded into the
+    ///    aggregate statistics, and the aggregate energy is recomputed as
+    ///    the usual ordered fold over shards. Materialised results are then
+    ///    registered in batch order.
     ///
     /// Returns one [`BatchResult`] per operation, in batch order.
     ///
     /// # Panics
     ///
-    /// Panics if an operand does not name a live set, or if a worker thread
-    /// panics.
+    /// Panics if an operand does not name a live set.
     pub fn execute(&mut self, ops: &[BatchOp]) -> Vec<BatchResult> {
         let n = self.shards.len();
-        let threads = self.resolved_host_threads().clamp(1, n);
         let mut results: Vec<Option<(usize, Outcome)>> = vec![None; ops.len()];
         let mut queues: Vec<Vec<(usize, ResolvedBinary)>> = (0..n).map(|_| Vec::new()).collect();
         for (w, window) in ops.chunks(Self::EXECUTE_WINDOW).enumerate() {
-            for queue in &mut queues {
-                queue.clear();
-            }
             for (off, &op) in window.iter().enumerate() {
                 let site = self.resolve_binary(op.into());
                 queues[site.shard].push((w * Self::EXECUTE_WINDOW + off, site));
             }
-            // A shard's state evolves through its own queue alone, in queue
-            // order, so inline and threaded runs leave identical shards.
-            let jobs = self.shards.iter_mut().zip(&queues).collect();
-            fan_out(
-                threads,
-                jobs,
-                |(engine, queue), emit| {
-                    for (index, site) in queue {
-                        emit((*index, (site.shard, site.run(engine))));
-                    }
-                },
-                |(index, outcome)| results[index] = Some(outcome),
-            );
+            for (engine, queue) in self.shards.iter_mut().zip(&mut queues) {
+                for (index, site) in queue.drain(..) {
+                    results[index] = Some((site.shard, site.run(engine)));
+                }
+            }
         }
 
         for shard in 0..n {
@@ -652,13 +567,12 @@ impl<E: SetEngine + Send> ShardedEngine<E> {
             })
             .collect()
     }
-}
 
-impl<E: SetEngine + Sync> ShardedEngine<E> {
     /// Evaluates a batch of **counting** operations with the host kernels
     /// alone: results are computed directly on the shard-resident
-    /// representations, in place, without issuing instructions or advancing
-    /// the simulated machine — no cycles, energy, traffic or metadata change.
+    /// representations, in place and in batch order, without issuing
+    /// instructions or advancing the simulated machine — no cycles, energy,
+    /// traffic or metadata change.
     ///
     /// This is the raw-speed functional layer beneath the priced paths. Use
     /// it when only the answers matter (validation sweeps, result-only
@@ -667,41 +581,22 @@ impl<E: SetEngine + Sync> ShardedEngine<E> {
     /// paths compute every count through the same [`SetRepr`] kernels, so
     /// this evaluator returns exactly what they would.
     ///
-    /// Operations are grouped by executing shard (the shard holding the
-    /// larger operand — the same site rule the priced paths use) and fan out
-    /// over [`Self::resolved_host_threads`] worker threads; shard state is
-    /// only read, so thread count affects wall-clock alone.
-    ///
     /// # Panics
     ///
-    /// Panics if an operand does not name a live set, if the batch contains
-    /// a materialising form, or if a worker thread panics.
+    /// Panics if an operand does not name a live set, or if the batch
+    /// contains a materialising form.
     #[must_use]
     pub fn host_count_batch(&self, ops: &[BatchOp]) -> Vec<usize> {
-        let n = self.shards.len();
-        let mut queues: Vec<Vec<(usize, SetOp)>> = (0..n).map(|_| Vec::new()).collect();
-        for (index, &op) in ops.iter().enumerate() {
-            let op = SetOp::from(op);
-            assert!(
-                op.dest == Dest::Count,
-                "host_count_batch evaluates counting forms only"
-            );
-            queues[self.place_binary(op).stay.0].push((index, op));
-        }
-
-        let threads = self.resolved_host_threads().clamp(1, n);
-        let mut results = vec![0usize; ops.len()];
-        fan_out(
-            threads,
-            queues,
-            |queue, emit| {
-                for (index, op) in queue {
-                    emit((index, op.op.count(self.repr_of(op.a), self.repr_of(op.b))));
-                }
-            },
-            |(index, count)| results[index] = count,
-        );
-        results
+        ops.iter()
+            .map(|&op| {
+                let op = SetOp::from(op);
+                assert!(
+                    op.dest == Dest::Count,
+                    "host_count_batch evaluates counting forms only"
+                );
+                op.op.count(self.repr_of(op.a), self.repr_of(op.b))
+            })
+            .collect()
     }
 }
 
@@ -716,18 +611,14 @@ impl ShardedEngine<SisaRuntime> {
         let engines = (0..shards.max(1))
             .map(|_| SisaRuntime::new(config))
             .collect();
-        let mut engine = Self::from_shards(engines, strategy, link);
-        engine.set_host_threads(config.host_threads);
-        engine
+        Self::from_shards(engines, strategy, link)
     }
 
     /// Attaches a telemetry collector to the wrapper and every shard:
     /// shard `i` reports instruction events under track group
     /// `group_base + i`, and the wrapper reports link-transfer events under
     /// `group_base`. Collectors are strictly observers (results, work
-    /// counters and energy are bit-exact with or without one); the shared
-    /// handle is `Sync`, so the threaded [`Self::execute`] batch path keeps
-    /// working with a collector attached.
+    /// counters and energy are bit-exact with or without one).
     pub fn attach_collector(
         &mut self,
         collector: crate::telemetry::SharedCollector,
@@ -1254,38 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_stats_are_identical_for_every_thread_count() {
-        let reference = {
-            let mut engine = sharded(4, PartitionStrategy::Modulo);
-            engine.set_host_threads(1);
-            let (_, ops) = batch_fixture(&mut engine);
-            let _ = engine.execute(&ops);
-            engine
-        };
-        for threads in [2usize, 3, 8, 64] {
-            let mut engine = sharded(4, PartitionStrategy::Modulo);
-            engine.set_host_threads(threads);
-            assert_eq!(engine.resolved_host_threads(), threads);
-            let (_, ops) = batch_fixture(&mut engine);
-            let _ = engine.execute(&ops);
-            assert_eq!(engine.stats(), reference.stats(), "{threads} threads");
-            assert_eq!(
-                engine.stats().energy_nj.to_bits(),
-                reference.stats().energy_nj.to_bits(),
-                "energy must be bit-for-bit identical at {threads} threads"
-            );
-            assert_eq!(engine.traffic(), reference.traffic());
-            for shard in 0..engine.shard_count() {
-                assert_eq!(
-                    engine.shard_stats(shard),
-                    reference.shard_stats(shard),
-                    "shard {shard} at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn repr_of_reads_the_shard_resident_representation() {
         let mut engine = sharded(3, PartitionStrategy::Modulo);
         let a = engine.create_sorted([1, 5, 9]);
@@ -1318,11 +1177,6 @@ mod tests {
             engine.intersect_count(ids[2], ids[2]),
         ];
         assert_eq!(counts, expected);
-        // Thread count affects wall-clock alone, never the answers.
-        for threads in [2usize, 8] {
-            engine.set_host_threads(threads);
-            assert_eq!(engine.host_count_batch(&ops), expected, "{threads} threads");
-        }
     }
 
     #[test]
@@ -1337,7 +1191,6 @@ mod tests {
     #[test]
     fn execute_conserves_the_aggregate_like_the_per_op_path() {
         let mut engine = sharded(4, PartitionStrategy::DegreeBalanced);
-        engine.set_host_threads(4);
         let (_, ops) = batch_fixture(&mut engine);
         let _ = engine.execute(&ops);
         let mut recomputed = ExecStats::default();
@@ -1348,18 +1201,6 @@ mod tests {
         recomputed.link_bytes += engine.traffic().bytes;
         recomputed.energy_nj += engine.traffic().energy_nj;
         assert_eq!(recomputed, *engine.stats());
-    }
-
-    #[test]
-    fn host_threads_knob_flows_from_the_config() {
-        let mut config = SisaConfig::default();
-        assert_eq!(config.host_threads, 0, "auto by default");
-        config.host_threads = 3;
-        let engine = ShardedEngine::sisa(2, PartitionStrategy::Modulo, config);
-        assert_eq!(engine.host_threads(), 3);
-        assert_eq!(engine.resolved_host_threads(), 3);
-        let auto = ShardedEngine::sisa(2, PartitionStrategy::Modulo, SisaConfig::default());
-        assert!(auto.resolved_host_threads() >= 1, "auto resolves to >= 1");
     }
 
     #[test]

@@ -110,9 +110,10 @@ impl Collector for NoopCollector {}
 /// A cheaply cloneable, thread-safe handle to one shared [`Collector`].
 ///
 /// Engines hold one of these (the sharded engine clones it into every
-/// shard), so events from threaded batch execution interleave safely under
-/// the mutex; every event carries its own `group` and simulated timestamps,
-/// which makes the rendered timeline independent of arrival order.
+/// shard, a service into every worker's engine), so events from engines on
+/// different threads interleave safely under the mutex; every event carries
+/// its own `group` and simulated timestamps, which makes the rendered
+/// timeline independent of arrival order.
 #[derive(Clone)]
 pub struct SharedCollector(Arc<Mutex<dyn Collector + Send>>);
 

@@ -1,12 +1,14 @@
-//! Property-based tests for the threaded batch executor: for arbitrary set
-//! populations and batches, `ShardedEngine::execute` must produce
+//! Tests for the batch executor, `ShardedEngine::execute`:
 //!
-//! 1. the same *values* as issuing the operations one at a time through the
-//!    [`SetEngine`] trait, and
-//! 2. the same *results, work counters and bit-exact `energy_nj`* for every
-//!    host thread count — threading is a wall-clock knob, never a semantic
-//!    one.
+//! 1. for arbitrary set populations and batches it produces the same *values*
+//!    as issuing the operations one at a time through the [`SetEngine`]
+//!    trait, and leaves the same sets live;
+//! 2. it and `host_count_batch` ask nothing of the inner engine beyond
+//!    [`SetEngine`] — they run on one that is not `Send`.
 
+mod common;
+
+use common::{Calls, Counting};
 use proptest::prelude::*;
 use sisa_core::{
     BatchOp, BatchResult, PartitionStrategy, SetEngine, ShardedEngine, SisaConfig, SisaRuntime,
@@ -54,11 +56,9 @@ fn decode(ops: &[(u64, usize, usize)], ids: &[sisa_core::SetId]) -> Vec<BatchOp>
 /// representations so both sparse and bitmap paths are exercised).
 fn build(
     shards: usize,
-    threads: usize,
     pool: &[BTreeSet<Vertex>],
 ) -> (ShardedEngine<SisaRuntime>, Vec<sisa_core::SetId>) {
     let mut engine = ShardedEngine::sisa(shards, PartitionStrategy::Modulo, SisaConfig::default());
-    engine.set_host_threads(threads);
     engine.set_universe(UNIVERSE);
     let ids = pool
         .iter()
@@ -86,62 +86,18 @@ fn observe(engine: &mut ShardedEngine<SisaRuntime>, results: &[BatchResult]) -> 
 }
 
 proptest! {
-    /// (2): thread count is invisible — results, every work counter, the
-    /// traffic ledger and the floating-point energy are bit-for-bit equal.
-    #[test]
-    fn threaded_execution_reproduces_sequential_stats_bit_for_bit(
-        pool in proptest::collection::vec(vertex_set(), POOL..POOL + 1),
-        ops in proptest::collection::vec(batch_op(), 1..24),
-    ) {
-        let (mut sequential, ids) = build(4, 1, &pool);
-        let batch = decode(&ops, &ids);
-        let seq_results = sequential.execute(&batch);
-        let seq_observed = observe(&mut sequential, &seq_results);
-
-        for threads in [2usize, 4, 16] {
-            let (mut threaded, ids) = build(4, threads, &pool);
-            let batch = decode(&ops, &ids);
-            let results = threaded.execute(&batch);
-            prop_assert_eq!(&results, &seq_results, "{} threads", threads);
-            prop_assert_eq!(
-                &observe(&mut threaded, &results),
-                &seq_observed,
-                "{} threads",
-                threads
-            );
-            prop_assert_eq!(threaded.stats(), sequential.stats(), "{} threads", threads);
-            prop_assert_eq!(
-                threaded.stats().energy_nj.to_bits(),
-                sequential.stats().energy_nj.to_bits(),
-                "energy must be bit-exact at {} threads",
-                threads
-            );
-            prop_assert_eq!(threaded.traffic(), sequential.traffic());
-            for shard in 0..threaded.shard_count() {
-                prop_assert_eq!(
-                    threaded.shard_stats(shard),
-                    sequential.shard_stats(shard),
-                    "shard {} at {} threads",
-                    shard,
-                    threads
-                );
-            }
-            prop_assert_eq!(threaded.live_sets(), sequential.live_sets());
-        }
-    }
-
     /// (1): a batch agrees value-for-value with the one-at-a-time trait path.
     #[test]
     fn batches_agree_with_the_per_op_path(
         pool in proptest::collection::vec(vertex_set(), POOL..POOL + 1),
         ops in proptest::collection::vec(batch_op(), 1..16),
     ) {
-        let (mut batched, ids) = build(3, 2, &pool);
+        let (mut batched, ids) = build(3, &pool);
         let batch = decode(&ops, &ids);
         let results = batched.execute(&batch);
         let batched_observed = observe(&mut batched, &results);
 
-        let (mut reference, ids) = build(3, 1, &pool);
+        let (mut reference, ids) = build(3, &pool);
         let mut expected = Vec::new();
         for op in decode(&ops, &ids) {
             expected.push(match op {
@@ -169,4 +125,28 @@ proptest! {
         prop_assert_eq!(batched_observed, expected);
         prop_assert_eq!(batched.live_sets(), reference.live_sets());
     }
+}
+
+/// (2) Compile-level: [`Counting`] holds an `Rc`, so this builds only while
+/// both batch paths are declared for `E: SetEngine` alone.
+#[test]
+fn batches_run_on_an_engine_that_is_not_send() {
+    let calls = Calls::default();
+    let shards = (0..2)
+        .map(|_| Counting {
+            inner: SisaRuntime::with_defaults(),
+            calls: calls.clone(),
+        })
+        .collect();
+    let link = sisa_pim::LinkModel::new(SisaConfig::default().platform.pnm);
+    let mut engine = ShardedEngine::from_shards(shards, PartitionStrategy::Modulo, link);
+    engine.set_universe(UNIVERSE);
+    let a = engine.create_sorted([1, 2, 3]);
+    let b = engine.create_dense([2, 3, 4]);
+    assert_ne!(engine.shard_of(a), engine.shard_of(b), "cross-shard");
+    let ops = [BatchOp::IntersectCount(a, b), BatchOp::Union(a, b)];
+    assert_eq!(engine.host_count_batch(&ops[..1]), [2]);
+    let results = engine.execute(&ops);
+    assert_eq!(results[0].count(), 2);
+    assert_eq!(engine.members(results[1].set()), [1, 2, 3, 4]);
 }

@@ -1,5 +1,6 @@
 //! The random engine workload the property suites share: one step type, one
-//! single-draw generator over the kinds a suite lists, one runner.
+//! single-draw generator over the kinds a suite lists, one runner — and
+//! [`Counting`], the call-observing engine from outside the crate.
 //!
 //! A binary step is a [`SetOp`] draw whose operands name the two seed sets by
 //! slot ([`A`], [`B`]); the runner rebinds them to the IDs the engine under
@@ -13,12 +14,14 @@
 use proptest::prelude::*;
 use sisa_core::scu::BinarySetOp;
 use sisa_core::{
-    BatchOp, Dest, FunctionalEngine, HostEngine, Outcome, SetEngine, SetOp, ShardedEngine,
-    SisaRuntime,
+    BatchOp, Dest, ExecStats, FunctionalEngine, HostEngine, Outcome, SetEngine, SetOp,
+    ShardedEngine, SisaRuntime, TaskRecord,
 };
 use sisa_isa::SetId;
-use sisa_sets::Vertex;
+use sisa_sets::{SetRepr, Vertex};
+use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// The slot of the sorted seed set in a step's operands.
 pub const A: SetId = SetId(0);
@@ -229,4 +232,122 @@ pub fn run_steps_checked<E: Batched>(
         check(engine);
     }
     observed
+}
+
+/// Named binary calls seen, in the order [`SetEngine`] declares the nine
+/// methods. Shared, because the shards of a `ShardedEngine` are out of reach
+/// once wrapped — and an `Rc`, so an engine holding one is not `Send`.
+pub type Calls = Rc<[Cell<usize>; 9]>;
+
+/// Forwards all 27 required methods to `inner`, counting the nine binary
+/// ones, and does not override `apply`.
+pub struct Counting<E> {
+    pub inner: E,
+    pub calls: Calls,
+}
+
+impl<E> Counting<E> {
+    fn saw(&self, form: usize) {
+        self.calls[form].set(self.calls[form].get() + 1);
+    }
+}
+
+pub fn snapshot(calls: &Calls) -> [usize; 9] {
+    std::array::from_fn(|i| calls[i].get())
+}
+
+impl<E: SetEngine> SetEngine for Counting<E> {
+    fn backend_name(&self) -> &'static str {
+        self.inner.backend_name()
+    }
+    fn set_universe(&mut self, n: usize) {
+        self.inner.set_universe(n);
+    }
+    fn universe(&self) -> usize {
+        self.inner.universe()
+    }
+    fn stats(&self) -> &ExecStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats();
+    }
+    fn live_sets(&self) -> usize {
+        self.inner.live_sets()
+    }
+    fn create(&mut self, repr: SetRepr) -> SetId {
+        self.inner.create(repr)
+    }
+    fn clone_set(&mut self, id: SetId) -> SetId {
+        self.inner.clone_set(id)
+    }
+    fn delete(&mut self, id: SetId) {
+        self.inner.delete(id);
+    }
+    fn cardinality(&mut self, id: SetId) -> usize {
+        self.inner.cardinality(id)
+    }
+    fn contains(&mut self, id: SetId, v: Vertex) -> bool {
+        self.inner.contains(id, v)
+    }
+    fn members(&mut self, id: SetId) -> Vec<Vertex> {
+        self.inner.members(id)
+    }
+    fn repr(&self, id: SetId) -> &SetRepr {
+        self.inner.repr(id)
+    }
+    fn insert(&mut self, id: SetId, v: Vertex) -> bool {
+        self.inner.insert(id, v)
+    }
+    fn remove(&mut self, id: SetId, v: Vertex) -> bool {
+        self.inner.remove(id, v)
+    }
+    fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
+        self.saw(0);
+        self.inner.intersect(a, b)
+    }
+    fn union(&mut self, a: SetId, b: SetId) -> SetId {
+        self.saw(1);
+        self.inner.union(a, b)
+    }
+    fn difference(&mut self, a: SetId, b: SetId) -> SetId {
+        self.saw(2);
+        self.inner.difference(a, b)
+    }
+    fn intersect_count(&mut self, a: SetId, b: SetId) -> usize {
+        self.saw(3);
+        self.inner.intersect_count(a, b)
+    }
+    fn union_count(&mut self, a: SetId, b: SetId) -> usize {
+        self.saw(4);
+        self.inner.union_count(a, b)
+    }
+    fn difference_count(&mut self, a: SetId, b: SetId) -> usize {
+        self.saw(5);
+        self.inner.difference_count(a, b)
+    }
+    fn intersect_assign(&mut self, a: SetId, b: SetId) {
+        self.saw(6);
+        self.inner.intersect_assign(a, b);
+    }
+    fn union_assign(&mut self, a: SetId, b: SetId) {
+        self.saw(7);
+        self.inner.union_assign(a, b);
+    }
+    fn difference_assign(&mut self, a: SetId, b: SetId) {
+        self.saw(8);
+        self.inner.difference_assign(a, b);
+    }
+    fn host_ops(&mut self, n: u64) {
+        self.inner.host_ops(n);
+    }
+    fn absorb_lane_work(&mut self, cycles: u64, writes: &[SetId]) {
+        self.inner.absorb_lane_work(cycles, writes);
+    }
+    fn task_begin(&mut self) {
+        self.inner.task_begin();
+    }
+    fn task_end(&mut self) -> TaskRecord {
+        self.inner.task_end()
+    }
 }

@@ -17,18 +17,18 @@
 //!
 //! Each test names the one-line mutation it was seen to fail under.
 
+mod common;
+
+use common::{snapshot, Calls, Counting};
 use proptest::prelude::*;
 use sisa_core::scu::BinarySetOp;
 use sisa_core::{
-    BatchOp, Dest, ExecStats, FunctionalEngine, HostEngine, Interpreter, Outcome,
-    PartitionStrategy, SetEngine, SetOp, ShardedEngine, SisaConfig, SisaRuntime, TaskRecord,
-    TraceOp,
+    BatchOp, Dest, FunctionalEngine, HostEngine, Interpreter, Outcome, PartitionStrategy,
+    SetEngine, SetOp, ShardedEngine, SisaConfig, SisaRuntime, TraceOp,
 };
 use sisa_isa::{SetId, SisaOpcode};
-use sisa_sets::{SetRepr, Vertex};
+use sisa_sets::Vertex;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 const UNIVERSE: usize = 128;
 const OPS: [BinarySetOp; 3] = [
@@ -189,125 +189,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// (2) A foreign implementor: 27 forwarding methods, the provided `apply`
+// (2) A foreign implementor (`common::Counting`): 27 forwarding methods, the
+// provided `apply`
 // ---------------------------------------------------------------------------
-
-/// Named binary calls seen, by [`form_index`]. Shared, because the shards of a
-/// `ShardedEngine` are out of reach once wrapped.
-type Calls = Arc<[AtomicUsize; 9]>;
-
-/// Forwards all 27 required methods to `inner`, counting the nine binary
-/// ones, and does not override `apply`.
-struct Counting<E> {
-    inner: E,
-    calls: Calls,
-}
-
-impl<E> Counting<E> {
-    fn saw(&self, form: usize) {
-        self.calls[form].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn snapshot(calls: &Calls) -> [usize; 9] {
-    std::array::from_fn(|i| calls[i].load(Ordering::Relaxed))
-}
-
-impl<E: SetEngine> SetEngine for Counting<E> {
-    fn backend_name(&self) -> &'static str {
-        self.inner.backend_name()
-    }
-    fn set_universe(&mut self, n: usize) {
-        self.inner.set_universe(n);
-    }
-    fn universe(&self) -> usize {
-        self.inner.universe()
-    }
-    fn stats(&self) -> &ExecStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-    fn live_sets(&self) -> usize {
-        self.inner.live_sets()
-    }
-    fn create(&mut self, repr: SetRepr) -> SetId {
-        self.inner.create(repr)
-    }
-    fn clone_set(&mut self, id: SetId) -> SetId {
-        self.inner.clone_set(id)
-    }
-    fn delete(&mut self, id: SetId) {
-        self.inner.delete(id);
-    }
-    fn cardinality(&mut self, id: SetId) -> usize {
-        self.inner.cardinality(id)
-    }
-    fn contains(&mut self, id: SetId, v: Vertex) -> bool {
-        self.inner.contains(id, v)
-    }
-    fn members(&mut self, id: SetId) -> Vec<Vertex> {
-        self.inner.members(id)
-    }
-    fn repr(&self, id: SetId) -> &SetRepr {
-        self.inner.repr(id)
-    }
-    fn insert(&mut self, id: SetId, v: Vertex) -> bool {
-        self.inner.insert(id, v)
-    }
-    fn remove(&mut self, id: SetId, v: Vertex) -> bool {
-        self.inner.remove(id, v)
-    }
-    fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
-        self.saw(0);
-        self.inner.intersect(a, b)
-    }
-    fn union(&mut self, a: SetId, b: SetId) -> SetId {
-        self.saw(1);
-        self.inner.union(a, b)
-    }
-    fn difference(&mut self, a: SetId, b: SetId) -> SetId {
-        self.saw(2);
-        self.inner.difference(a, b)
-    }
-    fn intersect_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.saw(3);
-        self.inner.intersect_count(a, b)
-    }
-    fn union_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.saw(4);
-        self.inner.union_count(a, b)
-    }
-    fn difference_count(&mut self, a: SetId, b: SetId) -> usize {
-        self.saw(5);
-        self.inner.difference_count(a, b)
-    }
-    fn intersect_assign(&mut self, a: SetId, b: SetId) {
-        self.saw(6);
-        self.inner.intersect_assign(a, b);
-    }
-    fn union_assign(&mut self, a: SetId, b: SetId) {
-        self.saw(7);
-        self.inner.union_assign(a, b);
-    }
-    fn difference_assign(&mut self, a: SetId, b: SetId) {
-        self.saw(8);
-        self.inner.difference_assign(a, b);
-    }
-    fn host_ops(&mut self, n: u64) {
-        self.inner.host_ops(n);
-    }
-    fn absorb_lane_work(&mut self, cycles: u64, writes: &[SetId]) {
-        self.inner.absorb_lane_work(cycles, writes);
-    }
-    fn task_begin(&mut self) {
-        self.inner.task_begin();
-    }
-    fn task_end(&mut self) -> TaskRecord {
-        self.inner.task_end()
-    }
-}
 
 fn every_form(a: SetId, b: SetId) -> Vec<SetOp> {
     let forms = DESTS
@@ -380,14 +264,11 @@ fn the_provided_apply_reaches_exactly_one_named_method_per_operation() {
         BatchOp::DifferenceCount(a, b),
         BatchOp::IntersectCount(a, a),
     ];
-    for threads in [1usize, 3] {
-        sharded.set_host_threads(threads);
-        let results = sharded.execute(&batch);
-        assert_eq!(results.len(), batch.len());
-    }
+    let results = sharded.execute(&batch);
+    assert_eq!(results.len(), batch.len());
     let mut expected = before;
     for form in [0, 4, 2, 3, 1, 5, 3] {
-        expected[form] += 2;
+        expected[form] += 1;
     }
     assert_eq!(snapshot(&calls), expected);
 }

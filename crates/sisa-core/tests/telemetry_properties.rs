@@ -140,7 +140,7 @@ proptest! {
     }
 
     /// (1) + (2) on a sharded engine: the conservation identities and the
-    /// threaded batch path stay bit-exact with a collector attached, and the
+    /// batch path stay bit-exact with a collector attached, and the
     /// recorded event span over every shard track equals the aggregate
     /// makespan (which merges per-shard makespans as a max).
     #[test]

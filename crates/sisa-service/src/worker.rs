@@ -554,9 +554,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Unbudgeted triangle counting through the threaded
-/// [`ShardedEngine::execute`] batch path: one `IntersectCount` per oriented
-/// edge, flushed in windows, with a streamed progress frame per window.
+/// Unbudgeted triangle counting through the [`ShardedEngine::execute`]
+/// batch path: one `IntersectCount` per oriented edge, flushed in windows,
+/// with a streamed progress frame per window.
 ///
 /// Produces exactly the same count as the serial
 /// [`sisa_algorithms::setcentric::triangle_count`] kernel (both sum
