@@ -8,14 +8,22 @@
 //! reload and re-registration ticks the per-name generation (and the
 //! counter also ticks while the name is non-resident), a stale entry's key
 //! can never match a live lookup: invalidation is structural, not
-//! best-effort.
+//! best-effort, and dead keys are released at the next insert. The cache
+//! remembers the latest generation it was handed per graph name: the first
+//! insert under a newer generation of a name removes that name's older
+//! entries (unreachable by then — not LRU displacements, so not counted as
+//! evictions), and an insert under an older one is the stillborn entry of a
+//! result computed while the registry moved on, and is dropped. A name that
+//! ticks for ever therefore occupies what its current generation holds, not
+//! the whole LRU.
 //!
 //! The cache is a bounded LRU on two axes — entry count and approximate
 //! resident bytes ([`ServiceConfig::cache_entries`] /
 //! [`ServiceConfig::cache_bytes`]) — and is shared between the dispatcher
 //! (lookups) and every worker (inserts) behind one mutex; both operations
-//! are O(log n) map work plus, on overflow, an O(n) LRU victim scan, all of
-//! it far below one engine-executed query.
+//! are O(log n) map work plus, on overflow or on a name's first insert under
+//! a newer generation, one O(n) scan, all of it far below one
+//! engine-executed query.
 //!
 //! [`ServiceConfig::cache_entries`]: crate::ServiceConfig::cache_entries
 //! [`ServiceConfig::cache_bytes`]: crate::ServiceConfig::cache_bytes
@@ -55,6 +63,10 @@ struct CacheEntry {
 #[derive(Debug, Default)]
 struct CacheInner {
     entries: BTreeMap<CacheKey, CacheEntry>,
+    /// The newest generation inserted per graph name (one word per name, as
+    /// the registry's own per-name counters): every resident entry of a name
+    /// is of exactly this generation.
+    latest: BTreeMap<String, u64>,
     bytes: usize,
     touch: u64,
     hits: u64,
@@ -165,6 +177,9 @@ impl ResultCache {
 
     /// Stores a result under `(generation, spec)`, displacing
     /// least-recently-used entries if the entry or byte bound overflows.
+    /// The first insert under a newer generation of the spec's graph first
+    /// releases that graph's older entries (dead keys, not evictions); an
+    /// insert under an older generation than the newest seen is dropped.
     /// Returns how many entries were evicted to make room.
     pub fn insert(&self, generation: u64, spec: &QuerySpec, result: CachedResult) -> u64 {
         if self.is_disabled() {
@@ -179,6 +194,25 @@ impl ResultCache {
             spec: spec.clone(),
         };
         let mut inner = self.inner.lock().expect("cache lock");
+        match inner.latest.get_mut(&spec.graph) {
+            Some(latest) if generation < *latest => return 0,
+            Some(latest) if generation > *latest => {
+                *latest = generation;
+                let mut released = 0;
+                inner.entries.retain(|key, entry| {
+                    let dead = key.spec.graph == spec.graph;
+                    if dead {
+                        released += entry.bytes;
+                    }
+                    !dead
+                });
+                inner.bytes -= released;
+            }
+            Some(_) => {}
+            None => {
+                inner.latest.insert(spec.graph.clone(), generation);
+            }
+        }
         let stamp = inner.touch + 1;
         inner.touch = stamp;
         if let Some(old) = inner.entries.insert(
@@ -306,6 +340,76 @@ mod tests {
             cache.counters().resident_bytes <= 2 * per_entry as u64,
             "byte bound holds"
         );
+    }
+
+    /// Seen to fail under: the `retain` dropped (four resident, the dead
+    /// pair still there); `inner.bytes -= released` dropped (the byte gauge
+    /// keeps the dead pair); `!dead` for `dead` (the other name goes instead);
+    /// the purge counted in `evictions`.
+    #[test]
+    fn a_newer_generation_releases_the_names_dead_entries() {
+        let cache = ResultCache::new(8, 1 << 20);
+        let budgeted = spec("g").with_budget(5);
+        cache.insert(1, &spec("g"), result(1));
+        cache.insert(1, &budgeted, result(2));
+        cache.insert(1, &spec("h"), result(3));
+        assert_eq!(cache.insert(2, &spec("g"), result(4)), 0, "not evictions");
+        let counters = cache.counters();
+        assert_eq!(counters.resident, 2, "g's generation 1 is released");
+        assert_eq!(counters.evictions, 0);
+        assert_eq!(
+            counters.resident_bytes,
+            (entry_bytes(&spec("g")) + entry_bytes(&spec("h"))) as u64
+        );
+        assert_eq!(cache.get(2, &spec("g")).unwrap().value, 4);
+        assert_eq!(
+            cache.get(1, &spec("h")).unwrap().value,
+            3,
+            "other names stay"
+        );
+        assert!(cache.get(1, &spec("g")).is_none());
+        assert!(cache.get(1, &budgeted).is_none());
+        // The same generation again is a plain insert beside the first.
+        cache.insert(2, &budgeted, result(5));
+        assert_eq!(cache.counters().resident, 3);
+        assert_eq!(cache.get(2, &spec("g")).unwrap().value, 4);
+    }
+
+    /// Seen to fail under: the `generation < *latest` arm dropped (the
+    /// stillborn entry is resident); `<` for `<=` there (the same-generation
+    /// insert is dropped); the latest generation lowered by the older insert
+    /// (the generation-5 entry is purged by the next insert under 5).
+    #[test]
+    fn an_insert_older_than_the_latest_seen_is_dropped() {
+        let cache = ResultCache::new(8, 1 << 20);
+        cache.insert(5, &spec("g"), result(1));
+        assert_eq!(cache.insert(4, &spec("g"), result(2)), 0);
+        assert_eq!(cache.counters().resident, 1, "stillborn, so never stored");
+        assert!(cache.get(4, &spec("g")).is_none());
+        cache.insert(5, &spec("g").with_budget(5), result(3));
+        assert_eq!(cache.counters().resident, 2);
+        assert_eq!(cache.get(5, &spec("g")).unwrap().value, 1);
+        // Other names keep their own latest generation.
+        cache.insert(4, &spec("h"), result(4));
+        assert_eq!(cache.get(4, &spec("h")).unwrap().value, 4);
+    }
+
+    /// The serving pattern of a mutated graph: one name, a new generation
+    /// every few inserts. Seen to fail under: the `retain` dropped (the bound
+    /// fills with dead keys, `other` is the LRU victim, `evictions` counts).
+    #[test]
+    fn a_ticking_name_never_fills_the_lru() {
+        let cache = ResultCache::new(4, 1 << 20);
+        cache.insert(1, &spec("other"), result(7));
+        for generation in 1..=100 {
+            cache.insert(generation, &spec("g"), result(generation));
+            cache.insert(generation, &spec("g").with_budget(5), result(generation));
+        }
+        let counters = cache.counters();
+        assert_eq!(counters.evictions, 0, "nothing live was ever displaced");
+        assert_eq!(counters.resident, 3);
+        assert_eq!(cache.get(1, &spec("other")).unwrap().value, 7);
+        assert_eq!(cache.get(100, &spec("g")).unwrap().value, 100);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   scheduling: a hit answers immediately with the stored value, bills
 //!   zero engine cycles (the conservation identity stays exact; hits land
 //!   in their own ledger column) and is invalidated structurally by the
-//!   registry's generation ticks. Sized by
+//!   registry's generation ticks; a name's dead generations are released
+//!   at its next insert, so a graph that ticks for ever holds only what
+//!   its current generation does. Sized by
 //!   [`ServiceConfig::cache_entries`] / [`ServiceConfig::cache_bytes`].
 //! * **Streaming mutations** — the `mutate` request family
 //!   ([`QueryKind::Mutate`]) applies batched edge inserts and deletes
@@ -35,7 +37,12 @@
 //!   intersects the endpoints' adjacency sets on the set engine — priced on
 //!   the PIM cost model and billed to the mutating tenant — instead of
 //!   recomputing from scratch, and serves subsequent unbudgeted counts
-//!   straight from the maintained counters. Mutations are never coalesced
+//!   straight from the maintained counters. The worker judges each
+//!   resident state of a name — its static loads and its incremental
+//!   miner — by that state's *own* generation against the registry's: a
+//!   read that finds the static loads one `mutate` behind reloads those
+//!   and leaves the miner, which that `mutate` brought to exactly the
+//!   current generation, for the next one. Mutations are never coalesced
 //!   and never answered from the cache, and worker affinity orders them
 //!   against queries on the same graph.
 //! * **Weighted-fair scheduler** ([`WfqScheduler`]) — per-tenant FIFOs

@@ -62,7 +62,10 @@ struct ResidentGraph {
 /// streaming mutations on this worker: a [`StreamingMiner`] plus the
 /// registry generation its state corresponds to. While `generation` matches
 /// the registry's current per-name generation, the maintained counts are
-/// exact answers for unbudgeted triangle / tracked k-clique queries.
+/// exact answers for unbudgeted triangle / tracked k-clique queries, and
+/// the next `mutate` applies to the miner as it is. The state is judged by
+/// this generation alone: the static loads of the same name going stale
+/// (every `mutate` leaves them one tick behind) says nothing about it.
 struct StreamState {
     generation: u64,
     miner: StreamingMiner,
@@ -158,20 +161,28 @@ impl Worker {
     }
 
     /// Loads `name` into shard-resident sets if it is not already resident
-    /// *at the registry's current generation*. A resident load whose
-    /// generation no longer matches (the registry evicted or replaced the
-    /// name behind this worker's back, e.g. by capacity LRU) is evicted and
-    /// reloaded fresh, so a worker can never serve a stale graph. The load
-    /// cost is billed to the registry ledger (not to any tenant), which is
-    /// what makes the second query on a graph charge zero additional load
-    /// cycles.
+    /// *at the registry's current generation*. Staleness is a property of
+    /// each resident state against the registry, never of its sibling:
+    /// static loads cut from an older generation (a `mutate` ticked the
+    /// name, or the registry evicted or replaced it behind this worker's
+    /// back) are deleted and reloaded fresh, so a worker can never serve a
+    /// stale graph — and the stream state goes with them only if *its own*
+    /// generation is not the current one either. After a `mutate` it is
+    /// exactly the current one, so the read that reloads the static loads
+    /// leaves the miner for the next `mutate` and the maintained reads in
+    /// between. Deletion and load are billed to the registry ledger (not to
+    /// any tenant), which is what makes the second query on a graph charge
+    /// zero additional load cycles.
     fn ensure_resident(&mut self, name: &str) -> Result<(), String> {
-        if let Some(resident) = self.graphs.get(name) {
-            if resident.generation == self.registry.generation_of(name) {
-                return Ok(());
-            }
-            self.evict(name);
+        let current = self.registry.generation_of(name);
+        if self.graphs.get(name).map(|g| g.generation) == Some(current) {
+            return Ok(());
         }
+        let stream = self.streams.get(name).map(|s| s.generation);
+        if stream.is_some_and(|generation| generation != current) {
+            self.drop_stream_state(name);
+        }
+        self.drop_static_loads(name);
         let lease = self
             .registry
             .acquire_lease(name)
@@ -195,11 +206,19 @@ impl Worker {
         Ok(())
     }
 
-    /// Deletes the shard-resident sets of `name` (both the static loads and
-    /// any streaming state); the deletion cost is billed to the registry
-    /// ledger.
+    /// Deletes every shard-resident set of `name` — the static loads and the
+    /// streaming state, whichever are resident: what a registry eviction or
+    /// re-registration asks for, since neither state can describe the name
+    /// afterwards. The deletion cost is billed to the registry ledger.
     fn evict(&mut self, name: &str) {
         self.drop_stream_state(name);
+        self.drop_static_loads(name);
+    }
+
+    /// Deletes and forgets `name`'s static loads (and with them the registry
+    /// lease they were cut from), billing the set deletions to the registry
+    /// ledger and counting one eviction.
+    fn drop_static_loads(&mut self, name: &str) {
         let Some(resident) = self.graphs.remove(name) else {
             return;
         };
@@ -676,6 +695,91 @@ mod tests {
         assert_eq!(w.metrics.counter("sisa_queries_panicked_total"), 1);
         assert_eq!(w.metrics.counter("sisa_queries_failed_total"), 1);
         assert_eq!(w.metrics.counter("sisa_queries_completed_total"), 0);
+    }
+
+    /// Runs `kind` on "g" for tenant "t" through `run_group`, returning the
+    /// terminal event.
+    fn run(w: &mut Worker, kind: QueryKind, budget: Option<u64>) -> QueryEvent {
+        w.admission.try_admit("t").unwrap();
+        let (events, rx) = channel();
+        let mut spec = QuerySpec::new("g", kind);
+        spec.budget = budget;
+        w.run_group(JobGroup {
+            spec: spec.clone(),
+            entries: vec![Job {
+                tenant: "t".to_string(),
+                spec,
+                events,
+                submitted: Instant::now(),
+            }],
+        });
+        rx.try_iter().last().expect("a terminal event")
+    }
+
+    fn mutation(u: Vertex, v: Vertex) -> QueryKind {
+        QueryKind::Mutate(sisa_graph::GraphDelta::new().insert(u, v))
+    }
+
+    #[test]
+    fn evict_returns_the_engine_to_its_baseline_whichever_state_was_resident() {
+        let mut w = worker();
+        let g = sisa_graph::generators::erdos_renyi(10, 0.4, 3);
+        let baseline = w.engine.live_sets();
+        for (mutates, reads) in [(true, false), (false, true), (true, true)] {
+            w.registry.register("g", g.clone());
+            if mutates {
+                assert!(matches!(
+                    run(&mut w, mutation(0, 9), None),
+                    QueryEvent::Done(_)
+                ));
+            }
+            if reads {
+                let read = run(&mut w, QueryKind::KCliqueCount { k: 4 }, Some(2));
+                assert!(matches!(read, QueryEvent::Done(_)));
+            }
+            assert_eq!(w.streams.contains_key("g"), mutates);
+            assert_eq!(w.graphs.contains_key("g"), reads);
+            assert!(w.engine.live_sets() > baseline);
+            w.evict("g");
+            assert!(w.streams.is_empty() && w.graphs.is_empty());
+            assert_eq!(w.engine.live_sets(), baseline, "{mutates} {reads}");
+        }
+        assert_eq!(w.admission.in_flight(), 0);
+    }
+
+    /// Seen to fail under: `self.evict(name)` restored in `ensure_resident`
+    /// (the current stream state is gone after the first reload); the
+    /// stream's own-generation check dropped (the stale miner's sets stay
+    /// live beside the replaced graph's loads).
+    #[test]
+    fn a_stale_static_load_takes_the_stream_state_along_only_if_that_is_stale_too() {
+        let mut w = worker();
+        w.registry
+            .register("g", sisa_graph::generators::erdos_renyi(10, 0.4, 3));
+        run(&mut w, mutation(0, 9), None);
+        run(&mut w, QueryKind::KCliqueCount { k: 4 }, Some(2));
+        run(&mut w, mutation(1, 8), None);
+        let current = w.registry.generation_of("g");
+        assert_eq!(w.streams["g"].generation, current);
+        assert_eq!(w.graphs["g"].generation, current - 1, "one tick behind");
+
+        // Stale statics beside a current stream: only the statics reload.
+        w.ensure_resident("g").unwrap();
+        assert_eq!(w.graphs["g"].generation, current);
+        assert_eq!(w.streams["g"].generation, current, "the miner stays");
+        assert_eq!(w.metrics.counter("sisa_stream_loads_total"), 1);
+        assert_eq!(w.ledger.lock().unwrap().graph_loads, 2);
+
+        // Replaced behind the worker's back: both are stale, both go.
+        let replacement = sisa_graph::generators::complete(5);
+        w.registry.register("g", replacement.clone());
+        w.ensure_resident("g").unwrap();
+        assert_eq!(w.graphs["g"].generation, current + 1);
+        assert!(w.streams.is_empty(), "a stale miner is unloaded");
+        let mut fresh = worker();
+        fresh.registry.register("g", replacement);
+        fresh.ensure_resident("g").unwrap();
+        assert_eq!(w.engine.live_sets(), fresh.engine.live_sets());
     }
 
     #[test]

@@ -306,3 +306,136 @@ fn inserts_may_grow_the_vertex_set_beyond_the_registered_graph() {
     assert_eq!(tc.value, 4, "K4 still holds its four triangles");
     service.close();
 }
+
+/// Submits one request and waits for its answer.
+fn answer(service: &SisaService, tenant: &str, spec: QuerySpec) -> sisa_service::QueryOutcome {
+    service
+        .submit(tenant, spec)
+        .expect("admitted")
+        .wait()
+        .expect("completes")
+}
+
+fn counter(service: &SisaService, name: &str) -> u64 {
+    let counters = service.metrics_snapshot().counters;
+    counters.get(name).copied().unwrap_or(0)
+}
+
+/// Tenant fold ≡ pool bit-exactly, and pool + registry ≡ engines.
+fn assert_exact_attribution(service: &SisaService) {
+    let mut folded = ExecStats::default();
+    for usage in service.tenant_usage().values() {
+        folded.merge(&usage.stats);
+    }
+    let pool = service.pool_stats();
+    assert_eq!(folded, pool, "tenant fold == pool aggregate");
+    assert_eq!(folded.energy_nj.to_bits(), pool.energy_nj.to_bits());
+    let mut attributed = pool;
+    attributed.merge(&service.registry_stats());
+    assert_conserved(&service.engine_stats(), &attributed);
+}
+
+/// The turn of a stream: a mutation, a read that needs the static loads, a
+/// maintained read, the next mutation. The static loads are one generation
+/// behind at the budgeted read and are reloaded; the stream state the first
+/// mutation left at exactly the current generation is not.
+///
+/// Seen to fail under: `self.evict(name)` restored in `ensure_resident` (the
+/// maintained read is re-mined — no stream serve — and the second mutation
+/// loads the miner again).
+#[test]
+fn a_static_read_between_two_mutates_leaves_the_stream_state_resident() {
+    let service = SisaService::start(ServiceConfig::smoke());
+    let mut reference = generators::erdos_renyi(14, 0.5, 11);
+    service.register_graph("g", reference.clone());
+    let budgeted = QuerySpec::new("g", QueryKind::KCliqueCount { k: 4 }).with_budget(2);
+    let maintained = QuerySpec::new("g", QueryKind::KCliqueCount { k: 4 });
+    let mutate = |delta: GraphDelta, reference: &mut CsrGraph| {
+        *reference = delta.apply_to(reference);
+        answer(
+            &service,
+            "writer",
+            QuerySpec::new("g", QueryKind::Mutate(delta)),
+        )
+    };
+
+    mutate(GraphDelta::new().insert(0, 1).insert(0, 2), &mut reference);
+    assert_eq!(counter(&service, "sisa_stream_loads_total"), 1);
+    let loads = service.report().graph_loads;
+
+    let cut = answer(&service, "reader", budgeted.clone());
+    assert!(
+        cut.truncated && cut.value >= 2,
+        "a dense graph fills the budget"
+    );
+    assert_eq!(service.report().graph_loads, loads + 1, "statics load");
+
+    let served = answer(&service, "reader", maintained.clone());
+    assert_eq!(served.value, recount(&reference, 4));
+    assert!(!served.stats.cache_hit);
+    assert_eq!(counter(&service, "sisa_stream_serves_total"), 1);
+    assert_eq!(service.report().graph_loads, loads + 1);
+
+    mutate(GraphDelta::new().delete(0, 1).insert(3, 4), &mut reference);
+    assert_eq!(
+        counter(&service, "sisa_stream_loads_total"),
+        1,
+        "the read in between did not cost the miner"
+    );
+    let served = answer(&service, "reader", maintained);
+    assert_eq!(served.value, recount(&reference, 4));
+    assert_eq!(counter(&service, "sisa_stream_serves_total"), 2);
+
+    // The statics are one tick behind again: the next budgeted read reloads
+    // them, and only them.
+    answer(&service, "reader", budgeted);
+    assert_eq!(service.report().graph_loads, loads + 2);
+    assert_eq!(counter(&service, "sisa_stream_loads_total"), 1);
+    assert_exact_attribution(&service);
+    service.close();
+}
+
+/// A name replaced through the registry directly, with no worker told: both
+/// resident states are stale, neither ever answers, both are reloaded.
+#[test]
+fn a_name_replaced_behind_the_workers_back_reloads_both_states() {
+    let service = SisaService::start(ServiceConfig::smoke());
+    service.register_graph("g", generators::erdos_renyi(12, 0.5, 7));
+    let tc = QuerySpec::new("g", QueryKind::TriangleCount);
+    let mutation = |u, v| QuerySpec::new("g", QueryKind::Mutate(GraphDelta::new().insert(u, v)));
+    answer(&service, "writer", mutation(0, 1));
+    answer(&service, "reader", tc.clone().with_budget(1));
+    assert_eq!(answer(&service, "reader", tc.clone()).value, {
+        let lease = service.registry().acquire_lease("g").expect("resident");
+        recount(&lease.graph, 3)
+    });
+    let (loads, serves) = (
+        service.report().graph_loads,
+        counter(&service, "sisa_stream_serves_total"),
+    );
+    assert_eq!((loads, serves), (1, 1));
+
+    service.registry().register("g", generators::complete(5));
+    let fresh = answer(&service, "reader", tc.clone());
+    assert_eq!(fresh.value, 10, "K5's triangles, not the old graph's");
+    assert!(!fresh.stats.cache_hit);
+    assert_eq!(
+        counter(&service, "sisa_stream_serves_total"),
+        serves,
+        "a stale miner never answers"
+    );
+    assert_eq!(service.report().graph_loads, loads + 1, "statics reload");
+
+    // The next mutation finds no current miner and loads one.
+    answer(&service, "writer", mutation(0, 5));
+    answer(&service, "writer", mutation(1, 5));
+    assert_eq!(counter(&service, "sisa_stream_loads_total"), 2);
+    assert_eq!(
+        answer(&service, "reader", tc).value,
+        11,
+        "K5 and the triangle 0-1-5"
+    );
+    assert_eq!(counter(&service, "sisa_stream_serves_total"), serves + 1);
+    assert_exact_attribution(&service);
+    service.close();
+}
