@@ -16,10 +16,11 @@
 //!
 //! Every operand of every instruction asks "which register holds this ID?",
 //! so the table keeps a reverse index from raw set ID to pool slot beside the
-//! per-register bindings; only the choice of a victim on a miss looks at all
-//! 29 registers. The victim rule — smallest `(stamp, index)`, free registers
-//! first — is what fixes which registers a traced program names, and is
-//! unchanged by the index.
+//! per-register bindings. The victim rule on a miss — the lowest-numbered
+//! free register, else the least recently used bound one — is what fixes
+//! which registers a traced program names. It is read off two structures in
+//! constant time: a free mask whose lowest set bit is that free register,
+//! and a recency list of the bound registers whose tail is the LRU one.
 
 use crate::slots::slot_mut;
 use sisa_isa::{Register, SetId, SisaInstruction, SisaOpcode};
@@ -39,8 +40,12 @@ const SCALAR_RESULT_REGISTER: u8 = 30;
 /// loads the vertex id into it before issuing, like an immediate).
 const VERTEX_OPERAND_REGISTER: u8 = 31;
 
-/// Reverse-index entry of a set ID no register holds.
+/// Reverse-index entry of a set ID no register holds; also the end of the
+/// recency list.
 const UNBOUND: u8 = u8::MAX;
+
+/// Every pool register free.
+const ALL_FREE: u32 = (1 << SET_REGISTER_POOL) - 1;
 
 /// The set-ID → register binding table of the issue stage.
 ///
@@ -52,12 +57,19 @@ const UNBOUND: u8 = u8::MAX;
 pub struct RegisterFile {
     /// `bindings[i]` is the set ID currently held by register `x(i+1)`.
     bindings: [Option<SetId>; SET_REGISTER_POOL],
-    /// LRU stamp per pool register.
-    stamps: [u64; SET_REGISTER_POOL],
+    /// Bit `i` is set exactly when `bindings[i]` is `None`.
+    free: u32,
+    /// The bound slots, most recently used first, as an index-linked list:
+    /// `newer[i]` and `older[i]` are slot `i`'s neighbours, [`UNBOUND`] past
+    /// either end.
+    newer: [u8; SET_REGISTER_POOL],
+    older: [u8; SET_REGISTER_POOL],
+    /// The list's most and least recently used slots ([`UNBOUND`] if empty).
+    mru: u8,
+    lru: u8,
     /// The inverse of `bindings`, indexed by raw set ID: the pool slot
     /// holding the ID, or [`UNBOUND`] (also the answer past the end).
     slots: Vec<u8>,
-    clock: u64,
 }
 
 impl Default for RegisterFile {
@@ -72,9 +84,12 @@ impl RegisterFile {
     pub fn new() -> Self {
         Self {
             bindings: [None; SET_REGISTER_POOL],
-            stamps: [0; SET_REGISTER_POOL],
+            free: ALL_FREE,
+            newer: [UNBOUND; SET_REGISTER_POOL],
+            older: [UNBOUND; SET_REGISTER_POOL],
+            mru: UNBOUND,
+            lru: UNBOUND,
             slots: Vec::new(),
-            clock: 0,
         }
     }
 
@@ -93,20 +108,26 @@ impl RegisterFile {
     /// Returns the register holding `id`, binding it to the least-recently-
     /// used pool register first if necessary.
     pub fn bind(&mut self, id: SetId) -> Register {
-        self.clock += 1;
         if let Some(slot) = self.slot_of(id) {
-            self.stamps[slot] = self.clock;
+            self.unlink(slot);
+            self.push_mru(slot);
             return Self::register_of(slot);
         }
-        // Claim the LRU slot (free slots have stamp 0, so they go first).
-        let slot = (0..SET_REGISTER_POOL)
-            .min_by_key(|&i| (self.stamps[i], i))
-            .expect("the register pool is non-empty");
+        // Claim the lowest free slot, else the least recently used one.
+        let slot = if self.free != 0 {
+            let slot = self.free.trailing_zeros() as usize;
+            self.free &= !(1 << slot);
+            slot
+        } else {
+            let slot = usize::from(self.lru);
+            self.unlink(slot);
+            slot
+        };
         if let Some(evicted) = self.bindings[slot].replace(id) {
             self.slots[evicted.raw() as usize] = UNBOUND;
         }
         *slot_mut(&mut self.slots, id, UNBOUND) = slot as u8;
-        self.stamps[slot] = self.clock;
+        self.push_mru(slot);
         Self::register_of(slot)
     }
 
@@ -114,7 +135,8 @@ impl RegisterFile {
     pub fn release(&mut self, id: SetId) {
         if let Some(slot) = self.slot_of(id) {
             self.bindings[slot] = None;
-            self.stamps[slot] = 0;
+            self.unlink(slot);
+            self.free |= 1 << slot;
             self.slots[id.raw() as usize] = UNBOUND;
         }
     }
@@ -128,7 +150,7 @@ impl RegisterFile {
     /// Number of set IDs currently bound.
     #[must_use]
     pub fn bound(&self) -> usize {
-        self.bindings.iter().filter(|b| b.is_some()).count()
+        SET_REGISTER_POOL - self.free.count_ones() as usize
     }
 
     fn slot_of(&self, id: SetId) -> Option<usize> {
@@ -136,6 +158,30 @@ impl RegisterFile {
             Some(&slot) if slot != UNBOUND => Some(slot as usize),
             _ => None,
         }
+    }
+
+    /// Takes bound `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let (newer, older) = (self.newer[slot], self.older[slot]);
+        match newer {
+            UNBOUND => self.mru = older,
+            n => self.older[usize::from(n)] = older,
+        }
+        match older {
+            UNBOUND => self.lru = newer,
+            o => self.newer[usize::from(o)] = newer,
+        }
+    }
+
+    /// Puts unlinked `slot` at the most recently used end of the list.
+    fn push_mru(&mut self, slot: usize) {
+        self.newer[slot] = UNBOUND;
+        self.older[slot] = self.mru;
+        match self.mru {
+            UNBOUND => self.lru = slot as u8,
+            m => self.newer[usize::from(m)] = slot as u8,
+        }
+        self.mru = slot as u8;
     }
 
     fn register_of(slot: usize) -> Register {

@@ -62,6 +62,24 @@
 //! the serial totals cycle-for-cycle: with one slot in flight every item
 //! starts exactly when its predecessor finishes, so the makespan equals the
 //! sum of all charged cycles and no dependence stall is ever exposed.
+//!
+//! # Depth 1: the window is a running sum
+//!
+//! A timeline whose window holds one item (the in-order queue at depth 1,
+//! `SisaConfig::default()`; the renamed timeline at `ooo_window` 1) does
+//! constant work per item. Its structural floor is the previous item's
+//! retire, which is also its makespan: every item starts no earlier than
+//! its predecessor's retire, so it finishes no earlier than any item before
+//! it. Every operand time a scoreboard could hold is one of those finishes,
+//! so readiness never exceeds the floor and hazard state cannot bind a
+//! start: such a timeline neither reads nor records its scoreboard, and
+//! `dep_stall` is 0 exactly as the full rule would have it. For the same
+//! reason each vault item ends no earlier than every lane's busy time, so
+//! the first least-busy lane is the least recently used one: while every
+//! vault item since the last reset took cycles, that is lane `k mod lanes`
+//! for the `k`-th, read off a rotation cursor. A zero-cycle vault item can
+//! tie two lanes, which the first-minimum rule breaks by index, so from
+//! the first one until [`IssueQueue::reset`] the lane scan decides again.
 
 use crate::rename::RenameMap;
 use crate::scoreboard::Scoreboard;
@@ -137,12 +155,16 @@ struct Schedule {
     window: usize,
     /// Busy-until time per virtual vault lane.
     lanes: Vec<u64>,
+    /// The lane the next vault item runs on while the window-1 rotation is
+    /// exact (module docs); `None` leaves the pick to the lane scan.
+    next_lane: Option<usize>,
     /// Busy-until time of the serial host resource.
     host_busy: u64,
     /// Retire times of the in-flight items, oldest first. Retirement is in
     /// program order, so the deque is non-decreasing.
     inflight: VecDeque<u64>,
-    /// Hazard state, keyed by whatever IDs the caller places items under.
+    /// Hazard state, keyed by whatever IDs the caller places items under
+    /// (never touched at window 1).
     board: Scoreboard,
     /// Completion time of the schedule.
     makespan: u64,
@@ -150,9 +172,11 @@ struct Schedule {
 
 impl Schedule {
     fn new(window: usize, lanes: usize) -> Self {
+        let window = window.max(1);
         Self {
-            window: window.max(1),
+            window,
             lanes: vec![0; lanes.max(1)],
+            next_lane: Self::rotation(window),
             host_busy: 0,
             inflight: VecDeque::new(),
             board: Scoreboard::new(),
@@ -160,9 +184,36 @@ impl Schedule {
         }
     }
 
+    /// The lane cursor a fresh timeline starts with: lane 0 at window 1,
+    /// none otherwise.
+    fn rotation(window: usize) -> Option<usize> {
+        (window == 1).then_some(0)
+    }
+
     /// Whether the next item must wait for the oldest in-flight retire.
     fn window_full(&self) -> bool {
         self.inflight.len() >= self.window
+    }
+
+    /// The vault lane an item of `cycles` runs on: the first least-busy lane
+    /// (the scan keeps the first minimum), which the window-1 cursor names
+    /// without scanning until a zero-cycle item disarms it.
+    fn pick_lane(&mut self, cycles: u64) -> usize {
+        if let Some(lane) = self.next_lane {
+            let next = if lane + 1 == self.lanes.len() {
+                0
+            } else {
+                lane + 1
+            };
+            self.next_lane = (cycles > 0).then_some(next);
+            return lane;
+        }
+        self.lanes
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &busy)| busy)
+            .map(|(idx, _)| idx)
+            .expect("at least one lane")
     }
 
     /// Places one item: it starts at the latest of its window slot, its
@@ -178,6 +229,9 @@ impl Schedule {
         writes: &[SetId],
         not_before: u64,
     ) -> (IssueOutcome, u64) {
+        // At window 1 the floor below is the makespan, which bounds every
+        // time the scoreboard could hold (module docs): no hazard state.
+        let hazards = self.window > 1;
         // Structural constraint: a full window frees its oldest slot at that
         // item's in-order retire time.
         let structural = if self.window_full() {
@@ -185,22 +239,18 @@ impl Schedule {
         } else {
             0
         };
-        // Resource constraint: the earliest-free vault lane (the lowest such
-        // lane: the scan keeps the first minimum), or the host.
+        // Resource constraint: the earliest-free vault lane, or the host.
         let (resource, lane) = match kind {
             LaneKind::Vault => {
-                let (idx, &busy) = self
-                    .lanes
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &busy)| busy)
-                    .expect("at least one lane");
-                (busy, Some(idx))
+                let idx = self.pick_lane(cycles);
+                (self.lanes[idx], Some(idx))
             }
             LaneKind::Host => (self.host_busy, None),
         };
         // Operand constraint.
-        let ready = if RAW_ONLY {
+        let ready = if !hazards {
+            0
+        } else if RAW_ONLY {
             self.board.raw_ready_at(reads)
         } else {
             self.board.ready_at(reads, writes)
@@ -218,7 +268,9 @@ impl Schedule {
         // In-order retirement: an item cannot retire before its predecessor.
         let retire = self.inflight.back().map_or(finish, |&r| r.max(finish));
         self.inflight.push_back(retire);
-        self.board.record(reads, writes, finish);
+        if hazards {
+            self.board.record(reads, writes, finish);
+        }
         self.makespan = self.makespan.max(finish);
         let landed = IssueOutcome {
             start,
@@ -247,6 +299,7 @@ impl Schedule {
 
     fn reset(&mut self) {
         self.lanes.fill(0);
+        self.next_lane = Self::rotation(self.window);
         self.host_busy = 0;
         self.inflight.clear();
         self.board.clear();
@@ -548,7 +601,8 @@ impl IssueQueue {
 
     /// Number of operand IDs (or physical tags) currently carrying hazard
     /// state, across the active and shadow scoreboards (capacity telemetry;
-    /// pruning keeps this bounded by the in-flight footprint).
+    /// pruning keeps this bounded by the in-flight footprint). A timeline
+    /// whose window is 1 tracks nothing, so a depth-1 queue reads 0.
     #[must_use]
     pub fn tracked_operands(&self) -> usize {
         self.reference.board.tracked()
@@ -643,6 +697,35 @@ mod tests {
             expected += c;
         }
         assert_eq!(q.makespan_cycles(), costs.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn window_one_rotates_lanes_exactly_as_the_first_minimum_picks_them() {
+        let lanes_of = |q: &mut IssueQueue, cycles: &[u64]| {
+            cycles
+                .iter()
+                .map(|&c| q.issue(LaneKind::Vault, c, &[], &[]).lane.expect("vault"))
+                .collect::<Vec<_>>()
+        };
+        // Three lanes at window 1. The zero-cycle fourth item ends at 15 on
+        // lane 0, tying it with lane 2: the first minimum then takes lane 0
+        // where the rotation would take lane 2.
+        let mut q = IssueQueue::new(1, 3);
+        assert_eq!(
+            lanes_of(&mut q, &[5, 5, 5, 0, 5, 5, 5, 5]),
+            [0, 1, 2, 0, 1, 0, 2, 1]
+        );
+        assert_eq!(q.tracked_operands(), 0, "window 1 keeps no hazard state");
+        // A reset re-arms the rotation from lane 0.
+        q.reset();
+        assert_eq!(q.reference.next_lane, Some(0), "the rotation is re-armed");
+        assert_eq!(lanes_of(&mut q, &[5, 5, 5, 5]), [0, 1, 2, 0]);
+        q.reset();
+        assert_eq!(lanes_of(&mut q, &[5]), [0]);
+        // At window 2 lanes do not free in rotation order: the fourth item
+        // takes lane 1 (free at 1), not lane 0 (busy until 10).
+        let mut q = IssueQueue::new(2, 3);
+        assert_eq!(lanes_of(&mut q, &[10, 1, 1, 1]), [0, 1, 2, 1]);
     }
 
     #[test]

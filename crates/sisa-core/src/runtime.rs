@@ -1015,21 +1015,26 @@ mod tests {
 
     #[test]
     fn absorbed_lane_work_faults_on_a_set_that_does_not_exist() {
-        let mut rt = runtime();
-        let stats_before = rt.stats().clone();
-        let tracked_before = rt.pipeline().tracked_operands();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.absorb_lane_work(1, &[SetId(u32::MAX)]);
-        }));
-        let message = *outcome
-            .expect_err("a foreign ID must fault")
-            .downcast::<String>()
-            .expect("the fault carries a formatted message");
-        assert!(message.contains("does not exist"), "{message}");
-        // Nothing reached the timeline: no makespan, no hazard entry, no table
-        // grown to the foreign ID.
-        assert_eq!(rt.stats(), &stats_before);
-        assert_eq!(rt.pipeline().tracked_operands(), tracked_before);
+        // At depth 1 the queue keeps no hazard state at all, so the hazard
+        // check below has teeth only on a deeper queue.
+        for config in [SisaConfig::default(), SisaConfig::pipelined(4)] {
+            let mut rt = SisaRuntime::new(config);
+            rt.set_universe(256);
+            let stats_before = rt.stats().clone();
+            let tracked_before = rt.pipeline().tracked_operands();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rt.absorb_lane_work(1, &[SetId(u32::MAX)]);
+            }));
+            let message = *outcome
+                .expect_err("a foreign ID must fault")
+                .downcast::<String>()
+                .expect("the fault carries a formatted message");
+            assert!(message.contains("does not exist"), "{message}");
+            // Nothing reached the timeline: no makespan, no hazard entry, no
+            // table grown to the foreign ID.
+            assert_eq!(rt.stats(), &stats_before);
+            assert_eq!(rt.pipeline().tracked_operands(), tracked_before);
+        }
     }
 
     /// A materialise → read → delete chain over recycled set IDs: the

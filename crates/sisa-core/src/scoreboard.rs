@@ -17,7 +17,11 @@
 //! the earliest cycle an instruction's operands allow it to start, and
 //! [`Scoreboard::record`] publishes an issued instruction's completion time.
 //!
-//! The scoreboard serves two masters:
+//! The scoreboard serves two masters, each only when its timeline holds more
+//! than one item in flight. At window 1 — the in-order queue at depth 1, the
+//! default — an item's floor is its predecessor's retire, which bounds every
+//! time a scoreboard could record, so that timeline neither reads nor writes
+//! one (see [`crate::pipeline`]):
 //!
 //! * The **in-order issue queue** indexes it by *logical* set ID. Set IDs are
 //!   reused after deletion (the slot allocator is LIFO) and the stale times

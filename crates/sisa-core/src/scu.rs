@@ -211,25 +211,42 @@ impl Scu {
     /// Decides merge vs. galloping for two sparse arrays of the given sizes.
     #[must_use]
     pub fn choose_sparse_algorithm(&self, a_len: usize, b_len: usize) -> ExecutionChoice {
+        self.sparse_variant(a_len, b_len).0
+    }
+
+    /// The merge-vs-galloping choice with the §8.3 cost of the chosen
+    /// variant, each model evaluated at most once.
+    fn sparse_variant(&self, a_len: usize, b_len: usize) -> (ExecutionChoice, Cycles) {
+        let merge = || {
+            (
+                ExecutionChoice::PnmMerge,
+                self.pnm.streaming_cost(a_len, b_len),
+            )
+        };
+        let gallop = || {
+            (
+                ExecutionChoice::PnmGalloping,
+                self.pnm.random_access_cost(a_len, b_len),
+            )
+        };
         match self.selection {
-            VariantSelection::AlwaysMerge => ExecutionChoice::PnmMerge,
-            VariantSelection::AlwaysGalloping => ExecutionChoice::PnmGalloping,
+            VariantSelection::AlwaysMerge => merge(),
+            VariantSelection::AlwaysGalloping => gallop(),
             VariantSelection::SizeRatio(threshold) => {
                 let small = a_len.min(b_len).max(1) as f64;
                 let large = a_len.max(b_len) as f64;
                 if large / small >= threshold {
-                    ExecutionChoice::PnmGalloping
+                    gallop()
                 } else {
-                    ExecutionChoice::PnmMerge
+                    merge()
                 }
             }
             VariantSelection::PerformanceModel => {
-                let merge = self.pnm.streaming_cost(a_len, b_len);
-                let gallop = self.pnm.random_access_cost(a_len, b_len);
-                if gallop < merge {
-                    ExecutionChoice::PnmGalloping
+                let (merge, gallop) = (merge(), gallop());
+                if gallop.1 < merge.1 {
+                    gallop
                 } else {
-                    ExecutionChoice::PnmMerge
+                    merge
                 }
             }
         }
@@ -283,13 +300,7 @@ impl Scu {
                 (ExecutionChoice::PnmProbe, cycles, energy)
             }
             _ => {
-                let choice = self.choose_sparse_algorithm(a.cardinality, b.cardinality);
-                let cycles = match choice {
-                    ExecutionChoice::PnmGalloping => {
-                        self.pnm.random_access_cost(a.cardinality, b.cardinality)
-                    }
-                    _ => self.pnm.streaming_cost(a.cardinality, b.cardinality),
-                };
+                let (choice, cycles) = self.sparse_variant(a.cardinality, b.cardinality);
                 let bytes = ((a.cardinality + b.cardinality) * 4) as u64;
                 let energy = self
                     .energy
@@ -443,6 +454,47 @@ mod tests {
             ratio.choose_sparse_algorithm(10, 51),
             ExecutionChoice::PnmGalloping
         );
+    }
+
+    #[test]
+    fn dispatch_prices_the_chosen_sparse_variant_under_every_policy() {
+        let platform = PimPlatform::default();
+        let pnm = PnmModel::new(platform.pnm);
+        // Sizes at which the two §8.3 models cost exactly the same.
+        let tie = (1..64)
+            .flat_map(|a| (a..4_096).map(move |b| (a, b)))
+            .find(|&(a, b)| pnm.streaming_cost(a, b) == pnm.random_access_cost(a, b))
+            .expect("the models tie at some small size pair");
+        assert_eq!(
+            scu().choose_sparse_algorithm(tie.0, tie.1),
+            ExecutionChoice::PnmMerge,
+            "a tie keeps merge"
+        );
+        let policies = [
+            VariantSelection::AlwaysMerge,
+            VariantSelection::AlwaysGalloping,
+            VariantSelection::SizeRatio(5.0),
+            VariantSelection::PerformanceModel,
+        ];
+        for selection in policies {
+            let mut s = Scu::new(platform, selection);
+            for (a_len, b_len) in [(5_000, 6_000), (4, 900_000), (10, 51), tie] {
+                let a = meta(RepresentationKind::SortedArray, a_len, 1_000_000);
+                let b = meta(RepresentationKind::SortedArray, b_len, 1_000_000);
+                let out =
+                    s.dispatch_binary(BinarySetOp::Intersection, false, SetId(1), &a, SetId(2), &b);
+                let choice = s.choose_sparse_algorithm(a_len, b_len);
+                let cost = match choice {
+                    ExecutionChoice::PnmGalloping => pnm.random_access_cost(a_len, b_len),
+                    _ => pnm.streaming_cost(a_len, b_len),
+                };
+                assert_eq!(
+                    (out.choice, out.exec_cycles),
+                    (choice, cost),
+                    "{selection:?} at {a_len} x {b_len}"
+                );
+            }
+        }
     }
 
     #[test]
