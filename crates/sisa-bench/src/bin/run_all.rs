@@ -18,7 +18,6 @@ fn main() {
         "paradigms",
         "multi_cube",
         "pipeline_overlap",
-        "rename_ooo",
         "trace_timeline",
     ];
     for bin in bins {

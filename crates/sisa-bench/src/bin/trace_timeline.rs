@@ -6,7 +6,7 @@
 //! instruction event) equals `ExecStats::makespan_cycles` exactly, so the
 //! rendered timeline is not an illustration of the schedule — it *is* the
 //! schedule. This harness asserts that identity on a real dataset for both
-//! workloads on the renamed out-of-order flat runtime, and again on a
+//! workloads on an in-order flat runtime of depth 8, and again on a
 //! 2-shard engine where it additionally checks that every priced link
 //! crossing appears on the timeline (traced transfer bytes ≡
 //! `ExecStats::link_bytes`).
@@ -21,7 +21,7 @@ use serde::Content;
 use sisa_algorithms::{setcentric, SearchLimits};
 use sisa_bench::{
     emit, format_table, full_mode, results_dir, TimelineLinks, TimelineSpan, TraceTimeline,
-    RENAME_OOO_HEADLINE_WINDOW, TRACE_TIMELINE_SCHEMA_VERSION,
+    TRACE_TIMELINE_SCHEMA_VERSION,
 };
 use sisa_core::telemetry::{ChromeTraceCollector, Collector, SharedCollector};
 use sisa_core::{
@@ -33,21 +33,21 @@ use std::sync::{Arc, Mutex};
 
 const GRAPH: &str = "soc-fbMsg";
 const LANES: usize = 16;
-const TAGS: usize = 512;
+/// Issue-queue depth: deep enough that independent instructions overlap
+/// across lanes and the timeline shows more than one track busy at once.
+const DEPTH: usize = 8;
 const SHARDS: usize = 2;
 
-/// Captures one workload on a fresh renamed flat runtime, recording into
+/// Captures one workload on a fresh pipelined flat runtime, recording into
 /// `trace` under track group `group`, and asserts the makespan identity.
 fn capture_flat(
     trace: &Arc<Mutex<ChromeTraceCollector>>,
     group: u32,
     workload: &str,
     g: &sisa_graph::CsrGraph,
-    window: usize,
     limits: &SearchLimits,
 ) -> TimelineSpan {
-    let config = SisaConfig::with_rename_ooo(window, LANES, window, TAGS);
-    let mut rt = SisaRuntime::new(config);
+    let mut rt = SisaRuntime::new(SisaConfig::with_pipeline(DEPTH, LANES));
     let (oriented, _) = setcentric::orient_by_degeneracy(&mut rt, g, &SetGraphConfig::default());
     // The load/measure boundary restarts the pipeline clock at 0; attaching
     // here means the trace covers exactly the cycles the stats measure.
@@ -91,10 +91,9 @@ fn capture_flat(
 fn capture_sharded(
     trace: &Arc<Mutex<ChromeTraceCollector>>,
     g: &sisa_graph::CsrGraph,
-    window: usize,
     limits: &SearchLimits,
 ) -> TimelineLinks {
-    let config = SisaConfig::with_rename_ooo(window, LANES, window, TAGS);
+    let config = SisaConfig::with_pipeline(DEPTH, LANES);
     let mut engine = ShardedEngine::sisa(SHARDS, PartitionStrategy::Modulo, config);
     let (oriented, _) =
         setcentric::orient_by_degeneracy(&mut engine, g, &SetGraphConfig::default());
@@ -170,7 +169,6 @@ fn main() {
 
     let full = full_mode();
     let limits = SearchLimits::patterns(if full { 200_000 } else { 20_000 });
-    let window = RENAME_OOO_HEADLINE_WINDOW;
     let g = sisa_graph::datasets::by_name(GRAPH)
         .expect("registered stand-in")
         .generate(1);
@@ -180,14 +178,12 @@ fn main() {
     let spans: Vec<TimelineSpan> = ["tc", "kcc-4"]
         .iter()
         .enumerate()
-        .map(|(group, workload)| {
-            capture_flat(&flat_trace, group as u32, workload, &g, window, &limits)
-        })
+        .map(|(group, workload)| capture_flat(&flat_trace, group as u32, workload, &g, &limits))
         .collect();
 
     // Sharded engine: link tracks plus the cross-engine result check.
     let link_trace = Arc::new(Mutex::new(ChromeTraceCollector::new()));
-    let links = capture_sharded(&link_trace, &g, window, &limits);
+    let links = capture_sharded(&link_trace, &g, &limits);
 
     let mut rows = Vec::new();
     for span in &spans {
@@ -225,8 +221,7 @@ fn main() {
     emit(
         "trace_timeline",
         &format!(
-            "Lane timelines on {GRAPH} (renamed OoO, {LANES} lanes, window {window}, \
-             {TAGS} tags).\n\
+            "Lane timelines on {GRAPH} (in order, {LANES} lanes, depth {DEPTH}).\n\
              Every row's recorded event span equals its measured makespan exactly, so\n\
              the exported Chrome traces are cycle-accurate renderings of the schedule;\n\
              the sharded rendering adds one track per shard link carrying every priced\n\
@@ -242,8 +237,7 @@ fn main() {
         schema_version: TRACE_TIMELINE_SCHEMA_VERSION,
         graph: GRAPH.to_string(),
         lanes: LANES,
-        window,
-        tags: TAGS,
+        window: DEPTH,
         spans,
         links,
         trace_files: trace_files.clone(),

@@ -375,10 +375,8 @@ pub struct InstructionMix {
     /// the binary set-op opcodes of this trace (`merge` / `gallop` /
     /// `bitmap` tallies from [`sisa_sets::repr::kernel_selection_counts`]).
     pub host_kernels: std::collections::BTreeMap<String, u64>,
-    /// Analysis notes: what the stall report implied and what acting on it
-    /// measured — currently the kcc-4 overlap recovered by set-ID renaming
-    /// plus the out-of-order window (the `rename_ooo` figure), quantified on
-    /// the same graph this mix was captured from.
+    /// Analysis notes: what the stall report implies and how the host
+    /// kernels were selected across the trace.
     pub notes: String,
 }
 
@@ -394,40 +392,6 @@ impl InstructionMix {
 /// that independent instructions genuinely overlap and the per-opcode stall
 /// report is non-trivial (a depth-1 run never exposes a hazard).
 pub const INSTRUCTION_MIX_ISSUE_DEPTH: usize = 16;
-
-/// Measures how far set-ID renaming plus an out-of-order window lift a
-/// workload's overlap above the in-order pipeline on the same graph, at the
-/// given window size (the quantity the instruction-mix notes record: the
-/// stall report names the false dependences, this is what removing them
-/// recovers). Returns `(in_order_speedup, renamed_speedup)`.
-#[must_use]
-pub fn measure_rename_gain(
-    g: &CsrGraph,
-    problem: Problem,
-    window: usize,
-    limits: &SearchLimits,
-) -> (f64, f64) {
-    let run = |config: SisaConfig| {
-        let mut rt = SisaRuntime::new(config);
-        let (oriented, _) =
-            setcentric::orient_by_degeneracy(&mut rt, g, &SetGraphConfig::default());
-        rt.reset_stats();
-        match problem {
-            Problem::Tc => {
-                let _ = setcentric::triangle_count(&mut rt, &oriented, limits);
-            }
-            Problem::Kcc(k) => {
-                let _ = setcentric::k_clique_count(&mut rt, &oriented, k, limits);
-            }
-            _ => unreachable!("rename-gain probe covers tc and kcc only"),
-        }
-        rt.stats().overlap_speedup()
-    };
-    let lanes = SisaConfig::default().resolved_issue_lanes();
-    let in_order = run(SisaConfig::with_pipeline(window, lanes));
-    let renamed = run(SisaConfig::renamed(window));
-    (in_order, renamed)
-}
 
 /// Traces a triangle-count + BFS run on `g` through the SISA runtime (on a
 /// pipelined issue queue, so hazards surface) and summarises the captured
@@ -447,22 +411,9 @@ pub fn capture_instruction_mix(name: &str, g: &CsrGraph) -> InstructionMix {
     let trace = rt.take_trace().expect("trace was enabled");
     let program = trace.program();
     let stats = rt.stats();
-    // The stall report below names `sisa.del`/`sisa.int` as the stall budget:
-    // false WAR/WAW dependences over recycled temporaries. Quantify what
-    // breaking them recovers, on this graph, for the workload the report
-    // indicted (k-clique counting).
-    let (kcc_in_order, kcc_renamed) = measure_rename_gain(
-        g,
-        Problem::Kcc(4),
-        RENAME_OOO_HEADLINE_WINDOW,
-        &SearchLimits::patterns(20_000),
-    );
     let notes = format!(
         "dep_stalls indicts sisa.del/sisa.int: materialise->recurse->delete chains \
-         serialise on WAR/WAW hazards over recycled set IDs. Measured on this graph: \
-         kcc-4 overlap is {kcc_in_order:.2}x in order and {kcc_renamed:.2}x with set-ID \
-         renaming + an {RENAME_OOO_HEADLINE_WINDOW}-entry out-of-order window \
-         (SisaConfig::renamed; full sweep in rename_ooo.json). Host kernel dispatch \
+         serialise on WAR/WAW hazards over recycled set IDs. Host kernel dispatch \
          across this trace's binary set-op opcodes (sisa.int/sisa.uni/sisa.dif and \
          their counting forms): {} merge, {} galloping, {} bitmap selections \
          (size-ratio policy, sisa_sets::repr).",
@@ -597,121 +548,12 @@ pub fn pipeline_overlap_sweep(
 }
 
 // ---------------------------------------------------------------------------
-// Rename / out-of-order sweep (the `rename_ooo` figure)
-// ---------------------------------------------------------------------------
-
-/// The reorder-window size the headline rename/OoO claims are quoted at.
-pub const RENAME_OOO_HEADLINE_WINDOW: usize = 8;
-
-/// One measured cell of the rename/out-of-order sweep: a workload executed
-/// on a [`SisaRuntime`] whose issue pipeline runs with the given reorder
-/// window and physical-tag pool (emitted as `results/rename_ooo.json` by the
-/// `rename_ooo` binary). `tags == 0` is the rename-off reference row: the
-/// plain in-order pipeline at `window` × `lanes`, identical to the
-/// `pipeline_overlap` cell of the same depth.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RenameOooCell {
-    /// The workload label (`tc`, `kcc-4`).
-    pub workload: String,
-    /// The input graph's registered name.
-    pub graph: String,
-    /// Reorder-window capacity (the in-order issue depth when `tags == 0`).
-    pub window: usize,
-    /// Physical-tag pool size; 0 = renaming off (the in-order reference).
-    pub tags: usize,
-    /// Number of virtual vault lanes.
-    pub lanes: usize,
-    /// The algorithm's numeric result (must agree across all cells of a
-    /// workload — scheduling never changes answers).
-    pub result: u64,
-    /// Serial work total in cycles; identical across all cells of a workload
-    /// (the pipeline prices time, not work).
-    pub work_cycles: u64,
-    /// Completion time of the scheduled (in-order or renamed out-of-order)
-    /// timeline.
-    pub makespan_cycles: u64,
-    /// Dependence-stall cycles: the full RAW/WAW/WAR cost on a rename-off
-    /// row, the true-RAW component of the same-depth in-order reference on a
-    /// renamed row.
-    pub dep_stall_cycles: u64,
-    /// False WAR/WAW stall cycles renaming removed from the in-order
-    /// reference (0 on rename-off rows). `dep_stall_cycles +
-    /// false_dep_stalls_removed` on a renamed row equals `dep_stall_cycles`
-    /// of the rename-off row at the same window — exactly.
-    pub false_dep_stalls_removed: u64,
-    /// Instructions that bypassed a stalled program-earlier instruction.
-    pub bypassed_instructions: u64,
-    /// `work_cycles / makespan_cycles` — the overlap speedup.
-    pub overlap_speedup: f64,
-}
-
-/// The workloads the rename/out-of-order sweep measures.
-const RENAME_OOO_WORKLOADS: [Problem; 2] = [Problem::Tc, Problem::Kcc(4)];
-
-/// Runs the rename/out-of-order sweep on one graph: every workload ×
-/// reorder-window size × tag-pool size on a flat [`SisaRuntime`], at a fixed
-/// lane count. `tags == 0` rows run the plain in-order pipeline (depth =
-/// window), so they reproduce the `pipeline_overlap` figure's cells of the
-/// same geometry; renamed rows set `issue_depth = window` so their stall
-/// decomposition references the equally-sized in-order schedule. Graph
-/// loading is excluded from the measured cycles.
-#[must_use]
-pub fn rename_ooo_sweep(
-    name: &str,
-    g: &CsrGraph,
-    windows: &[usize],
-    tag_counts: &[usize],
-    lanes: usize,
-    limits: &SearchLimits,
-) -> Vec<RenameOooCell> {
-    let mut cells = Vec::new();
-    for problem in RENAME_OOO_WORKLOADS {
-        for &window in windows {
-            for &tags in tag_counts {
-                let config = if tags == 0 {
-                    SisaConfig::with_pipeline(window, lanes)
-                } else {
-                    SisaConfig::with_rename_ooo(window, lanes, window, tags)
-                };
-                let mut rt = SisaRuntime::new(config);
-                let (oriented, _) =
-                    setcentric::orient_by_degeneracy(&mut rt, g, &SetGraphConfig::default());
-                rt.reset_stats();
-                let result = match problem {
-                    Problem::Tc => setcentric::triangle_count(&mut rt, &oriented, limits).result,
-                    Problem::Kcc(k) => {
-                        setcentric::k_clique_count(&mut rt, &oriented, k, limits).result
-                    }
-                    _ => unreachable!("rename-ooo sweep covers tc and kcc only"),
-                };
-                let stats = rt.stats();
-                cells.push(RenameOooCell {
-                    workload: problem.label(),
-                    graph: name.to_string(),
-                    window,
-                    tags,
-                    lanes,
-                    result,
-                    work_cycles: stats.total_cycles(),
-                    makespan_cycles: stats.makespan_cycles,
-                    dep_stall_cycles: stats.dep_stall_cycles,
-                    false_dep_stalls_removed: stats.false_dep_stalls_removed,
-                    bypassed_instructions: stats.bypassed_instructions,
-                    overlap_speedup: stats.overlap_speedup(),
-                });
-            }
-        }
-    }
-    cells
-}
-
-// ---------------------------------------------------------------------------
 // Lane-timeline capture (the `trace_timeline` figure)
 // ---------------------------------------------------------------------------
 
 /// Schema version of `results/trace_timeline.json`; bump when a field is
 /// added, removed or re-interpreted so downstream tooling can dispatch.
-pub const TRACE_TIMELINE_SCHEMA_VERSION: u32 = 1;
+pub const TRACE_TIMELINE_SCHEMA_VERSION: u32 = 2;
 
 /// One captured workload of the `trace_timeline` figure: a kernel run on a
 /// flat [`SisaRuntime`] with a
@@ -772,10 +614,8 @@ pub struct TraceTimeline {
     pub graph: String,
     /// Number of virtual vault lanes of every traced engine.
     pub lanes: usize,
-    /// Reorder-window capacity of the renamed out-of-order configuration.
+    /// Issue-queue depth of the traced flat runtime.
     pub window: usize,
-    /// Physical-tag pool size of the renamed configuration.
-    pub tags: usize,
     /// Flat-runtime captures, one per workload.
     pub spans: Vec<TimelineSpan>,
     /// The sharded capture with link tracks.
@@ -816,7 +656,7 @@ impl TraceTimeline {
                 self.schema_version
             ));
         }
-        if self.lanes == 0 || self.window == 0 || self.tags == 0 {
+        if self.lanes == 0 || self.window == 0 {
             return Err("traced configuration is degenerate".into());
         }
         if self.spans.is_empty() {

@@ -93,22 +93,6 @@ pub struct SisaConfig {
     /// [`sisa_pim::PnmConfig::issue_lanes`]; any other value overrides it
     /// (used by the `pipeline_overlap` lane sweep).
     pub issue_lanes: usize,
-    /// Capacity of the set-ID renaming pool: how many physical tags the
-    /// runtime may hold in flight. 0 (the default) disables renaming — the
-    /// scoreboard then tracks logical set IDs and recycled IDs serialise on
-    /// WAR/WAW hazards, reproducing the in-order pipeline bit-exactly. Any
-    /// other value arms the renamed out-of-order scheduler: every logical
-    /// write binds a fresh tag from a pool of this size (free-list pressure
-    /// surfaces as a structural stall) and only true RAW dependences remain.
-    pub rename_tags: usize,
-    /// Reorder-window capacity of the out-of-order scheduler: how many
-    /// instructions may be in flight while ready ones bypass stalled
-    /// predecessors (retirement stays in program order). 0 (the default)
-    /// uses `issue_depth`. The scheduler is armed by `rename_tags` alone:
-    /// with renaming off a window reorders nothing the full logical-ID hazard
-    /// rules would not also order, so the runtime then runs the in-order
-    /// queue at this depth (`issue_depth` when 0).
-    pub ooo_window: usize,
 }
 
 impl Default for SisaConfig {
@@ -120,8 +104,6 @@ impl Default for SisaConfig {
             track_set_sizes: false,
             issue_depth: 1,
             issue_lanes: 0,
-            rename_tags: 0,
-            ooo_window: 0,
         }
     }
 }
@@ -176,51 +158,6 @@ impl SisaConfig {
             self.issue_lanes
         }
     }
-
-    /// Whether the runtime schedules through the renamed out-of-order path:
-    /// `rename_tags` arms it, `ooo_window` only sizes it.
-    #[must_use]
-    pub fn uses_ooo(&self) -> bool {
-        self.rename_tags > 0
-    }
-
-    /// The default configuration with set-ID renaming and an out-of-order
-    /// reorder window of `window` instructions: tags come from the
-    /// platform's physical set-slot table
-    /// ([`sisa_pim::PimPlatform::rename_tag_slots`]), lanes from the PNM
-    /// geometry, and `issue_depth` is set to the same `window` so the shadow
-    /// in-order reference — the baseline `ExecStats::dep_stall_cycles` and
-    /// `false_dep_stalls_removed` decompose — is the equally-sized in-order
-    /// pipeline.
-    #[must_use]
-    pub fn renamed(window: usize) -> Self {
-        let base = Self::default();
-        Self {
-            issue_depth: window,
-            ooo_window: window,
-            rename_tags: base.platform.rename_tag_slots,
-            ..base
-        }
-    }
-
-    /// Full-knob constructor for the rename/out-of-order sweeps: in-order
-    /// reference depth, explicit lane count, reorder-window capacity and
-    /// physical-tag pool size.
-    #[must_use]
-    pub fn with_rename_ooo(
-        issue_depth: usize,
-        issue_lanes: usize,
-        ooo_window: usize,
-        rename_tags: usize,
-    ) -> Self {
-        Self {
-            issue_depth,
-            issue_lanes,
-            ooo_window,
-            rename_tags,
-            ..Self::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,38 +201,5 @@ mod tests {
         let explicit = SisaConfig::with_pipeline(8, 4);
         assert_eq!(explicit.issue_depth, 8);
         assert_eq!(explicit.resolved_issue_lanes(), 4);
-    }
-
-    #[test]
-    fn rename_and_ooo_default_off() {
-        let cfg = SisaConfig::default();
-        assert_eq!(cfg.rename_tags, 0, "renaming off by default");
-        assert_eq!(cfg.ooo_window, 0, "in-order issue by default");
-        assert!(!cfg.uses_ooo());
-    }
-
-    #[test]
-    fn renamed_configuration_arms_both_knobs() {
-        let cfg = SisaConfig::renamed(8);
-        assert!(cfg.uses_ooo());
-        assert_eq!(cfg.ooo_window, 8);
-        assert_eq!(
-            cfg.issue_depth, 8,
-            "the shadow reference is the equally-sized in-order window"
-        );
-        assert_eq!(cfg.rename_tags, cfg.platform.rename_tag_slots);
-        let explicit = SisaConfig::with_rename_ooo(4, 16, 8, 64);
-        assert!(explicit.uses_ooo());
-        assert_eq!(
-            (
-                explicit.issue_depth,
-                explicit.resolved_issue_lanes(),
-                explicit.ooo_window,
-                explicit.rename_tags
-            ),
-            (4, 16, 8, 64)
-        );
-        // A window alone (no renaming) is an in-order queue of that depth.
-        assert!(!SisaConfig::with_rename_ooo(1, 4, 8, 0).uses_ooo());
     }
 }

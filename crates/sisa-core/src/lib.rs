@@ -52,7 +52,6 @@ pub mod issue;
 pub mod metadata;
 pub mod parallel;
 pub mod pipeline;
-pub mod rename;
 pub mod runtime;
 pub mod scoreboard;
 pub mod scu;
@@ -74,7 +73,6 @@ pub use issue::RegisterFile;
 pub use metadata::{SetMetadata, SetMetadataTable, SmbCache};
 pub use parallel::{schedule, schedule_cpu, RunReport, TaskRecord, ThreadReport};
 pub use pipeline::{IssueOutcome, IssueQueue, LaneKind, WriteIntent};
-pub use rename::{RenameMap, TagAlloc};
 pub use runtime::SisaRuntime;
 pub use scoreboard::Scoreboard;
 pub use scu::{ExecutionChoice, ExecutionTarget, Scu};

@@ -33,7 +33,7 @@ use crate::engine::{Dest, Outcome, SetEngine, SetOp};
 use crate::issue::RegisterFile;
 use crate::metadata::SetMetadataTable;
 use crate::parallel::TaskRecord;
-use crate::pipeline::{IssueQueue, LaneKind, WriteIntent};
+use crate::pipeline::{IssueQueue, LaneKind};
 use crate::scu::{DispatchOutcome, ExecutionTarget, Scu};
 use crate::stats::ExecStats;
 use crate::telemetry::{InstructionEvent, SharedCollector};
@@ -79,23 +79,10 @@ impl SisaRuntime {
             task_mark: 0,
             regs: RegisterFile::new(),
             trace: None,
-            pipeline: Self::build_pipeline(&config),
+            pipeline: IssueQueue::new(config.issue_depth, config.resolved_issue_lanes()),
             collector: None,
             telemetry_group: 0,
         }
-    }
-
-    /// Builds the issue queue the configuration asks for: the renamed
-    /// out-of-order scheduler over its in-order shadow reference when
-    /// `rename_tags` is set, else the in-order scoreboarded queue (see
-    /// [`IssueQueue::with_ooo`]).
-    fn build_pipeline(config: &SisaConfig) -> IssueQueue {
-        IssueQueue::with_ooo(
-            config.issue_depth,
-            config.resolved_issue_lanes(),
-            config.ooo_window,
-            config.rename_tags,
-        )
     }
 
     /// Creates a runtime with the default configuration.
@@ -226,11 +213,8 @@ impl SisaRuntime {
 
     /// Enqueues one timed work item into the scoreboarded issue queue and
     /// folds the schedule it lands on into the statistics: the overlapped
-    /// makespan, any operand-hazard stall, removed false dependences and
-    /// out-of-order bypasses (each attributed to `opcode` when the item is a
-    /// SISA instruction). A `sisa.del` routes through the renaming layer as
-    /// a [`WriteIntent::Release`], so under renaming it consumes the dying
-    /// version instead of WAR-waiting on its readers.
+    /// makespan and any operand-hazard stall (attributed to `opcode` when
+    /// the item is a SISA instruction).
     fn timeline(
         &mut self,
         opcode: Option<SisaOpcode>,
@@ -239,29 +223,12 @@ impl SisaRuntime {
         reads: &[SetId],
         writes: &[SetId],
     ) {
-        let intent = if opcode == Some(SisaOpcode::DeleteSet) {
-            WriteIntent::Release
-        } else {
-            WriteIntent::Produce
-        };
-        let landed = self.pipeline.issue_op(kind, cycles, reads, writes, intent);
+        let landed = self.pipeline.issue(kind, cycles, reads, writes);
         self.stats.makespan_cycles = self.pipeline.makespan_cycles();
         if landed.dep_stall > 0 {
             self.stats.dep_stall_cycles += landed.dep_stall;
             if let Some(op) = opcode {
                 self.stats.dep_stall_by_opcode[op] += landed.dep_stall;
-            }
-        }
-        if landed.false_dep_removed > 0 {
-            self.stats.false_dep_stalls_removed += landed.false_dep_removed;
-            if let Some(op) = opcode {
-                self.stats.false_dep_removed_by_opcode[op] += landed.false_dep_removed;
-            }
-        }
-        if landed.bypassed {
-            self.stats.bypassed_instructions += 1;
-            if let Some(op) = opcode {
-                self.stats.bypass_by_opcode[op] += 1;
             }
         }
         if let Some(collector) = &self.collector {
@@ -274,11 +241,7 @@ impl SisaRuntime {
                 finish: landed.finish,
                 cycles,
                 dep_stall: landed.dep_stall,
-                false_dep_removed: landed.false_dep_removed,
-                bypassed: landed.bypassed,
-                phys_tag: landed.phys_tag,
                 in_flight: self.pipeline.in_flight(),
-                free_tags: self.pipeline.free_tags(),
             });
         }
     }
@@ -1035,100 +998,6 @@ mod tests {
             assert_eq!(rt.stats(), &stats_before);
             assert_eq!(rt.pipeline().tracked_operands(), tracked_before);
         }
-    }
-
-    /// A materialise → read → delete chain over recycled set IDs: the
-    /// k-clique pattern whose WAR/WAW hazards floor the in-order pipeline.
-    fn recycled_temporaries(rt: &mut SisaRuntime) -> (SetId, SetId) {
-        let a = rt.create_sorted((0..64).collect::<Vec<_>>());
-        let b = rt.create_sorted((32..96).collect::<Vec<_>>());
-        rt.reset_stats();
-        for _ in 0..12 {
-            let t = rt.intersect(a, b); // materialise a temporary
-            let _ = rt.intersect_count(t, a); // read it
-            rt.delete(t); // kill it; the next intersect recycles the ID
-        }
-        (a, b)
-    }
-
-    #[test]
-    fn renaming_conserves_work_and_shrinks_the_makespan() {
-        let mut inorder = SisaRuntime::new(SisaConfig::with_pipeline(8, 8));
-        inorder.set_universe(256);
-        recycled_temporaries(&mut inorder);
-        let mut renamed = SisaRuntime::new(SisaConfig::with_rename_ooo(8, 8, 8, 64));
-        renamed.set_universe(256);
-        recycled_temporaries(&mut renamed);
-        // Scheduling never changes what the program costs or computes.
-        assert_eq!(
-            renamed.stats().total_cycles(),
-            inorder.stats().total_cycles()
-        );
-        assert_eq!(renamed.stats().energy_nj, inorder.stats().energy_nj);
-        assert_eq!(renamed.stats().instructions, inorder.stats().instructions);
-        // The recycled-ID chains serialise in order and overlap renamed.
-        assert!(
-            renamed.stats().makespan_cycles < inorder.stats().makespan_cycles,
-            "renamed {} !< in-order {}",
-            renamed.stats().makespan_cycles,
-            inorder.stats().makespan_cycles
-        );
-        assert!(renamed.stats().bypassed_instructions > 0);
-        assert!(!renamed.stats().bypass_by_opcode.is_empty());
-    }
-
-    #[test]
-    fn rename_stall_decomposition_matches_the_in_order_run_per_opcode() {
-        let mut inorder = SisaRuntime::new(SisaConfig::with_pipeline(8, 4));
-        inorder.set_universe(256);
-        recycled_temporaries(&mut inorder);
-        let mut renamed = SisaRuntime::new(SisaConfig::with_rename_ooo(8, 4, 16, 64));
-        renamed.set_universe(256);
-        recycled_temporaries(&mut renamed);
-        // The chain genuinely carries false dependences...
-        assert!(renamed.stats().false_dep_stalls_removed > 0);
-        // ...and the decomposition reconstructs the rename-off stall report
-        // exactly: totals and every per-opcode entry.
-        assert_eq!(
-            renamed.stats().dep_stall_cycles + renamed.stats().false_dep_stalls_removed,
-            inorder.stats().dep_stall_cycles
-        );
-        let mut recombined = renamed.stats().dep_stall_by_opcode;
-        for (op, n) in renamed.stats().false_dep_removed_by_opcode.iter() {
-            recombined[op] += n;
-        }
-        assert_eq!(recombined, inorder.stats().dep_stall_by_opcode);
-    }
-
-    #[test]
-    fn rename_off_configuration_is_bitexact_with_the_in_order_pipeline() {
-        // A reorder window without renaming is the in-order queue of that
-        // size: the whole statistics record, bypass counters included.
-        let run = |config: SisaConfig| {
-            let mut rt = SisaRuntime::new(config);
-            rt.set_universe(256);
-            recycled_temporaries(&mut rt);
-            rt.stats().clone()
-        };
-        let inorder = run(SisaConfig::with_pipeline(8, 4));
-        let windowed = run(SisaConfig::with_rename_ooo(1, 4, 8, 0));
-        assert_eq!(windowed, inorder);
-    }
-
-    #[test]
-    fn reset_stats_rearms_the_renamed_timeline() {
-        let mut rt = SisaRuntime::new(SisaConfig::renamed(8));
-        rt.set_universe(256);
-        recycled_temporaries(&mut rt);
-        assert!(rt.stats().makespan_cycles > 0);
-        rt.reset_stats();
-        assert_eq!(rt.stats().makespan_cycles, 0);
-        assert_eq!(rt.stats().false_dep_stalls_removed, 0);
-        assert_eq!(rt.pipeline().bypasses(), 0);
-        // Pre-existing sets are readable on the fresh timeline.
-        let a = rt.create_sorted([1, 2, 3]);
-        let _ = rt.cardinality(a);
-        assert!(rt.stats().makespan_cycles <= rt.stats().total_cycles());
     }
 
     #[test]

@@ -17,22 +17,16 @@
 //! the earliest cycle an instruction's operands allow it to start, and
 //! [`Scoreboard::record`] publishes an issued instruction's completion time.
 //!
-//! The scoreboard serves two masters, each only when its timeline holds more
-//! than one item in flight. At window 1 — the in-order queue at depth 1, the
-//! default — an item's floor is its predecessor's retire, which bounds every
-//! time a scoreboard could record, so that timeline neither reads nor writes
-//! one (see [`crate::pipeline`]):
+//! Set IDs are reused after deletion (the slot allocator is LIFO) and the
+//! stale times are deliberately kept: a `sisa.new` that recycles the ID
+//! *writes* it, so the WAW/WAR rules serialise the new set's creation behind
+//! every use of its predecessor — exactly the conservative behaviour a real
+//! SCU tracking physical set slots would exhibit.
 //!
-//! * The **in-order issue queue** indexes it by *logical* set ID. Set IDs are
-//!   reused after deletion (the slot allocator is LIFO) and the stale times
-//!   are deliberately kept: a `sisa.new` that recycles the ID *writes* it, so
-//!   the WAW/WAR rules serialise the new set's creation behind every use of
-//!   its predecessor — exactly the conservative behaviour a real SCU tracking
-//!   physical set slots would exhibit. (Those are the *false* dependences the
-//!   renaming layer in [`crate::rename`] removes.)
-//! * The **renamed out-of-order path** indexes it by *physical tag*: every
-//!   write gets a fresh tag, so only the RAW rule ever fires, and a tag's
-//!   entry is [released](Scoreboard::release) when the tag is reclaimed.
+//! Only a queue with more than one item in flight consults the scoreboard.
+//! At depth 1 — the default — an item's floor is its predecessor's retire,
+//! which bounds every time a scoreboard could record, so the queue neither
+//! reads nor writes one (see [`crate::pipeline`]).
 //!
 //! Entries whose recorded times can no longer influence any future schedule
 //! are pruned by [`Scoreboard::prune_completed`], so [`Scoreboard::tracked`]
@@ -40,14 +34,13 @@
 //! *in-flight* operand footprint instead of growing with every set ID the
 //! program ever touched.
 //!
-//! Set IDs and physical tags are dense indices, so the hazard state lives in
-//! a flat table indexed by raw ID and every `ready_at`/`record` is an index,
-//! not a search. The table's *length* is therefore the largest ID ever
+//! Set IDs are dense indices, so the hazard state lives in a flat table
+//! indexed by raw ID and every `ready_at`/`record` is an index, not a
+//! search. The table's *length* is therefore the largest ID ever
 //! recorded — the same bound the runtime's own `sets: Vec<Option<SetRepr>>`
-//! already pays, and the reason only IDs minted by the slot allocator (or,
-//! for tags, by [`crate::rename::RenameMap`]) may be recorded. A side list of
-//! the tracked IDs lets pruning and clearing walk the in-flight footprint
-//! only, never the whole table.
+//! already pays, and the reason only IDs minted by the slot allocator may be
+//! recorded. A side list of the tracked IDs lets pruning and clearing walk
+//! the in-flight footprint only, never the whole table.
 
 use crate::slots::slot_mut;
 use sisa_isa::SetId;
@@ -61,21 +54,12 @@ struct SetTimes {
     reads_done: u64,
 }
 
-/// One tracked ID's hazard state and its position in the tracked-ID list.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    times: SetTimes,
-    /// Index of this ID in the scoreboard's tracked-ID list.
-    position: u32,
-}
-
 /// Tracks RAW/WAW/WAR hazards on operand sets for the issue queue.
 #[derive(Clone, Debug, Default)]
 pub struct Scoreboard {
     /// `slots[raw]` is `Some` exactly when `raw` carries hazard state.
-    slots: Vec<Option<Slot>>,
-    /// The raw IDs with a `Some` slot, in no particular order;
-    /// `slots[tracked[i]].position == i`.
+    slots: Vec<Option<SetTimes>>,
+    /// The raw IDs with a `Some` slot, in no particular order.
     tracked: Vec<u32>,
 }
 
@@ -88,7 +72,7 @@ impl Scoreboard {
 
     fn entry(&self, id: SetId) -> SetTimes {
         match self.slots.get(id.raw() as usize) {
-            Some(Some(slot)) => slot.times,
+            Some(Some(times)) => *times,
             _ => SetTimes::default(),
         }
     }
@@ -96,14 +80,10 @@ impl Scoreboard {
     /// The hazard state of `id`, which starts being tracked if it was not.
     fn entry_mut(&mut self, id: SetId) -> &mut SetTimes {
         let tracked = &mut self.tracked;
-        let slot = slot_mut(&mut self.slots, id, None).get_or_insert_with(|| {
+        slot_mut(&mut self.slots, id, None).get_or_insert_with(|| {
             tracked.push(id.raw());
-            Slot {
-                times: SetTimes::default(),
-                position: (tracked.len() - 1) as u32,
-            }
-        });
-        &mut slot.times
+            SetTimes::default()
+        })
     }
 
     /// The earliest cycle at which an instruction reading `reads` and writing
@@ -124,19 +104,6 @@ impl Scoreboard {
         ready
     }
 
-    /// The earliest cycle the *producer* of each of `reads` allows a reader
-    /// to start — the RAW rule alone, ignoring WAW/WAR. This is the readiness
-    /// rule of the renamed pipeline, whose fresh-tag-per-write discipline
-    /// makes the write-side hazards structurally impossible.
-    #[must_use]
-    pub fn raw_ready_at(&self, reads: &[SetId]) -> u64 {
-        reads
-            .iter()
-            .map(|&r| self.entry(r).write_done)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Publishes an issued instruction's completion time against its operands.
     pub fn record(&mut self, reads: &[SetId], writes: &[SetId], finish: u64) {
         for &r in reads {
@@ -149,34 +116,6 @@ impl Scoreboard {
         }
     }
 
-    /// The last write completion and latest read completion recorded for
-    /// `id` (both 0 when the ID carries no hazard state). The renamed
-    /// pipeline uses this to price when a superseded physical tag's storage
-    /// has drained and can be reclaimed.
-    #[must_use]
-    pub fn times_of(&self, id: SetId) -> (u64, u64) {
-        let t = self.entry(id);
-        (t.write_done, t.reads_done)
-    }
-
-    /// Forgets the hazard state of one ID (a reclaimed physical tag: the next
-    /// binding of the tag starts with a clean slate instead of inheriting its
-    /// predecessor's times).
-    pub fn release(&mut self, id: SetId) {
-        let Some(slot) = self.slots.get_mut(id.raw() as usize).and_then(Option::take) else {
-            return;
-        };
-        // Fill the hole in the tracked list with its last entry.
-        let position = slot.position as usize;
-        self.tracked.swap_remove(position);
-        if let Some(&moved) = self.tracked.get(position) {
-            self.slots[moved as usize]
-                .as_mut()
-                .expect("tracked IDs have a slot")
-                .position = slot.position;
-        }
-    }
-
     /// Prunes every entry whose recorded times have fully retired: once the
     /// issue queue can prove that no future instruction will start before
     /// `horizon`, an entry with both times `<= horizon` can never again bind
@@ -186,15 +125,11 @@ impl Scoreboard {
     pub fn prune_completed(&mut self, horizon: u64) -> usize {
         let before = self.tracked.len();
         let slots = &mut self.slots;
-        let mut kept = 0u32;
         self.tracked.retain(|&raw| {
             let entry = &mut slots[raw as usize];
-            let slot = entry.as_mut().expect("tracked IDs have a slot");
-            let keep = slot.times.write_done > horizon || slot.times.reads_done > horizon;
-            if keep {
-                slot.position = kept;
-                kept += 1;
-            } else {
+            let times = entry.expect("tracked IDs have a slot");
+            let keep = times.write_done > horizon || times.reads_done > horizon;
+            if !keep {
                 *entry = None;
             }
             keep
@@ -247,17 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_only_readiness_ignores_readers() {
-        let mut sb = Scoreboard::new();
-        sb.record(&[], &[SetId(5)], 30);
-        sb.record(&[SetId(5)], &[], 70);
-        // The RAW-only rule sees the producer, never the drained readers.
-        assert_eq!(sb.raw_ready_at(&[SetId(5)]), 30);
-        assert_eq!(sb.raw_ready_at(&[SetId(9)]), 0);
-        assert_eq!(sb.raw_ready_at(&[]), 0);
-    }
-
-    #[test]
     fn clear_restarts_the_timeline() {
         let mut sb = Scoreboard::new();
         sb.record(&[], &[SetId(9)], 500);
@@ -275,17 +199,6 @@ mod tests {
                                          // Creating a new set in the recycled slot is a write: WAR against the
                                          // old reader keeps it ordered.
         assert_eq!(sb.ready_at(&[], &[SetId(2)]), 80);
-    }
-
-    #[test]
-    fn release_forgets_one_id() {
-        let mut sb = Scoreboard::new();
-        sb.record(&[], &[SetId(7)], 100);
-        sb.record(&[], &[SetId(8)], 100);
-        sb.release(SetId(7));
-        assert_eq!(sb.ready_at(&[SetId(7)], &[SetId(7)]), 0);
-        assert_eq!(sb.ready_at(&[SetId(8)], &[]), 100);
-        assert_eq!(sb.tracked(), 1);
     }
 
     #[test]

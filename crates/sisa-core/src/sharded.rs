@@ -973,62 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn renamed_shards_conserve_work_and_keep_consumers_behind_transfers() {
-        // Inner engines route through the renamed out-of-order scheduler when
-        // the shared configuration arms it: work and results stay identical
-        // to the in-order sharded run, the rename telemetry aggregates, and a
-        // cross-shard transfer still gates its consumer — the staged replica
-        // is renamed like any other produced set, so the RAW hazard survives.
-        let mut inorder = ShardedEngine::sisa(
-            2,
-            PartitionStrategy::Modulo,
-            SisaConfig::with_pipeline(8, 4),
-        );
-        inorder.set_universe(256);
-        let reference = run_workload(&mut inorder);
-
-        let mut renamed = ShardedEngine::sisa(
-            2,
-            PartitionStrategy::Modulo,
-            SisaConfig::with_rename_ooo(8, 4, 8, 64),
-        );
-        renamed.set_universe(256);
-        let observed = run_workload(&mut renamed);
-        assert_eq!(reference, observed, "scheduling never changes answers");
-        assert_eq!(
-            renamed.stats().total_cycles(),
-            inorder.stats().total_cycles(),
-            "the renamed shards must conserve work"
-        );
-        assert_eq!(renamed.stats().energy_nj, inorder.stats().energy_nj);
-        assert_eq!(renamed.stats().instructions, inorder.stats().instructions);
-        // The decomposition aggregates across shards like every counter:
-        // true RAW + removed false dependences = the in-order stall budget.
-        assert_eq!(
-            renamed.stats().dep_stall_cycles + renamed.stats().false_dep_stalls_removed,
-            inorder.stats().dep_stall_cycles
-        );
-        // The transfer-consumer ordering survives renaming: the consuming
-        // intersect stalls on the replica produced by the link transfer.
-        let mut engine = ShardedEngine::sisa(
-            2,
-            PartitionStrategy::Modulo,
-            SisaConfig::with_rename_ooo(8, 4, 8, 256),
-        );
-        engine.set_universe(2048);
-        let small = engine.create_sorted([1, 2, 3]); // shard 0
-        let large = engine.create_sorted((0..1000).collect::<Vec<_>>()); // shard 1
-        let _ = engine.intersect(small, large); // the small operand crosses
-        let dst = engine.shard_of(large);
-        let waited = engine.traffic().cycles_by_shard[dst];
-        assert!(waited > 0);
-        assert!(
-            engine.shard_stats(dst).makespan_cycles >= waited,
-            "the consumer cannot finish before the transfer completes"
-        );
-    }
-
-    #[test]
     fn aggregate_stats_are_conserved_across_shards() {
         let mut engine = sharded(4, PartitionStrategy::DegreeBalanced);
         let _ = run_workload(&mut engine);

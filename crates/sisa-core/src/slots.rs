@@ -29,8 +29,7 @@ pub(crate) fn release<T>(slots: &mut [Option<T>], free_ids: &mut Vec<u32>, id: S
 
 /// The slot of `id` in a flat table indexed by raw set ID, which grows by
 /// `empty` slots to reach it. A table's length is thus the largest ID it was
-/// ever handed: only IDs that [`allocate`] (or the rename map, for physical
-/// tags) minted may get here.
+/// ever handed: only IDs that [`allocate`] minted may get here.
 pub(crate) fn slot_mut<T: Clone>(table: &mut Vec<T>, id: SetId, empty: T) -> &mut T {
     let index = id.0 as usize;
     if index >= table.len() {

@@ -133,27 +133,9 @@ pub struct ExecStats {
     /// serial total, and `work / makespan` is the overlap speedup. 0 for
     /// engines that do not model overlap (see the README engines table).
     pub makespan_cycles: u64,
-    /// False WAR/WAW stall cycles the set-ID renaming layer removed from the
-    /// in-order reference schedule. Under renaming, `dep_stall_cycles` is the
-    /// true-RAW component of that reference, so `dep_stall_cycles +
-    /// false_dep_stalls_removed` equals — exactly, per opcode — the
-    /// `dep_stall_cycles` a rename-off run reports on the same program.
-    /// Always 0 when renaming is off.
-    pub false_dep_stalls_removed: u64,
-    /// Instructions that started ahead of a program-earlier instruction
-    /// still in the reorder window (out-of-order bypasses; includes
-    /// non-instruction timeline items such as result read-outs). Always 0 on
-    /// the in-order path.
-    pub bypassed_instructions: u64,
     /// Dependence-stall cycles attributed per opcode (the instruction that
     /// stalled), feeding the instruction-mix stall report.
     pub dep_stall_by_opcode: OpcodeCounts,
-    /// False-dependence stall cycles removed by renaming, attributed per
-    /// opcode (the instruction the in-order reference would have stalled).
-    pub false_dep_removed_by_opcode: OpcodeCounts,
-    /// Out-of-order bypasses attributed per opcode (the instruction that
-    /// overtook a stalled predecessor).
-    pub bypass_by_opcode: OpcodeCounts,
     /// Dynamic instruction counts per opcode.
     pub instructions: OpcodeCounts,
     /// Number of operations dispatched to SISA-PUM.
@@ -265,18 +247,9 @@ impl ExecStats {
         self.link_cycles += current.link_cycles - at.link_cycles;
         self.link_bytes += current.link_bytes - at.link_bytes;
         self.dep_stall_cycles += current.dep_stall_cycles - at.dep_stall_cycles;
-        self.false_dep_stalls_removed +=
-            current.false_dep_stalls_removed - at.false_dep_stalls_removed;
-        self.bypassed_instructions += current.bypassed_instructions - at.bypassed_instructions;
         self.makespan_cycles = self.makespan_cycles.max(current.makespan_cycles);
         self.dep_stall_by_opcode
             .add_since(&current.dep_stall_by_opcode, &at.dep_stall_by_opcode);
-        self.false_dep_removed_by_opcode.add_since(
-            &current.false_dep_removed_by_opcode,
-            &at.false_dep_removed_by_opcode,
-        );
-        self.bypass_by_opcode
-            .add_since(&current.bypass_by_opcode, &at.bypass_by_opcode);
         self.instructions
             .add_since(&current.instructions, &at.instructions);
         self.pum_ops += current.pum_ops - at.pum_ops;
@@ -450,10 +423,6 @@ mod tests {
         grown.link_bytes += 128;
         grown.dep_stall_cycles += 6;
         grown.dep_stall_by_opcode[SisaOpcode::UnionAuto] += 6;
-        grown.false_dep_stalls_removed += 11;
-        grown.false_dep_removed_by_opcode[SisaOpcode::DeleteSet] += 11;
-        grown.bypassed_instructions += 2;
-        grown.bypass_by_opcode[SisaOpcode::IntersectCountAuto] += 2;
         grown.makespan_cycles = 40;
         grown.energy_nj += 0.5;
         grown.processed_set_sizes.push(8);
@@ -468,10 +437,6 @@ mod tests {
         assert_eq!(agg.link_bytes, 128);
         assert_eq!(agg.dep_stall_cycles, 6);
         assert_eq!(agg.dep_stall_by_opcode[&SisaOpcode::UnionAuto], 6);
-        assert_eq!(agg.false_dep_stalls_removed, 11);
-        assert_eq!(agg.false_dep_removed_by_opcode[&SisaOpcode::DeleteSet], 11);
-        assert_eq!(agg.bypassed_instructions, 2);
-        assert_eq!(agg.bypass_by_opcode[&SisaOpcode::IntersectCountAuto], 2);
         assert_eq!(
             agg.makespan_cycles, 40,
             "makespan folds in the observed record's current value"
@@ -492,7 +457,7 @@ mod tests {
             ..ExecStats::default()
         };
         other.record_instruction(SisaOpcode::CloneSet);
-        other.bypass_by_opcode[SisaOpcode::IntersectMerge] += 5;
+        other.dep_stall_by_opcode[SisaOpcode::IntersectMerge] += 5;
         assert_eq!(
             ExecStats::default().checkpoint(),
             StatsCheckpoint::default(),

@@ -17,8 +17,8 @@
 //!   and `ShardedEngine::attach_collector` accept.
 //! * [`ChromeTraceCollector`] — records every event and renders the Chrome
 //!   trace-event JSON that Perfetto (<https://ui.perfetto.dev>) loads
-//!   directly: one track per vault lane, one per shard link, plus counter
-//!   tracks for issue-queue depth and the free physical-tag pool.
+//!   directly: one track per vault lane, one per shard link, plus a counter
+//!   track for issue-queue depth.
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms with
 //!   nearest-rank p50/p95/p99, a serialisable [`MetricsSnapshot`] and a
 //!   Prometheus-style text rendering.
@@ -29,7 +29,6 @@
 //! `ExecStats::makespan_cycles` for the captured engine.
 
 use crate::pipeline::LaneKind;
-use crate::SetId;
 use serde::{Deserialize, Serialize};
 use sisa_isa::SisaOpcode;
 use std::collections::BTreeMap;
@@ -61,18 +60,8 @@ pub struct InstructionEvent {
     pub cycles: u64,
     /// True-dependence stall cycles charged before issue.
     pub dep_stall: u64,
-    /// Stall cycles that renaming removed relative to the in-order shadow.
-    pub false_dep_removed: u64,
-    /// Whether the out-of-order window let the item bypass an older one.
-    pub bypassed: bool,
-    /// The physical tag renaming allocated for the item's first write
-    /// operand (`None` without renaming or for read-only items).
-    pub phys_tag: Option<SetId>,
     /// Items in flight in the issue window, sampled just after this issue.
     pub in_flight: usize,
-    /// Free physical tags remaining, sampled just after this issue
-    /// (`None` when renaming is off).
-    pub free_tags: Option<usize>,
 }
 
 /// One inter-shard link transfer, as priced by the link model.
@@ -168,8 +157,7 @@ impl fmt::Debug for SharedCollector {
 /// * tids 1000+ — one per `(src, dst)` shard link, carrying transfer
 ///   occupancy back-to-back (link transfers are priced, not scheduled, so
 ///   their track shows cumulative busy time rather than wall position).
-/// * `"C"` counter tracks `queue depth` and `free tags` sampled at each
-///   issue.
+/// * a `"C"` counter track `queue depth` sampled at each issue.
 #[derive(Clone, Debug, Default)]
 pub struct ChromeTraceCollector {
     instructions: Vec<InstructionEvent>,
@@ -245,30 +233,19 @@ impl ChromeTraceCollector {
                 None if ev.kind == LaneKind::Host => "host-ops".to_string(),
                 None => "lane-work".to_string(),
             };
-            let mut args = format!(
-                "\"cycles\":{},\"dep_stall\":{},\"false_dep_removed\":{},\"bypassed\":{}",
-                ev.cycles, ev.dep_stall, ev.false_dep_removed, ev.bypassed
-            );
-            if let Some(tag) = ev.phys_tag {
-                args.push_str(&format!(",\"phys_tag\":{}", tag.0));
-            }
             events.push(format!(
-                "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
+                "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"cycles\":{},\"dep_stall\":{}}}}}",
                 json_string(&name),
                 ev.group,
                 ev.start,
                 ev.finish.saturating_sub(ev.start).max(1),
+                ev.cycles,
+                ev.dep_stall,
             ));
             events.push(format!(
                 "{{\"name\":\"queue depth\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"in_flight\":{}}}}}",
                 ev.group, ev.start, ev.in_flight
             ));
-            if let Some(free) = ev.free_tags {
-                events.push(format!(
-                    "{{\"name\":\"free tags\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"free\":{free}}}}}",
-                    ev.group, ev.start
-                ));
-            }
         }
 
         for ev in &self.transfers {
@@ -647,11 +624,7 @@ mod tests {
             finish,
             cycles: finish - start,
             dep_stall: 0,
-            false_dep_removed: 0,
-            bypassed: false,
-            phys_tag: None,
             in_flight: 1,
-            free_tags: None,
         }
     }
 

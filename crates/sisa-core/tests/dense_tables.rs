@@ -12,15 +12,15 @@
 //!    `hits()`/`misses()` after every `lookup`/`prime`/`invalidate`, at
 //!    capacities 1..=8 over 32 IDs (so eviction is the common case);
 //! 2. **Scoreboard** — every return value equal over random
-//!    `record`/`ready_at`/`raw_ready_at`/`times_of`/`release`/
-//!    `prune_completed`/`clear` streams, `tracked()` after every step, and
+//!    `record`/`ready_at`/`prune_completed`/`clear` streams, `tracked()`
+//!    after every step, and
 //!    `record(.., finish = 0)` included (it creates a tracked entry);
 //! 3. **Register file** — the same `Register` per `bind` over more distinct
 //!    IDs than the pool holds, so the victim rule is exercised (the trace
 //!    fixture encodes the registers a program names).
 //!
-//! The statistics record went the same way — its four per-opcode
-//! `BTreeMap<SisaOpcode, u64>` are `OpcodeCounts` arrays — and is held to the
+//! The statistics record went the same way — its per-opcode
+//! `BTreeMap<SisaOpcode, u64>` tables are `OpcodeCounts` arrays — and is held to the
 //! same standard:
 //!
 //! 4. **Opcode counts** — add, `get`, index, `iter` order, `total`,
@@ -123,14 +123,6 @@ impl ScoreboardModel {
         ready
     }
 
-    fn raw_ready_at(&self, reads: &[SetId]) -> u64 {
-        reads
-            .iter()
-            .map(|&r| self.entry(r).write_done)
-            .max()
-            .unwrap_or(0)
-    }
-
     fn record(&mut self, reads: &[SetId], writes: &[SetId], finish: u64) {
         for &r in reads {
             let t = self.times.entry(r.raw()).or_default();
@@ -140,15 +132,6 @@ impl ScoreboardModel {
             let t = self.times.entry(w.raw()).or_default();
             t.write_done = t.write_done.max(finish);
         }
-    }
-
-    fn times_of(&self, id: SetId) -> (u64, u64) {
-        let t = self.entry(id);
-        (t.write_done, t.reads_done)
-    }
-
-    fn release(&mut self, id: SetId) {
-        self.times.remove(&id.raw());
     }
 
     fn prune_completed(&mut self, horizon: u64) -> usize {
@@ -260,7 +243,7 @@ fn opcode(raw: &mut u64) -> SisaOpcode {
 /// does: every field is reachable, totals move with their per-opcode
 /// attribution, and energy moves in quarters so that sums stay exact.
 fn grow(stats: &mut ExecStats, raw: &mut u64) {
-    let field = take(raw, 20);
+    let field = take(raw, 18);
     let n = take(raw, 1000) + 1;
     match field {
         0 => stats.scu_cycles += n,
@@ -274,22 +257,14 @@ fn grow(stats: &mut ExecStats, raw: &mut u64) {
             stats.dep_stall_by_opcode[opcode(raw)] += n;
         }
         7 => stats.makespan_cycles += n,
-        8 => {
-            stats.false_dep_stalls_removed += n;
-            stats.false_dep_removed_by_opcode[opcode(raw)] += n;
-        }
-        9 => {
-            stats.bypassed_instructions += 1;
-            stats.bypass_by_opcode[opcode(raw)] += 1;
-        }
-        10 | 11 => stats.record_instruction(opcode(raw)),
-        12 => stats.pum_ops += n,
-        13 => stats.pnm_ops += n,
-        14 => stats.merge_selected += n,
-        15 => stats.gallop_selected += n,
-        16 => stats.smb_hits += n,
-        17 => stats.smb_misses += n,
-        18 => stats.energy_nj += n as f64 * 0.25,
+        8 | 9 => stats.record_instruction(opcode(raw)),
+        10 => stats.pum_ops += n,
+        11 => stats.pnm_ops += n,
+        12 => stats.merge_selected += n,
+        13 => stats.gallop_selected += n,
+        14 => stats.smb_hits += n,
+        15 => stats.smb_misses += n,
+        16 => stats.energy_nj += n as f64 * 0.25,
         _ => stats.processed_set_sizes.push(n as u32),
     }
 }
@@ -404,7 +379,7 @@ proptest! {
         let mut board = Scoreboard::new();
         let mut model = ScoreboardModel::default();
         for mut raw in stream {
-            let call = take(&mut raw, 16);
+            let call = take(&mut raw, 13);
             match call {
                 0..=5 => {
                     let reads = operands(&mut raw, IDS);
@@ -415,7 +390,7 @@ proptest! {
                     board.record(&reads, &writes, finish);
                     model.record(&reads, &writes, finish);
                 }
-                6..=8 => {
+                6..=10 => {
                     let reads = operands(&mut raw, IDS);
                     let writes = operands(&mut raw, IDS);
                     prop_assert_eq!(
@@ -423,20 +398,7 @@ proptest! {
                         model.ready_at(&reads, &writes)
                     );
                 }
-                9 => {
-                    let reads = operands(&mut raw, IDS);
-                    prop_assert_eq!(board.raw_ready_at(&reads), model.raw_ready_at(&reads));
-                }
-                10 | 11 => {
-                    let id = SetId(take(&mut raw, IDS) as u32);
-                    prop_assert_eq!(board.times_of(id), model.times_of(id));
-                }
-                12 | 13 => {
-                    let id = SetId(take(&mut raw, IDS) as u32);
-                    board.release(id);
-                    model.release(id);
-                }
-                14 => {
+                11 => {
                     let horizon = take(&mut raw, 64);
                     prop_assert_eq!(
                         board.prune_completed(horizon),
@@ -454,8 +416,11 @@ proptest! {
             }
             prop_assert_eq!(board.tracked(), model.tracked());
         }
+        // Each ID's write time, then the later of its write and read times.
         for raw in 0..IDS as u32 {
-            prop_assert_eq!(board.times_of(SetId(raw)), model.times_of(SetId(raw)));
+            let id = [SetId(raw)];
+            prop_assert_eq!(board.ready_at(&id, &[]), model.ready_at(&id, &[]));
+            prop_assert_eq!(board.ready_at(&[], &id), model.ready_at(&[], &id));
         }
     }
 

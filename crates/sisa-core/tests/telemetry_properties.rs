@@ -3,8 +3,8 @@
 //! 1. **Invariance** — a run with no collector, with [`NoopCollector`] and
 //!    with [`ChromeTraceCollector`] attached produces identical observable
 //!    results and bit-identical [`ExecStats`] (exact `f64` energy included),
-//!    on the flat runtime and on a sharded engine, across the in-order,
-//!    pipelined and renamed out-of-order configurations.
+//!    on the flat runtime and on a sharded engine, at depth 1 and at two
+//!    pipelined depth × lane geometries.
 //! 2. **Makespan fidelity** — the Chrome trace's recorded event span (the
 //!    maximum retire cycle over every instruction event) equals
 //!    `ExecStats::makespan_cycles` exactly, per engine, which is the claim
@@ -108,7 +108,7 @@ fn configs() -> [SisaConfig; 3] {
     [
         SisaConfig::default(),
         SisaConfig::pipelined(8),
-        SisaConfig::renamed(16),
+        SisaConfig::with_pipeline(16, 4),
     ]
 }
 

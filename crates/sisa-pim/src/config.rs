@@ -247,12 +247,6 @@ pub struct PimPlatform {
     pub smb_enabled: bool,
     /// Latency of fetching a missing SM entry from memory, in cycles.
     pub sm_miss_latency: u64,
-    /// Capacity of the SCU's physical set-slot renaming table: how many
-    /// physical tags the set-ID renaming layer can keep in flight (one slot
-    /// per vault by default, mirroring a per-vault physical set directory).
-    /// This is the pool `sisa_core::SisaConfig::renamed` arms; a runtime with
-    /// renaming disabled never touches it.
-    pub rename_tag_slots: usize,
 }
 
 impl Default for PimPlatform {
@@ -265,8 +259,6 @@ impl Default for PimPlatform {
             smb_entries: 2048,
             smb_enabled: true,
             sm_miss_latency: ns_to_cycles(40.0),
-            // One physical set slot per vault: 16 cubes x 32 vaults.
-            rename_tag_slots: 512,
         }
     }
 }
@@ -354,15 +346,5 @@ mod tests {
         assert!(p.smb_enabled);
         assert!(p.smb_entries > 0);
         assert!(p.scu_delay > 0);
-    }
-
-    #[test]
-    fn rename_tag_pool_matches_the_vault_count() {
-        let p = PimPlatform::default();
-        assert_eq!(
-            p.rename_tag_slots,
-            p.pnm.total_vaults(),
-            "one physical set slot per vault"
-        );
     }
 }

@@ -6,9 +6,9 @@
 use sisa::algorithms::SearchLimits;
 use sisa::graph::generators;
 use sisa_bench::{
-    capture_instruction_mix, multi_cube_sweep, pipeline_overlap_sweep, rename_ooo_sweep,
-    run_auxiliary_formulations, run_cell, InstructionMix, MultiCubeCell, PipelineOverlapCell,
-    PlatformSummary, Problem, RenameOooCell, Scheme, Workload,
+    capture_instruction_mix, multi_cube_sweep, pipeline_overlap_sweep, run_auxiliary_formulations,
+    run_cell, InstructionMix, MultiCubeCell, PipelineOverlapCell, PlatformSummary, Problem, Scheme,
+    Workload,
 };
 
 #[test]
@@ -122,11 +122,14 @@ fn instruction_mix_comes_from_a_real_traced_program() {
             "stalling mnemonic {mnemonic} must appear in the dynamic mix"
         );
     }
-    // The notes record what acting on the stall report measured: the kcc-4
-    // overlap recovered by renaming + the out-of-order window on this graph.
+    // The notes report the host-kernel selections the mix tallies.
+    let selections = format!(
+        "{} merge, {} galloping, {} bitmap selections",
+        mix.host_kernels["merge"], mix.host_kernels["gallop"], mix.host_kernels["bitmap"]
+    );
     assert!(
-        mix.notes.contains("kcc-4") && mix.notes.contains("renaming"),
-        "notes must quantify the rename/OoO gain: {}",
+        mix.notes.contains(&selections),
+        "notes must report the kernel selections ({selections}): {}",
         mix.notes
     );
     let json = mix.to_json();
@@ -216,132 +219,6 @@ fn pipeline_overlap_sweep_runs_and_its_json_parses() {
     let json = serde_json::to_string_pretty(&cells).expect("cells serialize");
     let back: Vec<PipelineOverlapCell> =
         serde_json::from_str(&json).expect("pipeline_overlap.json parses");
-    assert_eq!(back, cells);
-}
-
-#[test]
-fn rename_ooo_sweep_runs_and_its_json_parses() {
-    // run_all's rename_ooo binary publishes results/rename_ooo.json from this
-    // sweep; drive it on a tiny graph and check the figure's schema claims.
-    let g = generators::erdos_renyi(70, 0.1, 9);
-    let windows = [1usize, 8, 32];
-    let tag_counts = [0usize, 16, 256];
-    let lanes = 8usize;
-    let limits = SearchLimits::patterns(5_000);
-    let cells = rename_ooo_sweep("tiny", &g, &windows, &tag_counts, lanes, &limits);
-    let workloads: std::collections::BTreeSet<&str> =
-        cells.iter().map(|c| c.workload.as_str()).collect();
-    assert!(workloads.len() >= 2, "tc and kcc-4 at minimum");
-    assert_eq!(
-        cells.len(),
-        workloads.len() * windows.len() * tag_counts.len()
-    );
-
-    for workload in &workloads {
-        let of_workload: Vec<&RenameOooCell> =
-            cells.iter().filter(|c| &c.workload == workload).collect();
-        // Scheduling never changes answers, and the pipeline prices time,
-        // not work.
-        assert!(
-            of_workload.windows(2).all(|w| w[0].result == w[1].result),
-            "{workload}: renamed runs disagree on the result"
-        );
-        assert!(
-            of_workload
-                .windows(2)
-                .all(|w| w[0].work_cycles == w[1].work_cycles),
-            "{workload}: work must be conserved across window x tags"
-        );
-        for cell in &of_workload {
-            assert!(cell.makespan_cycles > 0 && cell.makespan_cycles <= cell.work_cycles);
-            assert!(cell.overlap_speedup >= 1.0);
-            if cell.window == 1 {
-                // A 1-entry window is the serial cost model, renamed or not.
-                assert_eq!(cell.makespan_cycles, cell.work_cycles, "{workload}");
-            }
-            if cell.tags == 0 {
-                // Rename-off rows never report removed false dependences.
-                assert_eq!(cell.false_dep_stalls_removed, 0, "{workload}");
-                assert_eq!(cell.bypassed_instructions, 0, "{workload}");
-            } else {
-                // The stall decomposition reconstructs the rename-off row's
-                // dependence-stall budget exactly.
-                let reference = of_workload
-                    .iter()
-                    .find(|c| c.tags == 0 && c.window == cell.window)
-                    .expect("rename-off reference row");
-                assert_eq!(
-                    cell.dep_stall_cycles + cell.false_dep_stalls_removed,
-                    reference.dep_stall_cycles,
-                    "{workload}: decomposition at window {}",
-                    cell.window
-                );
-                assert!(
-                    cell.makespan_cycles <= reference.makespan_cycles,
-                    "{workload}: renaming must never slow window {} down",
-                    cell.window
-                );
-            }
-        }
-        // Makespan is monotone non-increasing in the window at fixed tags...
-        for &tags in &tag_counts {
-            let mut last = u64::MAX;
-            for &window in &windows {
-                let cell = of_workload
-                    .iter()
-                    .find(|c| c.window == window && c.tags == tags)
-                    .expect("cell present");
-                assert!(
-                    cell.makespan_cycles <= last,
-                    "{workload}: makespan grew from {last} to {} at window \
-                     {window} x {tags} tags",
-                    cell.makespan_cycles
-                );
-                last = cell.makespan_cycles;
-            }
-        }
-        // ...and in the tag-pool size at a fixed window (0 = off last, so
-        // sweep the renamed pools only).
-        for &window in &windows {
-            let mut last = u64::MAX;
-            for &tags in tag_counts.iter().filter(|&&t| t > 0) {
-                let cell = of_workload
-                    .iter()
-                    .find(|c| c.window == window && c.tags == tags)
-                    .expect("cell present");
-                assert!(
-                    cell.makespan_cycles <= last,
-                    "{workload}: makespan grew from {last} to {} at window \
-                     {window} x {tags} tags",
-                    cell.makespan_cycles
-                );
-                last = cell.makespan_cycles;
-            }
-        }
-    }
-
-    // The rename-off rows are the in-order pipeline: they must reproduce the
-    // pipeline_overlap figure's cells of the same depth x lanes geometry,
-    // cycle for cycle.
-    let overlap_cells = pipeline_overlap_sweep("tiny", &g, &windows, &[lanes], &limits);
-    for cell in cells.iter().filter(|c| c.tags == 0) {
-        let twin = overlap_cells
-            .iter()
-            .find(|o| o.workload == cell.workload && o.depth == cell.window && o.lanes == lanes)
-            .expect("matching pipeline_overlap cell");
-        assert_eq!(cell.result, twin.result);
-        assert_eq!(cell.work_cycles, twin.work_cycles);
-        assert_eq!(
-            cell.makespan_cycles, twin.makespan_cycles,
-            "{}: rename-off row must equal the pipeline_overlap depth-{} row",
-            cell.workload, cell.window
-        );
-        assert_eq!(cell.dep_stall_cycles, twin.dep_stall_cycles);
-    }
-
-    // The JSON the binary writes parses back into the same cells.
-    let json = serde_json::to_string_pretty(&cells).expect("cells serialize");
-    let back: Vec<RenameOooCell> = serde_json::from_str(&json).expect("rename_ooo.json parses");
     assert_eq!(back, cells);
 }
 
