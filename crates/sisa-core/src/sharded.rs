@@ -36,18 +36,20 @@
 //! the data they derive from (locality), and host-side scalar work is charged
 //! to shard 0, next to the issuing host core.
 //!
-//! Statistics: the aggregate [`ExecStats`] is kept by one rule. The engine
-//! remembers, per shard, the checkpoint it last settled at; every public
-//! `&mut` call works on its shards directly and ends with one `settle` per
-//! shard it touched — what the shard accrued since its mark is added to the
-//! aggregate, the shard is re-marked, and the energy is overwritten by the
-//! ordered fold over shards plus the link ledger. [`ShardedEngine::execute`]
-//! ends with the same `settle` over all shards. Integer counters telescope
-//! exactly however many marks lie in between, so `stats()` always equals the
-//! sum of the shards plus the ledger. The aggregate is not folded lazily on
-//! `stats()` instead: a [`crate::StatsScope`] reads the tail of
-//! `processed_set_sizes` since its checkpoint, which must therefore grow in
-//! operation order, and a by-shard fold would reorder it.
+//! Statistics: the engine keeps no running aggregate. Each shard is marked
+//! only when the engine takes it over and at [`SetEngine::reset_stats`], and
+//! `stats()` is one fold, in shard order, of what every shard accrued since
+//! its mark plus the link ledger — the only record of link cost. The fold is
+//! cached until a `&mut` call changes a shard, so the totals are read once per
+//! phase, not once per operation. Every public `&mut` call ends with one
+//! `settle` per shard it touched, which drops the cached fold and appends the
+//! shard's new `processed_set_sizes` to the engine's own copy: a
+//! [`crate::StatsScope`] reads that vector's tail since its checkpoint, so it
+//! must grow in operation order, and a by-shard fold would reorder it. Integer
+//! counters are exact differences, and the energy is the same ordered sum at
+//! every read, so `stats()` equals the sum of the shards since their marks
+//! plus the ledger, bit for bit. The cache makes the engine `!Sync`; it stays
+//! `Send`.
 
 use crate::config::SisaConfig;
 use crate::engine::{Dest, Outcome, SetEngine, SetOp};
@@ -60,6 +62,7 @@ use crate::Vertex;
 use sisa_isa::SetId;
 use sisa_pim::{EnergyModel, LinkModel};
 use sisa_sets::SetRepr;
+use std::cell::OnceCell;
 
 /// Accounting of cross-shard operand movement.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -216,10 +219,16 @@ pub struct ShardedEngine<E: SetEngine> {
     placement: Vec<Option<(usize, SetId)>>,
     free_ids: Vec<u32>,
     universe: usize,
-    stats: ExecStats,
-    /// Each shard's statistics as of its last [`Self::settle`]: what the
-    /// aggregate already holds of it.
-    settled: Vec<StatsCheckpoint>,
+    /// Each shard's statistics when the engine took it over or last reset
+    /// it: the aggregate counts only what a shard accrued since.
+    marks: Vec<StatsCheckpoint>,
+    /// How many of each shard's `processed_set_sizes` `set_sizes` holds.
+    sizes_seen: Vec<usize>,
+    /// The aggregate `processed_set_sizes`, in operation order.
+    set_sizes: Vec<u32>,
+    /// The aggregate as [`Self::fold`] last computed it, until a shard or
+    /// the ledger changes.
+    folded: OnceCell<ExecStats>,
     traffic: LinkTraffic,
     /// Cumulative created cardinality per shard (the degree-aware placement
     /// signal; results and clones count toward the shard that stores them).
@@ -244,8 +253,7 @@ impl<E: SetEngine> ShardedEngine<E> {
             "a sharded engine needs at least one shard"
         );
         let n = shards.len();
-        Self {
-            settled: shards.iter().map(|s| s.stats().checkpoint()).collect(),
+        let mut engine = Self {
             shards,
             strategy,
             link,
@@ -253,13 +261,18 @@ impl<E: SetEngine> ShardedEngine<E> {
             placement: Vec::new(),
             free_ids: Vec::new(),
             universe: 0,
-            stats: ExecStats::default(),
+            marks: Vec::new(),
+            sizes_seen: Vec::new(),
+            set_sizes: Vec::new(),
+            folded: OnceCell::new(),
             traffic: LinkTraffic::new(n),
             created_load: vec![0; n],
             task_mark: 0,
             collector: None,
             telemetry_group: 0,
-        }
+        };
+        engine.mark_shards();
+        engine
     }
 
     /// Number of shards.
@@ -352,30 +365,56 @@ impl<E: SetEngine> ShardedEngine<E> {
     // Internals
     // -----------------------------------------------------------------------
 
-    /// The one settlement rule (see the module docs): adds what `shard` has
-    /// accrued since it was last settled to the aggregate statistics and
-    /// re-marks it. `merge_since` handles every counter; the energy it
-    /// accumulates as a floating-point delta is then overwritten by
-    /// `refresh_energy`'s exact ordered fold.
-    fn settle(&mut self, shard: usize) {
-        let now = self.shards[shard].stats();
-        self.stats.merge_since(now, &self.settled[shard]);
-        self.settled[shard] = now.checkpoint();
-        self.refresh_energy();
+    /// Marks every shard where it stands: from here on the aggregate counts
+    /// what the shards accrue.
+    fn mark_shards(&mut self) {
+        self.marks = self.shards.iter().map(|s| s.stats().checkpoint()).collect();
+        self.sizes_seen = self
+            .shards
+            .iter()
+            .map(|s| s.stats().processed_set_sizes.len())
+            .collect();
+        self.set_sizes.clear();
+        self.folded.take();
     }
 
-    /// Recomputes the aggregate energy as the ordered sum over shards plus the
-    /// link ledger. Summing totals (instead of accumulating per-operation
-    /// floating-point deltas) keeps the aggregate bit-for-bit equal to the sum
-    /// of its parts, which the conservation tests and the 1-shard ≡ flat
-    /// equivalence rely on; per-shard delta schemes would break that
-    /// exactness, so the O(N) fold (N ≤ #cubes) is deliberate.
-    fn refresh_energy(&mut self) {
-        let mut energy = 0.0;
-        for shard in &self.shards {
-            energy += shard.stats().energy_nj;
+    /// Closes a call that changed `shard` (see the module docs): drops the
+    /// cached fold and appends the set sizes the shard recorded since it was
+    /// last settled, so `set_sizes` stays in operation order.
+    fn settle(&mut self, shard: usize) {
+        self.folded.take();
+        let sizes = &self.shards[shard].stats().processed_set_sizes;
+        self.set_sizes
+            .extend_from_slice(&sizes[self.sizes_seen[shard]..]);
+        self.sizes_seen[shard] = sizes.len();
+    }
+
+    /// The aggregate statistics: `Σ (shard − mark)` in shard order plus the
+    /// link ledger, with `set_sizes`. The energy is the ordered sum of the
+    /// shards' growth plus the ledger's, recomputed from totals at every fold,
+    /// so it is bit for bit the sum of its parts — which the conservation
+    /// tests and the 1-shard ≡ flat equivalence rely on.
+    fn fold(&self) -> ExecStats {
+        let mut stats = ExecStats::default();
+        for (shard, mark) in self.shards.iter().zip(&self.marks) {
+            stats.add_counters_since(shard.stats(), mark);
         }
-        self.stats.energy_nj = energy + self.traffic.energy_nj;
+        stats.link_cycles += self.traffic.cycles;
+        stats.link_bytes += self.traffic.bytes;
+        stats.energy_nj += self.traffic.energy_nj;
+        stats.processed_set_sizes.clone_from(&self.set_sizes);
+        stats
+    }
+
+    /// `stats().total_cycles()` without folding the whole record.
+    fn total_cycles(&self) -> u64 {
+        let shards: u64 = self
+            .shards
+            .iter()
+            .zip(&self.marks)
+            .map(|(shard, mark)| shard.stats().total_cycles() - mark.total_cycles())
+            .sum();
+        shards + self.traffic.cycles
     }
 
     fn locate(&self, id: SetId) -> (usize, SetId) {
@@ -396,17 +435,15 @@ impl<E: SetEngine> ShardedEngine<E> {
         global
     }
 
-    /// Books one `src → dst` transfer of `bytes` bytes into the aggregate
-    /// statistics and the traffic ledger, returning the link cycles it cost.
-    /// The lane-work absorption on the receiving shard is the caller's
-    /// responsibility (see [`Self::resolve_binary`]); the aggregate energy
-    /// takes the ledger's in at the call's closing [`Self::settle`].
+    /// Books one `src → dst` transfer of `bytes` bytes into the traffic
+    /// ledger, returning the link cycles it cost. The lane-work absorption on
+    /// the receiving shard is the caller's responsibility (see
+    /// [`Self::resolve_binary`]), and so is the closing [`Self::settle`] of
+    /// the receiving shard, which drops the cached fold.
     fn ledger_transfer(&mut self, src: usize, dst: usize, bytes: u64) -> u64 {
         let route = self.link.route(src, dst, self.shards.len());
         let cycles = self.link.transfer_cost(bytes as usize, route);
         let energy = self.energy.link_energy(bytes, route.hops as u64);
-        self.stats.link_cycles += cycles;
-        self.stats.link_bytes += bytes;
         self.traffic.cross_ops += 1;
         self.traffic.bytes += bytes;
         self.traffic.cycles += cycles;
@@ -528,11 +565,11 @@ impl<E: SetEngine> ShardedEngine<E> {
     ///    not a host detail: all of a window's replicas are staged before its
     ///    first operation runs, and that is what each shard's allocator and
     ///    timeline see.
-    /// 3. **Settle** (shard order, once after the last window): what each
-    ///    shard accrued since it was last settled is folded into the
-    ///    aggregate statistics, and the aggregate energy is recomputed as
-    ///    the usual ordered fold over shards. Materialised results are then
-    ///    registered in batch order.
+    /// 3. **Settle** (shard order, once after the last window): each
+    ///    shard's new `processed_set_sizes` are appended — so a batch's set
+    ///    sizes read in shard order, not batch order — and the cached
+    ///    aggregate is dropped, to be folded at the next `stats()`.
+    ///    Materialised results are then registered in batch order.
     ///
     /// Returns one [`BatchResult`] per operation, in batch order.
     ///
@@ -658,15 +695,14 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
     }
 
     fn stats(&self) -> &ExecStats {
-        &self.stats
+        self.folded.get_or_init(|| self.fold())
     }
 
     fn reset_stats(&mut self) {
         for shard in &mut self.shards {
             shard.reset_stats();
         }
-        self.stats = ExecStats::default();
-        self.settled = self.shards.iter().map(|s| s.stats().checkpoint()).collect();
+        self.mark_shards();
         self.traffic = LinkTraffic::new(self.shards.len());
         self.task_mark = 0;
     }
@@ -764,7 +800,7 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
     }
 
     fn task_begin(&mut self) {
-        self.task_mark = self.stats.total_cycles();
+        self.task_mark = self.total_cycles();
     }
 
     fn task_end(&mut self) -> TaskRecord {
@@ -775,7 +811,7 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
         // platform, whose cost models fold memory time into cycles; wrap
         // `HostEngine`s only where `schedule_cpu`'s bandwidth-contention
         // modelling is not needed.
-        TaskRecord::compute_only(self.stats.total_cycles() - self.task_mark)
+        TaskRecord::compute_only(self.total_cycles() - self.task_mark)
     }
 }
 
@@ -984,6 +1020,36 @@ mod tests {
         recomputed.link_bytes += engine.traffic().bytes;
         recomputed.energy_nj += engine.traffic().energy_nj;
         assert_eq!(recomputed, *engine.stats());
+    }
+
+    #[test]
+    fn energy_counts_from_the_wrap_like_every_other_counter() {
+        let ran = |members: [Vertex; 3]| {
+            let mut rt = SisaRuntime::with_defaults();
+            rt.set_universe(256);
+            let a = rt.create_sorted(members);
+            let b = rt.create_sorted([2, 3, 4]);
+            let _ = rt.intersect(a, b);
+            rt
+        };
+        let shards = vec![ran([1, 2, 3]), ran([3, 4, 5])];
+        let at_wrap: Vec<f64> = shards.iter().map(|s| s.stats().energy_nj).collect();
+        assert!(at_wrap.iter().all(|&e| e > 0.0));
+        let link = LinkModel::new(SisaConfig::default().platform.pnm);
+        let mut engine = ShardedEngine::from_shards(shards, PartitionStrategy::Modulo, link);
+        assert_eq!(engine.stats().energy_nj, 0.0, "nothing ran through it yet");
+
+        engine.set_universe(256);
+        let a = engine.create_sorted([1, 2, 3]); // shard 0
+        let b = engine.create_sorted([2, 3, 4, 5]); // shard 1
+        let _ = engine.intersect_count(a, b);
+        assert_eq!(engine.traffic().cross_ops, 1);
+        let mut expected = 0.0;
+        for (shard, before) in at_wrap.iter().enumerate() {
+            expected += engine.shard_stats(shard).energy_nj - before;
+        }
+        expected += engine.traffic().energy_nj;
+        assert_eq!(engine.stats().energy_nj.to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! opcode — so the whole record but `processed_set_sizes` is plain data: a
 //! checkpoint is "the record as it was, without the contents of
 //! `processed_set_sizes`" and declares no counter of its own, `merge` is
-//! `merge_since` against a zero checkpoint, and `merge_since` holds the one
-//! field-by-field list. [`StatsScope`] is the public face of that mechanism;
-//! [`crate::ShardedEngine`] settles its shards with the mechanism itself.
+//! `merge_since` against a zero checkpoint, and `add_counters_since` holds
+//! the one field-by-field list. [`StatsScope`] is the public face of that
+//! mechanism. [`crate::ShardedEngine`] marks each shard once, when it takes
+//! the shard over or resets it, and folds `Σ (shard − mark)` with
+//! `add_counters_since` only when its statistics are read; it keeps the
+//! `processed_set_sizes` in operation order itself.
 
 use sisa_isa::SisaOpcode;
 use std::borrow::Borrow;
@@ -218,7 +221,8 @@ impl ExecStats {
     /// The record as it is now, without the contents of
     /// `processed_set_sizes` (only their number): what is executed after it
     /// can be attributed elsewhere with [`ExecStats::merge_since`]. Nothing is
-    /// allocated, because composite engines re-mark a shard on every call.
+    /// allocated, because a [`StatsScope`] is opened around every query a
+    /// service worker runs.
     #[must_use]
     pub(crate) fn checkpoint(&self) -> StatsCheckpoint {
         StatsCheckpoint {
@@ -231,15 +235,23 @@ impl ExecStats {
     }
 
     /// Adds `current - at` into `self`: the cost accumulated by the observed
-    /// statistics record since the checkpoint was taken. This is the only
-    /// arithmetic over the fields — [`ExecStats::merge`] is the same sum
-    /// against a zero checkpoint. Counters only grow between checkpoints
+    /// statistics record since the checkpoint was taken, its
+    /// `processed_set_sizes` tail appended. [`ExecStats::merge`] is the same
+    /// sum against a zero checkpoint.
+    pub(crate) fn merge_since(&mut self, current: &ExecStats, at: &StatsCheckpoint) {
+        self.add_counters_since(current, at);
+        self.processed_set_sizes
+            .extend_from_slice(&current.processed_set_sizes[at.set_sizes..]);
+    }
+
+    /// [`ExecStats::merge_since`] without `processed_set_sizes`: the only
+    /// arithmetic over the fields. Counters only grow between checkpoints
     /// (statistics resets are handled by re-checkpointing), so the
     /// subtraction is well defined. `makespan_cycles` is not a delta: the
     /// observed record's current makespan is folded in with `max`, so
     /// composite engines track the slowest parallel unit.
-    pub(crate) fn merge_since(&mut self, current: &ExecStats, at: &StatsCheckpoint) {
-        let (at, set_sizes) = (&at.record, at.set_sizes);
+    pub(crate) fn add_counters_since(&mut self, current: &ExecStats, at: &StatsCheckpoint) {
+        let at = &at.record;
         self.scu_cycles += current.scu_cycles - at.scu_cycles;
         self.pum_cycles += current.pum_cycles - at.pum_cycles;
         self.pnm_cycles += current.pnm_cycles - at.pnm_cycles;
@@ -259,8 +271,6 @@ impl ExecStats {
         self.smb_hits += current.smb_hits - at.smb_hits;
         self.smb_misses += current.smb_misses - at.smb_misses;
         self.energy_nj += current.energy_nj - at.energy_nj;
-        self.processed_set_sizes
-            .extend_from_slice(&current.processed_set_sizes[set_sizes..]);
     }
 }
 
@@ -269,10 +279,9 @@ impl ExecStats {
 /// out as a standalone [`ExecStats`] delta.
 ///
 /// This is the public face of the crate-private checkpoint / `merge_since`
-/// mechanism that composite engines use to settle their shards, packaged for
-/// *per-query attribution*: a long-lived engine (e.g. one worker of a service
-/// pool) opens a scope around each piece of work and bills the resulting
-/// delta to whoever asked for it.
+/// mechanism, packaged for *per-query attribution*: a long-lived engine (e.g.
+/// one worker of a service pool) opens a scope around each piece of work and
+/// bills the resulting delta to whoever asked for it.
 ///
 /// ## Exactness guarantees
 ///
@@ -350,6 +359,13 @@ pub(crate) struct StatsCheckpoint {
     record: ExecStats,
     /// How many `processed_set_sizes` the record held.
     set_sizes: usize,
+}
+
+impl StatsCheckpoint {
+    /// [`ExecStats::total_cycles`] of the record.
+    pub(crate) fn total_cycles(&self) -> u64 {
+        self.record.total_cycles()
+    }
 }
 
 #[cfg(test)]
