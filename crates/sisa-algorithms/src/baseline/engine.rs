@@ -1,6 +1,6 @@
 //! The CPU execution engine shared by all software baselines.
 //!
-//! [`CpuEngine`] wraps a simulated CPU hardware thread (`sisa-pim`) together
+//! `CpuEngine` wraps a simulated CPU hardware thread (`sisa-pim`) together
 //! with a synthetic address map of the CSR arrays, so baseline algorithms can
 //! both *compute real results* (reading the actual CSR) and *charge realistic
 //! cycles* (every read touches the cache hierarchy at the address the CSR
@@ -13,7 +13,7 @@ use sisa_pim::{AddressSpace, CpuConfig, CpuThread};
 
 /// A baseline CPU execution engine bound to one CSR graph.
 #[derive(Clone, Debug)]
-pub struct CpuEngine<'g> {
+pub(crate) struct CpuEngine<'g> {
     graph: &'g CsrGraph,
     thread: CpuThread,
     offsets_base: u64,
@@ -32,7 +32,7 @@ impl<'g> CpuEngine<'g> {
 
     /// Scalar operations charged per binary-search level (compare plus a
     /// hard-to-predict branch).
-    pub const PROBE_OPS_PER_LEVEL: u64 = 3;
+    pub(crate) const PROBE_OPS_PER_LEVEL: u64 = 3;
 
     /// Creates an engine for `graph` with the given CPU configuration; the
     /// cache hierarchy assumes `threads` cores share the L3.
@@ -81,13 +81,13 @@ impl<'g> CpuEngine<'g> {
     }
 
     /// Reads the offsets entry of `v` (one 8-byte access).
-    pub fn read_offset(&mut self, v: Vertex) {
+    pub(crate) fn read_offset(&mut self, v: Vertex) {
         self.thread.access(self.offsets_base + u64::from(v) * 8);
     }
 
     /// Streams the neighbourhood of `v` and returns it (charging a sequential
     /// scan of `degree(v)` 4-byte target entries).
-    pub fn stream_neighbors(&mut self, v: Vertex) -> &'g [Vertex] {
+    pub(crate) fn stream_neighbors(&mut self, v: Vertex) -> &'g [Vertex] {
         self.read_offset(v);
         let deg = self.graph.degree(v) as u64;
         let base = self.targets_base + self.starts[v as usize] * 4;
@@ -95,17 +95,10 @@ impl<'g> CpuEngine<'g> {
         self.graph.neighbors(v)
     }
 
-    /// Returns the neighbourhood without charging a full scan (used when the
-    /// algorithm only walks a prefix; callers charge what they touch).
-    #[must_use]
-    pub fn peek_neighbors(&self, v: Vertex) -> &'g [Vertex] {
-        self.graph.neighbors(v)
-    }
-
     /// Checks whether the edge `u → v` exists via binary search over `N(u)`
     /// (the `_non-set` adjacency-check idiom), charging `log₂ d(u)` dependent
     /// random accesses.
-    pub fn binary_search_edge(&mut self, u: Vertex, v: Vertex) -> bool {
+    pub(crate) fn binary_search_edge(&mut self, u: Vertex, v: Vertex) -> bool {
         self.read_offset(u);
         let deg = self.graph.degree(u);
         let base = self.targets_base + self.starts[u as usize] * 4;
@@ -132,7 +125,7 @@ impl<'g> CpuEngine<'g> {
     /// Counts `|N(u) ∩ N(v)|` with a merge over both sorted neighbourhoods
     /// (the `_set-based` idiom): both neighbourhoods are streamed and one
     /// compare is charged per merge step.
-    pub fn merge_intersect_count(&mut self, u: Vertex, v: Vertex) -> usize {
+    pub(crate) fn merge_intersect_count(&mut self, u: Vertex, v: Vertex) -> usize {
         let nu = self.stream_neighbors(u);
         let nv = self.stream_neighbors(v);
         let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
@@ -153,7 +146,7 @@ impl<'g> CpuEngine<'g> {
 
     /// Materialises `N(u) ∩ N(v)` with a merge (set-based idiom), charging the
     /// streams, the compares and the write-out of the result to scratch.
-    pub fn merge_intersect(&mut self, u: Vertex, v: Vertex) -> Vec<Vertex> {
+    pub(crate) fn merge_intersect(&mut self, u: Vertex, v: Vertex) -> Vec<Vertex> {
         let nu = self.stream_neighbors(u);
         let nv = self.stream_neighbors(v);
         let out = sisa_sets::ops::intersect_merge_slices(nu, nv);
@@ -163,7 +156,7 @@ impl<'g> CpuEngine<'g> {
     }
 
     /// Intersects a sorted candidate list with `N(v)` by merging (set-based).
-    pub fn merge_intersect_with(&mut self, candidates: &[Vertex], v: Vertex) -> Vec<Vertex> {
+    pub(crate) fn merge_intersect_with(&mut self, candidates: &[Vertex], v: Vertex) -> Vec<Vertex> {
         self.stream_scratch(candidates.len());
         let nv = self.stream_neighbors(v);
         let out = sisa_sets::ops::intersect_merge_slices(candidates, nv);
@@ -174,7 +167,7 @@ impl<'g> CpuEngine<'g> {
 
     /// Counts `|N(u) ∩ N(v)|` by iterating the smaller neighbourhood and
     /// binary-searching the larger (the `_non-set` probing idiom).
-    pub fn probe_intersect_count(&mut self, u: Vertex, v: Vertex) -> usize {
+    pub(crate) fn probe_intersect_count(&mut self, u: Vertex, v: Vertex) -> usize {
         let (small, large) = if self.graph.degree(u) <= self.graph.degree(v) {
             (u, v)
         } else {
@@ -206,20 +199,14 @@ impl<'g> CpuEngine<'g> {
 
     /// Charges a sequential read of `elements` 4-byte scratch entries
     /// (intermediate candidate lists and frontiers live in scratch space).
-    pub fn stream_scratch(&mut self, elements: usize) {
+    pub(crate) fn stream_scratch(&mut self, elements: usize) {
         self.thread.stream(self.scratch_base, elements as u64 * 4);
     }
 
     /// Charges a sequential write of `elements` 4-byte scratch entries.
-    pub fn write_scratch(&mut self, elements: usize) {
+    pub(crate) fn write_scratch(&mut self, elements: usize) {
         self.thread
             .stream(self.scratch_base + 8 * 1024 * 1024, elements as u64 * 4);
-    }
-
-    /// The total cost accumulated by this engine so far.
-    #[must_use]
-    pub fn total_cost(&self) -> TaskRecord {
-        TaskRecord::from(self.thread.total_cost())
     }
 }
 
@@ -311,6 +298,5 @@ mod tests {
         let cost = e.task_end();
         assert!(cost.dram_bytes > 0);
         assert!(cost.cycles > cost.stall_cycles);
-        assert!(e.total_cost().cycles >= cost.cycles);
     }
 }

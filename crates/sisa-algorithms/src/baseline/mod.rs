@@ -21,7 +21,6 @@ pub mod subgraph_iso;
 
 pub use bron_kerbosch::maximal_cliques_baseline;
 pub use cliques::{k_clique_count_baseline, k_clique_star_count_baseline, triangle_count_baseline};
-pub use engine::CpuEngine;
 pub use learning::jarvis_patrick_baseline;
 pub use subgraph_iso::star_isomorphism_baseline;
 

@@ -4,11 +4,11 @@
 //!
 //! * [`setcentric`] — the paper's set-centric formulations (§5), written
 //!   against the SISA runtime (`sisa-core`): triangle counting, k-clique
-//!   listing, 4-clique counting, k-clique-star listing (two variants),
+//!   listing, 4-clique counting, k-clique-star listing (Algorithm 5),
 //!   Bron–Kerbosch maximal clique listing with pivoting and degeneracy,
 //!   approximate degeneracy ordering, subgraph isomorphism (VF2, labelled),
-//!   frequent subgraph mining, vertex similarity, link prediction (and its
-//!   accuracy test), Jarvis–Patrick clustering and set-centric BFS.
+//!   vertex similarity, link prediction (and its accuracy test),
+//!   Jarvis–Patrick clustering and set-centric BFS.
 //! * [`baseline`] — the hand-tuned comparison targets of §9.1: `_non-set`
 //!   CSR algorithms and `_set-based` software set-centric algorithms, both
 //!   executed on the baseline CPU cost model from `sisa-pim`.

@@ -70,14 +70,8 @@ impl PatternBudget {
 
     /// Whether the budget has been exhausted.
     #[must_use]
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.exhausted
-    }
-
-    /// Whether the search may continue.
-    #[must_use]
-    pub fn may_continue(&self) -> bool {
-        !self.exhausted
     }
 }
 
@@ -92,7 +86,6 @@ mod tests {
             assert!(b.found(1_000_000));
         }
         assert!(!b.exhausted());
-        assert!(b.may_continue());
     }
 
     #[test]
@@ -102,7 +95,6 @@ mod tests {
         assert!(b.found(5));
         assert!(!b.found(3)); // would cross the limit
         assert!(b.exhausted());
-        assert!(!b.may_continue());
     }
 
     #[test]

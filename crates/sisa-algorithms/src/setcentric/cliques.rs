@@ -136,7 +136,7 @@ fn count_extensions<E: SetEngine>(
 /// Lists k-cliques explicitly (each clique misses its first two vertices in
 /// the recursion prefix, so the full clique is reconstructed per leaf). Used
 /// by the k-clique-star algorithms and by tests.
-pub fn k_clique_list<E: SetEngine>(
+pub(crate) fn k_clique_list<E: SetEngine>(
     rt: &mut E,
     oriented: &SetGraph,
     k: usize,
@@ -208,43 +208,6 @@ pub fn four_clique_count<E: SetEngine>(
         tasks.push(rt.task_end());
     }
     MiningRun::new(cnt, tasks, budget.exhausted())
-}
-
-/// k-clique-star listing, Jabbour et al. formulation (Algorithm 4): find all
-/// k-cliques, then intersect the (undirected) neighbourhoods of each clique's
-/// members to find the star vertices.
-///
-/// Returns the number of k-clique-stars with a non-empty star extension.
-pub fn k_clique_star_join<E: SetEngine>(
-    rt: &mut E,
-    undirected: &SetGraph,
-    oriented: &SetGraph,
-    k: usize,
-    limits: &SearchLimits,
-) -> MiningRun<u64> {
-    let cliques = k_clique_list(rt, oriented, k, limits);
-    let truncated = cliques.truncated;
-    let mut tasks = cliques.tasks;
-    let mut stars = 0u64;
-    for clique in &cliques.result {
-        rt.task_begin();
-        // X = ∩_{u ∈ Vc} N(u) over the *undirected* neighbourhoods.
-        let x = rt.clone_set(undirected.neighborhood(clique[0]));
-        for &u in &clique[1..] {
-            rt.host_ops(1);
-            rt.intersect_assign(x, undirected.neighborhood(u));
-        }
-        // Gs = X ∪ Vc; the star is non-trivial if X \ Vc is non-empty.
-        let vc = rt.create_sorted(clique.iter().copied());
-        let extra = rt.difference_count(x, vc);
-        if extra > 0 {
-            stars += 1;
-        }
-        rt.delete(x);
-        rt.delete(vc);
-        tasks.push(rt.task_end());
-    }
-    MiningRun::new(stars, tasks, truncated)
 }
 
 /// k-clique-star listing, the paper's own variant (Algorithm 5): mine
@@ -415,16 +378,7 @@ mod tests {
                 (0, 5),
             ],
         );
-        let (mut rt, undirected, oriented) = setup(&g);
-        let join = k_clique_star_join(
-            &mut rt,
-            &undirected,
-            &oriented,
-            3,
-            &SearchLimits::unlimited(),
-        );
-        // Every 3-clique inside {0,1,2,3,4} has at least one star vertex.
-        assert!(join.result >= 1);
+        let (mut rt, _, oriented) = setup(&g);
         let ours = k_clique_star_count(&mut rt, &oriented, 3, &SearchLimits::unlimited());
         // Algorithm 5 counts distinct 3-cliques contained in 4-cliques.
         assert!(ours.result >= 1);

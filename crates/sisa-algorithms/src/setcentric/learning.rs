@@ -38,20 +38,6 @@ impl SimilarityMeasure {
         Self::ResourceAllocation,
         Self::PreferentialAttachment,
     ];
-
-    /// Short name used in reports (`cl-jac`, `cl-ovr`, `cl-tot`, ...).
-    #[must_use]
-    pub fn short_name(self) -> &'static str {
-        match self {
-            Self::Jaccard => "jac",
-            Self::Overlap => "ovr",
-            Self::CommonNeighbors => "cn",
-            Self::TotalNeighbors => "tot",
-            Self::AdamicAdar => "aa",
-            Self::ResourceAllocation => "ra",
-            Self::PreferentialAttachment => "pa",
-        }
-    }
 }
 
 /// Computes the similarity of the neighbourhoods of `u` and `v` using SISA
@@ -393,16 +379,5 @@ mod tests {
             outcome.removed_edges
         );
         assert!(!run.tasks.is_empty());
-    }
-
-    #[test]
-    fn measure_names_are_unique() {
-        let mut names: Vec<&str> = SimilarityMeasure::ALL
-            .iter()
-            .map(|m| m.short_name())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), SimilarityMeasure::ALL.len());
     }
 }

@@ -17,14 +17,11 @@ pub mod traversal;
 
 pub use bron_kerbosch::maximal_cliques;
 pub use cliques::{
-    four_clique_count, k_clique_count, k_clique_list, k_clique_star_count, k_clique_star_join,
-    orient_by_degeneracy, triangle_count,
+    four_clique_count, k_clique_count, k_clique_star_count, orient_by_degeneracy, triangle_count,
 };
 pub use incremental::{ApplyReport, StreamingMiner};
 pub use learning::{
     jarvis_patrick_clustering, link_prediction_accuracy, pairwise_similarity, SimilarityMeasure,
 };
-pub use subgraph_iso::{
-    frequent_subgraphs, star_pattern, subgraph_isomorphism_count, PatternGraph,
-};
+pub use subgraph_iso::{star_pattern, subgraph_isomorphism_count, PatternGraph};
 pub use traversal::{approximate_degeneracy, bfs, BfsMode};

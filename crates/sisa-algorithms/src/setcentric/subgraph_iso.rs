@@ -1,13 +1,11 @@
-//! Set-centric subgraph isomorphism (paper §5.1.6) and frequent subgraph
-//! mining (§5.1.7).
+//! Set-centric subgraph isomorphism (paper §5.1.6).
 //!
 //! The matcher follows the VF2 recipe the paper uses: pattern vertices are
 //! matched one at a time; the candidate set for the next pattern vertex is the
 //! *intersection of the target neighbourhoods* of its already-matched pattern
 //! neighbours, minus the already-used target vertices — both SISA set
 //! operations — and label compatibility is verified per candidate
-//! (`verify_labels`). Frequent subgraph mining runs the Apriori-style loop of
-//! Algorithm 8 with this matcher as its counting kernel.
+//! (`verify_labels`).
 
 use crate::limits::{PatternBudget, SearchLimits};
 use crate::{MiningRun, Vertex};
@@ -70,17 +68,11 @@ impl PatternGraph {
         self.labels.as_ref().map(|l| l[v as usize])
     }
 
-    /// Whether the pattern carries labels.
-    #[must_use]
-    pub fn is_labeled(&self) -> bool {
-        self.labels.is_some()
-    }
-
     /// A matching order in which every vertex (after the first) has at least
     /// one earlier neighbour; falls back to index order for disconnected
     /// patterns.
     #[must_use]
-    pub fn matching_order(&self) -> Vec<Vertex> {
+    pub(crate) fn matching_order(&self) -> Vec<Vertex> {
         let n = self.size();
         if n == 0 {
             return Vec::new();
@@ -241,101 +233,6 @@ fn extend<E: SetEngine>(
     total
 }
 
-/// A frequent pattern discovered by [`frequent_subgraphs`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct FrequentPattern {
-    /// The pattern graph (labelled).
-    pub pattern: PatternGraph,
-    /// Number of embeddings found in the target graph.
-    pub support: u64,
-}
-
-/// Apriori-style frequent subgraph mining (Algorithm 8), restricted — as in
-/// the tree-join kernel the paper cites — to tree-shaped candidate patterns:
-/// level-`k` candidates extend a frequent level-`k−1` pattern by one new
-/// labelled vertex attached to one existing vertex.
-///
-/// `min_support` is the absolute embedding-count threshold (the paper's
-/// `σ · n`); `max_size` bounds the pattern size explored.
-pub fn frequent_subgraphs<E: SetEngine>(
-    rt: &mut E,
-    g: &SetGraph,
-    min_support: u64,
-    max_size: usize,
-    limits: &SearchLimits,
-) -> MiningRun<Vec<FrequentPattern>> {
-    let labels: Vec<u32> = (0..g.num_vertices() as Vertex)
-        .map(|v| g.csr().vertex_label(v).unwrap_or(0))
-        .collect();
-    let mut distinct_labels: Vec<u32> = labels.clone();
-    distinct_labels.sort_unstable();
-    distinct_labels.dedup();
-
-    let mut tasks = Vec::new();
-    let mut frequent: Vec<FrequentPattern> = Vec::new();
-
-    // F1: single labelled vertices.
-    rt.task_begin();
-    let mut current_level: Vec<PatternGraph> = Vec::new();
-    for &l in &distinct_labels {
-        rt.host_ops(labels.len() as u64);
-        let support = labels.iter().filter(|&&x| x == l).count() as u64;
-        if support >= min_support {
-            let p = PatternGraph::new(1, &[]).with_labels(vec![l]);
-            frequent.push(FrequentPattern {
-                pattern: p.clone(),
-                support,
-            });
-            current_level.push(p);
-        }
-    }
-    tasks.push(rt.task_end());
-
-    let mut truncated = false;
-    for _size in 2..=max_size {
-        let mut next_level: Vec<PatternGraph> = Vec::new();
-        for base in &current_level {
-            for attach_to in 0..base.size() as Vertex {
-                for &l in &distinct_labels {
-                    // Candidate: base + one new vertex labelled l attached to
-                    // attach_to.
-                    let n = base.size();
-                    let mut edges: Vec<(Vertex, Vertex)> = Vec::new();
-                    for u in 0..n as Vertex {
-                        for &v in base.neighbors(u) {
-                            if u < v {
-                                edges.push((u, v));
-                            }
-                        }
-                    }
-                    edges.push((attach_to, n as Vertex));
-                    let mut cand_labels: Vec<u32> = (0..n as Vertex)
-                        .map(|v| base.label(v).unwrap_or(0))
-                        .collect();
-                    cand_labels.push(l);
-                    let candidate = PatternGraph::new(n + 1, &edges).with_labels(cand_labels);
-                    // Count support with the SI kernel.
-                    let run = subgraph_isomorphism_count(rt, g, &candidate, limits);
-                    truncated |= run.truncated;
-                    tasks.extend(run.tasks);
-                    if run.result >= min_support && !next_level.contains(&candidate) {
-                        frequent.push(FrequentPattern {
-                            pattern: candidate.clone(),
-                            support: run.result,
-                        });
-                        next_level.push(candidate);
-                    }
-                }
-            }
-        }
-        if next_level.is_empty() {
-            break;
-        }
-        current_level = next_level;
-    }
-    MiningRun::new(frequent, tasks, truncated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,39 +333,5 @@ mod tests {
         assert_eq!(order.len(), 5);
         assert_eq!(p.size(), 5);
         assert_eq!(p.num_edges(), 4);
-    }
-
-    #[test]
-    fn frequent_subgraph_mining_finds_frequent_labelled_edges() {
-        // A graph whose edges overwhelmingly connect label 0 to label 1.
-        let mut edges = Vec::new();
-        for i in 0..20u32 {
-            edges.push((i, 20 + i));
-        }
-        edges.push((0, 1)); // one 0-0 edge
-        let labels: Vec<u32> = (0..40).map(|v| if v < 20 { 0 } else { 1 }).collect();
-        let g = CsrGraph::from_edges(40, &edges).with_vertex_labels(labels);
-        let (mut rt, sg) = setup(&g);
-        let run = frequent_subgraphs(&mut rt, &sg, 10, 2, &SearchLimits::unlimited());
-        // Frequent size-1 patterns: label 0 (20 vertices) and label 1 (20).
-        let singles: Vec<_> = run
-            .result
-            .iter()
-            .filter(|p| p.pattern.size() == 1)
-            .collect();
-        assert_eq!(singles.len(), 2);
-        // The 0-1 edge is frequent (20 edges ≥ 10 embeddings in each
-        // direction); the 0-0 edge (support 2) is not.
-        let pairs: Vec<_> = run
-            .result
-            .iter()
-            .filter(|p| p.pattern.size() == 2)
-            .collect();
-        assert!(!pairs.is_empty());
-        assert!(pairs.iter().all(|p| p.support >= 10));
-        assert!(pairs.iter().any(|p| {
-            let l: Vec<_> = (0..2u32).filter_map(|v| p.pattern.label(v)).collect();
-            l.contains(&0) && l.contains(&1)
-        }));
     }
 }

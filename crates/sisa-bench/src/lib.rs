@@ -391,7 +391,7 @@ impl InstructionMix {
 /// The issue-queue depth `capture_instruction_mix` runs with: deep enough
 /// that independent instructions genuinely overlap and the per-opcode stall
 /// report is non-trivial (a depth-1 run never exposes a hazard).
-pub const INSTRUCTION_MIX_ISSUE_DEPTH: usize = 16;
+pub(crate) const INSTRUCTION_MIX_ISSUE_DEPTH: usize = 16;
 
 /// Traces a triangle-count + BFS run on `g` through the SISA runtime (on a
 /// pipelined issue queue, so hazards surface) and summarises the captured

@@ -45,27 +45,6 @@ impl Default for SetGraphConfig {
     }
 }
 
-impl SetGraphConfig {
-    /// A layout that never uses dense bitvectors (SISA-PNM only).
-    #[must_use]
-    pub fn sparse_only() -> Self {
-        Self {
-            db_fraction: 0.0,
-            ..Self::default()
-        }
-    }
-
-    /// A layout that stores every neighbourhood densely (SISA-PUM only), with
-    /// an unlimited budget — the other Figure 7b extreme.
-    #[must_use]
-    pub fn dense_only() -> Self {
-        Self {
-            db_fraction: 1.0,
-            storage_budget_frac: f64::INFINITY,
-        }
-    }
-}
-
 /// Top-level configuration of the SISA runtime.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SisaConfig {
@@ -172,15 +151,6 @@ mod tests {
         let cfg = SisaConfig::default();
         assert_eq!(cfg.variant_selection, VariantSelection::PerformanceModel);
         assert!(cfg.platform.smb_enabled);
-    }
-
-    #[test]
-    fn extreme_layouts() {
-        assert_eq!(SetGraphConfig::sparse_only().db_fraction, 0.0);
-        assert_eq!(SetGraphConfig::dense_only().db_fraction, 1.0);
-        assert!(SetGraphConfig::dense_only()
-            .storage_budget_frac
-            .is_infinite());
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use functional::FunctionalEngine;
 pub use host_engine::HostEngine;
 pub use interpreter::{Interpreter, ReplayReport};
 pub use issue::RegisterFile;
-pub use metadata::{SetMetadata, SetMetadataTable, SmbCache};
+pub use metadata::{SetMetadata, SmbCache};
 pub use parallel::{schedule, schedule_cpu, RunReport, TaskRecord, ThreadReport};
 pub use pipeline::{IssueOutcome, IssueQueue, LaneKind, WriteIntent};
 pub use runtime::SisaRuntime;

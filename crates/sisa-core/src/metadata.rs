@@ -9,7 +9,7 @@
 //!
 //! Both structures sit on the priced path of every set instruction, and both
 //! are keyed by set IDs, which the engines mint as dense indices. So both are
-//! flat tables indexed by raw ID: [`SetMetadataTable`] is one vector of
+//! flat tables indexed by raw ID: `SetMetadataTable` is one vector of
 //! entries, and [`SmbCache`] is an exact `O(1)` LRU whose recency list is
 //! threaded through such a vector. Their length is the largest ID ever
 //! registered or looked up, which is why only IDs the slot allocator minted
@@ -41,9 +41,8 @@ pub struct SetMetadata {
 /// table is a plain vector indexed by raw ID — the same shape, and the same
 /// length, as the runtime's own `sets` table.
 #[derive(Clone, Debug, Default)]
-pub struct SetMetadataTable {
+pub(crate) struct SetMetadataTable {
     entries: Vec<Option<SetMetadata>>,
-    live: usize,
     next_address: u64,
 }
 
@@ -53,7 +52,6 @@ impl SetMetadataTable {
     pub fn new() -> Self {
         Self {
             entries: Vec::new(),
-            live: 0,
             next_address: 0x4000_0000,
         }
     }
@@ -72,15 +70,12 @@ impl SetMetadataTable {
         };
         let address = self.next_address;
         self.next_address += (bits as u64 / 8).max(64) + 64;
-        let previous = slot_mut(&mut self.entries, id, None).replace(SetMetadata {
+        *slot_mut(&mut self.entries, id, None) = Some(SetMetadata {
             kind,
             cardinality,
             universe,
             address,
         });
-        if previous.is_none() {
-            self.live += 1;
-        }
     }
 
     /// Looks an entry up.
@@ -94,7 +89,7 @@ impl SetMetadataTable {
     /// # Panics
     ///
     /// Panics if the set was never registered.
-    pub fn update(&mut self, id: SetId, kind: RepresentationKind, cardinality: usize) {
+    pub(crate) fn update(&mut self, id: SetId, kind: RepresentationKind, cardinality: usize) {
         let entry = self
             .entries
             .get_mut(id.raw() as usize)
@@ -107,22 +102,8 @@ impl SetMetadataTable {
     /// Removes an entry (set deletion).
     pub fn remove(&mut self, id: SetId) {
         if let Some(entry) = self.entries.get_mut(id.raw() as usize) {
-            if entry.take().is_some() {
-                self.live -= 1;
-            }
+            *entry = None;
         }
-    }
-
-    /// Number of live entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 }
 
@@ -140,7 +121,7 @@ struct Link {
 /// The Set-Metadata Buffer: a small LRU cache of SM entries held by the SCU.
 ///
 /// Only presence is modelled (the actual metadata lives in
-/// [`SetMetadataTable`]); the SCU charges the hit latency or the SM-miss
+/// `SetMetadataTable`); the SCU charges the hit latency or the SM-miss
 /// memory access depending on the outcome reported here.
 ///
 /// The replacement policy is exact LRU in `O(1)` per access: the resident
@@ -290,9 +271,7 @@ mod tests {
             table.get(id).unwrap().kind,
             RepresentationKind::DenseBitvector
         );
-        assert_eq!(table.len(), 1);
         table.remove(id);
-        assert!(table.is_empty());
         assert!(table.get(id).is_none());
     }
 

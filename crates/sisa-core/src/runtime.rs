@@ -103,12 +103,6 @@ impl SisaRuntime {
         &self.scu
     }
 
-    /// The register binding table of the issue stage.
-    #[must_use]
-    pub fn registers(&self) -> &RegisterFile {
-        &self.regs
-    }
-
     /// The scoreboarded issue queue pricing instruction overlap.
     #[must_use]
     pub fn pipeline(&self) -> &IssueQueue {
@@ -724,13 +718,13 @@ mod tests {
         for f in ops {
             let mut probe = rt.clone();
             let stats_before = probe.stats().clone();
-            let bound_before = probe.registers().bound();
+            let bound_before = probe.regs.bound();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut probe)));
             assert!(outcome.is_err(), "dangling operand must fault");
             // The faulting operation must not have been counted or have bound
             // the dead ID into the register file.
             assert_eq!(probe.stats(), &stats_before);
-            assert_eq!(probe.registers().bound(), bound_before);
+            assert_eq!(probe.regs.bound(), bound_before);
         }
     }
 

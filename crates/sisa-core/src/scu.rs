@@ -162,13 +162,13 @@ impl Scu {
 
     /// The near-memory cost model (exposed for the harness's model plots).
     #[must_use]
-    pub fn pnm_model(&self) -> &PnmModel {
+    pub(crate) fn pnm_model(&self) -> &PnmModel {
         &self.pnm
     }
 
     /// The in-situ cost model.
     #[must_use]
-    pub fn pum_model(&self) -> &PumModel {
+    pub(crate) fn pum_model(&self) -> &PumModel {
         &self.pum
     }
 
@@ -206,12 +206,6 @@ impl Scu {
         if self.platform.smb_enabled {
             self.smb.prime(id);
         }
-    }
-
-    /// Decides merge vs. galloping for two sparse arrays of the given sizes.
-    #[must_use]
-    pub fn choose_sparse_algorithm(&self, a_len: usize, b_len: usize) -> ExecutionChoice {
-        self.sparse_variant(a_len, b_len).0
     }
 
     /// The merge-vs-galloping choice with the §8.3 cost of the chosen
@@ -437,21 +431,18 @@ mod tests {
         let platform = PimPlatform::default();
         let merge_only = Scu::new(platform, VariantSelection::AlwaysMerge);
         assert_eq!(
-            merge_only.choose_sparse_algorithm(1, 1_000_000),
+            merge_only.sparse_variant(1, 1_000_000).0,
             ExecutionChoice::PnmMerge
         );
         let gallop_only = Scu::new(platform, VariantSelection::AlwaysGalloping);
         assert_eq!(
-            gallop_only.choose_sparse_algorithm(500, 500),
+            gallop_only.sparse_variant(500, 500).0,
             ExecutionChoice::PnmGalloping
         );
         let ratio = Scu::new(platform, VariantSelection::SizeRatio(5.0));
+        assert_eq!(ratio.sparse_variant(10, 49).0, ExecutionChoice::PnmMerge);
         assert_eq!(
-            ratio.choose_sparse_algorithm(10, 49),
-            ExecutionChoice::PnmMerge
-        );
-        assert_eq!(
-            ratio.choose_sparse_algorithm(10, 51),
+            ratio.sparse_variant(10, 51).0,
             ExecutionChoice::PnmGalloping
         );
     }
@@ -466,7 +457,7 @@ mod tests {
             .find(|&(a, b)| pnm.streaming_cost(a, b) == pnm.random_access_cost(a, b))
             .expect("the models tie at some small size pair");
         assert_eq!(
-            scu().choose_sparse_algorithm(tie.0, tie.1),
+            scu().sparse_variant(tie.0, tie.1).0,
             ExecutionChoice::PnmMerge,
             "a tie keeps merge"
         );
@@ -483,7 +474,7 @@ mod tests {
                 let b = meta(RepresentationKind::SortedArray, b_len, 1_000_000);
                 let out =
                     s.dispatch_binary(BinarySetOp::Intersection, false, SetId(1), &a, SetId(2), &b);
-                let choice = s.choose_sparse_algorithm(a_len, b_len);
+                let choice = s.sparse_variant(a_len, b_len).0;
                 let cost = match choice {
                     ExecutionChoice::PnmGalloping => pnm.random_access_cost(a_len, b_len),
                     _ => pnm.streaming_cost(a_len, b_len),

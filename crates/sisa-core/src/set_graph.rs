@@ -20,7 +20,6 @@ pub struct SetGraph {
     csr: CsrGraph,
     neighborhoods: Vec<SetId>,
     dense: Vec<bool>,
-    extra_storage_bits: usize,
 }
 
 impl SetGraph {
@@ -79,7 +78,6 @@ impl SetGraph {
             csr: g.clone(),
             neighborhoods,
             dense,
-            extra_storage_bits: extra_bits,
         }
     }
 
@@ -133,13 +131,6 @@ impl SetGraph {
             return 0.0;
         }
         self.dense.iter().filter(|&&d| d).count() as f64 / self.dense.len() as f64
-    }
-
-    /// Additional storage (bits) used by dense bitvectors beyond the SA-only
-    /// layout.
-    #[must_use]
-    pub fn extra_storage_bits(&self) -> usize {
-        self.extra_storage_bits
     }
 
     /// The underlying CSR graph.
@@ -198,15 +189,22 @@ mod tests {
     #[test]
     fn zero_fraction_keeps_everything_sparse() {
         let g = generators::erdos_renyi(200, 0.1, 3);
-        let (_, sg) = load(&g, &SetGraphConfig::sparse_only());
+        let sparse_only = SetGraphConfig {
+            db_fraction: 0.0,
+            ..SetGraphConfig::default()
+        };
+        let (_, sg) = load(&g, &sparse_only);
         assert_eq!(sg.db_fraction(), 0.0);
-        assert_eq!(sg.extra_storage_bits(), 0);
     }
 
     #[test]
     fn dense_only_stores_every_neighbourhood_densely() {
         let g = generators::erdos_renyi(100, 0.1, 3);
-        let (_, sg) = load(&g, &SetGraphConfig::dense_only());
+        let dense_only = SetGraphConfig {
+            db_fraction: 1.0,
+            storage_budget_frac: f64::INFINITY,
+        };
+        let (_, sg) = load(&g, &dense_only);
         assert!((sg.db_fraction() - 1.0).abs() < 1e-12);
     }
 
@@ -226,14 +224,27 @@ mod tests {
         let (_, sg_generous) = load(&g, &generous);
         let (_, sg_tight) = load(&g, &tight);
         assert!(sg_tight.db_fraction() < sg_generous.db_fraction());
+        // Σ (DB bits − SA bits) over the dense neighbourhoods stays within
+        // the budget.
+        let db_bits = sisa_sets::dense_bitvector_bits(g.num_vertices());
+        let extra_bits: usize = sg_tight
+            .vertices()
+            .filter(|&v| sg_tight.is_dense(v))
+            .map(|v| db_bits.saturating_sub(g.degree(v) * 32))
+            .sum();
         let budget_bits = (g.csr_bytes() * 8) as f64 * 0.05;
-        assert!((sg_tight.extra_storage_bits() as f64) <= budget_bits);
+        assert!(extra_bits > 0);
+        assert!((extra_bits as f64) <= budget_bits);
     }
 
     #[test]
     fn intersecting_two_dense_neighbourhoods_uses_pum() {
         let g = generators::complete(64);
-        let (mut rt, sg) = load(&g, &SetGraphConfig::dense_only());
+        let dense_only = SetGraphConfig {
+            db_fraction: 1.0,
+            storage_budget_frac: f64::INFINITY,
+        };
+        let (mut rt, sg) = load(&g, &dense_only);
         rt.reset_stats();
         let _ = rt.intersect_count(sg.neighborhood(0), sg.neighborhood(1));
         assert_eq!(rt.stats().pum_ops, 1);

@@ -57,7 +57,12 @@ impl PartitionStrategy {
     /// * `created_load` — per-shard cumulative created cardinality (the
     ///   degree-aware signal), updated by the caller after each placement.
     #[must_use]
-    pub fn shard_for(self, raw_id: u32, expected_sets: usize, created_load: &[u64]) -> usize {
+    pub(crate) fn shard_for(
+        self,
+        raw_id: u32,
+        expected_sets: usize,
+        created_load: &[u64],
+    ) -> usize {
         let shards = created_load.len().max(1);
         match self {
             Self::Modulo => raw_id as usize % shards,

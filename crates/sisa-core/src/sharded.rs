@@ -323,7 +323,7 @@ impl<E: SetEngine> ShardedEngine<E> {
     ///
     /// Panics if `id` does not name a live set.
     #[must_use]
-    pub fn repr_of(&self, id: SetId) -> &SetRepr {
+    pub(crate) fn repr_of(&self, id: SetId) -> &SetRepr {
         let (shard, local) = self.locate(id);
         self.shards[shard].repr(local)
     }

@@ -330,7 +330,7 @@ fn json_string(s: &str) -> String {
 /// `ceil(p/100 · n)`; a bucketed observation reports its bucket's upper
 /// bound).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     bounds: Vec<u64>,
     counts: Vec<u64>,
     count: u64,
@@ -347,7 +347,7 @@ impl Histogram {
     ///
     /// Panics when `bounds` is empty or not strictly ascending.
     #[must_use]
-    pub fn with_bounds(bounds: Vec<u64>) -> Self {
+    pub(crate) fn with_bounds(bounds: Vec<u64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -367,7 +367,7 @@ impl Histogram {
     /// The default latency histogram: power-of-four bounds from 1 µs to
     /// ~4.6 min in nanoseconds.
     #[must_use]
-    pub fn latency_ns() -> Self {
+    pub(crate) fn latency_ns() -> Self {
         Histogram::with_bounds((5..=19).map(|i| 1u64 << (2 * i)).collect())
     }
 
@@ -383,12 +383,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Observations recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// The nearest-rank percentile (`pct` in 0..=100): the upper bound of
@@ -562,12 +556,6 @@ impl MetricsRegistry {
         inner.gauges.insert(name.to_string(), value);
     }
 
-    /// Adds `delta` (possibly negative) to the named gauge.
-    pub fn gauge_add(&self, name: &str, delta: i64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        *inner.gauges.entry(name.to_string()).or_insert(0) += delta;
-    }
-
     /// Removes the named gauge entirely (it disappears from snapshots and
     /// the Prometheus exposition). Writers with per-entity labels — e.g. the
     /// service's `{tenant="..."}` gauges — call this when the entity's state
@@ -580,7 +568,7 @@ impl MetricsRegistry {
     }
 
     /// Records one observation into the named latency histogram (created
-    /// with [`Histogram::latency_ns`] bounds on first touch).
+    /// with `Histogram::latency_ns` bounds on first touch).
     pub fn observe(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("metrics lock");
         inner
@@ -658,7 +646,7 @@ mod tests {
         for v in [1, 2, 3, 50, 70, 200, 500, 900, 950, 5000] {
             h.observe(v);
         }
-        assert_eq!(h.count(), 10);
+        assert_eq!(h.count, 10);
         // rank(p50) = 5 -> the 5th observation (70) sits in the (10, 100]
         // bucket, reported as its upper bound.
         assert_eq!(h.percentile(50), 100);
@@ -679,7 +667,7 @@ mod tests {
         reg.counter_add("sisa_queries_completed_total", 3);
         reg.counter_add("sisa_queries_completed_total", 1);
         reg.gauge_set("sisa_admission_in_flight", 2);
-        reg.gauge_add("sisa_admission_in_flight", -1);
+        reg.gauge_set("sisa_admission_in_flight", 1);
         reg.observe("sisa_query_latency_ns", 1 << 11);
         reg.observe("sisa_query_latency_ns", 1 << 21);
         assert_eq!(reg.counter("sisa_queries_completed_total"), 4);

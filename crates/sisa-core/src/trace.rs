@@ -16,7 +16,7 @@
 //!
 //! The sink is **bounded**: once `capacity` events are recorded, further
 //! events are counted but dropped — and their payloads never built
-//! ([`TraceSink::record_with`]) — so tracing a long run can neither exhaust
+//! (`TraceSink::record_with`) — so tracing a long run can neither exhaust
 //! memory nor keep paying for what it throws away. A truncated trace still
 //! replays correctly as a prefix of the run.
 //!
@@ -128,7 +128,7 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// The default event capacity (events beyond it are counted but dropped).
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
+    pub(crate) const DEFAULT_CAPACITY: usize = 1 << 20;
 
     /// Creates a sink that stops recording after `capacity` events.
     #[must_use]
@@ -149,7 +149,7 @@ impl TraceSink {
     /// kept: a full sink counts the drop and never calls `op`, so a payload
     /// that is expensive to build (a created set's contents) costs nothing
     /// once the capacity is reached.
-    pub fn record_with(
+    pub(crate) fn record_with(
         &mut self,
         instruction: Option<SisaInstruction>,
         op: impl FnOnce() -> TraceOp,

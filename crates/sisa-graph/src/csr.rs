@@ -37,20 +37,6 @@ impl CsrGraph {
         builder.build()
     }
 
-    /// Builds a directed graph with `n` vertices from an arc list.
-    ///
-    /// Self-loops are dropped and duplicate arcs are deduplicated.
-    #[must_use]
-    pub fn from_directed_edges(n: usize, arcs: &[(Vertex, Vertex)]) -> Self {
-        let mut adj: Vec<Vec<Vertex>> = vec![Vec::new(); n];
-        for &(u, v) in arcs {
-            if u != v {
-                adj[u as usize].push(v);
-            }
-        }
-        Self::from_adjacency(adj, true, None)
-    }
-
     /// Builds a graph from per-vertex adjacency lists.
     ///
     /// Lists are sorted and deduplicated. When `directed` is false the caller
@@ -131,7 +117,7 @@ impl CsrGraph {
 
     /// Whether the graph is directed.
     #[must_use]
-    pub fn is_directed(&self) -> bool {
+    pub(crate) fn is_directed(&self) -> bool {
         self.directed
     }
 
@@ -164,15 +150,6 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// The average degree `2m / n` (or `m / n` for directed graphs).
-    #[must_use]
-    pub fn average_degree(&self) -> f64 {
-        if self.num_vertices() == 0 {
-            return 0.0;
-        }
-        self.targets.len() as f64 / self.num_vertices() as f64
-    }
-
     /// All vertex identifiers `0..n`.
     pub fn vertices(&self) -> impl Iterator<Item = Vertex> + '_ {
         0..self.num_vertices() as Vertex
@@ -195,7 +172,7 @@ impl CsrGraph {
 
     /// The degree sequence, indexed by vertex.
     #[must_use]
-    pub fn degree_sequence(&self) -> Vec<usize> {
+    pub(crate) fn degree_sequence(&self) -> Vec<usize> {
         (0..self.num_vertices())
             .map(|v| self.degree(v as Vertex))
             .collect()
@@ -209,7 +186,7 @@ impl CsrGraph {
 
     /// All vertex labels, if present.
     #[must_use]
-    pub fn vertex_labels(&self) -> Option<&[u32]> {
+    pub(crate) fn vertex_labels(&self) -> Option<&[u32]> {
         self.vertex_labels.as_deref()
     }
 
@@ -251,34 +228,6 @@ impl CsrGraph {
         CsrGraph::from_adjacency(adj, true, self.vertex_labels.clone())
     }
 
-    /// The subgraph induced on `keep`, relabelling vertices to `0..keep.len()`.
-    ///
-    /// Returns the induced graph and the mapping from new to old identifiers.
-    #[must_use]
-    pub fn induced_subgraph(&self, keep: &[Vertex]) -> (CsrGraph, Vec<Vertex>) {
-        let mut old_to_new = vec![usize::MAX; self.num_vertices()];
-        for (new, &old) in keep.iter().enumerate() {
-            old_to_new[old as usize] = new;
-        }
-        let mut adj: Vec<Vec<Vertex>> = vec![Vec::new(); keep.len()];
-        for (new, &old) in keep.iter().enumerate() {
-            for &nbr in self.neighbors(old) {
-                let mapped = old_to_new[nbr as usize];
-                if mapped != usize::MAX {
-                    adj[new].push(mapped as Vertex);
-                }
-            }
-        }
-        let labels = self
-            .vertex_labels
-            .as_ref()
-            .map(|l| keep.iter().map(|&v| l[v as usize]).collect());
-        (
-            CsrGraph::from_adjacency(adj, self.directed, labels),
-            keep.to_vec(),
-        )
-    }
-
     /// Estimated in-memory footprint of the CSR arrays, in bytes.
     ///
     /// Used by the hybrid set-graph to enforce the paper's "at most 10% extra
@@ -304,7 +253,6 @@ impl CsrGraph {
 pub struct GraphBuilder {
     n: usize,
     adj: Vec<Vec<Vertex>>,
-    vertex_labels: Option<Vec<u32>>,
 }
 
 impl GraphBuilder {
@@ -314,7 +262,6 @@ impl GraphBuilder {
         Self {
             n,
             adj: vec![Vec::new(); n],
-            vertex_labels: None,
         }
     }
 
@@ -344,13 +291,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Sets vertex labels (one per vertex).
-    pub fn set_vertex_labels(&mut self, labels: Vec<u32>) -> &mut Self {
-        assert_eq!(labels.len(), self.n);
-        self.vertex_labels = Some(labels);
-        self
-    }
-
     /// Number of vertices the builder was created with.
     #[must_use]
     pub fn num_vertices(&self) -> usize {
@@ -360,7 +300,7 @@ impl GraphBuilder {
     /// Finalises the builder into an undirected [`CsrGraph`].
     #[must_use]
     pub fn build(self) -> CsrGraph {
-        CsrGraph::from_adjacency(self.adj, false, self.vertex_labels)
+        CsrGraph::from_adjacency(self.adj, false, None)
     }
 }
 
@@ -382,7 +322,6 @@ mod tests {
         assert_eq!(g.degree(2), 3);
         assert_eq!(g.neighbors(2), &[0, 1, 3]);
         assert_eq!(g.max_degree(), 3);
-        assert!((g.average_degree() - 2.0).abs() < 1e-9);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(0, 3));
     }
@@ -419,34 +358,10 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_relabels() {
-        let g = triangle_plus_tail();
-        let (sub, map) = g.induced_subgraph(&[1, 2, 3]);
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 2); // edges 1-2 and 2-3 survive
-        assert_eq!(map, vec![1, 2, 3]);
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 2));
-        assert!(!sub.has_edge(0, 2));
-    }
-
-    #[test]
-    fn directed_construction() {
-        let g = CsrGraph::from_directed_edges(3, &[(0, 1), (1, 2), (1, 2), (2, 2)]);
-        assert!(g.is_directed());
-        assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.neighbors(1), &[2]);
-        assert_eq!(g.neighbors(2), &[] as &[Vertex]);
-    }
-
-    #[test]
     fn labels_are_carried() {
         let g = triangle_plus_tail().with_vertex_labels(vec![7, 8, 9, 9]);
         assert_eq!(g.vertex_label(0), Some(7));
         assert_eq!(g.vertex_label(3), Some(9));
-        let (sub, _) = g.induced_subgraph(&[3, 0]);
-        assert_eq!(sub.vertex_label(0), Some(9));
-        assert_eq!(sub.vertex_label(1), Some(7));
         let oriented = g.oriented_by(&[0, 1, 2, 3]);
         assert_eq!(oriented.vertex_label(1), Some(8));
     }
@@ -476,6 +391,5 @@ mod tests {
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.average_degree(), 0.0);
     }
 }

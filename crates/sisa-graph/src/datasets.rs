@@ -10,9 +10,6 @@
 //! recorded) to keep cycle-model simulations tractable — the paper itself
 //! resorts to pattern-count cutoffs for the same reason (§9.1, "Tackling Long
 //! Simulation Runtimes").
-//!
-//! Users with access to the original `.edges` files can bypass the stand-ins
-//! entirely via [`crate::io::read_edge_list`].
 
 use crate::generators::{self, PlantedCliqueConfig, RmatConfig};
 use crate::CsrGraph;
@@ -104,13 +101,6 @@ impl DatasetSpec {
             Recipe::SparseRandom { n, m } => generators::erdos_renyi_with_edges(*n, *m, seed),
             Recipe::SmallWorld { n, k, beta } => generators::watts_strogatz(*n, *k, *beta, seed),
         }
-    }
-
-    /// Whether this entry belongs to the scaled-down "large graph" suite
-    /// (Figure 8) rather than the small suite (Figure 6).
-    #[must_use]
-    pub fn is_large(&self) -> bool {
-        self.scale < 1.0
     }
 }
 
@@ -462,7 +452,11 @@ mod tests {
                 g.num_edges(),
                 spec.paper_edges
             );
-            assert!(!spec.is_large());
+            assert_eq!(
+                spec.scale, 1.0,
+                "{}: a small stand-in is not scaled",
+                spec.name
+            );
         }
     }
 
@@ -483,7 +477,7 @@ mod tests {
             "{}",
             orkut_stats.max_degree_fraction
         );
-        assert!(by_name("bio-humanGene").unwrap().is_large());
+        assert!(by_name("bio-humanGene").unwrap().scale < 1.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! commonly used in graph *mining* (very heavy tails, vertices connected to a
 //! large fraction of the graph) with graphs used in general graph processing
 //! (much lighter tails). This module computes the statistics that the
-//! `fig7a_degrees` harness prints: the degree histogram, tail-heaviness
+//! `fig7a_degrees` harness prints: the degree frequencies, tail-heaviness
 //! summaries and the fraction of the universe covered by the largest
 //! neighbourhood.
 
@@ -92,47 +92,6 @@ impl DegreeStats {
     }
 }
 
-/// A log-binned degree histogram: `bins[i]` counts vertices whose degree lies
-/// in `[2^i, 2^(i+1))` (bin 0 additionally contains degree-0 vertices).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DegreeHistogram {
-    /// Vertex counts per logarithmic degree bin.
-    pub bins: Vec<usize>,
-}
-
-impl DegreeHistogram {
-    /// Builds the histogram for `g`.
-    #[must_use]
-    pub fn compute(g: &CsrGraph) -> Self {
-        let mut bins: Vec<usize> = Vec::new();
-        for v in g.vertices() {
-            let d = g.degree(v);
-            let bin = if d <= 1 {
-                0
-            } else {
-                (usize::BITS - 1 - d.leading_zeros()) as usize
-            };
-            if bin >= bins.len() {
-                bins.resize(bin + 1, 0);
-            }
-            bins[bin] += 1;
-        }
-        Self { bins }
-    }
-
-    /// Lower bound of the degree range covered by bin `i`.
-    #[must_use]
-    pub fn bin_lower_bound(i: usize) -> usize {
-        1usize << i
-    }
-
-    /// Total number of vertices counted.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.bins.iter().sum()
-    }
-}
-
 /// Frequency of every distinct degree value, as `(degree, count)` pairs sorted
 /// by degree — the exact data behind the paper's Figure 7a scatter plots.
 #[must_use]
@@ -170,15 +129,6 @@ mod tests {
         assert_eq!(stats.median_degree, 2);
         assert!(!stats.is_heavy_tailed());
         assert!((stats.mean_degree - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_counts_every_vertex_once() {
-        let g = generators::barabasi_albert(500, 3, 5);
-        let hist = DegreeHistogram::compute(&g);
-        assert_eq!(hist.total(), 500);
-        assert!(hist.bins.len() >= 3);
-        assert_eq!(DegreeHistogram::bin_lower_bound(4), 16);
     }
 
     #[test]

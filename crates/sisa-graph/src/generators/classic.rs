@@ -1,4 +1,4 @@
-//! Classic deterministic topologies (paths, cycles, stars, cliques, grids).
+//! Classic deterministic topologies (paths, cycles, stars, cliques).
 //!
 //! These serve two purposes: they are test fixtures with exactly known
 //! properties (triangle counts, degeneracy, clique structure), and they are
@@ -43,36 +43,6 @@ pub fn complete(n: usize) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
-/// The complete bipartite graph `K_{a,b}` (parts `0..a` and `a..a+b`).
-#[must_use]
-pub fn complete_bipartite(a: usize, b: usize) -> CsrGraph {
-    let mut edges = Vec::with_capacity(a * b);
-    for u in 0..a as Vertex {
-        for v in 0..b as Vertex {
-            edges.push((u, a as Vertex + v));
-        }
-    }
-    CsrGraph::from_edges(a + b, &edges)
-}
-
-/// A `rows × cols` 4-neighbour grid.
-#[must_use]
-pub fn grid(rows: usize, cols: usize) -> CsrGraph {
-    let id = |r: usize, c: usize| (r * cols + c) as Vertex;
-    let mut edges = Vec::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                edges.push((id(r, c), id(r, c + 1)));
-            }
-            if r + 1 < rows {
-                edges.push((id(r, c), id(r + 1, c)));
-            }
-        }
-    }
-    CsrGraph::from_edges(rows * cols, &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,24 +72,5 @@ mod tests {
         assert_eq!(g.num_edges(), 21);
         assert_eq!(triangle_count(&g), 35);
         assert_eq!(degeneracy_order(&g).degeneracy, 6);
-    }
-
-    #[test]
-    fn bipartite_is_triangle_free() {
-        let g = complete_bipartite(4, 6);
-        assert_eq!(g.num_edges(), 24);
-        assert_eq!(triangle_count(&g), 0);
-        assert_eq!(g.degree(0), 6);
-        assert_eq!(g.degree(4), 4);
-    }
-
-    #[test]
-    fn grid_structure() {
-        let g = grid(3, 4);
-        assert_eq!(g.num_vertices(), 12);
-        // 3*3 horizontal + 2*4 vertical = 17 edges.
-        assert_eq!(g.num_edges(), 17);
-        assert_eq!(triangle_count(&g), 0);
-        assert_eq!(g.max_degree(), 4);
     }
 }

@@ -126,9 +126,17 @@ mod tests {
         for c in &cliques {
             assert!(properties::is_clique(&g, c));
         }
-        // The clustering coefficient is far above that of a comparable
-        // Erdős–Rényi graph (which would be ≈ average degree / n ≈ 0.006).
-        assert!(properties::global_clustering_coefficient(&g) > 0.02);
+        // The global clustering coefficient, 3 · triangles / wedges, is far
+        // above that of a comparable Erdős–Rényi graph (which would be
+        // ≈ average degree / n ≈ 0.006).
+        let wedges: u64 = g
+            .vertices()
+            .map(|v| {
+                let d = g.degree(v) as u64;
+                d * d.saturating_sub(1) / 2
+            })
+            .sum();
+        assert!(3.0 * properties::triangle_count(&g) as f64 / wedges as f64 > 0.02);
     }
 
     #[test]

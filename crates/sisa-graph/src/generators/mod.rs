@@ -10,12 +10,10 @@ mod classic;
 mod communities;
 mod random;
 
-pub use classic::{complete, complete_bipartite, cycle, grid, path, star};
+pub use classic::{complete, cycle, path, star};
 pub use communities::{planted_cliques, PlantedCliqueConfig};
-pub use random::{
-    barabasi_albert, erdos_renyi, erdos_renyi_with_edges, kronecker, near_complete, watts_strogatz,
-    RmatConfig,
-};
+pub use random::{barabasi_albert, erdos_renyi, kronecker, near_complete, RmatConfig};
+pub(crate) use random::{erdos_renyi_with_edges, watts_strogatz};
 
 #[cfg(test)]
 mod tests {

@@ -48,7 +48,7 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> CsrGraph {
 /// Erdős–Rényi variant that targets an exact number of distinct edges
 /// (`G(n, m)` model).
 #[must_use]
-pub fn erdos_renyi_with_edges(n: usize, m: usize, seed: u64) -> CsrGraph {
+pub(crate) fn erdos_renyi_with_edges(n: usize, m: usize, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let max_edges = n.saturating_mul(n.saturating_sub(1)) / 2;
     let m = m.min(max_edges);
@@ -130,7 +130,7 @@ pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> CsrGraph {
 /// to its `k` nearest neighbours, with each edge rewired with probability
 /// `beta`.
 #[must_use]
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CsrGraph {
+pub(crate) fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut builder = GraphBuilder::new(n);
     if n < 2 {

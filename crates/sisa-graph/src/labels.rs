@@ -92,18 +92,6 @@ impl LabeledGraph {
     pub fn vertex_label(&self, v: Vertex) -> u32 {
         self.graph.vertex_label(v).unwrap_or(0)
     }
-
-    /// The label of edge `{u, v}` (0 when unlabelled).
-    #[must_use]
-    pub fn edge_label(&self, u: Vertex, v: Vertex) -> u32 {
-        self.edge_labels.get(u, v).unwrap_or(0)
-    }
-
-    /// Whether any vertex labels are present.
-    #[must_use]
-    pub fn has_vertex_labels(&self) -> bool {
-        self.graph.vertex_labels().is_some()
-    }
 }
 
 /// SplitMix64: a tiny, high-quality mixing function used for deterministic
@@ -136,7 +124,6 @@ mod tests {
         let g = CsrGraph::from_edges(100, &[(0, 1), (1, 2)]);
         let a = LabeledGraph::with_random_vertex_labels(g.clone(), 3, 7);
         let b = LabeledGraph::with_random_vertex_labels(g, 3, 7);
-        assert!(a.has_vertex_labels());
         for v in 0..100u32 {
             assert!(a.vertex_label(v) < 3);
             assert_eq!(a.vertex_label(v), b.vertex_label(v));
@@ -153,8 +140,6 @@ mod tests {
     fn unlabelled_defaults_to_zero() {
         let g = CsrGraph::from_edges(3, &[(0, 1)]);
         let lg = LabeledGraph::new(g);
-        assert!(!lg.has_vertex_labels());
         assert_eq!(lg.vertex_label(2), 0);
-        assert_eq!(lg.edge_label(0, 1), 0);
     }
 }

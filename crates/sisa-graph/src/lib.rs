@@ -11,9 +11,9 @@
 //! * [`GraphBuilder`] — incremental edge-list construction with deduplication.
 //! * [`GraphDelta`] — batched edge insertions/deletions, applied through the
 //!   registry's generation-ticking replace path (streaming graph updates).
-//! * [`orientation`] — exact and approximate degeneracy orderings (§5.1.5,
-//!   Algorithm 6), k-core extraction and degeneracy-ordered orientation, the
-//!   optimisation used by the k-clique and Bron–Kerbosch formulations.
+//! * [`orientation`] — the exact degeneracy ordering (§5.1.5) and
+//!   degeneracy-ordered orientation, the optimisation used by the k-clique
+//!   and Bron–Kerbosch formulations.
 //! * [`generators`] — deterministic synthetic graph generators (Erdős–Rényi,
 //!   Barabási–Albert, Kronecker/R-MAT, Watts–Strogatz, planted-clique
 //!   community graphs and classic topologies).
@@ -23,9 +23,8 @@
 //! * [`degree`] — degree-distribution statistics used to regenerate
 //!   Figure 7a.
 //! * [`properties`] — reference implementations of simple graph properties
-//!   (triangle count, clustering coefficients, connected components) used by
+//!   (triangle count, cliques, connected components) used by
 //!   tests to validate both the generators and the mining algorithms.
-//! * [`io`] — plain-text edge-list reading and writing.
 //! * [`labels`] — vertex/edge labelling for labelled subgraph isomorphism.
 
 #![forbid(unsafe_code)]
@@ -36,7 +35,6 @@ pub mod datasets;
 pub mod degree;
 pub mod delta;
 pub mod generators;
-pub mod io;
 pub mod labels;
 pub mod orientation;
 pub mod properties;
@@ -45,7 +43,7 @@ pub mod registry;
 pub use csr::{CsrGraph, GraphBuilder};
 pub use delta::GraphDelta;
 pub use labels::{EdgeLabels, LabeledGraph};
-pub use orientation::{approximate_degeneracy_order, degeneracy_order, DegeneracyOrdering};
+pub use orientation::{degeneracy_order, DegeneracyOrdering};
 pub use registry::{GraphLease, GraphRegistry, RegistryConfig};
 
 /// A vertex identifier (re-exported from `sisa-sets`).

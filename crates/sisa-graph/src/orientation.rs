@@ -1,16 +1,13 @@
-//! Degeneracy orderings, k-cores and degeneracy-ordered orientation.
+//! Degeneracy orderings and degeneracy-ordered orientation.
 //!
 //! Several of the paper's set-centric formulations (k-clique listing,
 //! Bron–Kerbosch with degeneracy, k-clique-stars) rely on ordering the
 //! vertices by *degeneracy* and orienting edges from earlier to later vertices
-//! (§5.1.3, §5.1.5, §7.1). This module provides:
-//!
-//! * [`degeneracy_order`] — the exact peeling algorithm (repeatedly remove a
-//!   minimum-degree vertex), which also yields the graph's degeneracy `c`.
-//! * [`approximate_degeneracy_order`] — the paper's Algorithm 6, a
-//!   set-centric `O(log n)`-round approximation with ratio `2 + ε`.
-//! * [`k_core`] — the maximal subgraph with minimum degree ≥ `k`, derived
-//!   from the peeling order (§5.1.5).
+//! (§5.1.3, §5.1.5, §7.1). [`degeneracy_order`] is the exact peeling
+//! algorithm (repeatedly remove a minimum-degree vertex), which also yields
+//! the graph's degeneracy `c`. The paper's Algorithm 6, the set-centric
+//! `O(log n)`-round approximation with ratio `2 + ε`, runs on SISA
+//! instructions in `sisa-algorithms`.
 
 use crate::{CsrGraph, Vertex};
 
@@ -100,125 +97,6 @@ pub fn degeneracy_order(g: &CsrGraph) -> DegeneracyOrdering {
     }
 }
 
-/// Computes the paper's approximate degeneracy ordering (Algorithm 6).
-///
-/// In each round, all vertices whose degree is at most `(1 + eps)` times the
-/// current average degree are assigned the current round number and removed;
-/// the algorithm terminates in `O(log n)` rounds and approximates the
-/// degeneracy ordering within a factor `2 + eps`. Vertices removed in the same
-/// round share a rank band; ties are broken by vertex id to make the ordering
-/// total.
-///
-/// Returns the ordering together with the number of rounds executed.
-#[must_use]
-pub fn approximate_degeneracy_order(g: &CsrGraph, eps: f64) -> (DegeneracyOrdering, usize) {
-    assert!(eps > 0.0, "epsilon must be positive");
-    let n = g.num_vertices();
-    let mut alive: Vec<bool> = vec![true; n];
-    let mut degree: Vec<usize> = g.degree_sequence();
-    let mut alive_count = n;
-    let mut round = 0usize;
-    let mut round_of: Vec<usize> = vec![0usize; n];
-
-    while alive_count > 0 {
-        let total_degree: usize = (0..n).filter(|&v| alive[v]).map(|v| degree[v]).sum();
-        let threshold = (1.0 + eps) * total_degree as f64 / alive_count as f64;
-        // X = {v ∈ V : |N(v)| ≤ (1+eps) * avg}
-        let peel: Vec<usize> = (0..n)
-            .filter(|&v| alive[v] && (degree[v] as f64) <= threshold)
-            .collect();
-        // The threshold is at least the average degree, so at least one alive
-        // vertex always qualifies and the loop terminates.
-        for &v in &peel {
-            round_of[v] = round;
-            alive[v] = false;
-            alive_count -= 1;
-        }
-        for &v in &peel {
-            for &w in g.neighbors(v as Vertex) {
-                let w = w as usize;
-                if alive[w] {
-                    degree[w] = degree[w].saturating_sub(1);
-                }
-            }
-        }
-        round += 1;
-    }
-
-    // Total order: sort by (round, vertex id).
-    let mut order: Vec<Vertex> = (0..n as Vertex).collect();
-    order.sort_by_key(|&v| (round_of[v as usize], v));
-    let mut rank = vec![0usize; n];
-    for (i, &v) in order.iter().enumerate() {
-        rank[v as usize] = i;
-    }
-    // The degeneracy estimate is the maximum out-degree under the orientation.
-    let oriented = g.oriented_by(&rank);
-    let degeneracy = oriented.max_degree();
-    (
-        DegeneracyOrdering {
-            order,
-            rank,
-            degeneracy,
-        },
-        round,
-    )
-}
-
-/// Returns the vertices of the `k`-core of `g`: the maximal subgraph in which
-/// every vertex has degree at least `k` (within the subgraph). The result is
-/// sorted by vertex id and may be empty.
-#[must_use]
-pub fn k_core(g: &CsrGraph, k: usize) -> Vec<Vertex> {
-    let n = g.num_vertices();
-    let mut degree = g.degree_sequence();
-    let mut removed = vec![false; n];
-    let mut stack: Vec<usize> = (0..n).filter(|&v| degree[v] < k).collect();
-    for &v in &stack {
-        removed[v] = true;
-    }
-    while let Some(v) = stack.pop() {
-        for &w in g.neighbors(v as Vertex) {
-            let w = w as usize;
-            if !removed[w] {
-                degree[w] -= 1;
-                if degree[w] < k {
-                    removed[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-    }
-    (0..n)
-        .filter(|&v| !removed[v])
-        .map(|v| v as Vertex)
-        .collect()
-}
-
-/// The core number of every vertex: the largest `k` such that the vertex
-/// belongs to the `k`-core. Computed from the exact peeling order.
-#[must_use]
-pub fn core_numbers(g: &CsrGraph) -> Vec<usize> {
-    let n = g.num_vertices();
-    let ordering = degeneracy_order(g);
-    let mut core = vec![0usize; n];
-    let mut removed = vec![false; n];
-    let mut current = 0usize;
-    // Replay the peeling: the core number of v is the degree of v among
-    // not-yet-removed vertices at its removal time, maxed monotonically.
-    for &v in &ordering.order {
-        let remaining_degree = g
-            .neighbors(v)
-            .iter()
-            .filter(|&&w| !removed[w as usize])
-            .count();
-        current = current.max(remaining_degree);
-        core[v as usize] = current;
-        removed[v as usize] = true;
-    }
-    core
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,64 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn approximate_order_bounds_and_rounds() {
-        let g = generators::barabasi_albert(400, 3, 3);
-        let exact = degeneracy_order(&g);
-        let (approx, rounds) = approximate_degeneracy_order(&g, 0.1);
-        // Approximation guarantee: out-degree under approx orientation is at
-        // most (2 + eps) * c (we allow a little slack for the tie-breaking).
-        let bound = ((2.0 + 0.1) * exact.degeneracy as f64).ceil() as usize + 1;
-        assert!(
-            approx.degeneracy <= bound,
-            "{} > {}",
-            approx.degeneracy,
-            bound
-        );
-        // O(log n) rounds in practice.
-        assert!(rounds <= 64);
-        assert_eq!(approx.order.len(), 400);
-    }
-
-    #[test]
-    fn k_core_of_clique_with_tail() {
-        // Clique {0,1,2,3} plus a path 3-4-5.
-        let g = CsrGraph::from_edges(
-            6,
-            &[
-                (0, 1),
-                (0, 2),
-                (0, 3),
-                (1, 2),
-                (1, 3),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-            ],
-        );
-        assert_eq!(k_core(&g, 3), vec![0, 1, 2, 3]);
-        assert_eq!(k_core(&g, 1).len(), 6);
-        assert!(k_core(&g, 4).is_empty());
-    }
-
-    #[test]
-    fn core_numbers_match_k_core_membership() {
-        let g = generators::erdos_renyi(150, 0.08, 99);
-        let cores = core_numbers(&g);
-        for k in 1..=4 {
-            let members = k_core(&g, k);
-            for v in g.vertices() {
-                let in_core = members.binary_search(&v).is_ok();
-                assert_eq!(
-                    cores[v as usize] >= k,
-                    in_core,
-                    "vertex {v} core {} vs k {k}",
-                    cores[v as usize]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_graphs() {
         let empty = CsrGraph::from_edges(0, &[]);
         assert_eq!(degeneracy_order(&empty).degeneracy, 0);
@@ -350,6 +170,5 @@ mod tests {
         let ord = degeneracy_order(&single);
         assert_eq!(ord.order, vec![0]);
         assert_eq!(ord.degeneracy, 0);
-        assert!(k_core(&single, 1).is_empty());
     }
 }

@@ -34,24 +34,6 @@ pub fn triangle_count(g: &CsrGraph) -> u64 {
     count
 }
 
-/// The global clustering coefficient: `3 * triangles / number of wedges`.
-///
-/// Returns 0 for graphs without wedges (paths of length two).
-#[must_use]
-pub fn global_clustering_coefficient(g: &CsrGraph) -> f64 {
-    let wedges: u64 = g
-        .vertices()
-        .map(|v| {
-            let d = g.degree(v) as u64;
-            d * d.saturating_sub(1) / 2
-        })
-        .sum();
-    if wedges == 0 {
-        return 0.0;
-    }
-    3.0 * triangle_count(g) as f64 / wedges as f64
-}
-
 /// Connected components by breadth-first search; returns the component id of
 /// every vertex (ids are arbitrary but contiguous from 0).
 #[must_use]
@@ -79,16 +61,6 @@ pub fn connected_components(g: &CsrGraph) -> Vec<usize> {
     comp
 }
 
-/// Number of connected components.
-#[must_use]
-pub fn num_connected_components(g: &CsrGraph) -> usize {
-    connected_components(g)
-        .iter()
-        .copied()
-        .max()
-        .map_or(0, |m| m + 1)
-}
-
 /// Whether `vertices` forms a clique in `g` (every pair adjacent).
 #[must_use]
 pub fn is_clique(g: &CsrGraph, vertices: &[Vertex]) -> bool {
@@ -105,7 +77,7 @@ pub fn is_clique(g: &CsrGraph, vertices: &[Vertex]) -> bool {
 /// Whether `vertices` is a *maximal* clique of the undirected graph `g`: it is
 /// a clique and no other vertex is adjacent to all of its members.
 #[must_use]
-pub fn is_maximal_clique(g: &CsrGraph, vertices: &[Vertex]) -> bool {
+pub(crate) fn is_maximal_clique(g: &CsrGraph, vertices: &[Vertex]) -> bool {
     if vertices.is_empty() || !is_clique(g, vertices) {
         return false;
     }
@@ -181,7 +153,6 @@ mod tests {
         let g = generators::complete(6);
         // C(6,3) = 20 triangles.
         assert_eq!(triangle_count(&g), 20);
-        assert!((global_clustering_coefficient(&g) - 1.0).abs() < 1e-9);
         assert_eq!(brute_force_k_clique_count(&g, 3), 20);
         assert_eq!(brute_force_k_clique_count(&g, 4), 15);
         assert_eq!(brute_force_k_clique_count(&g, 6), 1);
@@ -191,7 +162,6 @@ mod tests {
     fn triangles_of_triangle_free_graph() {
         let g = generators::cycle(10);
         assert_eq!(triangle_count(&g), 0);
-        assert_eq!(global_clustering_coefficient(&g), 0.0);
     }
 
     #[test]
@@ -203,7 +173,8 @@ mod tests {
         assert_eq!(comp[3], comp[4]);
         assert_ne!(comp[0], comp[3]);
         assert_ne!(comp[5], comp[0]);
-        assert_eq!(num_connected_components(&g), 3);
+        // Three components, ids contiguous from 0.
+        assert_eq!(comp.iter().max(), Some(&2));
     }
 
     #[test]

@@ -94,46 +94,45 @@ pub fn decode(word: u32) -> Result<SisaInstruction, DecodeError> {
     Ok(SisaInstruction::new(opcode, rd, rs1, rs2))
 }
 
-/// Extracts only the field values of an encoded word (useful for debugging and
-/// for the documentation tests that pin the exact bit layout).
-#[must_use]
-pub fn fields(word: u32) -> EncodedFields {
-    EncodedFields {
-        funct7: ((word >> 25) & 0x7F) as u8,
-        rs2: ((word >> 20) & 0x1F) as u8,
-        rs1: ((word >> 15) & 0x1F) as u8,
-        xd: (word >> 14) & 1 == 1,
-        xs1: (word >> 13) & 1 == 1,
-        xs2: (word >> 12) & 1 == 1,
-        rd: ((word >> 7) & 0x1F) as u8,
-        opcode: word & 0x7F,
-    }
-}
-
-/// The raw fields of an encoded SISA instruction word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EncodedFields {
-    /// Operation selector.
-    pub funct7: u8,
-    /// Second source register index.
-    pub rs2: u8,
-    /// First source register index.
-    pub rs1: u8,
-    /// Destination-register-used flag.
-    pub xd: bool,
-    /// First-source-register-used flag.
-    pub xs1: bool,
-    /// Second-source-register-used flag.
-    pub xs2: bool,
-    /// Destination register index.
-    pub rd: u8,
-    /// The 7-bit major opcode.
-    pub opcode: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Extracts the field values of an encoded word by shift and mask, one field
+    /// at a time: the reference the layout test compares `encode` against.
+    fn fields(word: u32) -> EncodedFields {
+        EncodedFields {
+            funct7: ((word >> 25) & 0x7F) as u8,
+            rs2: ((word >> 20) & 0x1F) as u8,
+            rs1: ((word >> 15) & 0x1F) as u8,
+            xd: (word >> 14) & 1 == 1,
+            xs1: (word >> 13) & 1 == 1,
+            xs2: (word >> 12) & 1 == 1,
+            rd: ((word >> 7) & 0x1F) as u8,
+            opcode: word & 0x7F,
+        }
+    }
+
+    /// The raw fields of an encoded SISA instruction word.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct EncodedFields {
+        /// Operation selector.
+        funct7: u8,
+        /// Second source register index.
+        rs2: u8,
+        /// First source register index.
+        rs1: u8,
+        /// Destination-register-used flag.
+        xd: bool,
+        /// First-source-register-used flag.
+        xs1: bool,
+        /// Second-source-register-used flag.
+        xs2: bool,
+        /// Destination register index.
+        rd: u8,
+        /// The 7-bit major opcode.
+        opcode: u32,
+    }
 
     fn sample() -> SisaInstruction {
         SisaInstruction::new(

@@ -168,7 +168,7 @@ impl SisaOpcode {
 
     /// Looks up an opcode from its `funct7` value.
     #[must_use]
-    pub fn from_funct7(value: u8) -> Option<Self> {
+    pub(crate) fn from_funct7(value: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|op| op.funct7() == value)
     }
 

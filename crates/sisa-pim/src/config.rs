@@ -16,11 +16,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Clock frequency used to convert between nanoseconds and cycles.
-pub const CLOCK_GHZ: f64 = 2.0;
+pub(crate) const CLOCK_GHZ: f64 = 2.0;
 
 /// Converts nanoseconds into clock cycles.
 #[must_use]
-pub fn ns_to_cycles(ns: f64) -> u64 {
+pub(crate) fn ns_to_cycles(ns: f64) -> u64 {
     (ns * CLOCK_GHZ).round() as u64
 }
 
@@ -176,14 +176,14 @@ impl Default for PnmConfig {
 impl PnmConfig {
     /// Total number of vault cores (the maximum useful parallelism).
     #[must_use]
-    pub fn total_vaults(&self) -> usize {
+    pub(crate) fn total_vaults(&self) -> usize {
         self.cubes * self.vaults_per_cube
     }
 
     /// The effective streaming bandwidth `min(b_M, b_L)` used by the §8.3
     /// streaming model.
     #[must_use]
-    pub fn effective_stream_bandwidth(&self) -> f64 {
+    pub(crate) fn effective_stream_bandwidth(&self) -> f64 {
         self.vault_bandwidth_bytes_per_cycle
             .min(self.link_bandwidth_bytes_per_cycle)
     }

@@ -65,34 +65,31 @@ impl EnergyModel {
     pub fn link_energy(&self, bytes: u64, hops: u64) -> f64 {
         bytes as f64 * hops as f64 * self.link_transfer_nj_per_byte_hop
     }
-
-    /// Energy of CPU-side work given cache accesses, DRAM bytes and scalar
-    /// operations.
-    #[must_use]
-    pub fn cpu_energy(&self, cache_accesses: u64, dram_bytes: u64, scalar_ops: u64) -> f64 {
-        cache_accesses as f64 * self.cache_access_nj
-            + dram_bytes as f64 * self.channel_transfer_nj_per_byte
-            + scalar_ops as f64 * self.scalar_op_nj
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Energy of moving `bytes` over the off-chip channel, as the CPU
+    /// baseline would.
+    fn channel(e: &EnergyModel, bytes: u64) -> f64 {
+        bytes as f64 * e.channel_transfer_nj_per_byte
+    }
+
     #[test]
     fn pum_is_cheaper_than_moving_the_rows_over_the_channel() {
         let e = EnergyModel::default();
         // One 8 KiB row AND: 4 activations vs moving 2×8 KiB over the channel.
         let pum = e.pum_energy(4);
-        let channel = e.cpu_energy(0, 2 * 8192, 0);
+        let channel = channel(&e, 2 * 8192);
         assert!(pum < channel, "pum {pum} vs channel {channel}");
     }
 
     #[test]
     fn tsv_transfers_are_cheaper_than_channel_transfers() {
         let e = EnergyModel::default();
-        assert!(e.pnm_energy(1024, 0) < e.cpu_energy(0, 1024, 0));
+        assert!(e.pnm_energy(1024, 0) < channel(&e, 1024));
     }
 
     #[test]
@@ -100,7 +97,7 @@ mod tests {
         let e = EnergyModel::default();
         let one_hop = e.link_energy(1024, 1);
         assert!(one_hop > e.pnm_energy(1024, 0));
-        assert!(one_hop < e.cpu_energy(0, 1024, 0));
+        assert!(one_hop < channel(&e, 1024));
         // Energy grows with the hop count and is zero for local data.
         assert!(e.link_energy(1024, 3) > one_hop);
         assert_eq!(e.link_energy(1024, 0), 0.0);
@@ -109,7 +106,6 @@ mod tests {
     #[test]
     fn energy_is_additive_in_events() {
         let e = EnergyModel::default();
-        assert!((e.cpu_energy(10, 0, 0) - 1.0).abs() < 1e-9);
         assert!((e.pnm_energy(0, 100) - 2.0).abs() < 1e-9);
         assert_eq!(e.pum_energy(0), 0.0);
     }

@@ -44,7 +44,6 @@ pub mod pnm;
 pub mod pum;
 pub mod stats;
 
-pub use cache::{Cache, CacheConfig};
 pub use config::{CpuConfig, PimPlatform, PnmConfig, PumConfig};
 pub use cpu::{AddressSpace, CpuThread, TaskCost};
 pub use energy::EnergyModel;

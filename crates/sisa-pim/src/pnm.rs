@@ -89,32 +89,18 @@ impl PnmModel {
         self.cfg.dram_latency
     }
 
-    /// Cost of fetching one set-metadata entry from memory (SM miss path).
-    #[must_use]
-    pub fn metadata_access_cost(&self) -> Cycles {
-        self.cfg.dram_latency
-    }
-
     /// Average latency of one dependent probe into a structure of
     /// `structure_bytes` bytes: probes into structures that fit in the vault
     /// core's 32 KiB L1 cost a couple of cycles; larger structures pay a
     /// proportionally growing share of the near-memory DRAM latency.
     #[must_use]
-    pub fn probe_latency(&self, structure_bytes: usize) -> Cycles {
+    pub(crate) fn probe_latency(&self, structure_bytes: usize) -> Cycles {
         const VAULT_L1_BYTES: usize = 32 * 1024;
         if structure_bytes <= VAULT_L1_BYTES {
             return 2;
         }
         let miss_fraction = 1.0 - VAULT_L1_BYTES as f64 / structure_bytes as f64;
         2 + (miss_fraction * self.cfg.dram_latency as f64 * 0.5).round() as Cycles
-    }
-
-    /// The number of vault cores available, i.e. the maximum number of set
-    /// operations that can execute concurrently with full per-vault bandwidth
-    /// (Tesseract-style bandwidth scalability, §8.4).
-    #[must_use]
-    pub fn parallel_units(&self) -> usize {
-        self.cfg.total_vaults()
     }
 }
 
@@ -154,7 +140,7 @@ impl LinkModel {
     /// Width of the (near-)square cube mesh used for hop counting: the
     /// smallest `w` with `w² ≥ cubes` (4 for the default 16 cubes, 3 for 9).
     #[must_use]
-    pub fn mesh_width(&self) -> usize {
+    pub(crate) fn mesh_width(&self) -> usize {
         let cubes = self.cfg.cubes.max(1);
         (1..=cubes).find(|w| w * w >= cubes).unwrap_or(1)
     }
@@ -165,7 +151,7 @@ impl LinkModel {
     /// Shards are laid out contiguously over the cubes; two shards mapped to
     /// the same cube are one vault-to-vault crossbar hop apart, otherwise the
     /// hop count is the Manhattan distance between their cubes on a
-    /// [`LinkModel::mesh_width`]-wide mesh and the route crosses the external
+    /// `LinkModel::mesh_width`-wide mesh and the route crosses the external
     /// SerDes links. The same shard is zero hops from itself.
     #[must_use]
     pub fn route(&self, shard_a: usize, shard_b: usize, num_shards: usize) -> LinkRoute {
@@ -193,12 +179,6 @@ impl LinkModel {
             hops: xa.abs_diff(xb) + ya.abs_diff(yb),
             inter_cube: true,
         }
-    }
-
-    /// Number of link hops between two shards (see [`LinkModel::route`]).
-    #[must_use]
-    pub fn hops_between(&self, shard_a: usize, shard_b: usize, num_shards: usize) -> usize {
-        self.route(shard_a, shard_b, num_shards).hops
     }
 
     /// Cycles to move `bytes` bytes over `route` (zero when the data does not
@@ -281,20 +261,13 @@ mod tests {
         let l = m.config().dram_latency;
         assert_eq!(m.random_access_cost(0, 100), l);
         assert_eq!(m.element_update_cost(), l);
-        assert_eq!(m.metadata_access_cost(), l);
-    }
-
-    #[test]
-    fn parallel_units_match_vault_count() {
-        let m = PnmModel::default();
-        assert_eq!(m.parallel_units(), 512);
     }
 
     #[test]
     fn link_routes_reflect_the_shard_layout() {
         let l = LinkModel::default();
         // Same shard: no movement.
-        assert_eq!(l.hops_between(3, 3, 8), 0);
+        assert_eq!(l.route(3, 3, 8).hops, 0);
         // 32 shards over 16 cubes: shards 0 and 1 share cube 0 (one
         // vault-to-vault hop); shards 0 and 2 are on adjacent cubes.
         let same_cube = l.route(0, 1, 32);
@@ -304,7 +277,7 @@ mod tests {
         assert_eq!(adjacent_cubes.hops, 1);
         assert!(adjacent_cubes.inter_cube, "cube 0 → cube 1 is external");
         // 16 shards, one per cube: opposite mesh corners are 6 hops apart.
-        assert_eq!(l.hops_between(0, 15, 16), 6);
+        assert_eq!(l.route(0, 15, 16).hops, 6);
         // Routes are symmetric.
         for n in [2usize, 4, 16, 32] {
             for a in 0..n.min(8) {

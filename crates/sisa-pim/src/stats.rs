@@ -22,26 +22,10 @@ pub struct MemoryStats {
 }
 
 impl MemoryStats {
-    /// Total cache-hierarchy accesses.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.l1_hits + self.l1_misses
-    }
-
     /// Number of DRAM accesses (L3 misses).
     #[must_use]
     pub fn dram_accesses(&self) -> u64 {
         self.l3_misses
-    }
-
-    /// L1 hit ratio (0 if no accesses).
-    #[must_use]
-    pub fn l1_hit_ratio(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.l1_hits as f64 / self.accesses() as f64
-        }
     }
 
     /// Adds another counter set into this one.
@@ -59,7 +43,7 @@ impl MemoryStats {
     /// The difference `self - earlier`, component-wise (used to compute
     /// per-task deltas from running totals).
     #[must_use]
-    pub fn delta_since(&self, earlier: &MemoryStats) -> MemoryStats {
+    pub(crate) fn delta_since(&self, earlier: &MemoryStats) -> MemoryStats {
         MemoryStats {
             l1_hits: self.l1_hits - earlier.l1_hits,
             l1_misses: self.l1_misses - earlier.l1_misses,
@@ -93,8 +77,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.l1_hits, 180);
         assert_eq!(a.dram_accesses(), 6);
-        assert!((a.l1_hit_ratio() - 0.9).abs() < 1e-12);
-        assert_eq!(MemoryStats::default().l1_hit_ratio(), 0.0);
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl CacheCounters {
     /// The hit ratio in permille (`hits * 1000 / lookups`), 0 when idle —
     /// the integer form the metrics gauge surface uses.
     #[must_use]
-    pub fn hit_ratio_permille(&self) -> u64 {
+    pub(crate) fn hit_ratio_permille(&self) -> u64 {
         (self.hits * 1000)
             .checked_div(self.hits + self.misses)
             .unwrap_or(0)
@@ -130,7 +130,7 @@ impl ResultCache {
 
     /// Whether the cache is configured away (`max_entries == 0`).
     #[must_use]
-    pub fn is_disabled(&self) -> bool {
+    pub(crate) fn is_disabled(&self) -> bool {
         self.max_entries == 0
     }
 
@@ -144,7 +144,7 @@ impl ResultCache {
     /// behind the execution that filled the entry really is served from the
     /// cache), but a repeat miss is *not* — otherwise every executed query
     /// would be billed two misses and the hit ratio would undercount.
-    pub fn recheck(&self, generation: u64, spec: &QuerySpec) -> Option<CachedResult> {
+    pub(crate) fn recheck(&self, generation: u64, spec: &QuerySpec) -> Option<CachedResult> {
         self.lookup(generation, spec, false)
     }
 

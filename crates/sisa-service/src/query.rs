@@ -37,7 +37,7 @@ pub enum QueryKind {
 impl QueryKind {
     /// The wire name used by the line-delimited JSON protocol.
     #[must_use]
-    pub fn wire_name(&self) -> &'static str {
+    pub(crate) fn wire_name(&self) -> &'static str {
         match self {
             QueryKind::TriangleCount => "tc",
             QueryKind::KCliqueCount { .. } => "kclique",
@@ -59,7 +59,7 @@ impl QueryKind {
     /// cache (they *invalidate* it), are never coalesced, and are ordered
     /// against queries on the same graph by worker affinity.
     #[must_use]
-    pub fn is_mutation(&self) -> bool {
+    pub(crate) fn is_mutation(&self) -> bool {
         matches!(self, QueryKind::Mutate(_))
     }
 
@@ -69,7 +69,7 @@ impl QueryKind {
     ///
     /// Returns a protocol-level message for unknown query names, missing or
     /// out-of-range `k`.
-    pub fn from_wire(query: &str, k: Option<u64>) -> Result<Self, String> {
+    pub(crate) fn from_wire(query: &str, k: Option<u64>) -> Result<Self, String> {
         match query {
             "tc" => Ok(QueryKind::TriangleCount),
             "kclique" => {
@@ -177,7 +177,7 @@ pub struct QueryStats {
 impl QueryStats {
     /// Builds the billing record from a scope delta and a wall-clock sample.
     #[must_use]
-    pub fn from_delta(delta: &ExecStats, wall_ns: u64) -> Self {
+    pub(crate) fn from_delta(delta: &ExecStats, wall_ns: u64) -> Self {
         QueryStats {
             simulated_cycles: delta.total_cycles(),
             instructions: delta.total_instructions(),
@@ -202,7 +202,7 @@ impl QueryStats {
     /// span fields are reset and should be re-attached with
     /// [`QueryStats::with_spans`] using the hit's own timings).
     #[must_use]
-    pub fn from_cached(original: &QueryStats) -> Self {
+    pub(crate) fn from_cached(original: &QueryStats) -> Self {
         QueryStats {
             simulated_cycles: original.simulated_cycles,
             instructions: original.instructions,

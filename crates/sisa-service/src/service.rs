@@ -561,7 +561,7 @@ impl SisaService {
     /// Per-worker engine aggregates, in worker order (see
     /// [`SisaService::engine_stats`]).
     #[must_use]
-    pub fn worker_engine_stats(&self) -> Vec<ExecStats> {
+    pub(crate) fn worker_engine_stats(&self) -> Vec<ExecStats> {
         let mut replies = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
             let (tx, rx) = channel();

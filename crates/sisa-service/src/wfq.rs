@@ -48,7 +48,7 @@ impl<T> WfqScheduler<T> {
 
     /// The effective weight of `tenant`.
     #[must_use]
-    pub fn weight(&self, tenant: &str) -> u64 {
+    fn weight(&self, tenant: &str) -> u64 {
         self.weights.get(tenant).copied().unwrap_or(1).max(1)
     }
 
@@ -92,10 +92,7 @@ impl<T> WfqScheduler<T> {
         tenants.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
         self.round = tenants
             .into_iter()
-            .map(|(tenant, _)| {
-                let credit = self.weights.get(tenant).copied().unwrap_or(1).max(1);
-                (tenant.clone(), credit)
-            })
+            .map(|(tenant, _)| (tenant.clone(), self.weight(tenant)))
             .collect();
     }
 
@@ -137,7 +134,7 @@ impl<T> WfqScheduler<T> {
     /// dispatcher pops one item, then drains its identical siblings so one
     /// execution answers them all. Round credits are untouched; a tenant's
     /// coalesced items simply no longer occupy its queue.
-    pub fn drain_matching<F>(&mut self, limit: usize, mut pred: F) -> Vec<(String, T)>
+    pub(crate) fn drain_matching<F>(&mut self, limit: usize, mut pred: F) -> Vec<(String, T)>
     where
         F: FnMut(&T) -> bool,
     {
@@ -162,7 +159,7 @@ impl<T> WfqScheduler<T> {
 
     /// Removes and returns everything queued (shutdown drain), in pop order
     /// semantics-free tenant order.
-    pub fn drain_all(&mut self) -> Vec<(String, T)> {
+    pub(crate) fn drain_all(&mut self) -> Vec<(String, T)> {
         let mut drained = Vec::new();
         for (tenant, queue) in &mut self.queues {
             while let Some(item) = queue.pop_front() {

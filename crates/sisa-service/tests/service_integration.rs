@@ -4,6 +4,7 @@
 
 use sisa_core::ExecStats;
 use sisa_graph::{generators, GraphBuilder};
+use sisa_service::tcp::MAX_LINE_BYTES;
 use sisa_service::{
     AdmissionConfig, Frame, QueryEvent, QueryKind, QuerySpec, Request, ServiceConfig, SisaService,
     TcpServer,
@@ -270,8 +271,8 @@ fn tcp_transport_round_trips_queries_rejections_and_malformed_lines() {
     let stream = TcpStream::connect(server.addr()).expect("connect");
     let mut writer = stream.try_clone().expect("clone");
     let mut lines = BufReader::new(stream).lines();
-    let mut ask = |line: &str| -> Frame {
-        writer.write_all(line.as_bytes()).expect("write");
+    let mut ask = |line: &[u8]| -> Frame {
+        writer.write_all(line).expect("write");
         writer.write_all(b"\n").expect("write");
         loop {
             let line = lines.next().expect("frame").expect("read");
@@ -284,24 +285,45 @@ fn tcp_transport_round_trips_queries_rejections_and_malformed_lines() {
     };
 
     let spec = QuerySpec::new("g", QueryKind::TriangleCount);
-    let result = ask(&serde_json::to_string(&Request::from_spec(7, "net", &spec)).unwrap());
+    let tc = |id| serde_json::to_string(&Request::from_spec(id, "net", &spec)).unwrap();
+    let result = ask(tc(7).as_bytes());
     assert_eq!(result.frame, "result");
     assert_eq!(result.id, 7);
     assert_eq!(result.value, Some(expected));
     assert_eq!(result.coalesced, Some(false));
     assert!(result.simulated_cycles.unwrap() > 0);
 
-    let bad = ask("this is not json");
+    let bad = ask(b"this is not json");
     assert_eq!(bad.frame, "error");
     assert_eq!(bad.id, 0, "unparseable lines get correlation id 0");
 
-    let bad_spec = ask(r#"{"id": 8, "tenant": "net", "graph": "g", "query": "kclique"}"#);
+    let bad_spec = ask(br#"{"id": 8, "tenant": "net", "graph": "g", "query": "kclique"}"#);
     assert_eq!(bad_spec.frame, "error");
     assert_eq!(bad_spec.id, 8);
 
-    let unknown = ask(r#"{"id": 9, "tenant": "net", "graph": "missing", "query": "tc"}"#);
+    let unknown = ask(br#"{"id": 9, "tenant": "net", "graph": "missing", "query": "tc"}"#);
     assert_eq!(unknown.frame, "error");
     assert!(unknown.error.unwrap().contains("unknown graph"));
+
+    // A line that is not UTF-8 is one more malformed line: an error frame,
+    // and the connection keeps serving.
+    let not_utf8 = ask(b"{\"id\": 10, \"tenant\": \"n\xffet\"}");
+    assert_eq!(not_utf8.frame, "error");
+    assert_eq!(not_utf8.id, 0);
+    assert!(not_utf8.error.unwrap().contains("UTF-8"));
+    let after = ask(tc(11).as_bytes());
+    assert_eq!((after.frame.as_str(), after.id), ("result", 11));
+    assert_eq!(after.value, Some(expected));
+
+    // A line over the cap (MAX_LINE_BYTES of it before the `\n`) gets an
+    // error frame, and then the connection closes.
+    let too_long = ask(&vec![b' '; MAX_LINE_BYTES]);
+    assert_eq!(too_long.frame, "error");
+    assert!(too_long.error.unwrap().contains("longer than"));
+    assert!(
+        !matches!(lines.next(), Some(Ok(_))),
+        "no frame follows the over-long line"
+    );
 
     drop(writer);
     drop(lines);

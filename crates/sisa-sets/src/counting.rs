@@ -8,7 +8,7 @@
 //! number of elements read from the inputs, and the number of 64-bit words
 //! touched (relevant for dense bitvectors).
 
-use crate::{DenseBitVector, Vertex};
+use crate::Vertex;
 
 /// Work performed by a single instrumented set operation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -96,77 +96,6 @@ pub fn intersect_galloping_counted(a: &[Vertex], b: &[Vertex]) -> (Vec<Vertex>, 
     (out, cost)
 }
 
-/// The seed's "galloping" intersection with instrumentation: a full-range
-/// binary search per element, `O(m · log n)`. Kept so the galloping
-/// regression tests can quantify what the exponential probe saves.
-#[must_use]
-pub fn intersect_galloping_reference_counted(a: &[Vertex], b: &[Vertex]) -> (Vec<Vertex>, OpCost) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(small.len());
-    let mut cost = OpCost {
-        elements_read: small.len() as u64,
-        ..OpCost::default()
-    };
-    for &v in small {
-        let (found, probes) = binary_search_counted(large, v);
-        cost.comparisons += probes;
-        if found {
-            out.push(v);
-        }
-    }
-    (out, cost)
-}
-
-/// Merge difference `A \ B` with instrumentation.
-#[must_use]
-pub fn difference_merge_counted(a: &[Vertex], b: &[Vertex]) -> (Vec<Vertex>, OpCost) {
-    let mut out = Vec::with_capacity(a.len());
-    let mut cost = OpCost::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        cost.comparisons += 1;
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    cost.elements_read = a.len() as u64 + j as u64;
-    (out, cost)
-}
-
-/// Dense-bitvector AND with instrumentation (words touched only; there are no
-/// element comparisons in bulk bitwise execution).
-#[must_use]
-pub fn intersect_db_counted(a: &DenseBitVector, b: &DenseBitVector) -> (DenseBitVector, OpCost) {
-    let out = a.and(b);
-    let cost = OpCost {
-        comparisons: 0,
-        elements_read: 0,
-        words_touched: (a.word_count() + b.word_count() + out.word_count()) as u64,
-    };
-    (out, cost)
-}
-
-/// SA ∩ DB probing with instrumentation.
-#[must_use]
-pub fn intersect_sa_db_counted(a: &[Vertex], b: &DenseBitVector) -> (Vec<Vertex>, OpCost) {
-    let out: Vec<Vertex> = a.iter().copied().filter(|&v| b.contains(v)).collect();
-    let cost = OpCost {
-        comparisons: a.len() as u64,
-        elements_read: a.len() as u64,
-        words_touched: a.len() as u64,
-    };
-    (out, cost)
-}
-
 /// Instrumented twin of `ops::gallop_seek`: first position in `hay[start..]`
 /// whose element is `>= needle`, with every comparison counted.
 fn gallop_seek_counted(hay: &[Vertex], start: usize, needle: Vertex) -> (bool, usize, u64) {
@@ -209,26 +138,46 @@ fn gallop_seek_counted(hay: &[Vertex], start: usize, needle: Vertex) -> (bool, u
     (l < n && hay[l] == needle, l, probes)
 }
 
-fn binary_search_counted(haystack: &[Vertex], needle: Vertex) -> (bool, u64) {
-    let mut lo = 0usize;
-    let mut hi = haystack.len();
-    let mut probes = 0u64;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        probes += 1;
-        match haystack[mid].cmp(&needle) {
-            std::cmp::Ordering::Equal => return (true, probes),
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-        }
-    }
-    (false, probes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops;
+
+    /// The seed's "galloping" intersection with instrumentation: a full-range
+    /// binary search per element, `O(m · log n)`. Kept so the galloping
+    /// regression tests can quantify what the exponential probe saves.
+    fn intersect_galloping_reference_counted(a: &[Vertex], b: &[Vertex]) -> (Vec<Vertex>, OpCost) {
+        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let mut out = Vec::with_capacity(small.len());
+        let mut cost = OpCost {
+            elements_read: small.len() as u64,
+            ..OpCost::default()
+        };
+        for &v in small {
+            let (found, probes) = binary_search_counted(large, v);
+            cost.comparisons += probes;
+            if found {
+                out.push(v);
+            }
+        }
+        (out, cost)
+    }
+
+    fn binary_search_counted(haystack: &[Vertex], needle: Vertex) -> (bool, u64) {
+        let mut lo = 0usize;
+        let mut hi = haystack.len();
+        let mut probes = 0u64;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            probes += 1;
+            match haystack[mid].cmp(&needle) {
+                std::cmp::Ordering::Equal => return (true, probes),
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        (false, probes)
+    }
 
     #[test]
     fn counted_results_match_uncounted() {
@@ -239,8 +188,6 @@ mod tests {
         let expected = ops::intersect_merge_slices(&a, &b);
         assert_eq!(m, expected);
         assert_eq!(g, expected);
-        let (d, _) = difference_merge_counted(&a, &b);
-        assert_eq!(d, ops::difference_merge_slices(&a, &b));
     }
 
     #[test]
@@ -309,20 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn db_counted_reports_words() {
-        let a = DenseBitVector::from_members(1024, (0..512).step_by(2).map(|v| v as Vertex));
-        let b = DenseBitVector::from_members(1024, (0..512).step_by(3).map(|v| v as Vertex));
-        let (out, cost) = intersect_db_counted(&a, &b);
-        assert_eq!(out.to_sorted_vec(), {
-            let av = a.to_sorted_vec();
-            let bv = b.to_sorted_vec();
-            ops::intersect_merge_slices(&av, &bv)
-        });
-        assert_eq!(cost.words_touched, 3 * 16);
-        assert_eq!(cost.comparisons, 0);
-    }
-
-    #[test]
     fn op_cost_merge_and_work() {
         let a = OpCost {
             comparisons: 3,
@@ -339,13 +272,5 @@ mod tests {
         assert_eq!(c.elements_read, 6);
         assert_eq!(c.words_touched, 8);
         assert_eq!(c.work(), 12);
-    }
-
-    #[test]
-    fn sa_db_counted_matches() {
-        let db = DenseBitVector::from_members(64, [1u32, 2, 3]);
-        let (out, cost) = intersect_sa_db_counted(&[0, 1, 2, 5], &db);
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(cost.comparisons, 4);
     }
 }

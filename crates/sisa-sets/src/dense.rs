@@ -58,12 +58,6 @@ impl DenseBitVector {
         db
     }
 
-    /// Builds a bitvector from a sorted slice of members.
-    #[must_use]
-    pub fn from_sorted_slice(universe: usize, members: &[Vertex]) -> Self {
-        Self::from_members(universe, members.iter().copied())
-    }
-
     /// The universe size `n` (number of addressable vertices).
     #[must_use]
     pub fn universe(&self) -> usize {
@@ -80,12 +74,6 @@ impl DenseBitVector {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of 64-bit words backing the bitvector.
-    #[must_use]
-    pub fn word_count(&self) -> usize {
-        self.words.len()
     }
 
     /// Read-only access to the backing words.
@@ -261,23 +249,6 @@ impl DenseBitVector {
     pub fn and_not_count(&self, other: &Self) -> usize {
         self.assert_same_universe(other);
         kernels::and_not_count(&self.words, &other.words) as usize
-    }
-
-    /// Whether `self` and `other` share no member.
-    #[must_use]
-    pub fn is_disjoint(&self, other: &Self) -> bool {
-        self.assert_same_universe(other);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// Whether every member of `self` is also a member of `other`.
-    #[must_use]
-    pub fn is_subset(&self, other: &Self) -> bool {
-        self.assert_same_universe(other);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// Runs a word-parallel kernel over both operands into a fresh bitvector.
@@ -484,17 +455,6 @@ mod tests {
         assert_eq!(a.to_sorted_vec(), vec![2, 3, 4]);
         a.and_not_assign(&DenseBitVector::from_members(64, [3u32]));
         assert_eq!(a.to_sorted_vec(), vec![2, 4]);
-    }
-
-    #[test]
-    fn subset_and_disjoint() {
-        let a = DenseBitVector::from_members(50, [1u32, 2]);
-        let b = DenseBitVector::from_members(50, [1u32, 2, 3]);
-        let c = DenseBitVector::from_members(50, [10u32, 20]);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
-        assert!(a.is_disjoint(&c));
-        assert!(!a.is_disjoint(&b));
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! The [`ops`] module implements every set-operation *variant* that Table 5 of
 //! the paper turns into an instruction: merge and galloping intersection /
 //! difference over sorted SAs, SA∩DB probing, DB∩DB bulk bitwise operations,
-//! unions, cardinality-only variants (which avoid materialising the result),
-//! membership tests, and single-element insert/remove. On the host the merge
-//! variants compare a block of eight elements of each operand at a time
-//! instead of one pair, without branching on the outcome; they require
-//! strictly increasing inputs.
+//! unions, and cardinality-only variants (which avoid materialising the
+//! result); single-element insert/remove are methods of the representations.
+//! On the host the merge variants compare a block of eight elements of each
+//! operand at a time instead of one pair, without branching on the outcome;
+//! they require strictly increasing inputs.
 //!
 //! The [`counting`] module provides instrumented twins of the hot operations
 //! that additionally report the number of element comparisons / word touches
@@ -33,8 +33,8 @@
 //! [`kernels`] serves raw host-side speed rather than the paper's cost model:
 //! it holds the word-parallel `u64` combines with fused popcounts that back
 //! every dense-bitvector operation. [`repr`] additionally hosts the
-//! size-ratio dispatch ([`repr::choose_host_kernel`]) that picks merge vs
-//! galloping vs bitmap execution per operation.
+//! size-ratio dispatch that picks merge vs galloping vs bitmap execution per
+//! operation, and [`KernelSelectionCounts`] counts its picks.
 //!
 //! This crate is purely algorithmic: it knows nothing about timing, PIM or the
 //! SISA controller. Those live in `sisa-pim` and `sisa-core`.
@@ -46,8 +46,8 @@
 //!
 //! let a = SortedVertexArray::from_unsorted(vec![5, 1, 9, 3]);
 //! let b = SortedVertexArray::from_unsorted(vec![3, 9, 12]);
-//! let inter = ops::intersect_merge(&a, &b);
-//! assert_eq!(inter.as_slice(), &[3, 9]);
+//! let inter = ops::intersect_merge_slices(a.as_slice(), b.as_slice());
+//! assert_eq!(inter, [3, 9]);
 //!
 //! let db = DenseBitVector::from_members(16, [3u32, 9, 12]);
 //! assert_eq!(ops::intersect_sa_db_count(a.as_slice(), &db), 2);
@@ -65,7 +65,7 @@ pub mod serde_impls;
 pub mod sparse;
 
 pub use dense::DenseBitVector;
-pub use repr::{HostKernel, KernelSelectionCounts, RepresentationKind, SetRepr};
+pub use repr::{KernelSelectionCounts, RepresentationKind, SetRepr};
 pub use sparse::{SortedVertexArray, UnsortedVertexArray};
 
 /// A vertex identifier.
@@ -79,11 +79,11 @@ pub type Vertex = u32;
 ///
 /// The paper's storage formulas (§6.1) express a sparse array's footprint as
 /// `W · |S|` bits; we fix `W = 32` because vertex identifiers are `u32`.
-pub const WORD_BITS: usize = 32;
+pub(crate) const WORD_BITS: usize = 32;
 
 /// Storage size, in bits, of a sparse array holding `len` vertices.
 #[must_use]
-pub fn sparse_array_bits(len: usize) -> usize {
+pub(crate) fn sparse_array_bits(len: usize) -> usize {
     len * WORD_BITS
 }
 

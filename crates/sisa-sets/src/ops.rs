@@ -6,11 +6,11 @@
 //!
 //! | Paper opcode | Operation | Variant | Function |
 //! |---|---|---|---|
-//! | `0x0` | `A ∩ B` | SA ∩ SA, merge | [`intersect_merge`] |
-//! | `0x1` | `A ∩ B` | SA ∩ SA, galloping | [`intersect_galloping`] |
+//! | `0x0` | `A ∩ B` | SA ∩ SA, merge | [`intersect_merge_slices`] |
+//! | `0x1` | `A ∩ B` | SA ∩ SA, galloping | [`intersect_galloping_slices`] |
 //! | `0x2` | `A ∩ B` | SA ∩ SA, auto | (chosen by the SCU in `sisa-core`) |
 //! | `0x3` | `A ∩ B` | SA ∩ DB, probing | [`intersect_sa_db`] |
-//! | `0x4` | `A ∩ B` | DB ∩ DB, bulk bitwise AND | [`intersect_db_db`] |
+//! | `0x4` | `A ∩ B` | DB ∩ DB, bulk bitwise AND | [`DenseBitVector::and`] |
 //! | `0x5` | `A ∪ {x}` | DB, set bit | [`DenseBitVector::insert`] |
 //! | `0x6` | `A \ {x}` | DB, clear bit | [`DenseBitVector::remove`] |
 //!
@@ -36,12 +36,14 @@
 //! position on only for the ones that belong to the result.
 //!
 //! **Precondition:** both inputs of a merge kernel are *strictly increasing*
-//! (sorted, no duplicates), which a [`SortedVertexArray`], a CSR adjacency
-//! row and the sorted copy `SetRepr` stages of an unsorted array all are. A
-//! duplicate would be counted once per block it is compared with; the slice
-//! functions check the precondition in debug builds.
+//! (sorted, no duplicates), which a [`SortedVertexArray`]'s slice, a CSR
+//! adjacency row and the sorted copy `SetRepr` stages of an unsorted array
+//! all are. A duplicate would be counted once per block it is compared with;
+//! the kernels check the precondition in debug builds.
+//!
+//! [`SortedVertexArray`]: crate::SortedVertexArray
 
-use crate::{DenseBitVector, SortedVertexArray, Vertex};
+use crate::{DenseBitVector, Vertex};
 
 /// Elements per block of the merge kernels.
 const W: usize = 8;
@@ -95,16 +97,6 @@ fn advance(i: &mut usize, j: &mut usize, step: usize, x: Vertex, y: Vertex) {
 // Intersection
 // ---------------------------------------------------------------------------
 
-/// Merge-based intersection of two sorted sparse arrays.
-///
-/// Cost `O(|A| + |B|)`; preferred when the operands have similar sizes because
-/// both inputs are simply streamed (§6.2.1).
-#[must_use]
-pub fn intersect_merge(a: &SortedVertexArray, b: &SortedVertexArray) -> SortedVertexArray {
-    let out = intersect_merge_slices(a.as_slice(), b.as_slice());
-    SortedVertexArray::from_sorted(out)
-}
-
 /// Merge-based intersection over raw slices, which must be strictly
 /// increasing (see the [module docs](self)).
 #[must_use]
@@ -156,19 +148,6 @@ pub fn intersect_merge_count(a: &[Vertex], b: &[Vertex]) -> usize {
         advance(&mut i, &mut j, 1, x, y);
     }
     count
-}
-
-/// Galloping (exponential-search based) intersection of two sorted sparse
-/// arrays.
-///
-/// Iterates over the smaller set and gallops through the larger one with an
-/// exponential probe from the last match; cost
-/// `O(min(|A|,|B|) · log(max(|A|,|B|) / min(|A|,|B|)))`, preferred when one
-/// operand is much smaller than the other (§6.2.1).
-#[must_use]
-pub fn intersect_galloping(a: &SortedVertexArray, b: &SortedVertexArray) -> SortedVertexArray {
-    let out = intersect_galloping_slices(a.as_slice(), b.as_slice());
-    SortedVertexArray::from_sorted(out)
 }
 
 /// Position of the first element of `hay[start..]` that is `>= needle`,
@@ -301,25 +280,19 @@ pub fn intersect_sa_db_count(a: &[Vertex], b: &DenseBitVector) -> usize {
 /// Intersection of two dense bitvectors via bulk bitwise AND (instruction
 /// `0x4`, executed with SISA-PUM in hardware).
 #[must_use]
-pub fn intersect_db_db(a: &DenseBitVector, b: &DenseBitVector) -> DenseBitVector {
+pub(crate) fn intersect_db_db(a: &DenseBitVector, b: &DenseBitVector) -> DenseBitVector {
     a.and(b)
 }
 
 /// Cardinality of the DB ∩ DB intersection.
 #[must_use]
-pub fn intersect_db_db_count(a: &DenseBitVector, b: &DenseBitVector) -> usize {
+pub(crate) fn intersect_db_db_count(a: &DenseBitVector, b: &DenseBitVector) -> usize {
     a.and_count(b)
 }
 
 // ---------------------------------------------------------------------------
 // Union
 // ---------------------------------------------------------------------------
-
-/// Merge-based union of two sorted sparse arrays, `O(|A| + |B|)`.
-#[must_use]
-pub fn union_merge(a: &SortedVertexArray, b: &SortedVertexArray) -> SortedVertexArray {
-    SortedVertexArray::from_sorted(union_merge_slices(a.as_slice(), b.as_slice()))
-}
 
 /// Merge-based union over raw slices, which must be strictly increasing (see
 /// the [module docs](self)).
@@ -349,7 +322,7 @@ pub fn union_merge_count(a: &[Vertex], b: &[Vertex]) -> usize {
 /// Union of a sparse array with a dense bitvector, producing a dense
 /// bitvector (bits of `a`'s members are set into a copy of `b`).
 #[must_use]
-pub fn union_sa_db(a: &[Vertex], b: &DenseBitVector) -> DenseBitVector {
+pub(crate) fn union_sa_db(a: &[Vertex], b: &DenseBitVector) -> DenseBitVector {
     let mut out = b.clone();
     for &v in a {
         out.insert(v);
@@ -359,25 +332,13 @@ pub fn union_sa_db(a: &[Vertex], b: &DenseBitVector) -> DenseBitVector {
 
 /// Union of two dense bitvectors via bulk bitwise OR (SISA-PUM).
 #[must_use]
-pub fn union_db_db(a: &DenseBitVector, b: &DenseBitVector) -> DenseBitVector {
+pub(crate) fn union_db_db(a: &DenseBitVector, b: &DenseBitVector) -> DenseBitVector {
     a.or(b)
-}
-
-/// Cardinality of the DB ∪ DB union.
-#[must_use]
-pub fn union_db_db_count(a: &DenseBitVector, b: &DenseBitVector) -> usize {
-    a.or_count(b)
 }
 
 // ---------------------------------------------------------------------------
 // Difference
 // ---------------------------------------------------------------------------
-
-/// Merge-based difference `A \ B` of two sorted sparse arrays, `O(|A| + |B|)`.
-#[must_use]
-pub fn difference_merge(a: &SortedVertexArray, b: &SortedVertexArray) -> SortedVertexArray {
-    SortedVertexArray::from_sorted(difference_merge_slices(a.as_slice(), b.as_slice()))
-}
 
 /// Merge-based difference over raw slices, which must be strictly increasing
 /// (see the [module docs](self)).
@@ -459,58 +420,29 @@ pub fn difference_sa_db(a: &[Vertex], b: &DenseBitVector) -> Vec<Vertex> {
 /// Difference of two dense bitvectors, `A ∧ ¬B`, computed as bulk bitwise
 /// operations exactly as SISA-PUM does (§8.1: `A \ B = A ∩ B'`).
 #[must_use]
-pub fn difference_db_db(a: &DenseBitVector, b: &DenseBitVector) -> DenseBitVector {
+pub(crate) fn difference_db_db(a: &DenseBitVector, b: &DenseBitVector) -> DenseBitVector {
     a.and_not(b)
-}
-
-/// Cardinality of the DB \ DB difference.
-#[must_use]
-pub fn difference_db_db_count(a: &DenseBitVector, b: &DenseBitVector) -> usize {
-    a.and_not_count(b)
-}
-
-// ---------------------------------------------------------------------------
-// Membership
-// ---------------------------------------------------------------------------
-
-/// Membership of `v` in a sorted sparse array (`O(log |A|)`).
-#[must_use]
-pub fn member_sorted(a: &[Vertex], v: Vertex) -> bool {
-    a.binary_search(&v).is_ok()
-}
-
-/// Membership of `v` in an unsorted sparse array (`O(|A|)` linear scan).
-#[must_use]
-pub fn member_unsorted(a: &[Vertex], v: Vertex) -> bool {
-    a.contains(&v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sa(v: &[Vertex]) -> SortedVertexArray {
-        SortedVertexArray::from_unsorted(v.to_vec())
-    }
-
     #[test]
     fn merge_and_galloping_intersections_agree() {
-        let a = sa(&[1, 4, 7, 9, 200, 300]);
-        let b = sa(&[4, 9, 10, 300, 301]);
-        let m = intersect_merge(&a, &b);
-        let g = intersect_galloping(&a, &b);
-        assert_eq!(m, g);
-        assert_eq!(m.as_slice(), &[4, 9, 300]);
-        assert_eq!(intersect_merge_count(a.as_slice(), b.as_slice()), 3);
-        assert_eq!(intersect_galloping_count(a.as_slice(), b.as_slice()), 3);
+        let (a, b) = ([1, 4, 7, 9, 200, 300], [4, 9, 10, 300, 301]);
+        let m = intersect_merge_slices(&a, &b);
+        assert_eq!(m, intersect_galloping_slices(&a, &b));
+        assert_eq!(m, [4, 9, 300]);
+        assert_eq!(intersect_merge_count(&a, &b), 3);
+        assert_eq!(intersect_galloping_count(&a, &b), 3);
     }
 
     #[test]
     fn intersections_with_empty_sets() {
-        let a = sa(&[1, 2, 3]);
-        let empty = sa(&[]);
-        assert!(intersect_merge(&a, &empty).is_empty());
-        assert!(intersect_galloping(&empty, &a).is_empty());
+        let a = [1, 2, 3];
+        assert!(intersect_merge_slices(&a, &[]).is_empty());
+        assert!(intersect_galloping_slices(&[], &a).is_empty());
         assert_eq!(intersect_merge_count(&[], &[]), 0);
     }
 
@@ -535,50 +467,31 @@ mod tests {
 
     #[test]
     fn union_variants_agree() {
-        let a = sa(&[1, 3, 5]);
-        let b = sa(&[2, 3, 6]);
-        assert_eq!(union_merge(&a, &b).as_slice(), &[1, 2, 3, 5, 6]);
-        assert_eq!(union_merge_count(a.as_slice(), b.as_slice()), 5);
-        let da = DenseBitVector::from_sorted_slice(10, a.as_slice());
-        let db = DenseBitVector::from_sorted_slice(10, b.as_slice());
+        let (a, b) = ([1, 3, 5], [2, 3, 6]);
+        assert_eq!(union_merge_slices(&a, &b), [1, 2, 3, 5, 6]);
+        assert_eq!(union_merge_count(&a, &b), 5);
+        let da = DenseBitVector::from_members(10, a);
+        let db = DenseBitVector::from_members(10, b);
         assert_eq!(union_db_db(&da, &db).to_sorted_vec(), vec![1, 2, 3, 5, 6]);
-        assert_eq!(union_db_db_count(&da, &db), 5);
-        assert_eq!(
-            union_sa_db(a.as_slice(), &db).to_sorted_vec(),
-            vec![1, 2, 3, 5, 6]
-        );
+        assert_eq!(union_sa_db(&a, &db).to_sorted_vec(), vec![1, 2, 3, 5, 6]);
     }
 
     #[test]
     fn difference_variants_agree() {
-        let a = sa(&[1, 2, 3, 4, 5]);
-        let b = sa(&[2, 4, 6]);
-        assert_eq!(difference_merge(&a, &b).as_slice(), &[1, 3, 5]);
-        assert_eq!(
-            difference_galloping_slices(a.as_slice(), b.as_slice()),
-            vec![1, 3, 5]
-        );
-        assert_eq!(difference_merge_count(a.as_slice(), b.as_slice()), 3);
-        let da = DenseBitVector::from_sorted_slice(10, a.as_slice());
-        let db = DenseBitVector::from_sorted_slice(10, b.as_slice());
+        let (a, b) = ([1, 2, 3, 4, 5], [2, 4, 6]);
+        assert_eq!(difference_merge_slices(&a, &b), [1, 3, 5]);
+        assert_eq!(difference_galloping_slices(&a, &b), [1, 3, 5]);
+        assert_eq!(difference_merge_count(&a, &b), 3);
+        let da = DenseBitVector::from_members(10, a);
+        let db = DenseBitVector::from_members(10, b);
         assert_eq!(difference_db_db(&da, &db).to_sorted_vec(), vec![1, 3, 5]);
-        assert_eq!(difference_db_db_count(&da, &db), 3);
-        assert_eq!(difference_sa_db(a.as_slice(), &db), vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn membership_helpers() {
-        assert!(member_sorted(&[1, 5, 9], 5));
-        assert!(!member_sorted(&[1, 5, 9], 6));
-        assert!(member_unsorted(&[9, 1, 5], 5));
-        assert!(!member_unsorted(&[9, 1, 5], 2));
+        assert_eq!(difference_sa_db(&a, &db), vec![1, 3, 5]);
     }
 
     #[test]
     fn difference_with_superset_is_empty() {
-        let a = sa(&[1, 2, 3]);
-        let b = sa(&[0, 1, 2, 3, 4]);
-        assert!(difference_merge(&a, &b).is_empty());
-        assert_eq!(difference_merge_count(a.as_slice(), b.as_slice()), 0);
+        let (a, b) = ([1, 2, 3], [0, 1, 2, 3, 4]);
+        assert!(difference_merge_slices(&a, &b).is_empty());
+        assert_eq!(difference_merge_count(&a, &b), 0);
     }
 }

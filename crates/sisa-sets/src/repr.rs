@@ -10,7 +10,7 @@
 //!
 //! Independently of the *simulated* variant selection done by the SISA
 //! controller (which prices merge vs galloping in cycles), the host has to
-//! actually execute each operation. [`choose_host_kernel`] implements the
+//! actually execute each operation. `choose_host_kernel` implements the
 //! size-ratio dispatch policy: heavily skewed sparse operands run the
 //! galloping kernel, similar sizes run the merge kernel (block against block,
 //! see [`crate::ops`]), and dense operands run the word-parallel bitmap
@@ -39,12 +39,6 @@ pub enum RepresentationKind {
 }
 
 impl RepresentationKind {
-    /// Whether the representation is one of the sparse-array flavours.
-    #[must_use]
-    pub fn is_sparse(self) -> bool {
-        matches!(self, Self::SortedArray | Self::UnsortedArray)
-    }
-
     /// Whether the representation is the dense bitvector.
     #[must_use]
     pub fn is_dense(self) -> bool {
@@ -58,7 +52,7 @@ impl RepresentationKind {
 /// cost charged by the simulated SISA controller is decided separately (and
 /// independently) by the SCU's variant selection in `sisa-core`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum HostKernel {
+pub(crate) enum HostKernel {
     /// Linear merge over two strictly increasing arrays, a block of each
     /// compared at a time.
     Merge,
@@ -93,12 +87,12 @@ impl KernelSelectionCounts {
 /// overhead (each element pays the exponential scan *and* the bracketed
 /// binary search) it reliably beats the `O(|small| + |large|)` merge once the
 /// larger operand is ~16× the smaller one.
-pub const GALLOP_RATIO: usize = 16;
+pub(crate) const GALLOP_RATIO: usize = 16;
 
 /// Picks the host kernel for a sparse×sparse binary operation from the two
 /// operand cardinalities, per the size-ratio dispatch policy.
 #[must_use]
-pub fn choose_host_kernel(len_a: usize, len_b: usize) -> HostKernel {
+pub(crate) fn choose_host_kernel(len_a: usize, len_b: usize) -> HostKernel {
     let (small, large) = if len_a <= len_b {
         (len_a, len_b)
     } else {
@@ -293,7 +287,7 @@ impl SetRepr {
     ///
     /// Panics if any member is `>= universe`.
     #[must_use]
-    pub fn to_dense(&self, universe: usize) -> DenseBitVector {
+    pub(crate) fn to_dense(&self, universe: usize) -> DenseBitVector {
         match self {
             Self::Dense(d) if d.universe() == universe => d.clone(),
             other => DenseBitVector::from_members(universe, other.iter()),
@@ -328,7 +322,7 @@ impl SetRepr {
     /// the result is no larger than the sparse operand.
     ///
     /// Host execution: sparse pairs dispatch merge vs galloping via
-    /// [`choose_host_kernel`], dense pairs run the word-parallel bitmap
+    /// `choose_host_kernel`, dense pairs run the word-parallel bitmap
     /// kernel.
     #[must_use]
     pub fn intersect(&self, other: &SetRepr) -> SetRepr {
@@ -423,7 +417,7 @@ impl SetRepr {
     /// yields a sorted result.
     ///
     /// The sparse×sparse path gallops into `B` when it is at least
-    /// [`GALLOP_RATIO`]× larger than `A` (every element of `A` is looked up
+    /// `GALLOP_RATIO`× larger than `A` (every element of `A` is looked up
     /// in `B`, so only `B`'s size matters for the skew test).
     #[must_use]
     pub fn difference(&self, other: &SetRepr) -> SetRepr {
@@ -519,7 +513,7 @@ mod tests {
         let d = SetRepr::dense_from(128, [1u32, 2, 3]);
         assert_eq!(s.kind(), RepresentationKind::SortedArray);
         assert_eq!(d.kind(), RepresentationKind::DenseBitvector);
-        assert!(s.kind().is_sparse());
+        assert!(!s.kind().is_dense());
         assert!(d.kind().is_dense());
         assert_eq!(s.storage_bits(), 96);
         assert_eq!(d.storage_bits(), 128);

@@ -50,7 +50,7 @@ impl SortedVertexArray {
     /// Panics in debug builds if the invariant does not hold; in release
     /// builds the invariant is trusted.
     #[must_use]
-    pub fn from_sorted(items: Vec<Vertex>) -> Self {
+    pub(crate) fn from_sorted(items: Vec<Vertex>) -> Self {
         debug_assert!(
             items.windows(2).all(|w| w[0] < w[1]),
             "input to from_sorted must be strictly increasing"
@@ -74,12 +74,6 @@ impl SortedVertexArray {
     #[must_use]
     pub fn as_slice(&self) -> &[Vertex] {
         &self.items
-    }
-
-    /// Consumes the set and returns the underlying sorted vector.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<Vertex> {
-        self.items
     }
 
     /// Membership test by binary search (`O(log |S|)`).
@@ -232,15 +226,6 @@ impl UnsortedVertexArray {
         }
     }
 
-    /// Appends `v` without checking for duplicates.
-    ///
-    /// Callers must guarantee `v` is not already a member; this is the `O(1)`
-    /// append path used when the algorithm structurally guarantees uniqueness.
-    pub fn push_unique(&mut self, v: Vertex) {
-        debug_assert!(!self.contains(v), "push_unique called with a duplicate");
-        self.items.push(v);
-    }
-
     /// Removes `v` if present (swap-remove, order not preserved). Returns
     /// whether it was removed.
     pub fn remove(&mut self, v: Vertex) -> bool {
@@ -260,12 +245,6 @@ impl UnsortedVertexArray {
     /// Removes all members.
     pub fn clear(&mut self) {
         self.items.clear();
-    }
-
-    /// Sorts the members, converting into a [`SortedVertexArray`].
-    #[must_use]
-    pub fn into_sorted(self) -> SortedVertexArray {
-        SortedVertexArray::from_unsorted(self.items)
     }
 }
 
@@ -350,12 +329,6 @@ mod tests {
         assert!(!u.remove(2));
         assert_eq!(u.len(), 3);
         assert!(u.contains(1) && u.contains(3) && u.contains(4));
-    }
-
-    #[test]
-    fn unsorted_into_sorted() {
-        let u = UnsortedVertexArray::from_iterable([9, 2, 7]);
-        assert_eq!(u.into_sorted().as_slice(), &[2, 7, 9]);
     }
 
     #[test]
