@@ -24,16 +24,6 @@ pub(crate) struct CpuEngine<'g> {
 }
 
 impl<'g> CpuEngine<'g> {
-    /// Scalar operations charged per element advanced in a merge loop: one
-    /// compare, one increment and the amortised cost of the data-dependent
-    /// branch that scalar sorted-set intersection is known for (≈1.5 cycles
-    /// per element at the modelled IPC).
-    pub const MERGE_OPS_PER_ELEMENT: u64 = 6;
-
-    /// Scalar operations charged per binary-search level (compare plus a
-    /// hard-to-predict branch).
-    pub(crate) const PROBE_OPS_PER_LEVEL: u64 = 3;
-
     /// Creates an engine for `graph` with the given CPU configuration; the
     /// cache hierarchy assumes `threads` cores share the L3.
     #[must_use]
@@ -109,7 +99,7 @@ impl<'g> CpuEngine<'g> {
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             self.thread.random_access(base + mid as u64 * 4);
-            self.scalar(Self::PROBE_OPS_PER_LEVEL);
+            self.scalar(CpuThread::PROBE_OPS_PER_STEP);
             match nbrs[mid].cmp(&v) {
                 std::cmp::Ordering::Equal => {
                     found = true;
@@ -140,7 +130,7 @@ impl<'g> CpuEngine<'g> {
                 }
             }
         }
-        self.scalar(Self::MERGE_OPS_PER_ELEMENT * (i + j) as u64);
+        self.scalar(CpuThread::MERGE_OPS_PER_ELEMENT * (i + j) as u64);
         count
     }
 
@@ -150,7 +140,7 @@ impl<'g> CpuEngine<'g> {
         let nu = self.stream_neighbors(u);
         let nv = self.stream_neighbors(v);
         let out = sisa_sets::ops::intersect_merge_slices(nu, nv);
-        self.scalar(Self::MERGE_OPS_PER_ELEMENT * (nu.len() + nv.len()) as u64);
+        self.scalar(CpuThread::MERGE_OPS_PER_ELEMENT * (nu.len() + nv.len()) as u64);
         self.write_scratch(out.len());
         out
     }
@@ -160,7 +150,7 @@ impl<'g> CpuEngine<'g> {
         self.stream_scratch(candidates.len());
         let nv = self.stream_neighbors(v);
         let out = sisa_sets::ops::intersect_merge_slices(candidates, nv);
-        self.scalar(Self::MERGE_OPS_PER_ELEMENT * (candidates.len() + nv.len()) as u64);
+        self.scalar(CpuThread::MERGE_OPS_PER_ELEMENT * (candidates.len() + nv.len()) as u64);
         self.write_scratch(out.len());
         out
     }

@@ -159,7 +159,6 @@ pub(crate) fn k_clique_list<E: SetEngine>(
             }
             budget.found(oriented.degree(u) as u64);
         } else {
-            let before = cliques.len();
             let _ = count_extensions(
                 rt,
                 oriented,
@@ -169,7 +168,6 @@ pub(crate) fn k_clique_list<E: SetEngine>(
                 &mut budget,
                 Some((&mut cliques, &mut prefix)),
             );
-            let _ = before;
         }
         tasks.push(rt.task_end());
     }

@@ -2,11 +2,15 @@
 //!
 //! [`FunctionalEngine`] executes every set operation directly on
 //! [`SetRepr`] storage and charges nothing: its [`ExecStats`] stay zero and
-//! task records are empty. It exists for *correctness*, not measurement — as
-//! the oracle in differential property tests (any priced backend must compute
-//! the same sets the functional engine does) and as the fastest backend for
-//! fuzzing set-centric algorithms, since it skips the SCU, the cache models
-//! and all instruction materialisation.
+//! task records are empty. It is the one set store: the slot table, LIFO ID
+//! reuse, the universe, the dangling-ID fault and the [`SetOp`] semantics.
+//! The priced engines ([`crate::SisaRuntime`], [`crate::HostEngine`]) keep
+//! their sets in one and add only what they charge. On its own it serves
+//! *correctness*, not measurement — as the oracle in differential property
+//! tests (any priced backend must compute the same sets the functional
+//! engine does) and as the fastest backend for fuzzing set-centric
+//! algorithms, since it skips the SCU, the cache models and all instruction
+//! materialisation.
 
 use crate::engine::{Dest, Outcome, SetEngine, SetOp};
 use crate::parallel::TaskRecord;

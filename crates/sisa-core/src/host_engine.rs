@@ -1,13 +1,13 @@
 //! A software set-centric backend on the baseline CPU model.
 //!
-//! [`HostEngine`] implements [`SetEngine`] without any PIM hardware: every set
-//! operation is functionally executed on the same [`SetRepr`] storage the SISA
-//! runtime uses, but its cost is charged to a simulated out-of-order CPU
-//! hardware thread ([`CpuThread`], §9.1) — sets live at synthetic addresses,
-//! binary operations stream their operands through the cache hierarchy, probes
-//! into dense bitvectors are dependent random accesses, and merge loops pay
-//! the data-dependent-branch penalty software sorted-set intersection is known
-//! for.
+//! [`HostEngine`] implements [`SetEngine`] without any PIM hardware: its sets
+//! live in a [`FunctionalEngine`], which computes every operation, and the
+//! engine itself only charges the cost to a simulated out-of-order CPU
+//! hardware thread ([`CpuThread`], §9.1) — each set has a `Region` at a
+//! synthetic address, binary operations stream their operands through the
+//! cache hierarchy, probes into dense bitvectors are dependent random
+//! accesses, and merge loops pay the data-dependent-branch penalty software
+//! sorted-set intersection is known for.
 //!
 //! This is what makes backend comparisons a one-line change: the figure
 //! harnesses run the *same* generic set-centric algorithm with a
@@ -16,27 +16,23 @@
 //! drivers. Unlike the SISA runtime's task records, `HostEngine` records carry
 //! real stall cycles and DRAM traffic, so [`crate::parallel::schedule_cpu`]
 //! can model memory-bandwidth contention between threads (Figure 1).
+//!
+//! Every operation reads its operands from the store before it charges
+//! anything, so a dangling ID faults there, with nothing charged, and an
+//! in-place operation's inputs are priced from `A`'s old contents.
 
 use crate::engine::{Dest, Outcome, SetEngine, SetOp};
+use crate::functional::FunctionalEngine;
 use crate::parallel::TaskRecord;
 use crate::stats::ExecStats;
 use crate::Vertex;
 use sisa_isa::{SetId, SisaOpcode};
 use sisa_pim::{AddressSpace, CpuConfig, CpuThread, Cycles};
-use sisa_sets::{dense_bitvector_bits, RepresentationKind, SetRepr};
+use sisa_sets::{RepresentationKind, SetRepr};
 
-/// Scalar operations charged per element advanced in a merge loop (compare,
-/// increment, and the amortised data-dependent branch).
-const MERGE_OPS_PER_ELEMENT: u64 = 6;
-
-/// Scalar operations charged per binary-search level or bit probe.
-const PROBE_OPS_PER_STEP: u64 = 3;
-
-/// One set stored by the engine: its representation plus the synthetic
-/// address region backing it in the cache model.
-#[derive(Clone, Debug)]
-struct HostSet {
-    repr: SetRepr,
+/// The synthetic address region backing one set in the cache model.
+#[derive(Clone, Copy, Debug, Default)]
+struct Region {
     base: u64,
     alloc_bytes: u64,
 }
@@ -45,11 +41,12 @@ struct HostSet {
 /// cost model.
 #[derive(Clone, Debug)]
 pub struct HostEngine {
+    store: FunctionalEngine,
     thread: CpuThread,
     space: AddressSpace,
-    sets: Vec<Option<HostSet>>,
-    free_ids: Vec<u32>,
-    universe: usize,
+    /// `regions[raw]` backs the live set `raw`; a freed ID keeps its stale
+    /// region until the store mints it again.
+    regions: Vec<Region>,
     stats: ExecStats,
     cycles_at_reset: Cycles,
 }
@@ -60,11 +57,10 @@ impl HostEngine {
     #[must_use]
     pub fn new(cfg: &CpuConfig, threads_sharing_l3: usize) -> Self {
         Self {
+            store: FunctionalEngine::new(),
             thread: CpuThread::new(cfg, threads_sharing_l3),
             space: AddressSpace::new(),
-            sets: Vec::new(),
-            free_ids: Vec::new(),
-            universe: 0,
+            regions: Vec::new(),
             stats: ExecStats::default(),
             cycles_at_reset: 0,
         }
@@ -82,105 +78,76 @@ impl HostEngine {
         &self.thread
     }
 
-    /// Bytes a representation occupies in memory.
-    fn repr_bytes(repr: &SetRepr) -> u64 {
-        match repr {
-            SetRepr::Dense(d) => (dense_bitvector_bits(d.universe()) / 8) as u64,
-            _ => repr.len() as u64 * 4,
-        }
+    /// Bytes the stored set `id` occupies in memory.
+    fn bytes(&self, id: SetId) -> u64 {
+        (self.store.repr(id).storage_bits() / 8) as u64
     }
 
-    fn slot(&self, id: SetId) -> &HostSet {
-        self.sets
-            .get(id.0 as usize)
-            .and_then(Option::as_ref)
-            .unwrap_or_else(|| panic!("set {id} does not exist"))
-    }
-
-    fn allocate_id(&mut self) -> SetId {
-        crate::slots::allocate(&mut self.sets, &mut self.free_ids)
-    }
-
-    /// Stores `repr` under a fresh ID, charging the write-out of its bytes.
-    fn store_new(&mut self, repr: SetRepr) -> SetId {
-        let bytes = Self::repr_bytes(&repr);
-        let base = self.space.alloc(bytes.max(64));
-        self.thread.stream(base, bytes);
-        let id = self.allocate_id();
-        self.sets[id.0 as usize] = Some(HostSet {
-            repr,
-            base,
+    /// Gives the freshly stored set `id` a region and charges its write-out.
+    fn write_new(&mut self, id: SetId) {
+        let bytes = self.bytes(id);
+        let region = Region {
+            base: self.space.alloc(bytes.max(64)),
             alloc_bytes: bytes.max(64),
-        });
-        // The write-out above advanced the thread's cycle counter; keep the
+        };
+        *crate::slots::slot_mut(&mut self.regions, id, Region::default()) = region;
+        self.thread.stream(region.base, bytes);
+        // The write-out advanced the thread's cycle counter; keep the
         // statistics current so per-op deltas attribute it to this operation.
         self.sync();
-        id
     }
 
-    /// Replaces the contents of `id`, reallocating if the set outgrew its
-    /// region, and charges the write-out.
-    fn store_replace(&mut self, id: SetId, repr: SetRepr) {
-        let bytes = Self::repr_bytes(&repr);
-        let slot = self.sets[id.0 as usize]
-            .as_mut()
-            .unwrap_or_else(|| panic!("set {id} does not exist"));
-        if bytes > slot.alloc_bytes {
-            slot.base = self.space.alloc(bytes);
-            slot.alloc_bytes = bytes;
+    /// Charges the write-out of the rewritten set `id`, reallocating its
+    /// region if the set outgrew it.
+    fn rewrite(&mut self, id: SetId) {
+        let bytes = self.bytes(id);
+        let region = &mut self.regions[id.0 as usize];
+        if bytes > region.alloc_bytes {
+            region.base = self.space.alloc(bytes);
+            region.alloc_bytes = bytes;
         }
-        slot.repr = repr;
-        let base = slot.base;
+        let base = region.base;
         self.thread.stream(base, bytes);
         self.sync();
     }
 
     /// Streams a whole set in from memory.
     fn stream_set(&mut self, id: SetId) {
-        let (base, bytes) = {
-            let s = self.slot(id);
-            (s.base, Self::repr_bytes(&s.repr))
-        };
-        self.thread.stream(base, bytes);
+        let bytes = self.bytes(id);
+        self.thread.stream(self.regions[id.0 as usize].base, bytes);
+    }
+
+    /// The stored set `id` with its region: the store is read first, so a
+    /// dangling ID faults there.
+    fn stored(&self, id: SetId) -> (&SetRepr, u64) {
+        (self.store.repr(id), self.regions[id.0 as usize].base)
     }
 
     /// Charges the software execution of one binary operation over `a` and
-    /// `b` (operand reads + compute; result write-out is charged separately
-    /// by `store_new`/`store_replace`).
+    /// `b` (operand reads + compute; the result's write-out is charged
+    /// separately by `write_new`/`rewrite`).
     fn charge_binary_inputs(&mut self, a: SetId, b: SetId) {
-        let (ka, kb) = (self.slot(a).repr.kind(), self.slot(b).repr.kind());
-        let dense = RepresentationKind::DenseBitvector;
-        match (ka, kb) {
+        match (self.store.repr(a), self.store.repr(b)) {
             // Bitmap AND/OR/ANDNOT: stream both bitmaps, one scalar op per
             // machine word of the wider operand.
-            (a_kind, b_kind) if a_kind == dense && b_kind == dense => {
-                let bits = Self::dense_universe(&self.slot(a).repr)
-                    .max(Self::dense_universe(&self.slot(b).repr));
+            (SetRepr::Dense(da), SetRepr::Dense(db)) => {
+                let words = da.universe().max(db.universe()).div_ceil(64) as u64;
                 self.stream_set(a);
                 self.stream_set(b);
-                let words = bits.div_ceil(64) as u64;
                 self.thread.scalar_ops(words.max(1));
             }
             // Sparse against dense: stream the sparse side, one dependent bit
             // probe into the bitmap per element.
-            (a_kind, _) if a_kind == dense => self.charge_probe(b, a),
-            (_, b_kind) if b_kind == dense => self.charge_probe(a, b),
+            (SetRepr::Dense(_), _) => self.charge_probe(b, a),
+            (_, SetRepr::Dense(_)) => self.charge_probe(a, b),
             // Sparse merge: stream both arrays, pay the merge-loop scalar work.
-            _ => {
-                let (la, lb) = (self.slot(a).repr.len(), self.slot(b).repr.len());
+            (ra, rb) => {
+                let elements = (ra.len() + rb.len()) as u64;
                 self.stream_set(a);
                 self.stream_set(b);
                 self.thread
-                    .scalar_ops(MERGE_OPS_PER_ELEMENT * (la + lb) as u64);
+                    .scalar_ops(CpuThread::MERGE_OPS_PER_ELEMENT * elements);
             }
-        }
-    }
-
-    /// The universe (in bits) of a dense representation.
-    fn dense_universe(repr: &SetRepr) -> usize {
-        match repr {
-            SetRepr::Dense(d) => d.universe(),
-            _ => 0,
         }
     }
 
@@ -189,16 +156,10 @@ impl HostEngine {
     /// walked in storage order without sorting).
     fn charge_probe(&mut self, sparse: SetId, dense: SetId) {
         self.stream_set(sparse);
-        let dense_base = self.slot(dense).base;
-        let probes: Vec<u64> = self
-            .slot(sparse)
-            .repr
-            .iter()
-            .map(|v| dense_base + u64::from(v) / 8)
-            .collect();
-        for addr in probes {
-            self.thread.random_access(addr);
-            self.thread.scalar_ops(PROBE_OPS_PER_STEP);
+        let dense_base = self.regions[dense.0 as usize].base;
+        for v in self.store.repr(sparse).iter() {
+            self.thread.random_access(dense_base + u64::from(v) / 8);
+            self.thread.scalar_ops(CpuThread::PROBE_OPS_PER_STEP);
         }
     }
 
@@ -226,11 +187,11 @@ impl SetEngine for HostEngine {
     }
 
     fn set_universe(&mut self, n: usize) {
-        self.universe = self.universe.max(n);
+        self.store.set_universe(n);
     }
 
     fn universe(&self) -> usize {
-        self.universe
+        self.store.universe()
     }
 
     fn stats(&self) -> &ExecStats {
@@ -243,58 +204,54 @@ impl SetEngine for HostEngine {
     }
 
     fn live_sets(&self) -> usize {
-        self.sets.iter().filter(|s| s.is_some()).count()
+        self.store.live_sets()
     }
 
     fn create(&mut self, repr: SetRepr) -> SetId {
-        let id = self.store_new(repr);
+        let id = self.store.create(repr);
+        self.write_new(id);
         self.count(SisaOpcode::CreateSet);
         id
     }
 
     fn clone_set(&mut self, id: SetId) -> SetId {
         self.stream_set(id);
-        let repr = self.slot(id).repr.clone();
-        let new_id = self.store_new(repr);
+        let new_id = self.store.clone_set(id);
+        self.write_new(new_id);
         self.count(SisaOpcode::CloneSet);
         new_id
     }
 
     fn delete(&mut self, id: SetId) {
-        // Validate before counting, matching the SISA runtime's fault
-        // behaviour on dangling IDs.
-        let _ = self.slot(id);
+        self.store.delete(id);
         self.thread.scalar_ops(1);
-        crate::slots::release(&mut self.sets, &mut self.free_ids, id);
         self.count(SisaOpcode::DeleteSet);
     }
 
     fn cardinality(&mut self, id: SetId) -> usize {
         // Software sets keep their length in a header word.
-        let base = self.slot(id).base;
+        let (repr, base) = self.stored(id);
+        let len = repr.len();
         self.thread.access(base);
         self.thread.scalar_ops(1);
-        let len = self.slot(id).repr.len();
         self.count(SisaOpcode::Cardinality);
         len
     }
 
     fn contains(&mut self, id: SetId, v: Vertex) -> bool {
-        let (base, kind, len) = {
-            let s = self.slot(id);
-            (s.base, s.repr.kind(), s.repr.len())
-        };
+        let (repr, base) = self.stored(id);
+        let (kind, len) = (repr.kind(), repr.len());
         match kind {
             RepresentationKind::DenseBitvector => {
                 self.thread.random_access(base + u64::from(v) / 8);
-                self.thread.scalar_ops(PROBE_OPS_PER_STEP);
+                self.thread.scalar_ops(CpuThread::PROBE_OPS_PER_STEP);
             }
             RepresentationKind::SortedArray => {
                 // Binary search: one dependent access per level.
                 let levels = (usize::BITS - len.leading_zeros()).max(1) as u64;
                 for level in 0..levels {
                     self.thread.random_access(base + level * 64);
-                    self.thread.scalar_ops(PROBE_OPS_PER_STEP);
+                    self.thread.scalar_ops(CpuThread::PROBE_OPS_PER_STEP);
                 }
             }
             RepresentationKind::UnsortedArray => {
@@ -302,58 +259,52 @@ impl SetEngine for HostEngine {
                 self.thread.scalar_ops(len as u64);
             }
         }
-        let result = self.slot(id).repr.contains(v);
+        let result = self.store.contains(id, v);
         self.count(SisaOpcode::Membership);
         result
     }
 
     fn members(&mut self, id: SetId) -> Vec<Vertex> {
         self.stream_set(id);
-        let members = self.slot(id).repr.to_sorted_vec();
+        let members = self.store.members(id);
         self.thread.scalar_ops(members.len() as u64);
         self.sync();
         members
     }
 
     fn repr(&self, id: SetId) -> &SetRepr {
-        &self.slot(id).repr
+        self.store.repr(id)
     }
 
     fn insert(&mut self, id: SetId, v: Vertex) -> bool {
-        let (base, kind, len) = {
-            let s = self.slot(id);
-            (s.base, s.repr.kind(), s.repr.len())
-        };
+        let (repr, base) = self.stored(id);
+        let (kind, len) = (repr.kind(), repr.len() as u64);
         match kind {
             RepresentationKind::DenseBitvector => {
                 self.thread.random_access(base + u64::from(v) / 8);
             }
             // Sorted insertion shifts half the array on average.
-            RepresentationKind::SortedArray => self.thread.stream(base, (len as u64 * 4) / 2),
-            RepresentationKind::UnsortedArray => self.thread.access(base + len as u64 * 4),
+            RepresentationKind::SortedArray => self.thread.stream(base, (len * 4) / 2),
+            RepresentationKind::UnsortedArray => self.thread.access(base + len * 4),
         }
         self.thread.scalar_ops(2);
-        let slot = self.sets[id.0 as usize].as_mut().expect("validated above");
-        let changed = slot.repr.insert(v);
+        let changed = self.store.insert(id, v);
         self.count(SisaOpcode::InsertElement);
         changed
     }
 
     fn remove(&mut self, id: SetId, v: Vertex) -> bool {
-        let (base, kind, len) = {
-            let s = self.slot(id);
-            (s.base, s.repr.kind(), s.repr.len())
-        };
+        let (repr, base) = self.stored(id);
+        let (kind, len) = (repr.kind(), repr.len() as u64);
         match kind {
             RepresentationKind::DenseBitvector => {
                 self.thread.random_access(base + u64::from(v) / 8);
             }
-            RepresentationKind::SortedArray => self.thread.stream(base, (len as u64 * 4) / 2),
+            RepresentationKind::SortedArray => self.thread.stream(base, (len * 4) / 2),
             RepresentationKind::UnsortedArray => self.stream_set(id),
         }
         self.thread.scalar_ops(2);
-        let slot = self.sets[id.0 as usize].as_mut().expect("validated above");
-        let changed = slot.repr.remove(v);
+        let changed = self.store.remove(id, v);
         self.count(SisaOpcode::RemoveElement);
         changed
     }
@@ -361,23 +312,18 @@ impl SetEngine for HostEngine {
     crate::engine::named_binary_ops!();
 
     fn apply(&mut self, op: SetOp) -> Outcome {
-        let (kind, a, b, dest) = (op.op, op.a, op.b, op.dest);
-        self.charge_binary_inputs(a, b);
-        let (ra, rb) = (&self.slot(a).repr, &self.slot(b).repr);
-        if dest == Dest::Count {
-            let count = kind.count(ra, rb);
-            self.count(op.opcode());
-            return Outcome::Count(count);
-        }
-        let result = kind.combine(ra, rb);
+        self.charge_binary_inputs(op.a, op.b);
+        let outcome = self.store.apply(op);
         self.count(op.opcode());
-        // The result's write-out is charged by the store.
-        Outcome::Set(if dest == Dest::InPlace {
-            self.store_replace(a, result);
-            a
-        } else {
-            self.store_new(result)
-        })
+        // The result's write-out comes last.
+        if let Outcome::Set(id) = outcome {
+            if op.dest == Dest::New {
+                self.write_new(id);
+            } else {
+                self.rewrite(id);
+            }
+        }
+        outcome
     }
 
     fn host_ops(&mut self, n: u64) {
@@ -495,25 +441,5 @@ mod tests {
         assert_eq!(e.stats().host_cycles, 0);
         let _ = e.cardinality(a);
         assert!(e.stats().host_cycles > 0);
-    }
-
-    #[test]
-    fn lifecycle_and_id_reuse() {
-        let mut e = engine();
-        let a = e.create_sorted([1, 2]);
-        assert_eq!(e.live_sets(), 1);
-        e.delete(a);
-        assert_eq!(e.live_sets(), 0);
-        let b = e.create_sorted([9]);
-        assert_eq!(a, b, "freed IDs are reused");
-    }
-
-    #[test]
-    #[should_panic(expected = "does not exist")]
-    fn dangling_ids_fault() {
-        let mut e = engine();
-        let a = e.create_sorted([1]);
-        e.delete(a);
-        let _ = e.members(a);
     }
 }

@@ -22,7 +22,7 @@
 //! constant time: a free mask whose lowest set bit is that free register,
 //! and a recency list of the bound registers whose tail is the LRU one.
 
-use crate::slots::slot_mut;
+use crate::slots::{slot_mut, Recency};
 use sisa_isa::{Register, SetId, SisaInstruction, SisaOpcode};
 
 /// Index of the first general-purpose register used for set IDs (`x1`; `x0`
@@ -40,8 +40,7 @@ const SCALAR_RESULT_REGISTER: u8 = 30;
 /// loads the vertex id into it before issuing, like an immediate).
 const VERTEX_OPERAND_REGISTER: u8 = 31;
 
-/// Reverse-index entry of a set ID no register holds; also the end of the
-/// recency list.
+/// Reverse-index entry of a set ID no register holds.
 const UNBOUND: u8 = u8::MAX;
 
 /// Every pool register free.
@@ -59,14 +58,8 @@ pub struct RegisterFile {
     bindings: [Option<SetId>; SET_REGISTER_POOL],
     /// Bit `i` is set exactly when `bindings[i]` is `None`.
     free: u32,
-    /// The bound slots, most recently used first, as an index-linked list:
-    /// `newer[i]` and `older[i]` are slot `i`'s neighbours, [`UNBOUND`] past
-    /// either end.
-    newer: [u8; SET_REGISTER_POOL],
-    older: [u8; SET_REGISTER_POOL],
-    /// The list's most and least recently used slots ([`UNBOUND`] if empty).
-    mru: u8,
-    lru: u8,
+    /// The bound slots by last use.
+    recency: Recency,
     /// The inverse of `bindings`, indexed by raw set ID: the pool slot
     /// holding the ID, or [`UNBOUND`] (also the answer past the end).
     slots: Vec<u8>,
@@ -85,10 +78,7 @@ impl RegisterFile {
         Self {
             bindings: [None; SET_REGISTER_POOL],
             free: ALL_FREE,
-            newer: [UNBOUND; SET_REGISTER_POOL],
-            older: [UNBOUND; SET_REGISTER_POOL],
-            mru: UNBOUND,
-            lru: UNBOUND,
+            recency: Recency::new(),
             slots: Vec::new(),
         }
     }
@@ -109,8 +99,7 @@ impl RegisterFile {
     /// used pool register first if necessary.
     pub fn bind(&mut self, id: SetId) -> Register {
         if let Some(slot) = self.slot_of(id) {
-            self.unlink(slot);
-            self.push_mru(slot);
+            self.recency.touch(slot as u32);
             return Self::register_of(slot);
         }
         // Claim the lowest free slot, else the least recently used one.
@@ -119,15 +108,14 @@ impl RegisterFile {
             self.free &= !(1 << slot);
             slot
         } else {
-            let slot = usize::from(self.lru);
-            self.unlink(slot);
-            slot
+            let lru = self.recency.pop_oldest();
+            lru.expect("a full pool has a least recently used register") as usize
         };
         if let Some(evicted) = self.bindings[slot].replace(id) {
             self.slots[evicted.raw() as usize] = UNBOUND;
         }
         *slot_mut(&mut self.slots, id, UNBOUND) = slot as u8;
-        self.push_mru(slot);
+        self.recency.touch(slot as u32);
         Self::register_of(slot)
     }
 
@@ -135,7 +123,7 @@ impl RegisterFile {
     pub fn release(&mut self, id: SetId) {
         if let Some(slot) = self.slot_of(id) {
             self.bindings[slot] = None;
-            self.unlink(slot);
+            self.recency.remove(slot as u32);
             self.free |= 1 << slot;
             self.slots[id.raw() as usize] = UNBOUND;
         }
@@ -158,30 +146,6 @@ impl RegisterFile {
             Some(&slot) if slot != UNBOUND => Some(slot as usize),
             _ => None,
         }
-    }
-
-    /// Takes bound `slot` out of the recency list.
-    fn unlink(&mut self, slot: usize) {
-        let (newer, older) = (self.newer[slot], self.older[slot]);
-        match newer {
-            UNBOUND => self.mru = older,
-            n => self.older[usize::from(n)] = older,
-        }
-        match older {
-            UNBOUND => self.lru = newer,
-            o => self.newer[usize::from(o)] = newer,
-        }
-    }
-
-    /// Puts unlinked `slot` at the most recently used end of the list.
-    fn push_mru(&mut self, slot: usize) {
-        self.newer[slot] = UNBOUND;
-        self.older[slot] = self.mru;
-        match self.mru {
-            UNBOUND => self.lru = slot as u8,
-            m => self.newer[usize::from(m)] = slot as u8,
-        }
-        self.mru = slot as u8;
     }
 
     fn register_of(slot: usize) -> Register {

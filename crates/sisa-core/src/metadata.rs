@@ -8,15 +8,14 @@
 //! for one set operation" (§8.4).
 //!
 //! Both structures sit on the priced path of every set instruction, and both
-//! are keyed by set IDs, which the engines mint as dense indices. So both are
-//! flat tables indexed by raw ID: `SetMetadataTable` is one vector of
-//! entries, and [`SmbCache`] is an exact `O(1)` LRU whose recency list is
-//! threaded through such a vector. Their length is the largest ID ever
-//! registered or looked up, which is why only IDs the slot allocator minted
-//! may reach them — [`crate::SisaRuntime`] faults on a dangling operand
-//! before it gets here.
+//! are keyed by set IDs, which the set store mints as dense indices. So both
+//! are flat tables indexed by raw ID: `SetMetadataTable` is one vector of
+//! entries, and [`SmbCache`] is an exact `O(1)` LRU over a `Recency` list.
+//! Their length is the largest ID ever registered or looked up, which is why
+//! only IDs the slot allocator minted may reach them — [`crate::SisaRuntime`]
+//! faults on a dangling operand in its set store before it gets here.
 
-use crate::slots::slot_mut;
+use crate::slots::{slot_mut, Recency};
 use crate::SetId;
 use sisa_sets::RepresentationKind;
 
@@ -37,9 +36,8 @@ pub struct SetMetadata {
 
 /// The in-memory SM structure: one metadata entry per set ID.
 ///
-/// Set IDs are dense indices minted by the engines' slot allocator, so the
-/// table is a plain vector indexed by raw ID — the same shape, and the same
-/// length, as the runtime's own `sets` table.
+/// Set IDs are dense indices minted by the slot allocator of the runtime's
+/// set store, so the table is a plain vector indexed by raw ID.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SetMetadataTable {
     entries: Vec<Option<SetMetadata>>,
@@ -107,17 +105,6 @@ impl SetMetadataTable {
     }
 }
 
-/// "No neighbour" on the SMB's recency list.
-const NIL: u32 = u32::MAX;
-
-/// A resident SMB entry's neighbours on the recency list (raw set IDs, or
-/// [`NIL`] at either end).
-#[derive(Clone, Copy, Debug)]
-struct Link {
-    newer: u32,
-    older: u32,
-}
-
 /// The Set-Metadata Buffer: a small LRU cache of SM entries held by the SCU.
 ///
 /// Only presence is modelled (the actual metadata lives in
@@ -125,21 +112,16 @@ struct Link {
 /// memory access depending on the outcome reported here.
 ///
 /// The replacement policy is exact LRU in `O(1)` per access: the resident
-/// IDs form a doubly linked recency list whose links live in a vector
-/// indexed by raw set ID, so a hit is one index plus a splice to the front
-/// and a miss evicts the list's tail. Every `lookup` and `prime` moves its
-/// ID to the front, which is precisely "give it a stamp larger than every
-/// other" — so the list order *is* the order of last-touch stamps, and its
-/// tail is the minimum-stamp entry a timestamped LRU would evict.
+/// IDs are the keys of a `Recency` list, so a hit is a splice to the front
+/// and a miss past capacity evicts the list's tail. Every `lookup` and
+/// `prime` moves its ID to the front, which is precisely "give it a stamp
+/// larger than every other" — so the list order *is* the order of last-touch
+/// stamps, and its tail is the minimum-stamp entry a timestamped LRU would
+/// evict.
 #[derive(Clone, Debug)]
 pub struct SmbCache {
     capacity: usize,
-    /// `links[raw]` is `Some` exactly when set `raw` is resident.
-    links: Vec<Option<Link>>,
-    /// Most and least recently touched resident IDs ([`NIL`] when empty).
-    newest: u32,
-    oldest: u32,
-    resident: usize,
+    resident: Recency,
     hits: u64,
     misses: u64,
 }
@@ -150,10 +132,7 @@ impl SmbCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            links: Vec::new(),
-            newest: NIL,
-            oldest: NIL,
-            resident: 0,
+            resident: Recency::new(),
             hits: 0,
             misses: 0,
         }
@@ -180,52 +159,18 @@ impl SmbCache {
 
     /// Drops a set from the buffer (set deletion).
     pub fn invalidate(&mut self, id: SetId) {
-        self.unlink(id.raw());
+        self.resident.remove(id.raw());
     }
 
     /// Makes `id` the most recently used entry, installing it (and evicting
     /// the least recently used entry of a full buffer) if it was not
     /// resident. Returns whether it was.
     fn touch(&mut self, id: SetId) -> bool {
-        let raw = id.raw();
-        let was_resident = self.unlink(raw);
-        if !was_resident && self.resident >= self.capacity {
-            self.unlink(self.oldest);
+        let was_resident = self.resident.touch(id.raw());
+        if self.resident.len() > self.capacity {
+            self.resident.pop_oldest();
         }
-        *slot_mut(&mut self.links, id, None) = Some(Link {
-            newer: NIL,
-            older: self.newest,
-        });
-        match self.newest {
-            NIL => self.oldest = raw,
-            head => self.link_mut(head).newer = raw,
-        }
-        self.newest = raw;
-        self.resident += 1;
         was_resident
-    }
-
-    /// Takes `raw` off the recency list; returns whether it was on it.
-    fn unlink(&mut self, raw: u32) -> bool {
-        let Some(link) = self.links.get_mut(raw as usize).and_then(Option::take) else {
-            return false;
-        };
-        match link.newer {
-            NIL => self.newest = link.older,
-            newer => self.link_mut(newer).older = link.older,
-        }
-        match link.older {
-            NIL => self.oldest = link.newer,
-            older => self.link_mut(older).newer = link.newer,
-        }
-        self.resident -= 1;
-        true
-    }
-
-    fn link_mut(&mut self, raw: u32) -> &mut Link {
-        self.links[raw as usize]
-            .as_mut()
-            .expect("recency-list neighbours are resident")
     }
 
     /// Hits recorded so far.

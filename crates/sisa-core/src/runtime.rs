@@ -1,10 +1,11 @@
 //! The SISA runtime: the simulated SISA platform behind [`SetEngine`].
 //!
-//! [`SisaRuntime`] owns the physical sets (indexed by [`SetId`]), the
-//! Set-Metadata table and the SCU. Every operation flows through two stages,
-//! which touch disjoint state (so their order within one operation is not
-//! observable; the binary instructions dispatch first, because the issue
-//! stage names the set the operation wrote):
+//! [`SisaRuntime`] keeps its sets in a [`FunctionalEngine`], which computes
+//! every operation, and owns what prices them: the Set-Metadata table, the
+//! SCU, the register file and the issue queue. Every operation flows through
+//! two stages, which touch disjoint state (so their order within one
+//! operation is not observable; the binary instructions dispatch first,
+//! because the issue stage names the set the operation wrote):
 //!
 //! 1. **Issue** — the operation is materialised as a genuine
 //!    [`sisa_isa::SisaInstruction`]: operands are mapped onto RISC-V registers
@@ -20,18 +21,23 @@
 //!    scoreboarded [`IssueQueue`], which computes where it lands on the
 //!    overlapped timeline ([`ExecStats::makespan_cycles`], with operand
 //!    hazards attributed to [`ExecStats::dep_stall_cycles`]). The operation
-//!    is then functionally executed on the real set data so algorithms
-//!    produce validated answers. At issue depth 1 (the default) the queue is
-//!    fully serial and the makespan equals the serial work total
+//!    is functionally executed by the store on the real set data so
+//!    algorithms produce validated answers. At issue depth 1 (the default)
+//!    the queue is fully serial and the makespan equals the serial work total
 //!    cycle-for-cycle.
 //!
 //! Invalid set identifiers are programming errors and panic, mirroring how a
-//! real SISA program would fault on a dangling set ID.
+//! real SISA program would fault on a dangling set ID. Every operation goes
+//! to the store before it issues or dispatches anything, so the fault comes
+//! from there, before any statistic, register binding, trace event or SM
+//! entry changes; the SM entries an operation is priced from still describe
+//! its operands' contents before it ran.
 
 use crate::config::SisaConfig;
 use crate::engine::{Dest, Outcome, SetEngine, SetOp};
+use crate::functional::FunctionalEngine;
 use crate::issue::RegisterFile;
-use crate::metadata::SetMetadataTable;
+use crate::metadata::{SetMetadata, SetMetadataTable};
 use crate::parallel::TaskRecord;
 use crate::pipeline::{IssueQueue, LaneKind};
 use crate::scu::{DispatchOutcome, ExecutionTarget, Scu};
@@ -47,11 +53,9 @@ use sisa_sets::{RepresentationKind, SetRepr};
 pub struct SisaRuntime {
     config: SisaConfig,
     scu: Scu,
-    sets: Vec<Option<SetRepr>>,
+    store: FunctionalEngine,
     metadata: SetMetadataTable,
     stats: ExecStats,
-    universe: usize,
-    free_ids: Vec<u32>,
     host_ops_pending: f64,
     task_mark: u64,
     regs: RegisterFile,
@@ -70,11 +74,9 @@ impl SisaRuntime {
         Self {
             config,
             scu: Scu::new(config.platform, config.variant_selection),
-            sets: Vec::new(),
+            store: FunctionalEngine::new(),
             metadata: SetMetadataTable::new(),
             stats: ExecStats::default(),
-            universe: 0,
-            free_ids: Vec::new(),
             host_ops_pending: 0.0,
             task_mark: 0,
             regs: RegisterFile::new(),
@@ -240,26 +242,35 @@ impl SisaRuntime {
         }
     }
 
-    fn register_set(&mut self, repr: SetRepr) -> SetId {
-        let id = self.allocate_id();
-        self.metadata
-            .register(id, repr.kind(), repr.len(), self.universe_of(&repr));
-        self.scu.prime(id);
-        self.sets[id.0 as usize] = Some(repr);
-        id
+    /// Enters the stored set `id` into the SM table: its kind, length and
+    /// universe.
+    fn register(&mut self, id: SetId) {
+        let repr = self.store.repr(id);
+        let (kind, len, universe) = (repr.kind(), repr.len(), self.universe_of(repr));
+        self.metadata.register(id, kind, len, universe);
     }
 
-    fn replace(&mut self, id: SetId, repr: SetRepr) {
-        self.expect_slot(id);
+    /// Copies the rewritten set `id`'s kind and length into its SM entry.
+    fn update(&mut self, id: SetId) {
+        let repr = self.store.repr(id);
         self.metadata.update(id, repr.kind(), repr.len());
-        self.sets[id.0 as usize] = Some(repr);
+    }
+
+    /// The SM entry of a stored set.
+    fn entry(&self, id: SetId) -> SetMetadata {
+        *self
+            .metadata
+            .get(id)
+            .expect("every stored set is registered")
     }
 
     fn element_update(&mut self, id: SetId, v: Vertex, opcode: SisaOpcode, insert: bool) -> bool {
-        let meta = *self
-            .metadata
-            .get(id)
-            .expect("element update on unknown set");
+        let changed = if insert {
+            self.store.insert(id, v)
+        } else {
+            self.store.remove(id, v)
+        };
+        let meta = self.entry(id);
         let instr = self.regs.issue_element(opcode, id);
         self.issued(
             instr,
@@ -279,17 +290,7 @@ impl SisaRuntime {
             &[id],
             &[id],
         );
-        self.expect_slot(id);
-        let repr = self.sets[id.0 as usize]
-            .as_mut()
-            .unwrap_or_else(|| panic!("set {id} does not exist"));
-        let changed = if insert {
-            repr.insert(v)
-        } else {
-            repr.remove(v)
-        };
-        let (kind, len) = (repr.kind(), repr.len());
-        self.metadata.update(id, kind, len);
+        self.update(id);
         changed
     }
 
@@ -300,10 +301,6 @@ impl SisaRuntime {
         let outcome = self.scu.dispatch_metadata(ids);
         self.apply_outcome(&outcome, None);
         outcome.latency()
-    }
-
-    fn allocate_id(&mut self) -> SetId {
-        crate::slots::allocate(&mut self.sets, &mut self.free_ids)
     }
 
     fn apply_outcome(
@@ -338,15 +335,8 @@ impl SisaRuntime {
     fn universe_of(&self, repr: &SetRepr) -> usize {
         match repr {
             SetRepr::Dense(d) => d.universe(),
-            _ => self.universe,
+            _ => self.store.universe(),
         }
-    }
-
-    fn expect_slot(&self, id: SetId) {
-        assert!(
-            (id.0 as usize) < self.sets.len() && self.sets[id.0 as usize].is_some(),
-            "set {id} does not exist"
-        );
     }
 }
 
@@ -356,12 +346,12 @@ impl SetEngine for SisaRuntime {
     }
 
     fn set_universe(&mut self, n: usize) {
-        self.universe = self.universe.max(n);
+        self.store.set_universe(n);
         self.host_event(TraceOp::SetUniverse { n });
     }
 
     fn universe(&self) -> usize {
-        self.universe
+        self.store.universe()
     }
 
     fn stats(&self) -> &ExecStats {
@@ -378,7 +368,7 @@ impl SetEngine for SisaRuntime {
     }
 
     fn live_sets(&self) -> usize {
-        self.sets.iter().filter(|s| s.is_some()).count()
+        self.store.live_sets()
     }
 
     // -----------------------------------------------------------------------
@@ -386,18 +376,18 @@ impl SetEngine for SisaRuntime {
     // -----------------------------------------------------------------------
 
     fn create(&mut self, repr: SetRepr) -> SetId {
-        let id = self.allocate_id();
-        self.metadata
-            .register(id, repr.kind(), repr.len(), self.universe_of(&repr));
+        let id = self.store.create(repr);
+        self.register(id);
         let instr = self
             .regs
             .issue_lifecycle(SisaOpcode::CreateSet, None, Some(id));
         // The set contents are cloned into the trace only if it keeps them.
         self.stats.record_instruction(instr.opcode);
         if let Some(sink) = &mut self.trace {
+            let store = &self.store;
             sink.record_with(Some(instr), || TraceOp::Create {
                 id,
-                repr: repr.clone(),
+                repr: store.repr(id).clone(),
             });
         }
         // The create instruction's own metadata lookup precedes the SMB prime:
@@ -411,23 +401,21 @@ impl SetEngine for SisaRuntime {
             &[id],
         );
         self.scu.prime(id);
-        self.sets[id.0 as usize] = Some(repr);
         id
     }
 
     fn clone_set(&mut self, id: SetId) -> SetId {
-        let repr = self.repr(id).clone();
+        let new_id = self.store.clone_set(id);
         // Cloning physically copies the set's storage.
+        let repr = self.store.repr(new_id);
         let cost = match repr.kind() {
             RepresentationKind::DenseBitvector => self
                 .scu
                 .pum_model()
-                .bulk_op_cost(sisa_pim::pum::BulkOp::Or, self.universe_of(&repr)),
+                .bulk_op_cost(sisa_pim::pum::BulkOp::Or, self.universe_of(repr)),
             _ => self.scu.pnm_model().streaming_cost(repr.len(), 0),
         };
-        let new_id = self.allocate_id();
-        self.metadata
-            .register(new_id, repr.kind(), repr.len(), self.universe_of(&repr));
+        self.register(new_id);
         let instr = self
             .regs
             .issue_lifecycle(SisaOpcode::CloneSet, Some(id), Some(new_id));
@@ -449,14 +437,13 @@ impl SetEngine for SisaRuntime {
             &[id],
             &[new_id],
         );
-        self.sets[new_id.0 as usize] = Some(repr);
         new_id
     }
 
     fn delete(&mut self, id: SetId) {
-        // Validate before touching statistics or the binding table, so a
-        // double delete faults without corrupting the instruction counts.
-        self.expect_slot(id);
+        // The store faults on a double delete before the statistics or the
+        // binding table change.
+        self.store.delete(id);
         let instr = self
             .regs
             .issue_lifecycle(SisaOpcode::DeleteSet, Some(id), None);
@@ -472,7 +459,6 @@ impl SetEngine for SisaRuntime {
             &[],
             &[id],
         );
-        crate::slots::release(&mut self.sets, &mut self.free_ids, id);
         self.metadata.remove(id);
         self.scu.invalidate(id);
         self.regs.release(id);
@@ -483,7 +469,7 @@ impl SetEngine for SisaRuntime {
     // -----------------------------------------------------------------------
 
     fn cardinality(&mut self, id: SetId) -> usize {
-        self.expect_slot(id);
+        let len = self.store.cardinality(id);
         let instr = self
             .regs
             .issue_lifecycle(SisaOpcode::Cardinality, Some(id), None);
@@ -496,11 +482,12 @@ impl SetEngine for SisaRuntime {
             &[id],
             &[],
         );
-        self.repr(id).len()
+        len
     }
 
     fn contains(&mut self, id: SetId, v: Vertex) -> bool {
-        let meta = *self.metadata.get(id).expect("membership on unknown set");
+        let hit = self.store.contains(id, v);
+        let meta = self.entry(id);
         let instr = self.regs.issue_element(SisaOpcode::Membership, id);
         self.issued(instr, TraceOp::Membership { id, v });
         let outcome = self.scu.dispatch_element(id, &meta);
@@ -512,16 +499,16 @@ impl SetEngine for SisaRuntime {
             &[id],
             &[],
         );
-        self.repr(id).contains(v)
+        hit
     }
 
     fn members(&mut self, id: SetId) -> Vec<Vertex> {
-        let members = self.repr(id).to_sorted_vec();
+        let members = self.store.members(id);
         // Result extraction streams the set out of memory through the PNM
         // (dense bitvectors stream their whole bitmap, sparse arrays their
         // elements) and then hands each element to the host.
-        let stream_elems = match self.repr(id).kind() {
-            RepresentationKind::DenseBitvector => self.universe_of(self.repr(id)).div_ceil(32),
+        let stream_elems = match self.store.repr(id) {
+            SetRepr::Dense(d) => d.universe().div_ceil(32),
             _ => members.len(),
         };
         let stream_cost = self.scu.pnm_model().streaming_cost(stream_elems, 0);
@@ -538,10 +525,7 @@ impl SetEngine for SisaRuntime {
     }
 
     fn repr(&self, id: SetId) -> &SetRepr {
-        self.sets
-            .get(id.0 as usize)
-            .and_then(Option::as_ref)
-            .unwrap_or_else(|| panic!("set {id} does not exist"))
+        self.store.repr(id)
     }
 
     // -----------------------------------------------------------------------
@@ -562,17 +546,17 @@ impl SetEngine for SisaRuntime {
 
     crate::engine::named_binary_ops!();
 
-    /// Every form takes the same steps in the same order: validate both
-    /// operands (so a dangling one faults before any statistic or register
-    /// binding changes), SCU dispatch, compute, write the result, issue,
-    /// timeline. The forms differ in the kernel that computes and in what is
-    /// written — a new set, nothing, or `A` itself (`rd = rs1`).
+    /// Every form takes the same steps in the same order: compute in the
+    /// store (so a dangling operand faults before any statistic or register
+    /// binding changes), SCU dispatch on the operands' SM entries — which
+    /// still describe them before the operation — enter the written set into
+    /// the SM table, issue, timeline. The forms differ in the kernel that
+    /// computes and in what is written — a new set, nothing, or `A` itself
+    /// (`rd = rs1`).
     fn apply(&mut self, op: SetOp) -> Outcome {
         let (kind, a, b, dest) = (op.op, op.a, op.b, op.dest);
-        self.expect_slot(a);
-        self.expect_slot(b);
-        let ma = *self.metadata.get(a).expect("operation on unknown set A");
-        let mb = *self.metadata.get(b).expect("operation on unknown set B");
+        let outcome = self.store.apply(op);
+        let (ma, mb) = (self.entry(a), self.entry(b));
         let dispatched = self
             .scu
             .dispatch_binary(kind, dest == Dest::Count, a, &ma, b, &mb);
@@ -581,16 +565,16 @@ impl SetEngine for SisaRuntime {
             self.stats.processed_set_sizes.push(mb.cardinality as u32);
         }
         self.apply_outcome(&dispatched, Some(dispatched.choice));
-        let (ra, rb) = (self.repr(a), self.repr(b));
-        let (written, outcome) = match dest {
-            Dest::Count => (None, Outcome::Count(kind.count(ra, rb))),
-            Dest::New => {
-                let id = self.register_set(kind.combine(ra, rb));
-                (Some(id), Outcome::Set(id))
+        let written = match outcome {
+            Outcome::Count(_) => None,
+            Outcome::Set(id) if dest == Dest::New => {
+                self.register(id);
+                self.scu.prime(id);
+                Some(id)
             }
-            Dest::InPlace => {
-                self.replace(a, kind.combine(ra, rb));
-                (Some(a), Outcome::Set(a))
+            Outcome::Set(id) => {
+                self.update(id);
+                Some(id)
             }
         };
         let instr = self.regs.issue_binary(op.opcode(), a, b, written);
@@ -626,9 +610,9 @@ impl SetEngine for SisaRuntime {
         // here — the composite wrapper owns those. The write set keeps
         // consumers of whatever the work delivers behind it. It names local
         // sets, and the timeline's tables are indexed by ID: a foreign ID
-        // faults here instead of sizing one.
+        // faults in the store instead of sizing one.
         for &id in writes {
-            self.expect_slot(id);
+            let _ = self.store.repr(id);
         }
         if cycles > 0 {
             self.timeline(None, LaneKind::Vault, cycles, &[], writes);

@@ -37,10 +37,10 @@
 //! Set IDs are dense indices, so the hazard state lives in a flat table
 //! indexed by raw ID and every `ready_at`/`record` is an index, not a
 //! search. The table's *length* is therefore the largest ID ever
-//! recorded — the same bound the runtime's own `sets: Vec<Option<SetRepr>>`
-//! already pays, and the reason only IDs minted by the slot allocator may be
-//! recorded. A side list of the tracked IDs lets pruning and clearing walk
-//! the in-flight footprint only, never the whole table.
+//! recorded — the same bound the runtime's set store already pays, and the
+//! reason only IDs minted by the slot allocator may be recorded. A side list
+//! of the tracked IDs lets pruning and clearing walk the in-flight footprint
+//! only, never the whole table.
 
 use crate::slots::slot_mut;
 use sisa_isa::SetId;

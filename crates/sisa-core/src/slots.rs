@@ -1,11 +1,15 @@
-//! LIFO slot allocation shared by every engine's set-ID table.
+//! Flat tables indexed by a small integer key — a raw set ID, or a register
+//! pool slot.
 //!
-//! All engines store their sets (or, for the sharded engine, placements) in a
-//! `Vec<Option<T>>` indexed by raw set ID and reuse freed IDs
+//! Set IDs are minted by [`allocate`], which reuses freed IDs
 //! most-recently-freed-first. The reuse order is observable: the cross-engine
-//! equivalence and interpreter-replay tests rely on every backend allocating
-//! identical IDs for identical operation sequences, so the allocator lives in
-//! one place instead of being re-implemented per engine.
+//! equivalence and interpreter-replay tests rely on every backend minting
+//! identical IDs for identical operation sequences. One allocator serves the
+//! one set store ([`crate::FunctionalEngine`], which the priced engines keep
+//! their sets in) and the sharded engine's placement table.
+//!
+//! [`Recency`] is the exact `O(1)` LRU order the register file and the SMB
+//! both rank their entries by.
 
 use sisa_isa::SetId;
 
@@ -38,6 +42,96 @@ pub(crate) fn slot_mut<T: Clone>(table: &mut Vec<T>, id: SetId, empty: T) -> &mu
     &mut table[index]
 }
 
+/// The end of a [`Recency`] list.
+const NIL: u32 = u32::MAX;
+
+/// The `newer` link of a key off a [`Recency`] list.
+const UNLISTED: u32 = u32::MAX - 1;
+
+/// Keys ordered by last use, as a doubly linked list threaded through a
+/// vector indexed by key: touching a key splices it to the newest end in
+/// `O(1)`, and the oldest end is the least recently used key. Each owner
+/// keeps its own policy on top — which key to claim, when to evict.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Recency {
+    /// `links[key]` is `key`'s `(newer, older)` neighbours: [`NIL`] past
+    /// either end, and `newer` is [`UNLISTED`] while `key` is off the list.
+    links: Vec<(u32, u32)>,
+    /// The most and least recently touched keys ([`NIL`] when empty).
+    newest: u32,
+    oldest: u32,
+    len: usize,
+}
+
+impl Recency {
+    pub(crate) fn new() -> Self {
+        Self {
+            newest: NIL,
+            oldest: NIL,
+            ..Self::default()
+        }
+    }
+
+    /// Number of listed keys.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Makes `key` the most recently used, listing it if it was not;
+    /// returns whether it was listed.
+    pub(crate) fn touch(&mut self, key: u32) -> bool {
+        if self.newest == key {
+            return true;
+        }
+        let was_listed = self.remove(key);
+        if key as usize >= self.links.len() {
+            self.grow(key as usize);
+        }
+        self.links[key as usize] = (NIL, self.newest);
+        match self.newest {
+            NIL => self.oldest = key,
+            head => self.links[head as usize].0 = key,
+        }
+        self.newest = key;
+        self.len += 1;
+        was_listed
+    }
+
+    /// Takes `key` off the list; returns whether it was listed.
+    pub(crate) fn remove(&mut self, key: u32) -> bool {
+        let Some(&(newer, older)) = self.links.get(key as usize) else {
+            return false;
+        };
+        if newer == UNLISTED {
+            return false;
+        }
+        self.links[key as usize].0 = UNLISTED;
+        match newer {
+            NIL => self.newest = older,
+            newer => self.links[newer as usize].1 = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            older => self.links[older as usize].0 = newer,
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// Takes the least recently used key off the list, if any.
+    pub(crate) fn pop_oldest(&mut self) -> Option<u32> {
+        let oldest = self.oldest;
+        self.remove(oldest).then_some(oldest)
+    }
+
+    /// Extends the table to hold `index`; kept out of line, so `touch` stays
+    /// small enough to inline into its callers' per-instruction paths.
+    #[cold]
+    fn grow(&mut self, index: usize) {
+        self.links.resize(index + 1, (UNLISTED, NIL));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,5 +150,21 @@ mod tests {
         assert_eq!(allocate(&mut slots, &mut free), a);
         assert_eq!(allocate(&mut slots, &mut free), SetId(2));
         assert_eq!(slots.len(), 3);
+    }
+
+    #[test]
+    fn recency_evicts_the_least_recently_touched_key() {
+        let mut list = Recency::new();
+        for key in [3, 1, 2] {
+            assert!(!list.touch(key));
+        }
+        assert!(list.touch(3), "a listed key reports it");
+        assert!(list.touch(3), "and so does the newest");
+        assert!(list.remove(2));
+        assert!(!list.remove(2));
+        assert_eq!(list.len(), 2);
+        assert_eq!(list.pop_oldest(), Some(1));
+        assert_eq!(list.pop_oldest(), Some(3));
+        assert_eq!(list.pop_oldest(), None);
     }
 }

@@ -10,6 +10,14 @@
 //! 3. **Functional oracle** — the cost-free [`FunctionalEngine`] executes the
 //!    same workloads and every priced backend must agree with it, while its
 //!    statistics stay identically zero.
+//! 4. **One store semantics** — over a random program of creates, clones,
+//!    deletes, binary and element operations, the functional engine, the
+//!    CPU engine, the SISA runtime and a 2-shard sharded engine mint the same
+//!    IDs and observe the same results, and an operation on a dangling ID
+//!    faults with "does not exist" before it changes `stats()` or
+//!    `live_sets()`. A priced engine that reads its own tables before the
+//!    store faults (say, `HostEngine::contains` reading its region table)
+//!    fails here.
 
 mod common;
 
@@ -18,10 +26,13 @@ use proptest::prelude::*;
 use sisa_core::scu::BinarySetOp::{Difference, Intersection, Union};
 use sisa_core::Dest::{Count, InPlace, New};
 use sisa_core::{
-    ExecStats, FunctionalEngine, HostEngine, Interpreter, SetEngine, SisaConfig, SisaRuntime,
+    ExecStats, FunctionalEngine, HostEngine, Interpreter, Outcome, PartitionStrategy, SetEngine,
+    SetOp, ShardedEngine, SisaConfig, SisaRuntime,
 };
+use sisa_isa::SetId;
 use sisa_sets::Vertex;
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const UNIVERSE: usize = 256;
 
@@ -54,6 +65,147 @@ const KINDS: &[Step] = &[
 
 fn step() -> impl Strategy<Value = Step> {
     common::step(UNIVERSE, KINDS)
+}
+
+/// One operation of a random store program. The `usize` fields are draws the
+/// runner maps onto the IDs live at that point (`draw % live`); `Dangling`
+/// names an ID that is not live instead — a deleted one if there is one, else
+/// one never minted — in the operation its `u8` picks.
+#[derive(Clone, Copy, Debug)]
+enum StoreOp {
+    Create(u64),
+    Clone(usize),
+    Delete(usize),
+    Binary(SetOp, usize, usize),
+    Insert(usize, Vertex),
+    Remove(usize, Vertex),
+    Contains(usize, Vertex),
+    Cardinality(usize),
+    Members(usize),
+    Dangling(u8, usize),
+}
+
+/// Draws one [`StoreOp`] from a single `u64` (the vendored proptest shim has
+/// no tuple strategies).
+fn store_op() -> impl Strategy<Value = StoreOp> {
+    (0u64..u64::MAX).prop_map(|raw| {
+        let (x, y) = ((raw >> 8) as usize % 64, (raw >> 16) as usize % 64);
+        let v = ((raw >> 24) % UNIVERSE as u64) as Vertex;
+        match raw % 12 {
+            0 | 1 => StoreOp::Create(raw >> 8),
+            2 => StoreOp::Clone(x),
+            3 => StoreOp::Delete(x),
+            4 | 5 => {
+                let op = [Intersection, Union, Difference][x % 3];
+                let dest = [New, Count, InPlace][y % 3];
+                let (a, b) = (SetId(0), SetId(0));
+                StoreOp::Binary(SetOp { op, a, b, dest }, x / 3, y / 3)
+            }
+            6 => StoreOp::Insert(x, v),
+            7 => StoreOp::Remove(x, v),
+            8 => StoreOp::Contains(x, v),
+            9 => StoreOp::Cardinality(x),
+            10 => StoreOp::Members(x),
+            _ => StoreOp::Dangling((raw >> 32) as u8 % 9, x),
+        }
+    })
+}
+
+/// Runs a store program and returns what it observed: every minted ID, count,
+/// membership and read-out, in order. Checks each dangling operation faults
+/// with "does not exist" and leaves `stats()` and `live_sets()` unchanged,
+/// then carries on with the same engine.
+fn run_store_program<E: SetEngine>(engine: &mut E, program: &[StoreOp]) -> Vec<Vec<u64>> {
+    engine.set_universe(UNIVERSE);
+    let (mut live, mut dead): (Vec<SetId>, Vec<SetId>) = (Vec::new(), Vec::new());
+    let mut seen = Vec::new();
+    let minted = |id: SetId, live: &mut Vec<SetId>, dead: &mut Vec<SetId>| {
+        dead.retain(|&d| d != id);
+        live.push(id);
+        u64::from(id.raw())
+    };
+    for &op in program {
+        if live.is_empty() && !matches!(op, StoreOp::Create(_) | StoreOp::Dangling(..)) {
+            continue;
+        }
+        let pick = |draw: usize| live[draw % live.len()];
+        match op {
+            StoreOp::Create(seed) => {
+                let members = (0..seed % 9).map(|i| ((seed >> 4) * (i + 1) % 256) as Vertex);
+                let id = if seed & 1 == 0 {
+                    engine.create_sorted(members)
+                } else {
+                    engine.create_dense(members)
+                };
+                seen.push(vec![minted(id, &mut live, &mut dead)]);
+            }
+            StoreOp::Clone(x) => {
+                let id = engine.clone_set(pick(x));
+                seen.push(vec![minted(id, &mut live, &mut dead)]);
+            }
+            StoreOp::Delete(x) => {
+                let id = live.swap_remove(x % live.len());
+                engine.delete(id);
+                dead.push(id);
+            }
+            StoreOp::Binary(op, x, y) => {
+                let op = SetOp {
+                    a: pick(x),
+                    b: pick(y),
+                    ..op
+                };
+                match engine.apply(op) {
+                    Outcome::Count(n) => seen.push(vec![n as u64]),
+                    Outcome::Set(id) if op.dest == New => {
+                        seen.push(vec![minted(id, &mut live, &mut dead)]);
+                    }
+                    Outcome::Set(id) => seen.push(members_of(engine, id)),
+                }
+            }
+            StoreOp::Insert(x, v) => seen.push(vec![u64::from(engine.insert(pick(x), v))]),
+            StoreOp::Remove(x, v) => seen.push(vec![u64::from(engine.remove(pick(x), v))]),
+            StoreOp::Contains(x, v) => seen.push(vec![u64::from(engine.contains(pick(x), v))]),
+            StoreOp::Cardinality(x) => seen.push(vec![engine.cardinality(pick(x)) as u64]),
+            StoreOp::Members(x) => seen.push(members_of(engine, pick(x))),
+            StoreOp::Dangling(kind, x) => {
+                let id = dead.get(x % dead.len().max(1)).copied();
+                let id = id.unwrap_or(SetId(1_000 + x as u32));
+                let other = live.first().copied().unwrap_or(id);
+                let (stats, sets) = (engine.stats().clone(), engine.live_sets());
+                let fault = catch_unwind(AssertUnwindSafe(|| match kind {
+                    0 => drop(engine.clone_set(id)),
+                    1 => engine.delete(id),
+                    2 => drop(engine.cardinality(id)),
+                    3 => drop(engine.contains(id, 1)),
+                    4 => drop(engine.members(id)),
+                    5 => drop(engine.insert(id, 1)),
+                    6 => drop(engine.remove(id, 1)),
+                    7 => drop(engine.apply(SetOp {
+                        op: Intersection,
+                        a: id,
+                        b: other,
+                        dest: New,
+                    })),
+                    _ => drop(engine.apply(SetOp {
+                        op: Union,
+                        a: other,
+                        b: id,
+                        dest: InPlace,
+                    })),
+                }));
+                let payload = fault.expect_err("an operation on a dangling ID faults");
+                let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(message.contains("does not exist"), "{op:?}: {message}");
+                assert_eq!(engine.stats(), &stats, "{op:?} charged before it faulted");
+                assert_eq!(engine.live_sets(), sets, "{op:?}");
+            }
+        }
+    }
+    seen
+}
+
+fn members_of<E: SetEngine>(engine: &mut E, id: SetId) -> Vec<u64> {
+    engine.members(id).into_iter().map(u64::from).collect()
 }
 
 proptest! {
@@ -155,5 +307,21 @@ proptest! {
                 prop_assert_eq!(deep.stats(), serial.stats());
             }
         }
+    }
+
+    /// (e) Every engine keeps one store semantics: the same IDs minted, the
+    /// same results observed, every dangling ID faulting before any charge.
+    #[test]
+    fn every_engine_mints_the_same_ids_and_faults_before_charging(
+        program in proptest::collection::vec(store_op(), 1..60),
+    ) {
+        let expected = run_store_program(&mut FunctionalEngine::new(), &program);
+        let from_host = run_store_program(&mut HostEngine::with_defaults(), &program);
+        prop_assert_eq!(&expected, &from_host, "cpu");
+        let from_sisa = run_store_program(&mut SisaRuntime::with_defaults(), &program);
+        prop_assert_eq!(&expected, &from_sisa, "sisa");
+        let mut sharded = ShardedEngine::sisa(2, PartitionStrategy::Modulo, SisaConfig::default());
+        let from_sharded = run_store_program(&mut sharded, &program);
+        prop_assert_eq!(&expected, &from_sharded, "sharded");
     }
 }

@@ -1,9 +1,9 @@
 //! A set-associative LRU cache simulator.
 //!
-//! Used by the baseline-CPU model (`sisa-pim::cpu`) for its L1/L2/L3 hierarchy
-//! and by the SISA Controller Unit for its Set-Metadata Buffer (the SMB is "a
-//! small scratchpad ... to cache metadata", §3; its behaviour "is similar to
-//! that of other such units such as L1", §9.2).
+//! Used by the baseline-CPU model (`sisa-pim::cpu`) for its L1/L2/L3
+//! hierarchy. The SISA Controller Unit's Set-Metadata Buffer does not use
+//! it: the SMB is a fully associative LRU over set IDs, kept in
+//! `sisa-core`'s `metadata` module.
 
 /// Configuration of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -63,6 +63,16 @@ pub struct CpuThread {
 }
 
 impl CpuThread {
+    /// Scalar operations a software set kernel pays per element advanced in
+    /// a merge loop: one compare, one increment and the amortised cost of the
+    /// data-dependent branch sorted-set intersection is known for (≈1.5
+    /// cycles per element at the modelled IPC).
+    pub const MERGE_OPS_PER_ELEMENT: u64 = 6;
+
+    /// Scalar operations a software set kernel pays per binary-search level
+    /// or bit probe (a compare plus a hard-to-predict branch).
+    pub const PROBE_OPS_PER_STEP: u64 = 3;
+
     /// Creates a thread. `threads_sharing_l3` determines the L3 slice this
     /// thread can use (the paper's 8 MiB L3 is shared among all cores).
     #[must_use]

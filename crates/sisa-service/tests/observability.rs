@@ -9,11 +9,12 @@
 //!    lane-timeline collector attached produces identical values and
 //!    bit-identical `ExecStats` (exact f64 energy) at 1–3 workers.
 //! 3. **Metrics ≡ ledger** — the metrics registry's query counters agree
-//!    exactly with the service report and the latency histogram's count.
+//!    exactly with the service report and the latency histogram's count,
+//!    and the report's request columns are the fold of the tenant ledger.
 
 use sisa_core::{ChromeTraceCollector, ExecStats, SharedCollector};
-use sisa_graph::generators;
-use sisa_service::{QueryKind, QuerySpec, ServiceConfig, SisaService};
+use sisa_graph::{generators, GraphDelta};
+use sisa_service::{QueryKind, QuerySpec, ServiceConfig, SisaService, TenantUsage};
 use std::sync::{Arc, Mutex};
 
 fn test_graph() -> sisa_graph::CsrGraph {
@@ -86,6 +87,38 @@ fn kernel_panics_fail_the_query_but_spare_the_worker_and_the_ledger() {
     let snapshot = service.metrics_snapshot();
     assert_eq!(snapshot.counters["sisa_queries_panicked_total"], 1);
     assert_eq!(snapshot.counters["sisa_queries_failed_total"], 1);
+
+    // Round the mix out — a failed query, a mutation, and two identical
+    // queries queued behind a slower one, which coalesce when popped (or the
+    // second hits the cache) — then read the report as a fold of the ledger.
+    let ghost = QuerySpec::new("no-such-graph", QueryKind::TriangleCount);
+    let failed = service.submit("u", ghost).expect("admitted").wait();
+    assert!(failed.is_err());
+    let delta = GraphDelta::new().insert(0, 1);
+    let mutate = QuerySpec::new("g", QueryKind::Mutate(delta));
+    let mutated = service.submit("u", mutate).expect("admitted").wait();
+    mutated.expect("applies");
+    let slow = QuerySpec::new("g", QueryKind::KCliqueCount { k: 4 });
+    let twin = QuerySpec::new("g", QueryKind::StarCount { k: 2 });
+    let handles = [("u", slow), ("u", twin.clone()), ("v", twin)]
+        .map(|(tenant, spec)| service.submit(tenant, spec).expect("admitted"));
+    for handle in handles {
+        handle.wait().expect("completes");
+    }
+    let report = service.report();
+    let usage = service.tenant_usage();
+    let fold = |column: fn(&TenantUsage) -> u64| usage.values().map(column).sum::<u64>();
+    assert_eq!(report.completed, fold(|u| u.queries + u.mutations));
+    assert_eq!(report.mutations, fold(|u| u.mutations));
+    assert_eq!(report.coalesced, fold(|u| u.coalesced));
+    assert_eq!(report.cache_hits, fold(|u| u.cache_hits));
+    assert_eq!(report.failed, fold(|u| u.failed));
+    assert_eq!(
+        (report.completed, report.mutations, report.failed),
+        (6, 1, 2)
+    );
+    // The repeated triangle count hit, and the twins shared one run.
+    assert_eq!(report.coalesced + report.cache_hits, 2);
     service.close();
 }
 
