@@ -17,9 +17,10 @@
 //!   cross-shard operand movement with the PNM link model.
 //! * **The thin software layer + SCU** (§6.3.3, §8.2): inside `SisaRuntime`
 //!   every operation is first *issued* — materialised as a genuine
-//!   [`sisa_isa::SisaInstruction`] with operands mapped through the
-//!   [`issue::RegisterFile`] binding table, optionally captured by a bounded
-//!   [`TraceSink`] — then *dispatched* by the [`scu::Scu`], which consults the
+//!   [`sisa_isa::SisaInstruction`], optionally captured by a bounded
+//!   [`TraceSink`], with operands mapped through the [`issue::RegisterFile`]
+//!   binding table only while such a trace is attached (its file starts
+//!   empty) — then *dispatched* by the [`scu::Scu`], which consults the
 //!   Set-Metadata table (through the SMB cache), chooses SISA-PUM or SISA-PNM
 //!   and merge vs. galloping using the §8.3 performance models, and returns a
 //!   costed outcome that is absorbed into the work counters and enqueued into

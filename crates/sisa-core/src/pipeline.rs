@@ -35,10 +35,13 @@
 //! does constant work per item. Its structural floor is the previous item's
 //! retire, which is also its makespan: every item starts no earlier than
 //! its predecessor's retire, so it finishes no earlier than any item before
-//! it. Every operand time a scoreboard could hold is one of those finishes,
-//! so readiness never exceeds the floor and hazard state cannot bind a
-//! start: such a queue neither reads nor records its scoreboard, and
-//! `dep_stall` is 0 exactly as the full rule would have it. For the same
+//! it. Every lane's and the host's busy time and every operand time a
+//! scoreboard could hold is one of those finishes, so neither a resource
+//! nor readiness ever exceeds the floor: such a queue starts each item at
+//! the makespan, keeps no in-flight deque (its one slot is occupied from
+//! the first issue on, which is all [`IssueQueue::in_flight`] reports),
+//! neither reads nor records its scoreboard nor prunes it, and `dep_stall`
+//! is 0 exactly as the full rule would have it. For the same
 //! reason each vault item ends no earlier than every lane's busy time, so
 //! the first least-busy lane is the least recently used one: while every
 //! vault item since the last reset took cycles, that is lane `k mod lanes`
@@ -112,7 +115,8 @@ pub struct IssueQueue {
     /// Busy-until time of the serial host resource.
     host_busy: u64,
     /// Retire times of the in-flight items, oldest first. Retirement is in
-    /// program order, so the deque is non-decreasing.
+    /// program order, so the deque is non-decreasing (never touched at
+    /// window 1).
     inflight: VecDeque<u64>,
     /// Hazard state on logical set IDs (never touched at window 1).
     board: Scoreboard,
@@ -173,7 +177,11 @@ impl IssueQueue {
     /// telemetry collectors record.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        if self.window == 1 {
+            usize::from(self.issued > 0)
+        } else {
+            self.inflight.len()
+        }
     }
 
     /// Number of operand IDs currently carrying hazard state (capacity
@@ -228,54 +236,53 @@ impl IssueQueue {
             kind != LaneKind::Host || (reads.is_empty() && writes.is_empty()),
             "host items must not carry operand sets"
         );
-        // At window 1 the floor below is the makespan, which bounds every
-        // time the scoreboard could hold (module docs): no hazard state.
-        let hazards = self.window > 1;
-        // Structural constraint: a full window frees its oldest slot at that
-        // item's in-order retire time.
-        let structural = if self.window_full() {
-            self.inflight.pop_front().unwrap_or(0)
+        // Resource: the earliest-free vault lane, or the host.
+        let lane = match kind {
+            LaneKind::Vault => Some(self.pick_lane(cycles)),
+            LaneKind::Host => None,
+        };
+        // At window 1 the floor is the makespan, which bounds every resource
+        // and every time the scoreboard could hold (module docs): the item
+        // starts there, with no window, hazard or pruning state to keep.
+        let serial = self.window == 1;
+        let (start, dep_stall) = if serial {
+            (self.makespan, 0)
         } else {
-            0
+            // Structural constraint: a full window frees its oldest slot at
+            // that item's in-order retire time.
+            let structural = if self.window_full() {
+                self.inflight.pop_front().unwrap_or(0)
+            } else {
+                0
+            };
+            let resource = lane.map_or(self.host_busy, |idx| self.lanes[idx]);
+            // Operand constraint.
+            let ready = self.board.ready_at(reads, writes);
+            let base = structural.max(resource);
+            (base.max(ready), ready.saturating_sub(base))
         };
-        // Resource constraint: the earliest-free vault lane, or the host.
-        let (resource, lane) = match kind {
-            LaneKind::Vault => {
-                let idx = self.pick_lane(cycles);
-                (self.lanes[idx], Some(idx))
-            }
-            LaneKind::Host => (self.host_busy, None),
-        };
-        // Operand constraint.
-        let ready = if hazards {
-            self.board.ready_at(reads, writes)
-        } else {
-            0
-        };
-
-        let base = structural.max(resource);
-        let start = base.max(ready);
         let finish = start + cycles;
 
         match lane {
             Some(idx) => self.lanes[idx] = finish,
             None => self.host_busy = finish,
         }
-        // In-order retirement: an item cannot retire before its predecessor.
-        let retire = self.inflight.back().map_or(finish, |&r| r.max(finish));
-        self.inflight.push_back(retire);
-        if hazards {
+        if !serial {
+            // In-order retirement: an item cannot retire before its
+            // predecessor.
+            let retire = self.inflight.back().map_or(finish, |&r| r.max(finish));
+            self.inflight.push_back(retire);
             self.board.record(reads, writes, finish);
         }
         self.makespan = self.makespan.max(finish);
         self.issued += 1;
-        if self.issued.is_multiple_of(PRUNE_INTERVAL) {
+        if !serial && self.issued.is_multiple_of(PRUNE_INTERVAL) {
             self.prune();
         }
         IssueOutcome {
             start,
             finish,
-            dep_stall: ready.saturating_sub(base),
+            dep_stall,
             lane,
         }
     }

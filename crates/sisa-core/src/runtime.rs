@@ -2,17 +2,22 @@
 //!
 //! [`SisaRuntime`] keeps its sets in a [`FunctionalEngine`], which computes
 //! every operation, and owns what prices them: the Set-Metadata table, the
-//! SCU, the register file and the issue queue. Every operation flows through
-//! two stages, which touch disjoint state (so their order within one
-//! operation is not observable; the binary instructions dispatch first,
-//! because the issue stage names the set the operation wrote):
+//! SCU and the issue queue, plus a register file while a trace is attached.
+//! Every operation flows through two stages, which touch disjoint state (so
+//! their order within one operation is not observable; the binary
+//! instructions dispatch first, because the issue stage names the set the
+//! operation wrote):
 //!
 //! 1. **Issue** — the operation is materialised as a genuine
-//!    [`sisa_isa::SisaInstruction`]: operands are mapped onto RISC-V registers
-//!    through the [`crate::issue::RegisterFile`] binding table, the dynamic
-//!    instruction count is recorded, and (when a [`TraceSink`] is attached
-//!    and has room) the instruction plus its semantic payload are captured
-//!    so the run can be replayed by [`crate::Interpreter`].
+//!    [`sisa_isa::SisaInstruction`], the dynamic instruction count is
+//!    recorded, and (when a [`TraceSink`] is attached and has room) the
+//!    instruction plus its semantic payload are captured so the run can be
+//!    replayed by [`crate::Interpreter`]. The trace is the only reader of an
+//!    instruction's registers, so operands are mapped onto RISC-V registers
+//!    through the [`crate::issue::RegisterFile`] binding table only while a
+//!    trace is attached; attaching one starts an empty file (as a replayable
+//!    trace starts with the runtime), and an untraced instruction names `x0`
+//!    throughout.
 //! 2. **Dispatch** — the SCU consults the set metadata (through the SMB),
 //!    chooses SISA-PUM or SISA-PNM and merge vs. galloping (§8.2–§8.3), and
 //!    returns a costed [`DispatchOutcome`]; the runtime absorbs the outcome's
@@ -45,7 +50,7 @@ use crate::stats::ExecStats;
 use crate::telemetry::{InstructionEvent, SharedCollector};
 use crate::trace::{TraceOp, TraceSink};
 use crate::Vertex;
-use sisa_isa::{SetId, SisaInstruction, SisaOpcode};
+use sisa_isa::{Register, SetId, SisaInstruction, SisaOpcode};
 use sisa_sets::{RepresentationKind, SetRepr};
 
 /// The SISA runtime (thin software layer + SCU + set storage).
@@ -58,7 +63,8 @@ pub struct SisaRuntime {
     stats: ExecStats,
     host_ops_pending: f64,
     task_mark: u64,
-    regs: RegisterFile,
+    /// The set-ID register bindings, kept only while a trace is attached.
+    regs: Option<RegisterFile>,
     trace: Option<TraceSink>,
     pipeline: IssueQueue,
     collector: Option<SharedCollector>,
@@ -79,7 +85,7 @@ impl SisaRuntime {
             stats: ExecStats::default(),
             host_ops_pending: 0.0,
             task_mark: 0,
-            regs: RegisterFile::new(),
+            regs: None,
             trace: None,
             pipeline: IssueQueue::new(config.issue_depth, config.resolved_issue_lanes()),
             collector: None,
@@ -99,7 +105,8 @@ impl SisaRuntime {
         &self.config
     }
 
-    /// The SCU (exposed for harnesses that want its hit ratios and models).
+    /// The SCU (exposed for harnesses that want its cost models; the SMB hit
+    /// ratio is [`ExecStats::smb_hit_ratio`]).
     #[must_use]
     pub fn scu(&self) -> &Scu {
         &self.scu
@@ -117,13 +124,18 @@ impl SisaRuntime {
 
     /// Attaches a bounded [`TraceSink`] capturing up to `capacity` events;
     /// subsequent operations are recorded until [`SisaRuntime::take_trace`].
+    /// The trace's instructions name registers of a binding table that
+    /// starts empty here: its first bound set lands in `x1`.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(TraceSink::bounded(capacity));
+        self.regs = Some(RegisterFile::new());
     }
 
-    /// Attaches a trace sink with the default capacity.
+    /// Attaches a trace sink with the default capacity (and an empty
+    /// register file, as [`SisaRuntime::enable_trace`]).
     pub fn enable_default_trace(&mut self) {
         self.trace = Some(TraceSink::default());
+        self.regs = Some(RegisterFile::new());
     }
 
     /// The attached trace, if any.
@@ -132,8 +144,10 @@ impl SisaRuntime {
         self.trace.as_ref()
     }
 
-    /// Detaches and returns the trace, stopping further recording.
+    /// Detaches and returns the trace, stopping further recording and
+    /// dropping the register file only the trace reads.
     pub fn take_trace(&mut self) -> Option<TraceSink> {
+        self.regs = None;
         self.trace.take()
     }
 
@@ -169,6 +183,20 @@ impl SisaRuntime {
     // Issue stage
     // -----------------------------------------------------------------------
 
+    /// Materialises an `opcode` instruction, its operands bound through the
+    /// register file by `bind` while a trace is attached to read them. An
+    /// untraced instruction names `x0` throughout: only its opcode is read.
+    fn materialise(
+        &mut self,
+        opcode: SisaOpcode,
+        bind: impl FnOnce(&mut RegisterFile) -> SisaInstruction,
+    ) -> SisaInstruction {
+        match &mut self.regs {
+            Some(regs) => bind(regs),
+            None => SisaInstruction::new(opcode, Register::ZERO, Register::ZERO, Register::ZERO),
+        }
+    }
+
     /// Records the materialised instruction in the dynamic-count statistics
     /// and the trace, completing the issue stage. The payload is taken by
     /// value: every payload but a created set's contents is a few words, and
@@ -195,11 +223,12 @@ impl SisaRuntime {
     /// host resource: host work overlaps vault work but never itself.
     fn charge_host_ops(&mut self, n: u64) {
         self.host_ops_pending += n as f64 * self.config.host_op_cost;
-        let whole = self.host_ops_pending.floor();
-        if whole >= 1.0 {
-            self.stats.host_cycles += whole as u64;
-            self.host_ops_pending -= whole;
-            self.timeline(None, LaneKind::Host, whole as u64, &[], &[]);
+        // The pending fraction is never negative, so truncation is its floor.
+        let whole = self.host_ops_pending as u64;
+        if whole >= 1 {
+            self.stats.host_cycles += whole;
+            self.host_ops_pending -= whole as f64;
+            self.timeline(None, LaneKind::Host, whole, &[], &[]);
         }
     }
 
@@ -271,7 +300,7 @@ impl SisaRuntime {
             self.store.remove(id, v)
         };
         let meta = self.entry(id);
-        let instr = self.regs.issue_element(opcode, id);
+        let instr = self.materialise(opcode, |regs| regs.issue_element(opcode, id));
         self.issued(
             instr,
             if insert {
@@ -378,11 +407,10 @@ impl SetEngine for SisaRuntime {
     fn create(&mut self, repr: SetRepr) -> SetId {
         let id = self.store.create(repr);
         self.register(id);
-        let instr = self
-            .regs
-            .issue_lifecycle(SisaOpcode::CreateSet, None, Some(id));
+        let opcode = SisaOpcode::CreateSet;
+        let instr = self.materialise(opcode, |regs| regs.issue_lifecycle(opcode, None, Some(id)));
         // The set contents are cloned into the trace only if it keeps them.
-        self.stats.record_instruction(instr.opcode);
+        self.stats.record_instruction(opcode);
         if let Some(sink) = &mut self.trace {
             let store = &self.store;
             sink.record_with(Some(instr), || TraceOp::Create {
@@ -393,13 +421,7 @@ impl SetEngine for SisaRuntime {
         // The create instruction's own metadata lookup precedes the SMB prime:
         // the SCU only writes the SMB entry once the set exists.
         let latency = self.dispatch_metadata(&[id]);
-        self.timeline(
-            Some(SisaOpcode::CreateSet),
-            LaneKind::Vault,
-            latency,
-            &[],
-            &[id],
-        );
+        self.timeline(Some(opcode), LaneKind::Vault, latency, &[], &[id]);
         self.scu.prime(id);
         id
     }
@@ -416,9 +438,10 @@ impl SetEngine for SisaRuntime {
             _ => self.scu.pnm_model().streaming_cost(repr.len(), 0),
         };
         self.register(new_id);
-        let instr = self
-            .regs
-            .issue_lifecycle(SisaOpcode::CloneSet, Some(id), Some(new_id));
+        let opcode = SisaOpcode::CloneSet;
+        let instr = self.materialise(opcode, |regs| {
+            regs.issue_lifecycle(opcode, Some(id), Some(new_id))
+        });
         self.issued(
             instr,
             TraceOp::Clone {
@@ -430,13 +453,7 @@ impl SetEngine for SisaRuntime {
         self.scu.prime(new_id);
         self.stats.pnm_cycles += cost;
         // The physical copy reads the source and produces the clone.
-        self.timeline(
-            Some(SisaOpcode::CloneSet),
-            LaneKind::Vault,
-            latency,
-            &[id],
-            &[new_id],
-        );
+        self.timeline(Some(opcode), LaneKind::Vault, latency, &[id], &[new_id]);
         new_id
     }
 
@@ -444,24 +461,19 @@ impl SetEngine for SisaRuntime {
         // The store faults on a double delete before the statistics or the
         // binding table change.
         self.store.delete(id);
-        let instr = self
-            .regs
-            .issue_lifecycle(SisaOpcode::DeleteSet, Some(id), None);
+        let opcode = SisaOpcode::DeleteSet;
+        let instr = self.materialise(opcode, |regs| regs.issue_lifecycle(opcode, Some(id), None));
         self.issued(instr, TraceOp::Delete { id });
         let latency = self.dispatch_metadata(&[id]);
         // Deletion writes the set's slot: WAR/WAW hazards keep it behind
         // every in-flight use of the set, and a later create recycling the
         // ID stays behind the delete.
-        self.timeline(
-            Some(SisaOpcode::DeleteSet),
-            LaneKind::Vault,
-            latency,
-            &[],
-            &[id],
-        );
+        self.timeline(Some(opcode), LaneKind::Vault, latency, &[], &[id]);
         self.metadata.remove(id);
         self.scu.invalidate(id);
-        self.regs.release(id);
+        if let Some(regs) = &mut self.regs {
+            regs.release(id);
+        }
     }
 
     // -----------------------------------------------------------------------
@@ -470,35 +482,23 @@ impl SetEngine for SisaRuntime {
 
     fn cardinality(&mut self, id: SetId) -> usize {
         let len = self.store.cardinality(id);
-        let instr = self
-            .regs
-            .issue_lifecycle(SisaOpcode::Cardinality, Some(id), None);
+        let opcode = SisaOpcode::Cardinality;
+        let instr = self.materialise(opcode, |regs| regs.issue_lifecycle(opcode, Some(id), None));
         self.issued(instr, TraceOp::Cardinality { id });
         let latency = self.dispatch_metadata(&[id]);
-        self.timeline(
-            Some(SisaOpcode::Cardinality),
-            LaneKind::Vault,
-            latency,
-            &[id],
-            &[],
-        );
+        self.timeline(Some(opcode), LaneKind::Vault, latency, &[id], &[]);
         len
     }
 
     fn contains(&mut self, id: SetId, v: Vertex) -> bool {
         let hit = self.store.contains(id, v);
         let meta = self.entry(id);
-        let instr = self.regs.issue_element(SisaOpcode::Membership, id);
+        let opcode = SisaOpcode::Membership;
+        let instr = self.materialise(opcode, |regs| regs.issue_element(opcode, id));
         self.issued(instr, TraceOp::Membership { id, v });
         let outcome = self.scu.dispatch_element(id, &meta);
         self.apply_outcome(&outcome, None);
-        self.timeline(
-            Some(SisaOpcode::Membership),
-            LaneKind::Vault,
-            outcome.latency(),
-            &[id],
-            &[],
-        );
+        self.timeline(Some(opcode), LaneKind::Vault, outcome.latency(), &[id], &[]);
         hit
     }
 
@@ -577,7 +577,8 @@ impl SetEngine for SisaRuntime {
                 Some(id)
             }
         };
-        let instr = self.regs.issue_binary(op.opcode(), a, b, written);
+        let opcode = op.opcode();
+        let instr = self.materialise(opcode, |regs| regs.issue_binary(opcode, a, b, written));
         self.issued(
             instr,
             TraceOp::Binary {
@@ -586,7 +587,7 @@ impl SetEngine for SisaRuntime {
             },
         );
         self.timeline(
-            Some(instr.opcode),
+            Some(opcode),
             LaneKind::Vault,
             dispatched.latency(),
             &[a, b],
@@ -683,6 +684,8 @@ mod tests {
     #[test]
     fn dangling_operands_fault_before_any_stats_or_binding_mutation() {
         let mut rt = runtime();
+        // Registers are bound only while a trace is attached.
+        rt.enable_default_trace();
         let live = rt.create_sorted([1, 2, 3]);
         let dead = rt.create_sorted([4, 5]);
         rt.delete(dead);
@@ -699,17 +702,110 @@ mod tests {
                 let _ = p.cardinality(dead);
             },
         ];
+        let bound = |p: &SisaRuntime| p.regs.as_ref().expect("traced").bound();
+        assert_eq!(bound(&rt), 1, "the live set stays bound");
         for f in ops {
             let mut probe = rt.clone();
             let stats_before = probe.stats().clone();
-            let bound_before = probe.regs.bound();
+            let bound_before = bound(&probe);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut probe)));
             assert!(outcome.is_err(), "dangling operand must fault");
             // The faulting operation must not have been counted or have bound
             // the dead ID into the register file.
             assert_eq!(probe.stats(), &stats_before);
-            assert_eq!(probe.regs.bound(), bound_before);
+            assert_eq!(bound(&probe), bound_before);
         }
+    }
+
+    // Registers belong to the trace. The tests below were seen to fail
+    // under each of these mutations of this file:
+    //
+    // * binding while untraced: `new` starting with `regs:
+    //   Some(RegisterFile::new())` and `take_trace` keeping the file
+    //   (`an_untraced_runtime_holds_no_register_file`);
+    // * not resetting the file on enable: `enable_trace` and
+    //   `enable_default_trace` taking `regs.get_or_insert_with(..)`, which
+    //   keeps an attached trace's bindings
+    //   (`a_trace_attached_mid_run_starts_with_an_empty_register_file`).
+    //
+    // A trace recorded from creation names the registers it always did:
+    // `tests/trace_fixture.rs` compares a fresh capture's events, registers
+    // included, with the checked-in `tests/fixtures/triangle_count_trace.json`.
+
+    /// A mixed program touching every instruction form.
+    fn mixed_program(rt: &mut SisaRuntime) -> SetId {
+        let a = rt.create_sorted([1, 2, 3, 8]);
+        let b = rt.create_dense([2, 3, 4]);
+        let c = rt.union(a, b);
+        let d = rt.clone_set(c);
+        rt.intersect_assign(d, a);
+        let _ = rt.difference_count(c, d);
+        rt.insert(c, 17);
+        rt.remove(c, 2);
+        let _ = rt.contains(a, 3);
+        let _ = rt.cardinality(c);
+        let _ = rt.members(b);
+        rt.delete(d);
+        c
+    }
+
+    /// The register naming the first set operand of every traced
+    /// instruction that has one.
+    fn first_operands(trace: &TraceSink) -> Vec<Register> {
+        let program = trace.program();
+        program
+            .instructions()
+            .iter()
+            .filter(|i| i.opcode != SisaOpcode::CreateSet)
+            .map(|i| i.rs1)
+            .collect()
+    }
+
+    #[test]
+    fn an_untraced_runtime_holds_no_register_file() {
+        let mut rt = runtime();
+        let _ = mixed_program(&mut rt);
+        assert!(rt.regs.is_none(), "no trace, no register bindings");
+        rt.enable_trace(0);
+        assert_eq!(rt.regs.as_ref().map(RegisterFile::bound), Some(0));
+        let _ = rt.take_trace();
+        assert!(rt.regs.is_none(), "taking the trace drops its registers");
+    }
+
+    #[test]
+    fn a_trace_attached_mid_run_starts_with_an_empty_register_file() {
+        let x1 = Register::new(1);
+        let mut rt = runtime();
+        let c = mixed_program(&mut rt);
+        // `c` is the third set created; an empty file binds it first, to x1.
+        rt.enable_default_trace();
+        let _ = rt.cardinality(c);
+        assert_eq!(first_operands(rt.trace().unwrap()), [x1]);
+        // Attaching a new trace over a live one empties the file again, so
+        // a set other than `c` now takes x1.
+        let a = rt.create_sorted([5, 6]);
+        let _ = rt.intersect_count(c, a);
+        rt.enable_default_trace();
+        let _ = rt.cardinality(a);
+        assert_eq!(first_operands(rt.trace().unwrap()), [x1]);
+        assert_eq!(rt.regs.as_ref().map(RegisterFile::bound), Some(1));
+    }
+
+    #[test]
+    fn take_trace_then_enable_trace_starts_the_register_file_empty() {
+        let x1 = Register::new(1);
+        let mut rt = runtime();
+        rt.enable_default_trace();
+        let c = mixed_program(&mut rt);
+        let first = rt.take_trace().unwrap();
+        // Three sets are live, so the traced program names more than x1.
+        assert!(first_operands(&first).iter().any(|&r| r != x1));
+        let e = rt.create_sorted([9]);
+        rt.enable_trace(16);
+        let _ = rt.intersect_count(e, c);
+        let second = rt.take_trace().unwrap();
+        let int = second.program().instructions()[0];
+        assert_eq!((int.rs1, int.rs2), (x1, Register::new(2)));
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //! * `IssueQueue::prune`: the full-window term of the horizon dropped;
 //! * `IssueQueue::issue_op`: `Release` items issued with their writes as
 //!   reads.
+//!
+//! The window-1 path, which starts every item at the makespan and keeps no
+//! in-flight deque, was seen to fail under:
+//!
+//! * `IssueQueue::issue`: the serial start read off the picked lane's (or
+//!   the host's) busy time instead of the makespan;
+//! * `IssueQueue::in_flight`: reading 0 after an issue at window 1.
 
 use proptest::prelude::*;
 use sisa_core::{IssueOutcome, IssueQueue, LaneKind, Scoreboard, WriteIntent};

@@ -13,7 +13,7 @@
 use crate::cache::{Cache, CacheConfig};
 use crate::config::CpuConfig;
 use crate::stats::MemoryStats;
-use crate::Cycles;
+use crate::{ceil_cycles, Cycles};
 
 /// The cost of one task (a unit of parallel work) executed on a CPU thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -99,7 +99,7 @@ impl CpuThread {
     /// Executes `n` scalar (non-memory) operations.
     pub fn scalar_ops(&mut self, n: u64) {
         self.stats.scalar_ops += n;
-        self.cycles += (n as f64 / self.cfg.ipc).ceil() as Cycles;
+        self.cycles += ceil_cycles(n as f64 / self.cfg.ipc);
     }
 
     /// Performs one data access of at most one cache line at `addr`.

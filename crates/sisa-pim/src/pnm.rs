@@ -19,7 +19,7 @@
 //! metadata accesses).
 
 use crate::config::PnmConfig;
-use crate::Cycles;
+use crate::{ceil_cycles, Cycles};
 
 /// The near-memory cost model.
 #[derive(Clone, Copy, Debug)]
@@ -51,7 +51,7 @@ impl PnmModel {
         // The in-order core advances both streams together; the longer stream
         // bounds the compare work, which overlaps with the transfers.
         let compute = max / self.cfg.core_ipc;
-        self.cfg.dram_latency + transfer.max(compute).ceil() as Cycles
+        self.cfg.dram_latency + ceil_cycles(transfer.max(compute))
     }
 
     /// Random-access (galloping) cost: the smaller set's elements each binary
@@ -77,7 +77,7 @@ impl PnmModel {
     #[must_use]
     pub fn probe_cost(&self, sparse_len: usize, db_bits: usize) -> Cycles {
         let stream_bytes = (sparse_len * self.cfg.word_bytes) as f64;
-        let transfer = (stream_bytes / self.cfg.effective_stream_bandwidth()).ceil() as Cycles;
+        let transfer = ceil_cycles(stream_bytes / self.cfg.effective_stream_bandwidth());
         let probe = self.probe_latency(db_bits / 8);
         self.cfg.dram_latency + transfer + sparse_len as u64 * probe
     }
@@ -194,7 +194,7 @@ impl LinkModel {
         } else {
             self.cfg.link_bandwidth_bytes_per_cycle
         };
-        let transfer = (bytes as f64 / bandwidth).ceil() as Cycles;
+        let transfer = ceil_cycles(bytes as f64 / bandwidth);
         self.cfg.link_hop_latency * route.hops as u64 + transfer
     }
 }
