@@ -175,7 +175,7 @@ impl<'g> CpuEngine<'g> {
 
     /// Filters a candidate list against `N(v)` with per-element binary probes
     /// (non-set idiom).
-    pub fn probe_filter(&mut self, candidates: &[Vertex], v: Vertex) -> Vec<Vertex> {
+    pub(crate) fn probe_filter(&mut self, candidates: &[Vertex], v: Vertex) -> Vec<Vertex> {
         self.stream_scratch(candidates.len());
         let mut out = Vec::with_capacity(candidates.len());
         for &c in candidates {

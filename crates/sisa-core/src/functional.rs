@@ -11,6 +11,11 @@
 //! engine does) and as the fastest backend for fuzzing set-centric
 //! algorithms, since it skips the SCU, the cache models and all instruction
 //! materialisation.
+//!
+//! Deleting a sorted array keeps its buffer in a small pool, and the next
+//! materialised result the kernels write as a sparse array is written into
+//! one from there: a mining loop that creates and deletes a set per step
+//! reuses a handful of buffers instead of allocating one per result.
 
 use crate::engine::{Dest, Outcome, SetEngine, SetOp};
 use crate::parallel::TaskRecord;
@@ -19,6 +24,9 @@ use crate::Vertex;
 use sisa_isa::SetId;
 use sisa_sets::SetRepr;
 
+/// How many buffers of deleted sorted arrays the store keeps for reuse.
+const SPARE_BUFFERS: usize = 8;
+
 /// A cost-free software backend: real set algebra, zero simulated cycles.
 #[derive(Clone, Debug, Default)]
 pub struct FunctionalEngine {
@@ -26,6 +34,8 @@ pub struct FunctionalEngine {
     free_ids: Vec<u32>,
     universe: usize,
     stats: ExecStats,
+    /// Buffers of deleted or overwritten sorted arrays, for the next results.
+    spare: Vec<Vec<Vertex>>,
 }
 
 impl FunctionalEngine {
@@ -36,10 +46,7 @@ impl FunctionalEngine {
     }
 
     fn slot(&self, id: SetId) -> &SetRepr {
-        self.sets
-            .get(id.0 as usize)
-            .and_then(Option::as_ref)
-            .unwrap_or_else(|| panic!("set {id} does not exist"))
+        stored(&self.sets, id)
     }
 
     fn slot_mut(&mut self, id: SetId) -> &mut SetRepr {
@@ -54,6 +61,37 @@ impl FunctionalEngine {
         self.sets[id.0 as usize] = Some(repr);
         id
     }
+
+    /// Keeps the buffer of a sorted array that is going away, if the pool
+    /// has room.
+    fn recycle(&mut self, repr: SetRepr) {
+        if let SetRepr::Sorted(sorted) = repr {
+            let buffer = sorted.into_vec();
+            if buffer.capacity() > 0 && self.spare.len() < SPARE_BUFFERS {
+                self.spare.push(buffer);
+            }
+        }
+    }
+
+    /// `op`'s result over the stored operands, written into a pooled
+    /// buffer when it is a sparse array.
+    fn combine(&mut self, op: SetOp) -> SetRepr {
+        let (ra, rb) = (stored(&self.sets, op.a), stored(&self.sets, op.b));
+        let mut buffer = self.spare.pop().unwrap_or_default();
+        let result = op.op.combine(ra, rb, &mut buffer);
+        // A result that did not take the buffer hands it back.
+        if buffer.capacity() > 0 {
+            self.spare.push(buffer);
+        }
+        result
+    }
+}
+
+/// The stored set `id`; faults if there is none.
+fn stored(sets: &[Option<SetRepr>], id: SetId) -> &SetRepr {
+    sets.get(id.0 as usize)
+        .and_then(Option::as_ref)
+        .unwrap_or_else(|| panic!("set {id} does not exist"))
 }
 
 impl SetEngine for FunctionalEngine {
@@ -91,8 +129,10 @@ impl SetEngine for FunctionalEngine {
     }
 
     fn delete(&mut self, id: SetId) {
-        let _ = self.slot(id);
+        let repr = self.sets.get_mut(id.0 as usize).and_then(Option::take);
+        let repr = repr.unwrap_or_else(|| panic!("set {id} does not exist"));
         crate::slots::release(&mut self.sets, &mut self.free_ids, id);
+        self.recycle(repr);
     }
 
     fn cardinality(&mut self, id: SetId) -> usize {
@@ -122,15 +162,16 @@ impl SetEngine for FunctionalEngine {
     crate::engine::named_binary_ops!();
 
     fn apply(&mut self, op: SetOp) -> Outcome {
-        let (ra, rb) = (self.slot(op.a), self.slot(op.b));
         match op.dest {
-            Dest::Count => Outcome::Count(op.op.count(ra, rb)),
+            Dest::Count => Outcome::Count(op.op.count(self.slot(op.a), self.slot(op.b))),
             Dest::New => {
-                let result = op.op.combine(ra, rb);
+                let result = self.combine(op);
                 Outcome::Set(self.store(result))
             }
             Dest::InPlace => {
-                *self.slot_mut(op.a) = op.op.combine(ra, rb);
+                let result = self.combine(op);
+                let old = std::mem::replace(self.slot_mut(op.a), result);
+                self.recycle(old);
                 Outcome::Set(op.a)
             }
         }
@@ -179,6 +220,81 @@ mod tests {
         let d = e.create_sorted([9]);
         assert_eq!(c, d);
         assert_eq!(e.live_sets(), 2);
+    }
+
+    /// The pointer to a stored sorted array's members.
+    fn buffer_of(e: &FunctionalEngine, id: SetId) -> *const Vertex {
+        match e.repr(id) {
+            SetRepr::Sorted(s) => s.as_slice().as_ptr(),
+            other => panic!("{id} is not a sorted array: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_recycled_buffer_holds_only_the_new_result() {
+        // Each kernel that writes a sparse result into a pooled buffer: merge
+        // and galloping intersection, SA ∩ DB and SA \ DB probing, and the
+        // in-place form. `b` is the multiples of 3 below 1 200; a long `a`
+        // keeps the sparse pair below the galloping skew.
+        let short: &[Vertex] = &[1, 5, 9, 20, 1_300];
+        let long: Vec<Vertex> = short.iter().copied().chain(2_000..2_040).collect();
+        type Op = fn(&mut FunctionalEngine, SetId, SetId) -> SetId;
+        // (kernel, `a` is long, `b` is dense, operation)
+        let ops: [(&str, bool, bool, Op); 5] = [
+            ("merge", true, false, |e, a, b| e.intersect(a, b)),
+            ("gallop", false, false, |e, a, b| e.intersect(b, a)),
+            ("probe", false, true, |e, a, b| e.intersect(a, b)),
+            ("probe difference", false, true, |e, a, b| {
+                e.difference(a, b)
+            }),
+            ("in place", true, false, |e, a, b| {
+                e.intersect_assign(a, b);
+                a
+            }),
+        ];
+        for (name, long_a, dense_b, op) in ops {
+            let a_members = if long_a { &long[..] } else { short };
+            let want: &[Vertex] = if name == "probe difference" {
+                &[1, 5, 20, 1_300]
+            } else {
+                &[9]
+            };
+            let run = |e: &mut FunctionalEngine| {
+                e.set_universe(20_000);
+                let a = e.create_sorted(a_members.iter().copied());
+                let multiples = (0..400).map(|v| v * 3);
+                let b = if dense_b {
+                    e.create_dense(multiples)
+                } else {
+                    e.create_sorted(multiples)
+                };
+                let c = op(e, a, b);
+                (c, e.members(c), e.repr(c).clone())
+            };
+            let (_, fresh_members, fresh_repr) = run(&mut FunctionalEngine::new());
+
+            // A large set's buffer, full of members the result must not show.
+            let mut e = FunctionalEngine::new();
+            let big = e.create_sorted(0..10_000);
+            let stale = buffer_of(&e, big);
+            e.delete(big);
+            let before = sisa_sets::repr::kernel_selection_counts();
+            let (c, members, repr) = run(&mut e);
+            let after = sisa_sets::repr::kernel_selection_counts();
+            let kernel = match name {
+                "merge" | "in place" => after.merge - before.merge,
+                "gallop" => after.gallop - before.gallop,
+                _ => after.bitmap - before.bitmap,
+            };
+            assert_eq!(kernel, 1, "{name} runs its kernel");
+            assert_eq!(members, want, "{name}");
+            assert_eq!((members, repr), (fresh_members, fresh_repr), "{name}");
+            assert_eq!(
+                buffer_of(&e, c),
+                stale,
+                "{name}: the result reuses the buffer"
+            );
+        }
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! so the table keeps a reverse index from raw set ID to pool slot beside the
 //! per-register bindings. The victim rule on a miss — the lowest-numbered
 //! free register, else the least recently used bound one — is what fixes
-//! which registers a traced program names. It is read off two structures in
-//! constant time: a free mask whose lowest set bit is that free register,
-//! and a recency list of the bound registers whose tail is the LRU one.
+//! which registers a traced program names. It is read off two structures: a
+//! free mask whose lowest set bit is that free register, and the last-touch
+//! stamps of the bound registers (a `slots::Lru`), whose oldest is
+//! the LRU one.
 
-use crate::slots::{slot_mut, Recency};
+use crate::slots::{slot_mut, Lru};
 use sisa_isa::{Register, SetId, SisaInstruction, SisaOpcode};
 
 /// Index of the first general-purpose register used for set IDs (`x1`; `x0`
@@ -59,7 +60,7 @@ pub struct RegisterFile {
     /// Bit `i` is set exactly when `bindings[i]` is `None`.
     free: u32,
     /// The bound slots by last use.
-    recency: Recency,
+    recency: Lru,
     /// The inverse of `bindings`, indexed by raw set ID: the pool slot
     /// holding the ID, or [`UNBOUND`] (also the answer past the end).
     slots: Vec<u8>,
@@ -78,7 +79,7 @@ impl RegisterFile {
         Self {
             bindings: [None; SET_REGISTER_POOL],
             free: ALL_FREE,
-            recency: Recency::new(),
+            recency: Lru::new(),
             slots: Vec::new(),
         }
     }

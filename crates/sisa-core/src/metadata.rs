@@ -7,15 +7,17 @@
 //! when the entry is not cached, "there is a single additional memory access
 //! for one set operation" (§8.4).
 //!
-//! Both structures sit on the priced path of every set instruction, and both
-//! are keyed by set IDs, which the set store mints as dense indices. So both
-//! are flat tables indexed by raw ID: `SetMetadataTable` is one vector of
-//! entries, and [`SmbCache`] is an exact `O(1)` LRU over a `Recency` list.
-//! Their length is the largest ID ever registered or looked up, which is why
-//! only IDs the slot allocator minted may reach them — [`crate::SisaRuntime`]
-//! faults on a dangling operand in its set store before it gets here.
+//! The set store already holds everything an SM entry says — a stored set
+//! knows its representation and its length — so the runtime keeps no second
+//! copy: [`crate::SisaRuntime`] reads a [`SetMetadata`] off the stored set
+//! when it prices an instruction, before the instruction changes it. Only
+//! the SMB's contents are state of their own. [`SmbCache`] is exact LRU over
+//! last-touch stamps, in a flat table indexed by raw set ID. Its length is
+//! the largest ID ever looked up, which is why only IDs the slot allocator
+//! minted may reach it — the runtime faults on a dangling operand in its set
+//! store before it gets here.
 
-use crate::slots::{slot_mut, Recency};
+use crate::slots::Lru;
 use crate::SetId;
 use sisa_sets::RepresentationKind;
 
@@ -25,103 +27,30 @@ use sisa_sets::RepresentationKind;
 pub struct SetMetadata {
     /// Physical representation of the set.
     pub kind: RepresentationKind,
-    /// Current cardinality (kept up to date on every mutation, giving `O(1)`
-    /// cardinality instructions, §6.2.3).
+    /// Current cardinality, which the stored set keeps up to date on every
+    /// mutation (`O(1)` cardinality instructions, §6.2.3).
     pub cardinality: usize,
     /// Universe size for dense bitvectors (and the graph's `n` in general).
     pub universe: usize,
-    /// Synthetic physical base address of the set's storage.
+    /// Unused and always 0: no cost reads a set's address. The field stays
+    /// only because callers outside this crate build entries by struct
+    /// literal.
     pub address: u64,
-}
-
-/// The in-memory SM structure: one metadata entry per set ID.
-///
-/// Set IDs are dense indices minted by the slot allocator of the runtime's
-/// set store, so the table is a plain vector indexed by raw ID.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SetMetadataTable {
-    entries: Vec<Option<SetMetadata>>,
-    next_address: u64,
-}
-
-impl SetMetadataTable {
-    /// Creates an empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-            next_address: 0x4000_0000,
-        }
-    }
-
-    /// Registers a new set and assigns it a synthetic storage address.
-    pub fn register(
-        &mut self,
-        id: SetId,
-        kind: RepresentationKind,
-        cardinality: usize,
-        universe: usize,
-    ) {
-        let bits = match kind {
-            RepresentationKind::DenseBitvector => universe,
-            _ => cardinality * 32,
-        };
-        let address = self.next_address;
-        self.next_address += (bits as u64 / 8).max(64) + 64;
-        *slot_mut(&mut self.entries, id, None) = Some(SetMetadata {
-            kind,
-            cardinality,
-            universe,
-            address,
-        });
-    }
-
-    /// Looks an entry up.
-    #[must_use]
-    pub fn get(&self, id: SetId) -> Option<&SetMetadata> {
-        self.entries.get(id.raw() as usize)?.as_ref()
-    }
-
-    /// Updates the representation and cardinality of an existing entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set was never registered.
-    pub(crate) fn update(&mut self, id: SetId, kind: RepresentationKind, cardinality: usize) {
-        let entry = self
-            .entries
-            .get_mut(id.raw() as usize)
-            .and_then(Option::as_mut)
-            .unwrap_or_else(|| panic!("set {id} has no metadata entry"));
-        entry.kind = kind;
-        entry.cardinality = cardinality;
-    }
-
-    /// Removes an entry (set deletion).
-    pub fn remove(&mut self, id: SetId) {
-        if let Some(entry) = self.entries.get_mut(id.raw() as usize) {
-            *entry = None;
-        }
-    }
 }
 
 /// The Set-Metadata Buffer: a small LRU cache of SM entries held by the SCU.
 ///
-/// Only presence is modelled (the actual metadata lives in
-/// `SetMetadataTable`); the SCU charges the hit latency or the SM-miss
-/// memory access depending on the outcome reported here.
+/// Only presence is modelled (the metadata itself is read off the stored
+/// set); the SCU charges the hit latency or the SM-miss memory access
+/// depending on the outcome reported here.
 ///
-/// The replacement policy is exact LRU in `O(1)` per access: the resident
-/// IDs are the keys of a `Recency` list, so a hit is a splice to the front
-/// and a miss past capacity evicts the list's tail. Every `lookup` and
-/// `prime` moves its ID to the front, which is precisely "give it a stamp
-/// larger than every other" — so the list order *is* the order of last-touch
-/// stamps, and its tail is the minimum-stamp entry a timestamped LRU would
-/// evict.
+/// The replacement policy is exact LRU: every `lookup` and `prime` gives its
+/// ID a stamp larger than every other, and a miss past capacity evicts the
+/// resident ID with the smallest stamp (see `slots::Lru`).
 #[derive(Clone, Debug)]
 pub struct SmbCache {
     capacity: usize,
-    resident: Recency,
+    resident: Lru,
 }
 
 impl SmbCache {
@@ -130,7 +59,7 @@ impl SmbCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            resident: Recency::new(),
+            resident: Lru::new(),
         }
     }
 
@@ -168,41 +97,6 @@ impl SmbCache {
 mod tests {
     use super::*;
     use sisa_isa::SetId;
-
-    #[test]
-    fn register_get_update_remove() {
-        let mut table = SetMetadataTable::new();
-        let id = SetId(7);
-        table.register(id, RepresentationKind::SortedArray, 10, 1000);
-        let entry = *table.get(id).unwrap();
-        assert_eq!(entry.cardinality, 10);
-        assert_eq!(entry.kind, RepresentationKind::SortedArray);
-        table.update(id, RepresentationKind::DenseBitvector, 25);
-        assert_eq!(table.get(id).unwrap().cardinality, 25);
-        assert_eq!(
-            table.get(id).unwrap().kind,
-            RepresentationKind::DenseBitvector
-        );
-        table.remove(id);
-        assert!(table.get(id).is_none());
-    }
-
-    #[test]
-    fn addresses_are_distinct() {
-        let mut table = SetMetadataTable::new();
-        table.register(SetId(1), RepresentationKind::SortedArray, 100, 1000);
-        table.register(SetId(2), RepresentationKind::DenseBitvector, 5, 1000);
-        let a1 = table.get(SetId(1)).unwrap().address;
-        let a2 = table.get(SetId(2)).unwrap().address;
-        assert_ne!(a1, a2);
-    }
-
-    #[test]
-    #[should_panic(expected = "no metadata entry")]
-    fn updating_unknown_set_panics() {
-        let mut table = SetMetadataTable::new();
-        table.update(SetId(3), RepresentationKind::SortedArray, 1);
-    }
 
     #[test]
     fn smb_caches_recent_ids() {

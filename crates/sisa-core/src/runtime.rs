@@ -1,8 +1,8 @@
 //! The SISA runtime: the simulated SISA platform behind [`SetEngine`].
 //!
 //! [`SisaRuntime`] keeps its sets in a [`FunctionalEngine`], which computes
-//! every operation, and owns what prices them: the Set-Metadata table, the
-//! SCU and the issue queue, plus a register file while a trace is attached.
+//! every operation, and owns what prices them: the SCU and the issue queue,
+//! plus a register file while a trace is attached.
 //! Every operation flows through two stages, which touch disjoint state (so
 //! their order within one operation is not observable; the binary
 //! instructions dispatch first, because the issue stage names the set the
@@ -18,9 +18,11 @@
 //!    trace is attached; attaching one starts an empty file (as a replayable
 //!    trace starts with the runtime), and an untraced instruction names `x0`
 //!    throughout.
-//! 2. **Dispatch** — the SCU consults the set metadata (through the SMB),
-//!    chooses SISA-PUM or SISA-PNM and merge vs. galloping (§8.2–§8.3), and
-//!    returns a costed [`DispatchOutcome`]; the runtime absorbs the outcome's
+//! 2. **Dispatch** — the runtime reads each operand's set metadata (its
+//!    representation, cardinality and universe) off the stored set before
+//!    the operation changes it; the SCU charges the SM lookups through the
+//!    SMB, chooses SISA-PUM or SISA-PNM and merge vs. galloping (§8.2–§8.3)
+//!    and returns a costed [`DispatchOutcome`]; the runtime absorbs the outcome's
 //!    cycles/energy into the per-unit work counters and **enqueues** the
 //!    instruction's latency, operand reads and result writes into the
 //!    scoreboarded [`IssueQueue`], which computes where it lands on the
@@ -33,16 +35,15 @@
 //!
 //! Invalid set identifiers are programming errors and panic, mirroring how a
 //! real SISA program would fault on a dangling set ID. Every operation goes
-//! to the store before it issues or dispatches anything, so the fault comes
-//! from there, before any statistic, register binding, trace event or SM
-//! entry changes; the SM entries an operation is priced from still describe
-//! its operands' contents before it ran.
+//! to the store before it issues or dispatches anything — to read its
+//! operands' SM entries, or to run — so the fault comes from there, before
+//! any statistic, register binding, trace event or set changes.
 
 use crate::config::SisaConfig;
 use crate::engine::{Dest, Outcome, SetEngine, SetOp};
 use crate::functional::FunctionalEngine;
 use crate::issue::RegisterFile;
-use crate::metadata::{SetMetadata, SetMetadataTable};
+use crate::metadata::SetMetadata;
 use crate::parallel::TaskRecord;
 use crate::pipeline::{IssueQueue, LaneKind};
 use crate::scu::{DispatchOutcome, ExecutionTarget, Scu};
@@ -59,7 +60,6 @@ pub struct SisaRuntime {
     config: SisaConfig,
     scu: Scu,
     store: FunctionalEngine,
-    metadata: SetMetadataTable,
     stats: ExecStats,
     host_ops_pending: f64,
     task_mark: u64,
@@ -81,7 +81,6 @@ impl SisaRuntime {
             config,
             scu: Scu::new(config.platform, config.variant_selection),
             store: FunctionalEngine::new(),
-            metadata: SetMetadataTable::new(),
             stats: ExecStats::default(),
             host_ops_pending: 0.0,
             task_mark: 0,
@@ -271,35 +270,26 @@ impl SisaRuntime {
         }
     }
 
-    /// Enters the stored set `id` into the SM table: its kind, length and
-    /// universe.
-    fn register(&mut self, id: SetId) {
-        let repr = self.store.repr(id);
-        let (kind, len, universe) = (repr.kind(), repr.len(), self.universe_of(repr));
-        self.metadata.register(id, kind, len, universe);
-    }
-
-    /// Copies the rewritten set `id`'s kind and length into its SM entry.
-    fn update(&mut self, id: SetId) {
-        let repr = self.store.repr(id);
-        self.metadata.update(id, repr.kind(), repr.len());
-    }
-
-    /// The SM entry of a stored set.
+    /// The SM entry of the stored set `id` as it is now: its kind, length
+    /// and universe. Faults if `id` is not stored.
     fn entry(&self, id: SetId) -> SetMetadata {
-        *self
-            .metadata
-            .get(id)
-            .expect("every stored set is registered")
+        let repr = self.store.repr(id);
+        SetMetadata {
+            kind: repr.kind(),
+            cardinality: repr.len(),
+            universe: self.universe_of(repr),
+            address: 0,
+        }
     }
 
     fn element_update(&mut self, id: SetId, v: Vertex, opcode: SisaOpcode, insert: bool) -> bool {
+        // The update is priced on the set as it was before it.
+        let meta = self.entry(id);
         let changed = if insert {
             self.store.insert(id, v)
         } else {
             self.store.remove(id, v)
         };
-        let meta = self.entry(id);
         let instr = self.materialise(opcode, |regs| regs.issue_element(opcode, id));
         self.issued(
             instr,
@@ -319,7 +309,6 @@ impl SisaRuntime {
             &[id],
             &[id],
         );
-        self.update(id);
         changed
     }
 
@@ -406,7 +395,6 @@ impl SetEngine for SisaRuntime {
 
     fn create(&mut self, repr: SetRepr) -> SetId {
         let id = self.store.create(repr);
-        self.register(id);
         let opcode = SisaOpcode::CreateSet;
         let instr = self.materialise(opcode, |regs| regs.issue_lifecycle(opcode, None, Some(id)));
         // The set contents are cloned into the trace only if it keeps them.
@@ -435,9 +423,8 @@ impl SetEngine for SisaRuntime {
                 .scu
                 .pum_model()
                 .bulk_op_cost(sisa_pim::pum::BulkOp::Or, self.universe_of(repr)),
-            _ => self.scu.pnm_model().streaming_cost(repr.len(), 0),
+            _ => self.scu.streaming_cost(repr.len(), 0),
         };
-        self.register(new_id);
         let opcode = SisaOpcode::CloneSet;
         let instr = self.materialise(opcode, |regs| {
             regs.issue_lifecycle(opcode, Some(id), Some(new_id))
@@ -469,7 +456,6 @@ impl SetEngine for SisaRuntime {
         // every in-flight use of the set, and a later create recycling the
         // ID stays behind the delete.
         self.timeline(Some(opcode), LaneKind::Vault, latency, &[], &[id]);
-        self.metadata.remove(id);
         self.scu.invalidate(id);
         if let Some(regs) = &mut self.regs {
             regs.release(id);
@@ -491,8 +477,8 @@ impl SetEngine for SisaRuntime {
     }
 
     fn contains(&mut self, id: SetId, v: Vertex) -> bool {
-        let hit = self.store.contains(id, v);
         let meta = self.entry(id);
+        let hit = self.store.contains(id, v);
         let opcode = SisaOpcode::Membership;
         let instr = self.materialise(opcode, |regs| regs.issue_element(opcode, id));
         self.issued(instr, TraceOp::Membership { id, v });
@@ -511,7 +497,7 @@ impl SetEngine for SisaRuntime {
             SetRepr::Dense(d) => d.universe().div_ceil(32),
             _ => members.len(),
         };
-        let stream_cost = self.scu.pnm_model().streaming_cost(stream_elems, 0);
+        let stream_cost = self.scu.streaming_cost(stream_elems, 0);
         self.stats.pnm_cycles += stream_cost;
         // The read-out streams the set through a vault lane (a read hazard on
         // the set); the per-element host hand-off below lands on the host
@@ -546,17 +532,16 @@ impl SetEngine for SisaRuntime {
 
     crate::engine::named_binary_ops!();
 
-    /// Every form takes the same steps in the same order: compute in the
-    /// store (so a dangling operand faults before any statistic or register
-    /// binding changes), SCU dispatch on the operands' SM entries — which
-    /// still describe them before the operation — enter the written set into
-    /// the SM table, issue, timeline. The forms differ in the kernel that
-    /// computes and in what is written — a new set, nothing, or `A` itself
-    /// (`rd = rs1`).
+    /// Every form takes the same steps in the same order: read the operands'
+    /// SM entries off the store (so a dangling operand faults before anything
+    /// changes, and an in-place form is priced on `A` before it), compute in
+    /// the store, SCU dispatch, issue, timeline. The forms differ in the
+    /// kernel that computes and in what is written — a new set, nothing, or
+    /// `A` itself (`rd = rs1`).
     fn apply(&mut self, op: SetOp) -> Outcome {
         let (kind, a, b, dest) = (op.op, op.a, op.b, op.dest);
-        let outcome = self.store.apply(op);
         let (ma, mb) = (self.entry(a), self.entry(b));
+        let outcome = self.store.apply(op);
         let dispatched = self
             .scu
             .dispatch_binary(kind, dest == Dest::Count, a, &ma, b, &mb);
@@ -567,13 +552,10 @@ impl SetEngine for SisaRuntime {
         self.apply_outcome(&dispatched, Some(dispatched.choice));
         let written = match outcome {
             Outcome::Count(_) => None,
-            Outcome::Set(id) if dest == Dest::New => {
-                self.register(id);
-                self.scu.prime(id);
-                Some(id)
-            }
             Outcome::Set(id) => {
-                self.update(id);
+                if dest == Dest::New {
+                    self.scu.prime(id);
+                }
                 Some(id)
             }
         };
@@ -847,6 +829,103 @@ mod tests {
         assert_eq!(rt.members(a), vec![3, 4, 5]);
         rt.difference_assign(a, b);
         assert!(rt.members(a).is_empty());
+    }
+
+    #[test]
+    fn sm_entries_follow_the_stored_set() {
+        let mut rt = runtime();
+        let a = rt.create_sorted([1, 2, 3]);
+        let b = rt.create_dense([3, 4]);
+        let entry = |rt: &SisaRuntime, id| {
+            let m = rt.entry(id);
+            (m.kind, m.cardinality, m.universe, m.address)
+        };
+        assert_eq!(entry(&rt, a), (RepresentationKind::SortedArray, 3, 256, 0));
+        assert_eq!(
+            entry(&rt, b),
+            (RepresentationKind::DenseBitvector, 2, 256, 0)
+        );
+        rt.insert(a, 9);
+        assert_eq!(entry(&rt, a).1, 4);
+        // A sorted array united with a bitvector becomes a bitvector.
+        rt.union_assign(a, b);
+        assert_eq!(
+            entry(&rt, a),
+            (RepresentationKind::DenseBitvector, 5, 256, 0)
+        );
+        let c = rt.clone_set(a);
+        assert_eq!(entry(&rt, c), entry(&rt, a));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not exist")]
+    fn the_entry_of_a_deleted_set_faults() {
+        let mut rt = runtime();
+        let a = rt.create_sorted([1]);
+        rt.delete(a);
+        let _ = rt.entry(a);
+    }
+
+    // An operation is priced on its operands as they were before it. The
+    // test below was seen to fail when `element_update` read the entry after
+    // `store.insert` / `store.remove`, and when `apply` read the operands'
+    // entries after `store.apply`.
+
+    /// The PNM cycles `f` charges.
+    fn pnm_charge(rt: &mut SisaRuntime, f: impl FnOnce(&mut SisaRuntime)) -> u64 {
+        let before = rt.stats().pnm_cycles;
+        f(rt);
+        rt.stats().pnm_cycles - before
+    }
+
+    #[test]
+    fn updates_are_priced_on_the_set_before_them() {
+        let pnm = sisa_pim::PnmModel::new(SisaConfig::default().platform.pnm);
+        let element = |len: usize| pnm.element_update_cost() + pnm.streaming_cost(len / 2, 0);
+        let mut rt = SisaRuntime::with_defaults();
+        rt.set_universe(4_096);
+        // 1 001 members: half the length moves from 500 to 501 on an insert
+        // and back on a remove, so a read after the update prices another
+        // shift.
+        let a = rt.create_sorted((0..1_001).map(|v| v * 2));
+        assert_ne!(element(1_001), element(1_002));
+        assert_eq!(
+            pnm_charge(&mut rt, |rt| assert!(rt.insert(a, 1))),
+            element(1_001)
+        );
+        assert_eq!(
+            pnm_charge(&mut rt, |rt| assert!(rt.remove(a, 1))),
+            element(1_002)
+        );
+
+        // `A ∩= B` shrinks `A` from 2 000 members to 10: priced at 2 000.
+        let a = rt.create_sorted(0..2_000);
+        let b = rt.create_sorted(0..10);
+        let sparse =
+            |x: usize, y: usize| pnm.streaming_cost(x, y).min(pnm.random_access_cost(x, y));
+        assert_ne!(sparse(2_000, 10), sparse(10, 10));
+        assert_eq!(
+            pnm_charge(&mut rt, |rt| rt.intersect_assign(a, b)),
+            sparse(2_000, 10)
+        );
+        assert_eq!(rt.cardinality(a), 10);
+    }
+
+    #[test]
+    fn a_sparse_set_is_priced_in_the_current_universe() {
+        // A sparse set's SM universe is the store's universe when it is
+        // priced, not when it was created: grown after both operands exist,
+        // it sizes the dense operand's bit probes in an SA ∩ DB.
+        let pnm = sisa_pim::PnmModel::new(SisaConfig::default().platform.pnm);
+        let mut rt = runtime();
+        let sparse = rt.create_sorted([1, 2, 3]);
+        let dense = rt.create_dense([2, 3]);
+        rt.set_universe(1 << 20);
+        assert_ne!(pnm.probe_cost(3, 1 << 20), pnm.probe_cost(3, 256));
+        let charged = pnm_charge(&mut rt, |rt| {
+            assert_eq!(rt.intersect_count(sparse, dense), 2)
+        });
+        assert_eq!(charged, pnm.probe_cost(3, 1 << 20));
     }
 
     #[test]

@@ -13,10 +13,19 @@
 //! Each dispatch also charges the SCU's own overheads: a fixed decode delay
 //! plus set-metadata lookups that hit in the SMB or fall through to a memory
 //! access (§8.4).
+//!
+//! The §8.3 sparse costs are closed forms over operand lengths, and each
+//! splits into terms of one length alone: merge streaming depends on the
+//! longer operand only, a galloping search on the larger one, SA ∩ DB
+//! probing on the sparse length plus a per-bit probe of the universe. The
+//! SCU keeps one table per such term, indexed by length and filled from the
+//! closed form itself the first time a length is priced, so a dispatch looks
+//! its costs up instead of evaluating floating-point divides and roundings;
+//! every entry is the closed form's value, bit for bit.
 
 use crate::config::VariantSelection;
 use crate::metadata::{SetMetadata, SmbCache};
-use crate::SetId;
+use crate::{SetId, Vertex};
 use sisa_pim::pum::BulkOp;
 use sisa_pim::{Cycles, EnergyModel, PimPlatform, PnmModel, PumModel};
 use sisa_sets::{RepresentationKind, SetRepr};
@@ -44,13 +53,15 @@ impl BinarySetOp {
         }
     }
 
-    /// Functionally applies the operation to two representations.
+    /// Functionally applies the operation to two representations. A result
+    /// the kernels write as a sparse array takes over `buf`'s buffer (see
+    /// [`SetRepr::intersect_into`]); otherwise `buf` is left as it was.
     #[must_use]
-    pub fn combine(self, a: &SetRepr, b: &SetRepr) -> SetRepr {
+    pub fn combine(self, a: &SetRepr, b: &SetRepr, buf: &mut Vec<Vertex>) -> SetRepr {
         match self {
-            Self::Intersection => a.intersect(b),
+            Self::Intersection => a.intersect_into(b, buf),
             Self::Union => a.union(b),
-            Self::Difference => a.difference(b),
+            Self::Difference => a.difference_into(b, buf),
         }
     }
 
@@ -129,6 +140,37 @@ impl DispatchOutcome {
     }
 }
 
+/// Lengths below which the SCU tabulates a per-length cost; a longer operand
+/// is priced from the closed form directly, so a table holds at most this
+/// many entries.
+const TABLE_LENGTHS: usize = 1 << 16;
+
+/// One per-length cost term, tabulated: `costs[len]` is the term's closed
+/// form at `len`, for every length up to the longest priced so far.
+#[derive(Clone, Debug, Default)]
+struct LengthTable {
+    costs: Vec<Cycles>,
+}
+
+impl LengthTable {
+    /// The term at `len`: `cost(len)`, looked up once it has been computed.
+    #[inline]
+    fn get(&mut self, len: usize, cost: impl Fn(usize) -> Cycles) -> Cycles {
+        match self.costs.get(len) {
+            Some(&cycles) => cycles,
+            None if len < TABLE_LENGTHS => self.fill(len, cost),
+            None => cost(len),
+        }
+    }
+
+    /// Extends the table through `len` from the closed form.
+    #[cold]
+    fn fill(&mut self, len: usize, cost: impl Fn(usize) -> Cycles) -> Cycles {
+        self.costs.extend((self.costs.len()..=len).map(cost));
+        self.costs[len]
+    }
+}
+
 /// The SISA Controller Unit.
 #[derive(Clone, Debug)]
 pub struct Scu {
@@ -138,6 +180,14 @@ pub struct Scu {
     smb: SmbCache,
     selection: VariantSelection,
     energy: EnergyModel,
+    /// [`PnmModel::streaming_cost`] by the longer operand's length.
+    streaming: LengthTable,
+    /// [`PnmModel::galloping_search_cost`] by the larger operand's length.
+    search: LengthTable,
+    /// [`PnmModel::probe_stream_cost`] by the sparse operand's length.
+    probe_stream: LengthTable,
+    /// The last universe probed and [`PnmModel::bit_probe_cost`] at it.
+    bit_probe: Option<(usize, Cycles)>,
 }
 
 impl Scu {
@@ -151,6 +201,10 @@ impl Scu {
             smb: SmbCache::new(platform.smb_entries),
             selection,
             energy: EnergyModel::default(),
+            streaming: LengthTable::default(),
+            search: LengthTable::default(),
+            probe_stream: LengthTable::default(),
+            bit_probe: None,
         }
     }
 
@@ -158,12 +212,6 @@ impl Scu {
     #[must_use]
     pub fn platform(&self) -> &PimPlatform {
         &self.platform
-    }
-
-    /// The near-memory cost model (exposed for the harness's model plots).
-    #[must_use]
-    pub(crate) fn pnm_model(&self) -> &PnmModel {
-        &self.pnm
     }
 
     /// The in-situ cost model.
@@ -208,35 +256,69 @@ impl Scu {
         }
     }
 
+    /// [`PnmModel::streaming_cost`] of operands of `a_len` and `b_len`
+    /// elements, which depends on the longer one only.
+    pub(crate) fn streaming_cost(&mut self, a_len: usize, b_len: usize) -> Cycles {
+        let pnm = self.pnm;
+        self.streaming
+            .get(a_len.max(b_len), |len| pnm.streaming_cost(len, 0))
+    }
+
+    /// [`PnmModel::random_access_cost`] of operands of `a_len` and `b_len`
+    /// elements: a galloping search of the larger per element of the smaller.
+    fn random_access_cost(&mut self, a_len: usize, b_len: usize) -> Cycles {
+        let (small, large) = (a_len.min(b_len), a_len.max(b_len));
+        let latency = self.pnm.config().dram_latency;
+        if small == 0 {
+            return latency;
+        }
+        let pnm = self.pnm;
+        let search = self.search.get(large, |len| pnm.galloping_search_cost(len));
+        latency + small as u64 * search
+    }
+
+    /// [`PnmModel::probe_cost`] of probing `sparse_len` elements into a
+    /// dense bitvector of `db_bits` bits.
+    fn probe_cost(&mut self, sparse_len: usize, db_bits: usize) -> Cycles {
+        let bit_probe = match self.bit_probe {
+            Some((bits, cycles)) if bits == db_bits => cycles,
+            _ => {
+                let cycles = self.pnm.bit_probe_cost(db_bits);
+                self.bit_probe = Some((db_bits, cycles));
+                cycles
+            }
+        };
+        let pnm = self.pnm;
+        let stream = self
+            .probe_stream
+            .get(sparse_len, |len| pnm.probe_stream_cost(len));
+        stream + sparse_len as u64 * bit_probe
+    }
+
     /// The merge-vs-galloping choice with the §8.3 cost of the chosen
     /// variant, each model evaluated at most once.
-    fn sparse_variant(&self, a_len: usize, b_len: usize) -> (ExecutionChoice, Cycles) {
-        let merge = || {
-            (
-                ExecutionChoice::PnmMerge,
-                self.pnm.streaming_cost(a_len, b_len),
-            )
-        };
-        let gallop = || {
+    fn sparse_variant(&mut self, a_len: usize, b_len: usize) -> (ExecutionChoice, Cycles) {
+        let merge = |scu: &mut Self| (ExecutionChoice::PnmMerge, scu.streaming_cost(a_len, b_len));
+        let gallop = |scu: &mut Self| {
             (
                 ExecutionChoice::PnmGalloping,
-                self.pnm.random_access_cost(a_len, b_len),
+                scu.random_access_cost(a_len, b_len),
             )
         };
         match self.selection {
-            VariantSelection::AlwaysMerge => merge(),
-            VariantSelection::AlwaysGalloping => gallop(),
+            VariantSelection::AlwaysMerge => merge(self),
+            VariantSelection::AlwaysGalloping => gallop(self),
             VariantSelection::SizeRatio(threshold) => {
                 let small = a_len.min(b_len).max(1) as f64;
                 let large = a_len.max(b_len) as f64;
                 if large / small >= threshold {
-                    gallop()
+                    gallop(self)
                 } else {
-                    merge()
+                    merge(self)
                 }
             }
             VariantSelection::PerformanceModel => {
-                let (merge, gallop) = (merge(), gallop());
+                let (merge, gallop) = (merge(self), gallop(self));
                 if gallop.1 < merge.1 {
                     gallop
                 } else {
@@ -278,7 +360,7 @@ impl Scu {
                 } else {
                     a.cardinality
                 };
-                let mut cycles = self.pnm.probe_cost(sparse_len, universe_bits);
+                let mut cycles = self.probe_cost(sparse_len, universe_bits);
                 let mut energy = self
                     .energy
                     .pnm_energy((sparse_len * 4) as u64, sparse_len as u64);
@@ -322,7 +404,7 @@ impl Scu {
             // element shifting the paper notes costs O(|A|); we charge the
             // streaming cost of half the array.
             RepresentationKind::SortedArray => {
-                self.pnm.element_update_cost() + self.pnm.streaming_cost(meta.cardinality / 2, 0)
+                self.pnm.element_update_cost() + self.streaming_cost(meta.cardinality / 2, 0)
             }
             RepresentationKind::UnsortedArray => self.pnm.element_update_cost(),
         };
@@ -423,22 +505,91 @@ mod tests {
     #[test]
     fn selection_policies_are_respected() {
         let platform = PimPlatform::default();
-        let merge_only = Scu::new(platform, VariantSelection::AlwaysMerge);
+        let mut merge_only = Scu::new(platform, VariantSelection::AlwaysMerge);
         assert_eq!(
             merge_only.sparse_variant(1, 1_000_000).0,
             ExecutionChoice::PnmMerge
         );
-        let gallop_only = Scu::new(platform, VariantSelection::AlwaysGalloping);
+        let mut gallop_only = Scu::new(platform, VariantSelection::AlwaysGalloping);
         assert_eq!(
             gallop_only.sparse_variant(500, 500).0,
             ExecutionChoice::PnmGalloping
         );
-        let ratio = Scu::new(platform, VariantSelection::SizeRatio(5.0));
+        let mut ratio = Scu::new(platform, VariantSelection::SizeRatio(5.0));
         assert_eq!(ratio.sparse_variant(10, 49).0, ExecutionChoice::PnmMerge);
         assert_eq!(
             ratio.sparse_variant(10, 51).0,
             ExecutionChoice::PnmGalloping
         );
+    }
+
+    /// What [`Scu::dispatch_binary`] must charge, computed from the PNM,
+    /// PUM and energy models directly: the choice, the execution cycles and
+    /// the energy's bits.
+    fn priced_by_the_models(
+        selection: VariantSelection,
+        op: BinarySetOp,
+        count_only: bool,
+        a: &SetMetadata,
+        b: &SetMetadata,
+    ) -> (ExecutionChoice, Cycles, u64) {
+        let platform = PimPlatform::default();
+        let (pnm, pum) = (PnmModel::new(platform.pnm), PumModel::new(platform.pum));
+        let energy = EnergyModel::default();
+        let bits = a.universe.max(b.universe);
+        let dense = |m: &SetMetadata| m.kind == RepresentationKind::DenseBitvector;
+        let (choice, cycles, nj) = match (dense(a), dense(b)) {
+            (true, true) => {
+                let bulk = op.bulk_op();
+                let cycles = if count_only {
+                    pum.bulk_op_count_cost(bulk, bits)
+                } else {
+                    pum.bulk_op_cost(bulk, bits)
+                };
+                let nj = energy.pum_energy(pum.row_activations(bulk, bits));
+                (ExecutionChoice::PumBulk(bulk), cycles, nj)
+            }
+            (true, false) | (false, true) => {
+                let len = if dense(a) {
+                    b.cardinality
+                } else {
+                    a.cardinality
+                };
+                let mut cycles = pnm.probe_cost(len, bits);
+                let mut nj = energy.pnm_energy((len * 4) as u64, len as u64);
+                if op != BinarySetOp::Intersection && !count_only {
+                    cycles += pum.bulk_op_cost(BulkOp::Or, bits);
+                    nj += energy.pum_energy(pum.row_activations(BulkOp::Or, bits));
+                }
+                (ExecutionChoice::PnmProbe, cycles, nj)
+            }
+            (false, false) => {
+                let (x, y) = (a.cardinality, b.cardinality);
+                let merge = (ExecutionChoice::PnmMerge, pnm.streaming_cost(x, y));
+                let gallop = (ExecutionChoice::PnmGalloping, pnm.random_access_cost(x, y));
+                let (choice, cycles) = match selection {
+                    VariantSelection::AlwaysMerge => merge,
+                    VariantSelection::AlwaysGalloping => gallop,
+                    VariantSelection::SizeRatio(t) => {
+                        if x.max(y) as f64 / x.min(y).max(1) as f64 >= t {
+                            gallop
+                        } else {
+                            merge
+                        }
+                    }
+                    VariantSelection::PerformanceModel => {
+                        if gallop.1 < merge.1 {
+                            gallop
+                        } else {
+                            merge
+                        }
+                    }
+                };
+                let nj = energy.pnm_energy(((x + y) * 4) as u64, (x + y) as u64);
+                (choice, cycles, nj)
+            }
+        };
+        (choice, cycles, nj.to_bits())
     }
 
     #[test]
@@ -455,6 +606,23 @@ mod tests {
             ExecutionChoice::PnmMerge,
             "a tie keeps merge"
         );
+        // Every length through 4 096, and a few past the tables' reach; each
+        // against a few partners, so both orders and both ends are priced.
+        let lengths = (0..=4_096).chain([65_535, 65_536, 100_000, 250_000, 1_000_000]);
+        let pairs: Vec<(usize, usize)> = lengths
+            .flat_map(|n| [(n, n), (n, 3), (4_096 - n.min(4_096), n), (n, 1_000_000)])
+            .chain([tie])
+            .collect();
+        let kinds = [
+            RepresentationKind::SortedArray,
+            RepresentationKind::UnsortedArray,
+            RepresentationKind::DenseBitvector,
+        ];
+        let ops = [
+            BinarySetOp::Intersection,
+            BinarySetOp::Union,
+            BinarySetOp::Difference,
+        ];
         let policies = [
             VariantSelection::AlwaysMerge,
             VariantSelection::AlwaysGalloping,
@@ -462,22 +630,35 @@ mod tests {
             VariantSelection::PerformanceModel,
         ];
         for selection in policies {
-            let mut s = Scu::new(platform, selection);
-            for (a_len, b_len) in [(5_000, 6_000), (4, 900_000), (10, 51), tie] {
-                let a = meta(RepresentationKind::SortedArray, a_len, 1_000_000);
-                let b = meta(RepresentationKind::SortedArray, b_len, 1_000_000);
-                let out =
-                    s.dispatch_binary(BinarySetOp::Intersection, false, SetId(1), &a, SetId(2), &b);
-                let choice = s.sparse_variant(a_len, b_len).0;
-                let cost = match choice {
-                    ExecutionChoice::PnmGalloping => pnm.random_access_cost(a_len, b_len),
-                    _ => pnm.streaming_cost(a_len, b_len),
-                };
-                assert_eq!(
-                    (out.choice, out.exec_cycles),
-                    (choice, cost),
-                    "{selection:?} at {a_len} x {b_len}"
-                );
+            // One SCU meets the lengths in order and one in reverse, so no
+            // entry depends on how far a table had grown when it was read.
+            let mut scus = [Scu::new(platform, selection), Scu::new(platform, selection)];
+            for (k, (ka, kb)) in kinds
+                .iter()
+                .flat_map(|&ka| kinds.map(|kb| (ka, kb)))
+                .enumerate()
+            {
+                for (s, scu) in scus.iter_mut().enumerate() {
+                    let mut order: Vec<usize> = (0..pairs.len()).collect();
+                    if s == 1 {
+                        order.reverse();
+                    }
+                    for i in order {
+                        let (a_len, b_len) = pairs[i];
+                        let op = ops[(i + k) % 3];
+                        let count_only = (i / 3) % 2 == 0;
+                        // The universe changes from pair to pair too.
+                        let universe = [5_000, 1 << 20, 300_000][i % 3];
+                        let a = meta(ka, a_len, universe);
+                        let b = meta(kb, b_len, 1 << 12);
+                        let out = scu.dispatch_binary(op, count_only, SetId(1), &a, SetId(2), &b);
+                        assert_eq!(
+                            (out.choice, out.exec_cycles, out.energy_nj.to_bits()),
+                            priced_by_the_models(selection, op, count_only, &a, &b),
+                            "{selection:?} {op:?} count {count_only} {ka:?} {a_len} x {kb:?} {b_len}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -8,8 +8,8 @@
 //! one set store ([`crate::FunctionalEngine`], which the priced engines keep
 //! their sets in) and the sharded engine's placement table.
 //!
-//! [`Recency`] is the exact `O(1)` LRU order the register file and the SMB
-//! both rank their entries by.
+//! [`Lru`] is the exact LRU order, kept as last-touch stamps, that the
+//! register file and the SMB both rank their entries by.
 
 use sisa_isa::SetId;
 
@@ -42,93 +42,111 @@ pub(crate) fn slot_mut<T: Clone>(table: &mut Vec<T>, id: SetId, empty: T) -> &mu
     &mut table[index]
 }
 
-/// The end of a [`Recency`] list.
-const NIL: u32 = u32::MAX;
-
-/// The `newer` link of a key off a [`Recency`] list.
-const UNLISTED: u32 = u32::MAX - 1;
-
-/// Keys ordered by last use, as a doubly linked list threaded through a
-/// vector indexed by key: touching a key splices it to the newest end in
-/// `O(1)`, and the oldest end is the least recently used key. Each owner
-/// keeps its own policy on top — which key to claim, when to evict.
+/// Keys ordered by last use: exact LRU over small integer keys, kept as
+/// last-touch stamps. Each owner keeps its own policy on top — which key to
+/// claim, when to evict.
+///
+/// A touch is one stamp store. The least recently used key is found through
+/// `by_age`, the listed keys sorted by stamp when it was last rebuilt: it is
+/// popped oldest first, and an entry whose key's stamp has changed since (the
+/// key was touched again, or taken off the list) is skipped. Every stamp
+/// written after the rebuild is larger than every stamp it sorted, so the
+/// first entry whose stamp is unchanged is the true least recently used key.
+/// The list is rebuilt only once it runs out; each entry is popped once, and
+/// a skipped one stands for a touch or a removal since, so the sort costs
+/// amortised `O(log n)` per operation.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Recency {
-    /// `links[key]` is `key`'s `(newer, older)` neighbours: [`NIL`] past
-    /// either end, and `newer` is [`UNLISTED`] while `key` is off the list.
-    links: Vec<(u32, u32)>,
-    /// The most and least recently touched keys ([`NIL`] when empty).
-    newest: u32,
-    oldest: u32,
-    len: usize,
+pub(crate) struct Lru {
+    /// `entries[key]` is `key`'s last-touch stamp (0 while it is off the
+    /// list) and its index in `listed`.
+    entries: Vec<(u64, u32)>,
+    /// The listed keys, in no particular order.
+    listed: Vec<u32>,
+    /// `(stamp, key)` of the keys listed at the last rebuild, newest first.
+    by_age: Vec<(u64, u32)>,
+    /// The last stamp handed out.
+    clock: u64,
 }
 
-impl Recency {
+impl Lru {
     pub(crate) fn new() -> Self {
-        Self {
-            newest: NIL,
-            oldest: NIL,
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Number of listed keys.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.listed.len()
     }
 
     /// Makes `key` the most recently used, listing it if it was not;
     /// returns whether it was listed.
+    #[inline]
     pub(crate) fn touch(&mut self, key: u32) -> bool {
-        if self.newest == key {
-            return true;
-        }
-        let was_listed = self.remove(key);
-        if key as usize >= self.links.len() {
+        if key as usize >= self.entries.len() {
             self.grow(key as usize);
         }
-        self.links[key as usize] = (NIL, self.newest);
-        match self.newest {
-            NIL => self.oldest = key,
-            head => self.links[head as usize].0 = key,
+        self.clock += 1;
+        let entry = &mut self.entries[key as usize];
+        let was_listed = entry.0 != 0;
+        entry.0 = self.clock;
+        if !was_listed {
+            entry.1 = self.listed.len() as u32;
+            self.listed.push(key);
         }
-        self.newest = key;
-        self.len += 1;
         was_listed
     }
 
     /// Takes `key` off the list; returns whether it was listed.
     pub(crate) fn remove(&mut self, key: u32) -> bool {
-        let Some(&(newer, older)) = self.links.get(key as usize) else {
+        let Some(&(stamp, index)) = self.entries.get(key as usize) else {
             return false;
         };
-        if newer == UNLISTED {
+        if stamp == 0 {
             return false;
         }
-        self.links[key as usize].0 = UNLISTED;
-        match newer {
-            NIL => self.newest = older,
-            newer => self.links[newer as usize].1 = older,
+        self.entries[key as usize].0 = 0;
+        self.listed.swap_remove(index as usize);
+        if let Some(&moved) = self.listed.get(index as usize) {
+            self.entries[moved as usize].1 = index;
         }
-        match older {
-            NIL => self.oldest = newer,
-            older => self.links[older as usize].0 = newer,
-        }
-        self.len -= 1;
         true
     }
 
     /// Takes the least recently used key off the list, if any.
     pub(crate) fn pop_oldest(&mut self) -> Option<u32> {
-        let oldest = self.oldest;
-        self.remove(oldest).then_some(oldest)
+        loop {
+            let Some((stamp, key)) = self.by_age.pop() else {
+                if self.listed.is_empty() {
+                    return None;
+                }
+                self.rebuild();
+                continue;
+            };
+            if self.entries[key as usize].0 == stamp {
+                self.remove(key);
+                return Some(key);
+            }
+        }
+    }
+
+    /// Sorts the listed keys by stamp into `by_age`, newest first.
+    #[cold]
+    fn rebuild(&mut self) {
+        let entries = &self.entries;
+        self.by_age.clear();
+        self.by_age.extend(
+            self.listed
+                .iter()
+                .map(|&key| (entries[key as usize].0, key)),
+        );
+        self.by_age.sort_unstable_by(|x, y| y.cmp(x));
     }
 
     /// Extends the table to hold `index`; kept out of line, so `touch` stays
     /// small enough to inline into its callers' per-instruction paths.
     #[cold]
     fn grow(&mut self, index: usize) {
-        self.links.resize(index + 1, (UNLISTED, NIL));
+        self.entries.resize(index + 1, (0, 0));
     }
 }
 
@@ -154,7 +172,7 @@ mod tests {
 
     #[test]
     fn recency_evicts_the_least_recently_touched_key() {
-        let mut list = Recency::new();
+        let mut list = Lru::new();
         for key in [3, 1, 2] {
             assert!(!list.touch(key));
         }

@@ -237,3 +237,105 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The SMB against a reference LRU
+// ---------------------------------------------------------------------------
+//
+// `SmbCache` keeps exact LRU by last-touch stamps (`slots::Lru`). The test
+// below drives seeded random `lookup` / `prime` / `invalidate` sequences
+// through it and through `ModelSmb`, the resident IDs in a `Vec` ordered by
+// recency, and requires every lookup to agree. It was seen to fail under
+// each of these mutations of `slots.rs`:
+//
+// * `Lru::pop_oldest` evicting the oldest entry of the sorted list without
+//   checking its stamp, so a key re-touched since the list was rebuilt is
+//   evicted;
+// * `Lru::remove` leaving `listed` (and with it `len`) unchanged, so an
+//   invalidated ID still takes room and the buffer evicts too early.
+
+use sisa_core::SmbCache;
+
+/// The resident IDs, least recently used first.
+struct ModelSmb {
+    capacity: usize,
+    resident: Vec<u32>,
+}
+
+impl ModelSmb {
+    fn lookup(&mut self, raw: u32) -> bool {
+        let hit = match self.resident.iter().position(|&r| r == raw) {
+            Some(i) => {
+                self.resident.remove(i);
+                true
+            }
+            None => false,
+        };
+        self.resident.push(raw);
+        if self.resident.len() > self.capacity {
+            self.resident.remove(0);
+        }
+        hit
+    }
+
+    fn invalidate(&mut self, raw: u32) {
+        self.resident.retain(|&r| r != raw);
+    }
+}
+
+/// A splitmix64 stream: the same sequence on every run.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn the_smb_matches_a_reference_lru() {
+    // (capacity, IDs drawn from, steps, seeds): more IDs than entries, so
+    // evictions are common, and enough steps to rebuild the age list often.
+    for (capacity, ids, steps, seeds) in [
+        (1, 4, 4_000, 8),
+        (2, 6, 4_000, 8),
+        (7, 20, 6_000, 8),
+        (2_048, 3_000, 20_000, 2),
+    ] {
+        for seed in 0..seeds {
+            let mut state = seed;
+            let mut model = ModelSmb {
+                capacity,
+                resident: Vec::new(),
+            };
+            let mut smb = SmbCache::new(capacity);
+            for step in 0..steps {
+                let x = splitmix(&mut state);
+                let raw = ((x >> 8) % ids) as u32;
+                match x % 8 {
+                    0..=4 => assert_eq!(
+                        smb.lookup(SetId(raw)),
+                        model.lookup(raw),
+                        "capacity {capacity}, seed {seed}, step {step}: lookup {raw}"
+                    ),
+                    5 | 6 => {
+                        smb.prime(SetId(raw));
+                        model.lookup(raw);
+                    }
+                    _ => {
+                        smb.invalidate(SetId(raw));
+                        model.invalidate(raw);
+                    }
+                }
+            }
+            // Every resident ID hits, oldest first (each lookup of a resident
+            // ID leaves the rest resident).
+            for raw in model.resident.clone() {
+                assert!(
+                    smb.lookup(SetId(raw)),
+                    "capacity {capacity}, seed {seed}: {raw}"
+                );
+            }
+        }
+    }
+}

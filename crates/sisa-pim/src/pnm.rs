@@ -63,23 +63,44 @@ impl PnmModel {
     #[must_use]
     pub fn random_access_cost(&self, a_len: usize, b_len: usize) -> Cycles {
         let small = a_len.min(b_len) as u64;
-        let large = a_len.max(b_len) as u64;
+        let large = a_len.max(b_len);
         if small == 0 || large == 0 {
             return self.cfg.dram_latency;
         }
-        let probes = small * (64 - large.leading_zeros() as u64).max(1);
-        let probe_cost = self.probe_latency(large as usize * self.cfg.word_bytes);
-        self.cfg.dram_latency + probes * probe_cost
+        self.cfg.dram_latency + small * self.galloping_search_cost(large)
+    }
+
+    /// One element's binary search of a sorted set of `large > 0` elements in
+    /// [`PnmModel::random_access_cost`]: `log₂(large)` dependent probes
+    /// (at least one), each at the probe latency of the set's footprint.
+    #[must_use]
+    pub fn galloping_search_cost(&self, large: usize) -> Cycles {
+        let probes = (64 - (large as u64).leading_zeros() as u64).max(1);
+        probes * self.probe_latency(large * self.cfg.word_bytes)
     }
 
     /// Probing cost for an SA ∩ DB style operation: stream the sparse array
     /// and perform one bit probe per element into the dense bitvector.
     #[must_use]
     pub fn probe_cost(&self, sparse_len: usize, db_bits: usize) -> Cycles {
+        self.probe_stream_cost(sparse_len) + sparse_len as u64 * self.bit_probe_cost(db_bits)
+    }
+
+    /// The part of [`PnmModel::probe_cost`] that depends on the sparse
+    /// array alone: the access latency plus streaming its `sparse_len`
+    /// elements in.
+    #[must_use]
+    pub fn probe_stream_cost(&self, sparse_len: usize) -> Cycles {
         let stream_bytes = (sparse_len * self.cfg.word_bytes) as f64;
         let transfer = ceil_cycles(stream_bytes / self.cfg.effective_stream_bandwidth());
-        let probe = self.probe_latency(db_bits / 8);
-        self.cfg.dram_latency + transfer + sparse_len as u64 * probe
+        self.cfg.dram_latency + transfer
+    }
+
+    /// One bit probe into a dense bitvector of `db_bits` bits, as
+    /// [`PnmModel::probe_cost`] charges it per sparse element.
+    #[must_use]
+    pub fn bit_probe_cost(&self, db_bits: usize) -> Cycles {
+        self.probe_latency(db_bits / 8)
     }
 
     /// Single-element update (`A ∪ {x}` / `A \ {x}` on a sparse array, or a

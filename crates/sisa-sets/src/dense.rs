@@ -181,22 +181,6 @@ impl DenseBitVector {
         self.combine(other, kernels::xor_into)
     }
 
-    /// Bitwise AND into an existing bitvector, reusing its word storage (no
-    /// allocation once `out`'s buffer has reached this universe's word count).
-    pub fn and_into(&self, other: &Self, out: &mut Self) {
-        self.combine_reusing(other, out, kernels::and_into);
-    }
-
-    /// Bitwise OR into an existing bitvector, reusing its word storage.
-    pub fn or_into(&self, other: &Self, out: &mut Self) {
-        self.combine_reusing(other, out, kernels::or_into);
-    }
-
-    /// Bitwise AND-NOT into an existing bitvector, reusing its word storage.
-    pub fn and_not_into(&self, other: &Self, out: &mut Self) {
-        self.combine_reusing(other, out, kernels::and_not_into);
-    }
-
     /// Complement within the universe.
     #[must_use]
     pub fn not(&self) -> Self {
@@ -268,19 +252,6 @@ impl DenseBitVector {
         };
         out.debug_assert_padding_clear();
         out
-    }
-
-    /// Like [`Self::combine`] but writes into `out`, reusing its word buffer.
-    fn combine_reusing(
-        &self,
-        other: &Self,
-        out: &mut Self,
-        kernel: impl Fn(&[u64], &[u64], &mut Vec<u64>) -> u64,
-    ) {
-        self.assert_same_universe(other);
-        out.universe = self.universe;
-        out.len = kernel(&self.words, &other.words, &mut out.words) as usize;
-        out.debug_assert_padding_clear();
     }
 
     fn assert_same_universe(&self, other: &Self) {
@@ -404,27 +375,6 @@ mod tests {
         assert_eq!(a.and_count(&b), 3);
         assert_eq!(a.or_count(&b), 7);
         assert_eq!(a.and_not_count(&b), 2);
-    }
-
-    #[test]
-    fn destination_reuse_ops_do_not_reallocate() {
-        let a = DenseBitVector::from_members(1000, (0..1000).step_by(3).map(|v| v as Vertex));
-        let b = DenseBitVector::from_members(1000, (0..1000).step_by(5).map(|v| v as Vertex));
-        let mut out = DenseBitVector::new(1000);
-        a.and_into(&b, &mut out);
-        let ptr = out.words().as_ptr();
-        for _ in 0..8 {
-            a.and_into(&b, &mut out);
-            a.or_into(&b, &mut out);
-            a.and_not_into(&b, &mut out);
-        }
-        assert_eq!(
-            out.words().as_ptr(),
-            ptr,
-            "destination buffer must be reused, not reallocated"
-        );
-        assert_eq!(out.to_sorted_vec(), a.and_not(&b).to_sorted_vec());
-        assert_eq!(out.len(), a.and_not(&b).len());
     }
 
     #[test]

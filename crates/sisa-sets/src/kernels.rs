@@ -10,9 +10,8 @@
 //!
 //! Three flavours exist for each bitwise operation:
 //!
-//! * `*_into` — writes the result into a caller-provided buffer, reusing its
-//!   capacity (the destination-reuse path that keeps hot binary ops from
-//!   allocating a fresh `Vec` per call);
+//! * `*_into` — writes the result into a caller-provided buffer (cleared
+//!   first), which `DenseBitVector`'s materialising operations then own;
 //! * `*_assign` — combines in place into the left operand;
 //! * `*_count` — folds the popcount only, materialising nothing.
 //!

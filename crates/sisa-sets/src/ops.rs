@@ -33,7 +33,10 @@
 //! union, which has to place one element a step whichever side it comes
 //! from, is that scalar loop throughout. Materialising kernels store every
 //! candidate into a buffer of the largest possible size and move the write
-//! position on only for the ones that belong to the result.
+//! position on only for the ones that belong to the result. The intersection
+//! and probe kernels also come in `*_into` forms that write into a buffer
+//! the caller hands in, so a set store can recycle the buffers of the sets
+//! it deletes instead of allocating one per result.
 //!
 //! **Precondition:** both inputs of a merge kernel are *strictly increasing*
 //! (sorted, no duplicates), which a [`SortedVertexArray`]'s slice, a CSR
@@ -101,10 +104,19 @@ fn advance(i: &mut usize, j: &mut usize, step: usize, x: Vertex, y: Vertex) {
 /// increasing (see the [module docs](self)).
 #[must_use]
 pub fn intersect_merge_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
+    let mut out = Vec::new();
+    intersect_merge_into(a, b, &mut out);
+    out
+}
+
+/// [`intersect_merge_slices`] into `out`, whose contents are replaced and
+/// whose buffer is reused.
+pub(crate) fn intersect_merge_into(a: &[Vertex], b: &[Vertex], out: &mut Vec<Vertex>) {
     debug_assert!(strictly_increasing(a) && strictly_increasing(b));
     // One slot more than the result can have: a lane is stored before it is
     // known to be a hit.
-    let mut out = vec![0; a.len().min(b.len()) + 1];
+    out.clear();
+    out.resize(a.len().min(b.len()) + 1, 0);
     let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
     while let Some((x, y)) = blocks(a, i, b, j) {
         let hit = block_hits(x, y);
@@ -121,7 +133,6 @@ pub fn intersect_merge_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
         advance(&mut i, &mut j, 1, x, y);
     }
     out.truncate(k);
-    out
 }
 
 /// Cardinality of the merge-based intersection without materialising it.
@@ -198,8 +209,17 @@ fn gallop_seek(hay: &[Vertex], start: usize, needle: Vertex) -> (bool, usize) {
 /// last match with a shrinking search window.
 #[must_use]
 pub fn intersect_galloping_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
+    let mut out = Vec::new();
+    intersect_galloping_into(a, b, &mut out);
+    out
+}
+
+/// [`intersect_galloping_slices`] into `out`, whose contents are replaced and
+/// whose buffer is reused.
+pub(crate) fn intersect_galloping_into(a: &[Vertex], b: &[Vertex], out: &mut Vec<Vertex>) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(small.len());
+    out.clear();
+    out.reserve(small.len());
     let mut cursor = 0usize;
     for &v in small {
         let (found, pos) = gallop_seek(large, cursor, v);
@@ -213,7 +233,6 @@ pub fn intersect_galloping_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
             break;
         }
     }
-    out
 }
 
 /// Cardinality of the galloping intersection without materialising it.
@@ -248,17 +267,23 @@ fn probe(words: &[u64], v: Vertex) -> usize {
 }
 
 /// The elements of `a` whose probe into `b` reads `keep` (1: members of `b`,
-/// 0: the others), in `a`'s order.
-fn probe_filter(a: &[Vertex], b: &DenseBitVector, keep: usize) -> Vec<Vertex> {
+/// 0: the others), in `a`'s order, into `out`, whose contents are replaced
+/// and whose buffer is reused.
+pub(crate) fn probe_filter_into(
+    a: &[Vertex],
+    b: &DenseBitVector,
+    keep: usize,
+    out: &mut Vec<Vertex>,
+) {
     let words = b.words();
-    let mut out = vec![0; a.len()];
+    out.clear();
+    out.resize(a.len(), 0);
     let mut k = 0usize;
     for &v in a {
         out[k] = v;
         k += usize::from(probe(words, v) == keep);
     }
     out.truncate(k);
-    out
 }
 
 /// Intersection of a sparse array (sorted or unsorted) with a dense bitvector.
@@ -267,7 +292,9 @@ fn probe_filter(a: &[Vertex], b: &DenseBitVector, keep: usize) -> Vec<Vertex> {
 /// probes (instruction `0x3`). The output preserves the order of `a`.
 #[must_use]
 pub fn intersect_sa_db(a: &[Vertex], b: &DenseBitVector) -> Vec<Vertex> {
-    probe_filter(a, b, 1)
+    let mut out = Vec::new();
+    probe_filter_into(a, b, 1, &mut out);
+    out
 }
 
 /// Cardinality of the SA ∩ DB intersection.
@@ -414,7 +441,9 @@ pub fn difference_merge_count(a: &[Vertex], b: &[Vertex]) -> usize {
 /// members of `a` whose bit is *not* set in `b`.
 #[must_use]
 pub fn difference_sa_db(a: &[Vertex], b: &DenseBitVector) -> Vec<Vertex> {
-    probe_filter(a, b, 0)
+    let mut out = Vec::new();
+    probe_filter_into(a, b, 0, &mut out);
+    out
 }
 
 /// Difference of two dense bitvectors, `A ∧ ¬B`, computed as bulk bitwise

@@ -326,6 +326,14 @@ impl SetRepr {
     /// kernel.
     #[must_use]
     pub fn intersect(&self, other: &SetRepr) -> SetRepr {
+        self.intersect_into(other, &mut Vec::new())
+    }
+
+    /// [`SetRepr::intersect`], a sparse result written into `buf`'s buffer
+    /// and taking it over (`buf` is left empty; its old contents are
+    /// discarded). A dense result leaves `buf` as it was.
+    #[must_use]
+    pub fn intersect_into(&self, other: &SetRepr, buf: &mut Vec<Vertex>) -> SetRepr {
         match (self, other) {
             (Self::Dense(a), Self::Dense(b)) => {
                 record_selection(HostKernel::Bitmap);
@@ -335,17 +343,17 @@ impl SetRepr {
                 record_selection(HostKernel::Bitmap);
                 let view = staged(sparse);
                 // The staged view is sorted, so the probe output already is.
-                let members = ops::intersect_sa_db(&view, d);
-                Self::Sorted(SortedVertexArray::from_sorted(members))
+                ops::probe_filter_into(&view, d, 1, buf);
+                Self::Sorted(SortedVertexArray::from_sorted(std::mem::take(buf)))
             }
             (a, b) => {
                 let av = staged(a);
                 let bv = staged(b);
-                let out = match dispatch_sparse(av.len(), bv.len()) {
-                    HostKernel::Gallop => ops::intersect_galloping_slices(&av, &bv),
-                    _ => ops::intersect_merge_slices(&av, &bv),
-                };
-                Self::Sorted(SortedVertexArray::from_sorted(out))
+                match dispatch_sparse(av.len(), bv.len()) {
+                    HostKernel::Gallop => ops::intersect_galloping_into(&av, &bv, buf),
+                    _ => ops::intersect_merge_into(&av, &bv, buf),
+                }
+                Self::Sorted(SortedVertexArray::from_sorted(std::mem::take(buf)))
             }
         }
     }
@@ -421,6 +429,15 @@ impl SetRepr {
     /// in `B`, so only `B`'s size matters for the skew test).
     #[must_use]
     pub fn difference(&self, other: &SetRepr) -> SetRepr {
+        self.difference_into(other, &mut Vec::new())
+    }
+
+    /// [`SetRepr::difference`], a sparse `A` probed against a dense `B`
+    /// written into `buf`'s buffer and taking it over (`buf` is left empty;
+    /// its old contents are discarded). Every other pair leaves `buf` as it
+    /// was.
+    #[must_use]
+    pub fn difference_into(&self, other: &SetRepr, buf: &mut Vec<Vertex>) -> SetRepr {
         match (self, other) {
             (Self::Dense(a), Self::Dense(b)) => {
                 record_selection(HostKernel::Bitmap);
@@ -440,8 +457,8 @@ impl SetRepr {
                 record_selection(HostKernel::Bitmap);
                 let view = staged(sparse);
                 // The staged view is sorted, so the probe output already is.
-                let members = ops::difference_sa_db(&view, d);
-                Self::Sorted(SortedVertexArray::from_sorted(members))
+                ops::probe_filter_into(&view, d, 0, buf);
+                Self::Sorted(SortedVertexArray::from_sorted(std::mem::take(buf)))
             }
             (a, b) => {
                 let av = staged(a);

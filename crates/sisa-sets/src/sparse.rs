@@ -64,6 +64,12 @@ impl SortedVertexArray {
         self.items.len()
     }
 
+    /// The members' buffer, given up for reuse (its capacity is kept).
+    #[must_use]
+    pub fn into_vec(self) -> Vec<Vertex> {
+        self.items
+    }
+
     /// Whether the set is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
