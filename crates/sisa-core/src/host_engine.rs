@@ -254,10 +254,6 @@ impl SetEngine for HostEngine {
                     self.thread.scalar_ops(CpuThread::PROBE_OPS_PER_STEP);
                 }
             }
-            RepresentationKind::UnsortedArray => {
-                self.stream_set(id);
-                self.thread.scalar_ops(len as u64);
-            }
         }
         let result = self.store.contains(id, v);
         self.count(SisaOpcode::Membership);
@@ -285,7 +281,6 @@ impl SetEngine for HostEngine {
             }
             // Sorted insertion shifts half the array on average.
             RepresentationKind::SortedArray => self.thread.stream(base, (len * 4) / 2),
-            RepresentationKind::UnsortedArray => self.thread.access(base + len * 4),
         }
         self.thread.scalar_ops(2);
         let changed = self.store.insert(id, v);
@@ -301,7 +296,6 @@ impl SetEngine for HostEngine {
                 self.thread.random_access(base + u64::from(v) / 8);
             }
             RepresentationKind::SortedArray => self.thread.stream(base, (len * 4) / 2),
-            RepresentationKind::UnsortedArray => self.stream_set(id),
         }
         self.thread.scalar_ops(2);
         let changed = self.store.remove(id, v);

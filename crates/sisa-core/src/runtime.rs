@@ -819,6 +819,23 @@ mod tests {
     }
 
     #[test]
+    fn dense_union_sparse_holds_members_outside_the_dense_universe() {
+        let mut rt = runtime();
+        let dense = rt.create(SetRepr::dense_from(8, [1, 3]));
+        let sparse = rt.create_sorted([3, 9]);
+        for (a, b) in [(dense, sparse), (sparse, dense)] {
+            let issued = rt.stats().total_instructions();
+            let union = rt.union(a, b);
+            assert_eq!(rt.stats().total_instructions(), issued + 1);
+            assert_eq!(rt.members(union), vec![1, 3, 9]);
+            assert_eq!(rt.union_count(a, b), 3);
+        }
+        rt.union_assign(dense, sparse);
+        assert_eq!(rt.members(dense), vec![1, 3, 9]);
+        assert_eq!(rt.cardinality(dense), 3);
+    }
+
+    #[test]
     fn in_place_operations_mutate_their_first_argument() {
         let mut rt = runtime();
         let a = rt.create_dense([1, 2, 3, 4]);

@@ -400,13 +400,12 @@ impl Scu {
         let exec_cycles = match meta.kind {
             // Setting / clearing / probing one bit: one DRAM access (§8.1).
             RepresentationKind::DenseBitvector => self.pum.bit_update_cost(),
-            // Sparse arrays: a near-memory access plus (for sorted arrays) the
-            // element shifting the paper notes costs O(|A|); we charge the
-            // streaming cost of half the array.
+            // Sorted arrays: a near-memory access plus the element shifting
+            // the paper notes costs O(|A|); we charge the streaming cost of
+            // half the array.
             RepresentationKind::SortedArray => {
                 self.pnm.element_update_cost() + self.streaming_cost(meta.cardinality / 2, 0)
             }
-            RepresentationKind::UnsortedArray => self.pnm.element_update_cost(),
         };
         DispatchOutcome {
             choice: ExecutionChoice::PnmDirect,
@@ -615,7 +614,6 @@ mod tests {
             .collect();
         let kinds = [
             RepresentationKind::SortedArray,
-            RepresentationKind::UnsortedArray,
             RepresentationKind::DenseBitvector,
         ];
         let ops = [

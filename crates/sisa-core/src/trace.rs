@@ -578,6 +578,19 @@ mod tests {
         assert!(TraceOp::from_content(&unknown).is_err());
         let missing_field = Content::Map(vec![("op".into(), Content::Str("delete".into()))]);
         assert!(TraceOp::from_content(&missing_field).is_err());
+        // A set created in a representation the machine does not have.
+        let retired_repr = Content::Map(vec![
+            ("op".into(), Content::Str("create".into())),
+            ("id".into(), Content::U64(0)),
+            (
+                "repr".into(),
+                Content::Map(vec![
+                    ("kind".into(), Content::Str("unsorted".into())),
+                    ("members".into(), Content::Seq(vec![Content::U64(2)])),
+                ]),
+            ),
+        ]);
+        assert!(TraceOp::from_content(&retired_repr).is_err());
         assert!(BinarySetOp::from_content(&Content::Str("xor".into())).is_err());
     }
 }

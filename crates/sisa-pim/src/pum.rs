@@ -28,8 +28,6 @@ pub enum BulkOp {
     Or,
     /// Difference: AND with the negated second operand (`A ∩ B'`).
     AndNot,
-    /// Single-operand negation.
-    Not,
 }
 
 impl BulkOp {
@@ -38,7 +36,7 @@ impl BulkOp {
     #[must_use]
     pub fn steps(self) -> u64 {
         match self {
-            Self::And | Self::Or | Self::Not => 1,
+            Self::And | Self::Or => 1,
             Self::AndNot => 2,
         }
     }

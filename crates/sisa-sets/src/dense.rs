@@ -134,14 +134,6 @@ impl DenseBitVector {
         }
     }
 
-    /// Removes all members.
-    pub fn clear(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
-        self.len = 0;
-    }
-
     /// Iterates over the members in increasing order.
     pub fn iter(&self) -> BitIter<'_> {
         BitIter {
@@ -175,45 +167,6 @@ impl DenseBitVector {
         self.combine(other, kernels::and_not_into)
     }
 
-    /// Bitwise XOR (symmetric difference). Universes must match.
-    #[must_use]
-    pub fn xor(&self, other: &Self) -> Self {
-        self.combine(other, kernels::xor_into)
-    }
-
-    /// Complement within the universe.
-    #[must_use]
-    pub fn not(&self) -> Self {
-        let mut out = self.clone();
-        for w in &mut out.words {
-            *w = !*w;
-        }
-        out.clear_padding();
-        out.recount();
-        out
-    }
-
-    /// In-place intersection: `self &= other`.
-    pub fn and_assign(&mut self, other: &Self) {
-        self.assert_same_universe(other);
-        self.len = kernels::and_assign(&mut self.words, &other.words) as usize;
-        self.debug_assert_padding_clear();
-    }
-
-    /// In-place union: `self |= other`.
-    pub fn or_assign(&mut self, other: &Self) {
-        self.assert_same_universe(other);
-        self.len = kernels::or_assign(&mut self.words, &other.words) as usize;
-        self.debug_assert_padding_clear();
-    }
-
-    /// In-place difference: `self &= !other`.
-    pub fn and_not_assign(&mut self, other: &Self) {
-        self.assert_same_universe(other);
-        self.len = kernels::and_not_assign(&mut self.words, &other.words) as usize;
-        self.debug_assert_padding_clear();
-    }
-
     /// Cardinality of the intersection without materialising it.
     #[must_use]
     pub fn and_count(&self, other: &Self) -> usize {
@@ -221,26 +174,12 @@ impl DenseBitVector {
         kernels::and_count(&self.words, &other.words) as usize
     }
 
-    /// Cardinality of the union without materialising it.
-    #[must_use]
-    pub fn or_count(&self, other: &Self) -> usize {
-        self.assert_same_universe(other);
-        kernels::or_count(&self.words, &other.words) as usize
-    }
-
-    /// Cardinality of `self \ other` without materialising it.
-    #[must_use]
-    pub fn and_not_count(&self, other: &Self) -> usize {
-        self.assert_same_universe(other);
-        kernels::and_not_count(&self.words, &other.words) as usize
-    }
-
     /// Runs a word-parallel kernel over both operands into a fresh bitvector.
     /// The kernel's fused popcount becomes the cardinality directly — there is
     /// no separate recount pass, and no padding fix-up is needed because every
     /// binary combine of padding-clean inputs stays padding-clean (the padding
-    /// words of both operands are zero, and `0 op 0 = 0` for AND, OR, AND-NOT
-    /// and XOR alike).
+    /// words of both operands are zero, and `0 op 0 = 0` for AND, OR and
+    /// AND-NOT alike).
     fn combine(&self, other: &Self, kernel: impl Fn(&[u64], &[u64], &mut Vec<u64>) -> u64) -> Self {
         self.assert_same_universe(other);
         let mut words = Vec::new();
@@ -280,10 +219,6 @@ impl DenseBitVector {
                     .is_none_or(|w| w & !((1u64 << (self.universe % 64)) - 1) == 0),
             "padding bits must stay clear"
         );
-    }
-
-    fn recount(&mut self) {
-        self.len = kernels::popcount(&self.words) as usize;
     }
 }
 
@@ -352,13 +287,16 @@ mod tests {
 
     #[test]
     fn full_and_not() {
+        // The complement within the universe is the full set AND-NOT the
+        // members (§8.1: `A \ B = A ∩ B'`), padding bits left clear.
         let full = DenseBitVector::full(70);
         assert_eq!(full.len(), 70);
-        let empty = full.not();
+        let empty = full.and_not(&full);
         assert_eq!(empty.len(), 0);
         let members = DenseBitVector::from_members(70, [0u32, 69]);
-        let compl = members.not();
+        let compl = full.and_not(&members);
         assert_eq!(compl.len(), 68);
+        assert_eq!(compl.iter().count(), 68);
         assert!(!compl.contains(0));
         assert!(!compl.contains(69));
         assert!(compl.contains(1));
@@ -371,40 +309,7 @@ mod tests {
         assert_eq!(a.and(&b).to_sorted_vec(), vec![3, 5, 150]);
         assert_eq!(a.or(&b).to_sorted_vec(), vec![1, 3, 5, 7, 100, 150, 199]);
         assert_eq!(a.and_not(&b).to_sorted_vec(), vec![1, 100]);
-        assert_eq!(a.xor(&b).to_sorted_vec(), vec![1, 7, 100, 199]);
         assert_eq!(a.and_count(&b), 3);
-        assert_eq!(a.or_count(&b), 7);
-        assert_eq!(a.and_not_count(&b), 2);
-    }
-
-    #[test]
-    fn in_place_ops_fuse_the_count() {
-        // The in-place kernels return the popcount directly; `len()` must
-        // agree with a from-scratch recount on word-boundary universes.
-        for universe in [63usize, 64, 65, 128, 130] {
-            let mut a =
-                DenseBitVector::from_members(universe, (0..universe as u32).filter(|v| v % 2 == 0));
-            let b =
-                DenseBitVector::from_members(universe, (0..universe as u32).filter(|v| v % 3 == 0));
-            a.and_assign(&b);
-            assert_eq!(a.len(), a.iter().count(), "universe {universe}");
-            a.or_assign(&b);
-            assert_eq!(a.len(), a.iter().count(), "universe {universe}");
-            a.and_not_assign(&b);
-            assert_eq!(a.len(), a.iter().count(), "universe {universe}");
-        }
-    }
-
-    #[test]
-    fn in_place_ops() {
-        let mut a = DenseBitVector::from_members(64, [0u32, 1, 2, 3]);
-        let b = DenseBitVector::from_members(64, [2u32, 3, 4]);
-        a.and_assign(&b);
-        assert_eq!(a.to_sorted_vec(), vec![2, 3]);
-        a.or_assign(&b);
-        assert_eq!(a.to_sorted_vec(), vec![2, 3, 4]);
-        a.and_not_assign(&DenseBitVector::from_members(64, [3u32]));
-        assert_eq!(a.to_sorted_vec(), vec![2, 4]);
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //!
 //! The paper represents vertex sets in one of two ways (§6.1, Figure 4):
 //!
-//! * **Sparse arrays (SA)** — a contiguous array of vertex identifiers, either
-//!   sorted ([`SortedVertexArray`]) or unsorted ([`UnsortedVertexArray`]).
-//!   An SA occupies `W · |S|` bits where `W` is the machine word size.
+//! * **Sparse arrays (SA)** — a sorted array of vertex identifiers
+//!   ([`SortedVertexArray`]). An SA occupies `W · |S|` bits where `W` is the
+//!   machine word size. Every sparse variant the SCU picks (merge, galloping,
+//!   probing) assumes the array is sorted.
 //! * **Dense bitvectors (DB)** — a length-`n` bitvector ([`DenseBitVector`])
 //!   whose `i`-th bit indicates whether vertex `i` is a member.
 //!
-//! [`SetRepr`] is the tagged union over the three concrete representations and
-//! is what the SISA runtime stores behind a set identifier.
+//! [`SetRepr`] is the tagged union over these two representations and is what
+//! the SISA runtime stores behind a set identifier.
 //!
 //! The [`ops`] module implements every set-operation *variant* that Table 5 of
 //! the paper turns into an instruction: merge and galloping intersection /
@@ -66,7 +67,7 @@ pub mod sparse;
 
 pub use dense::DenseBitVector;
 pub use repr::{KernelSelectionCounts, RepresentationKind, SetRepr};
-pub use sparse::{SortedVertexArray, UnsortedVertexArray};
+pub use sparse::SortedVertexArray;
 
 /// A vertex identifier.
 ///

@@ -39,10 +39,10 @@
 //! it deletes instead of allocating one per result.
 //!
 //! **Precondition:** both inputs of a merge kernel are *strictly increasing*
-//! (sorted, no duplicates), which a [`SortedVertexArray`]'s slice, a CSR
-//! adjacency row and the sorted copy `SetRepr` stages of an unsorted array
-//! all are. A duplicate would be counted once per block it is compared with;
-//! the kernels check the precondition in debug builds.
+//! (sorted, no duplicates), which a [`SortedVertexArray`]'s slice and a CSR
+//! adjacency row both are; `SetRepr` hands its sparse arrays to the kernels
+//! as they are stored. A duplicate would be counted once per block it is
+//! compared with; the kernels check the precondition in debug builds.
 //!
 //! [`SortedVertexArray`]: crate::SortedVertexArray
 
@@ -286,10 +286,11 @@ pub(crate) fn probe_filter_into(
     out.truncate(k);
 }
 
-/// Intersection of a sparse array (sorted or unsorted) with a dense bitvector.
+/// Intersection of a sorted sparse array with a dense bitvector.
 ///
 /// Iterates over the array and probes the bitvector, `O(|A|)` with `O(1)`
-/// probes (instruction `0x3`). The output preserves the order of `a`.
+/// probes (instruction `0x3`). The output keeps `a`'s order, so it is
+/// sorted too.
 #[must_use]
 pub fn intersect_sa_db(a: &[Vertex], b: &DenseBitVector) -> Vec<Vertex> {
     let mut out = Vec::new();
@@ -338,12 +339,6 @@ pub fn union_merge_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// Cardinality of the union of two sorted slices without materialising it.
-#[must_use]
-pub fn union_merge_count(a: &[Vertex], b: &[Vertex]) -> usize {
-    a.len() + b.len() - intersect_merge_count(a, b)
 }
 
 /// Union of a sparse array with a dense bitvector, producing a dense
@@ -431,12 +426,6 @@ pub fn difference_galloping_slices(a: &[Vertex], b: &[Vertex]) -> Vec<Vertex> {
     out
 }
 
-/// Cardinality of `A \ B` over sorted slices.
-#[must_use]
-pub fn difference_merge_count(a: &[Vertex], b: &[Vertex]) -> usize {
-    a.len() - intersect_merge_count(a, b)
-}
-
 /// Difference of a sparse array and a dense bitvector: `A \ B` keeps the
 /// members of `a` whose bit is *not* set in `b`.
 #[must_use]
@@ -498,7 +487,6 @@ mod tests {
     fn union_variants_agree() {
         let (a, b) = ([1, 3, 5], [2, 3, 6]);
         assert_eq!(union_merge_slices(&a, &b), [1, 2, 3, 5, 6]);
-        assert_eq!(union_merge_count(&a, &b), 5);
         let da = DenseBitVector::from_members(10, a);
         let db = DenseBitVector::from_members(10, b);
         assert_eq!(union_db_db(&da, &db).to_sorted_vec(), vec![1, 2, 3, 5, 6]);
@@ -510,7 +498,6 @@ mod tests {
         let (a, b) = ([1, 2, 3, 4, 5], [2, 4, 6]);
         assert_eq!(difference_merge_slices(&a, &b), [1, 3, 5]);
         assert_eq!(difference_galloping_slices(&a, &b), [1, 3, 5]);
-        assert_eq!(difference_merge_count(&a, &b), 3);
         let da = DenseBitVector::from_members(10, a);
         let db = DenseBitVector::from_members(10, b);
         assert_eq!(difference_db_db(&da, &db).to_sorted_vec(), vec![1, 3, 5]);
@@ -521,6 +508,5 @@ mod tests {
     fn difference_with_superset_is_empty() {
         let (a, b) = ([1, 2, 3], [0, 1, 2, 3, 4]);
         assert!(difference_merge_slices(&a, &b).is_empty());
-        assert_eq!(difference_merge_count(&a, &b), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The tagged union over set representations used by the SISA runtime.
 //!
-//! A SISA set is, physically, either a sparse array (sorted or unsorted) or a
-//! dense bitvector (§6.1). [`SetRepr`] is the value stored behind a set
+//! A SISA set is, physically, either a sorted sparse array or a dense
+//! bitvector (§6.1). [`SetRepr`] is the value stored behind a set
 //! identifier; operations on it dispatch to the appropriate variant in
 //! [`crate::ops`], following the result-representation policy described on
 //! each method.
@@ -14,14 +14,12 @@
 //! size-ratio dispatch policy: heavily skewed sparse operands run the
 //! galloping kernel, similar sizes run the merge kernel (block against block,
 //! see [`crate::ops`]), and dense operands run the word-parallel bitmap
-//! kernels from [`crate::kernels`]. A sorted operand is borrowed as it is; an
-//! unsorted one is staged as a sorted copy, so either way the sparse kernels
-//! get the strictly increasing slices they require. The merge kernels are
-//! also the oracle the galloping kernels are tested against.
+//! kernels from [`crate::kernels`]. A sparse operand is borrowed as the
+//! strictly increasing slice the sparse kernels require. The merge kernels
+//! are also the oracle the galloping kernels are tested against.
 
 use crate::ops;
-use crate::{DenseBitVector, SortedVertexArray, UnsortedVertexArray, Vertex};
-use std::borrow::Cow;
+use crate::{DenseBitVector, SortedVertexArray, Vertex};
 use std::cell::Cell;
 
 /// Which physical representation a set currently uses.
@@ -32,18 +30,8 @@ use std::cell::Cell;
 pub enum RepresentationKind {
     /// Sorted sparse array of vertex identifiers.
     SortedArray,
-    /// Unsorted sparse array of vertex identifiers.
-    UnsortedArray,
     /// Dense bitvector over the vertex universe.
     DenseBitvector,
-}
-
-impl RepresentationKind {
-    /// Whether the representation is the dense bitvector.
-    #[must_use]
-    pub fn is_dense(self) -> bool {
-        matches!(self, Self::DenseBitvector)
-    }
 }
 
 /// The host-side execution strategy chosen for one binary set operation.
@@ -71,14 +59,6 @@ pub struct KernelSelectionCounts {
     pub gallop: u64,
     /// Operations executed with a bitmap (word-parallel or probing) kernel.
     pub bitmap: u64,
-}
-
-impl KernelSelectionCounts {
-    /// Total operations tallied.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.merge + self.gallop + self.bitmap
-    }
 }
 
 /// Size skew at which galloping replaces merging for sparse×sparse ops.
@@ -145,22 +125,11 @@ fn dispatch_sparse(len_a: usize, len_b: usize) -> HostKernel {
     kernel
 }
 
-/// Stages `set` as a sorted slice for a sparse kernel: a sorted array is
-/// borrowed, anything else is copied out in order.
-fn staged(set: &SetRepr) -> Cow<'_, [Vertex]> {
-    match set {
-        SetRepr::Sorted(s) => Cow::Borrowed(s.as_slice()),
-        other => Cow::Owned(other.to_sorted_vec()),
-    }
-}
-
 /// A set of vertices in one of the SISA physical representations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SetRepr {
     /// Sorted sparse array.
     Sorted(SortedVertexArray),
-    /// Unsorted sparse array.
-    Unsorted(UnsortedVertexArray),
     /// Dense bitvector.
     Dense(DenseBitVector),
 }
@@ -195,7 +164,6 @@ impl SetRepr {
     pub fn kind(&self) -> RepresentationKind {
         match self {
             Self::Sorted(_) => RepresentationKind::SortedArray,
-            Self::Unsorted(_) => RepresentationKind::UnsortedArray,
             Self::Dense(_) => RepresentationKind::DenseBitvector,
         }
     }
@@ -205,7 +173,6 @@ impl SetRepr {
     pub fn len(&self) -> usize {
         match self {
             Self::Sorted(s) => s.len(),
-            Self::Unsorted(s) => s.len(),
             Self::Dense(d) => d.len(),
         }
     }
@@ -221,7 +188,6 @@ impl SetRepr {
     pub fn storage_bits(&self) -> usize {
         match self {
             Self::Sorted(s) => crate::sparse_array_bits(s.len()),
-            Self::Unsorted(s) => crate::sparse_array_bits(s.len()),
             Self::Dense(d) => crate::dense_bitvector_bits(d.universe()),
         }
     }
@@ -231,7 +197,6 @@ impl SetRepr {
     pub fn contains(&self, v: Vertex) -> bool {
         match self {
             Self::Sorted(s) => s.contains(v),
-            Self::Unsorted(s) => s.contains(v),
             Self::Dense(d) => d.contains(v),
         }
     }
@@ -244,7 +209,6 @@ impl SetRepr {
     pub fn insert(&mut self, v: Vertex) -> bool {
         match self {
             Self::Sorted(s) => s.insert(v),
-            Self::Unsorted(s) => s.insert(v),
             Self::Dense(d) => d.insert(v),
         }
     }
@@ -253,7 +217,6 @@ impl SetRepr {
     pub fn remove(&mut self, v: Vertex) -> bool {
         match self {
             Self::Sorted(s) => s.remove(v),
-            Self::Unsorted(s) => s.remove(v),
             Self::Dense(d) => d.remove(v),
         }
     }
@@ -263,55 +226,15 @@ impl SetRepr {
     pub fn to_sorted_vec(&self) -> Vec<Vertex> {
         match self {
             Self::Sorted(s) => s.as_slice().to_vec(),
-            Self::Unsorted(s) => {
-                let mut v = s.as_slice().to_vec();
-                v.sort_unstable();
-                v
-            }
             Self::Dense(d) => d.to_sorted_vec(),
         }
     }
 
-    /// Iterates over the members (ordering depends on the representation).
+    /// Iterates over the members in increasing order.
     pub fn iter(&self) -> Box<dyn Iterator<Item = Vertex> + '_> {
         match self {
             Self::Sorted(s) => Box::new(s.iter()),
-            Self::Unsorted(s) => Box::new(s.iter()),
             Self::Dense(d) => Box::new(d.iter()),
-        }
-    }
-
-    /// Converts to a dense bitvector over `0..universe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member is `>= universe`.
-    #[must_use]
-    pub(crate) fn to_dense(&self, universe: usize) -> DenseBitVector {
-        match self {
-            Self::Dense(d) if d.universe() == universe => d.clone(),
-            other => DenseBitVector::from_members(universe, other.iter()),
-        }
-    }
-
-    /// Converts to a sorted sparse array.
-    #[must_use]
-    pub fn to_sorted_array(&self) -> SortedVertexArray {
-        match self {
-            Self::Sorted(s) => s.clone(),
-            other => SortedVertexArray::from_sorted(other.to_sorted_vec()),
-        }
-    }
-
-    /// Re-encodes the set in the requested representation.
-    #[must_use]
-    pub fn converted_to(&self, kind: RepresentationKind, universe: usize) -> SetRepr {
-        match kind {
-            RepresentationKind::SortedArray => SetRepr::Sorted(self.to_sorted_array()),
-            RepresentationKind::UnsortedArray => {
-                SetRepr::Unsorted(UnsortedVertexArray::from_iterable(self.iter()))
-            }
-            RepresentationKind::DenseBitvector => SetRepr::Dense(self.to_dense(universe)),
         }
     }
 
@@ -339,19 +262,17 @@ impl SetRepr {
                 record_selection(HostKernel::Bitmap);
                 Self::Dense(ops::intersect_db_db(a, b))
             }
-            (Self::Dense(d), sparse) | (sparse, Self::Dense(d)) => {
+            (Self::Dense(d), Self::Sorted(s)) | (Self::Sorted(s), Self::Dense(d)) => {
                 record_selection(HostKernel::Bitmap);
-                let view = staged(sparse);
-                // The staged view is sorted, so the probe output already is.
-                ops::probe_filter_into(&view, d, 1, buf);
+                // `s` is sorted, so the probe output already is.
+                ops::probe_filter_into(s.as_slice(), d, 1, buf);
                 Self::Sorted(SortedVertexArray::from_sorted(std::mem::take(buf)))
             }
-            (a, b) => {
-                let av = staged(a);
-                let bv = staged(b);
-                match dispatch_sparse(av.len(), bv.len()) {
-                    HostKernel::Gallop => ops::intersect_galloping_into(&av, &bv, buf),
-                    _ => ops::intersect_merge_into(&av, &bv, buf),
+            (Self::Sorted(a), Self::Sorted(b)) => {
+                let (a, b) = (a.as_slice(), b.as_slice());
+                match dispatch_sparse(a.len(), b.len()) {
+                    HostKernel::Gallop => ops::intersect_galloping_into(a, b, buf),
+                    _ => ops::intersect_merge_into(a, b, buf),
                 }
                 Self::Sorted(SortedVertexArray::from_sorted(std::mem::take(buf)))
             }
@@ -366,17 +287,15 @@ impl SetRepr {
                 record_selection(HostKernel::Bitmap);
                 ops::intersect_db_db_count(a, b)
             }
-            (Self::Dense(d), sparse) | (sparse, Self::Dense(d)) => {
+            (Self::Dense(d), Self::Sorted(s)) | (Self::Sorted(s), Self::Dense(d)) => {
                 record_selection(HostKernel::Bitmap);
-                let view = staged(sparse);
-                ops::intersect_sa_db_count(&view, d)
+                ops::intersect_sa_db_count(s.as_slice(), d)
             }
-            (a, b) => {
-                let av = staged(a);
-                let bv = staged(b);
-                match dispatch_sparse(av.len(), bv.len()) {
-                    HostKernel::Gallop => ops::intersect_galloping_count(&av, &bv),
-                    _ => ops::intersect_merge_count(&av, &bv),
+            (Self::Sorted(a), Self::Sorted(b)) => {
+                let (a, b) = (a.as_slice(), b.as_slice());
+                match dispatch_sparse(a.len(), b.len()) {
+                    HostKernel::Gallop => ops::intersect_galloping_count(a, b),
+                    _ => ops::intersect_merge_count(a, b),
                 }
             }
         }
@@ -385,7 +304,10 @@ impl SetRepr {
     /// Set union `A ∪ B`.
     ///
     /// Result representation policy: if either operand is dense the result is
-    /// dense (it can only grow); otherwise it is a sorted sparse array.
+    /// dense (it can only grow); otherwise it is a sorted sparse array. A
+    /// sparse member outside the dense operand's universe widens the result's
+    /// universe to hold it, so the union is what [`SetRepr::union_count`]
+    /// counts.
     ///
     /// Unions always touch every element of both operands, so the sparse path
     /// always merges; there is no galloping variant to dispatch to.
@@ -396,17 +318,21 @@ impl SetRepr {
                 record_selection(HostKernel::Bitmap);
                 Self::Dense(ops::union_db_db(a, b))
             }
-            (Self::Dense(d), sparse) | (sparse, Self::Dense(d)) => {
+            (Self::Dense(d), Self::Sorted(s)) | (Self::Sorted(s), Self::Dense(d)) => {
                 record_selection(HostKernel::Bitmap);
-                let view = staged(sparse);
-                Self::Dense(ops::union_sa_db(&view, d))
+                let members = s.as_slice();
+                match members.last() {
+                    Some(&top) if top as usize >= d.universe() => Self::Dense(
+                        DenseBitVector::from_members(top as usize + 1, d.iter().chain(s.iter())),
+                    ),
+                    _ => Self::Dense(ops::union_sa_db(members, d)),
+                }
             }
-            (a, b) => {
+            (Self::Sorted(a), Self::Sorted(b)) => {
                 record_selection(HostKernel::Merge);
-                let av = staged(a);
-                let bv = staged(b);
                 Self::Sorted(SortedVertexArray::from_sorted(ops::union_merge_slices(
-                    &av, &bv,
+                    a.as_slice(),
+                    b.as_slice(),
                 )))
             }
         }
@@ -420,9 +346,8 @@ impl SetRepr {
 
     /// Set difference `A \ B`.
     ///
-    /// Result representation policy: the result keeps the representation
-    /// family of `A` (it is a subset of `A`), except that an unsorted `A`
-    /// yields a sorted result.
+    /// Result representation policy: the result keeps the representation of
+    /// `A` (it is a subset of `A`).
     ///
     /// The sparse×sparse path gallops into `B` when it is at least
     /// `GALLOP_RATIO`× larger than `A` (every element of `A` is looked up
@@ -443,36 +368,33 @@ impl SetRepr {
                 record_selection(HostKernel::Bitmap);
                 Self::Dense(ops::difference_db_db(a, b))
             }
-            (Self::Dense(a), sparse) => {
+            (Self::Dense(a), Self::Sorted(s)) => {
                 record_selection(HostKernel::Bitmap);
-                // Bit by bit, not through `to_dense`: a member of `sparse`
-                // outside `a`'s universe is simply absent from `a`.
+                // Bit by bit: a member of `s` outside `a`'s universe is
+                // simply absent from `a`.
                 let mut out = a.clone();
-                for v in sparse.iter() {
+                for v in s.iter() {
                     out.remove(v);
                 }
                 Self::Dense(out)
             }
-            (sparse, Self::Dense(d)) => {
+            (Self::Sorted(s), Self::Dense(d)) => {
                 record_selection(HostKernel::Bitmap);
-                let view = staged(sparse);
-                // The staged view is sorted, so the probe output already is.
-                ops::probe_filter_into(&view, d, 0, buf);
+                // `s` is sorted, so the probe output already is.
+                ops::probe_filter_into(s.as_slice(), d, 0, buf);
                 Self::Sorted(SortedVertexArray::from_sorted(std::mem::take(buf)))
             }
-            (a, b) => {
-                let av = staged(a);
-                let bv = staged(b);
-                let kernel = if !av.is_empty() && bv.len() >= av.len().saturating_mul(GALLOP_RATIO)
-                {
+            (Self::Sorted(a), Self::Sorted(b)) => {
+                let (a, b) = (a.as_slice(), b.as_slice());
+                let kernel = if !a.is_empty() && b.len() >= a.len().saturating_mul(GALLOP_RATIO) {
                     HostKernel::Gallop
                 } else {
                     HostKernel::Merge
                 };
                 record_selection(kernel);
                 let out = match kernel {
-                    HostKernel::Gallop => ops::difference_galloping_slices(&av, &bv),
-                    _ => ops::difference_merge_slices(&av, &bv),
+                    HostKernel::Gallop => ops::difference_galloping_slices(a, b),
+                    _ => ops::difference_merge_slices(a, b),
                 };
                 Self::Sorted(SortedVertexArray::from_sorted(out))
             }
@@ -495,11 +417,11 @@ impl Default for SetRepr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn reprs(members: &[Vertex], universe: usize) -> Vec<SetRepr> {
         vec![
             SetRepr::sorted_from(members.iter().copied()),
-            SetRepr::Unsorted(UnsortedVertexArray::from_iterable(members.iter().copied())),
             SetRepr::dense_from(universe, members.iter().copied()),
         ]
     }
@@ -530,8 +452,6 @@ mod tests {
         let d = SetRepr::dense_from(128, [1u32, 2, 3]);
         assert_eq!(s.kind(), RepresentationKind::SortedArray);
         assert_eq!(d.kind(), RepresentationKind::DenseBitvector);
-        assert!(!s.kind().is_dense());
-        assert!(d.kind().is_dense());
         assert_eq!(s.storage_bits(), 96);
         assert_eq!(d.storage_bits(), 128);
     }
@@ -551,12 +471,11 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         let original = SetRepr::sorted_from([3u32, 7, 11]);
-        let dense = original.converted_to(RepresentationKind::DenseBitvector, 16);
+        let dense = SetRepr::dense_from(16, original.iter());
         assert_eq!(dense.kind(), RepresentationKind::DenseBitvector);
-        let unsorted = dense.converted_to(RepresentationKind::UnsortedArray, 16);
-        assert_eq!(unsorted.kind(), RepresentationKind::UnsortedArray);
-        let back = unsorted.converted_to(RepresentationKind::SortedArray, 16);
-        assert_eq!(back.to_sorted_vec(), vec![3, 7, 11]);
+        let back = SetRepr::sorted_from(dense.iter());
+        assert_eq!(back.kind(), RepresentationKind::SortedArray);
+        assert_eq!(back, original);
     }
 
     #[test]
@@ -575,6 +494,29 @@ mod tests {
         assert_eq!(d.kind(), RepresentationKind::DenseBitvector);
         assert_eq!(d.to_sorted_vec(), vec![1]);
         assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn dense_union_sparse_widens_to_a_member_outside_the_universe() {
+        let dense = SetRepr::dense_from(8, [1u32, 3]);
+        let sparse = SetRepr::sorted_from([3u32, 9]);
+        let model: BTreeSet<Vertex> = [1, 3, 9].into();
+        for (a, b) in [(&dense, &sparse), (&sparse, &dense)] {
+            let u = a.union(b);
+            assert_eq!(u.kind(), RepresentationKind::DenseBitvector);
+            assert_eq!(u.to_sorted_vec(), model.iter().copied().collect::<Vec<_>>());
+            assert_eq!(u.len(), model.len());
+            assert_eq!(a.union_count(b), model.len());
+            let SetRepr::Dense(d) = u else {
+                panic!("a union with a dense operand is dense")
+            };
+            assert_eq!(d.universe(), 10);
+        }
+        // Members inside the universe keep it.
+        let SetRepr::Dense(d) = dense.union(&SetRepr::sorted_from([0u32, 7])) else {
+            panic!("a union with a dense operand is dense")
+        };
+        assert_eq!((d.universe(), d.len()), (8, 4));
     }
 
     #[test]
@@ -614,9 +556,8 @@ mod tests {
                 bitmap: 1,
             }
         );
-        assert_eq!(counts.total(), 3);
         reset_kernel_selection_counts();
-        assert_eq!(kernel_selection_counts().total(), 0);
+        assert_eq!(kernel_selection_counts(), KernelSelectionCounts::default());
     }
 
     #[test]

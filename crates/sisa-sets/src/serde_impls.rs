@@ -2,25 +2,20 @@
 //!
 //! A [`SetRepr`] serializes as a tagged map — `{"kind": ..., "members": ...}`
 //! plus the universe for dense bitvectors — so traced set contents can be
-//! checked into JSON fixtures and rebuilt bit-for-bit: the member order of
-//! unsorted arrays and the universe of dense bitvectors survive the round
-//! trip, which keeps `PartialEq` equality exact. (The vendored `serde_derive`
-//! shim only handles named-field structs, hence the manual impls.)
+//! checked into JSON fixtures and rebuilt bit-for-bit: the universe of dense
+//! bitvectors survives the round trip, which keeps `PartialEq` equality
+//! exact. The two tags are `"sorted"` and `"dense"`; any other is an error.
+//! (The vendored `serde_derive` shim only handles named-field structs, hence
+//! the manual impls.)
 
-use crate::{DenseBitVector, SetRepr, SortedVertexArray, UnsortedVertexArray, Vertex};
+use crate::{DenseBitVector, SetRepr, SortedVertexArray, Vertex};
 use serde::{Content, Deserialize, Error, Serialize};
 
 impl Serialize for SetRepr {
     fn to_content(&self) -> Content {
-        let kind = match self {
-            SetRepr::Sorted(_) => "sorted",
-            SetRepr::Unsorted(_) => "unsorted",
-            SetRepr::Dense(_) => "dense",
-        };
-        let members: Vec<Vertex> = match self {
-            SetRepr::Sorted(s) => s.as_slice().to_vec(),
-            SetRepr::Unsorted(s) => s.as_slice().to_vec(),
-            SetRepr::Dense(d) => d.to_sorted_vec(),
+        let (kind, members) = match self {
+            SetRepr::Sorted(s) => ("sorted", s.as_slice().to_vec()),
+            SetRepr::Dense(d) => ("dense", d.to_sorted_vec()),
         };
         let mut entries = vec![("kind".to_string(), Content::Str(kind.to_string()))];
         if let SetRepr::Dense(d) = self {
@@ -48,9 +43,6 @@ impl Deserialize for SetRepr {
                 }
                 Ok(SetRepr::Sorted(SortedVertexArray::from_sorted(members)))
             }
-            "unsorted" => Ok(SetRepr::Unsorted(UnsortedVertexArray::from_iterable(
-                members,
-            ))),
             "dense" => {
                 let universe = content
                     .get("universe")
@@ -78,7 +70,6 @@ mod tests {
     fn every_representation_round_trips_exactly() {
         let reprs = [
             SetRepr::sorted_from([1u32, 5, 9]),
-            SetRepr::Unsorted(UnsortedVertexArray::from_iterable([9u32, 1, 5])),
             SetRepr::dense_from(32, [0u32, 31, 7]),
             SetRepr::empty_sorted(),
             SetRepr::empty_dense(16),
@@ -87,16 +78,6 @@ mod tests {
             let back = SetRepr::from_content(&repr.to_content()).unwrap();
             assert_eq!(back, repr);
             assert_eq!(back.kind(), repr.kind());
-        }
-    }
-
-    #[test]
-    fn unsorted_member_order_survives() {
-        let repr = SetRepr::Unsorted(UnsortedVertexArray::from_iterable([9u32, 1, 5]));
-        let back = SetRepr::from_content(&repr.to_content()).unwrap();
-        match back {
-            SetRepr::Unsorted(s) => assert_eq!(s.as_slice(), &[9, 1, 5]),
-            other => panic!("wrong representation {other:?}"),
         }
     }
 
@@ -110,6 +91,12 @@ mod tests {
             ("members".into(), Content::Seq(vec![])),
         ]);
         assert!(SetRepr::from_content(&bad_kind).is_err());
+        // `unsorted` names no representation: an unknown tag like any other.
+        let retired = Content::Map(vec![
+            ("kind".into(), Content::Str("unsorted".into())),
+            ("members".into(), vec![9u32, 1, 5].to_content()),
+        ]);
+        assert!(SetRepr::from_content(&retired).is_err());
         let unsorted_sorted = Content::Map(vec![
             ("kind".into(), Content::Str("sorted".into())),
             ("members".into(), vec![3u32, 1].to_content()),
