@@ -522,9 +522,10 @@ struct RegistryInner {
 }
 
 /// A thread-safe metrics registry: named counters, gauges and fixed-bucket
-/// histograms, created lazily on first touch. The service's admission
-/// controller, dispatcher, registry ledger and worker pool all write here;
-/// the TCP `metrics` frame exposes [`MetricsRegistry::snapshot`].
+/// histograms, created lazily on first touch. The service's client handles,
+/// dispatcher and worker pool write the series nothing else records here;
+/// its metrics snapshot adds the ones it reads off the ledger, the admission
+/// controller and the result cache.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<RegistryInner>,

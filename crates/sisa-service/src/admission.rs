@@ -8,9 +8,9 @@
 //! [`Rejection`]`{ retry_after_ms }` instead of blocking.
 
 use crate::query::Rejection;
-use sisa_core::MetricsRegistry;
+use sisa_core::MetricsSnapshot;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Limits enforced by the admission controller.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,7 +58,6 @@ fn retry_hint(base_ms: u64, occupancy: usize, capacity: usize) -> u64 {
 pub struct Admission {
     cfg: AdmissionConfig,
     state: Mutex<AdmState>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl Admission {
@@ -68,37 +67,6 @@ impl Admission {
         Admission {
             cfg,
             state: Mutex::new(AdmState::default()),
-            metrics: None,
-        }
-    }
-
-    /// Creates a controller that publishes its in-flight gauges (global and
-    /// per tenant) and its rejection counter to a metrics registry.
-    #[must_use]
-    pub fn with_metrics(cfg: AdmissionConfig, metrics: Arc<MetricsRegistry>) -> Self {
-        Admission {
-            cfg,
-            state: Mutex::new(AdmState::default()),
-            metrics: Some(metrics),
-        }
-    }
-
-    /// Publishes the in-flight gauges after a state change touching `tenant`.
-    /// A tenant that drops to zero in flight has its labelled gauge
-    /// *removed* rather than set to zero — otherwise every tenant name ever
-    /// seen would stay resident in the metrics registry (and in every
-    /// scrape) forever, the same leak the in-flight map itself avoids by
-    /// pruning zero entries.
-    fn publish(&self, state: &AdmState, tenant: &str) {
-        if let Some(metrics) = &self.metrics {
-            metrics.gauge_set("sisa_admission_in_flight", state.in_flight as i64);
-            let name = format!("sisa_admission_tenant_in_flight{{tenant=\"{tenant}\"}}");
-            match state.per_tenant.get(tenant) {
-                Some(&n) => metrics.gauge_set(&name, n as i64),
-                None => {
-                    metrics.gauge_remove(&name);
-                }
-            }
         }
     }
 
@@ -114,9 +82,6 @@ impl Admission {
         let mut state = self.state.lock().expect("admission lock");
         if state.in_flight >= self.cfg.queue_capacity {
             state.rejected += 1;
-            if let Some(metrics) = &self.metrics {
-                metrics.counter_add("sisa_admission_rejected_total", 1);
-            }
             // Scale the hint with actual queue occupancy so heavier
             // congestion backs clients off proportionally harder.
             let retry = retry_hint(
@@ -135,9 +100,6 @@ impl Admission {
         let tenant_inflight = state.per_tenant.get(tenant).copied().unwrap_or(0);
         if tenant_inflight >= self.cfg.per_tenant_inflight {
             state.rejected += 1;
-            if let Some(metrics) = &self.metrics {
-                metrics.counter_add("sisa_admission_rejected_total", 1);
-            }
             return Err(Rejection {
                 retry_after_ms: retry_hint(
                     self.cfg.retry_after_ms,
@@ -152,7 +114,6 @@ impl Admission {
         }
         state.in_flight += 1;
         *state.per_tenant.entry(tenant.to_string()).or_insert(0) += 1;
-        self.publish(&state, tenant);
         Ok(())
     }
 
@@ -166,7 +127,6 @@ impl Admission {
                 state.per_tenant.remove(tenant);
             }
         }
-        self.publish(&state, tenant);
     }
 
     /// Queries currently in flight (queued + executing).
@@ -179,6 +139,27 @@ impl Admission {
     #[must_use]
     pub fn rejected(&self) -> u64 {
         self.state.lock().expect("admission lock").rejected
+    }
+
+    /// Writes the controller's series into `snapshot`: the global in-flight
+    /// gauge, one labelled gauge per tenant with a slot in flight (a tenant
+    /// whose count drops to zero has no entry, so the labels are bounded by
+    /// the *active* tenants) and the rejection counter once it is non-zero.
+    pub(crate) fn export(&self, snapshot: &mut MetricsSnapshot) {
+        let state = self.state.lock().expect("admission lock");
+        let gauges = &mut snapshot.gauges;
+        gauges.insert(
+            "sisa_admission_in_flight".to_string(),
+            state.in_flight as i64,
+        );
+        for (tenant, &n) in &state.per_tenant {
+            let name = format!("sisa_admission_tenant_in_flight{{tenant=\"{tenant}\"}}");
+            gauges.insert(name, n as i64);
+        }
+        if state.rejected > 0 {
+            let name = "sisa_admission_rejected_total".to_string();
+            snapshot.counters.insert(name, state.rejected);
+        }
     }
 
     /// The configured limits.
@@ -241,28 +222,30 @@ mod tests {
         assert!(adm.try_admit("noisy").is_ok());
     }
 
+    fn exported(adm: &Admission) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        adm.export(&mut snap);
+        snap
+    }
+
     #[test]
     fn metrics_track_in_flight_and_rejections() {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let adm = Admission::with_metrics(
-            AdmissionConfig {
-                queue_capacity: 1,
-                per_tenant_inflight: 1,
-                retry_after_ms: 5,
-            },
-            Arc::clone(&metrics),
-        );
+        let adm = Admission::new(AdmissionConfig {
+            queue_capacity: 1,
+            per_tenant_inflight: 1,
+            retry_after_ms: 5,
+        });
         adm.try_admit("t").unwrap();
-        let snap = metrics.snapshot();
+        let snap = exported(&adm);
         assert_eq!(snap.gauges["sisa_admission_in_flight"], 1);
         assert_eq!(
             snap.gauges["sisa_admission_tenant_in_flight{tenant=\"t\"}"],
             1
         );
         assert!(adm.try_admit("t").is_err());
-        assert_eq!(metrics.counter("sisa_admission_rejected_total"), 1);
+        assert_eq!(exported(&adm).counters["sisa_admission_rejected_total"], 1);
         adm.complete("t");
-        let snap = metrics.snapshot();
+        let snap = exported(&adm);
         assert_eq!(snap.gauges["sisa_admission_in_flight"], 0);
         assert!(
             !snap
@@ -277,8 +260,7 @@ mod tests {
         // Regression: per-tenant residue must be bounded by *concurrently
         // active* tenants. The in-flight map already pruned zero entries;
         // the labelled gauge used to stay at 0 forever.
-        let metrics = Arc::new(MetricsRegistry::new());
-        let adm = Admission::with_metrics(AdmissionConfig::default(), Arc::clone(&metrics));
+        let adm = Admission::new(AdmissionConfig::default());
         for i in 0..100 {
             let tenant = format!("one-shot-{i}");
             adm.try_admit(&tenant).unwrap();
@@ -286,7 +268,7 @@ mod tests {
             adm.complete(&tenant);
             assert!(adm.tracked_tenants().is_empty());
         }
-        let snap = metrics.snapshot();
+        let snap = exported(&adm);
         let labelled = snap
             .gauges
             .keys()
@@ -294,6 +276,7 @@ mod tests {
             .count();
         assert_eq!(labelled, 0, "no per-tenant gauge survives completion");
         assert_eq!(snap.gauges["sisa_admission_in_flight"], 0);
+        assert!(snap.counters.is_empty(), "no rejection, no counter");
     }
 
     #[test]

@@ -89,17 +89,6 @@ pub struct CacheCounters {
     pub resident_bytes: u64,
 }
 
-impl CacheCounters {
-    /// The hit ratio in permille (`hits * 1000 / lookups`), 0 when idle —
-    /// the integer form the metrics gauge surface uses.
-    #[must_use]
-    pub(crate) fn hit_ratio_permille(&self) -> u64 {
-        (self.hits * 1000)
-            .checked_div(self.hits + self.misses)
-            .unwrap_or(0)
-    }
-}
-
 /// The bounded, generation-keyed LRU result cache (see the module docs).
 #[derive(Debug)]
 pub struct ResultCache {
@@ -292,7 +281,6 @@ mod tests {
         );
         let counters = cache.counters();
         assert_eq!((counters.hits, counters.misses), (1, 4));
-        assert_eq!(counters.hit_ratio_permille(), 200);
     }
 
     #[test]

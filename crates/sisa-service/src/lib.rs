@@ -61,15 +61,18 @@
 //!   streamed progress frames for long batched queries. Connections are
 //!   pipelined: queries submitted on one connection execute concurrently,
 //!   with every frame correlated by the request `id`.
-//! * **Observability** — a service-wide [`sisa_core::MetricsRegistry`]
-//!   (admission gauges, dispatcher/worker counters, cache
-//!   hit/miss/eviction counters and the hit-ratio gauge, per-tenant
-//!   scheduler-depth gauges, latency histograms)
-//!   exposed over TCP by the `{"id": N, "query": "metrics"}` request, an
-//!   optional [`sisa_core::SharedCollector`] in [`ServiceConfig`] that
-//!   records every worker engine's lane timeline, and per-query span
-//!   summaries (`queue_ns`, `execute_ns`, `span_ns`) on terminal result
-//!   frames. All of it is observer-only: enabling telemetry never changes
+//! * **Observability** — a metrics snapshot
+//!   ([`SisaService::metrics_snapshot`]) that reads each series off its
+//!   one owner: query, mutation and graph counters off the tenant ledger,
+//!   in-flight gauges and rejections off the admission controller,
+//!   hit/miss/eviction counters and the hit-ratio gauge off the result
+//!   cache; a [`sisa_core::MetricsRegistry`] holds only what nothing else
+//!   records (submission, panic, stream and dispatcher counters,
+//!   per-tenant scheduler-depth gauges, latency histograms). The snapshot is
+//!   exposed over TCP by the `{"id": N, "query": "metrics"}` request. An
+//!   optional [`sisa_core::SharedCollector`] in [`ServiceConfig`] records
+//!   every worker engine's lane timeline, and terminal result frames carry
+//!   per-query span summaries (`queue_ns`, `execute_ns`, `span_ns`). All of it is observer-only: enabling telemetry never changes
 //!   results or [`sisa_core::ExecStats`].
 //!
 //! ## Quickstart (in-process)
@@ -155,7 +158,7 @@ pub use tcp::TcpServer;
 pub use wfq::WfqScheduler;
 
 // Observability types service embedders need alongside the service API.
-pub use sisa_core::{MetricsRegistry, MetricsSnapshot, SharedCollector};
+pub use sisa_core::{MetricsSnapshot, SharedCollector};
 
 // Registry types surfaced through `ServiceConfig`.
 pub use sisa_graph::{GraphDelta, GraphLease, RegistryConfig};

@@ -100,85 +100,27 @@ impl Request {
         })
     }
 
-    /// Parses one request line *leniently*: `k` and `budget` may be absent
-    /// entirely (the derived deserializer, used for round-trips of frames the
-    /// service itself emitted, requires every field to be present). The
+    /// Parses one request line with the derived codec: `k`, `budget`,
+    /// `inserts` and `deletes` may be absent (they read as `None`). The
     /// introspection request `{"id": N, "query": "metrics"}` needs no
-    /// `tenant` or `graph` — it is answered by the transport itself with a
-    /// `metrics` frame and never reaches admission control.
+    /// `tenant` or `graph` (absent ones read as `""`) — it is answered by
+    /// the transport itself with a `metrics` frame and never reaches
+    /// admission control.
     ///
     /// # Errors
     ///
     /// Returns a message describing the malformed line.
     pub fn parse(line: &str) -> Result<Self, String> {
-        let value: Content = serde_json::from_str(line).map_err(|e| format!("{e:?}"))?;
-        let get_u64 = |key: &str| -> Result<Option<u64>, String> {
-            match value.get(key) {
-                None | Some(Content::Null) => Ok(None),
-                Some(Content::U64(n)) => Ok(Some(*n)),
-                Some(Content::I64(n)) if *n >= 0 => Ok(Some(*n as u64)),
-                Some(other) => Err(format!(
-                    "field `{key}` is not an unsigned integer: {other:?}"
-                )),
-            }
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            match value.get(key) {
-                Some(Content::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("missing or non-string field `{key}`")),
-            }
-        };
-        let get_edges = |key: &str| -> Result<Option<Vec<(u64, u64)>>, String> {
-            let endpoint = |c: &Content| -> Result<u64, String> {
-                match c {
-                    Content::U64(n) => Ok(*n),
-                    Content::I64(n) if *n >= 0 => Ok(*n as u64),
-                    other => Err(format!(
-                        "edge endpoint is not an unsigned integer: {other:?}"
-                    )),
+        let mut value: Content = serde_json::from_str(line).map_err(|e| format!("{e:?}"))?;
+        let metrics = matches!(value.get("query"), Some(Content::Str(q)) if q == "metrics");
+        if let (true, Content::Map(fields)) = (metrics, &mut value) {
+            for key in ["tenant", "graph"] {
+                if !fields.iter().any(|(k, _)| k == key) {
+                    fields.push((key.to_string(), Content::Str(String::new())));
                 }
-            };
-            match value.get(key) {
-                None | Some(Content::Null) => Ok(None),
-                Some(Content::Seq(items)) => {
-                    let mut out = Vec::with_capacity(items.len());
-                    for item in items {
-                        match item {
-                            Content::Seq(pair) if pair.len() == 2 => {
-                                out.push((endpoint(&pair[0])?, endpoint(&pair[1])?));
-                            }
-                            other => {
-                                return Err(format!(
-                                    "field `{key}` entries must be `[u, v]` pairs, \
-                                     found {other:?}"
-                                ))
-                            }
-                        }
-                    }
-                    Ok(Some(out))
-                }
-                Some(other) => Err(format!("field `{key}` is not an array: {other:?}")),
             }
-        };
-        let query = get_str("query")?;
-        let (tenant, graph) = if query == "metrics" {
-            (
-                get_str("tenant").unwrap_or_default(),
-                get_str("graph").unwrap_or_default(),
-            )
-        } else {
-            (get_str("tenant")?, get_str("graph")?)
-        };
-        Ok(Request {
-            id: get_u64("id")?.ok_or("missing field `id`")?,
-            tenant,
-            graph,
-            query,
-            k: get_u64("k")?,
-            budget: get_u64("budget")?,
-            inserts: get_edges("inserts")?,
-            deletes: get_edges("deletes")?,
-        })
+        }
+        Request::from_content(&value).map_err(|e| e.to_string())
     }
 }
 
@@ -207,7 +149,7 @@ fn parse_edges(key: &str, edges: Option<&[(u64, u64)]>) -> Result<Vec<(Vertex, V
 /// `truncated`, the stats fields and the per-query span summary),
 /// `metrics` (`metrics`, `metrics_text`), `rejected` (`retry_after_ms`,
 /// `error`) or `error` (`error`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Frame {
     /// The request's correlation id (0 when the line was unparseable).
     pub id: u64,
@@ -246,7 +188,7 @@ pub struct Frame {
     pub retry_after_ms: Option<u64>,
     /// Failure or rejection detail (rejected, error).
     pub error: Option<String>,
-    /// The service's metrics registry snapshot (metrics).
+    /// The service's metrics snapshot (metrics).
     pub metrics: Option<MetricsSnapshot>,
     /// The same snapshot rendered in Prometheus text exposition format
     /// (metrics).
@@ -258,24 +200,7 @@ impl Frame {
         Frame {
             id,
             frame: frame.to_string(),
-            done_ops: None,
-            total_ops: None,
-            partial: None,
-            value: None,
-            truncated: None,
-            simulated_cycles: None,
-            instructions: None,
-            energy_nj: None,
-            wall_ns: None,
-            queue_ns: None,
-            execute_ns: None,
-            span_ns: None,
-            coalesced: None,
-            cache_hit: None,
-            retry_after_ms: None,
-            error: None,
-            metrics: None,
-            metrics_text: None,
+            ..Frame::default()
         }
     }
 
@@ -374,6 +299,10 @@ mod tests {
     fn malformed_lines_are_reported_not_panicked() {
         assert!(Request::parse("not json").is_err());
         assert!(Request::parse(r#"{"id": 1}"#).is_err());
+        let untenanted = r#"{"id": 1, "graph": "g", "query": "tc"}"#;
+        assert!(Request::parse(untenanted)
+            .unwrap_err()
+            .contains("missing field `tenant`"));
         assert!(Request::parse(
             r#"{"id": 1, "tenant": "t", "graph": "g", "query": "tc", "k": -4}"#
         )

@@ -224,6 +224,80 @@ impl LedgerInner {
         usage.wall_ns += wall_ns;
         usage.stats.merge(delta);
     }
+
+    /// The ledger's columns of a [`ServiceReport`]: the request counts
+    /// summed over the tenant rows, and the registry's load and eviction
+    /// counts.
+    fn report(&self) -> ServiceReport {
+        let mut report = ServiceReport {
+            graph_loads: self.graph_loads,
+            evictions: self.evictions,
+            ..ServiceReport::default()
+        };
+        for usage in self.tenants.values() {
+            report.completed += usage.queries + usage.mutations;
+            report.mutations += usage.mutations;
+            report.coalesced += usage.coalesced;
+            report.cache_hits += usage.cache_hits;
+            report.failed += usage.failed;
+        }
+        report
+    }
+}
+
+/// The state every service thread shares: the client handles, the
+/// dispatcher and the workers each hold one `Arc` of it. Each fact has one
+/// owner here, and [`Shared::metrics_snapshot`] reads the series that have
+/// one off it; `metrics` keeps only what nothing else records.
+pub(crate) struct Shared {
+    pub(crate) registry: GraphRegistry,
+    pub(crate) admission: Admission,
+    pub(crate) ledger: Mutex<LedgerInner>,
+    pub(crate) cache: ResultCache,
+    pub(crate) metrics: MetricsRegistry,
+}
+
+impl Shared {
+    fn report(&self) -> ServiceReport {
+        let report = self.ledger.lock().expect("ledger lock").report();
+        ServiceReport {
+            rejected: self.admission.rejected(),
+            in_flight: self.admission.in_flight(),
+            ..report
+        }
+    }
+
+    /// The pushed series of `metrics`, plus the ledger's, the admission
+    /// controller's and the cache's read off their owners. A counter
+    /// appears once it is non-zero and the hit-ratio gauge once the cache
+    /// has counted a lookup. The locks are taken one at a time: workers
+    /// touch `metrics` and `admission` while they hold the ledger lock.
+    pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let report = self.ledger.lock().expect("ledger lock").report();
+        let cache = self.cache.counters();
+        let mut snapshot = self.metrics.snapshot();
+        self.admission.export(&mut snapshot);
+        for (name, value) in [
+            ("sisa_queries_completed_total", report.completed),
+            ("sisa_queries_coalesced_total", report.coalesced),
+            ("sisa_queries_failed_total", report.failed),
+            ("sisa_mutations_total", report.mutations),
+            ("sisa_graph_loads_total", report.graph_loads),
+            ("sisa_graph_evictions_total", report.evictions),
+            ("sisa_cache_hits_total", cache.hits),
+            ("sisa_cache_misses_total", cache.misses),
+            ("sisa_cache_evictions_total", cache.evictions),
+        ] {
+            if value > 0 {
+                snapshot.counters.insert(name.to_string(), value);
+            }
+        }
+        if let Some(permille) = (cache.hits * 1000).checked_div(cache.hits + cache.misses) {
+            let name = "sisa_cache_hit_ratio_permille".to_string();
+            snapshot.gauges.insert(name, permille as i64);
+        }
+        snapshot
+    }
 }
 
 /// A snapshot of the service's aggregate counters.
@@ -285,8 +359,7 @@ impl QueryHandle {
 #[derive(Clone)]
 pub struct ServiceClient {
     job_tx: Sender<DispatchMsg>,
-    admission: Arc<Admission>,
-    metrics: Arc<MetricsRegistry>,
+    shared: Arc<Shared>,
 }
 
 impl ServiceClient {
@@ -298,8 +371,11 @@ impl ServiceClient {
     /// saturated, the tenant's quota is exhausted, or the service is
     /// shutting down.
     pub fn submit(&self, tenant: &str, spec: QuerySpec) -> Result<QueryHandle, Rejection> {
-        self.admission.try_admit(tenant)?;
-        self.metrics.counter_add("sisa_queries_submitted_total", 1);
+        let admission = &self.shared.admission;
+        admission.try_admit(tenant)?;
+        self.shared
+            .metrics
+            .counter_add("sisa_queries_submitted_total", 1);
         let (events, rx) = channel();
         let job = Job {
             tenant: tenant.to_string(),
@@ -308,20 +384,20 @@ impl ServiceClient {
             submitted: Instant::now(),
         };
         if self.job_tx.send(DispatchMsg::Job(job)).is_err() {
-            self.admission.complete(tenant);
+            admission.complete(tenant);
             return Err(Rejection {
-                retry_after_ms: self.admission.config().retry_after_ms.max(1),
+                retry_after_ms: admission.config().retry_after_ms.max(1),
                 reason: "service is shutting down".to_string(),
             });
         }
         Ok(QueryHandle { rx })
     }
 
-    /// A consistent snapshot of the service's metrics registry — what the
-    /// TCP transport returns for a `metrics` request.
+    /// A snapshot of the service's metrics — what the TCP transport
+    /// returns for a `metrics` request (see [`SisaService::metrics_snapshot`]).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.shared.metrics_snapshot()
     }
 }
 
@@ -337,11 +413,7 @@ struct WorkerHandle {
 /// See the crate docs for a quickstart.
 pub struct SisaService {
     cfg: ServiceConfig,
-    registry: Arc<GraphRegistry>,
-    admission: Arc<Admission>,
-    ledger: Arc<Mutex<LedgerInner>>,
-    metrics: Arc<MetricsRegistry>,
-    cache: Arc<ResultCache>,
+    shared: Arc<Shared>,
     job_tx: Option<Sender<DispatchMsg>>,
     stop: Arc<AtomicBool>,
     dispatcher: Option<JoinHandle<()>>,
@@ -358,14 +430,13 @@ impl SisaService {
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers > 0, "a service needs at least one worker");
         assert!(cfg.shards > 0, "worker engines need at least one shard");
-        let registry = Arc::new(GraphRegistry::with_config(cfg.seed, cfg.registry.clone()));
-        let metrics = Arc::new(MetricsRegistry::new());
-        let admission = Arc::new(Admission::with_metrics(
-            cfg.admission.clone(),
-            Arc::clone(&metrics),
-        ));
-        let ledger = Arc::new(Mutex::new(LedgerInner::default()));
-        let cache = Arc::new(ResultCache::new(cfg.cache_entries, cfg.cache_bytes));
+        let shared = Arc::new(Shared {
+            registry: GraphRegistry::with_config(cfg.seed, cfg.registry.clone()),
+            admission: Admission::new(cfg.admission.clone()),
+            ledger: Mutex::new(LedgerInner::default()),
+            cache: ResultCache::new(cfg.cache_entries, cfg.cache_bytes),
+            metrics: MetricsRegistry::new(),
+        });
         let stop = Arc::new(AtomicBool::new(false));
         let (job_tx, job_rx) = channel::<DispatchMsg>();
 
@@ -373,11 +444,7 @@ impl SisaService {
         let mut worker_txs = Vec::with_capacity(cfg.workers);
         for i in 0..cfg.workers {
             let (tx, rx) = channel::<WorkerMsg>();
-            let registry = Arc::clone(&registry);
-            let ledger = Arc::clone(&ledger);
-            let admission = Arc::clone(&admission);
-            let worker_metrics = Arc::clone(&metrics);
-            let worker_cache = Arc::clone(&cache);
+            let shared = Arc::clone(&shared);
             let done = job_tx.clone();
             let collector = cfg.collector.clone();
             let shards = cfg.shards;
@@ -395,20 +462,7 @@ impl SisaService {
                         // so the pool shares one collector without clashes.
                         engine.attach_collector(collector, (i * shards) as u32);
                     }
-                    Worker::new(
-                        engine,
-                        registry,
-                        ledger,
-                        admission,
-                        worker_metrics,
-                        worker_cache,
-                        graph_cfg,
-                        window,
-                        stream_ks,
-                        i,
-                        done,
-                    )
-                    .run(&rx);
+                    Worker::new(engine, shared, graph_cfg, window, stream_ks, i, done).run(&rx);
                 })
                 .expect("spawn worker thread");
             worker_txs.push(tx.clone());
@@ -426,11 +480,7 @@ impl SisaService {
                     .map(|_| WfqScheduler::new(cfg.tenant_weights.clone()))
                     .collect(),
                 busy: vec![false; cfg.workers],
-                cache: Arc::clone(&cache),
-                registry: Arc::clone(&registry),
-                ledger: Arc::clone(&ledger),
-                admission: Arc::clone(&admission),
-                metrics: Arc::clone(&metrics),
+                shared: Arc::clone(&shared),
                 window: cfg.coalesce_window.max(1),
             };
             std::thread::Builder::new()
@@ -441,11 +491,7 @@ impl SisaService {
 
         SisaService {
             cfg,
-            registry,
-            admission,
-            ledger,
-            metrics,
-            cache,
+            shared,
             job_tx: Some(job_tx),
             stop,
             dispatcher: Some(dispatcher),
@@ -462,8 +508,7 @@ impl SisaService {
     pub fn client(&self) -> ServiceClient {
         ServiceClient {
             job_tx: self.job_tx.as_ref().expect("service is running").clone(),
-            admission: Arc::clone(&self.admission),
-            metrics: Arc::clone(&self.metrics),
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -479,7 +524,7 @@ impl SisaService {
     /// The shared named-graph registry.
     #[must_use]
     pub fn registry(&self) -> &GraphRegistry {
-        &self.registry
+        &self.shared.registry
     }
 
     /// Registers a caller-supplied graph under `name` (evicting any resident
@@ -488,7 +533,7 @@ impl SisaService {
         for worker in &self.workers {
             let _ = worker.tx.send(WorkerMsg::Evict(name.to_string()));
         }
-        let _ = self.registry.register(name, graph);
+        let _ = self.shared.registry.register(name, graph);
     }
 
     /// Evicts `name` everywhere: drops the registry handle and the
@@ -496,7 +541,7 @@ impl SisaService {
     /// admission finish normally (eviction is processed in queue order
     /// behind them). Returns whether the registry held the name.
     pub fn evict_graph(&self, name: &str) -> bool {
-        let existed = self.registry.evict(name);
+        let existed = self.shared.registry.evict(name);
         for worker in &self.workers {
             let _ = worker.tx.send(WorkerMsg::Evict(name.to_string()));
         }
@@ -506,7 +551,12 @@ impl SisaService {
     /// Per-tenant usage, exactly attributing the pool's simulated work.
     #[must_use]
     pub fn tenant_usage(&self) -> BTreeMap<String, TenantUsage> {
-        self.ledger.lock().expect("ledger lock").tenants.clone()
+        self.shared
+            .ledger
+            .lock()
+            .expect("ledger lock")
+            .tenants
+            .clone()
     }
 
     /// The pool aggregate: the fold of every tenant's attributed stats, in
@@ -516,7 +566,7 @@ impl SisaService {
     /// raw engine counters ([`SisaService::engine_stats`]).
     #[must_use]
     pub fn pool_stats(&self) -> ExecStats {
-        let ledger = self.ledger.lock().expect("ledger lock");
+        let ledger = self.shared.ledger.lock().expect("ledger lock");
         let mut total = ExecStats::default();
         for usage in ledger.tenants.values() {
             total.merge(&usage.stats);
@@ -527,7 +577,8 @@ impl SisaService {
     /// Registry overheads (graph loads and evictions) billed to no tenant.
     #[must_use]
     pub fn registry_stats(&self) -> ExecStats {
-        self.ledger
+        self.shared
+            .ledger
             .lock()
             .expect("ledger lock")
             .registry_stats
@@ -562,40 +613,22 @@ impl SisaService {
         replies
     }
 
-    /// The service-wide metrics registry (counters, gauges, latency
-    /// histograms) fed by the admission controller, dispatcher, registry
-    /// bookkeeping and worker pool.
-    #[must_use]
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
-    /// A consistent snapshot of [`SisaService::metrics`].
+    /// The service's metrics: counters, gauges and latency histograms. The
+    /// query, mutation and graph counters are read off the tenant ledger,
+    /// the `sisa_admission_*` series off the admission controller and the
+    /// `sisa_cache_*` series off the result cache; the dispatcher, stream,
+    /// submission and panic counters, the WFQ depth gauges and the latency
+    /// histograms are the ones the threads push.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.shared.metrics_snapshot()
     }
 
     /// Aggregate service counters: the request columns are summed over the
     /// tenant ledger's rows.
     #[must_use]
     pub fn report(&self) -> ServiceReport {
-        let ledger = self.ledger.lock().expect("ledger lock");
-        let mut report = ServiceReport {
-            rejected: self.admission.rejected(),
-            in_flight: self.admission.in_flight(),
-            graph_loads: ledger.graph_loads,
-            evictions: ledger.evictions,
-            ..ServiceReport::default()
-        };
-        for usage in ledger.tenants.values() {
-            report.completed += usage.queries + usage.mutations;
-            report.mutations += usage.mutations;
-            report.coalesced += usage.coalesced;
-            report.cache_hits += usage.cache_hits;
-            report.failed += usage.failed;
-        }
-        report
+        self.shared.report()
     }
 
     /// The configuration the service was started with.
@@ -608,7 +641,7 @@ impl SisaService {
     /// evictions, residency).
     #[must_use]
     pub fn cache_counters(&self) -> CacheCounters {
-        self.cache.counters()
+        self.shared.cache.counters()
     }
 
     /// Stops accepting queries, drains the pipeline and joins every thread.
@@ -667,11 +700,7 @@ struct Dispatcher {
     /// execution capacity.
     schedulers: Vec<WfqScheduler<Job>>,
     busy: Vec<bool>,
-    cache: Arc<ResultCache>,
-    registry: Arc<GraphRegistry>,
-    ledger: Arc<Mutex<LedgerInner>>,
-    admission: Arc<Admission>,
-    metrics: Arc<MetricsRegistry>,
+    shared: Arc<Shared>,
     window: usize,
 }
 
@@ -702,7 +731,7 @@ impl Dispatcher {
                     let _ = job
                         .events
                         .send(QueryEvent::Failed("service shut down".to_string()));
-                    self.admission.complete(&job.tenant);
+                    self.shared.admission.complete(&job.tenant);
                 }
                 break;
             }
@@ -721,11 +750,10 @@ impl Dispatcher {
                 msg = job_rx.try_recv().ok();
             }
             if batch_jobs > 0 {
-                self.metrics.counter_add("sisa_dispatch_batches_total", 1);
-                self.metrics
-                    .counter_add("sisa_dispatch_jobs_total", batch_jobs);
-                self.metrics
-                    .gauge_set("sisa_dispatch_last_batch_jobs", batch_jobs as i64);
+                let metrics = &self.shared.metrics;
+                metrics.counter_add("sisa_dispatch_batches_total", 1);
+                metrics.counter_add("sisa_dispatch_jobs_total", batch_jobs);
+                metrics.gauge_set("sisa_dispatch_last_batch_jobs", batch_jobs as i64);
             }
             self.assign_idle();
         }
@@ -740,13 +768,11 @@ impl Dispatcher {
     /// worker, same WFQ backlog).
     fn intake(&mut self, job: Job) {
         if !job.spec.kind.is_mutation() {
-            let generation = self.registry.generation_of(&job.spec.graph);
-            if let Some(hit) = self.cache.get(generation, &job.spec) {
+            let generation = self.shared.registry.generation_of(&job.spec.graph);
+            if let Some(hit) = self.shared.cache.get(generation, &job.spec) {
                 self.serve_hit(job, &hit);
                 return;
             }
-            self.metrics.counter_add("sisa_cache_misses_total", 1);
-            self.publish_hit_ratio();
         }
         let target = worker_for(&job.spec.graph, self.schedulers.len());
         let tenant = job.tenant.clone();
@@ -759,21 +785,20 @@ impl Dispatcher {
     /// zero engine cycles billed (ledger `cache_hits` column).
     fn serve_hit(&self, job: Job, hit: &CachedResult) {
         let queue_ns = ns(job.submitted.elapsed());
-        self.ledger
+        let shared = &self.shared;
+        shared
+            .ledger
             .lock()
             .expect("ledger lock")
             .record_cache_hit(&job.tenant);
-        self.metrics.counter_add("sisa_cache_hits_total", 1);
-        self.metrics.counter_add("sisa_queries_completed_total", 1);
-        self.publish_hit_ratio();
         let span_ns = ns(job.submitted.elapsed());
         let stats = QueryStats::from_cached(&hit.stats).with_spans(queue_ns, 0, span_ns);
-        self.metrics.observe("sisa_query_queue_ns", queue_ns);
-        self.metrics.observe("sisa_query_latency_ns", span_ns);
+        shared.metrics.observe("sisa_query_queue_ns", queue_ns);
+        shared.metrics.observe("sisa_query_latency_ns", span_ns);
         // Release the slot *before* the terminal event: a hit was never
         // queued or executing, and a client observing its completion must
         // already see the slot free.
-        self.admission.complete(&job.tenant);
+        shared.admission.complete(&job.tenant);
         let _ = job.events.send(QueryEvent::Done(QueryOutcome {
             value: hit.value,
             truncated: hit.truncated,
@@ -792,8 +817,8 @@ impl Dispatcher {
                 };
                 let mutation = job.spec.kind.is_mutation();
                 if !mutation {
-                    let generation = self.registry.generation_of(&job.spec.graph);
-                    if let Some(hit) = self.cache.recheck(generation, &job.spec) {
+                    let generation = self.shared.registry.generation_of(&job.spec.graph);
+                    if let Some(hit) = self.shared.cache.recheck(generation, &job.spec) {
                         self.serve_hit(job, &hit);
                         self.publish_depth(&tenant);
                         continue;
@@ -818,7 +843,9 @@ impl Dispatcher {
                 for tenant in &touched {
                     self.publish_depth(tenant);
                 }
-                self.metrics.counter_add("sisa_dispatch_groups_total", 1);
+                self.shared
+                    .metrics
+                    .counter_add("sisa_dispatch_groups_total", 1);
                 let group = JobGroup { spec, entries };
                 if self.worker_txs[worker].send(WorkerMsg::Run(group)).is_err() {
                     return;
@@ -836,19 +863,10 @@ impl Dispatcher {
         let depth: usize = self.schedulers.iter().map(|s| s.depth(tenant)).sum();
         let name = format!("sisa_wfq_queue_depth{{tenant=\"{tenant}\"}}");
         if depth == 0 {
-            self.metrics.gauge_remove(&name);
+            self.shared.metrics.gauge_remove(&name);
         } else {
-            self.metrics.gauge_set(&name, depth as i64);
+            self.shared.metrics.gauge_set(&name, depth as i64);
         }
-    }
-
-    /// Publishes the cache hit-ratio gauge (permille of all lookups).
-    fn publish_hit_ratio(&self) {
-        let counters = self.cache.counters();
-        self.metrics.gauge_set(
-            "sisa_cache_hit_ratio_permille",
-            counters.hit_ratio_permille() as i64,
-        );
     }
 }
 

@@ -10,23 +10,22 @@
 //! one scope, the per-tenant ledgers plus the registry ledger telescope
 //! exactly (integer counters) to the raw engine aggregates.
 
-use crate::admission::Admission;
-use crate::cache::{CachedResult, ResultCache};
+use crate::cache::CachedResult;
 use crate::query::{QueryEvent, QueryKind, QueryOutcome, QuerySpec, QueryStats};
-use crate::service::{DispatchMsg, Job, JobGroup, LedgerInner};
+use crate::service::{DispatchMsg, Job, JobGroup, Shared};
 use sisa_algorithms::setcentric::{
     k_clique_count, orient_by_degeneracy, star_pattern, subgraph_isomorphism_count, triangle_count,
     StreamingMiner,
 };
 use sisa_algorithms::SearchLimits;
 use sisa_core::{
-    BatchOp, ExecStats, MetricsRegistry, SetEngine, SetGraph, SetGraphConfig, ShardedEngine,
-    SisaRuntime, StatsScope, Vertex,
+    BatchOp, ExecStats, SetEngine, SetGraph, SetGraphConfig, ShardedEngine, SisaRuntime,
+    StatsScope, Vertex,
 };
-use sisa_graph::{CsrGraph, GraphRegistry};
+use sisa_graph::CsrGraph;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Control messages a worker accepts, processed strictly in order.
@@ -73,11 +72,7 @@ struct StreamState {
 
 pub(crate) struct Worker {
     pub(crate) engine: ShardedEngine<SisaRuntime>,
-    pub(crate) registry: Arc<GraphRegistry>,
-    pub(crate) ledger: Arc<Mutex<LedgerInner>>,
-    pub(crate) admission: Arc<Admission>,
-    pub(crate) metrics: Arc<MetricsRegistry>,
-    pub(crate) cache: Arc<ResultCache>,
+    pub(crate) shared: Arc<Shared>,
     pub(crate) graph_cfg: SetGraphConfig,
     pub(crate) progress_window_ops: usize,
     /// This worker's pool index, echoed on `DispatchMsg::Done`.
@@ -98,14 +93,9 @@ fn ns(duration: Duration) -> u64 {
 }
 
 impl Worker {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         engine: ShardedEngine<SisaRuntime>,
-        registry: Arc<GraphRegistry>,
-        ledger: Arc<Mutex<LedgerInner>>,
-        admission: Arc<Admission>,
-        metrics: Arc<MetricsRegistry>,
-        cache: Arc<ResultCache>,
+        shared: Arc<Shared>,
         graph_cfg: SetGraphConfig,
         progress_window_ops: usize,
         stream_ks: Vec<usize>,
@@ -114,11 +104,7 @@ impl Worker {
     ) -> Self {
         Worker {
             engine,
-            registry,
-            ledger,
-            admission,
-            metrics,
-            cache,
+            shared,
             graph_cfg,
             progress_window_ops: progress_window_ops.max(1),
             index,
@@ -152,7 +138,8 @@ impl Worker {
         let scope = StatsScope::begin(self.engine.stats());
         let out = work(&mut self.engine);
         let delta = scope.finish(self.engine.stats());
-        self.ledger
+        self.shared
+            .ledger
             .lock()
             .expect("ledger lock")
             .registry_stats
@@ -174,7 +161,7 @@ impl Worker {
     /// any tenant), which is what makes the second query on a graph charge
     /// zero additional load cycles.
     fn ensure_resident(&mut self, name: &str) -> Result<(), String> {
-        let current = self.registry.generation_of(name);
+        let current = self.shared.registry.generation_of(name);
         if self.graphs.get(name).map(|g| g.generation) == Some(current) {
             return Ok(());
         }
@@ -184,6 +171,7 @@ impl Worker {
         }
         self.drop_static_loads(name);
         let lease = self
+            .shared
             .registry
             .acquire_lease(name)
             .ok_or_else(|| format!("unknown graph {name:?}"))?;
@@ -192,8 +180,7 @@ impl Worker {
             let (oriented, _ordering) = orient_by_degeneracy(engine, &lease.graph, &cfg);
             (oriented, SetGraph::load(engine, &lease.graph, &cfg))
         });
-        self.ledger.lock().expect("ledger lock").graph_loads += 1;
-        self.metrics.counter_add("sisa_graph_loads_total", 1);
+        self.shared.ledger.lock().expect("ledger lock").graph_loads += 1;
         self.graphs.insert(
             name.to_string(),
             ResidentGraph {
@@ -229,17 +216,15 @@ impl Worker {
                 }
             }
         });
-        self.ledger.lock().expect("ledger lock").evictions += 1;
-        self.metrics.counter_add("sisa_graph_evictions_total", 1);
+        self.shared.ledger.lock().expect("ledger lock").evictions += 1;
     }
 
     fn fail_group(&self, group: &JobGroup, error: &str) {
-        let mut ledger = self.ledger.lock().expect("ledger lock");
+        let mut ledger = self.shared.ledger.lock().expect("ledger lock");
         for job in &group.entries {
             ledger.record_failed(&job.tenant);
-            self.metrics.counter_add("sisa_queries_failed_total", 1);
             let _ = job.events.send(QueryEvent::Failed(error.to_string()));
-            self.admission.complete(&job.tenant);
+            self.shared.admission.complete(&job.tenant);
         }
     }
 
@@ -249,17 +234,18 @@ impl Worker {
     /// entry receives a `Failed` event, and every admission slot is
     /// released. The worker itself survives to serve the next group.
     fn attribute_panic(&self, group: &JobGroup, delta: &ExecStats, wall_ns: u64, error: &str) {
-        self.metrics.counter_add("sisa_queries_panicked_total", 1);
-        let mut ledger = self.ledger.lock().expect("ledger lock");
+        self.shared
+            .metrics
+            .counter_add("sisa_queries_panicked_total", 1);
+        let mut ledger = self.shared.ledger.lock().expect("ledger lock");
         for (i, job) in group.entries.iter().enumerate() {
             if i == 0 {
                 ledger.record_panicked(&job.tenant, delta, wall_ns);
             } else {
                 ledger.record_failed(&job.tenant);
             }
-            self.metrics.counter_add("sisa_queries_failed_total", 1);
             let _ = job.events.send(QueryEvent::Failed(error.to_string()));
-            self.admission.complete(&job.tenant);
+            self.shared.admission.complete(&job.tenant);
         }
     }
 
@@ -333,7 +319,7 @@ impl Worker {
         // computed against: if the registry has since evicted or replaced
         // the name, its per-name generation already moved on and this entry
         // is stillborn — a stale hit is structurally impossible.
-        let evicted = self.cache.insert(
+        self.shared.cache.insert(
             resident.generation,
             &group.spec,
             CachedResult {
@@ -342,10 +328,6 @@ impl Worker {
                 stats: QueryStats::from_delta(&delta, wall_ns),
             },
         );
-        if evicted > 0 {
-            self.metrics
-                .counter_add("sisa_cache_evictions_total", evicted);
-        }
 
         self.settle_group(&group, value, truncated, &delta, wall_ns, started, false);
     }
@@ -367,34 +349,31 @@ impl Worker {
         started: Instant,
         mutation: bool,
     ) {
-        let mut ledger = self.ledger.lock().expect("ledger lock");
+        let shared = &self.shared;
+        let mut ledger = shared.ledger.lock().expect("ledger lock");
         for (i, job) in group.entries.iter().enumerate() {
             let queue_ns = ns(started.saturating_duration_since(job.submitted));
             let span_ns = ns(job.submitted.elapsed());
             let stats = if i == 0 {
                 if mutation {
                     ledger.record_mutation(&job.tenant, delta, wall_ns);
-                    self.metrics.counter_add("sisa_mutations_total", 1);
                 } else {
                     ledger.record_query(&job.tenant, delta, wall_ns);
                 }
-                self.metrics.counter_add("sisa_queries_completed_total", 1);
                 QueryStats::from_delta(delta, wall_ns)
             } else {
                 ledger.record_coalesced(&job.tenant);
-                self.metrics.counter_add("sisa_queries_completed_total", 1);
-                self.metrics.counter_add("sisa_queries_coalesced_total", 1);
                 QueryStats::coalesced()
             }
             .with_spans(queue_ns, wall_ns, span_ns);
-            self.metrics.observe("sisa_query_queue_ns", queue_ns);
-            self.metrics.observe("sisa_query_latency_ns", span_ns);
+            shared.metrics.observe("sisa_query_queue_ns", queue_ns);
+            shared.metrics.observe("sisa_query_latency_ns", span_ns);
             let _ = job.events.send(QueryEvent::Done(QueryOutcome {
                 value,
                 truncated,
                 stats,
             }));
-            self.admission.complete(&job.tenant);
+            shared.admission.complete(&job.tenant);
         }
     }
 
@@ -413,7 +392,7 @@ impl Worker {
             _ => return None,
         };
         let state = self.streams.get(&spec.graph)?;
-        if state.generation != self.registry.generation_of(&spec.graph) {
+        if state.generation != self.shared.registry.generation_of(&spec.graph) {
             return None;
         }
         state.miner.count(k)
@@ -434,8 +413,9 @@ impl Worker {
             .get(&group.spec.graph)
             .expect("stream state answered")
             .generation;
-        self.metrics.counter_add("sisa_stream_serves_total", 1);
-        let evicted = self.cache.insert(
+        let shared = &self.shared;
+        shared.metrics.counter_add("sisa_stream_serves_total", 1);
+        shared.cache.insert(
             generation,
             &group.spec,
             CachedResult {
@@ -444,10 +424,6 @@ impl Worker {
                 stats: QueryStats::from_delta(&delta, wall_ns),
             },
         );
-        if evicted > 0 {
-            self.metrics
-                .counter_add("sisa_cache_evictions_total", evicted);
-        }
         self.settle_group(&group, value, false, &delta, wall_ns, started, false);
     }
 
@@ -461,7 +437,7 @@ impl Worker {
             unreachable!("run_mutation requires a mutate spec");
         };
         let name = group.spec.graph.clone();
-        let Some(pre) = self.registry.acquire_lease(&name) else {
+        let Some(pre) = self.shared.registry.acquire_lease(&name) else {
             self.fail_group(&group, &format!("unknown graph {name:?}"));
             return;
         };
@@ -489,7 +465,9 @@ impl Worker {
                 }
                 StreamingMiner::load_with_capacity(engine, &pre.graph, &stream_ks, capacity)
             });
-            self.metrics.counter_add("sisa_stream_loads_total", 1);
+            self.shared
+                .metrics
+                .counter_add("sisa_stream_loads_total", 1);
             self.streams.insert(
                 name.clone(),
                 StreamState {
@@ -523,12 +501,13 @@ impl Worker {
         };
 
         // (3) Publish the successor through the replace path.
-        let Some(lease) = self.registry.mutate(&name, &delta) else {
+        let Some(lease) = self.shared.registry.mutate(&name, &delta) else {
             // The name was evicted between the lease and the publish (a
             // racing evict_graph): the applied set work was real, so it
             // folds into the registry ledger, and the request fails.
             self.drop_stream_state(&name);
-            self.ledger
+            self.shared
+                .ledger
                 .lock()
                 .expect("ledger lock")
                 .registry_stats
@@ -630,20 +609,26 @@ fn batched_triangle_count(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::AdmissionConfig;
+    use crate::admission::{Admission, AdmissionConfig};
+    use crate::cache::ResultCache;
     use crate::query::QuerySpec;
-    use sisa_core::{PartitionStrategy, SisaConfig};
+    use sisa_core::{MetricsRegistry, PartitionStrategy, SisaConfig};
+    use sisa_graph::GraphRegistry;
     use std::sync::mpsc::channel;
+    use std::sync::Mutex;
 
     fn worker() -> Worker {
         let (done, _done_rx) = channel();
+        let shared = Shared {
+            registry: GraphRegistry::new(1),
+            admission: Admission::new(AdmissionConfig::default()),
+            ledger: Mutex::default(),
+            cache: ResultCache::new(16, 1 << 20),
+            metrics: MetricsRegistry::new(),
+        };
         Worker::new(
             ShardedEngine::sisa(2, PartitionStrategy::Modulo, SisaConfig::default()),
-            Arc::new(GraphRegistry::new(1)),
-            Arc::new(Mutex::new(LedgerInner::default())),
-            Arc::new(Admission::new(AdmissionConfig::default())),
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(ResultCache::new(16, 1 << 20)),
+            Arc::new(shared),
             SetGraphConfig::default(),
             64,
             vec![3, 4],
@@ -665,7 +650,7 @@ mod tests {
         let delta = scope.finish(w.engine.stats());
         assert!(delta.total_cycles() > 0, "the partial delta is non-trivial");
 
-        w.admission.try_admit("t").unwrap();
+        w.shared.admission.try_admit("t").unwrap();
         let (events, rx) = channel();
         let spec = QuerySpec::new("g", QueryKind::KCliqueCount { k: 0 });
         let group = JobGroup {
@@ -683,8 +668,8 @@ mod tests {
             rx.recv().unwrap(),
             QueryEvent::Failed("query panicked: boom".to_string())
         );
-        assert_eq!(w.admission.in_flight(), 0, "the slot is released");
-        let ledger = w.ledger.lock().unwrap();
+        assert_eq!(w.shared.admission.in_flight(), 0, "the slot is released");
+        let ledger = w.shared.ledger.lock().unwrap();
         let usage = &ledger.tenants["t"];
         assert_eq!(usage.failed, 1);
         assert_eq!(usage.queries, 0);
@@ -692,15 +677,14 @@ mod tests {
         // spent is dropped, preserving pool + registry ≡ engines.
         assert_eq!(usage.stats, delta);
         assert_eq!(usage.stats.energy_nj.to_bits(), delta.energy_nj.to_bits());
-        assert_eq!(w.metrics.counter("sisa_queries_panicked_total"), 1);
-        assert_eq!(w.metrics.counter("sisa_queries_failed_total"), 1);
-        assert_eq!(w.metrics.counter("sisa_queries_completed_total"), 0);
+        let panicked = w.shared.metrics.counter("sisa_queries_panicked_total");
+        assert_eq!(panicked, 1);
     }
 
     /// Runs `kind` on "g" for tenant "t" through `run_group`, returning the
     /// terminal event.
     fn run(w: &mut Worker, kind: QueryKind, budget: Option<u64>) -> QueryEvent {
-        w.admission.try_admit("t").unwrap();
+        w.shared.admission.try_admit("t").unwrap();
         let (events, rx) = channel();
         let mut spec = QuerySpec::new("g", kind);
         spec.budget = budget;
@@ -726,7 +710,7 @@ mod tests {
         let g = sisa_graph::generators::erdos_renyi(10, 0.4, 3);
         let baseline = w.engine.live_sets();
         for (mutates, reads) in [(true, false), (false, true), (true, true)] {
-            w.registry.register("g", g.clone());
+            w.shared.registry.register("g", g.clone());
             if mutates {
                 assert!(matches!(
                     run(&mut w, mutation(0, 9), None),
@@ -744,7 +728,7 @@ mod tests {
             assert!(w.streams.is_empty() && w.graphs.is_empty());
             assert_eq!(w.engine.live_sets(), baseline, "{mutates} {reads}");
         }
-        assert_eq!(w.admission.in_flight(), 0);
+        assert_eq!(w.shared.admission.in_flight(), 0);
     }
 
     /// Seen to fail under: `self.evict(name)` restored in `ensure_resident`
@@ -754,12 +738,13 @@ mod tests {
     #[test]
     fn a_stale_static_load_takes_the_stream_state_along_only_if_that_is_stale_too() {
         let mut w = worker();
-        w.registry
+        w.shared
+            .registry
             .register("g", sisa_graph::generators::erdos_renyi(10, 0.4, 3));
         run(&mut w, mutation(0, 9), None);
         run(&mut w, QueryKind::KCliqueCount { k: 4 }, Some(2));
         run(&mut w, mutation(1, 8), None);
-        let current = w.registry.generation_of("g");
+        let current = w.shared.registry.generation_of("g");
         assert_eq!(w.streams["g"].generation, current);
         assert_eq!(w.graphs["g"].generation, current - 1, "one tick behind");
 
@@ -767,17 +752,17 @@ mod tests {
         w.ensure_resident("g").unwrap();
         assert_eq!(w.graphs["g"].generation, current);
         assert_eq!(w.streams["g"].generation, current, "the miner stays");
-        assert_eq!(w.metrics.counter("sisa_stream_loads_total"), 1);
-        assert_eq!(w.ledger.lock().unwrap().graph_loads, 2);
+        assert_eq!(w.shared.metrics.counter("sisa_stream_loads_total"), 1);
+        assert_eq!(w.shared.ledger.lock().unwrap().graph_loads, 2);
 
         // Replaced behind the worker's back: both are stale, both go.
         let replacement = sisa_graph::generators::complete(5);
-        w.registry.register("g", replacement.clone());
+        w.shared.registry.register("g", replacement.clone());
         w.ensure_resident("g").unwrap();
         assert_eq!(w.graphs["g"].generation, current + 1);
         assert!(w.streams.is_empty(), "a stale miner is unloaded");
         let mut fresh = worker();
-        fresh.registry.register("g", replacement);
+        fresh.shared.registry.register("g", replacement);
         fresh.ensure_resident("g").unwrap();
         assert_eq!(w.engine.live_sets(), fresh.engine.live_sets());
     }

@@ -5,6 +5,8 @@
 //!    cache with *zero* additional engine cycles (engine aggregates frozen
 //!    between hits), marked `cache_hit`, with the conservation identity
 //!    still exact and the hit accounted in its own ledger column.
+//!    A disabled cache counts no lookups, and the metrics snapshot, which
+//!    reads the cache's counters, reports none either.
 //! 2. **Generation invalidation** — evicting or replacing a graph kills its
 //!    cache entries: the next identical query re-executes against the new
 //!    graph.
@@ -97,6 +99,45 @@ fn repeated_queries_hit_the_cache_with_zero_engine_cycles() {
     let counters = service.cache_counters();
     assert_eq!((counters.hits, counters.misses), (3, 1));
     assert_eq!(counters.resident, 1);
+    service.close();
+}
+
+/// Seen to fail when the dispatcher counted a miss per query into the
+/// metrics registry while the disabled cache itself counted nothing.
+#[test]
+fn a_disabled_cache_reports_no_lookups_in_the_metrics_snapshot() {
+    let mut cfg = ServiceConfig::smoke();
+    cfg.cache_entries = 0;
+    let service = SisaService::start(cfg);
+    service.register_graph("g", test_graph());
+    for _ in 0..5 {
+        let outcome = service
+            .submit("t", QuerySpec::new("g", QueryKind::TriangleCount))
+            .expect("admitted")
+            .wait()
+            .expect("completes");
+        assert!(!outcome.stats.cache_hit);
+    }
+    let counters = service.cache_counters();
+    assert_eq!(
+        (counters.hits, counters.misses, counters.evictions),
+        (0, 0, 0)
+    );
+    let snapshot = service.metrics_snapshot();
+    for name in [
+        "sisa_cache_hits_total",
+        "sisa_cache_misses_total",
+        "sisa_cache_evictions_total",
+    ] {
+        assert!(
+            !snapshot.counters.contains_key(name),
+            "{name}: {snapshot:?}"
+        );
+    }
+    assert!(!snapshot
+        .gauges
+        .contains_key("sisa_cache_hit_ratio_permille"));
+    assert_eq!(snapshot.counters["sisa_queries_completed_total"], 5);
     service.close();
 }
 

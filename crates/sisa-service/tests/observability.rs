@@ -8,13 +8,18 @@
 //! 2. **Observer-only telemetry** — running the same query sequence with a
 //!    lane-timeline collector attached produces identical values and
 //!    bit-identical `ExecStats` (exact f64 energy) at 1–3 workers.
-//! 3. **Metrics ≡ ledger** — the metrics registry's query counters agree
-//!    exactly with the service report and the latency histogram's count,
-//!    and the report's request columns are the fold of the tenant ledger.
+//! 3. **Metrics ≡ owners** — the snapshot's query, mutation and graph
+//!    counters are read off the tenant ledger, its admission series off the
+//!    admission controller and its cache series off the result cache, so
+//!    after any mix they agree exactly with the service report and the cache
+//!    counters; the latency histogram counts one span per completion, and
+//!    the report's request columns are the fold of the tenant ledger.
 
 use sisa_core::{ChromeTraceCollector, ExecStats, SharedCollector};
 use sisa_graph::{generators, GraphDelta};
-use sisa_service::{QueryKind, QuerySpec, ServiceConfig, SisaService, TenantUsage};
+use sisa_service::{
+    AdmissionConfig, QueryKind, QuerySpec, ServiceConfig, SisaService, TenantUsage,
+};
 use std::sync::{Arc, Mutex};
 
 fn test_graph() -> sisa_graph::CsrGraph {
@@ -241,5 +246,98 @@ fn metrics_counters_agree_with_the_service_ledger() {
     let text = snapshot.to_prometheus();
     assert!(text.contains("sisa_queries_completed_total 3"), "{text}");
     assert!(text.contains("sisa_query_latency_ns_bucket"), "{text}");
+    service.close();
+}
+
+/// Every series with an owner equals that owner after a run that hits,
+/// misses, coalesces (when the twins meet in the queue), rejects, fails,
+/// mutates and evicts, and is present exactly when it is non-zero.
+#[test]
+fn every_derived_series_equals_its_owner_after_a_mixed_run() {
+    let mut cfg = ServiceConfig::smoke();
+    cfg.workers = 1;
+    cfg.cache_entries = 1;
+    cfg.admission = AdmissionConfig {
+        queue_capacity: 4,
+        per_tenant_inflight: 4,
+        retry_after_ms: 5,
+    };
+    let service = SisaService::start(cfg);
+    service.register_graph("g", test_graph());
+    service.register_graph("h", generators::erdos_renyi(40, 0.2, 11));
+    let run =
+        |tenant: &str, spec: QuerySpec| service.submit(tenant, spec).expect("admitted").wait();
+
+    let tc = QuerySpec::new("g", QueryKind::TriangleCount);
+    run("t", tc.clone()).expect("a miss");
+    assert!(run("t", tc).expect("a hit").stats.cache_hit);
+    // The only cache slot goes to this result, evicting the triangle count.
+    run("t", QuerySpec::new("g", QueryKind::KCliqueCount { k: 3 })).expect("a miss");
+    run("u", QuerySpec::new("nope", QueryKind::TriangleCount)).expect_err("unknown graph");
+    let delta = GraphDelta::new().insert(0, 1);
+    run("u", QuerySpec::new("g", QueryKind::Mutate(delta))).expect("applies");
+    run("u", QuerySpec::new("h", QueryKind::StarCount { k: 2 })).expect("loads h");
+    assert!(service.evict_graph("h"));
+
+    // A burst beyond the queue capacity: some are rejected, and the twins
+    // of a slow query may coalesce.
+    let slow = QuerySpec::new("g", QueryKind::KCliqueCount { k: 4 });
+    let twin = QuerySpec::new("g", QueryKind::StarCount { k: 2 });
+    let mut handles = Vec::new();
+    let mut rejected = 0;
+    for i in 0..64 {
+        let spec = if i == 0 { slow.clone() } else { twin.clone() };
+        match service.submit(&format!("b{}", i % 3), spec) {
+            Ok(handle) => handles.push(handle),
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(rejected > 0, "a 64-query burst overflows capacity 4");
+    for handle in handles {
+        handle.wait().expect("accepted queries complete");
+    }
+    // Barrier: every worker has processed the eviction queued above.
+    let _ = service.engine_stats();
+
+    let report = service.report();
+    let cache = service.cache_counters();
+    let snapshot = service.metrics_snapshot();
+    assert_eq!(
+        (report.mutations, report.graph_loads, report.evictions),
+        (1, 3, 2)
+    );
+    assert!(report.failed >= 1 && report.cache_hits >= 1);
+    assert!(cache.misses >= 2 && cache.evictions >= 1);
+    for (name, owner) in [
+        ("sisa_queries_completed_total", report.completed),
+        ("sisa_queries_coalesced_total", report.coalesced),
+        ("sisa_queries_failed_total", report.failed),
+        ("sisa_mutations_total", report.mutations),
+        ("sisa_graph_loads_total", report.graph_loads),
+        ("sisa_graph_evictions_total", report.evictions),
+        ("sisa_admission_rejected_total", report.rejected),
+        ("sisa_cache_hits_total", cache.hits),
+        ("sisa_cache_misses_total", cache.misses),
+        ("sisa_cache_evictions_total", cache.evictions),
+    ] {
+        assert_eq!(
+            snapshot.counters.get(name).copied(),
+            (owner > 0).then_some(owner),
+            "{name}"
+        );
+    }
+    assert_eq!(report.rejected, rejected);
+    let ratio = cache.hits * 1000 / (cache.hits + cache.misses);
+    assert_eq!(
+        snapshot.gauges["sisa_cache_hit_ratio_permille"],
+        ratio as i64
+    );
+    assert_eq!(snapshot.gauges["sisa_admission_in_flight"], 0);
+    assert!(
+        !snapshot.gauges.keys().any(|name| name.contains("tenant=")),
+        "{snapshot:?}"
+    );
+    let latency = &snapshot.histograms["sisa_query_latency_ns"];
+    assert_eq!(latency.count, report.completed, "one span per completion");
     service.close();
 }
