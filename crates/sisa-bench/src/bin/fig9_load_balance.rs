@@ -72,7 +72,7 @@ fn main() {
         let sg = SetGraph::load(&mut rt, &oriented, &SetGraphConfig::default());
         rt.reset_stats();
         let _ = k_clique_count(&mut rt, &sg, 4, &lim);
-        let sizes = &rt.stats().processed_set_sizes;
+        let sizes = rt.processed_set_sizes();
         let mut bins = [0usize; 8];
         for &s in sizes {
             let bin = (usize::BITS - 1 - (s.max(1) as usize).leading_zeros()).min(7) as usize;

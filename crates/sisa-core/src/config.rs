@@ -56,8 +56,9 @@ pub struct SisaConfig {
     /// (loop control, counters); the paper leaves this work on the host /
     /// vault cores.
     pub host_op_cost: f64,
-    /// Whether to record the sizes of every pair of sets processed (used by
-    /// the Figure 9b set-size histograms). Off by default to save memory.
+    /// Whether to record the sizes of every pair of sets processed, read
+    /// through [`crate::SisaRuntime::processed_set_sizes`] (the Figure 9b
+    /// set-size histograms). Off by default to save memory.
     pub track_set_sizes: bool,
     /// Depth of the scoreboarded issue queue: how many SISA instructions may
     /// be in flight at once. Depth 1 (the default) is fully serial execution

@@ -61,6 +61,9 @@ pub struct SisaRuntime {
     scu: Scu,
     store: FunctionalEngine,
     stats: ExecStats,
+    /// Both operand sizes of every binary operation, in operation order,
+    /// while `SisaConfig::track_set_sizes` is on (Figure 9b).
+    set_sizes: Vec<u32>,
     host_ops_pending: f64,
     task_mark: u64,
     /// The set-ID register bindings, kept only while a trace is attached.
@@ -82,6 +85,7 @@ impl SisaRuntime {
             scu: Scu::new(config.platform, config.variant_selection),
             store: FunctionalEngine::new(),
             stats: ExecStats::default(),
+            set_sizes: Vec::new(),
             host_ops_pending: 0.0,
             task_mark: 0,
             regs: None,
@@ -115,6 +119,14 @@ impl SisaRuntime {
     #[must_use]
     pub fn pipeline(&self) -> &IssueQueue {
         &self.pipeline
+    }
+
+    /// Both operand sizes of every binary operation since the runtime was
+    /// made or its statistics were reset, in operation order (the Figure 9b
+    /// histograms). Empty unless [`SisaConfig::track_set_sizes`] is on.
+    #[must_use]
+    pub fn processed_set_sizes(&self) -> &[u32] {
+        &self.set_sizes
     }
 
     // -----------------------------------------------------------------------
@@ -378,6 +390,7 @@ impl SetEngine for SisaRuntime {
 
     fn reset_stats(&mut self) {
         self.stats = ExecStats::default();
+        self.set_sizes.clear();
         self.host_ops_pending = 0.0;
         self.task_mark = 0;
         // The load/measure boundary restarts the overlap timeline too.
@@ -546,8 +559,8 @@ impl SetEngine for SisaRuntime {
             .scu
             .dispatch_binary(kind, dest == Dest::Count, a, &ma, b, &mb);
         if self.config.track_set_sizes {
-            self.stats.processed_set_sizes.push(ma.cardinality as u32);
-            self.stats.processed_set_sizes.push(mb.cardinality as u32);
+            self.set_sizes.push(ma.cardinality as u32);
+            self.set_sizes.push(mb.cardinality as u32);
         }
         self.apply_outcome(&dispatched, Some(dispatched.choice));
         let written = match outcome {
@@ -688,7 +701,7 @@ mod tests {
         assert_eq!(bound(&rt), 1, "the live set stays bound");
         for f in ops {
             let mut probe = rt.clone();
-            let stats_before = probe.stats().clone();
+            let stats_before = *probe.stats();
             let bound_before = bound(&probe);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut probe)));
             assert!(outcome.is_err(), "dangling operand must fault");
@@ -991,7 +1004,7 @@ mod tests {
         let sparse = rt.create_sorted((0..200).collect::<Vec<_>>());
         let dense = rt.create_dense((0..200).collect::<Vec<_>>());
         for id in [sparse, dense] {
-            let before = rt.stats().clone();
+            let before = *rt.stats();
             let out = rt.members(id);
             assert_eq!(out.len(), 200);
             let after = rt.stats();
@@ -1028,7 +1041,9 @@ mod tests {
         let a = rt.create_sorted([1, 2, 3]);
         let b = rt.create_sorted([2, 3]);
         let _ = rt.intersect_count(a, b);
-        assert_eq!(rt.stats().processed_set_sizes, vec![3, 2]);
+        assert_eq!(rt.processed_set_sizes(), [3, 2]);
+        rt.reset_stats();
+        assert!(rt.processed_set_sizes().is_empty());
     }
 
     #[test]
@@ -1134,7 +1149,7 @@ mod tests {
     #[test]
     fn absorbed_lane_work_occupies_the_timeline_but_charges_no_counters() {
         let mut rt = runtime();
-        let before = rt.stats().clone();
+        let before = *rt.stats();
         rt.absorb_lane_work(1_000, &[]);
         let after = rt.stats();
         assert_eq!(after.total_cycles(), before.total_cycles());
@@ -1153,7 +1168,7 @@ mod tests {
         for config in [SisaConfig::default(), SisaConfig::pipelined(4)] {
             let mut rt = SisaRuntime::new(config);
             rt.set_universe(256);
-            let stats_before = rt.stats().clone();
+            let stats_before = *rt.stats();
             let tracked_before = rt.pipeline().tracked_operands();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 rt.absorb_lane_work(1, &[SetId(u32::MAX)]);
@@ -1222,7 +1237,7 @@ mod tests {
             rt.difference_assign(a, b);
             let observed = (rt.members(c), rt.members(a), rt.intersect_count(c, b));
             rt.delete(c);
-            (observed, rt.stats().clone(), rt.take_trace())
+            (observed, *rt.stats(), rt.take_trace())
         };
         let (untraced, untraced_stats, _) = run(None);
         for capacity in [0usize, 1] {

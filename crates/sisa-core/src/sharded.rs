@@ -41,15 +41,14 @@
 //! `stats()` is one fold, in shard order, of what every shard accrued since
 //! its mark plus the link ledger — the only record of link cost. The fold is
 //! cached until a `&mut` call changes a shard, so the totals are read once per
-//! phase, not once per operation. Every public `&mut` call ends with one
-//! `settle` per shard it touched, which drops the cached fold and appends the
-//! shard's new `processed_set_sizes` to the engine's own copy: a
-//! [`crate::StatsScope`] reads that vector's tail since its checkpoint, so it
-//! must grow in operation order, and a by-shard fold would reorder it. Integer
-//! counters are exact differences, and the energy is the same ordered sum at
-//! every read, so `stats()` equals the sum of the shards since their marks
-//! plus the ledger, bit for bit. The cache makes the engine `!Sync`; it stays
-//! `Send`.
+//! phase, not once per operation: every public `&mut` call ends with one
+//! `settle`, which drops the cached fold. A mark is a copy of the shard's
+//! [`ExecStats`], a record of counters only, so a shard's delta is one
+//! field-by-field subtraction and [`ShardedEngine::report`] reads the same
+//! deltas the fold sums. Integer counters are exact differences, and the
+//! energy is the same ordered sum at every read, so `stats()` equals the sum
+//! of the shards since their marks plus the ledger, bit for bit. The cache
+//! makes the engine `!Sync`; it stays `Send`.
 
 use crate::config::SisaConfig;
 use crate::engine::{Dest, Outcome, SetEngine, SetOp};
@@ -57,7 +56,7 @@ use crate::parallel::{schedule, RunReport, TaskRecord};
 use crate::runtime::SisaRuntime;
 use crate::scu::BinarySetOp;
 use crate::shard::PartitionStrategy;
-use crate::stats::{ExecStats, StatsCheckpoint};
+use crate::stats::ExecStats;
 use crate::Vertex;
 use sisa_isa::SetId;
 use sisa_pim::{EnergyModel, LinkModel};
@@ -221,11 +220,7 @@ pub struct ShardedEngine<E: SetEngine> {
     universe: usize,
     /// Each shard's statistics when the engine took it over or last reset
     /// it: the aggregate counts only what a shard accrued since.
-    marks: Vec<StatsCheckpoint>,
-    /// How many of each shard's `processed_set_sizes` `set_sizes` holds.
-    sizes_seen: Vec<usize>,
-    /// The aggregate `processed_set_sizes`, in operation order.
-    set_sizes: Vec<u32>,
+    marks: Vec<ExecStats>,
     /// The aggregate as [`Self::fold`] last computed it, until a shard or
     /// the ledger changes.
     folded: OnceCell<ExecStats>,
@@ -262,8 +257,6 @@ impl<E: SetEngine> ShardedEngine<E> {
             free_ids: Vec::new(),
             universe: 0,
             marks: Vec::new(),
-            sizes_seen: Vec::new(),
-            set_sizes: Vec::new(),
             folded: OnceCell::new(),
             traffic: LinkTraffic::new(n),
             created_load: vec![0; n],
@@ -331,16 +324,26 @@ impl<E: SetEngine> ShardedEngine<E> {
     /// Aggregates per-shard statistics and the traffic ledger into a
     /// [`ShardReport`], scheduling each shard's load as one task per shard so
     /// the multi-cube makespan and imbalance come from the existing
-    /// [`crate::parallel`] machinery. Link-transfer cycles count toward the
-    /// executing shard that received the operand, so communication-heavy
-    /// placements pay for their traffic in the makespan.
+    /// [`crate::parallel`] machinery. A shard's load is what it accrued since
+    /// its mark, as in [`SetEngine::stats`]. Link-transfer cycles count
+    /// toward the executing shard that received the operand, so
+    /// communication-heavy placements pay for their traffic in the makespan.
     #[must_use]
     pub fn report(&self) -> ShardReport {
-        let per_shard_cycles: Vec<u64> = self
+        let accrued: Vec<ExecStats> = self
             .shards
             .iter()
+            .zip(&self.marks)
+            .map(|(shard, mark)| {
+                let mut delta = ExecStats::default();
+                delta.add_since(shard.stats(), mark);
+                delta
+            })
+            .collect();
+        let per_shard_cycles: Vec<u64> = accrued
+            .iter()
             .zip(&self.traffic.cycles_by_shard)
-            .map(|(s, &link)| s.stats().total_cycles() + link)
+            .map(|(delta, &link)| delta.total_cycles() + link)
             .collect();
         let records: Vec<TaskRecord> = per_shard_cycles
             .iter()
@@ -349,11 +352,7 @@ impl<E: SetEngine> ShardedEngine<E> {
         ShardReport {
             shards: self.shards.len(),
             strategy: self.strategy,
-            per_shard_instructions: self
-                .shards
-                .iter()
-                .map(|s| s.stats().total_instructions())
-                .collect(),
+            per_shard_instructions: accrued.iter().map(ExecStats::total_instructions).collect(),
             per_shard_live_sets: self.shards.iter().map(SetEngine::live_sets).collect(),
             traffic: self.traffic.clone(),
             schedule: schedule(&records, self.shards.len()),
@@ -368,41 +367,29 @@ impl<E: SetEngine> ShardedEngine<E> {
     /// Marks every shard where it stands: from here on the aggregate counts
     /// what the shards accrue.
     fn mark_shards(&mut self) {
-        self.marks = self.shards.iter().map(|s| s.stats().checkpoint()).collect();
-        self.sizes_seen = self
-            .shards
-            .iter()
-            .map(|s| s.stats().processed_set_sizes.len())
-            .collect();
-        self.set_sizes.clear();
-        self.folded.take();
+        self.marks = self.shards.iter().map(|s| *s.stats()).collect();
+        self.settle();
     }
 
-    /// Closes a call that changed `shard` (see the module docs): drops the
-    /// cached fold and appends the set sizes the shard recorded since it was
-    /// last settled, so `set_sizes` stays in operation order.
-    fn settle(&mut self, shard: usize) {
+    /// Closes a call that changed a shard (see the module docs): drops the
+    /// cached fold.
+    fn settle(&mut self) {
         self.folded.take();
-        let sizes = &self.shards[shard].stats().processed_set_sizes;
-        self.set_sizes
-            .extend_from_slice(&sizes[self.sizes_seen[shard]..]);
-        self.sizes_seen[shard] = sizes.len();
     }
 
     /// The aggregate statistics: `Σ (shard − mark)` in shard order plus the
-    /// link ledger, with `set_sizes`. The energy is the ordered sum of the
-    /// shards' growth plus the ledger's, recomputed from totals at every fold,
-    /// so it is bit for bit the sum of its parts — which the conservation
-    /// tests and the 1-shard ≡ flat equivalence rely on.
+    /// link ledger. The energy is the ordered sum of the shards' growth plus
+    /// the ledger's, recomputed from totals at every fold, so it is bit for
+    /// bit the sum of its parts — which the conservation tests and the
+    /// 1-shard ≡ flat equivalence rely on.
     fn fold(&self) -> ExecStats {
         let mut stats = ExecStats::default();
         for (shard, mark) in self.shards.iter().zip(&self.marks) {
-            stats.add_counters_since(shard.stats(), mark);
+            stats.add_since(shard.stats(), mark);
         }
         stats.link_cycles += self.traffic.cycles;
         stats.link_bytes += self.traffic.bytes;
         stats.energy_nj += self.traffic.energy_nj;
-        stats.processed_set_sizes.clone_from(&self.set_sizes);
         stats
     }
 
@@ -438,8 +425,8 @@ impl<E: SetEngine> ShardedEngine<E> {
     /// Books one `src → dst` transfer of `bytes` bytes into the traffic
     /// ledger, returning the link cycles it cost. The lane-work absorption on
     /// the receiving shard is the caller's responsibility (see
-    /// [`Self::resolve_binary`]), and so is the closing [`Self::settle`] of
-    /// the receiving shard, which drops the cached fold.
+    /// [`Self::resolve_binary`]), and so is the closing [`Self::settle`],
+    /// which drops the cached fold.
     fn ledger_transfer(&mut self, src: usize, dst: usize, bytes: u64) -> u64 {
         let route = self.link.route(src, dst, self.shards.len());
         let cycles = self.link.transfer_cost(bytes as usize, route);
@@ -550,7 +537,7 @@ impl<E: SetEngine> ShardedEngine<E> {
     /// each shard's share of a window run back to back.
     ///
     /// The batch runs as staged/run **windows** and settles like any other
-    /// call, once per shard at the end:
+    /// call, once at the end:
     ///
     /// 1. **Stage a window** (batch order): operands of the next
     ///    `EXECUTE_WINDOW` (1024) operations are resolved and cross-shard
@@ -565,11 +552,9 @@ impl<E: SetEngine> ShardedEngine<E> {
     ///    not a host detail: all of a window's replicas are staged before its
     ///    first operation runs, and that is what each shard's allocator and
     ///    timeline see.
-    /// 3. **Settle** (shard order, once after the last window): each
-    ///    shard's new `processed_set_sizes` are appended — so a batch's set
-    ///    sizes read in shard order, not batch order — and the cached
-    ///    aggregate is dropped, to be folded at the next `stats()`.
-    ///    Materialised results are then registered in batch order.
+    /// 3. **Settle** (once, after the last window): the cached aggregate is
+    ///    dropped, to be folded at the next `stats()`. Materialised results
+    ///    are then registered in batch order.
     ///
     /// Returns one [`BatchResult`] per operation, in batch order.
     ///
@@ -592,9 +577,7 @@ impl<E: SetEngine> ShardedEngine<E> {
             }
         }
 
-        for shard in 0..n {
-            self.settle(shard);
-        }
+        self.settle();
 
         results
             .into_iter()
@@ -684,10 +667,10 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
 
     fn set_universe(&mut self, n: usize) {
         self.universe = self.universe.max(n);
-        for shard in 0..self.shards.len() {
-            self.shards[shard].set_universe(n);
-            self.settle(shard);
+        for shard in &mut self.shards {
+            shard.set_universe(n);
         }
+        self.settle();
     }
 
     fn universe(&self) -> usize {
@@ -718,7 +701,7 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
             .shard_for(global.raw(), self.universe, &self.created_load);
         self.created_load[shard] += repr.len() as u64;
         let local = self.shards[shard].create(repr);
-        self.settle(shard);
+        self.settle();
         self.placement[global.raw() as usize] = Some((shard, local));
         global
     }
@@ -727,35 +710,35 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
         let (shard, local) = self.locate(id);
         self.created_load[shard] += self.shards[shard].repr(local).len() as u64;
         let new_local = self.shards[shard].clone_set(local);
-        self.settle(shard);
+        self.settle();
         self.register_global(shard, new_local)
     }
 
     fn delete(&mut self, id: SetId) {
         let (shard, local) = self.locate(id);
         self.shards[shard].delete(local);
-        self.settle(shard);
+        self.settle();
         crate::slots::release(&mut self.placement, &mut self.free_ids, id);
     }
 
     fn cardinality(&mut self, id: SetId) -> usize {
         let (shard, local) = self.locate(id);
         let out = self.shards[shard].cardinality(local);
-        self.settle(shard);
+        self.settle();
         out
     }
 
     fn contains(&mut self, id: SetId, v: Vertex) -> bool {
         let (shard, local) = self.locate(id);
         let out = self.shards[shard].contains(local, v);
-        self.settle(shard);
+        self.settle();
         out
     }
 
     fn members(&mut self, id: SetId) -> Vec<Vertex> {
         let (shard, local) = self.locate(id);
         let out = self.shards[shard].members(local);
-        self.settle(shard);
+        self.settle();
         out
     }
 
@@ -767,14 +750,14 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
     fn insert(&mut self, id: SetId, v: Vertex) -> bool {
         let (shard, local) = self.locate(id);
         let out = self.shards[shard].insert(local, v);
-        self.settle(shard);
+        self.settle();
         out
     }
 
     fn remove(&mut self, id: SetId, v: Vertex) -> bool {
         let (shard, local) = self.locate(id);
         let out = self.shards[shard].remove(local, v);
-        self.settle(shard);
+        self.settle();
         out
     }
 
@@ -783,7 +766,7 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
     fn apply(&mut self, op: SetOp) -> Outcome {
         let site = self.resolve_binary(op);
         let outcome = site.run(&mut self.shards[site.shard]);
-        self.settle(site.shard);
+        self.settle();
         if op.dest == Dest::InPlace {
             // The shard answered with its local ID of `A`, which did not move.
             Outcome::Set(op.a)
@@ -796,7 +779,7 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
         // Host-side scalar work executes on the host core, modelled next to
         // shard 0.
         self.shards[0].host_ops(n);
-        self.settle(0);
+        self.settle();
     }
 
     fn task_begin(&mut self) {
@@ -1081,6 +1064,36 @@ mod tests {
     }
 
     #[test]
+    fn report_counts_only_what_shards_ran_since_the_engine_took_them_over() {
+        let config = SisaConfig::default();
+        let used: Vec<SisaRuntime> = (0..2)
+            .map(|_| {
+                let mut rt = SisaRuntime::new(config);
+                let a = rt.create_sorted([1, 2, 3]);
+                let b = rt.create_sorted([2, 3, 4]);
+                let _ = rt.intersect(a, b);
+                rt
+            })
+            .collect();
+        let link = LinkModel::new(config.platform.pnm);
+        let mut engine = ShardedEngine::from_shards(used, PartitionStrategy::Modulo, link);
+        engine.set_universe(256);
+        let a = engine.create_sorted([1, 5, 9]);
+        let b = engine.create_sorted([5, 9, 12]);
+        assert_ne!(engine.shard_of(a), engine.shard_of(b), "a cross-shard op");
+        assert_eq!(engine.intersect_count(a, b), 2);
+        let report = engine.report();
+        assert_eq!(
+            report.per_shard_cycles.iter().sum::<u64>(),
+            engine.stats().total_cycles()
+        );
+        assert_eq!(
+            report.per_shard_instructions.iter().sum::<u64>(),
+            engine.stats().total_instructions()
+        );
+    }
+
+    #[test]
     fn reset_stats_clears_shards_and_traffic() {
         let mut engine = sharded(2, PartitionStrategy::Modulo);
         let a = engine.create_sorted([1, 2]);
@@ -1159,7 +1172,7 @@ mod tests {
         let mut engine = sharded(3, PartitionStrategy::Modulo);
         let a = engine.create_sorted([1, 5, 9]);
         let b = engine.create_dense([2, 4]);
-        let before = engine.stats().clone();
+        let before = *engine.stats();
         assert_eq!(engine.repr_of(a).to_sorted_vec(), vec![1, 5, 9]);
         assert_eq!(engine.repr_of(b).to_sorted_vec(), vec![2, 4]);
         assert_eq!(*engine.stats(), before, "inspection prices nothing");
@@ -1175,7 +1188,7 @@ mod tests {
             BatchOp::DifferenceCount(ids[2], ids[1]),
             BatchOp::IntersectCount(ids[2], ids[2]),
         ];
-        let before = engine.stats().clone();
+        let before = *engine.stats();
         let before_live = engine.live_sets();
         let counts = engine.host_count_batch(&ops);
         assert_eq!(*engine.stats(), before, "functional layer advances nothing");

@@ -1,16 +1,15 @@
 //! Execution statistics collected by the SISA runtime.
 //!
-//! [`ExecStats`] is the only description of the counters. Its four
+//! [`ExecStats`] is a record of counters and nothing else. Its four
 //! per-opcode tables are [`OpcodeCounts`] — a `Copy` array with one slot per
-//! opcode — so the whole record but `processed_set_sizes` is plain data: a
-//! checkpoint is "the record as it was, without the contents of
-//! `processed_set_sizes`" and declares no counter of its own, `merge` is
-//! `merge_since` against a zero checkpoint, and `add_counters_since` holds
-//! the one field-by-field list. [`StatsScope`] is the public face of that
-//! mechanism. [`crate::ShardedEngine`] marks each shard once, when it takes
-//! the shard over or resets it, and folds `Σ (shard − mark)` with
-//! `add_counters_since` only when its statistics are read; it keeps the
-//! `processed_set_sizes` in operation order itself.
+//! opcode — so the whole record is `Copy`: a mark is the record itself,
+//! copied, and every delta is one field-by-field subtraction,
+//! `add_since(current, at)`. [`ExecStats::merge`] is that sum against a zero
+//! record, [`StatsScope`] is its public face, and [`crate::ShardedEngine`]
+//! marks each shard once, when it takes the shard over or resets it, and
+//! folds `Σ (shard − mark)` with it only when its statistics are read. The
+//! one ordered log that is not a counter, Figure 9b's operand sizes, lives
+//! on the [`crate::SisaRuntime`] that records it.
 
 use sisa_isa::SisaOpcode;
 use std::borrow::Borrow;
@@ -19,7 +18,7 @@ use std::ops::{Index, IndexMut};
 /// `funct7` → position in [`SisaOpcode::ALL`] (which ascends, so its last
 /// entry is the largest `funct7`). Indexing by position rather than by
 /// `funct7` keeps an [`OpcodeCounts`] at 24 words instead of 64: every
-/// checkpoint copies four of them.
+/// mark copies four of them.
 const SLOT_OF_FUNCT7: [u8; SisaOpcode::ALL[SisaOpcode::ALL.len() - 1] as usize + 1] = {
     let mut table = [0; SisaOpcode::ALL[SisaOpcode::ALL.len() - 1] as usize + 1];
     let mut slot = 0;
@@ -110,7 +109,7 @@ impl std::fmt::Debug for OpcodeCounts {
 /// lookups), SISA-PUM (in-situ bulk bitwise), SISA-PNM (vault cores) and the
 /// host (scalar loop-control work reported by algorithms) — so the harness can
 /// attribute speedups to the right mechanism.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ExecStats {
     /// Cycles spent in the SISA Controller Unit (fixed delays + SMB/SM).
     pub scu_cycles: u64,
@@ -155,9 +154,6 @@ pub struct ExecStats {
     pub smb_misses: u64,
     /// Estimated energy in nanojoules.
     pub energy_nj: f64,
-    /// Sizes of the operand sets of every executed binary operation, recorded
-    /// only when `SisaConfig::track_set_sizes` is on (Figure 9b).
-    pub processed_set_sizes: Vec<u32>,
 }
 
 impl ExecStats {
@@ -215,43 +211,17 @@ impl ExecStats {
     /// `makespan_cycles` takes the maximum (merged records model units that
     /// ran in parallel, e.g. the shards of a [`crate::ShardedEngine`]).
     pub fn merge(&mut self, other: &ExecStats) {
-        self.merge_since(other, &StatsCheckpoint::default());
+        self.add_since(other, &ExecStats::default());
     }
 
-    /// The record as it is now, without the contents of
-    /// `processed_set_sizes` (only their number): what is executed after it
-    /// can be attributed elsewhere with [`ExecStats::merge_since`]. Nothing is
-    /// allocated, because a [`StatsScope`] is opened around every query a
-    /// service worker runs.
-    #[must_use]
-    pub(crate) fn checkpoint(&self) -> StatsCheckpoint {
-        StatsCheckpoint {
-            record: ExecStats {
-                processed_set_sizes: Vec::new(),
-                ..*self
-            },
-            set_sizes: self.processed_set_sizes.len(),
-        }
-    }
-
-    /// Adds `current - at` into `self`: the cost accumulated by the observed
-    /// statistics record since the checkpoint was taken, its
-    /// `processed_set_sizes` tail appended. [`ExecStats::merge`] is the same
-    /// sum against a zero checkpoint.
-    pub(crate) fn merge_since(&mut self, current: &ExecStats, at: &StatsCheckpoint) {
-        self.add_counters_since(current, at);
-        self.processed_set_sizes
-            .extend_from_slice(&current.processed_set_sizes[at.set_sizes..]);
-    }
-
-    /// [`ExecStats::merge_since`] without `processed_set_sizes`: the only
-    /// arithmetic over the fields. Counters only grow between checkpoints
-    /// (statistics resets are handled by re-checkpointing), so the
-    /// subtraction is well defined. `makespan_cycles` is not a delta: the
-    /// observed record's current makespan is folded in with `max`, so
-    /// composite engines track the slowest parallel unit.
-    pub(crate) fn add_counters_since(&mut self, current: &ExecStats, at: &StatsCheckpoint) {
-        let at = &at.record;
+    /// Adds `current - at` into `self`: what the observed record accrued
+    /// since `at` was copied off it. The only arithmetic over the fields;
+    /// [`ExecStats::merge`] is this sum against a zero record. Counters only
+    /// grow between a mark and a read (statistics resets are handled by
+    /// re-marking), so the subtraction is well defined. `makespan_cycles` is
+    /// not a delta: the observed record's current makespan is folded in with
+    /// `max`, so composite engines track the slowest parallel unit.
+    pub(crate) fn add_since(&mut self, current: &ExecStats, at: &ExecStats) {
         self.scu_cycles += current.scu_cycles - at.scu_cycles;
         self.pum_cycles += current.pum_cycles - at.pum_cycles;
         self.pnm_cycles += current.pnm_cycles - at.pnm_cycles;
@@ -278,10 +248,11 @@ impl ExecStats {
 /// accrues between [`StatsScope::begin`] and [`StatsScope::finish`] is carved
 /// out as a standalone [`ExecStats`] delta.
 ///
-/// This is the public face of the crate-private checkpoint / `merge_since`
-/// mechanism, packaged for *per-query attribution*: a long-lived engine (e.g.
-/// one worker of a service pool) opens a scope around each piece of work and
-/// bills the resulting delta to whoever asked for it.
+/// This is the public face of the crate-private `add_since`, packaged for
+/// *per-query attribution*: a long-lived engine (e.g. one worker of a
+/// service pool) opens a scope around each piece of work and bills the
+/// resulting delta to whoever asked for it. The scope holds a copy of the
+/// record it opened on; opening one allocates nothing.
 ///
 /// ## Exactness guarantees
 ///
@@ -316,17 +287,14 @@ impl ExecStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct StatsScope {
-    at: StatsCheckpoint,
+    at: ExecStats,
 }
 
 impl StatsScope {
-    /// Opens a scope at the record's current counters. The snapshot is
-    /// allocation-free, so scoping every query of a busy service is cheap.
+    /// Opens a scope at the record's current counters.
     #[must_use]
     pub fn begin(stats: &ExecStats) -> Self {
-        StatsScope {
-            at: stats.checkpoint(),
-        }
+        StatsScope { at: *stats }
     }
 
     /// Returns the delta accrued since the scope opened (or since the last
@@ -335,8 +303,8 @@ impl StatsScope {
     #[must_use]
     pub fn split(&mut self, stats: &ExecStats) -> ExecStats {
         let mut delta = ExecStats::default();
-        delta.merge_since(stats, &self.at);
-        self.at = stats.checkpoint();
+        delta.add_since(stats, &self.at);
+        self.at = *stats;
         delta
     }
 
@@ -345,32 +313,21 @@ impl StatsScope {
     #[must_use]
     pub fn finish(self, stats: &ExecStats) -> ExecStats {
         let mut delta = ExecStats::default();
-        delta.merge_since(stats, &self.at);
+        delta.add_since(stats, &self.at);
         delta
-    }
-}
-
-/// An [`ExecStats`] record as it was when [`ExecStats::checkpoint`] took it,
-/// without the contents of `processed_set_sizes`: it declares no counter of
-/// its own, so a counter added to [`ExecStats`] is carried here unasked.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct StatsCheckpoint {
-    /// The record; `processed_set_sizes` is left empty.
-    record: ExecStats,
-    /// How many `processed_set_sizes` the record held.
-    set_sizes: usize,
-}
-
-impl StatsCheckpoint {
-    /// [`ExecStats::total_cycles`] of the record.
-    pub(crate) fn total_cycles(&self) -> u64 {
-        self.record.total_cycles()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // A record of counters is plain data: marks, scopes and shard folds copy
+    // it. This does not build if a field that is not `Copy` comes back.
+    const _: () = {
+        const fn assert_copy<T: Copy>() {}
+        assert_copy::<ExecStats>();
+    };
 
     #[test]
     fn totals_and_ratios() {
@@ -426,11 +383,10 @@ mod tests {
         base.record_instruction(SisaOpcode::IntersectAuto);
         base.pnm_cycles = 10;
         base.energy_nj = 1.0;
-        base.processed_set_sizes.push(4);
 
-        let at = base.checkpoint();
+        let at = base;
         // Simulate further execution on the same record.
-        let mut grown = base.clone();
+        let mut grown = base;
         grown.record_instruction(SisaOpcode::IntersectAuto);
         grown.record_instruction(SisaOpcode::UnionAuto);
         grown.pnm_cycles += 3;
@@ -441,10 +397,9 @@ mod tests {
         grown.dep_stall_by_opcode[SisaOpcode::UnionAuto] += 6;
         grown.makespan_cycles = 40;
         grown.energy_nj += 0.5;
-        grown.processed_set_sizes.push(8);
 
         let mut agg = ExecStats::default();
-        agg.merge_since(&grown, &at);
+        agg.add_since(&grown, &at);
         assert_eq!(agg.total_instructions(), 2);
         assert_eq!(agg.instructions[&SisaOpcode::UnionAuto], 1);
         assert_eq!(agg.pnm_cycles, 3);
@@ -458,34 +413,27 @@ mod tests {
             "makespan folds in the observed record's current value"
         );
         assert!((agg.energy_nj - 0.5).abs() < 1e-12);
-        assert_eq!(agg.processed_set_sizes, vec![8]);
     }
 
     #[test]
-    fn merge_is_merge_since_a_zero_checkpoint() {
+    fn merge_is_add_since_a_zero_record() {
         let mut other = ExecStats {
             scu_cycles: 3,
             link_bytes: 64,
             makespan_cycles: 17,
             gallop_selected: 2,
             energy_nj: 0.1 + 0.2,
-            processed_set_sizes: vec![4, 8],
             ..ExecStats::default()
         };
         other.record_instruction(SisaOpcode::CloneSet);
         other.dep_stall_by_opcode[SisaOpcode::IntersectMerge] += 5;
-        assert_eq!(
-            ExecStats::default().checkpoint(),
-            StatsCheckpoint::default(),
-            "the zero checkpoint is a fresh record's"
-        );
 
-        let mut base = other.clone();
+        let mut base = other;
         base.pnm_cycles = 9;
-        let mut merged = base.clone();
+        let mut merged = base;
         merged.merge(&other);
-        let mut since = base.clone();
-        since.merge_since(&other, &ExecStats::default().checkpoint());
+        let mut since = base;
+        since.add_since(&other, &ExecStats::default());
         assert_eq!(merged, since);
 
         // Nothing is lost on the way: a fresh record that merges `other` is
@@ -529,18 +477,15 @@ mod tests {
         let mut a = ExecStats::default();
         a.record_instruction(SisaOpcode::IntersectAuto);
         a.pnm_cycles = 5;
-        a.processed_set_sizes.push(3);
         let mut b = ExecStats::default();
         b.record_instruction(SisaOpcode::IntersectAuto);
         b.record_instruction(SisaOpcode::Membership);
         b.pum_cycles = 7;
         b.energy_nj = 2.0;
-        b.processed_set_sizes.push(9);
         a.merge(&b);
         assert_eq!(a.total_instructions(), 3);
         assert_eq!(a.instructions[&SisaOpcode::IntersectAuto], 2);
         assert_eq!(a.total_cycles(), 12);
-        assert_eq!(a.processed_set_sizes, vec![3, 9]);
         assert!((a.energy_nj - 2.0).abs() < 1e-12);
     }
 }

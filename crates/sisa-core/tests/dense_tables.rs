@@ -26,10 +26,9 @@
 //!
 //! 4. **Opcode counts** — add, `get`, index, `iter` order, `total`,
 //!    `is_empty`, `clear` and `==` against the map, two instances a side;
-//! 5. **Checkpoints**, through their public face `StatsScope` — a scope
-//!    opened on a record carves out exactly what the record grows by
-//!    afterwards (per-opcode counts and `processed_set_sizes` included), in
-//!    one piece or in `split` slices: merged back they give the grown record,
+//! 5. **Scopes** — a `StatsScope` opened on a record carves out exactly what
+//!    the record grows by afterwards (per-opcode counts included), in one
+//!    piece or in `split` slices: merged back they give the grown record,
 //!    field for field.
 
 use proptest::prelude::*;
@@ -238,7 +237,7 @@ fn opcode(raw: &mut u64) -> SisaOpcode {
 /// does: every field is reachable, totals move with their per-opcode
 /// attribution, and energy moves in quarters so that sums stay exact.
 fn grow(stats: &mut ExecStats, raw: &mut u64) {
-    let field = take(raw, 18);
+    let field = take(raw, 17);
     let n = take(raw, 1000) + 1;
     match field {
         0 => stats.scu_cycles += n,
@@ -259,8 +258,7 @@ fn grow(stats: &mut ExecStats, raw: &mut u64) {
         13 => stats.gallop_selected += n,
         14 => stats.smb_hits += n,
         15 => stats.smb_misses += n,
-        16 => stats.energy_nj += n as f64 * 0.25,
-        _ => stats.processed_set_sizes.push(n as u32),
+        _ => stats.energy_nj += n as f64 * 0.25,
     }
 }
 
@@ -317,8 +315,8 @@ proptest! {
         }
         let whole = StatsScope::begin(&base);
         let mut sliced = StatsScope::begin(&base);
-        let mut from_slices = base.clone();
-        let mut grown = base.clone();
+        let mut from_slices = base;
+        let mut grown = base;
         for chunk in after.chunks(after.len().div_ceil(slices).max(1)) {
             for &draw in chunk {
                 let mut raw = draw;
@@ -327,10 +325,6 @@ proptest! {
             from_slices.merge(&sliced.split(&grown));
         }
         let delta = whole.finish(&grown);
-        prop_assert_eq!(
-            delta.processed_set_sizes.as_slice(),
-            &grown.processed_set_sizes[base.processed_set_sizes.len()..]
-        );
         prop_assert_eq!(
             delta.total_instructions(),
             grown.total_instructions() - base.total_instructions()

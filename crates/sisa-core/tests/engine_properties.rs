@@ -171,7 +171,7 @@ fn run_store_program<E: SetEngine>(engine: &mut E, program: &[StoreOp]) -> Vec<V
                 let id = dead.get(x % dead.len().max(1)).copied();
                 let id = id.unwrap_or(SetId(1_000 + x as u32));
                 let other = live.first().copied().unwrap_or(id);
-                let (stats, sets) = (engine.stats().clone(), engine.live_sets());
+                let (stats, sets) = (*engine.stats(), engine.live_sets());
                 let fault = catch_unwind(AssertUnwindSafe(|| match kind {
                     0 => drop(engine.clone_set(id)),
                     1 => engine.delete(id),
@@ -291,8 +291,8 @@ proptest! {
 
             // Work counters are conserved exactly — compare the full records
             // with the timing fields normalised away.
-            let mut serial_work = serial.stats().clone();
-            let mut deep_work = deep.stats().clone();
+            let mut serial_work = *serial.stats();
+            let mut deep_work = *deep.stats();
             prop_assert!(deep_work.makespan_cycles <= serial_work.makespan_cycles);
             serial_work.makespan_cycles = 0;
             deep_work.makespan_cycles = 0;

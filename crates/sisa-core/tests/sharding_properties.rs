@@ -8,18 +8,12 @@
 //!    flat runtime's [`ExecStats`] cycle-for-cycle.
 //! 3. **Conservation and freshness** — after *every* public call, across
 //!    `execute` batches and `reset_stats`, the aggregate statistics equal the
-//!    sum of the per-shard statistics plus the cross-shard link ledger: no
-//!    cost is lost or double-counted, and no read returns a stale fold.
-//! 4. **Set sizes in operation order** — with `track_set_sizes` on, the
-//!    N-shard `processed_set_sizes` equal the flat runtime's element for
-//!    element; after a batch step only as a multiset, because `execute` runs
-//!    a window shard by shard.
+//!    sum of the per-shard statistics plus the cross-shard link ledger, whole
+//!    record for whole record: no cost is lost or double-counted, and no
+//!    read returns a stale fold.
 //!
 //! One-line mutations of `sharded.rs` each test was seen to fail under:
 //!
-//! - the fold's set sizes taken shard by shard instead of from the engine's
-//!   operation-ordered copy: `sharded_engines_are_transparent_and_conserve_stats`
-//!   (and `stats_scope.rs`'s sharded scope test);
 //! - no `settle` (so the cached fold survives) in `host_ops`, or in `delete`:
 //!   both properties here;
 //! - `reset_stats` not retaking the marks: both properties here (and the
@@ -37,20 +31,6 @@ use sisa_core::Dest::{Count, InPlace, New};
 use sisa_core::{ExecStats, PartitionStrategy, SetEngine, ShardedEngine, SisaConfig, SisaRuntime};
 use sisa_sets::Vertex;
 use std::collections::BTreeSet;
-
-/// The default configuration, with set-size tracking as drawn.
-fn config(tracked: bool) -> SisaConfig {
-    SisaConfig {
-        track_set_sizes: tracked,
-        ..SisaConfig::default()
-    }
-}
-
-fn sorted(sizes: &[u32]) -> Vec<u32> {
-    let mut sizes = sizes.to_vec();
-    sizes.sort_unstable();
-    sizes
-}
 
 const UNIVERSE: usize = 192;
 
@@ -98,8 +78,7 @@ fn run_steps<E: Batched>(
 }
 
 /// [`run_steps`] on a sharded engine, asserting freshness after every engine
-/// call it makes: the aggregate is never behind its parts. The set sizes
-/// compare as a multiset, because the recomputation lists them shard by shard.
+/// call it makes: the aggregate is never behind its parts.
 fn run_steps_conserving(
     engine: &mut ShardedEngine<SisaRuntime>,
     a_members: &BTreeSet<Vertex>,
@@ -107,11 +86,7 @@ fn run_steps_conserving(
     steps: &[Step],
 ) -> Vec<Vec<Vertex>> {
     common::run_steps_checked(engine, UNIVERSE, a_members, b_members, steps, |engine| {
-        let mut expected = recompute_aggregate(engine);
-        let mut aggregate = engine.stats().clone();
-        expected.processed_set_sizes.sort_unstable();
-        aggregate.processed_set_sizes.sort_unstable();
-        assert_eq!(expected, aggregate);
+        assert_eq!(recompute_aggregate(engine), *engine.stats());
     })
 }
 
@@ -130,32 +105,23 @@ fn recompute_aggregate(engine: &ShardedEngine<SisaRuntime>) -> ExecStats {
 }
 
 proptest! {
-    /// (1) + (3) + (4): every strategy and shard count is a transparent,
-    /// cost-conserving wrapper that keeps the set sizes in operation order.
+    /// (1) + (3): every strategy and shard count is a transparent,
+    /// cost-conserving wrapper.
     #[test]
     fn sharded_engines_are_transparent_and_conserve_stats(
         a in vertex_set(),
         b in vertex_set(),
         steps in proptest::collection::vec(step(), 1..32),
-        tracked in any::<bool>(),
     ) {
-        let mut flat = SisaRuntime::new(config(tracked));
+        let mut flat = SisaRuntime::new(SisaConfig::default());
         let reference = run_steps(&mut flat, &a, &b, &steps);
-        let batched = steps.iter().any(|s| matches!(s, Step::Batch));
         for strategy in PartitionStrategy::ALL {
             for shards in [1usize, 2, 4] {
-                let mut engine = ShardedEngine::sisa(shards, strategy, config(tracked));
+                let mut engine =
+                    ShardedEngine::sisa(shards, strategy, SisaConfig::default());
                 let observed = run_steps_conserving(&mut engine, &a, &b, &steps);
                 prop_assert_eq!(&reference, &observed, "{:?} x{}", strategy, shards);
                 prop_assert_eq!(engine.live_sets(), flat.live_sets());
-
-                let (sizes, flat_sizes) =
-                    (&engine.stats().processed_set_sizes, &flat.stats().processed_set_sizes);
-                if batched {
-                    prop_assert_eq!(sorted(sizes), sorted(flat_sizes));
-                } else {
-                    prop_assert_eq!(sizes, flat_sizes, "{:?} x{}", strategy, shards);
-                }
 
                 // Conservation (aggregate == Σ shards + link ledger, so the
                 // sharded plumbing neither loses nor double-counts cost) was
@@ -173,12 +139,11 @@ proptest! {
         a in vertex_set(),
         b in vertex_set(),
         steps in proptest::collection::vec(step(), 1..32),
-        tracked in any::<bool>(),
     ) {
-        let mut flat = SisaRuntime::new(config(tracked));
+        let mut flat = SisaRuntime::new(SisaConfig::default());
         let from_flat = run_steps(&mut flat, &a, &b, &steps);
         for strategy in PartitionStrategy::ALL {
-            let mut one = ShardedEngine::sisa(1, strategy, config(tracked));
+            let mut one = ShardedEngine::sisa(1, strategy, SisaConfig::default());
             let from_sharded = run_steps_conserving(&mut one, &a, &b, &steps);
             prop_assert_eq!(&from_flat, &from_sharded, "{:?}", strategy);
             prop_assert_eq!(one.stats(), flat.stats(), "{:?}", strategy);

@@ -68,7 +68,7 @@ fn run_flat(
     let trace = attach(sink, |collector| engine.attach_collector(collector, 0));
     let observed = run_steps(&mut engine, UNIVERSE, a, b, steps);
     let span = trace.map(|t| t.lock().unwrap().recorded_makespan());
-    (observed, engine.stats().clone(), span)
+    (observed, *engine.stats(), span)
 }
 
 /// Runs the workload on a 2-shard engine with the given sink.
@@ -83,7 +83,7 @@ fn run_sharded(
     let trace = attach(sink, |collector| engine.attach_collector(collector, 0));
     let observed = run_steps(&mut engine, UNIVERSE, a, b, steps);
     let span = trace.map(|t| t.lock().unwrap().recorded_makespan());
-    (observed, engine.stats().clone(), span)
+    (observed, *engine.stats(), span)
 }
 
 fn attach(

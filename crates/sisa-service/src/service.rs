@@ -37,9 +37,6 @@ pub struct ServiceConfig {
     pub admission: AdmissionConfig,
     /// Graph-registry limits (residency capacity with LRU eviction).
     pub registry: RegistryConfig,
-    /// Maximum identical queries one worker dispatch coalesces into a
-    /// single execution (the group-size cap of the coalescing drain).
-    pub coalesce_window: usize,
     /// Maximum entries of the generation-keyed query result cache; `0`
     /// disables caching entirely.
     pub cache_entries: usize,
@@ -78,7 +75,6 @@ impl Default for ServiceConfig {
             graph: SetGraphConfig::default(),
             admission: AdmissionConfig::default(),
             registry: RegistryConfig::default(),
-            coalesce_window: 16,
             cache_entries: 1024,
             cache_bytes: 16 << 20,
             tenant_weights: BTreeMap::new(),
@@ -481,7 +477,6 @@ impl SisaService {
                     .collect(),
                 busy: vec![false; cfg.workers],
                 shared: Arc::clone(&shared),
-                window: cfg.coalesce_window.max(1),
             };
             std::thread::Builder::new()
                 .name("sisa-service-dispatcher".to_string())
@@ -582,7 +577,6 @@ impl SisaService {
             .lock()
             .expect("ledger lock")
             .registry_stats
-            .clone()
     }
 
     /// The raw aggregate statistics of every worker engine, folded in worker
@@ -689,6 +683,10 @@ fn ns(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Maximum identical queries one worker dispatch coalesces into a single
+/// execution (the group-size cap of the coalescing drain).
+const COALESCE_WINDOW: usize = 16;
+
 /// The dispatcher: cache lookups at intake, per-worker WFQ backlogs, and
 /// flow-controlled assignment (at most one group outstanding per worker, so
 /// service order is decided here — by weighted deficit round-robin — rather
@@ -701,7 +699,6 @@ struct Dispatcher {
     schedulers: Vec<WfqScheduler<Job>>,
     busy: Vec<bool>,
     shared: Arc<Shared>,
-    window: usize,
 }
 
 impl Dispatcher {
@@ -831,8 +828,8 @@ impl Dispatcher {
                 // intent to change the graph and executes by itself, in
                 // queue order.
                 if !mutation {
-                    for (sibling_tenant, sibling) in
-                        self.schedulers[worker].drain_matching(self.window - 1, |j| j.spec == spec)
+                    for (sibling_tenant, sibling) in self.schedulers[worker]
+                        .drain_matching(COALESCE_WINDOW - 1, |j| j.spec == spec)
                     {
                         entries.push(sibling);
                         touched.push(sibling_tenant);

@@ -125,7 +125,7 @@ impl Worker {
                 }
                 WorkerMsg::Evict(name) => self.evict(&name),
                 WorkerMsg::Report(reply) => {
-                    let _ = reply.send(self.engine.stats().clone());
+                    let _ = reply.send(*self.engine.stats());
                 }
                 WorkerMsg::Shutdown => break,
             }

@@ -37,7 +37,7 @@ fn replay_with(config: SisaConfig, fixture: &TraceFixture) -> SisaRuntime {
 /// Strips the timing view (makespan, dependence stalls) off a statistics
 /// record, leaving only the serial work counters.
 fn work_only(stats: &ExecStats) -> ExecStats {
-    let mut work = stats.clone();
+    let mut work = *stats;
     work.makespan_cycles = 0;
     work.dep_stall_cycles = 0;
     work.dep_stall_by_opcode.clear();
