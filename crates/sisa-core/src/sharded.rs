@@ -690,8 +690,11 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
         self.task_mark = 0;
     }
 
+    /// The live global IDs. Shards handed to [`ShardedEngine::from_shards`]
+    /// may already hold sets no global ID names; `report()` still counts
+    /// those per shard.
     fn live_sets(&self) -> usize {
-        self.shards.iter().map(SetEngine::live_sets).sum()
+        self.placement.iter().filter(|slot| slot.is_some()).count()
     }
 
     fn create(&mut self, repr: SetRepr) -> SetId {
@@ -1091,6 +1094,29 @@ mod tests {
             report.per_shard_instructions.iter().sum::<u64>(),
             engine.stats().total_instructions()
         );
+    }
+
+    #[test]
+    fn live_sets_counts_global_ids_not_sets_the_shards_held_before() {
+        let config = SisaConfig::default();
+        let used: Vec<SisaRuntime> = (0..2)
+            .map(|_| {
+                let mut rt = SisaRuntime::new(config);
+                let _ = rt.create_sorted([1, 2, 3]);
+                rt
+            })
+            .collect();
+        let link = LinkModel::new(config.platform.pnm);
+        let mut engine = ShardedEngine::from_shards(used, PartitionStrategy::Modulo, link);
+        assert_eq!(engine.live_sets(), 0);
+        let a = engine.create_sorted([4, 5]);
+        let b = engine.create_sorted([6]);
+        assert_eq!(engine.live_sets(), 2);
+        engine.delete(a);
+        assert_eq!(engine.live_sets(), 1);
+        assert_eq!(engine.report().per_shard_live_sets.iter().sum::<usize>(), 3);
+        engine.delete(b);
+        assert_eq!(engine.live_sets(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Keyed by `(per-name graph generation, QuerySpec)` — the spec already
 //! carries the graph name, so the generation is the only extra ingredient.
 //! Workers insert under the generation of the registry lease they executed
-//! against; the dispatcher looks up under the name's *current* generation
+//! against; a submission looks up under the name's *current* generation
 //! ([`sisa_graph::GraphRegistry::generation_of`]). Because every evict,
 //! reload and re-registration ticks the per-name generation (and the
 //! counter also ticks while the name is non-resident), a stale entry's key
@@ -19,8 +19,8 @@
 //!
 //! The cache is a bounded LRU on two axes — entry count and approximate
 //! resident bytes ([`ServiceConfig::cache_entries`] /
-//! [`ServiceConfig::cache_bytes`]) — and is shared between the dispatcher
-//! (lookups) and every worker (inserts) behind one mutex; both operations
+//! [`ServiceConfig::cache_bytes`]) — and is shared between the clients and
+//! the dispatcher (lookups) and every worker (inserts) behind one mutex; both operations
 //! are O(log n) map work plus, on overflow or on a name's first insert under
 //! a newer generation, one O(n) scan, all of it far below one
 //! engine-executed query.

@@ -18,10 +18,13 @@
 //!   bounded in-flight queues and per-tenant quotas answer overload with
 //!   explicit [`Rejection`]`{ retry_after_ms }` responses (the hint scales
 //!   with actual queue occupancy) instead of unbounded growth, and a
-//!   coalescing window executes identical concurrent queries once.
+//!   coalescing window executes identical concurrent queries once. The
+//!   dispatcher is a struct behind one lock, not a thread: a client queues
+//!   its query on its own thread, and a worker that finishes a group takes
+//!   its next one.
 //! * **Result cache** ([`ResultCache`]) — a bounded LRU keyed by
-//!   *(graph generation, query spec)* consulted by the dispatcher before
-//!   scheduling: a hit answers immediately with the stored value, bills
+//!   *(graph generation, query spec)* consulted at submission, on the
+//!   client's thread: a hit answers immediately with the stored value, bills
 //!   zero engine cycles (the conservation identity stays exact; hits land
 //!   in their own ledger column) and is invalidated structurally by the
 //!   registry's generation ticks; a name's dead generations are released
@@ -67,7 +70,7 @@
 //!   in-flight gauges and rejections off the admission controller,
 //!   hit/miss/eviction counters and the hit-ratio gauge off the result
 //!   cache; a [`sisa_core::MetricsRegistry`] holds only what nothing else
-//!   records (submission, panic, stream and dispatcher counters,
+//!   records (submission, panic, stream and dispatch-group counters,
 //!   per-tenant scheduler-depth gauges, latency histograms). The snapshot is
 //!   exposed over TCP by the `{"id": N, "query": "metrics"}` request. An
 //!   optional [`sisa_core::SharedCollector`] in [`ServiceConfig`] records

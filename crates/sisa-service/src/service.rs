@@ -1,5 +1,7 @@
 //! The service itself: configuration, the dispatcher/batcher, the tenant
-//! ledger and the in-process client API.
+//! ledger and the in-process client API. The dispatcher is a struct behind
+//! a lock, not a thread: a client answers a cache hit on its own thread and
+//! queues a miss, and a worker that finishes a group takes its next one.
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::{CacheCounters, CachedResult, ResultCache};
@@ -12,8 +14,7 @@ use sisa_core::{
 };
 use sisa_graph::{CsrGraph, GraphRegistry, RegistryConfig};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,20 +113,6 @@ pub(crate) struct Job {
 pub(crate) struct JobGroup {
     pub(crate) spec: QuerySpec,
     pub(crate) entries: Vec<Job>,
-}
-
-/// What flows into the dispatcher: accepted jobs from clients, and
-/// completion signals from workers (the flow control that keeps at most one
-/// group outstanding per worker, so scheduling order is decided in the
-/// dispatcher's WFQ queues — not in unbounded worker channels).
-pub(crate) enum DispatchMsg {
-    /// An admitted query.
-    Job(Job),
-    /// Worker `0..workers` finished its outstanding group and is idle.
-    Done {
-        /// The worker's pool index.
-        worker: usize,
-    },
 }
 
 /// Per-tenant accounting, maintained by the workers under the service
@@ -241,11 +228,17 @@ impl LedgerInner {
     }
 }
 
-/// The state every service thread shares: the client handles, the
-/// dispatcher and the workers each hold one `Arc` of it. Each fact has one
-/// owner here, and [`Shared::metrics_snapshot`] reads the series that have
-/// one off it; `metrics` keeps only what nothing else records.
+/// The state every service thread shares: the client handles and the
+/// workers each hold one `Arc` of it. Each fact has one owner here, and
+/// [`Shared::metrics_snapshot`] reads the series that have one off it;
+/// `metrics` keeps only what nothing else records.
+///
+/// Lock order: `dispatcher` → `registry` / `cache` → `ledger` → `admission`
+/// and `metrics`. A worker calls [`Dispatcher::finished`] only after
+/// settling a group has released the ledger, so no path takes the
+/// dispatcher lock while it holds the ledger lock.
 pub(crate) struct Shared {
+    pub(crate) dispatcher: Mutex<Dispatcher>,
     pub(crate) registry: GraphRegistry,
     pub(crate) admission: Admission,
     pub(crate) ledger: Mutex<LedgerInner>,
@@ -254,6 +247,43 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The state of a service configured by `cfg` whose worker `i` reads
+    /// the receiver of `worker_txs[i]`.
+    pub(crate) fn new(cfg: &ServiceConfig, worker_txs: Vec<Sender<WorkerMsg>>) -> Self {
+        Shared {
+            dispatcher: Mutex::new(Dispatcher::new(worker_txs, &cfg.tenant_weights)),
+            registry: GraphRegistry::with_config(cfg.seed, cfg.registry.clone()),
+            admission: Admission::new(cfg.admission.clone()),
+            ledger: Mutex::new(LedgerInner::default()),
+            cache: ResultCache::new(cfg.cache_entries, cfg.cache_bytes),
+            metrics: MetricsRegistry::new(),
+        }
+    }
+
+    /// Serves a cache hit: the stored value and the original execution's
+    /// stats, marked `cache_hit`, with this response's own real timings and
+    /// zero engine cycles billed (ledger `cache_hits` column).
+    fn serve_hit(&self, job: Job, hit: &CachedResult) {
+        let queue_ns = ns(job.submitted.elapsed());
+        self.ledger
+            .lock()
+            .expect("ledger lock")
+            .record_cache_hit(&job.tenant);
+        let span_ns = ns(job.submitted.elapsed());
+        let stats = QueryStats::from_cached(&hit.stats).with_spans(queue_ns, 0, span_ns);
+        self.metrics.observe("sisa_query_queue_ns", queue_ns);
+        self.metrics.observe("sisa_query_latency_ns", span_ns);
+        // Release the slot *before* the terminal event: a hit was never
+        // queued or executing, and a client observing its completion must
+        // already see the slot free.
+        self.admission.complete(&job.tenant);
+        let _ = job.events.send(QueryEvent::Done(QueryOutcome {
+            value: hit.value,
+            truncated: hit.truncated,
+            stats,
+        }));
+    }
+
     fn report(&self) -> ServiceReport {
         let report = self.ledger.lock().expect("ledger lock").report();
         ServiceReport {
@@ -354,12 +384,16 @@ impl QueryHandle {
 /// (and to the TCP transport).
 #[derive(Clone)]
 pub struct ServiceClient {
-    job_tx: Sender<DispatchMsg>,
     shared: Arc<Shared>,
 }
 
 impl ServiceClient {
-    /// Submits a query for `tenant`, subject to admission control.
+    /// Submits a query for `tenant`, subject to admission control. A query
+    /// the current graph generation holds in the result cache is answered
+    /// here, on the caller's thread (a hit never occupies more of its
+    /// admission slot than a map lookup); anything else is queued for its
+    /// affinity worker. After [`SisaService::close`] only a cache hit is
+    /// still answered: a hit needs no worker.
     ///
     /// # Errors
     ///
@@ -367,9 +401,10 @@ impl ServiceClient {
     /// saturated, the tenant's quota is exhausted, or the service is
     /// shutting down.
     pub fn submit(&self, tenant: &str, spec: QuerySpec) -> Result<QueryHandle, Rejection> {
-        let admission = &self.shared.admission;
+        let shared = &*self.shared;
+        let admission = &shared.admission;
         admission.try_admit(tenant)?;
-        self.shared
+        shared
             .metrics
             .counter_add("sisa_queries_submitted_total", 1);
         let (events, rx) = channel();
@@ -379,7 +414,19 @@ impl ServiceClient {
             events,
             submitted: Instant::now(),
         };
-        if self.job_tx.send(DispatchMsg::Job(job)).is_err() {
+        if !job.spec.kind.is_mutation() {
+            let generation = shared.registry.generation_of(&job.spec.graph);
+            if let Some(hit) = shared.cache.get(generation, &job.spec) {
+                shared.serve_hit(job, &hit);
+                return Ok(QueryHandle { rx });
+            }
+        }
+        let queued = shared
+            .dispatcher
+            .lock()
+            .expect("dispatcher lock")
+            .enqueue(shared, job);
+        if !queued {
             admission.complete(tenant);
             return Err(Rejection {
                 retry_after_ms: admission.config().retry_after_ms.max(1),
@@ -410,14 +457,11 @@ struct WorkerHandle {
 pub struct SisaService {
     cfg: ServiceConfig,
     shared: Arc<Shared>,
-    job_tx: Option<Sender<DispatchMsg>>,
-    stop: Arc<AtomicBool>,
-    dispatcher: Option<JoinHandle<()>>,
     workers: Vec<WorkerHandle>,
 }
 
 impl SisaService {
-    /// Starts the worker pool and dispatcher.
+    /// Starts the worker pool: one thread per worker, none besides.
     ///
     /// # Panics
     ///
@@ -426,22 +470,13 @@ impl SisaService {
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers > 0, "a service needs at least one worker");
         assert!(cfg.shards > 0, "worker engines need at least one shard");
-        let shared = Arc::new(Shared {
-            registry: GraphRegistry::with_config(cfg.seed, cfg.registry.clone()),
-            admission: Admission::new(cfg.admission.clone()),
-            ledger: Mutex::new(LedgerInner::default()),
-            cache: ResultCache::new(cfg.cache_entries, cfg.cache_bytes),
-            metrics: MetricsRegistry::new(),
-        });
-        let stop = Arc::new(AtomicBool::new(false));
-        let (job_tx, job_rx) = channel::<DispatchMsg>();
+        let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) =
+            (0..cfg.workers).map(|_| channel::<WorkerMsg>()).unzip();
+        let shared = Arc::new(Shared::new(&cfg, worker_txs.clone()));
 
         let mut workers = Vec::with_capacity(cfg.workers);
-        let mut worker_txs = Vec::with_capacity(cfg.workers);
-        for i in 0..cfg.workers {
-            let (tx, rx) = channel::<WorkerMsg>();
+        for (i, (tx, rx)) in worker_txs.into_iter().zip(worker_rxs).enumerate() {
             let shared = Arc::clone(&shared);
-            let done = job_tx.clone();
             let collector = cfg.collector.clone();
             let shards = cfg.shards;
             let strategy = cfg.strategy;
@@ -458,51 +493,26 @@ impl SisaService {
                         // so the pool shares one collector without clashes.
                         engine.attach_collector(collector, (i * shards) as u32);
                     }
-                    Worker::new(engine, shared, graph_cfg, window, stream_ks, i, done).run(&rx);
+                    Worker::new(engine, shared, graph_cfg, window, stream_ks, i).run(&rx);
                 })
                 .expect("spawn worker thread");
-            worker_txs.push(tx.clone());
             workers.push(WorkerHandle {
                 tx,
                 join: Some(join),
             });
         }
 
-        let dispatcher = {
-            let stop = Arc::clone(&stop);
-            let mut state = Dispatcher {
-                worker_txs,
-                schedulers: (0..cfg.workers)
-                    .map(|_| WfqScheduler::new(cfg.tenant_weights.clone()))
-                    .collect(),
-                busy: vec![false; cfg.workers],
-                shared: Arc::clone(&shared),
-            };
-            std::thread::Builder::new()
-                .name("sisa-service-dispatcher".to_string())
-                .spawn(move || state.run(&job_rx, &stop))
-                .expect("spawn dispatcher thread")
-        };
-
         SisaService {
             cfg,
             shared,
-            job_tx: Some(job_tx),
-            stop,
-            dispatcher: Some(dispatcher),
             workers,
         }
     }
 
     /// A cloneable submission handle for client threads and transports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`SisaService::close`].
     #[must_use]
     pub fn client(&self) -> ServiceClient {
         ServiceClient {
-            job_tx: self.job_tx.as_ref().expect("service is running").clone(),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -610,9 +620,9 @@ impl SisaService {
     /// The service's metrics: counters, gauges and latency histograms. The
     /// query, mutation and graph counters are read off the tenant ledger,
     /// the `sisa_admission_*` series off the admission controller and the
-    /// `sisa_cache_*` series off the result cache; the dispatcher, stream,
+    /// `sisa_cache_*` series off the result cache; the group, stream,
     /// submission and panic counters, the WFQ depth gauges and the latency
-    /// histograms are the ones the threads push.
+    /// histograms are the ones clients and workers push.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared.metrics_snapshot()
@@ -639,16 +649,22 @@ impl SisaService {
     }
 
     /// Stops accepting queries, drains the pipeline and joins every thread.
-    /// Queries still queued when `close` is called receive `Failed` events.
+    /// Queries still queued when `close` is called receive `Failed` events;
+    /// a client kept past `close` is refused.
     pub fn close(mut self) {
         self.shutdown();
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.job_tx = None;
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
+        let shared = &self.shared;
+        // Fail everything still queued: the queues are bounded and nothing
+        // may linger.
+        let leftovers = shared.dispatcher.lock().expect("dispatcher lock").close();
+        for job in leftovers {
+            let _ = job
+                .events
+                .send(QueryEvent::Failed("service shut down".to_string()));
+            shared.admission.complete(&job.tenant);
         }
         for worker in &self.workers {
             let _ = worker.tx.send(WorkerMsg::Shutdown);
@@ -679,7 +695,7 @@ pub(crate) fn worker_for(graph: &str, workers: usize) -> usize {
 }
 
 /// Saturating nanoseconds of a host duration.
-fn ns(duration: Duration) -> u64 {
+pub(crate) fn ns(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -687,168 +703,113 @@ fn ns(duration: Duration) -> u64 {
 /// execution (the group-size cap of the coalescing drain).
 const COALESCE_WINDOW: usize = 16;
 
-/// The dispatcher: cache lookups at intake, per-worker WFQ backlogs, and
-/// flow-controlled assignment (at most one group outstanding per worker, so
-/// service order is decided here — by weighted deficit round-robin — rather
-/// than in unbounded worker channels).
-struct Dispatcher {
+/// The dispatcher: per-worker WFQ backlogs and flow-controlled assignment
+/// (at most one group outstanding per worker, so service order is decided
+/// here — by weighted deficit round-robin — rather than in unbounded worker
+/// channels). It is a struct behind [`Shared::dispatcher`], not a thread:
+/// clients call [`Dispatcher::enqueue`] and workers call
+/// [`Dispatcher::finished`], each on its own thread.
+pub(crate) struct Dispatcher {
     worker_txs: Vec<Sender<WorkerMsg>>,
     /// One WFQ backlog per worker: affinity routing happens at enqueue, so
     /// fairness is enforced where it matters — on each worker's serial
     /// execution capacity.
     schedulers: Vec<WfqScheduler<Job>>,
     busy: Vec<bool>,
-    shared: Arc<Shared>,
+    /// Set by [`Dispatcher::close`]: every later `enqueue` is refused.
+    closed: bool,
 }
 
 impl Dispatcher {
-    fn run(&mut self, job_rx: &Receiver<DispatchMsg>, stop: &AtomicBool) {
-        loop {
-            let first = match job_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(msg) => Some(msg),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            if stop.load(Ordering::SeqCst) {
-                // Fail everything still queued (channel + WFQ backlogs):
-                // the queues are bounded and nothing may linger.
-                let mut leftovers: Vec<Job> = Vec::new();
-                if let Some(DispatchMsg::Job(job)) = first {
-                    leftovers.push(job);
-                }
-                while let Ok(msg) = job_rx.try_recv() {
-                    if let DispatchMsg::Job(job) = msg {
-                        leftovers.push(job);
-                    }
-                }
-                for scheduler in &mut self.schedulers {
-                    leftovers.extend(scheduler.drain_all().into_iter().map(|(_, job)| job));
-                }
-                for job in leftovers {
-                    let _ = job
-                        .events
-                        .send(QueryEvent::Failed("service shut down".to_string()));
-                    self.shared.admission.complete(&job.tenant);
-                }
-                break;
-            }
-            let Some(first) = first else { continue };
-            let mut batch_jobs: u64 = 0;
-            let mut msg = Some(first);
-            loop {
-                match msg {
-                    Some(DispatchMsg::Job(job)) => {
-                        batch_jobs += 1;
-                        self.intake(job);
-                    }
-                    Some(DispatchMsg::Done { worker }) => self.busy[worker] = false,
-                    None => break,
-                }
-                msg = job_rx.try_recv().ok();
-            }
-            if batch_jobs > 0 {
-                let metrics = &self.shared.metrics;
-                metrics.counter_add("sisa_dispatch_batches_total", 1);
-                metrics.counter_add("sisa_dispatch_jobs_total", batch_jobs);
-                metrics.gauge_set("sisa_dispatch_last_batch_jobs", batch_jobs as i64);
-            }
-            self.assign_idle();
+    pub(crate) fn new(worker_txs: Vec<Sender<WorkerMsg>>, weights: &BTreeMap<String, u64>) -> Self {
+        let workers = worker_txs.len();
+        Dispatcher {
+            worker_txs,
+            schedulers: (0..workers)
+                .map(|_| WfqScheduler::new(weights.clone()))
+                .collect(),
+            busy: vec![false; workers],
+            closed: false,
         }
     }
 
-    /// Accepts one admitted job: answered from the cache right here when the
-    /// current graph generation holds the result (a hit never occupies more
-    /// of its admission slot than a map lookup), queued under its tenant on
-    /// its affinity worker otherwise. Mutations never consult the cache —
-    /// they are what *invalidates* it — and always queue, so they stay
-    /// ordered behind earlier queries on the same graph (same affinity
-    /// worker, same WFQ backlog).
-    fn intake(&mut self, job: Job) {
-        if !job.spec.kind.is_mutation() {
-            let generation = self.shared.registry.generation_of(&job.spec.graph);
-            if let Some(hit) = self.shared.cache.get(generation, &job.spec) {
-                self.serve_hit(job, &hit);
-                return;
-            }
+    /// Queues an admitted job that missed the cache under its tenant on its
+    /// affinity worker, and hands that worker a group if it is idle.
+    /// Mutations always come here — they are what *invalidates* the cache —
+    /// so they stay ordered behind earlier queries on the same graph (same
+    /// affinity worker, same WFQ backlog). Returns `false`, dropping the
+    /// job, after [`Dispatcher::close`].
+    #[must_use]
+    pub(crate) fn enqueue(&mut self, shared: &Shared, job: Job) -> bool {
+        if self.closed {
+            return false;
         }
-        let target = worker_for(&job.spec.graph, self.schedulers.len());
+        let worker = worker_for(&job.spec.graph, self.schedulers.len());
         let tenant = job.tenant.clone();
-        self.schedulers[target].enqueue(&tenant, job);
-        self.publish_depth(&tenant);
+        self.schedulers[worker].enqueue(&tenant, job);
+        self.publish_depth(shared, &tenant);
+        self.assign(shared, worker);
+        true
     }
 
-    /// Serves a cache hit: the stored value and the original execution's
-    /// stats, marked `cache_hit`, with this response's own real timings and
-    /// zero engine cycles billed (ledger `cache_hits` column).
-    fn serve_hit(&self, job: Job, hit: &CachedResult) {
-        let queue_ns = ns(job.submitted.elapsed());
-        let shared = &self.shared;
-        shared
-            .ledger
-            .lock()
-            .expect("ledger lock")
-            .record_cache_hit(&job.tenant);
-        let span_ns = ns(job.submitted.elapsed());
-        let stats = QueryStats::from_cached(&hit.stats).with_spans(queue_ns, 0, span_ns);
-        shared.metrics.observe("sisa_query_queue_ns", queue_ns);
-        shared.metrics.observe("sisa_query_latency_ns", span_ns);
-        // Release the slot *before* the terminal event: a hit was never
-        // queued or executing, and a client observing its completion must
-        // already see the slot free.
-        shared.admission.complete(&job.tenant);
-        let _ = job.events.send(QueryEvent::Done(QueryOutcome {
-            value: hit.value,
-            truncated: hit.truncated,
-            stats,
-        }));
+    /// Worker `worker` settled its outstanding group: it takes its next one.
+    pub(crate) fn finished(&mut self, shared: &Shared, worker: usize) {
+        self.busy[worker] = false;
+        self.assign(shared, worker);
     }
 
-    /// Hands every idle worker its next WDRR-ordered group. A job whose
+    /// Refuses every later `enqueue` and returns every job still queued.
+    pub(crate) fn close(&mut self) -> Vec<Job> {
+        self.closed = true;
+        let mut leftovers = Vec::new();
+        for scheduler in &mut self.schedulers {
+            leftovers.extend(scheduler.drain_all().into_iter().map(|(_, job)| job));
+        }
+        leftovers
+    }
+
+    /// Hands `worker`, if idle, its next WDRR-ordered group. A job whose
     /// result landed in the cache while it was queued (an identical query
     /// executed ahead of it) is served as a hit here instead of re-executing.
-    fn assign_idle(&mut self) {
-        for worker in 0..self.worker_txs.len() {
-            while !self.busy[worker] && !self.schedulers[worker].is_empty() {
-                let Some((tenant, job)) = self.schedulers[worker].pop() else {
-                    break;
-                };
-                let mutation = job.spec.kind.is_mutation();
-                if !mutation {
-                    let generation = self.shared.registry.generation_of(&job.spec.graph);
-                    if let Some(hit) = self.shared.cache.recheck(generation, &job.spec) {
-                        self.serve_hit(job, &hit);
-                        self.publish_depth(&tenant);
-                        continue;
-                    }
+    fn assign(&mut self, shared: &Shared, worker: usize) {
+        while !self.busy[worker] {
+            let Some((tenant, job)) = self.schedulers[worker].pop() else {
+                return;
+            };
+            let mutation = job.spec.kind.is_mutation();
+            if !mutation {
+                let generation = shared.registry.generation_of(&job.spec.graph);
+                if let Some(hit) = shared.cache.recheck(generation, &job.spec) {
+                    shared.serve_hit(job, &hit);
+                    self.publish_depth(shared, &tenant);
+                    continue;
                 }
-                let spec = job.spec.clone();
-                let mut entries = vec![job];
-                let mut touched = vec![tenant];
-                // Mutations are never coalesced: every mutate request is an
-                // intent to change the graph and executes by itself, in
-                // queue order.
-                if !mutation {
-                    for (sibling_tenant, sibling) in self.schedulers[worker]
-                        .drain_matching(COALESCE_WINDOW - 1, |j| j.spec == spec)
-                    {
-                        entries.push(sibling);
-                        touched.push(sibling_tenant);
-                    }
-                }
-                touched.sort();
-                touched.dedup();
-                for tenant in &touched {
-                    self.publish_depth(tenant);
-                }
-                self.shared
-                    .metrics
-                    .counter_add("sisa_dispatch_groups_total", 1);
-                let group = JobGroup { spec, entries };
-                if self.worker_txs[worker].send(WorkerMsg::Run(group)).is_err() {
-                    return;
-                }
-                self.busy[worker] = true;
             }
+            let spec = job.spec.clone();
+            let mut entries = vec![job];
+            let mut touched = vec![tenant];
+            // Mutations are never coalesced: every mutate request is an
+            // intent to change the graph and executes by itself, in
+            // queue order.
+            if !mutation {
+                for (sibling_tenant, sibling) in
+                    self.schedulers[worker].drain_matching(COALESCE_WINDOW - 1, |j| j.spec == spec)
+                {
+                    entries.push(sibling);
+                    touched.push(sibling_tenant);
+                }
+            }
+            touched.sort();
+            touched.dedup();
+            for tenant in &touched {
+                self.publish_depth(shared, tenant);
+            }
+            shared.metrics.counter_add("sisa_dispatch_groups_total", 1);
+            let group = JobGroup { spec, entries };
+            if self.worker_txs[worker].send(WorkerMsg::Run(group)).is_err() {
+                return;
+            }
+            self.busy[worker] = true;
         }
     }
 
@@ -856,13 +817,13 @@ impl Dispatcher {
     /// tenant whose backlog has drained to zero has its labelled gauge
     /// *removed* — matching the schedulers' own pruning — so the metrics
     /// registry never accretes one gauge per tenant name ever seen.
-    fn publish_depth(&self, tenant: &str) {
+    fn publish_depth(&self, shared: &Shared, tenant: &str) {
         let depth: usize = self.schedulers.iter().map(|s| s.depth(tenant)).sum();
         let name = format!("sisa_wfq_queue_depth{{tenant=\"{tenant}\"}}");
         if depth == 0 {
-            self.shared.metrics.gauge_remove(&name);
+            shared.metrics.gauge_remove(&name);
         } else {
-            self.shared.metrics.gauge_set(&name, depth as i64);
+            shared.metrics.gauge_set(&name, depth as i64);
         }
     }
 }
@@ -898,6 +859,153 @@ mod tests {
         assert_eq!(siblings.len(), 1, "only the identical spec coalesces");
         assert_ne!(siblings[0].1.spec, budgeted);
         assert_eq!(scheduler.len(), 1, "the budget variant stays queued");
+    }
+
+    /// A service state with one worker whose receiver the test reads, and
+    /// no threads: groups leave only when a test calls `enqueue` or
+    /// `finished`.
+    fn one_worker(weights: &[(&str, u64)]) -> (Shared, Receiver<WorkerMsg>) {
+        let cfg = ServiceConfig {
+            workers: 1,
+            tenant_weights: weights.iter().map(|&(t, w)| (t.to_string(), w)).collect(),
+            ..ServiceConfig::smoke()
+        };
+        let (tx, rx) = channel();
+        (Shared::new(&cfg, vec![tx]), rx)
+    }
+
+    fn enqueue(shared: &Shared, job: Job) {
+        let queued = shared.dispatcher.lock().unwrap().enqueue(shared, job);
+        assert!(queued, "the dispatcher is open");
+    }
+
+    fn finished(shared: &Shared) {
+        shared.dispatcher.lock().unwrap().finished(shared, 0);
+    }
+
+    /// The groups sent to the worker since the last call.
+    fn sent(rx: &Receiver<WorkerMsg>) -> Vec<JobGroup> {
+        rx.try_iter()
+            .map(|msg| match msg {
+                WorkerMsg::Run(group) => group,
+                _ => panic!("the dispatcher sends only groups"),
+            })
+            .collect()
+    }
+
+    /// Distinct budgets keep the specs apart, so nothing coalesces.
+    fn distinct(i: u64) -> QuerySpec {
+        QuerySpec::new("g", QueryKind::TriangleCount).with_budget(1_000 + i)
+    }
+
+    #[test]
+    fn a_heavy_backlog_is_handed_out_in_weighted_round_robin_order() {
+        let (shared, rx) = one_worker(&[("heavy", 3)]);
+        for i in 0..20 {
+            enqueue(&shared, job("heavy", distinct(i)));
+        }
+        for i in 0..2 {
+            enqueue(&shared, job("light", distinct(100 + i)));
+        }
+        let mut order = String::new();
+        let mut record = |groups: Vec<JobGroup>| {
+            assert_eq!(groups.len(), 1, "one group outstanding at a time");
+            order.push_str(&groups[0].entries[0].tenant[..1]);
+        };
+        // The first heavy job found the worker idle; the rest queued.
+        record(sent(&rx));
+        for _ in 0..21 {
+            finished(&shared);
+            record(sent(&rx));
+        }
+        // Each round serves the shorter backlog first, one job for weight 1
+        // and three for weight 3.
+        let expected = format!("h{}{}{}", "lhhh", "lhhh", "h".repeat(13));
+        assert_eq!(order, expected);
+        finished(&shared);
+        assert!(sent(&rx).is_empty(), "the backlog is empty");
+    }
+
+    #[test]
+    fn identical_specs_leave_as_one_window_while_a_budget_variant_stays_queued() {
+        let (shared, rx) = one_worker(&[]);
+        let tc = QuerySpec::new("g", QueryKind::TriangleCount);
+        let budgeted = tc.clone().with_budget(5);
+        enqueue(&shared, job("a", distinct(0)));
+        for i in 0..21 {
+            let spec = if i == 10 { &budgeted } else { &tc };
+            enqueue(&shared, job(["a", "b"][i % 2], spec.clone()));
+        }
+        assert_eq!(
+            sent(&rx).len(),
+            1,
+            "only the first job found the worker idle"
+        );
+        let mut groups = Vec::new();
+        for _ in 0..3 {
+            finished(&shared);
+            groups.extend(sent(&rx));
+        }
+        let shape: Vec<(bool, usize)> = groups
+            .iter()
+            .map(|g| (g.spec == tc, g.entries.len()))
+            .collect();
+        assert_eq!(shape, [(true, COALESCE_WINDOW), (false, 1), (true, 4)]);
+        assert!(groups
+            .iter()
+            .all(|g| g.entries.iter().all(|job| job.spec == g.spec)));
+        assert_eq!(shared.metrics.counter("sisa_dispatch_groups_total"), 4);
+    }
+
+    #[test]
+    fn a_queued_twin_of_a_cached_result_is_answered_by_the_recheck() {
+        let (shared, rx) = one_worker(&[]);
+        let spec = QuerySpec::new("g", QueryKind::TriangleCount);
+        enqueue(&shared, job("a", distinct(0)));
+        shared.admission.try_admit("t").unwrap();
+        let (events, answers) = channel();
+        let twin = Job {
+            tenant: "t".to_string(),
+            spec: spec.clone(),
+            events,
+            submitted: Instant::now(),
+        };
+        enqueue(&shared, twin);
+        assert_eq!(sent(&rx).len(), 1, "the twin queues behind the worker");
+        let generation = shared.registry.generation_of("g");
+        let stats = QueryStats::from_delta(&ExecStats::default(), 1);
+        let result = CachedResult {
+            value: 7,
+            truncated: false,
+            stats,
+        };
+        shared.cache.insert(generation, &spec, result);
+
+        finished(&shared);
+        assert!(sent(&rx).is_empty(), "the twin never reaches the worker");
+        let Ok(QueryEvent::Done(outcome)) = answers.try_recv() else {
+            panic!("the twin is answered");
+        };
+        assert_eq!(outcome.value, 7);
+        assert!(outcome.stats.cache_hit);
+        assert_eq!(shared.admission.in_flight(), 0, "its slot is released");
+        assert_eq!(shared.ledger.lock().unwrap().tenants["t"].cache_hits, 1);
+        let cache = shared.cache.counters();
+        assert_eq!((cache.hits, cache.misses), (1, 0));
+    }
+
+    #[test]
+    fn enqueue_after_close_refuses_the_job() {
+        let (shared, rx) = one_worker(&[]);
+        enqueue(&shared, job("a", distinct(0)));
+        enqueue(&shared, job("a", distinct(1)));
+        let leftovers = shared.dispatcher.lock().unwrap().close();
+        assert_eq!(leftovers.len(), 1, "close hands back the queued job");
+        let mut dispatcher = shared.dispatcher.lock().unwrap();
+        assert!(!dispatcher.enqueue(&shared, job("b", distinct(2))));
+        drop(dispatcher);
+        finished(&shared);
+        assert_eq!(sent(&rx).len(), 1, "only the group sent before close");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The worker pool: each worker owns one [`ShardedEngine`] and a map of
 //! shard-resident graphs, and serially executes the job groups the
-//! dispatcher routes to it.
+//! dispatcher routes to it. A worker that finishes a group calls
+//! [`Dispatcher::finished`](crate::service::Dispatcher::finished), which
+//! hands it its next one.
 //!
 //! Workers are plain `std::thread`s fed by an `mpsc` channel — the workspace
 //! is offline/vendored-shims only, so there is no async runtime. All engine
@@ -12,7 +14,7 @@
 
 use crate::cache::CachedResult;
 use crate::query::{QueryEvent, QueryKind, QueryOutcome, QuerySpec, QueryStats};
-use crate::service::{DispatchMsg, Job, JobGroup, Shared};
+use crate::service::{ns, Job, JobGroup, Shared};
 use sisa_algorithms::setcentric::{
     k_clique_count, orient_by_degeneracy, star_pattern, subgraph_isomorphism_count, triangle_count,
     StreamingMiner,
@@ -26,7 +28,7 @@ use sisa_graph::CsrGraph;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Control messages a worker accepts, processed strictly in order.
 pub(crate) enum WorkerMsg {
@@ -75,21 +77,12 @@ pub(crate) struct Worker {
     pub(crate) shared: Arc<Shared>,
     pub(crate) graph_cfg: SetGraphConfig,
     pub(crate) progress_window_ops: usize,
-    /// This worker's pool index, echoed on `DispatchMsg::Done`.
+    /// This worker's pool index, named to `Dispatcher::finished`.
     index: usize,
-    /// Back-channel to the dispatcher: one `Done` per executed group is the
-    /// flow control that keeps scheduling order in the dispatcher's WFQ
-    /// queues.
-    done: Sender<DispatchMsg>,
     graphs: BTreeMap<String, ResidentGraph>,
     /// Clique sizes maintained incrementally for mutated graphs.
     stream_ks: Vec<usize>,
     streams: BTreeMap<String, StreamState>,
-}
-
-/// Saturating nanoseconds of a host duration.
-fn ns(duration: Duration) -> u64 {
-    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl Worker {
@@ -100,7 +93,6 @@ impl Worker {
         progress_window_ops: usize,
         stream_ks: Vec<usize>,
         index: usize,
-        done: Sender<DispatchMsg>,
     ) -> Self {
         Worker {
             engine,
@@ -108,7 +100,6 @@ impl Worker {
             graph_cfg,
             progress_window_ops: progress_window_ops.max(1),
             index,
-            done,
             graphs: BTreeMap::new(),
             stream_ks,
             streams: BTreeMap::new(),
@@ -121,7 +112,11 @@ impl Worker {
             match msg {
                 WorkerMsg::Run(group) => {
                     self.run_group(group);
-                    let _ = self.done.send(DispatchMsg::Done { worker: self.index });
+                    // Flow control: at most one group is outstanding per
+                    // worker, so service order stays in the WFQ backlogs.
+                    let shared = &*self.shared;
+                    let mut dispatcher = shared.dispatcher.lock().expect("dispatcher lock");
+                    dispatcher.finished(shared, self.index);
                 }
                 WorkerMsg::Evict(name) => self.evict(&name),
                 WorkerMsg::Report(reply) => {
@@ -401,7 +396,7 @@ impl Worker {
     /// Serves a group from an incrementally-maintained stream counter: one
     /// host op to read it (billed to the first entry's tenant), with the
     /// value published to the result cache under the stream's generation so
-    /// repeats hit at the dispatcher.
+    /// repeats hit at submission.
     fn serve_streamed(&mut self, group: JobGroup, value: u64) {
         let scope = StatsScope::begin(self.engine.stats());
         let started = Instant::now();
@@ -609,23 +604,13 @@ fn batched_triangle_count(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::{Admission, AdmissionConfig};
-    use crate::cache::ResultCache;
     use crate::query::QuerySpec;
-    use sisa_core::{MetricsRegistry, PartitionStrategy, SisaConfig};
-    use sisa_graph::GraphRegistry;
+    use crate::service::ServiceConfig;
+    use sisa_core::{PartitionStrategy, SisaConfig};
     use std::sync::mpsc::channel;
-    use std::sync::Mutex;
 
     fn worker() -> Worker {
-        let (done, _done_rx) = channel();
-        let shared = Shared {
-            registry: GraphRegistry::new(1),
-            admission: Admission::new(AdmissionConfig::default()),
-            ledger: Mutex::default(),
-            cache: ResultCache::new(16, 1 << 20),
-            metrics: MetricsRegistry::new(),
-        };
+        let shared = Shared::new(&ServiceConfig::smoke(), Vec::new());
         Worker::new(
             ShardedEngine::sisa(2, PartitionStrategy::Modulo, SisaConfig::default()),
             Arc::new(shared),
@@ -633,7 +618,6 @@ mod tests {
             64,
             vec![3, 4],
             0,
-            done,
         )
     }
 

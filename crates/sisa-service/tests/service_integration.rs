@@ -420,3 +420,41 @@ fn registered_graphs_shadow_datasets_and_custom_names_are_isolated() {
     assert_eq!(tc("clique"), 4, "K4 has 4 triangles");
     service.close();
 }
+
+#[test]
+fn close_fails_every_queued_query_and_refuses_a_client_kept_past_it() {
+    let mut cfg = ServiceConfig::smoke();
+    cfg.workers = 1;
+    let service = SisaService::start(cfg);
+    // One worker and one tenant: the queue is FIFO behind a slow first
+    // query, so `close` finds the later ones still queued.
+    service.register_graph("g", generators::erdos_renyi(160, 0.3, 5));
+    let client = service.client();
+    let slow = QuerySpec::new("g", QueryKind::KCliqueCount { k: 5 });
+    let handles: Vec<_> = std::iter::once(slow)
+        .chain((0..8).map(|i| QuerySpec::new("g", QueryKind::TriangleCount).with_budget(10 + i)))
+        .map(|spec| client.submit("t", spec).expect("admitted"))
+        .collect();
+    service.close();
+
+    let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    let ran = outcomes
+        .iter()
+        .take_while(|outcome| outcome.is_ok())
+        .count();
+    assert!(ran < outcomes.len(), "the last query was still queued");
+    for outcome in &outcomes[ran..] {
+        assert_eq!(outcome.as_ref().unwrap_err(), "service shut down");
+    }
+    let in_flight = |client: &sisa_service::ServiceClient| {
+        client.metrics_snapshot().gauges["sisa_admission_in_flight"]
+    };
+    assert_eq!(in_flight(&client), 0, "every queued slot is released");
+
+    let unseen = QuerySpec::new("g", QueryKind::KCliqueCount { k: 4 });
+    let Err(refused) = client.submit("t", unseen) else {
+        panic!("a client kept past close is refused");
+    };
+    assert_eq!(refused.reason, "service is shutting down");
+    assert_eq!(in_flight(&client), 0, "the refused query's slot too");
+}
