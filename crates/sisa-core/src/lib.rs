@@ -82,8 +82,8 @@ pub use shard::PartitionStrategy;
 pub use sharded::{BatchOp, BatchResult, LinkTraffic, ShardReport, ShardedEngine};
 pub use stats::{ExecStats, OpcodeCounts, StatsScope};
 pub use telemetry::{
-    ChromeTraceCollector, Collector, InstructionEvent, MetricsRegistry, MetricsSnapshot,
-    NoopCollector, SharedCollector, TransferEvent,
+    ChromeTraceCollector, Collector, InstructionEvent, NoopCollector, SharedCollector,
+    TransferEvent,
 };
 pub use trace::{TraceEvent, TraceOp, TraceSink};
 

@@ -1,5 +1,4 @@
-//! End-to-end telemetry: span collection, Chrome-trace timelines and a
-//! metrics registry.
+//! End-to-end telemetry: span collection and Chrome-trace timelines.
 //!
 //! The paper's attribution story — *where* do cycles, stalls and inter-cube
 //! transfers go — needs a live window into the pipeline, not just the
@@ -19,9 +18,9 @@
 //!   trace-event JSON that Perfetto (<https://ui.perfetto.dev>) loads
 //!   directly: one track per vault lane, one per shard link, plus a counter
 //!   track for issue-queue depth.
-//! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms with
-//!   nearest-rank p50/p95/p99, a serialisable [`MetricsSnapshot`] and a
-//!   Prometheus-style text rendering.
+//!
+//! The simulator defines no service metrics: `sisa-service` owns its
+//! metrics format and reads each series off the record that keeps it.
 //!
 //! Events carry the *simulated* clock of the issue pipeline (cycle `start`
 //! and `finish`), so a rendered timeline reproduces the makespan exactly:
@@ -29,7 +28,6 @@
 //! `ExecStats::makespan_cycles` for the captured engine.
 
 use crate::pipeline::LaneKind;
-use serde::{Deserialize, Serialize};
 use sisa_isa::SisaOpcode;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -325,276 +323,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// A fixed-bucket histogram: power-of-two upper bounds plus an overflow
-/// bucket, with nearest-rank percentiles over the bucket counts (rank
-/// `ceil(p/100 · n)`; a bucketed observation reports its bucket's upper
-/// bound).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// A histogram over the given ascending upper bounds (an overflow
-    /// bucket is appended automatically).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bounds` is empty or not strictly ascending.
-    #[must_use]
-    pub(crate) fn with_bounds(bounds: Vec<u64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let buckets = bounds.len() + 1;
-        Histogram {
-            bounds,
-            counts: vec![0; buckets],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// The default latency histogram: power-of-four bounds from 1 µs to
-    /// ~4.6 min in nanoseconds.
-    #[must_use]
-    pub(crate) fn latency_ns() -> Self {
-        Histogram::with_bounds((5..=19).map(|i| 1u64 << (2 * i)).collect())
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// The nearest-rank percentile (`pct` in 0..=100): the upper bound of
-    /// the bucket holding the rank-`ceil(pct/100 · n)` observation, with the
-    /// overflow bucket reporting the exact recorded maximum. Returns 0 with
-    /// no observations.
-    #[must_use]
-    pub fn percentile(&self, pct: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (pct * self.count).div_ceil(100).max(1);
-        let mut seen = 0;
-        for (idx, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if idx < self.bounds.len() {
-                    self.bounds[idx]
-                } else {
-                    self.max
-                };
-            }
-        }
-        self.max
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            min: if self.count == 0 { 0 } else { self.min },
-            max: self.max,
-            p50: self.percentile(50),
-            p95: self.percentile(95),
-            p99: self.percentile(99),
-            buckets: self
-                .bounds
-                .iter()
-                .copied()
-                .chain(std::iter::once(u64::MAX))
-                .zip(self.counts.iter().copied())
-                .map(|(le, count)| BucketCount { le, count })
-                .collect(),
-        }
-    }
-}
-
-/// One bucket of a [`HistogramSnapshot`]; `le == u64::MAX` marks the
-/// overflow (`+Inf`) bucket.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BucketCount {
-    /// Inclusive upper bound of the bucket.
-    pub le: u64,
-    /// Observations that fell into this bucket.
-    pub count: u64,
-}
-
-/// A serialisable point-in-time view of one histogram.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of all observed values (saturating).
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-    /// Nearest-rank 50th percentile (bucket upper bound).
-    pub p50: u64,
-    /// Nearest-rank 95th percentile (bucket upper bound).
-    pub p95: u64,
-    /// Nearest-rank 99th percentile (bucket upper bound).
-    pub p99: u64,
-    /// Per-bucket counts, ascending by bound.
-    pub buckets: Vec<BucketCount>,
-}
-
-/// A point-in-time view of the whole registry: the JSON form of the
-/// service's `metrics` wire frame.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Monotonic counters by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Last-set gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Renders the snapshot in the Prometheus text exposition format.
-    /// Names may embed a label set (`name{label="v"}`); the `# TYPE` header
-    /// uses the bare name before the label block.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut typed: BTreeMap<String, ()> = BTreeMap::new();
-        let mut type_line = |out: &mut String, name: &str, kind: &str| {
-            let base = name.split('{').next().unwrap_or(name);
-            if typed.insert(base.to_string(), ()).is_none() {
-                out.push_str(&format!("# TYPE {base} {kind}\n"));
-            }
-        };
-        for (name, value) in &self.counters {
-            type_line(&mut out, name, "counter");
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            type_line(&mut out, name, "gauge");
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        for (name, hist) in &self.histograms {
-            type_line(&mut out, name, "histogram");
-            let mut cumulative = 0;
-            for bucket in &hist.buckets {
-                cumulative += bucket.count;
-                let le = if bucket.le == u64::MAX {
-                    "+Inf".to_string()
-                } else {
-                    bucket.le.to_string()
-                };
-                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{name}_sum {}\n", hist.sum));
-            out.push_str(&format!("{name}_count {}\n", hist.count));
-        }
-        out
-    }
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// A thread-safe metrics registry: named counters, gauges and fixed-bucket
-/// histograms, created lazily on first touch. The service's client handles,
-/// dispatcher and worker pool write the series nothing else records here;
-/// its metrics snapshot adds the ones it reads off the ledger, the admission
-/// controller and the result cache.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to the named monotonic counter.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Reads the named counter (0 if never touched).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().expect("metrics lock");
-        inner.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets the named gauge.
-    pub fn gauge_set(&self, name: &str, value: i64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner.gauges.insert(name.to_string(), value);
-    }
-
-    /// Removes the named gauge entirely (it disappears from snapshots and
-    /// the Prometheus exposition). Writers with per-entity labels — e.g. the
-    /// service's `{tenant="..."}` gauges — call this when the entity's state
-    /// is pruned, so label cardinality stays bounded by *active* entities
-    /// instead of growing with every entity ever seen. Returns whether the
-    /// gauge existed.
-    pub fn gauge_remove(&self, name: &str) -> bool {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner.gauges.remove(name).is_some()
-    }
-
-    /// Records one observation into the named latency histogram (created
-    /// with `Histogram::latency_ns` bounds on first touch).
-    pub fn observe(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::latency_ns)
-            .observe(value);
-    }
-
-    /// A consistent snapshot of every metric.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics lock");
-        MetricsSnapshot {
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(name, hist)| (name.clone(), hist.snapshot()))
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,83 +367,6 @@ mod tests {
         assert!(json.contains("\"link 0->1\""));
         assert!(json.contains("\"queue depth\""));
         assert!(json.contains(&format!("\"{}\"", SisaOpcode::IntersectMerge.mnemonic())));
-    }
-
-    #[test]
-    fn histogram_percentiles_use_nearest_rank() {
-        let mut h = Histogram::with_bounds(vec![10, 100, 1000]);
-        for v in [1, 2, 3, 50, 70, 200, 500, 900, 950, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.count, 10);
-        // rank(p50) = 5 -> the 5th observation (70) sits in the (10, 100]
-        // bucket, reported as its upper bound.
-        assert_eq!(h.percentile(50), 100);
-        // rank(p95) = 10 -> overflow bucket reports the exact max.
-        assert_eq!(h.percentile(95), 5000);
-        assert_eq!(h.percentile(99), 5000);
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 10);
-        assert_eq!(snap.min, 1);
-        assert_eq!(snap.max, 5000);
-        assert_eq!(snap.buckets.iter().map(|b| b.count).sum::<u64>(), 10);
-        assert_eq!(snap.buckets.last().unwrap().le, u64::MAX);
-    }
-
-    #[test]
-    fn registry_snapshot_round_trips_and_renders_prometheus() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("sisa_queries_completed_total", 3);
-        reg.counter_add("sisa_queries_completed_total", 1);
-        reg.gauge_set("sisa_admission_in_flight", 2);
-        reg.gauge_set("sisa_admission_in_flight", 1);
-        reg.observe("sisa_query_latency_ns", 1 << 11);
-        reg.observe("sisa_query_latency_ns", 1 << 21);
-        assert_eq!(reg.counter("sisa_queries_completed_total"), 4);
-
-        let snap = reg.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-
-        let text = snap.to_prometheus();
-        assert!(text.contains("# TYPE sisa_queries_completed_total counter"));
-        assert!(text.contains("sisa_queries_completed_total 4\n"));
-        assert!(text.contains("sisa_admission_in_flight 1\n"));
-        assert!(text.contains("# TYPE sisa_query_latency_ns histogram"));
-        assert!(text.contains("sisa_query_latency_ns_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("sisa_query_latency_ns_count 2\n"));
-    }
-
-    #[test]
-    fn removed_gauges_disappear_from_snapshots() {
-        let reg = MetricsRegistry::new();
-        reg.gauge_set("sisa_tenant_in_flight{tenant=\"gone\"}", 3);
-        reg.gauge_set("sisa_tenant_in_flight{tenant=\"kept\"}", 1);
-        assert!(reg.gauge_remove("sisa_tenant_in_flight{tenant=\"gone\"}"));
-        assert!(
-            !reg.gauge_remove("sisa_tenant_in_flight{tenant=\"gone\"}"),
-            "second removal reports absence"
-        );
-        let snap = reg.snapshot();
-        assert!(!snap
-            .gauges
-            .contains_key("sisa_tenant_in_flight{tenant=\"gone\"}"));
-        assert_eq!(snap.gauges["sisa_tenant_in_flight{tenant=\"kept\"}"], 1);
-        assert!(!snap.to_prometheus().contains("gone"));
-    }
-
-    #[test]
-    fn labelled_names_share_one_type_header() {
-        let reg = MetricsRegistry::new();
-        reg.gauge_set("sisa_tenant_in_flight{tenant=\"a\"}", 1);
-        reg.gauge_set("sisa_tenant_in_flight{tenant=\"b\"}", 2);
-        let text = reg.snapshot().to_prometheus();
-        assert_eq!(
-            text.matches("# TYPE sisa_tenant_in_flight gauge").count(),
-            1
-        );
-        assert!(text.contains("sisa_tenant_in_flight{tenant=\"a\"} 1\n"));
     }
 
     #[test]

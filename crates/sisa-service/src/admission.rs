@@ -7,8 +7,8 @@
 //! tenants) — and answers refusals with an explicit
 //! [`Rejection`]`{ retry_after_ms }` instead of blocking.
 
+use crate::metrics::MetricsSnapshot;
 use crate::query::Rejection;
-use sisa_core::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -38,6 +38,8 @@ impl Default for AdmissionConfig {
 struct AdmState {
     in_flight: usize,
     per_tenant: BTreeMap<String, usize>,
+    /// Successful admissions over the controller's lifetime.
+    submitted: u64,
     rejected: u64,
 }
 
@@ -113,6 +115,7 @@ impl Admission {
             });
         }
         state.in_flight += 1;
+        state.submitted += 1;
         *state.per_tenant.entry(tenant.to_string()).or_insert(0) += 1;
         Ok(())
     }
@@ -144,7 +147,8 @@ impl Admission {
     /// Writes the controller's series into `snapshot`: the global in-flight
     /// gauge, one labelled gauge per tenant with a slot in flight (a tenant
     /// whose count drops to zero has no entry, so the labels are bounded by
-    /// the *active* tenants) and the rejection counter once it is non-zero.
+    /// the *active* tenants), and the submission and rejection counters
+    /// once they are non-zero.
     pub(crate) fn export(&self, snapshot: &mut MetricsSnapshot) {
         let state = self.state.lock().expect("admission lock");
         let gauges = &mut snapshot.gauges;
@@ -156,10 +160,8 @@ impl Admission {
             let name = format!("sisa_admission_tenant_in_flight{{tenant=\"{tenant}\"}}");
             gauges.insert(name, n as i64);
         }
-        if state.rejected > 0 {
-            let name = "sisa_admission_rejected_total".to_string();
-            snapshot.counters.insert(name, state.rejected);
-        }
+        snapshot.count("sisa_queries_submitted_total", state.submitted);
+        snapshot.count("sisa_admission_rejected_total", state.rejected);
     }
 
     /// The configured limits.
@@ -243,7 +245,9 @@ mod tests {
             1
         );
         assert!(adm.try_admit("t").is_err());
-        assert_eq!(exported(&adm).counters["sisa_admission_rejected_total"], 1);
+        let snap = exported(&adm);
+        assert_eq!(snap.counters["sisa_admission_rejected_total"], 1);
+        assert_eq!(snap.counters["sisa_queries_submitted_total"], 1);
         adm.complete("t");
         let snap = exported(&adm);
         assert_eq!(snap.gauges["sisa_admission_in_flight"], 0);
@@ -276,7 +280,8 @@ mod tests {
             .count();
         assert_eq!(labelled, 0, "no per-tenant gauge survives completion");
         assert_eq!(snap.gauges["sisa_admission_in_flight"], 0);
-        assert!(snap.counters.is_empty(), "no rejection, no counter");
+        assert_eq!(snap.counters["sisa_queries_submitted_total"], 100);
+        assert_eq!(snap.counters.len(), 1, "no rejection, no counter");
     }
 
     #[test]

@@ -66,17 +66,19 @@
 //!   with every frame correlated by the request `id`.
 //! * **Observability** — a metrics snapshot
 //!   ([`SisaService::metrics_snapshot`]) that reads each series off its
-//!   one owner: query, mutation and graph counters off the tenant ledger,
-//!   in-flight gauges and rejections off the admission controller,
-//!   hit/miss/eviction counters and the hit-ratio gauge off the result
-//!   cache; a [`sisa_core::MetricsRegistry`] holds only what nothing else
-//!   records (submission, panic, stream and dispatch-group counters,
-//!   per-tenant scheduler-depth gauges, latency histograms). The snapshot is
-//!   exposed over TCP by the `{"id": N, "query": "metrics"}` request. An
-//!   optional [`sisa_core::SharedCollector`] in [`ServiceConfig`] records
-//!   every worker engine's lane timeline, and terminal result frames carry
-//!   per-query span summaries (`queue_ns`, `execute_ns`, `span_ns`). All of it is observer-only: enabling telemetry never changes
-//!   results or [`sisa_core::ExecStats`].
+//!   one owner and keeps no copy: query, mutation, graph, panic and stream
+//!   counters and the latency histograms off the tenant ledger; the
+//!   submission counter, in-flight gauges and rejections off the admission
+//!   controller; hit/miss/eviction counters and the hit-ratio gauge off the
+//!   result cache; the group counter and per-tenant WFQ depth gauges off
+//!   the dispatcher and its schedulers. The snapshot ([`MetricsSnapshot`],
+//!   defined in [`metrics`]) is exposed over TCP by the
+//!   `{"id": N, "query": "metrics"}` request. An optional
+//!   [`sisa_core::SharedCollector`] in [`ServiceConfig`] records every
+//!   worker engine's lane timeline, and terminal result frames carry
+//!   per-query span summaries (`queue_ns`, `execute_ns`, `span_ns`). All of
+//!   it is observer-only: enabling telemetry never changes results or
+//!   [`sisa_core::ExecStats`].
 //!
 //! ## Quickstart (in-process)
 //!
@@ -143,6 +145,7 @@
 
 pub mod admission;
 pub mod cache;
+pub mod metrics;
 pub mod protocol;
 pub mod query;
 pub mod service;
@@ -152,6 +155,7 @@ mod worker;
 
 pub use admission::{Admission, AdmissionConfig};
 pub use cache::{CacheCounters, CachedResult, ResultCache};
+pub use metrics::MetricsSnapshot;
 pub use protocol::{Frame, Request};
 pub use query::{QueryEvent, QueryKind, QueryOutcome, QuerySpec, QueryStats, Rejection};
 pub use service::{
@@ -160,8 +164,8 @@ pub use service::{
 pub use tcp::TcpServer;
 pub use wfq::WfqScheduler;
 
-// Observability types service embedders need alongside the service API.
-pub use sisa_core::{MetricsSnapshot, SharedCollector};
+// The telemetry sink service embedders attach through `ServiceConfig`.
+pub use sisa_core::SharedCollector;
 
 // Registry types surfaced through `ServiceConfig`.
 pub use sisa_graph::{GraphDelta, GraphLease, RegistryConfig};

@@ -20,9 +20,9 @@
 //! {"id": 2, "frame": "rejected", "retry_after_ms": 40, "error": "service saturated: ...", ...}
 //! ```
 
+use crate::metrics::MetricsSnapshot;
 use crate::query::{QueryKind, QueryOutcome, QuerySpec, Rejection};
 use serde::{Content, Deserialize, Serialize};
-use sisa_core::MetricsSnapshot;
 use sisa_graph::{GraphDelta, Vertex};
 
 /// A parsed request line.
@@ -307,6 +307,38 @@ mod tests {
             r#"{"id": 1, "tenant": "t", "graph": "g", "query": "tc", "k": -4}"#
         )
         .is_err());
+        // A `k` that would size the worker's pattern or search by itself:
+        // 10^8 star leaves, and 2^32, which truncates as a vertex id.
+        for k in [100_000_000u64, 1 << 32] {
+            let line =
+                format!(r#"{{"id": 1, "tenant": "t", "graph": "g", "query": "star", "k": {k}}}"#);
+            let spec = Request::parse(&line).and_then(|req| req.spec());
+            assert!(spec.unwrap_err().contains("k <= 64"), "k = {k}");
+        }
+    }
+
+    /// A line of 9 000 `[` used to overflow the parsing thread's stack and
+    /// abort the process, so the parse runs in a child copy of this test
+    /// binary and the parent checks that the child passed.
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        const CHILD: &str = "SISA_PROTOCOL_NESTING_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            assert!(Request::parse(&"[".repeat(9_000)).is_err());
+            return;
+        }
+        let name = "protocol::tests::nesting_past_the_limit_is_an_error_not_a_stack_overflow";
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([name, "--exact", "--test-threads=1"])
+            .env(CHILD, "1")
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "child: {}\n{stdout}", child.status);
+        assert!(
+            stdout.contains("1 passed"),
+            "the child ran the parse: {stdout}"
+        );
     }
 
     #[test]

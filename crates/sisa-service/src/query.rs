@@ -63,29 +63,38 @@ impl QueryKind {
         matches!(self, QueryKind::Mutate(_))
     }
 
-    /// Parses a wire-level (`query`, `k`) pair, validating parameter bounds.
+    /// Parses a wire-level (`query`, `k`) pair, validating parameter bounds:
+    /// `2 <= k <= 16` for `kclique` and `1 <= k <= 64` for `star`.
+    ///
+    /// The upper bounds keep one request line from sizing a worker's memory.
+    /// A star query builds its `k + 1`-vertex pattern before anything
+    /// compares `k` with the graph: `k` = 10⁸ asks for 2.4 GB, and at
+    /// `k` = 2³² the pattern's edge list truncates to nothing while its
+    /// adjacency is still sized for 2³² + 1 vertices. A k-clique search
+    /// recurses `k` levels deep and holds one candidate set per level. Both
+    /// bounds are far above the sizes the benchmark sends (k = 3 to 5).
     ///
     /// # Errors
     ///
     /// Returns a protocol-level message for unknown query names, missing or
     /// out-of-range `k`.
     pub(crate) fn from_wire(query: &str, k: Option<u64>) -> Result<Self, String> {
+        let bounded = |name: &str, range: std::ops::RangeInclusive<u64>| {
+            let k = k.ok_or_else(|| format!("{name} requires field `k`"))?;
+            if !range.contains(&k) {
+                let (lo, hi) = range.into_inner();
+                return Err(format!("{name} requires {lo} <= k <= {hi}, got {k}"));
+            }
+            Ok(k as usize)
+        };
         match query {
             "tc" => Ok(QueryKind::TriangleCount),
-            "kclique" => {
-                let k = k.ok_or("kclique requires field `k`")? as usize;
-                if k < 2 {
-                    return Err(format!("kclique requires k >= 2, got {k}"));
-                }
-                Ok(QueryKind::KCliqueCount { k })
-            }
-            "star" => {
-                let k = k.ok_or("star requires field `k`")? as usize;
-                if k < 1 {
-                    return Err(format!("star requires k >= 1, got {k}"));
-                }
-                Ok(QueryKind::StarCount { k })
-            }
+            "kclique" => Ok(QueryKind::KCliqueCount {
+                k: bounded("kclique", 2..=16)?,
+            }),
+            "star" => Ok(QueryKind::StarCount {
+                k: bounded("star", 1..=64)?,
+            }),
             "mutate" => Err(
                 "mutate carries edge lists, not a (query, k) pair; build it from the \
                  request's `inserts`/`deletes` fields"
@@ -297,6 +306,10 @@ mod tests {
         assert!(QueryKind::from_wire("kclique", Some(1)).is_err());
         assert!(QueryKind::from_wire("kclique", None).is_err());
         assert!(QueryKind::from_wire("star", Some(0)).is_err());
+        assert!(QueryKind::from_wire("kclique", Some(16)).is_ok());
+        assert!(QueryKind::from_wire("kclique", Some(17)).is_err());
+        assert!(QueryKind::from_wire("star", Some(64)).is_ok());
+        assert!(QueryKind::from_wire("star", Some(65)).is_err());
         assert!(QueryKind::from_wire("rank", None).is_err());
     }
 

@@ -5,12 +5,12 @@
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::{CacheCounters, CachedResult, ResultCache};
+use crate::metrics::{Histogram, MetricsSnapshot};
 use crate::query::{QueryEvent, QueryOutcome, QuerySpec, QueryStats, Rejection};
 use crate::wfq::WfqScheduler;
 use crate::worker::{Worker, WorkerMsg};
 use sisa_core::{
-    ExecStats, MetricsRegistry, MetricsSnapshot, PartitionStrategy, SetGraphConfig, ShardedEngine,
-    SharedCollector, SisaConfig,
+    ExecStats, PartitionStrategy, SetGraphConfig, ShardedEngine, SharedCollector, SisaConfig,
 };
 use sisa_graph::{CsrGraph, GraphRegistry, RegistryConfig};
 use std::collections::BTreeMap;
@@ -144,18 +144,37 @@ pub struct TenantUsage {
 /// The service-wide ledger: per-tenant usage plus the registry overheads
 /// (graph loads, evictions) that are deliberately billed to no tenant. No
 /// row is ever removed, so the service totals are folds of the rows, taken
-/// when [`SisaService::report`] reads them.
+/// when [`SisaService::report`] reads them. It also keeps the worker events
+/// no row bills (panics, stream loads and serves) and the span histogram of
+/// every answered query.
 #[derive(Debug, Default)]
 pub(crate) struct LedgerInner {
     pub(crate) tenants: BTreeMap<String, TenantUsage>,
     pub(crate) registry_stats: ExecStats,
     pub(crate) graph_loads: u64,
     pub(crate) evictions: u64,
+    panicked: u64,
+    pub(crate) stream_loads: u64,
+    pub(crate) stream_serves: u64,
+    queue_ns: Histogram,
+    latency_ns: Histogram,
 }
 
 impl LedgerInner {
     fn tenant(&mut self, tenant: &str) -> &mut TenantUsage {
-        self.tenants.entry(tenant.to_string()).or_default()
+        // A known tenant's row is found without allocating its key.
+        if !self.tenants.contains_key(tenant) {
+            self.tenants
+                .insert(tenant.to_string(), TenantUsage::default());
+        }
+        self.tenants.get_mut(tenant).expect("row inserted")
+    }
+
+    /// Records one answered query's admission-to-pickup and
+    /// admission-to-answer spans.
+    pub(crate) fn observe_spans(&mut self, queue_ns: u64, span_ns: u64) {
+        self.queue_ns.observe(queue_ns);
+        self.latency_ns.observe(span_ns);
     }
 
     pub(crate) fn record_query(&mut self, tenant: &str, delta: &ExecStats, wall_ns: u64) {
@@ -202,6 +221,7 @@ impl LedgerInner {
     /// stats fold into the tenant's ledger exactly like a completed query's,
     /// while the query itself counts as failed (not completed).
     pub(crate) fn record_panicked(&mut self, tenant: &str, delta: &ExecStats, wall_ns: u64) {
+        self.panicked += 1;
         let usage = self.tenant(tenant);
         usage.failed += 1;
         usage.wall_ns += wall_ns;
@@ -226,15 +246,36 @@ impl LedgerInner {
         }
         report
     }
+
+    /// Writes the ledger's series into `snapshot`: the request and registry
+    /// counters of [`LedgerInner::report`], the panic and stream counters
+    /// and the span histograms.
+    fn export(&self, snapshot: &mut MetricsSnapshot) {
+        let report = self.report();
+        for (name, value) in [
+            ("sisa_queries_completed_total", report.completed),
+            ("sisa_queries_coalesced_total", report.coalesced),
+            ("sisa_queries_failed_total", report.failed),
+            ("sisa_queries_panicked_total", self.panicked),
+            ("sisa_mutations_total", report.mutations),
+            ("sisa_graph_loads_total", report.graph_loads),
+            ("sisa_graph_evictions_total", report.evictions),
+            ("sisa_stream_loads_total", self.stream_loads),
+            ("sisa_stream_serves_total", self.stream_serves),
+        ] {
+            snapshot.count(name, value);
+        }
+        self.queue_ns.export(snapshot, "sisa_query_queue_ns");
+        self.latency_ns.export(snapshot, "sisa_query_latency_ns");
+    }
 }
 
 /// The state every service thread shares: the client handles and the
 /// workers each hold one `Arc` of it. Each fact has one owner here, and
-/// [`Shared::metrics_snapshot`] reads the series that have one off it;
-/// `metrics` keeps only what nothing else records.
+/// [`Shared::metrics_snapshot`] reads every series off its owner.
 ///
-/// Lock order: `dispatcher` → `registry` / `cache` → `ledger` → `admission`
-/// and `metrics`. A worker calls [`Dispatcher::finished`] only after
+/// Lock order: `dispatcher` → `registry` / `cache` → `ledger` →
+/// `admission`. A worker calls [`Dispatcher::finished`] only after
 /// settling a group has released the ledger, so no path takes the
 /// dispatcher lock while it holds the ledger lock.
 pub(crate) struct Shared {
@@ -243,7 +284,6 @@ pub(crate) struct Shared {
     pub(crate) admission: Admission,
     pub(crate) ledger: Mutex<LedgerInner>,
     pub(crate) cache: ResultCache,
-    pub(crate) metrics: MetricsRegistry,
 }
 
 impl Shared {
@@ -256,7 +296,6 @@ impl Shared {
             admission: Admission::new(cfg.admission.clone()),
             ledger: Mutex::new(LedgerInner::default()),
             cache: ResultCache::new(cfg.cache_entries, cfg.cache_bytes),
-            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -265,14 +304,12 @@ impl Shared {
     /// zero engine cycles billed (ledger `cache_hits` column).
     fn serve_hit(&self, job: Job, hit: &CachedResult) {
         let queue_ns = ns(job.submitted.elapsed());
-        self.ledger
-            .lock()
-            .expect("ledger lock")
-            .record_cache_hit(&job.tenant);
+        let mut ledger = self.ledger.lock().expect("ledger lock");
+        ledger.record_cache_hit(&job.tenant);
         let span_ns = ns(job.submitted.elapsed());
+        ledger.observe_spans(queue_ns, span_ns);
+        drop(ledger);
         let stats = QueryStats::from_cached(&hit.stats).with_spans(queue_ns, 0, span_ns);
-        self.metrics.observe("sisa_query_queue_ns", queue_ns);
-        self.metrics.observe("sisa_query_latency_ns", span_ns);
         // Release the slot *before* the terminal event: a hit was never
         // queued or executing, and a client observing its completion must
         // already see the slot free.
@@ -293,31 +330,26 @@ impl Shared {
         }
     }
 
-    /// The pushed series of `metrics`, plus the ledger's, the admission
-    /// controller's and the cache's read off their owners. A counter
-    /// appears once it is non-zero and the hit-ratio gauge once the cache
-    /// has counted a lookup. The locks are taken one at a time: workers
-    /// touch `metrics` and `admission` while they hold the ledger lock.
+    /// Every series, read off its owner: the ledger, the dispatcher, the
+    /// admission controller and the cache. A counter appears once it is
+    /// non-zero, a histogram once it has an observation and the hit-ratio
+    /// gauge once the cache has counted a lookup. The locks are taken one
+    /// at a time: workers touch `admission` while they hold the ledger lock.
     pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let report = self.ledger.lock().expect("ledger lock").report();
-        let cache = self.cache.counters();
-        let mut snapshot = self.metrics.snapshot();
+        let mut snapshot = MetricsSnapshot::default();
+        self.ledger
+            .lock()
+            .expect("ledger lock")
+            .export(&mut snapshot);
+        self.dispatcher
+            .lock()
+            .expect("dispatcher lock")
+            .export(&mut snapshot);
         self.admission.export(&mut snapshot);
-        for (name, value) in [
-            ("sisa_queries_completed_total", report.completed),
-            ("sisa_queries_coalesced_total", report.coalesced),
-            ("sisa_queries_failed_total", report.failed),
-            ("sisa_mutations_total", report.mutations),
-            ("sisa_graph_loads_total", report.graph_loads),
-            ("sisa_graph_evictions_total", report.evictions),
-            ("sisa_cache_hits_total", cache.hits),
-            ("sisa_cache_misses_total", cache.misses),
-            ("sisa_cache_evictions_total", cache.evictions),
-        ] {
-            if value > 0 {
-                snapshot.counters.insert(name.to_string(), value);
-            }
-        }
+        let cache = self.cache.counters();
+        snapshot.count("sisa_cache_hits_total", cache.hits);
+        snapshot.count("sisa_cache_misses_total", cache.misses);
+        snapshot.count("sisa_cache_evictions_total", cache.evictions);
         if let Some(permille) = (cache.hits * 1000).checked_div(cache.hits + cache.misses) {
             let name = "sisa_cache_hit_ratio_permille".to_string();
             snapshot.gauges.insert(name, permille as i64);
@@ -404,9 +436,6 @@ impl ServiceClient {
         let shared = &*self.shared;
         let admission = &shared.admission;
         admission.try_admit(tenant)?;
-        shared
-            .metrics
-            .counter_add("sisa_queries_submitted_total", 1);
         let (events, rx) = channel();
         let job = Job {
             tenant: tenant.to_string(),
@@ -617,12 +646,12 @@ impl SisaService {
         replies
     }
 
-    /// The service's metrics: counters, gauges and latency histograms. The
-    /// query, mutation and graph counters are read off the tenant ledger,
-    /// the `sisa_admission_*` series off the admission controller and the
-    /// `sisa_cache_*` series off the result cache; the group, stream,
-    /// submission and panic counters, the WFQ depth gauges and the latency
-    /// histograms are the ones clients and workers push.
+    /// The service's metrics: counters, gauges and latency histograms, each
+    /// read off the record that owns it. The query, mutation, graph, panic
+    /// and stream counters and the latency histograms come off the tenant
+    /// ledger; the submission counter and the `sisa_admission_*` series off
+    /// the admission controller; the `sisa_cache_*` series off the result
+    /// cache; the group counter and the WFQ depth gauges off the dispatcher.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared.metrics_snapshot()
@@ -716,6 +745,8 @@ pub(crate) struct Dispatcher {
     /// execution capacity.
     schedulers: Vec<WfqScheduler<Job>>,
     busy: Vec<bool>,
+    /// Groups handed to workers over the dispatcher's lifetime.
+    groups: u64,
     /// Set by [`Dispatcher::close`]: every later `enqueue` is refused.
     closed: bool,
 }
@@ -729,6 +760,7 @@ impl Dispatcher {
                 .map(|_| WfqScheduler::new(weights.clone()))
                 .collect(),
             busy: vec![false; workers],
+            groups: 0,
             closed: false,
         }
     }
@@ -747,7 +779,6 @@ impl Dispatcher {
         let worker = worker_for(&job.spec.graph, self.schedulers.len());
         let tenant = job.tenant.clone();
         self.schedulers[worker].enqueue(&tenant, job);
-        self.publish_depth(shared, &tenant);
         self.assign(shared, worker);
         true
     }
@@ -773,7 +804,7 @@ impl Dispatcher {
     /// executed ahead of it) is served as a hit here instead of re-executing.
     fn assign(&mut self, shared: &Shared, worker: usize) {
         while !self.busy[worker] {
-            let Some((tenant, job)) = self.schedulers[worker].pop() else {
+            let Some((_, job)) = self.schedulers[worker].pop() else {
                 return;
             };
             let mutation = job.spec.kind.is_mutation();
@@ -781,30 +812,20 @@ impl Dispatcher {
                 let generation = shared.registry.generation_of(&job.spec.graph);
                 if let Some(hit) = shared.cache.recheck(generation, &job.spec) {
                     shared.serve_hit(job, &hit);
-                    self.publish_depth(shared, &tenant);
                     continue;
                 }
             }
             let spec = job.spec.clone();
             let mut entries = vec![job];
-            let mut touched = vec![tenant];
             // Mutations are never coalesced: every mutate request is an
             // intent to change the graph and executes by itself, in
             // queue order.
             if !mutation {
-                for (sibling_tenant, sibling) in
-                    self.schedulers[worker].drain_matching(COALESCE_WINDOW - 1, |j| j.spec == spec)
-                {
-                    entries.push(sibling);
-                    touched.push(sibling_tenant);
-                }
+                let siblings =
+                    self.schedulers[worker].drain_matching(COALESCE_WINDOW - 1, |j| j.spec == spec);
+                entries.extend(siblings.into_iter().map(|(_, sibling)| sibling));
             }
-            touched.sort();
-            touched.dedup();
-            for tenant in &touched {
-                self.publish_depth(shared, tenant);
-            }
-            shared.metrics.counter_add("sisa_dispatch_groups_total", 1);
+            self.groups += 1;
             let group = JobGroup { spec, entries };
             if self.worker_txs[worker].send(WorkerMsg::Run(group)).is_err() {
                 return;
@@ -813,17 +834,17 @@ impl Dispatcher {
         }
     }
 
-    /// Publishes one tenant's total WFQ backlog (summed across workers). A
-    /// tenant whose backlog has drained to zero has its labelled gauge
-    /// *removed* — matching the schedulers' own pruning — so the metrics
-    /// registry never accretes one gauge per tenant name ever seen.
-    fn publish_depth(&self, shared: &Shared, tenant: &str) {
-        let depth: usize = self.schedulers.iter().map(|s| s.depth(tenant)).sum();
-        let name = format!("sisa_wfq_queue_depth{{tenant=\"{tenant}\"}}");
-        if depth == 0 {
-            shared.metrics.gauge_remove(&name);
-        } else {
-            shared.metrics.gauge_set(&name, depth as i64);
+    /// Writes the dispatcher's series into `snapshot`: the group counter
+    /// once it is non-zero, and each backlogged tenant's WFQ depth summed
+    /// over the workers. The schedulers prune a drained tenant, so a gauge
+    /// exists only while its backlog is non-zero.
+    fn export(&self, snapshot: &mut MetricsSnapshot) {
+        snapshot.count("sisa_dispatch_groups_total", self.groups);
+        for scheduler in &self.schedulers {
+            for tenant in scheduler.backlogged() {
+                let name = format!("sisa_wfq_queue_depth{{tenant=\"{tenant}\"}}");
+                *snapshot.gauges.entry(name).or_default() += scheduler.depth(&tenant) as i64;
+            }
         }
     }
 }
@@ -954,7 +975,34 @@ mod tests {
         assert!(groups
             .iter()
             .all(|g| g.entries.iter().all(|job| job.spec == g.spec)));
-        assert_eq!(shared.metrics.counter("sisa_dispatch_groups_total"), 4);
+        let counters = shared.metrics_snapshot().counters;
+        assert_eq!(counters["sisa_dispatch_groups_total"], 4);
+    }
+
+    /// Seen to fail with the gauge loop dropped from `Dispatcher::export`.
+    #[test]
+    fn the_wfq_depth_gauge_reads_the_backlog_and_goes_when_it_drains() {
+        let (shared, rx) = one_worker(&[]);
+        let depth = |shared: &Shared| {
+            let gauges = shared.metrics_snapshot().gauges;
+            gauges.get("sisa_wfq_queue_depth{tenant=\"t\"}").copied()
+        };
+        enqueue(&shared, job("a", distinct(0)));
+        let tc = QuerySpec::new("g", QueryKind::TriangleCount);
+        enqueue(&shared, job("t", tc.clone()));
+        enqueue(&shared, job("t", tc));
+        assert_eq!(sent(&rx).len(), 1, "two jobs queue behind a busy worker");
+        assert_eq!(depth(&shared), Some(2));
+        let gauges = shared.metrics_snapshot().gauges;
+        assert!(!gauges.contains_key("sisa_wfq_queue_depth{tenant=\"a\"}"));
+
+        finished(&shared);
+        assert_eq!(
+            sent(&rx)[0].entries.len(),
+            2,
+            "the twins leave as one group"
+        );
+        assert_eq!(depth(&shared), None, "a drained backlog has no gauge");
     }
 
     #[test]

@@ -229,9 +229,6 @@ impl Worker {
     /// entry receives a `Failed` event, and every admission slot is
     /// released. The worker itself survives to serve the next group.
     fn attribute_panic(&self, group: &JobGroup, delta: &ExecStats, wall_ns: u64, error: &str) {
-        self.shared
-            .metrics
-            .counter_add("sisa_queries_panicked_total", 1);
         let mut ledger = self.shared.ledger.lock().expect("ledger lock");
         for (i, job) in group.entries.iter().enumerate() {
             if i == 0 {
@@ -361,8 +358,7 @@ impl Worker {
                 QueryStats::coalesced()
             }
             .with_spans(queue_ns, wall_ns, span_ns);
-            shared.metrics.observe("sisa_query_queue_ns", queue_ns);
-            shared.metrics.observe("sisa_query_latency_ns", span_ns);
+            ledger.observe_spans(queue_ns, span_ns);
             let _ = job.events.send(QueryEvent::Done(QueryOutcome {
                 value,
                 truncated,
@@ -409,7 +405,7 @@ impl Worker {
             .expect("stream state answered")
             .generation;
         let shared = &self.shared;
-        shared.metrics.counter_add("sisa_stream_serves_total", 1);
+        shared.ledger.lock().expect("ledger lock").stream_serves += 1;
         shared.cache.insert(
             generation,
             &group.spec,
@@ -460,9 +456,7 @@ impl Worker {
                 }
                 StreamingMiner::load_with_capacity(engine, &pre.graph, &stream_ks, capacity)
             });
-            self.shared
-                .metrics
-                .counter_add("sisa_stream_loads_total", 1);
+            self.shared.ledger.lock().expect("ledger lock").stream_loads += 1;
             self.streams.insert(
                 name.clone(),
                 StreamState {
@@ -661,8 +655,9 @@ mod tests {
         // spent is dropped, preserving pool + registry ≡ engines.
         assert_eq!(usage.stats, delta);
         assert_eq!(usage.stats.energy_nj.to_bits(), delta.energy_nj.to_bits());
-        let panicked = w.shared.metrics.counter("sisa_queries_panicked_total");
-        assert_eq!(panicked, 1);
+        drop(ledger);
+        let counters = w.shared.metrics_snapshot().counters;
+        assert_eq!(counters["sisa_queries_panicked_total"], 1);
     }
 
     /// Runs `kind` on "g" for tenant "t" through `run_group`, returning the
@@ -736,8 +731,9 @@ mod tests {
         w.ensure_resident("g").unwrap();
         assert_eq!(w.graphs["g"].generation, current);
         assert_eq!(w.streams["g"].generation, current, "the miner stays");
-        assert_eq!(w.shared.metrics.counter("sisa_stream_loads_total"), 1);
-        assert_eq!(w.shared.ledger.lock().unwrap().graph_loads, 2);
+        let counters = w.shared.metrics_snapshot().counters;
+        assert_eq!(counters["sisa_stream_loads_total"], 1);
+        assert_eq!(counters["sisa_graph_loads_total"], 2);
 
         // Replaced behind the worker's back: both are stale, both go.
         let replacement = sisa_graph::generators::complete(5);

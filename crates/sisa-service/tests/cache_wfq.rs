@@ -275,7 +275,7 @@ fn a_10x_heavy_tenant_delays_a_light_query_by_at_most_one_weighted_round() {
     // `heavy_factor` executions.
     //
     // Mutations this test fails under:
-    // - FIFO: `Dispatcher::intake` enqueues every job under one tenant key,
+    // - FIFO: `Dispatcher::enqueue` queues every job under one tenant key,
     //   so the WDRR queues degenerate to arrival order (p95 ≈ 10).
     // - Weight-blind: `WfqScheduler::weight` returns 1, so the heavy tenant
     //   gets one execution per round (median 1).

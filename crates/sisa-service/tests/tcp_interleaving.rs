@@ -151,3 +151,46 @@ fn interleaved_queries_on_one_connection_keep_ids_and_sequences_straight() {
     server.stop();
     service.close();
 }
+
+/// A line nested 9 000 arrays deep used to overflow the connection thread's
+/// stack and abort the service, and a `star` query with `k` = 10⁸ or 2³²
+/// sized a pattern of gigabytes on a worker. Each now gets an `error` frame,
+/// and the same connection then gets a `metrics` answer.
+#[test]
+fn hostile_lines_get_error_frames_and_the_service_answers_metrics_after() {
+    let service = SisaService::start(ServiceConfig::smoke());
+    service.register_graph("g", test_graph());
+    let server = TcpServer::serve(service.client(), "127.0.0.1:0").expect("bind");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut lines = BufReader::new(stream).lines();
+
+    let star = |id: u64, k: u64| {
+        format!(r#"{{"id": {id}, "tenant": "t", "graph": "g", "query": "star", "k": {k}}}"#)
+    };
+    for line in [
+        "[".repeat(9_000),
+        star(7, 100_000_000),
+        star(8, 1 << 32),
+        r#"{"id": 9, "query": "metrics"}"#.to_string(),
+    ] {
+        writer.write_all(line.as_bytes()).expect("write");
+        writer.write_all(b"\n").expect("write");
+    }
+    let mut frame = || -> Frame {
+        let line = lines.next().expect("stream stays open").expect("read");
+        serde_json::from_str(&line).expect("frame json")
+    };
+    for id in [0, 7, 8] {
+        let error = frame();
+        assert_eq!((error.id, error.frame.as_str()), (id, "error"), "{error:?}");
+    }
+    let metrics = frame();
+    assert_eq!((metrics.id, metrics.frame.as_str()), (9, "metrics"));
+    let snapshot = metrics.metrics.expect("snapshot payload");
+    assert_eq!(snapshot.gauges["sisa_admission_in_flight"], 0);
+
+    drop(writer);
+    server.stop();
+    service.close();
+}

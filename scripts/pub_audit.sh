@@ -31,11 +31,9 @@ KEEP_FOR_SIGNATURE=(
   # sisa-bench
   Measurement            # run_cell
   # sisa-core
-  BucketCount            # HistogramSnapshot::buckets
   DispatchOutcome        # Scu::dispatch_binary
   ExecutionChoice        # DispatchOutcome::choice
   ExecutionTarget        # ExecutionChoice::target
-  HistogramSnapshot      # MetricsSnapshot::histograms
   InstructionEvent       # Collector::instruction
   LinkTraffic            # ShardedEngine::traffic
   ReplayReport           # Interpreter::replay
@@ -57,7 +55,10 @@ KEEP_FOR_SIGNATURE=(
   PnmConfig              # PimPlatform::pnm
   PumConfig              # PimPlatform::pum
   # sisa-service
+  BucketCount            # HistogramSnapshot::buckets
   CacheCounters          # SisaService::cache_counters
+  HistogramSnapshot      # MetricsSnapshot::histograms
+  MetricsSnapshot        # SisaService::metrics_snapshot
   Rejection              # SisaService::submit
   ServiceClient          # SisaService::client
   ServiceReport          # SisaService::report
