@@ -150,9 +150,8 @@ fn algorithms_get_multi_cube_execution_for_free() {
 
         // A real multi-cube run moved operands across shards.
         assert!(sharded.traffic().cross_ops > 0, "{strategy:?}");
-        let report = sharded.report();
-        assert_eq!(report.shards, 4);
-        assert!(report.imbalance() >= 1.0);
+        assert_eq!(sharded.shard_count(), 4);
+        assert!(sharded.schedule().imbalance() >= 1.0);
     }
 }
 

@@ -779,7 +779,8 @@ pub fn multi_cube_sweep(
                     }
                     _ => unreachable!("multi-cube sweep covers tc and kcc only"),
                 };
-                let report = engine.report();
+                let schedule = engine.schedule();
+                let traffic = engine.traffic();
                 cells.push(MultiCubeCell {
                     workload: problem.label(),
                     graph: name.to_string(),
@@ -787,11 +788,11 @@ pub fn multi_cube_sweep(
                     shards,
                     result,
                     total_cycles: engine.stats().total_cycles(),
-                    makespan_cycles: report.makespan_cycles(),
-                    imbalance: report.imbalance(),
-                    cross_shard_ops: report.traffic.cross_ops,
-                    cross_shard_bytes: report.traffic.bytes,
-                    link_cycles: report.traffic.cycles,
+                    makespan_cycles: schedule.makespan_cycles,
+                    imbalance: schedule.imbalance(),
+                    cross_shard_ops: traffic.cross_ops,
+                    cross_shard_bytes: traffic.bytes,
+                    link_cycles: traffic.cycles,
                 });
             }
         }

@@ -79,7 +79,7 @@ pub use scoreboard::Scoreboard;
 pub use scu::{ExecutionChoice, ExecutionTarget, Scu};
 pub use set_graph::SetGraph;
 pub use shard::PartitionStrategy;
-pub use sharded::{BatchOp, BatchResult, LinkTraffic, ShardReport, ShardedEngine};
+pub use sharded::{BatchOp, LinkTraffic, ShardedEngine};
 pub use stats::{ExecStats, OpcodeCounts, StatsScope};
 pub use telemetry::{
     ChromeTraceCollector, Collector, InstructionEvent, NoopCollector, SharedCollector,

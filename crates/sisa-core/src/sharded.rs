@@ -36,23 +36,20 @@
 //! the data they derive from (locality), and host-side scalar work is charged
 //! to shard 0, next to the issuing host core.
 //!
-//! Statistics: the engine keeps no running aggregate. Each shard is marked
-//! only when the engine takes it over and at [`SetEngine::reset_stats`], and
-//! `stats()` is one fold, in shard order, of what every shard accrued since
-//! its mark plus the link ledger — the only record of link cost. The fold is
-//! cached until a `&mut` call changes a shard, so the totals are read once per
+//! Statistics: the engine keeps no running aggregate. It resets every shard
+//! it takes over, so a shard's [`ExecStats`] holds only what ran through the
+//! engine, and `stats()` is one fold, in shard order, of the shards' records
+//! plus the link ledger — the only record of link cost. The fold is cached
+//! until a `&mut` call changes a shard, so the totals are read once per
 //! phase, not once per operation: every public `&mut` call ends with one
-//! `settle`, which drops the cached fold. A mark is a copy of the shard's
-//! [`ExecStats`], a record of counters only, so a shard's delta is one
-//! field-by-field subtraction and [`ShardedEngine::report`] reads the same
-//! deltas the fold sums. Integer counters are exact differences, and the
-//! energy is the same ordered sum at every read, so `stats()` equals the sum
-//! of the shards since their marks plus the ledger, bit for bit. The cache
-//! makes the engine `!Sync`; it stays `Send`.
+//! `settle`, which drops the cached fold. The energy is the same ordered sum
+//! at every read, so `stats()` equals the sum of the shards plus the ledger,
+//! bit for bit, and [`ShardedEngine::schedule`] reads the same per-shard
+//! records. The cache makes the engine `!Sync`; it stays `Send`.
 
 use crate::config::SisaConfig;
 use crate::engine::{Dest, Outcome, SetEngine, SetOp};
-use crate::parallel::{schedule, RunReport, TaskRecord};
+use crate::parallel::{RunReport, TaskRecord};
 use crate::runtime::SisaRuntime;
 use crate::scu::BinarySetOp;
 use crate::shard::PartitionStrategy;
@@ -74,8 +71,6 @@ pub struct LinkTraffic {
     pub cycles: u64,
     /// Energy spent on link transfers, in nanojoules.
     pub energy_nj: f64,
-    /// Bytes sent out of each shard (indexed by shard).
-    pub sent_by_shard: Vec<u64>,
     /// Link-transfer cycles attributed to each shard (the executing shard
     /// that waited for the operand to arrive).
     pub cycles_by_shard: Vec<u64>,
@@ -85,46 +80,9 @@ impl LinkTraffic {
     /// An empty ledger for `shards` shards.
     pub(crate) fn new(shards: usize) -> Self {
         Self {
-            sent_by_shard: vec![0; shards],
             cycles_by_shard: vec![0; shards],
             ..Self::default()
         }
-    }
-}
-
-/// Aggregated view of a sharded run: per-shard load, cross-shard traffic and
-/// the schedule treating each shard as one execution unit.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardReport {
-    /// Number of shards.
-    pub shards: usize,
-    /// The placement strategy the engine ran with.
-    pub strategy: PartitionStrategy,
-    /// Total simulated cycles accumulated by each shard, including the link
-    /// transfers it waited for.
-    pub per_shard_cycles: Vec<u64>,
-    /// Dynamic SISA instructions executed by each shard.
-    pub per_shard_instructions: Vec<u64>,
-    /// Live sets stored on each shard.
-    pub per_shard_live_sets: Vec<usize>,
-    /// Cross-shard transfer ledger.
-    pub traffic: LinkTraffic,
-    /// The per-shard loads scheduled as one task per shard onto `shards`
-    /// threads (the multi-cube makespan / imbalance view).
-    pub schedule: RunReport,
-}
-
-impl ShardReport {
-    /// Load imbalance across shards (1.0 = perfectly balanced).
-    #[must_use]
-    pub fn imbalance(&self) -> f64 {
-        self.schedule.imbalance()
-    }
-
-    /// Multi-cube makespan: the busiest shard's cycles.
-    #[must_use]
-    pub fn makespan_cycles(&self) -> u64 {
-        self.schedule.makespan_cycles
     }
 }
 
@@ -148,18 +106,6 @@ impl ResolvedBinary {
         }
         outcome
     }
-}
-
-/// A binary operation's operands located on their shards, split by the site
-/// rule every path shares (see [`ShardedEngine::place_binary`]).
-struct PlacedBinary {
-    /// The operand that stays put, as (shard, local ID); the operation
-    /// executes on its shard.
-    stay: (usize, SetId),
-    /// The other operand, replicated there if it lives on another shard.
-    moved: (usize, SetId),
-    /// Whether the moving operand is `b` (else it is `a`).
-    move_b: bool,
 }
 
 /// One operation of a [`ShardedEngine::execute`] batch: the constructors of
@@ -202,10 +148,6 @@ impl From<BatchOp> for SetOp {
     }
 }
 
-/// The outcome of one [`BatchOp`], in batch order: a materialised result's
-/// global ID, or a cardinality.
-pub type BatchResult = Outcome;
-
 /// A [`SetEngine`] that partitions the set universe across several inner
 /// engines and prices cross-shard operand movement.
 #[derive(Clone, Debug)]
@@ -218,9 +160,6 @@ pub struct ShardedEngine<E: SetEngine> {
     placement: Vec<Option<(usize, SetId)>>,
     free_ids: Vec<u32>,
     universe: usize,
-    /// Each shard's statistics when the engine took it over or last reset
-    /// it: the aggregate counts only what a shard accrued since.
-    marks: Vec<ExecStats>,
     /// The aggregate as [`Self::fold`] last computed it, until a shard or
     /// the ledger changes.
     folded: OnceCell<ExecStats>,
@@ -236,19 +175,23 @@ pub struct ShardedEngine<E: SetEngine> {
 }
 
 impl<E: SetEngine> ShardedEngine<E> {
-    /// Wraps `shards` inner engines behind one sharded engine.
+    /// Wraps `shards` inner engines behind one sharded engine, resetting
+    /// their statistics: the engine accounts only for what runs through it.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is empty.
     #[must_use]
-    pub fn from_shards(shards: Vec<E>, strategy: PartitionStrategy, link: LinkModel) -> Self {
+    pub fn from_shards(mut shards: Vec<E>, strategy: PartitionStrategy, link: LinkModel) -> Self {
         assert!(
             !shards.is_empty(),
             "a sharded engine needs at least one shard"
         );
+        for shard in &mut shards {
+            shard.reset_stats();
+        }
         let n = shards.len();
-        let mut engine = Self {
+        Self {
             shards,
             strategy,
             link,
@@ -256,34 +199,19 @@ impl<E: SetEngine> ShardedEngine<E> {
             placement: Vec::new(),
             free_ids: Vec::new(),
             universe: 0,
-            marks: Vec::new(),
             folded: OnceCell::new(),
             traffic: LinkTraffic::new(n),
             created_load: vec![0; n],
             task_mark: 0,
             collector: None,
             telemetry_group: 0,
-        };
-        engine.mark_shards();
-        engine
+        }
     }
 
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The placement strategy in use.
-    #[must_use]
-    pub fn strategy(&self) -> PartitionStrategy {
-        self.strategy
-    }
-
-    /// The link cost model in use.
-    #[must_use]
-    pub fn link(&self) -> &LinkModel {
-        &self.link
     }
 
     /// The statistics accumulated by one shard.
@@ -321,55 +249,25 @@ impl<E: SetEngine> ShardedEngine<E> {
         self.shards[shard].repr(local)
     }
 
-    /// Aggregates per-shard statistics and the traffic ledger into a
-    /// [`ShardReport`], scheduling each shard's load as one task per shard so
-    /// the multi-cube makespan and imbalance come from the existing
-    /// [`crate::parallel`] machinery. A shard's load is what it accrued since
-    /// its mark, as in [`SetEngine::stats`]. Link-transfer cycles count
-    /// toward the executing shard that received the operand, so
-    /// communication-heavy placements pay for their traffic in the makespan.
+    /// Schedules each shard's load as one task per shard, so the multi-cube
+    /// makespan and imbalance come from the existing [`crate::parallel`]
+    /// machinery. A shard's load is its cycles plus the link-transfer cycles
+    /// it waited for as the executing shard, so communication-heavy
+    /// placements pay for their traffic in the makespan.
     #[must_use]
-    pub fn report(&self) -> ShardReport {
-        let accrued: Vec<ExecStats> = self
+    pub fn schedule(&self) -> RunReport {
+        let records: Vec<TaskRecord> = self
             .shards
             .iter()
-            .zip(&self.marks)
-            .map(|(shard, mark)| {
-                let mut delta = ExecStats::default();
-                delta.add_since(shard.stats(), mark);
-                delta
-            })
-            .collect();
-        let per_shard_cycles: Vec<u64> = accrued
-            .iter()
             .zip(&self.traffic.cycles_by_shard)
-            .map(|(delta, &link)| delta.total_cycles() + link)
+            .map(|(shard, &link)| TaskRecord::compute_only(shard.stats().total_cycles() + link))
             .collect();
-        let records: Vec<TaskRecord> = per_shard_cycles
-            .iter()
-            .map(|&c| TaskRecord::compute_only(c))
-            .collect();
-        ShardReport {
-            shards: self.shards.len(),
-            strategy: self.strategy,
-            per_shard_instructions: accrued.iter().map(ExecStats::total_instructions).collect(),
-            per_shard_live_sets: self.shards.iter().map(SetEngine::live_sets).collect(),
-            traffic: self.traffic.clone(),
-            schedule: schedule(&records, self.shards.len()),
-            per_shard_cycles,
-        }
+        crate::parallel::schedule(&records, self.shards.len())
     }
 
     // -----------------------------------------------------------------------
     // Internals
     // -----------------------------------------------------------------------
-
-    /// Marks every shard where it stands: from here on the aggregate counts
-    /// what the shards accrue.
-    fn mark_shards(&mut self) {
-        self.marks = self.shards.iter().map(|s| *s.stats()).collect();
-        self.settle();
-    }
 
     /// Closes a call that changed a shard (see the module docs): drops the
     /// cached fold.
@@ -377,15 +275,15 @@ impl<E: SetEngine> ShardedEngine<E> {
         self.folded.take();
     }
 
-    /// The aggregate statistics: `Σ (shard − mark)` in shard order plus the
-    /// link ledger. The energy is the ordered sum of the shards' growth plus
-    /// the ledger's, recomputed from totals at every fold, so it is bit for
-    /// bit the sum of its parts — which the conservation tests and the
+    /// The aggregate statistics: the shards' records in shard order plus the
+    /// link ledger. The energy is the ordered sum of the shards' plus the
+    /// ledger's, recomputed from totals at every fold, so it is bit for bit
+    /// the sum of its parts — which the conservation tests and the
     /// 1-shard ≡ flat equivalence rely on.
     fn fold(&self) -> ExecStats {
         let mut stats = ExecStats::default();
-        for (shard, mark) in self.shards.iter().zip(&self.marks) {
-            stats.add_since(shard.stats(), mark);
+        for shard in &self.shards {
+            stats.merge(shard.stats());
         }
         stats.link_cycles += self.traffic.cycles;
         stats.link_bytes += self.traffic.bytes;
@@ -395,12 +293,7 @@ impl<E: SetEngine> ShardedEngine<E> {
 
     /// `stats().total_cycles()` without folding the whole record.
     fn total_cycles(&self) -> u64 {
-        let shards: u64 = self
-            .shards
-            .iter()
-            .zip(&self.marks)
-            .map(|(shard, mark)| shard.stats().total_cycles() - mark.total_cycles())
-            .sum();
+        let shards: u64 = self.shards.iter().map(|s| s.stats().total_cycles()).sum();
         shards + self.traffic.cycles
     }
 
@@ -436,7 +329,6 @@ impl<E: SetEngine> ShardedEngine<E> {
         self.traffic.cycles += cycles;
         self.traffic.cycles_by_shard[dst] += cycles;
         self.traffic.energy_nj += energy;
-        self.traffic.sent_by_shard[src] += bytes;
         // Every priced link crossing funnels through here, so one hook
         // covers them all.
         if let Some(collector) = &self.collector {
@@ -451,35 +343,22 @@ impl<E: SetEngine> ShardedEngine<E> {
         cycles
     }
 
-    /// Locates a binary operation's operands and decides where it executes:
-    /// on the operands' common shard, else on the shard of the larger operand
-    /// — the paper's streaming model already bills the operands' read-out;
-    /// what a multi-cube machine adds is moving the smaller operand to the
-    /// data of the larger one (§8.4 "Harnessing Parallelism"). An in-place
-    /// form pins the result-carrying operand `a`, which must stay put.
-    fn place_binary(&self, op: SetOp) -> PlacedBinary {
+    /// Resolves a binary operation's operands to one executing shard: the
+    /// operands' common shard, else the shard of the larger operand — the
+    /// paper's streaming model already bills the operands' read-out; what a
+    /// multi-cube machine adds is moving the smaller operand to the data of
+    /// the larger one (§8.4 "Harnessing Parallelism"). An in-place form pins
+    /// the result-carrying operand `a`, which must stay put. When the
+    /// operands live on different shards, the moving operand is transferred
+    /// over the links and staged as a temporary replica on the executing
+    /// shard, which the caller settles.
+    fn resolve_binary(&mut self, op: SetOp) -> ResolvedBinary {
         let at_a = self.locate(op.a);
         let at_b = self.locate(op.b);
         let bits = |(shard, local): (usize, SetId)| self.shards[shard].repr(local).storage_bits();
         let move_b = at_a.0 == at_b.0 || op.dest == Dest::InPlace || bits(at_b) <= bits(at_a);
-        let (stay, moved) = if move_b { (at_a, at_b) } else { (at_b, at_a) };
-        PlacedBinary {
-            stay,
-            moved,
-            move_b,
-        }
-    }
-
-    /// Resolves a binary operation's operands to one executing shard (see
-    /// [`Self::place_binary`]). When the operands live on different shards,
-    /// the moving operand is transferred over the links and staged as a
-    /// temporary replica on the executing shard, which the caller settles.
-    fn resolve_binary(&mut self, op: SetOp) -> ResolvedBinary {
-        let PlacedBinary {
-            stay: (dst, stay_local),
-            moved: (src, moved_local),
-            move_b,
-        } = self.place_binary(op);
+        let ((dst, stay_local), (src, moved_local)) =
+            if move_b { (at_a, at_b) } else { (at_b, at_a) };
         let temp = (src != dst).then(|| {
             // Stage the replica's slot first, then price the transfer that
             // fills it: the transfer writes the replica on the destination's
@@ -556,12 +435,13 @@ impl<E: SetEngine> ShardedEngine<E> {
     ///    dropped, to be folded at the next `stats()`. Materialised results
     ///    are then registered in batch order.
     ///
-    /// Returns one [`BatchResult`] per operation, in batch order.
+    /// Returns one [`Outcome`] per operation, in batch order: a materialised
+    /// result's global ID, or a cardinality.
     ///
     /// # Panics
     ///
     /// Panics if an operand does not name a live set.
-    pub fn execute(&mut self, ops: &[BatchOp]) -> Vec<BatchResult> {
+    pub fn execute(&mut self, ops: &[BatchOp]) -> Vec<Outcome> {
         let n = self.shards.len();
         let mut results: Vec<Option<(usize, Outcome)>> = vec![None; ops.len()];
         let mut queues: Vec<Vec<(usize, ResolvedBinary)>> = (0..n).map(|_| Vec::new()).collect();
@@ -685,14 +565,13 @@ impl<E: SetEngine> SetEngine for ShardedEngine<E> {
         for shard in &mut self.shards {
             shard.reset_stats();
         }
-        self.mark_shards();
         self.traffic = LinkTraffic::new(self.shards.len());
         self.task_mark = 0;
+        self.settle();
     }
 
     /// The live global IDs. Shards handed to [`ShardedEngine::from_shards`]
-    /// may already hold sets no global ID names; `report()` still counts
-    /// those per shard.
+    /// may already hold sets no global ID names; those are not counted.
     fn live_sets(&self) -> usize {
         self.placement.iter().filter(|slot| slot.is_some()).count()
     }
@@ -890,10 +769,6 @@ mod tests {
         assert!(engine.stats().link_cycles > 0);
         assert!(engine.stats().link_bytes > 0);
         assert_eq!(
-            engine.traffic().sent_by_shard.iter().sum::<u64>(),
-            engine.stats().link_bytes
-        );
-        assert_eq!(
             engine.traffic().cycles_by_shard.iter().sum::<u64>(),
             engine.stats().link_cycles
         );
@@ -912,8 +787,7 @@ mod tests {
         let result = engine.intersect(small, large);
         // Only the small operand's bytes moved (2 elements * 4 bytes).
         assert_eq!(engine.stats().link_bytes, 8);
-        assert_eq!(engine.traffic().sent_by_shard[0], 8);
-        assert_eq!(engine.traffic().sent_by_shard[1], 0);
+        assert_eq!(engine.traffic().bytes, 8);
         // The result lives with the large operand.
         assert_eq!(engine.shard_of(result), engine.shard_of(large));
     }
@@ -1008,21 +882,29 @@ mod tests {
         assert_eq!(recomputed, *engine.stats());
     }
 
+    /// Two runtimes that each created two sets and intersected them.
+    fn used_shards() -> Vec<SisaRuntime> {
+        (0..2)
+            .map(|_| {
+                let mut rt = SisaRuntime::with_defaults();
+                rt.set_universe(256);
+                let a = rt.create_sorted([1, 2, 3]);
+                let b = rt.create_sorted([2, 3, 4]);
+                let _ = rt.intersect(a, b);
+                assert!(rt.stats().energy_nj > 0.0);
+                rt
+            })
+            .collect()
+    }
+
+    fn wrap(shards: Vec<SisaRuntime>) -> ShardedEngine<SisaRuntime> {
+        let link = LinkModel::new(SisaConfig::default().platform.pnm);
+        ShardedEngine::from_shards(shards, PartitionStrategy::Modulo, link)
+    }
+
     #[test]
     fn energy_counts_from_the_wrap_like_every_other_counter() {
-        let ran = |members: [Vertex; 3]| {
-            let mut rt = SisaRuntime::with_defaults();
-            rt.set_universe(256);
-            let a = rt.create_sorted(members);
-            let b = rt.create_sorted([2, 3, 4]);
-            let _ = rt.intersect(a, b);
-            rt
-        };
-        let shards = vec![ran([1, 2, 3]), ran([3, 4, 5])];
-        let at_wrap: Vec<f64> = shards.iter().map(|s| s.stats().energy_nj).collect();
-        assert!(at_wrap.iter().all(|&e| e > 0.0));
-        let link = LinkModel::new(SisaConfig::default().platform.pnm);
-        let mut engine = ShardedEngine::from_shards(shards, PartitionStrategy::Modulo, link);
+        let mut engine = wrap(used_shards());
         assert_eq!(engine.stats().energy_nj, 0.0, "nothing ran through it yet");
 
         engine.set_universe(256);
@@ -1031,90 +913,63 @@ mod tests {
         let _ = engine.intersect_count(a, b);
         assert_eq!(engine.traffic().cross_ops, 1);
         let mut expected = 0.0;
-        for (shard, before) in at_wrap.iter().enumerate() {
-            expected += engine.shard_stats(shard).energy_nj - before;
+        for shard in 0..engine.shard_count() {
+            expected += engine.shard_stats(shard).energy_nj;
         }
         expected += engine.traffic().energy_nj;
         assert_eq!(engine.stats().energy_nj.to_bits(), expected.to_bits());
     }
 
     #[test]
-    fn report_schedules_one_task_per_shard() {
+    fn schedule_runs_one_task_per_shard() {
         let mut engine = sharded(3, PartitionStrategy::Modulo);
         let _ = run_workload(&mut engine);
-        let report = engine.report();
-        assert_eq!(report.shards, 3);
-        assert_eq!(report.per_shard_cycles.len(), 3);
+        let schedule = engine.schedule();
+        assert_eq!(schedule.threads, 3);
+        assert_eq!(schedule.per_thread.len(), 3);
+        let loads: Vec<u64> = (0..3)
+            .map(|s| engine.shard_stats(s).total_cycles() + engine.traffic().cycles_by_shard[s])
+            .collect();
         assert_eq!(
-            report.makespan_cycles(),
-            report.per_shard_cycles.iter().copied().max().unwrap()
+            schedule.makespan_cycles,
+            loads.iter().copied().max().unwrap()
         );
-        assert!(report.imbalance() >= 1.0);
-        assert_eq!(
-            report.per_shard_live_sets.iter().sum::<usize>(),
-            engine.live_sets()
-        );
-        assert_eq!(
-            report.per_shard_instructions.iter().sum::<u64>(),
-            engine.stats().total_instructions()
-        );
+        assert!(schedule.imbalance() >= 1.0);
         // Link cycles are attributed to shards, so the per-shard loads add up
         // to the full aggregate — communication is not free in the makespan.
-        assert_eq!(
-            report.per_shard_cycles.iter().sum::<u64>(),
-            engine.stats().total_cycles()
-        );
+        assert_eq!(schedule.total_task_cycles, engine.stats().total_cycles());
     }
 
     #[test]
-    fn report_counts_only_what_shards_ran_since_the_engine_took_them_over() {
-        let config = SisaConfig::default();
-        let used: Vec<SisaRuntime> = (0..2)
-            .map(|_| {
-                let mut rt = SisaRuntime::new(config);
-                let a = rt.create_sorted([1, 2, 3]);
-                let b = rt.create_sorted([2, 3, 4]);
-                let _ = rt.intersect(a, b);
-                rt
-            })
-            .collect();
-        let link = LinkModel::new(config.platform.pnm);
-        let mut engine = ShardedEngine::from_shards(used, PartitionStrategy::Modulo, link);
+    fn from_shards_resets_the_shards_it_takes_over() {
+        let mut engine = wrap(used_shards());
+        assert_eq!(*engine.stats(), ExecStats::default());
+        for shard in 0..engine.shard_count() {
+            assert_eq!(*engine.shard_stats(shard), ExecStats::default());
+        }
         engine.set_universe(256);
         let a = engine.create_sorted([1, 5, 9]);
         let b = engine.create_sorted([5, 9, 12]);
         assert_ne!(engine.shard_of(a), engine.shard_of(b), "a cross-shard op");
         assert_eq!(engine.intersect_count(a, b), 2);
-        let report = engine.report();
         assert_eq!(
-            report.per_shard_cycles.iter().sum::<u64>(),
+            engine.schedule().total_task_cycles,
             engine.stats().total_cycles()
-        );
-        assert_eq!(
-            report.per_shard_instructions.iter().sum::<u64>(),
-            engine.stats().total_instructions()
         );
     }
 
     #[test]
     fn live_sets_counts_global_ids_not_sets_the_shards_held_before() {
-        let config = SisaConfig::default();
-        let used: Vec<SisaRuntime> = (0..2)
-            .map(|_| {
-                let mut rt = SisaRuntime::new(config);
-                let _ = rt.create_sorted([1, 2, 3]);
-                rt
-            })
-            .collect();
-        let link = LinkModel::new(config.platform.pnm);
-        let mut engine = ShardedEngine::from_shards(used, PartitionStrategy::Modulo, link);
+        let shards = used_shards();
+        let held: usize = shards.iter().map(SetEngine::live_sets).sum();
+        assert_eq!(held, 6, "two seeds and their intersection per shard");
+        let mut engine = wrap(shards);
         assert_eq!(engine.live_sets(), 0);
         let a = engine.create_sorted([4, 5]);
         let b = engine.create_sorted([6]);
         assert_eq!(engine.live_sets(), 2);
         engine.delete(a);
         assert_eq!(engine.live_sets(), 1);
-        assert_eq!(engine.report().per_shard_live_sets.iter().sum::<usize>(), 3);
         engine.delete(b);
         assert_eq!(engine.live_sets(), 0);
     }

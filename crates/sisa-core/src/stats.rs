@@ -5,10 +5,9 @@
 //! opcode — so the whole record is `Copy`: a mark is the record itself,
 //! copied, and every delta is one field-by-field subtraction,
 //! `add_since(current, at)`. [`ExecStats::merge`] is that sum against a zero
-//! record, [`StatsScope`] is its public face, and [`crate::ShardedEngine`]
-//! marks each shard once, when it takes the shard over or resets it, and
-//! folds `Σ (shard − mark)` with it only when its statistics are read. The
-//! one ordered log that is not a counter, Figure 9b's operand sizes, lives
+//! record, [`StatsScope`] is its public face, and [`crate::ShardedEngine`],
+//! which resets every shard it takes over, folds its shards' records with
+//! `merge` only when its statistics are read. The one ordered log that is not a counter, Figure 9b's operand sizes, lives
 //! on the [`crate::SisaRuntime`] that records it.
 
 use sisa_isa::SisaOpcode;

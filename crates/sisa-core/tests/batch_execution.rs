@@ -11,7 +11,7 @@ mod common;
 use common::{Calls, Counting};
 use proptest::prelude::*;
 use sisa_core::{
-    BatchOp, BatchResult, PartitionStrategy, SetEngine, ShardedEngine, SisaConfig, SisaRuntime,
+    BatchOp, Outcome, PartitionStrategy, SetEngine, ShardedEngine, SisaConfig, SisaRuntime,
 };
 use sisa_sets::Vertex;
 use std::collections::BTreeSet;
@@ -75,12 +75,12 @@ fn build(
 }
 
 /// Reads every batch result back as comparable values.
-fn observe(engine: &mut ShardedEngine<SisaRuntime>, results: &[BatchResult]) -> Vec<Vec<Vertex>> {
+fn observe(engine: &mut ShardedEngine<SisaRuntime>, results: &[Outcome]) -> Vec<Vec<Vertex>> {
     results
         .iter()
         .map(|r| match *r {
-            BatchResult::Set(id) => engine.members(id),
-            BatchResult::Count(n) => vec![n as Vertex],
+            Outcome::Set(id) => engine.members(id),
+            Outcome::Count(n) => vec![n as Vertex],
         })
         .collect()
 }

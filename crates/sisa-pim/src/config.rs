@@ -27,11 +27,10 @@ pub(crate) fn ns_to_cycles(ns: f64) -> u64 {
 /// Configuration of the baseline out-of-order CPU platform.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CpuConfig {
-    /// Number of cores (threads) available.
-    pub cores: usize,
     /// Sustainable scalar instructions per cycle per core.
     pub ipc: f64,
-    /// L1 data cache size in bytes (per core).
+    /// L1 data cache size in bytes (per core). An L1 hit costs the one cycle
+    /// every access is charged; only misses add a level's latency.
     pub l1_bytes: usize,
     /// L2 cache size in bytes (per core).
     pub l2_bytes: usize,
@@ -39,8 +38,6 @@ pub struct CpuConfig {
     pub l3_bytes: usize,
     /// Cache line size in bytes.
     pub line_bytes: usize,
-    /// L1 hit latency in cycles.
-    pub l1_latency: u64,
     /// L2 hit latency in cycles.
     pub l2_latency: u64,
     /// L3 hit latency in cycles.
@@ -65,13 +62,11 @@ pub struct CpuConfig {
 impl Default for CpuConfig {
     fn default() -> Self {
         Self {
-            cores: 32,
             ipc: 4.0,
             l1_bytes: 32 * 1024,
             l2_bytes: 256 * 1024,
             l3_bytes: 8 * 1024 * 1024,
             line_bytes: 64,
-            l1_latency: 4,
             l2_latency: 12,
             l3_latency: 38,
             dram_latency: ns_to_cycles(60.0),
@@ -276,7 +271,6 @@ mod tests {
     #[test]
     fn default_cpu_matches_paper_setup() {
         let cfg = CpuConfig::default();
-        assert_eq!(cfg.cores, 32);
         assert_eq!(cfg.l1_bytes, 32 * 1024);
         assert_eq!(cfg.l2_bytes, 256 * 1024);
         assert_eq!(cfg.l3_bytes, 8 * 1024 * 1024);

@@ -9,15 +9,16 @@ use crate::metrics::{Histogram, MetricsSnapshot};
 use crate::query::{QueryEvent, QueryOutcome, QuerySpec, QueryStats, Rejection};
 use crate::wfq::WfqScheduler;
 use crate::worker::{Worker, WorkerMsg};
-use sisa_core::{
-    ExecStats, PartitionStrategy, SetGraphConfig, ShardedEngine, SharedCollector, SisaConfig,
-};
+use sisa_core::{ExecStats, PartitionStrategy, ShardedEngine, SharedCollector, SisaConfig};
 use sisa_graph::{CsrGraph, GraphRegistry, RegistryConfig};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Seed for every dataset stand-in a service materialises.
+const DATASET_SEED: u64 = 42;
 
 /// Everything that shapes a [`SisaService`] instance.
 #[derive(Clone, Debug)]
@@ -26,14 +27,11 @@ pub struct ServiceConfig {
     /// to workers by graph affinity, so a graph's shard-resident sets are
     /// loaded on exactly one worker.
     pub workers: usize,
-    /// Shards (simulated memory cubes) per worker engine.
+    /// Shards (simulated memory cubes) per worker engine. Every worker
+    /// engine partitions its sets with [`PartitionStrategy::Modulo`] on the
+    /// default [`SisaConfig`] platform, and loads graphs with the default
+    /// [`sisa_core::SetGraphConfig`].
     pub shards: usize,
-    /// How the set universe is partitioned across shards.
-    pub strategy: PartitionStrategy,
-    /// The simulated-platform configuration of every worker engine.
-    pub sisa: SisaConfig,
-    /// How graphs are loaded into sets (dense-bitvector fraction, budget).
-    pub graph: SetGraphConfig,
     /// Admission-control limits (bounded queues, per-tenant quotas).
     pub admission: AdmissionConfig,
     /// Graph-registry limits (residency capacity with LRU eviction).
@@ -57,8 +55,6 @@ pub struct ServiceConfig {
     /// Batch operations per `execute` window of a batched (unbudgeted)
     /// triangle count; one streamed progress frame is emitted per window.
     pub progress_window_ops: usize,
-    /// Seed for every dataset stand-in this service materialises.
-    pub seed: u64,
     /// An optional telemetry sink shared by every worker engine. Worker `i`
     /// records its shards under trace groups `i * shards ..`, so one
     /// collector receives the whole pool's lane timeline. Observer-only:
@@ -71,9 +67,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             shards: 4,
-            strategy: PartitionStrategy::Modulo,
-            sisa: SisaConfig::default(),
-            graph: SetGraphConfig::default(),
             admission: AdmissionConfig::default(),
             registry: RegistryConfig::default(),
             cache_entries: 1024,
@@ -81,7 +74,6 @@ impl Default for ServiceConfig {
             tenant_weights: BTreeMap::new(),
             stream_ks: vec![3, 4],
             progress_window_ops: 2048,
-            seed: 42,
             collector: None,
         }
     }
@@ -292,7 +284,7 @@ impl Shared {
     pub(crate) fn new(cfg: &ServiceConfig, worker_txs: Vec<Sender<WorkerMsg>>) -> Self {
         Shared {
             dispatcher: Mutex::new(Dispatcher::new(worker_txs, &cfg.tenant_weights)),
-            registry: GraphRegistry::with_config(cfg.seed, cfg.registry.clone()),
+            registry: GraphRegistry::with_config(DATASET_SEED, cfg.registry.clone()),
             admission: Admission::new(cfg.admission.clone()),
             ledger: Mutex::new(LedgerInner::default()),
             cache: ResultCache::new(cfg.cache_entries, cfg.cache_bytes),
@@ -508,21 +500,22 @@ impl SisaService {
             let shared = Arc::clone(&shared);
             let collector = cfg.collector.clone();
             let shards = cfg.shards;
-            let strategy = cfg.strategy;
-            let sisa = cfg.sisa;
-            let graph_cfg = cfg.graph;
             let window = cfg.progress_window_ops;
             let stream_ks = cfg.stream_ks.clone();
             let join = std::thread::Builder::new()
                 .name(format!("sisa-service-worker-{i}"))
                 .spawn(move || {
-                    let mut engine = ShardedEngine::sisa(shards, strategy, sisa);
+                    let mut engine = ShardedEngine::sisa(
+                        shards,
+                        PartitionStrategy::Modulo,
+                        SisaConfig::default(),
+                    );
                     if let Some(collector) = collector {
                         // Worker i's shards land on trace groups i*shards ..,
                         // so the pool shares one collector without clashes.
                         engine.attach_collector(collector, (i * shards) as u32);
                     }
-                    Worker::new(engine, shared, graph_cfg, window, stream_ks, i).run(&rx);
+                    Worker::new(engine, shared, window, stream_ks, i).run(&rx);
                 })
                 .expect("spawn worker thread");
             workers.push(WorkerHandle {

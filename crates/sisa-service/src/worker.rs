@@ -75,7 +75,6 @@ struct StreamState {
 pub(crate) struct Worker {
     pub(crate) engine: ShardedEngine<SisaRuntime>,
     pub(crate) shared: Arc<Shared>,
-    pub(crate) graph_cfg: SetGraphConfig,
     pub(crate) progress_window_ops: usize,
     /// This worker's pool index, named to `Dispatcher::finished`.
     index: usize,
@@ -89,7 +88,6 @@ impl Worker {
     pub(crate) fn new(
         engine: ShardedEngine<SisaRuntime>,
         shared: Arc<Shared>,
-        graph_cfg: SetGraphConfig,
         progress_window_ops: usize,
         stream_ks: Vec<usize>,
         index: usize,
@@ -97,7 +95,6 @@ impl Worker {
         Worker {
             engine,
             shared,
-            graph_cfg,
             progress_window_ops: progress_window_ops.max(1),
             index,
             graphs: BTreeMap::new(),
@@ -170,7 +167,7 @@ impl Worker {
             .registry
             .acquire_lease(name)
             .ok_or_else(|| format!("unknown graph {name:?}"))?;
-        let cfg = self.graph_cfg;
+        let cfg = SetGraphConfig::default();
         let (oriented, plain) = self.bill_registry(|engine| {
             let (oriented, _ordering) = orient_by_degeneracy(engine, &lease.graph, &cfg);
             (oriented, SetGraph::load(engine, &lease.graph, &cfg))
@@ -608,7 +605,6 @@ mod tests {
         Worker::new(
             ShardedEngine::sisa(2, PartitionStrategy::Modulo, SisaConfig::default()),
             Arc::new(shared),
-            SetGraphConfig::default(),
             64,
             vec![3, 4],
             0,

@@ -170,7 +170,10 @@ fn overload_rejects_with_retry_hints_and_every_accepted_query_completes() {
     let mut rejected = 0u64;
     for i in 0..40 {
         let tenant = format!("tenant-{}", i % 8);
-        match service.submit(&tenant, QuerySpec::new("g", QueryKind::TriangleCount)) {
+        // Distinct budgets: no query is a cache hit or coalesces with another,
+        // so each holds its admission slot until the worker answers it.
+        let spec = QuerySpec::new("g", QueryKind::TriangleCount).with_budget(1 + i);
+        match service.submit(&tenant, spec) {
             Ok(handle) => handles.push(handle),
             Err(rejection) => {
                 assert!(rejection.retry_after_ms >= 5, "{rejection:?}");

@@ -37,7 +37,6 @@ KEEP_FOR_SIGNATURE=(
   InstructionEvent       # Collector::instruction
   LinkTraffic            # ShardedEngine::traffic
   ReplayReport           # Interpreter::replay
-  ShardReport            # ShardedEngine::report
   ThreadReport           # RunReport::per_thread
   TraceEvent             # TraceSink::events
   TransferEvent          # Collector::transfer
