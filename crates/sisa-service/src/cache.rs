@@ -1,8 +1,11 @@
 //! The generation-keyed query result cache.
 //!
 //! Keyed by `(per-name graph generation, QuerySpec)` — the spec already
-//! carries the graph name, so the generation is the only extra ingredient.
-//! Workers insert under the generation of the registry lease they executed
+//! carries the graph name, so the generation is the only extra ingredient,
+//! and it is kept once per name: every resident entry of a name is of the
+//! latest generation inserted for it, so entries are keyed by spec alone
+//! and a lookup compares the name's latest generation first. Workers
+//! insert under the generation of the registry lease they executed
 //! against; a submission looks up under the name's *current* generation
 //! ([`sisa_graph::GraphRegistry::generation_of`]). Because every evict,
 //! reload and re-registration ticks the per-name generation (and the
@@ -17,16 +20,15 @@
 //! ticks for ever therefore occupies what its current generation holds, not
 //! the whole LRU.
 //!
-//! The cache is a bounded LRU on two axes — entry count and approximate
-//! resident bytes ([`ServiceConfig::cache_entries`] /
-//! [`ServiceConfig::cache_bytes`]) — and is shared between the clients and
-//! the dispatcher (lookups) and every worker (inserts) behind one mutex; both operations
-//! are O(log n) map work plus, on overflow or on a name's first insert under
-//! a newer generation, one O(n) scan, all of it far below one
+//! The cache is a bounded LRU on two axes — entry count
+//! ([`ServiceConfig::cache_entries`]) and approximate resident bytes (a
+//! service sizes it at 16 MiB) — and is shared between the clients and the
+//! dispatcher (lookups) and every worker (inserts) behind one mutex; both
+//! operations are O(log n) map work plus, on overflow or on a name's first
+//! insert under a newer generation, one O(n) scan, all of it far below one
 //! engine-executed query.
 //!
 //! [`ServiceConfig::cache_entries`]: crate::ServiceConfig::cache_entries
-//! [`ServiceConfig::cache_bytes`]: crate::ServiceConfig::cache_bytes
 
 use crate::query::{QuerySpec, QueryStats};
 use std::collections::BTreeMap;
@@ -47,12 +49,6 @@ pub struct CachedResult {
     pub stats: QueryStats,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct CacheKey {
-    generation: u64,
-    spec: QuerySpec,
-}
-
 #[derive(Debug)]
 struct CacheEntry {
     result: CachedResult,
@@ -62,7 +58,7 @@ struct CacheEntry {
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    entries: BTreeMap<CacheKey, CacheEntry>,
+    entries: BTreeMap<QuerySpec, CacheEntry>,
     /// The newest generation inserted per graph name (one word per name, as
     /// the registry's own per-name counters): every resident entry of a name
     /// is of exactly this generation.
@@ -101,7 +97,7 @@ pub struct ResultCache {
 /// the only heap payload, the spec's graph-name string (stored once, in the
 /// key).
 fn entry_bytes(spec: &QuerySpec) -> usize {
-    std::mem::size_of::<CacheKey>() + std::mem::size_of::<CacheEntry>() + spec.graph.len()
+    std::mem::size_of::<QuerySpec>() + std::mem::size_of::<CacheEntry>() + spec.graph.len()
 }
 
 impl ResultCache {
@@ -141,21 +137,17 @@ impl ResultCache {
         if self.is_disabled() {
             return None;
         }
-        let key = CacheKey {
-            generation,
-            spec: spec.clone(),
-        };
-        let mut inner = self.inner.lock().expect("cache lock");
-        let stamp = inner.touch + 1;
-        inner.touch = stamp;
-        match inner.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = stamp;
-                let result = entry.result.clone();
+        let mut guard = self.inner.lock().expect("cache lock");
+        let inner = &mut *guard;
+        inner.touch += 1;
+        let current = inner.latest.get(&spec.graph) == Some(&generation);
+        match inner.entries.get_mut(spec) {
+            Some(entry) if current => {
+                entry.last_used = inner.touch;
                 inner.hits += 1;
-                Some(result)
+                Some(entry.result.clone())
             }
-            None => {
+            _ => {
                 if count_miss {
                     inner.misses += 1;
                 }
@@ -178,10 +170,7 @@ impl ResultCache {
         if self.max_bytes > 0 && bytes > self.max_bytes {
             return 0;
         }
-        let key = CacheKey {
-            generation,
-            spec: spec.clone(),
-        };
+        let key = spec.clone();
         let mut inner = self.inner.lock().expect("cache lock");
         match inner.latest.get_mut(&spec.graph) {
             Some(latest) if generation < *latest => return 0,
@@ -189,7 +178,7 @@ impl ResultCache {
                 *latest = generation;
                 let mut released = 0;
                 inner.entries.retain(|key, entry| {
-                    let dead = key.spec.graph == spec.graph;
+                    let dead = key.graph == spec.graph;
                     if dead {
                         released += entry.bytes;
                     }

@@ -30,16 +30,16 @@
 //!   registry's generation ticks; a name's dead generations are released
 //!   at its next insert, so a graph that ticks for ever holds only what
 //!   its current generation does. Sized by
-//!   [`ServiceConfig::cache_entries`] / [`ServiceConfig::cache_bytes`].
+//!   [`ServiceConfig::cache_entries`] and a fixed 16 MiB byte bound.
 //! * **Streaming mutations** — the `mutate` request family
 //!   ([`QueryKind::Mutate`]) applies batched edge inserts and deletes
 //!   ([`GraphDelta`]) through the registry's replace path, ticking the
 //!   per-name generation so every cached result for the graph dies
-//!   structurally. The affinity worker maintains triangle / k-clique counts
-//!   **incrementally** ([`ServiceConfig::stream_ks`]): per changed edge it
-//!   intersects the endpoints' adjacency sets on the set engine — priced on
-//!   the PIM cost model and billed to the mutating tenant — instead of
-//!   recomputing from scratch, and serves subsequent unbudgeted counts
+//!   structurally. The affinity worker maintains triangle and 4-clique
+//!   counts **incrementally**: per changed edge it intersects the
+//!   endpoints' adjacency sets on the set engine — priced on the PIM cost
+//!   model and billed to the mutating tenant — instead of recomputing from
+//!   scratch, and serves subsequent unbudgeted counts
 //!   straight from the maintained counters. The worker judges each
 //!   resident state of a name — its static loads and its incremental
 //!   miner — by that state's *own* generation against the registry's: a

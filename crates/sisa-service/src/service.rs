@@ -20,6 +20,10 @@ use std::time::{Duration, Instant};
 /// Seed for every dataset stand-in a service materialises.
 const DATASET_SEED: u64 = 42;
 
+/// Approximate byte bound of the result cache, its second LRU axis beside
+/// [`ServiceConfig::cache_entries`].
+const CACHE_BYTES: usize = 16 << 20;
+
 /// Everything that shapes a [`SisaService`] instance.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -39,19 +43,10 @@ pub struct ServiceConfig {
     /// Maximum entries of the generation-keyed query result cache; `0`
     /// disables caching entirely.
     pub cache_entries: usize,
-    /// Approximate byte bound of the result cache (second LRU axis).
-    pub cache_bytes: usize,
     /// Weighted-fair-queueing weights per tenant; absent tenants weigh 1.
     /// With equal weights every backlogged tenant gets an equal share of
     /// each worker's throughput regardless of offered load.
     pub tenant_weights: BTreeMap<String, u64>,
-    /// Clique sizes (`k >= 3`) every worker maintains incrementally for
-    /// graphs that receive streaming mutations: after a `mutate`, unbudgeted
-    /// triangle counts (`k = 3`) and k-clique counts for these sizes are
-    /// served from the maintained counters instead of re-mining. Empty
-    /// disables incremental maintenance (mutations still apply and still
-    /// tick generations).
-    pub stream_ks: Vec<usize>,
     /// Batch operations per `execute` window of a batched (unbudgeted)
     /// triangle count; one streamed progress frame is emitted per window.
     pub progress_window_ops: usize,
@@ -70,9 +65,7 @@ impl Default for ServiceConfig {
             admission: AdmissionConfig::default(),
             registry: RegistryConfig::default(),
             cache_entries: 1024,
-            cache_bytes: 16 << 20,
             tenant_weights: BTreeMap::new(),
-            stream_ks: vec![3, 4],
             progress_window_ops: 2048,
             collector: None,
         }
@@ -287,7 +280,7 @@ impl Shared {
             registry: GraphRegistry::with_config(DATASET_SEED, cfg.registry.clone()),
             admission: Admission::new(cfg.admission.clone()),
             ledger: Mutex::new(LedgerInner::default()),
-            cache: ResultCache::new(cfg.cache_entries, cfg.cache_bytes),
+            cache: ResultCache::new(cfg.cache_entries, CACHE_BYTES),
         }
     }
 
@@ -311,6 +304,26 @@ impl Shared {
             truncated: hit.truncated,
             stats,
         }));
+    }
+
+    /// Fails every job of `jobs` with `error`, releasing each admission
+    /// slot. When their execution panicked, `panicked` holds its partial
+    /// delta and wall time: the first job's tenant absorbs them (the cycles
+    /// were really spent — discarding them would break the pool + registry
+    /// ≡ engines conservation identity); every other job counts one plain
+    /// failure.
+    pub(crate) fn fail_jobs(&self, jobs: &[Job], panicked: Option<(&ExecStats, u64)>, error: &str) {
+        let mut ledger = self.ledger.lock().expect("ledger lock");
+        for (i, job) in jobs.iter().enumerate() {
+            match panicked {
+                Some((delta, wall_ns)) if i == 0 => {
+                    ledger.record_panicked(&job.tenant, delta, wall_ns);
+                }
+                _ => ledger.record_failed(&job.tenant),
+            }
+            let _ = job.events.send(QueryEvent::Failed(error.to_string()));
+            self.admission.complete(&job.tenant);
+        }
     }
 
     fn report(&self) -> ServiceReport {
@@ -501,7 +514,6 @@ impl SisaService {
             let collector = cfg.collector.clone();
             let shards = cfg.shards;
             let window = cfg.progress_window_ops;
-            let stream_ks = cfg.stream_ks.clone();
             let join = std::thread::Builder::new()
                 .name(format!("sisa-service-worker-{i}"))
                 .spawn(move || {
@@ -515,7 +527,7 @@ impl SisaService {
                         // so the pool shares one collector without clashes.
                         engine.attach_collector(collector, (i * shards) as u32);
                     }
-                    Worker::new(engine, shared, window, stream_ks, i).run(&rx);
+                    Worker::new(engine, shared, window, i).run(&rx);
                 })
                 .expect("spawn worker thread");
             workers.push(WorkerHandle {
@@ -682,12 +694,7 @@ impl SisaService {
         // Fail everything still queued: the queues are bounded and nothing
         // may linger.
         let leftovers = shared.dispatcher.lock().expect("dispatcher lock").close();
-        for job in leftovers {
-            let _ = job
-                .events
-                .send(QueryEvent::Failed("service shut down".to_string()));
-            shared.admission.complete(&job.tenant);
-        }
+        shared.fail_jobs(&leftovers, None, "service shut down");
         for worker in &self.workers {
             let _ = worker.tx.send(WorkerMsg::Shutdown);
         }
@@ -938,6 +945,93 @@ mod tests {
         assert_eq!(order, expected);
         finished(&shared);
         assert!(sent(&rx).is_empty(), "the backlog is empty");
+    }
+
+    /// The heavy tenant's weight: its executions per deficit round-robin round.
+    const HEAVY_WEIGHT: u64 = 3;
+
+    /// A heavy tenant keeps 10 queries queued (a closed loop) while a light
+    /// tenant submits one at a time. The test thread plays the dispatcher's
+    /// worker — it runs each group it is sent through a real
+    /// [`Worker::run_group`] and then hands the worker its next one — and
+    /// both clients, which resubmit once the worker has taken that next
+    /// group. For each light query it counts the heavy executions the ledger
+    /// records between its submission and its answer. No thread runs, so
+    /// no client wake-up enters the count.
+    ///
+    /// Deficit round-robin bounds the count: a light query that arrives
+    /// mid-round waits for the rest of that round — the execution running
+    /// when it arrived included — so for at most `HEAVY_WEIGHT` heavy
+    /// executions, and it is served first in the next round (shortest queue
+    /// first). In steady state it sees exactly `HEAVY_WEIGHT`: the heavy
+    /// round starts as the light client resubmits. A FIFO queue puts it
+    /// behind the whole heavy backlog.
+    ///
+    /// Mutations this test fails under:
+    /// - FIFO: `Dispatcher::enqueue` queues every job under one tenant key,
+    ///   so the WDRR queues degenerate to arrival order.
+    /// - Weight-blind: `WfqScheduler::weight` returns 1, so the heavy tenant
+    ///   gets one execution per round.
+    #[test]
+    fn a_10x_heavy_tenant_delays_a_light_query_by_at_most_one_weighted_round() {
+        const LIGHT_QUERIES: usize = 40;
+        const HEAVY_IN_FLIGHT: usize = 10;
+        let (shared, rx) = one_worker(&[("heavy", HEAVY_WEIGHT)]);
+        let shared = Arc::new(shared);
+        let graph = sisa_graph::generators::erdos_renyi(24, 0.3, 11);
+        shared.registry.register("g", graph);
+        let engine = ShardedEngine::sisa(2, PartitionStrategy::Modulo, SisaConfig::default());
+        let mut worker = Worker::new(engine, Arc::clone(&shared), 64, 0);
+        let heavy_done = || {
+            let ledger = shared.ledger.lock().unwrap();
+            ledger.tenants.get("heavy").map_or(0, |usage| usage.queries)
+        };
+        // Every submission has its own budget, so neither coalescing nor
+        // the result cache can mask scheduling: every query executes.
+        let mut budgets = 0..;
+        let mut submit = |tenant: &str| {
+            let spec = distinct(budgets.next().expect("unbounded"));
+            enqueue(&shared, job(tenant, spec));
+        };
+        for _ in 0..HEAVY_IN_FLIGHT {
+            submit("heavy");
+        }
+        let mut light_since = None;
+        let mut counts = Vec::new();
+        while counts.len() < LIGHT_QUERIES {
+            // Measure against a backlogged worker: a full heavy round first.
+            if light_since.is_none() && heavy_done() >= HEAVY_WEIGHT {
+                light_since = Some(heavy_done());
+                submit("light");
+            }
+            let mut groups = sent(&rx);
+            assert_eq!(groups.len(), 1, "one group outstanding at a time");
+            let group = groups.pop().expect("one group");
+            let tenant = group.entries[0].tenant.clone();
+            worker.run_group(group);
+            finished(&shared);
+            if tenant == "light" {
+                let since = light_since.expect("a light query was submitted");
+                counts.push(heavy_done() - since);
+                light_since = Some(heavy_done());
+            }
+            submit(&tenant);
+        }
+        let report = shared.report();
+        assert_eq!((report.cache_hits, report.coalesced), (0, 0));
+
+        counts.sort_unstable();
+        let (median, max) = (counts[counts.len() / 2], counts[counts.len() - 1]);
+        assert!(
+            max <= HEAVY_WEIGHT,
+            "a light query waited for up to {max} heavy executions; \
+             one weight-{HEAVY_WEIGHT} round allows {HEAVY_WEIGHT}: {counts:?}"
+        );
+        assert_eq!(
+            median, HEAVY_WEIGHT,
+            "the heavy tenant got {median} executions per round (median), not its \
+             weight {HEAVY_WEIGHT}: {counts:?}"
+        );
     }
 
     #[test]

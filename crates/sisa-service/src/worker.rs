@@ -5,12 +5,17 @@
 //! hands it its next one.
 //!
 //! Workers are plain `std::thread`s fed by an `mpsc` channel — the workspace
-//! is offline/vendored-shims only, so there is no async runtime. All engine
-//! work happens inside a [`StatsScope`]: graph loads and evictions are
-//! billed to the service's registry ledger, query execution to the
-//! requesting tenant. Because every engine cycle is accrued inside exactly
-//! one scope, the per-tenant ledgers plus the registry ledger telescope
-//! exactly (integer counters) to the raw engine aggregates.
+//! is offline/vendored-shims only, so there is no async runtime. Every group,
+//! whatever its kind, goes through [`Worker::run_group`]: it makes current
+//! what the group reads (a mined read's static loads, a mutation's
+//! incremental miner) billed to the service's registry ledger, runs the
+//! group's own work once inside one [`StatsScope`] — a mined kernel, the
+//! read of a maintained stream counter, or a mutation's incremental apply —
+//! publishes the answer (the result cache for a read, the registry for a
+//! mutation), and settles every entry. Because every engine cycle is
+//! accrued inside exactly one scope, the per-tenant ledgers plus the
+//! registry ledger telescope exactly (integer counters) to the raw engine
+//! aggregates.
 
 use crate::cache::CachedResult;
 use crate::query::{QueryEvent, QueryKind, QueryOutcome, QuerySpec, QueryStats};
@@ -24,11 +29,17 @@ use sisa_core::{
     BatchOp, ExecStats, SetEngine, SetGraph, SetGraphConfig, ShardedEngine, SisaRuntime,
     StatsScope, Vertex,
 };
-use sisa_graph::CsrGraph;
+use sisa_graph::GraphDelta;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Clique sizes every worker maintains incrementally for graphs that
+/// receive streaming mutations: after a `mutate`, unbudgeted triangle
+/// counts (`k = 3`) and 4-clique counts are served from the maintained
+/// counters instead of re-mining.
+const STREAM_KS: [usize; 2] = [3, 4];
 
 /// Control messages a worker accepts, processed strictly in order.
 pub(crate) enum WorkerMsg {
@@ -46,13 +57,12 @@ pub(crate) enum WorkerMsg {
 }
 
 /// A graph resident in one worker's engine: the degeneracy-oriented load
-/// (clique kernels), the plain load (subgraph checks) and the registry lease
-/// that keeps the CSR alive while resident.
+/// (clique kernels) and the plain load (subgraph checks) that a mined read
+/// runs on. Each [`SetGraph`] keeps its own copy of the CSR, so no registry
+/// lease is held while resident.
 struct ResidentGraph {
-    /// The shared registry handle (the ref-counted lease).
-    _lease: Arc<CsrGraph>,
-    /// The per-name generation the lease was cut from: the key under which
-    /// results computed against this load enter the result cache, and the
+    /// The per-name generation the loads were cut from: the key under which
+    /// results computed against them enter the result cache, and the
     /// staleness check against the registry's current generation.
     generation: u64,
     oriented: SetGraph,
@@ -79,8 +89,6 @@ pub(crate) struct Worker {
     /// This worker's pool index, named to `Dispatcher::finished`.
     index: usize,
     graphs: BTreeMap<String, ResidentGraph>,
-    /// Clique sizes maintained incrementally for mutated graphs.
-    stream_ks: Vec<usize>,
     streams: BTreeMap<String, StreamState>,
 }
 
@@ -89,7 +97,6 @@ impl Worker {
         engine: ShardedEngine<SisaRuntime>,
         shared: Arc<Shared>,
         progress_window_ops: usize,
-        stream_ks: Vec<usize>,
         index: usize,
     ) -> Self {
         Worker {
@@ -98,7 +105,6 @@ impl Worker {
             progress_window_ops: progress_window_ops.max(1),
             index,
             graphs: BTreeMap::new(),
-            stream_ks,
             streams: BTreeMap::new(),
         }
     }
@@ -140,7 +146,8 @@ impl Worker {
     }
 
     /// Loads `name` into shard-resident sets if it is not already resident
-    /// *at the registry's current generation*. Staleness is a property of
+    /// *at the registry's current generation*, returning the generation of
+    /// the loads. Staleness is a property of
     /// each resident state against the registry, never of its sibling:
     /// static loads cut from an older generation (a `mutate` ticked the
     /// name, or the registry evicted or replaced it behind this worker's
@@ -152,10 +159,10 @@ impl Worker {
     /// between. Deletion and load are billed to the registry ledger (not to
     /// any tenant), which is what makes the second query on a graph charge
     /// zero additional load cycles.
-    fn ensure_resident(&mut self, name: &str) -> Result<(), String> {
+    fn ensure_resident(&mut self, name: &str) -> Result<u64, String> {
         let current = self.shared.registry.generation_of(name);
         if self.graphs.get(name).map(|g| g.generation) == Some(current) {
-            return Ok(());
+            return Ok(current);
         }
         let stream = self.streams.get(name).map(|s| s.generation);
         if stream.is_some_and(|generation| generation != current) {
@@ -176,13 +183,52 @@ impl Worker {
         self.graphs.insert(
             name.to_string(),
             ResidentGraph {
-                _lease: lease.graph,
                 generation: lease.generation,
                 oriented,
                 plain,
             },
         );
-        Ok(())
+        Ok(lease.generation)
+    }
+
+    /// Makes `name`'s stream state current for applying `change`, returning
+    /// the generation it reads. A first mutation — or one arriving after the
+    /// registry moved the name, or naming vertices beyond the miner's
+    /// capacity — rebuilds from the pre-mutation CSR, billed to the registry
+    /// ledger like any graph load. Steady-state mutations skip this
+    /// entirely; that asymmetry is the entire point of the incremental path.
+    fn ensure_stream(&mut self, name: &str, change: &GraphDelta) -> Result<u64, String> {
+        let pre = self
+            .shared
+            .registry
+            .acquire_lease(name)
+            .ok_or_else(|| format!("unknown graph {name:?}"))?;
+        let current = self
+            .streams
+            .get(name)
+            .is_some_and(|s| s.generation == pre.generation && s.miner.fits(change));
+        if !current {
+            let old = self.streams.remove(name);
+            let capacity = pre
+                .graph
+                .num_vertices()
+                .max(change.max_vertex().map_or(0, |v| v as usize + 1));
+            let miner = self.bill_registry(|engine| {
+                if let Some(old) = old {
+                    old.miner.unload(engine);
+                }
+                StreamingMiner::load_with_capacity(engine, &pre.graph, &STREAM_KS, capacity)
+            });
+            self.shared.ledger.lock().expect("ledger lock").stream_loads += 1;
+            self.streams.insert(
+                name.to_string(),
+                StreamState {
+                    generation: pre.generation,
+                    miner,
+                },
+            );
+        }
+        Ok(pre.generation)
     }
 
     /// Deletes every shard-resident set of `name` — the static loads and the
@@ -194,9 +240,8 @@ impl Worker {
         self.drop_static_loads(name);
     }
 
-    /// Deletes and forgets `name`'s static loads (and with them the registry
-    /// lease they were cut from), billing the set deletions to the registry
-    /// ledger and counting one eviction.
+    /// Deletes and forgets `name`'s static loads, billing the set deletions
+    /// to the registry ledger and counting one eviction.
     fn drop_static_loads(&mut self, name: &str) {
         let Some(resident) = self.graphs.remove(name) else {
             return;
@@ -211,123 +256,148 @@ impl Worker {
         self.shared.ledger.lock().expect("ledger lock").evictions += 1;
     }
 
-    fn fail_group(&self, group: &JobGroup, error: &str) {
-        let mut ledger = self.shared.ledger.lock().expect("ledger lock");
-        for job in &group.entries {
-            ledger.record_failed(&job.tenant);
-            let _ = job.events.send(QueryEvent::Failed(error.to_string()));
-            self.shared.admission.complete(&job.tenant);
-        }
-    }
-
-    /// Settles a *panicked* execution: the first entry's tenant absorbs the
-    /// partial delta (the cycles were really spent — discarding them would
-    /// break the pool + registry ≡ engines conservation identity), every
-    /// entry receives a `Failed` event, and every admission slot is
-    /// released. The worker itself survives to serve the next group.
-    fn attribute_panic(&self, group: &JobGroup, delta: &ExecStats, wall_ns: u64, error: &str) {
-        let mut ledger = self.shared.ledger.lock().expect("ledger lock");
-        for (i, job) in group.entries.iter().enumerate() {
-            if i == 0 {
-                ledger.record_panicked(&job.tenant, delta, wall_ns);
-            } else {
-                ledger.record_failed(&job.tenant);
-            }
-            let _ = job.events.send(QueryEvent::Failed(error.to_string()));
-            self.shared.admission.complete(&job.tenant);
-        }
-    }
-
-    /// Executes one coalesced group: the query runs once, the first entry is
-    /// billed for it, and every other entry receives the shared value with a
-    /// zero-cost `coalesced` record. Mutations take their own path, and a
-    /// query whose answer is an incrementally-maintained stream counter is
-    /// served from it without re-mining.
-    fn run_group(&mut self, group: JobGroup) {
-        if group.spec.kind.is_mutation() {
-            self.run_mutation(group);
-            return;
-        }
-        if let Some(value) = self.stream_count_for(&group.spec) {
-            self.serve_streamed(group, value);
-            return;
-        }
-        if let Err(error) = self.ensure_resident(&group.spec.graph) {
-            self.fail_group(&group, &error);
-            return;
-        }
-
-        let limits = match group.spec.budget {
-            Some(n) => SearchLimits::patterns(n),
-            None => SearchLimits::unlimited(),
-        };
-        let window = self.progress_window_ops;
-
-        let scope = StatsScope::begin(self.engine.stats());
-        let started = Instant::now();
-        let engine = &mut self.engine;
-        let resident = self.graphs.get(&group.spec.graph).expect("resident");
+    /// Executes, measures, publishes and settles one group of any kind: a
+    /// mined read, a read a maintained stream counter answers, or a
+    /// mutation. The group's work runs once; the first entry is billed for
+    /// it, and every other entry receives the shared value with a zero-cost
+    /// `coalesced` record (mutations are never coalesced).
+    pub(crate) fn run_group(&mut self, group: JobGroup) {
         let spec = &group.spec;
-        let entries = &group.entries;
-        // Kernels may assert on parameters a direct (non-wire) QuerySpec can
-        // carry; a panic must not take the worker thread (and its resident
-        // graphs) down, and the partial work must still be billed.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match spec.kind {
-            QueryKind::TriangleCount if spec.budget.is_none() => {
-                let value = batched_triangle_count(engine, &resident.oriented, window, entries);
-                (value, false)
-            }
-            QueryKind::TriangleCount => {
-                let run = triangle_count(engine, &resident.oriented, &limits);
-                (run.result, run.truncated)
-            }
-            QueryKind::KCliqueCount { k } => {
-                let run = k_clique_count(engine, &resident.oriented, k, &limits);
-                (run.result, run.truncated)
-            }
-            QueryKind::StarCount { k } => {
-                let pattern = star_pattern(k);
-                let run = subgraph_isomorphism_count(engine, &resident.plain, &pattern, &limits);
-                (run.result, run.truncated)
-            }
-            QueryKind::Mutate(_) => unreachable!("mutations take the run_mutation path"),
-        }));
-        let wall_ns = ns(started.elapsed());
-        let delta = scope.finish(self.engine.stats());
+        let name = &spec.graph;
 
-        let (value, truncated) = match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                let error = format!("query panicked: {}", panic_message(payload.as_ref()));
-                self.attribute_panic(&group, &delta, wall_ns, &error);
+        // (1) Make current what the group reads, billed to the registry.
+        let streamed = self.stream_count_for(spec);
+        let ready = match &spec.kind {
+            QueryKind::Mutate(change) => self.ensure_stream(name, change),
+            _ if streamed.is_some() => Ok(self.streams[name].generation),
+            _ => self.ensure_resident(name),
+        };
+        let generation = match ready {
+            Ok(generation) => generation,
+            Err(error) => {
+                self.shared.fail_jobs(&group.entries, None, &error);
                 return;
             }
         };
 
-        // Publish the result under the generation of the lease it was
-        // computed against: if the registry has since evicted or replaced
-        // the name, its per-name generation already moved on and this entry
-        // is stillborn — a stale hit is structurally impossible.
-        self.shared.cache.insert(
-            resident.generation,
-            &group.spec,
-            CachedResult {
+        // (2) Run the group's own work once, billed to the first entry.
+        let limits = match spec.budget {
+            Some(n) => SearchLimits::patterns(n),
+            None => SearchLimits::unlimited(),
+        };
+        let window = self.progress_window_ops;
+        let scope = StatsScope::begin(self.engine.stats());
+        let started = Instant::now();
+        let engine = &mut self.engine;
+        let resident = self.graphs.get(name);
+        let stream = self.streams.get_mut(name);
+        let entries = &group.entries;
+        // Kernels may assert on parameters a direct (non-wire) QuerySpec can
+        // carry; a panic must not take the worker thread (and its resident
+        // graphs) down, and the partial work must still be billed.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(value) = streamed {
+                engine.host_ops(1);
+                return (value, false);
+            }
+            let run = match &spec.kind {
+                QueryKind::Mutate(change) => {
+                    let miner = &mut stream.expect("stream state").miner;
+                    return (miner.apply(engine, change).applied as u64, false);
+                }
+                QueryKind::TriangleCount if spec.budget.is_none() => {
+                    let oriented = &resident.expect("resident").oriented;
+                    return (
+                        batched_triangle_count(engine, oriented, window, entries),
+                        false,
+                    );
+                }
+                QueryKind::TriangleCount => {
+                    triangle_count(engine, &resident.expect("resident").oriented, &limits)
+                }
+                QueryKind::KCliqueCount { k } => {
+                    k_clique_count(engine, &resident.expect("resident").oriented, *k, &limits)
+                }
+                QueryKind::StarCount { k } => {
+                    let plain = &resident.expect("resident").plain;
+                    subgraph_isomorphism_count(engine, plain, &star_pattern(*k), &limits)
+                }
+            };
+            (run.result, run.truncated)
+        }));
+        let wall_ns = ns(started.elapsed());
+        let delta = scope.finish(self.engine.stats());
+        let (value, truncated) = match outcome {
+            Ok(answer) => answer,
+            Err(payload) => {
+                let what = if spec.kind.is_mutation() {
+                    // The miner may be mid-update and inconsistent: drop it
+                    // (the next mutation rebuilds), billed to the registry.
+                    self.drop_stream_state(name);
+                    "mutation"
+                } else {
+                    "query"
+                };
+                let error = format!("{what} panicked: {}", panic_message(payload.as_ref()));
+                self.shared
+                    .fail_jobs(&group.entries, Some((&delta, wall_ns)), &error);
+                return;
+            }
+        };
+
+        // (3) Publish: a mutation through the registry's replace path (the
+        // generation tick is what structurally invalidates every cached
+        // result for the name), a read into the result cache under the
+        // generation its answer was computed against — if the registry has
+        // since moved the name on, the entry is stillborn, so a stale hit is
+        // structurally impossible.
+        if let QueryKind::Mutate(change) = &spec.kind {
+            let Some(lease) = self.shared.registry.mutate(name, change) else {
+                // The name was evicted between the lease and the publish (a
+                // racing evict_graph): the applied set work was real, so it
+                // folds into the registry ledger, and the request fails.
+                self.drop_stream_state(name);
+                let mut ledger = self.shared.ledger.lock().expect("ledger lock");
+                ledger.registry_stats.merge(&delta);
+                drop(ledger);
+                let error = format!("graph {name:?} was evicted mid-mutation");
+                self.shared.fail_jobs(&group.entries, None, &error);
+                return;
+            };
+            let state = self.streams.get_mut(name).expect("stream state");
+            state.generation = lease.generation;
+            debug_assert_eq!(
+                lease.graph.num_edges(),
+                state.miner.num_edges(),
+                "incremental state and registry successor disagree"
+            );
+        } else {
+            if streamed.is_some() {
+                self.shared
+                    .ledger
+                    .lock()
+                    .expect("ledger lock")
+                    .stream_serves += 1;
+            }
+            let stats = QueryStats::from_delta(&delta, wall_ns);
+            let result = CachedResult {
                 value,
                 truncated,
-                stats: QueryStats::from_delta(&delta, wall_ns),
-            },
-        );
+                stats,
+            };
+            self.shared.cache.insert(generation, spec, result);
+        }
 
-        self.settle_group(&group, value, truncated, &delta, wall_ns, started, false);
+        // (4) Settle every entry.
+        self.settle_group(&group, value, truncated, &delta, wall_ns, started);
     }
 
     /// Bills and answers every entry of an executed group: the first entry
-    /// absorbs the execution delta (as a query or, when `mutation`, in the
+    /// absorbs the execution delta (as a query or, for a mutation, in the
     /// tenant's `mutations` column), every other entry receives the shared
     /// value as a zero-cost coalesced response, and each terminal event
     /// releases its admission slot (the in-flight count covers queued *and*
     /// executing requests, so the slot frees only after the event).
-    #[allow(clippy::too_many_arguments)]
     fn settle_group(
         &self,
         group: &JobGroup,
@@ -336,9 +406,9 @@ impl Worker {
         delta: &ExecStats,
         wall_ns: u64,
         started: Instant,
-        mutation: bool,
     ) {
         let shared = &self.shared;
+        let mutation = group.spec.kind.is_mutation();
         let mut ledger = shared.ledger.lock().expect("ledger lock");
         for (i, job) in group.entries.iter().enumerate() {
             let queue_ns = ns(started.saturating_duration_since(job.submitted));
@@ -384,139 +454,6 @@ impl Worker {
             return None;
         }
         state.miner.count(k)
-    }
-
-    /// Serves a group from an incrementally-maintained stream counter: one
-    /// host op to read it (billed to the first entry's tenant), with the
-    /// value published to the result cache under the stream's generation so
-    /// repeats hit at submission.
-    fn serve_streamed(&mut self, group: JobGroup, value: u64) {
-        let scope = StatsScope::begin(self.engine.stats());
-        let started = Instant::now();
-        self.engine.host_ops(1);
-        let wall_ns = ns(started.elapsed());
-        let delta = scope.finish(self.engine.stats());
-        let generation = self
-            .streams
-            .get(&group.spec.graph)
-            .expect("stream state answered")
-            .generation;
-        let shared = &self.shared;
-        shared.ledger.lock().expect("ledger lock").stream_serves += 1;
-        shared.cache.insert(
-            generation,
-            &group.spec,
-            CachedResult {
-                value,
-                truncated: false,
-                stats: QueryStats::from_delta(&delta, wall_ns),
-            },
-        );
-        self.settle_group(&group, value, false, &delta, wall_ns, started, false);
-    }
-
-    /// Applies one streaming mutation: brings this worker's incremental
-    /// stream state up to date, applies the delta as priced set-engine work
-    /// billed to the mutating tenant, then publishes the successor graph
-    /// through the registry's replace path — the generation tick is what
-    /// structurally invalidates every cached result for the name.
-    fn run_mutation(&mut self, group: JobGroup) {
-        let QueryKind::Mutate(delta) = group.spec.kind.clone() else {
-            unreachable!("run_mutation requires a mutate spec");
-        };
-        let name = group.spec.graph.clone();
-        let Some(pre) = self.shared.registry.acquire_lease(&name) else {
-            self.fail_group(&group, &format!("unknown graph {name:?}"));
-            return;
-        };
-
-        // (1) Make the stream state current. A first mutation — or one
-        // arriving after the registry moved the name, or naming vertices
-        // beyond the miner's capacity — rebuilds from the pre-mutation CSR,
-        // billed to the registry ledger like any graph load. Steady-state
-        // mutations skip this entirely; that asymmetry is the entire point
-        // of the incremental path.
-        let stale = self
-            .streams
-            .get(&name)
-            .is_none_or(|s| s.generation != pre.generation || !s.miner.fits(&delta));
-        if stale {
-            let old = self.streams.remove(&name);
-            let stream_ks = self.stream_ks.clone();
-            let capacity = pre
-                .graph
-                .num_vertices()
-                .max(delta.max_vertex().map_or(0, |v| v as usize + 1));
-            let miner = self.bill_registry(|engine| {
-                if let Some(old) = old {
-                    old.miner.unload(engine);
-                }
-                StreamingMiner::load_with_capacity(engine, &pre.graph, &stream_ks, capacity)
-            });
-            self.shared.ledger.lock().expect("ledger lock").stream_loads += 1;
-            self.streams.insert(
-                name.clone(),
-                StreamState {
-                    generation: pre.generation,
-                    miner,
-                },
-            );
-        }
-
-        // (2) Apply incrementally, billed to the mutating tenant.
-        let scope = StatsScope::begin(self.engine.stats());
-        let started = Instant::now();
-        let engine = &mut self.engine;
-        let state = self.streams.get_mut(&name).expect("stream state");
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            state.miner.apply(engine, &delta)
-        }));
-        let wall_ns = ns(started.elapsed());
-        let exec_delta = scope.finish(self.engine.stats());
-        let report = match outcome {
-            Ok(report) => report,
-            Err(payload) => {
-                // The miner may be mid-update and inconsistent: drop it (the
-                // next mutation rebuilds), bill the cleanup to the registry
-                // ledger and the partial work to the tenant.
-                let error = format!("mutation panicked: {}", panic_message(payload.as_ref()));
-                self.drop_stream_state(&name);
-                self.attribute_panic(&group, &exec_delta, wall_ns, &error);
-                return;
-            }
-        };
-
-        // (3) Publish the successor through the replace path.
-        let Some(lease) = self.shared.registry.mutate(&name, &delta) else {
-            // The name was evicted between the lease and the publish (a
-            // racing evict_graph): the applied set work was real, so it
-            // folds into the registry ledger, and the request fails.
-            self.drop_stream_state(&name);
-            self.shared
-                .ledger
-                .lock()
-                .expect("ledger lock")
-                .registry_stats
-                .merge(&exec_delta);
-            self.fail_group(&group, &format!("graph {name:?} was evicted mid-mutation"));
-            return;
-        };
-        let state = self.streams.get_mut(&name).expect("stream state");
-        state.generation = lease.generation;
-        debug_assert_eq!(
-            lease.graph.num_edges(),
-            state.miner.num_edges(),
-            "incremental state and registry successor disagree"
-        );
-        self.settle_group(
-            &group,
-            report.applied as u64,
-            false,
-            &exec_delta,
-            wall_ns,
-            started,
-            true,
-        );
     }
 
     /// Unloads and forgets `name`'s stream state, billing the set deletions
@@ -606,7 +543,6 @@ mod tests {
             ShardedEngine::sisa(2, PartitionStrategy::Modulo, SisaConfig::default()),
             Arc::new(shared),
             64,
-            vec![3, 4],
             0,
         )
     }
@@ -624,25 +560,31 @@ mod tests {
         let delta = scope.finish(w.engine.stats());
         assert!(delta.total_cycles() > 0, "the partial delta is non-trivial");
 
-        w.shared.admission.try_admit("t").unwrap();
-        let (events, rx) = channel();
         let spec = QuerySpec::new("g", QueryKind::KCliqueCount { k: 0 });
-        let group = JobGroup {
-            spec: spec.clone(),
-            entries: vec![Job {
-                tenant: "t".to_string(),
-                spec,
-                events,
-                submitted: Instant::now(),
-            }],
-        };
-        w.attribute_panic(&group, &delta, 5, "query panicked: boom");
+        let (jobs, answers): (Vec<_>, Vec<_>) = ["t", "u"]
+            .into_iter()
+            .map(|tenant| {
+                w.shared.admission.try_admit(tenant).unwrap();
+                let (events, rx) = channel();
+                let job = Job {
+                    tenant: tenant.to_string(),
+                    spec: spec.clone(),
+                    events,
+                    submitted: Instant::now(),
+                };
+                (job, rx)
+            })
+            .unzip();
+        w.shared
+            .fail_jobs(&jobs, Some((&delta, 5)), "query panicked: boom");
 
-        assert_eq!(
-            rx.recv().unwrap(),
-            QueryEvent::Failed("query panicked: boom".to_string())
-        );
-        assert_eq!(w.shared.admission.in_flight(), 0, "the slot is released");
+        for rx in &answers {
+            assert_eq!(
+                rx.recv().unwrap(),
+                QueryEvent::Failed("query panicked: boom".to_string())
+            );
+        }
+        assert_eq!(w.shared.admission.in_flight(), 0, "the slots are released");
         let ledger = w.shared.ledger.lock().unwrap();
         let usage = &ledger.tenants["t"];
         assert_eq!(usage.failed, 1);
@@ -651,6 +593,10 @@ mod tests {
         // spent is dropped, preserving pool + registry ≡ engines.
         assert_eq!(usage.stats, delta);
         assert_eq!(usage.stats.energy_nj.to_bits(), delta.energy_nj.to_bits());
+        // The second job of the group counts a plain failure.
+        let coalesced = &ledger.tenants["u"];
+        assert_eq!((coalesced.failed, coalesced.wall_ns), (1, 0));
+        assert_eq!(coalesced.stats, ExecStats::default());
         drop(ledger);
         let counters = w.shared.metrics_snapshot().counters;
         assert_eq!(counters["sisa_queries_panicked_total"], 1);

@@ -14,10 +14,11 @@
 //!    resident graphs through the service config, bumping generations so
 //!    cached results die with the graph, while queries keep answering
 //!    correctly (reload on demand).
-//! 4. **No starvation, in service order** — a tenant keeping 10× the load
-//!    of another queued can delay each of its queries by one weighted round
-//!    of its own work and no more. The delay is counted in executions the
-//!    ledger records, not read off a clock.
+//! 4. **No starvation** — a tenant keeping 10× the load of another queued
+//!    from its own thread never starves it: every light query completes,
+//!    with no cache hit and no coalescing. That the delay is one weighted
+//!    round of heavy work and no more is counted without threads, in
+//!    `service::tests`.
 
 use sisa_graph::generators;
 use sisa_service::{QueryKind, QuerySpec, RegistryConfig, ServiceConfig, SisaService};
@@ -239,46 +240,21 @@ fn registry_capacity_evicts_lru_and_queries_reload_on_demand() {
     service.close();
 }
 
-/// Nearest-rank `pct`-th percentile of a sample.
-fn percentile(mut samples: Vec<u64>, pct: usize) -> u64 {
-    assert!(!samples.is_empty());
-    samples.sort_unstable();
-    let rank = (samples.len() * pct).div_ceil(100);
-    samples[rank.saturating_sub(1)]
-}
-
 /// The heavy tenant's weight: its executions per deficit round-robin round.
 const HEAVY_WEIGHT: u64 = 3;
 
 #[test]
-fn a_10x_heavy_tenant_delays_a_light_query_by_at_most_one_weighted_round() {
+fn a_10x_heavy_tenant_on_another_thread_never_starves_a_light_one() {
     // One worker, so both tenants compete for the same serial executor.
     // Every submission carries a unique (huge, never-truncating) budget:
     // the specs stay distinct, so neither coalescing nor the result cache
     // can mask scheduling behaviour — every query really executes.
     //
-    // For each light query the test counts the heavy executions the ledger
-    // records between its submission and its completion. The worker writes
-    // a query's ledger row before it answers, so the count misses nothing.
-    // It can only overcount: the worker goes on with the next heavy query
-    // while the light client wakes up to read the ledger.
-    //
-    // Deficit round-robin bounds the count: a light query that arrives
-    // mid-round waits for the rest of that round — the execution running
-    // when it arrived included — so for at most `HEAVY_WEIGHT` heavy
-    // executions, and it is served first in the next round (shortest queue
-    // first). In steady state it sees exactly `HEAVY_WEIGHT`: the heavy
-    // round starts as the light client resubmits. The p95 bound allows two
-    // more for the client's wake-up: under a concurrent `cargo test` on two
-    // CPUs, one run in five reads a few 4s and, rarely, a 5. A FIFO queue
-    // puts the light query behind the whole heavy window, about
-    // `heavy_factor` executions.
-    //
-    // Mutations this test fails under:
-    // - FIFO: `Dispatcher::enqueue` queues every job under one tenant key,
-    //   so the WDRR queues degenerate to arrival order (p95 ≈ 10).
-    // - Weight-blind: `WfqScheduler::weight` returns 1, so the heavy tenant
-    //   gets one execution per round (median 1).
+    // How long a light query waits, in heavy executions, is counted by
+    // `service::tests::a_10x_heavy_tenant_delays_a_light_query_by_at_most_one_weighted_round`,
+    // which plays the worker and both clients on one thread: counted here,
+    // the heavy executions that finish while the light client thread wakes
+    // up would enter the count.
     let light_queries = 40u64;
     let heavy_factor = 10usize;
     let graph = generators::erdos_renyi(56, 0.22, 11);
@@ -301,7 +277,7 @@ fn a_10x_heavy_tenant_delays_a_light_query_by_at_most_one_weighted_round() {
 
     // A heavy tenant keeps `heavy_factor` queries in flight (a closed loop)
     // while the light tenant submits one query at a time.
-    let counts = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let heavy = {
             let client = service.client();
             scope.spawn(move || {
@@ -332,42 +308,22 @@ fn a_10x_heavy_tenant_delays_a_light_query_by_at_most_one_weighted_round() {
                 }
             })
         };
-        // Measure against a backlogged worker: wait for a full heavy round.
+        // Submit against a backlogged worker: wait for a full heavy round.
         while heavy_done(&service) < HEAVY_WEIGHT {
             std::thread::yield_now();
         }
-        let counts: Vec<u64> = (0..light_queries)
-            .map(|i| {
-                let before = heavy_done(&service);
-                service
-                    .submit("light", spec(2_000 + i))
-                    .expect("admitted")
-                    .wait()
-                    .expect("completes");
-                heavy_done(&service) - before
-            })
-            .collect();
+        for i in 0..light_queries {
+            service
+                .submit("light", spec(2_000 + i))
+                .expect("admitted")
+                .wait()
+                .expect("completes");
+        }
         heavy.join().expect("heavy client");
-        counts
     });
     let report = service.report();
     assert_eq!(report.cache_hits, 0, "unique budgets defeat the cache");
     assert_eq!(report.coalesced, 0, "and coalescing");
+    assert_eq!(service.tenant_usage()["light"].queries, light_queries);
     service.close();
-
-    let (median, p95) = (
-        percentile(counts.clone(), 50),
-        percentile(counts.clone(), 95),
-    );
-    let max = *counts.iter().max().expect("light queries ran");
-    assert!(
-        p95 <= HEAVY_WEIGHT + 2 && max <= 2 * (HEAVY_WEIGHT + 1),
-        "a light query waited for up to {max} heavy executions (p95 {p95}); \
-         one weight-{HEAVY_WEIGHT} round allows {HEAVY_WEIGHT}: {counts:?}"
-    );
-    assert!(
-        median + 1 >= HEAVY_WEIGHT,
-        "the heavy tenant got {median} executions per round (median), not its \
-         weight {HEAVY_WEIGHT}: {counts:?}"
-    );
 }

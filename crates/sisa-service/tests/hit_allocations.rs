@@ -45,11 +45,11 @@ fn allocations() -> u64 {
 
 /// What one warm hit allocates on the caller's thread: the tenant's
 /// in-flight key in `Admission::try_admit` (a tenant with nothing in flight
-/// has no entry), the event channel, the `Job`'s tenant name, the lookup
-/// key's copy of the spec in `ResultCache::get`, and the answer's send into
-/// the channel. The ledger finds a known tenant's row without allocating,
-/// and no series is pushed into a string-keyed registry.
-const ALLOCATIONS_PER_HIT: u64 = 5;
+/// has no entry), the event channel, the `Job`'s tenant name, and the
+/// answer's send into the channel. `ResultCache::get` looks the borrowed
+/// spec up without copying it, the ledger finds a known tenant's row
+/// without allocating, and no series is pushed into a string-keyed registry.
+const ALLOCATIONS_PER_HIT: u64 = 4;
 
 #[test]
 fn a_warm_cache_hit_allocates_a_fixed_count_on_the_callers_thread() {

@@ -453,6 +453,16 @@ fn close_fails_every_queued_query_and_refuses_a_client_kept_past_it() {
         client.metrics_snapshot().gauges["sisa_admission_in_flight"]
     };
     assert_eq!(in_flight(&client), 0, "every queued slot is released");
+    // Each query failed at shutdown is a failure on the ledger, so every
+    // admitted query is either completed or failed.
+    let counters = client.metrics_snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let shut_down = (outcomes.len() - ran) as u64;
+    assert_eq!(counter("sisa_queries_failed_total"), shut_down);
+    assert_eq!(
+        counter("sisa_queries_submitted_total"),
+        counter("sisa_queries_completed_total") + counter("sisa_queries_failed_total")
+    );
 
     let unseen = QuerySpec::new("g", QueryKind::KCliqueCount { k: 4 });
     let Err(refused) = client.submit("t", unseen) else {

@@ -118,7 +118,7 @@ fn run_stream_differential(seed: u64, workers: usize, cache_entries: usize, roun
         reference = successor;
 
         // tc (k = 3) and kclique4 are stream-maintained; kclique5 is
-        // outside the default `stream_ks` and exercises the kernel
+        // outside the maintained `STREAM_KS` and exercises the kernel
         // path against the post-mutation registry graph.
         for (kind, k) in [
             (QueryKind::TriangleCount, 3),
