@@ -270,10 +270,4 @@ mod tests {
         );
         assert!(run.result > 0);
     }
-
-    #[test]
-    fn baseline_mode_suffixes() {
-        assert_eq!(BaselineMode::NonSet.suffix(), "non-set");
-        assert_eq!(BaselineMode::SetBased.suffix(), "set-based");
-    }
 }

@@ -32,14 +32,3 @@ pub enum BaselineMode {
     /// Software set-centric algorithm (`_set-based`).
     SetBased,
 }
-
-impl BaselineMode {
-    /// The suffix the paper uses in its plots.
-    #[must_use]
-    pub fn suffix(self) -> &'static str {
-        match self {
-            Self::NonSet => "non-set",
-            Self::SetBased => "set-based",
-        }
-    }
-}

@@ -1,26 +1,10 @@
 //! Figure 7b + §9.2 sensitivity studies: DB-fraction sweep, galloping-threshold
 //! sweep and the SCU-cache (SMB) on/off ablation.
 
-use sisa_algorithms::setcentric::k_clique_count;
 use sisa_algorithms::SearchLimits;
-use sisa_bench::{emit, format_table, full_mode};
-use sisa_core::{
-    parallel, SetEngine, SetGraph, SetGraphConfig, SisaConfig, SisaRuntime, VariantSelection,
-};
-use sisa_graph::{datasets, orientation::degeneracy_order};
-
-fn run_once(
-    oriented: &sisa_graph::CsrGraph,
-    sisa: SisaConfig,
-    sg_cfg: &SetGraphConfig,
-    limits: &SearchLimits,
-) -> u64 {
-    let mut rt = SisaRuntime::new(sisa);
-    let sg = SetGraph::load(&mut rt, oriented, sg_cfg);
-    rt.reset_stats();
-    let run = k_clique_count(&mut rt, &sg, 4, limits);
-    parallel::schedule(&run.tasks, 32).makespan_cycles
-}
+use sisa_bench::{emit, format_table, full_mode, run_cell, Problem, Scheme, Workload};
+use sisa_core::{SetGraphConfig, SisaConfig, VariantSelection};
+use sisa_graph::datasets;
 
 fn main() {
     let full = full_mode();
@@ -28,8 +12,15 @@ fn main() {
     let g = datasets::by_name("bio-mouseGene")
         .expect("registered stand-in")
         .generate(2);
-    let ordering = degeneracy_order(&g);
-    let oriented = ordering.orient(&g);
+    // kcc-4 on 32 SISA threads under one runtime and set-graph configuration.
+    let cycles = |sisa: SisaConfig, set_graph: SetGraphConfig| {
+        let w = Workload {
+            sisa,
+            set_graph,
+            ..Workload::new(g.clone(), 32, limits)
+        };
+        run_cell(Problem::Kcc(4), Scheme::Sisa, &w).cycles
+    };
 
     // Sweep the fraction of neighbourhoods kept as dense bitvectors.
     let mut rows = Vec::new();
@@ -38,11 +29,8 @@ fn main() {
             db_fraction: t,
             storage_budget_frac: f64::INFINITY,
         };
-        let cycles = run_once(&oriented, SisaConfig::default(), &sg_cfg, &limits);
-        rows.push(vec![
-            format!("{t:.2}"),
-            format!("{:.3}", cycles as f64 / 1e6),
-        ]);
+        let mcyc = cycles(SisaConfig::default(), sg_cfg) as f64 / 1e6;
+        rows.push(vec![format!("{t:.2}"), format!("{mcyc:.3}")]);
     }
     let db_table = format_table(&["DB fraction t", "kcc-4 runtime [Mcyc]"], &rows);
 
@@ -60,27 +48,14 @@ fn main() {
             variant_selection: sel,
             ..SisaConfig::default()
         };
-        let cycles = run_once(&oriented, sisa, &SetGraphConfig::default(), &limits);
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.3}", cycles as f64 / 1e6),
-        ]);
+        let mcyc = cycles(sisa, SetGraphConfig::default()) as f64 / 1e6;
+        rows.push(vec![label.to_string(), format!("{mcyc:.3}")]);
     }
     let gallop_table = format_table(&["galloping threshold", "kcc-4 runtime [Mcyc]"], &rows);
 
     // SCU metadata cache on/off.
-    let with_smb = run_once(
-        &oriented,
-        SisaConfig::default(),
-        &SetGraphConfig::default(),
-        &limits,
-    );
-    let without_smb = run_once(
-        &oriented,
-        SisaConfig::without_smb(),
-        &SetGraphConfig::default(),
-        &limits,
-    );
+    let with_smb = cycles(SisaConfig::default(), SetGraphConfig::default());
+    let without_smb = cycles(SisaConfig::without_smb(), SetGraphConfig::default());
     let smb_table = format_table(
         &["SMB", "kcc-4 runtime [Mcyc]"],
         &[

@@ -1,58 +1,36 @@
 //! Figure 9: load-balancing analysis — per-thread stalled-time fractions
 //! (9a) and set-size histograms for full vs. partial executions (9b).
 
-use sisa_algorithms::baseline::{k_clique_count_baseline, BaselineMode};
 use sisa_algorithms::setcentric::k_clique_count;
 use sisa_algorithms::SearchLimits;
-use sisa_bench::{emit, format_table, full_mode};
-use sisa_core::{parallel, SetEngine, SetGraph, SetGraphConfig, SisaConfig, SisaRuntime};
+use sisa_bench::{emit, format_table, full_mode, run_cell, Problem, Scheme, Workload};
+use sisa_core::{SetEngine, SetGraph, SetGraphConfig, SisaConfig, SisaRuntime};
 use sisa_graph::{datasets, orientation::degeneracy_order};
-use sisa_pim::CpuConfig;
 
 fn main() {
     let full = full_mode();
-    let threads = 8;
     let limits = SearchLimits::patterns(if full { 50_000 } else { 10_000 });
     let g = datasets::by_name("int-antCol3-d1")
         .expect("stand-in")
         .generate(1);
-    let ordering = degeneracy_order(&g);
-    let oriented = ordering.orient(&g);
+    let oriented = degeneracy_order(&g).orient(&g);
+    let w = Workload::new(g, 8, limits);
 
     let mut output = String::new();
     for k in [4usize, 5] {
         let mut rows = Vec::new();
-        for mode in [BaselineMode::NonSet, BaselineMode::SetBased] {
-            let run = k_clique_count_baseline(
-                &oriented,
-                k,
-                mode,
-                &CpuConfig::default(),
-                threads,
-                &limits,
-            );
-            let report = parallel::schedule_cpu(&run.tasks, threads, &CpuConfig::default());
+        for scheme in Scheme::ALL {
+            let report = run_cell(Problem::Kcc(k), scheme, &w).report;
             let stalls: Vec<String> = report
                 .per_thread
                 .iter()
                 .map(|t| format!("{:.2}", t.stall_fraction()))
                 .collect();
-            rows.push(vec![format!("kcc-{k} {}", mode.suffix()), stalls.join(" ")]);
+            rows.push(vec![
+                format!("kcc-{k} {}", scheme.label()),
+                stalls.join(" "),
+            ]);
         }
-        let mut rt = SisaRuntime::new(SisaConfig::default());
-        let sg = SetGraph::load(&mut rt, &oriented, &SetGraphConfig::default());
-        rt.reset_stats();
-        let run = k_clique_count(&mut rt, &sg, k, &limits);
-        let report = parallel::schedule(&run.tasks, threads);
-        rows.push(vec![
-            format!("kcc-{k} sisa"),
-            report
-                .per_thread
-                .iter()
-                .map(|t| format!("{:.2}", t.stall_fraction()))
-                .collect::<Vec<_>>()
-                .join(" "),
-        ]);
         output.push_str(&format!(
             "\n{}",
             format_table(

@@ -11,7 +11,7 @@
 //! degree-balanced placement sits between the two.
 
 use sisa_algorithms::SearchLimits;
-use sisa_bench::{emit, format_table, full_mode, multi_cube_sweep, results_dir, MultiCubeCell};
+use sisa_bench::{emit, emit_json, format_table, full_mode, multi_cube_sweep, MultiCubeCell};
 
 fn main() {
     let full = full_mode();
@@ -67,17 +67,7 @@ fn main() {
     );
 
     // Machine-readable mirror for downstream analysis.
-    let dir = results_dir();
-    let json = serde_json::to_string_pretty(&cells).expect("cells serialize");
-    if std::fs::create_dir_all(&dir).is_ok()
-        && std::fs::write(dir.join("multi_cube.json"), &json).is_ok()
-    {
-        println!(
-            "Sweep data ({} cells) recorded in {}",
-            cells.len(),
-            dir.join("multi_cube.json").display()
-        );
-    }
+    emit_json("multi_cube", &cells);
 
     // All cells of a workload must agree on the mined result (workloads are
     // taken from the sweep output so new ones cannot be skipped silently).

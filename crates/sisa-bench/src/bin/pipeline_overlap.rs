@@ -13,7 +13,7 @@
 
 use sisa_algorithms::SearchLimits;
 use sisa_bench::{
-    emit, format_table, full_mode, pipeline_overlap_sweep, results_dir, PipelineOverlapCell,
+    emit, emit_json, format_table, full_mode, pipeline_overlap_sweep, PipelineOverlapCell,
 };
 
 fn main() {
@@ -66,17 +66,7 @@ fn main() {
     );
 
     // Machine-readable mirror for downstream analysis.
-    let dir = results_dir();
-    let json = serde_json::to_string_pretty(&cells).expect("cells serialize");
-    if std::fs::create_dir_all(&dir).is_ok()
-        && std::fs::write(dir.join("pipeline_overlap.json"), &json).is_ok()
-    {
-        println!(
-            "Sweep data ({} cells) recorded in {}",
-            cells.len(),
-            dir.join("pipeline_overlap.json").display()
-        );
-    }
+    emit_json("pipeline_overlap", &cells);
 
     // Scheduling must never change answers, and depth 1 must be serial.
     let workloads: std::collections::BTreeSet<&str> =

@@ -50,28 +50,11 @@ fn main() {
 
     // Capture a traced run and publish its per-opcode instruction mix (the
     // paper's instruction-mix analyses) from the genuine SisaProgram.
-    let dir = sisa_bench::results_dir();
     let mix = sisa_bench::capture_instruction_mix("soc-fbMsg", &g);
-    if std::fs::create_dir_all(&dir).is_ok()
-        && std::fs::write(dir.join("instruction_mix.json"), mix.to_json()).is_ok()
-    {
-        println!(
-            "Instruction mix ({} instructions) recorded in {}",
-            mix.total_instructions,
-            dir.join("instruction_mix.json").display()
-        );
-    }
+    sisa_bench::emit_json("instruction_mix", &mix);
 
     // Record the platform parameters the figures were produced with.
-    let json = sisa_bench::PlatformSummary::default().to_json();
-    if std::fs::create_dir_all(&dir).is_ok()
-        && std::fs::write(dir.join("platform.json"), &json).is_ok()
-    {
-        println!(
-            "Platform configuration recorded in {}",
-            dir.join("platform.json").display()
-        );
-    }
+    sisa_bench::emit_json("platform", &sisa_bench::PlatformSummary::default());
 
     if failures > 0 {
         eprintln!("{failures} experiment binaries failed");

@@ -1,12 +1,12 @@
 //! Table 4: 4-clique counting — the traditional (non-set) snippet, the
 //! set-centric formulation executed in software and the SISA snippet.
 
-use sisa_algorithms::baseline::{k_clique_count_baseline, BaselineMode};
 use sisa_algorithms::setcentric::four_clique_count;
-use sisa_bench::{default_limits, emit, format_table, full_mode, Problem};
+use sisa_bench::{
+    default_limits, emit, format_table, full_mode, run_cell, Problem, Scheme, Workload,
+};
 use sisa_core::{parallel, SetEngine, SetGraph, SetGraphConfig, SisaConfig, SisaRuntime};
 use sisa_graph::{datasets, orientation::degeneracy_order};
-use sisa_pim::CpuConfig;
 
 fn main() {
     let full = full_mode();
@@ -15,39 +15,20 @@ fn main() {
     for name in ["int-antCol5-d1", "econ-beacxc", "bio-SC-GT"] {
         let g = datasets::by_name(name).expect("stand-in").generate(1);
         let oriented = degeneracy_order(&g).orient(&g);
-        let non_set = k_clique_count_baseline(
-            &oriented,
-            4,
-            BaselineMode::NonSet,
-            &CpuConfig::default(),
-            32,
-            &limits,
-        );
-        let set_sw = k_clique_count_baseline(
-            &oriented,
-            4,
-            BaselineMode::SetBased,
-            &CpuConfig::default(),
-            32,
-            &limits,
-        );
+        let w = Workload::new(g, 32, limits);
+        let non_set = run_cell(Problem::Kcc(4), Scheme::NonSet, &w).cycles;
+        let set_sw = run_cell(Problem::Kcc(4), Scheme::SetBased, &w).cycles;
         let mut rt = SisaRuntime::new(SisaConfig::default());
         let sg = SetGraph::load(&mut rt, &oriented, &SetGraphConfig::default());
         rt.reset_stats();
         let sisa = four_clique_count(&mut rt, &sg, &limits);
-        let cyc = |tasks: &[sisa_core::TaskRecord], cpu: bool| {
-            if cpu {
-                parallel::schedule_cpu(tasks, 32, &CpuConfig::default()).makespan_cycles
-            } else {
-                parallel::schedule(tasks, 32).makespan_cycles
-            }
-        };
+        let sisa_cycles = parallel::schedule(&sisa.tasks, 32).makespan_cycles;
         rows.push(vec![
             name.to_string(),
             sisa.result.to_string(),
-            format!("{:.3}", cyc(&non_set.tasks, true) as f64 / 1e6),
-            format!("{:.3}", cyc(&set_sw.tasks, true) as f64 / 1e6),
-            format!("{:.3}", cyc(&sisa.tasks, false) as f64 / 1e6),
+            format!("{:.3}", non_set as f64 / 1e6),
+            format!("{:.3}", set_sw as f64 / 1e6),
+            format!("{:.3}", sisa_cycles as f64 / 1e6),
         ]);
     }
     emit(

@@ -132,8 +132,8 @@ fn check(dir: &Path) {
     let path = dir.join("trace_timeline.json");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let doc = TraceTimeline::from_json(&text)
-        .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+    let doc: TraceTimeline = serde_json::from_str(&text)
+        .unwrap_or_else(|e| panic!("{} does not parse: {e:?}", path.display()));
     doc.validate()
         .unwrap_or_else(|e| panic!("{} violates the schema: {e}", path.display()));
     for file in &doc.trace_files {
@@ -254,7 +254,8 @@ fn main() {
             std::fs::write(dir.join(file), render)
                 .unwrap_or_else(|e| panic!("cannot write {file}: {e}"));
         }
-        std::fs::write(dir.join("trace_timeline.json"), doc.to_json())
+        let json = serde_json::to_string_pretty(&doc).expect("timeline document serializes");
+        std::fs::write(dir.join("trace_timeline.json"), json)
             .unwrap_or_else(|e| panic!("cannot write trace_timeline.json: {e}"));
         println!(
             "Timelines recorded in {} (+ {}).",

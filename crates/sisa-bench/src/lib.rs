@@ -31,6 +31,7 @@ use sisa_core::{
 use sisa_graph::orientation::degeneracy_order;
 use sisa_graph::{CsrGraph, LabeledGraph};
 use sisa_pim::{CpuConfig, EnergyModel, PimPlatform};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -126,8 +127,6 @@ pub struct Workload {
     pub set_graph: SetGraphConfig,
     /// SISA runtime configuration.
     pub sisa: SisaConfig,
-    /// Baseline CPU configuration.
-    pub cpu: CpuConfig,
 }
 
 impl Workload {
@@ -140,7 +139,6 @@ impl Workload {
             limits,
             set_graph: SetGraphConfig::default(),
             sisa: SisaConfig::default(),
-            cpu: CpuConfig::default(),
         }
     }
 }
@@ -159,87 +157,44 @@ pub struct Measurement {
     pub truncated: bool,
 }
 
-fn finish<T>(run: MiningRun<T>, result: u64, scheme: Scheme, w: &Workload) -> Measurement {
-    let report = match scheme {
-        Scheme::Sisa => parallel::schedule(&run.tasks, w.threads),
-        _ => parallel::schedule_cpu(&run.tasks, w.threads, &w.cpu),
-    };
-    Measurement {
-        cycles: report.makespan_cycles,
-        report,
-        result,
-        truncated: run.truncated,
-    }
-}
-
 /// Runs one (problem, scheme) cell on a workload and returns its measurement.
+///
+/// Clique problems read the degeneracy-oriented graph, `si-4s-L` a copy with
+/// random vertex labels, and every other problem the graph as given. The SISA
+/// scheme schedules its tasks on PIM threads, the baselines on the paper's
+/// CPU model.
 #[must_use]
 pub fn run_cell(problem: Problem, scheme: Scheme, w: &Workload) -> Measurement {
-    let g = &w.graph;
-    let ordering = degeneracy_order(g);
-    let oriented_csr = ordering.orient(g);
-    let labeled = LabeledGraph::with_random_vertex_labels(g.clone(), 3, 0xC0FFEE).graph;
-
-    match scheme {
+    let ordering = degeneracy_order(&w.graph);
+    let g: Cow<'_, CsrGraph> = match problem {
+        Problem::Tc | Problem::Kcc(_) | Problem::Ksc(_) => Cow::Owned(ordering.orient(&w.graph)),
+        Problem::Si4sL => {
+            Cow::Owned(LabeledGraph::with_random_vertex_labels(w.graph.clone(), 3, 0xC0FFEE).graph)
+        }
+        Problem::Mc | Problem::ClJac | Problem::Si4s => Cow::Borrowed(&w.graph),
+    };
+    let pattern = match problem {
+        Problem::Si4sL => star_pattern(4).with_labels(vec![0, 1, 2, 1, 0]),
+        _ => star_pattern(4),
+    };
+    let (cpu, threads, limits) = (CpuConfig::default(), w.threads, &w.limits);
+    let run: MiningRun<u64> = match scheme {
         Scheme::Sisa => {
             let mut rt = SisaRuntime::new(w.sisa);
+            let sg = SetGraph::load(&mut rt, &g, &w.set_graph);
+            rt.reset_stats();
+            let rt = &mut rt;
             match problem {
-                Problem::Tc | Problem::Kcc(_) | Problem::Ksc(_) => {
-                    let oriented = SetGraph::load(&mut rt, &oriented_csr, &w.set_graph);
-                    rt.reset_stats();
-                    match problem {
-                        Problem::Tc => {
-                            let run = triangle_count(&mut rt, &oriented, &w.limits);
-                            let res = run.result;
-                            finish(run, res, scheme, w)
-                        }
-                        Problem::Kcc(k) => {
-                            let run = k_clique_count(&mut rt, &oriented, k, &w.limits);
-                            let res = run.result;
-                            finish(run, res, scheme, w)
-                        }
-                        Problem::Ksc(k) => {
-                            let run = k_clique_star_count(&mut rt, &oriented, k, &w.limits);
-                            let res = run.result;
-                            finish(run, res, scheme, w)
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                Problem::Mc => {
-                    let sg = SetGraph::load(&mut rt, g, &w.set_graph);
-                    rt.reset_stats();
-                    let run = maximal_cliques(&mut rt, &sg, &ordering, &w.limits, false);
-                    let res = run.result.count;
-                    finish(run, res, scheme, w)
-                }
+                Problem::Tc => triangle_count(rt, &sg, limits),
+                Problem::Kcc(k) => k_clique_count(rt, &sg, k, limits),
+                Problem::Ksc(k) => k_clique_star_count(rt, &sg, k, limits),
+                Problem::Mc => maximal_cliques(rt, &sg, &ordering, limits, false).map(|r| r.count),
                 Problem::ClJac => {
-                    let sg = SetGraph::load(&mut rt, g, &w.set_graph);
-                    rt.reset_stats();
-                    let run = jarvis_patrick_clustering(
-                        &mut rt,
-                        &sg,
-                        SimilarityMeasure::Jaccard,
-                        0.2,
-                        &w.limits,
-                    );
-                    let res = run.result.len() as u64;
-                    finish(run, res, scheme, w)
+                    jarvis_patrick_clustering(rt, &sg, SimilarityMeasure::Jaccard, 0.2, limits)
+                        .map(|pairs| pairs.len() as u64)
                 }
-                Problem::Si4s => {
-                    let sg = SetGraph::load(&mut rt, g, &w.set_graph);
-                    rt.reset_stats();
-                    let run = subgraph_isomorphism_count(&mut rt, &sg, &star_pattern(4), &w.limits);
-                    let res = run.result;
-                    finish(run, res, scheme, w)
-                }
-                Problem::Si4sL => {
-                    let sg = SetGraph::load(&mut rt, &labeled, &w.set_graph);
-                    rt.reset_stats();
-                    let pattern = star_pattern(4).with_labels(vec![0, 1, 2, 1, 0]);
-                    let run = subgraph_isomorphism_count(&mut rt, &sg, &pattern, &w.limits);
-                    let res = run.result;
-                    finish(run, res, scheme, w)
+                Problem::Si4s | Problem::Si4sL => {
+                    subgraph_isomorphism_count(rt, &sg, &pattern, limits)
                 }
             }
         }
@@ -250,78 +205,38 @@ pub fn run_cell(problem: Problem, scheme: Scheme, w: &Workload) -> Measurement {
                 BaselineMode::SetBased
             };
             match problem {
-                Problem::Tc => {
-                    let run =
-                        triangle_count_baseline(&oriented_csr, mode, &w.cpu, w.threads, &w.limits);
-                    let res = run.result;
-                    finish(run, res, scheme, w)
-                }
-                Problem::Kcc(k) => {
-                    let run = k_clique_count_baseline(
-                        &oriented_csr,
-                        k,
-                        mode,
-                        &w.cpu,
-                        w.threads,
-                        &w.limits,
-                    );
-                    let res = run.result;
-                    finish(run, res, scheme, w)
-                }
-                Problem::Ksc(k) => {
-                    let run = k_clique_star_count_baseline(
-                        &oriented_csr,
-                        k,
-                        mode,
-                        &w.cpu,
-                        w.threads,
-                        &w.limits,
-                    );
-                    let res = run.result;
-                    finish(run, res, scheme, w)
-                }
+                Problem::Tc => triangle_count_baseline(&g, mode, &cpu, threads, limits),
+                Problem::Kcc(k) => k_clique_count_baseline(&g, k, mode, &cpu, threads, limits),
+                Problem::Ksc(k) => k_clique_star_count_baseline(&g, k, mode, &cpu, threads, limits),
                 Problem::Mc => {
-                    let run = maximal_cliques_baseline(
-                        g, &ordering, mode, &w.cpu, w.threads, &w.limits, false,
-                    );
-                    let res = run.result.count;
-                    finish(run, res, scheme, w)
+                    maximal_cliques_baseline(&g, &ordering, mode, &cpu, threads, limits, false)
+                        .map(|r| r.count)
                 }
-                Problem::ClJac => {
-                    let run = jarvis_patrick_baseline(
-                        g,
-                        SimilarityMeasure::Jaccard,
-                        0.2,
-                        mode,
-                        &w.cpu,
-                        w.threads,
-                        &w.limits,
-                    );
-                    let res = run.result.len() as u64;
-                    finish(run, res, scheme, w)
-                }
-                Problem::Si4s => {
-                    let run = star_isomorphism_baseline(
-                        g,
-                        &star_pattern(4),
-                        mode,
-                        &w.cpu,
-                        w.threads,
-                        &w.limits,
-                    );
-                    let res = run.result;
-                    finish(run, res, scheme, w)
-                }
-                Problem::Si4sL => {
-                    let pattern = star_pattern(4).with_labels(vec![0, 1, 2, 1, 0]);
-                    let run = star_isomorphism_baseline(
-                        &labeled, &pattern, mode, &w.cpu, w.threads, &w.limits,
-                    );
-                    let res = run.result;
-                    finish(run, res, scheme, w)
+                Problem::ClJac => jarvis_patrick_baseline(
+                    &g,
+                    SimilarityMeasure::Jaccard,
+                    0.2,
+                    mode,
+                    &cpu,
+                    threads,
+                    limits,
+                )
+                .map(|pairs| pairs.len() as u64),
+                Problem::Si4s | Problem::Si4sL => {
+                    star_isomorphism_baseline(&g, &pattern, mode, &cpu, threads, limits)
                 }
             }
         }
+    };
+    let report = match scheme {
+        Scheme::Sisa => parallel::schedule(&run.tasks, threads),
+        Scheme::NonSet | Scheme::SetBased => parallel::schedule_cpu(&run.tasks, threads, &cpu),
+    };
+    Measurement {
+        cycles: report.makespan_cycles,
+        report,
+        result: run.result,
+        truncated: run.truncated,
     }
 }
 
@@ -378,14 +293,6 @@ pub struct InstructionMix {
     /// Analysis notes: what the stall report implies and how the host
     /// kernels were selected across the trace.
     pub notes: String,
-}
-
-impl InstructionMix {
-    /// Pretty-printed JSON for this mix.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("instruction mix serializes")
-    }
 }
 
 /// The issue-queue depth `capture_instruction_mix` runs with: deep enough
@@ -626,21 +533,6 @@ pub struct TraceTimeline {
 }
 
 impl TraceTimeline {
-    /// Pretty-printed JSON for this document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("timeline document serializes")
-    }
-
-    /// Parses a `trace_timeline.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error's message when `text` is not a valid document.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("{e:?}"))
-    }
-
     /// Checks the document's internal invariants (the schema validation CI
     /// runs on the emitted artifact). The makespan-fidelity identity —
     /// recorded event span ≡ `makespan_cycles` — is re-checked here, not
@@ -868,14 +760,6 @@ pub struct PlatformSummary {
     pub energy: EnergyModel,
 }
 
-impl PlatformSummary {
-    /// Pretty-printed JSON for this summary.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("platform summary serializes")
-    }
-}
-
 /// Prints `content` and also writes it to `results/<name>.txt` (best effort).
 pub fn emit(name: &str, content: &str) {
     emit_to(&results_dir(), name, content);
@@ -886,6 +770,17 @@ pub fn emit_to(dir: &std::path::Path, name: &str, content: &str) {
     println!("{content}");
     if std::fs::create_dir_all(dir).is_ok() {
         let _ = std::fs::write(dir.join(format!("{name}.txt")), content);
+    }
+}
+
+/// Writes `value` as pretty-printed JSON to `results/<name>.json` (best
+/// effort) and prints where it went.
+pub fn emit_json<T: Serialize>(name: &str, value: &T) {
+    let dir = results_dir();
+    let path = dir.join(format!("{name}.json"));
+    let json = serde_json::to_string_pretty(value).expect("results serialize");
+    if std::fs::create_dir_all(&dir).is_ok() && std::fs::write(&path, json).is_ok() {
+        println!("Recorded {}", path.display());
     }
 }
 

@@ -151,13 +151,15 @@ impl HostEngine {
         }
     }
 
-    /// Streams the sparse set and probes the dense bitmap once per element
-    /// (probe order does not matter for the cost model, so the members are
-    /// walked in storage order without sorting).
+    /// Streams the sparse set and probes the dense bitmap once per element,
+    /// walking the sparse operand's sorted array in place.
     fn charge_probe(&mut self, sparse: SetId, dense: SetId) {
         self.stream_set(sparse);
         let dense_base = self.regions[dense.0 as usize].base;
-        for v in self.store.repr(sparse).iter() {
+        let SetRepr::Sorted(members) = self.store.repr(sparse) else {
+            unreachable!("a probe's sparse operand is a sorted array")
+        };
+        for &v in members.as_slice() {
             self.thread.random_access(dense_base + u64::from(v) / 8);
             self.thread.scalar_ops(CpuThread::PROBE_OPS_PER_STEP);
         }

@@ -109,7 +109,7 @@ pub enum TraceOp {
 
 /// One recorded event: the materialised instruction (for SISA operations) and
 /// the semantic payload.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// The instruction the issue stage materialised, or `None` for host-side
     /// events (`members`, `host_ops`, bookkeeping).
@@ -119,11 +119,11 @@ pub struct TraceEvent {
 }
 
 /// A bounded recorder of issued operations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TraceSink {
-    events: Vec<TraceEvent>,
     capacity: usize,
     dropped: u64,
+    events: Vec<TraceEvent>,
 }
 
 impl TraceSink {
@@ -216,8 +216,9 @@ impl Default for TraceSink {
 // stored as their 32-bit machine words (the Figure 5 encoding), semantic
 // payloads as tagged maps. Round-tripping a `TraceSink` through JSON preserves
 // `PartialEq` equality, so captured runs can be checked in as fixtures and
-// replayed by the `Interpreter` in later PRs. The vendored `serde_derive` shim
-// only handles named-field structs, hence the manual impls for the enums.
+// replayed by the `Interpreter`. `TraceEvent` and `TraceSink` derive their
+// codec; the vendored `serde_derive` shim only handles named-field structs,
+// hence the manual impls for the enums.
 
 use serde::{Content, Deserialize, Error, Serialize};
 
@@ -387,44 +388,6 @@ impl Deserialize for TraceOp {
             }),
             other => Err(Error::custom(format!("unknown trace op `{other}`"))),
         }
-    }
-}
-
-impl Serialize for TraceEvent {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("instruction".to_string(), self.instruction.to_content()),
-            ("op".to_string(), self.op.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for TraceEvent {
-    fn from_content(content: &Content) -> Result<Self, Error> {
-        Ok(TraceEvent {
-            instruction: field(content, "event", "instruction")?,
-            op: field(content, "event", "op")?,
-        })
-    }
-}
-
-impl Serialize for TraceSink {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("capacity".to_string(), self.capacity.to_content()),
-            ("dropped".to_string(), self.dropped.to_content()),
-            ("events".to_string(), self.events.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for TraceSink {
-    fn from_content(content: &Content) -> Result<Self, Error> {
-        Ok(TraceSink {
-            capacity: field(content, "trace", "capacity")?,
-            dropped: field(content, "trace", "dropped")?,
-            events: field(content, "trace", "events")?,
-        })
     }
 }
 

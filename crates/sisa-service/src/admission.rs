@@ -43,6 +43,19 @@ struct AdmState {
     rejected: u64,
 }
 
+impl AdmState {
+    /// Frees one of `tenant`'s slots, dropping its row at zero.
+    fn release(&mut self, tenant: &str) {
+        self.in_flight = self.in_flight.saturating_sub(1);
+        if let Some(n) = self.per_tenant.get_mut(tenant) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.per_tenant.remove(tenant);
+            }
+        }
+    }
+}
+
 /// The back-off hint for a rejection issued while `occupancy` of `capacity`
 /// global queue slots are taken: the configured base at an empty queue,
 /// growing linearly to 5× base at a full queue. Monotone in `occupancy`, so
@@ -122,14 +135,17 @@ impl Admission {
 
     /// Releases the slot reserved by a successful [`Admission::try_admit`].
     pub fn complete(&self, tenant: &str) {
+        self.state.lock().expect("admission lock").release(tenant);
+    }
+
+    /// Takes back a successful [`Admission::try_admit`] whose query was
+    /// refused before it was queued: the slot is released and the query
+    /// counts as rejected instead of submitted.
+    pub(crate) fn refuse(&self, tenant: &str) {
         let mut state = self.state.lock().expect("admission lock");
-        state.in_flight = state.in_flight.saturating_sub(1);
-        if let Some(n) = state.per_tenant.get_mut(tenant) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                state.per_tenant.remove(tenant);
-            }
-        }
+        state.release(tenant);
+        state.submitted = state.submitted.saturating_sub(1);
+        state.rejected += 1;
     }
 
     /// Queries currently in flight (queued + executing).

@@ -461,7 +461,7 @@ impl ServiceClient {
             .expect("dispatcher lock")
             .enqueue(shared, job);
         if !queued {
-            admission.complete(tenant);
+            admission.refuse(tenant);
             return Err(Rejection {
                 retry_after_ms: admission.config().retry_after_ms.max(1),
                 reason: "service is shutting down".to_string(),

@@ -463,6 +463,7 @@ fn close_fails_every_queued_query_and_refuses_a_client_kept_past_it() {
         counter("sisa_queries_submitted_total"),
         counter("sisa_queries_completed_total") + counter("sisa_queries_failed_total")
     );
+    let rejected = counter("sisa_admission_rejected_total");
 
     let unseen = QuerySpec::new("g", QueryKind::KCliqueCount { k: 4 });
     let Err(refused) = client.submit("t", unseen) else {
@@ -470,4 +471,12 @@ fn close_fails_every_queued_query_and_refuses_a_client_kept_past_it() {
     };
     assert_eq!(refused.reason, "service is shutting down");
     assert_eq!(in_flight(&client), 0, "the refused query's slot too");
+    // The refusal is a rejection, not a submission left unaccounted for.
+    let counters = client.metrics_snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(
+        counter("sisa_queries_submitted_total"),
+        counter("sisa_queries_completed_total") + counter("sisa_queries_failed_total")
+    );
+    assert_eq!(counter("sisa_admission_rejected_total"), rejected + 1);
 }

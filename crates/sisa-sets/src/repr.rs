@@ -230,14 +230,6 @@ impl SetRepr {
         }
     }
 
-    /// Iterates over the members in increasing order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = Vertex> + '_> {
-        match self {
-            Self::Sorted(s) => Box::new(s.iter()),
-            Self::Dense(d) => Box::new(d.iter()),
-        }
-    }
-
     /// Set intersection `A ∩ B`.
     ///
     /// Result representation policy: DB ∩ DB stays dense (it is produced in
@@ -471,9 +463,9 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         let original = SetRepr::sorted_from([3u32, 7, 11]);
-        let dense = SetRepr::dense_from(16, original.iter());
+        let dense = SetRepr::dense_from(16, original.to_sorted_vec());
         assert_eq!(dense.kind(), RepresentationKind::DenseBitvector);
-        let back = SetRepr::sorted_from(dense.iter());
+        let back = SetRepr::sorted_from(dense.to_sorted_vec());
         assert_eq!(back.kind(), RepresentationKind::SortedArray);
         assert_eq!(back, original);
     }

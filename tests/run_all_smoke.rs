@@ -69,7 +69,7 @@ fn platform_summary_round_trips_through_json() {
     // run_all records its platform provenance as results/platform.json; the
     // summary must survive a serialize → parse round trip.
     let summary = PlatformSummary::default();
-    let json = summary.to_json();
+    let json = serde_json::to_string_pretty(&summary).expect("platform summary serializes");
     assert!(json.contains("\"cpu\""), "json should name the cpu section");
     let back: PlatformSummary = serde_json::from_str(&json).expect("platform.json parses back");
     assert_eq!(back, summary);
@@ -132,7 +132,7 @@ fn instruction_mix_comes_from_a_real_traced_program() {
         "notes must report the kernel selections ({selections}): {}",
         mix.notes
     );
-    let json = mix.to_json();
+    let json = serde_json::to_string_pretty(&mix).expect("instruction mix serializes");
     let back: InstructionMix = serde_json::from_str(&json).expect("mix parses back");
     assert_eq!(back, mix);
 }
