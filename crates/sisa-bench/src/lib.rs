@@ -160,14 +160,15 @@ pub struct Measurement {
 /// Runs one (problem, scheme) cell on a workload and returns its measurement.
 ///
 /// Clique problems read the degeneracy-oriented graph, `si-4s-L` a copy with
-/// random vertex labels, and every other problem the graph as given. The SISA
-/// scheme schedules its tasks on PIM threads, the baselines on the paper's
-/// CPU model.
+/// random vertex labels, and every other problem the graph as given; `mc`
+/// also reads the degeneracy ordering. Only those problems compute it. The
+/// SISA scheme schedules its tasks on PIM threads, the baselines on the
+/// paper's CPU model.
 #[must_use]
 pub fn run_cell(problem: Problem, scheme: Scheme, w: &Workload) -> Measurement {
-    let ordering = degeneracy_order(&w.graph);
+    let ordering = || degeneracy_order(&w.graph);
     let g: Cow<'_, CsrGraph> = match problem {
-        Problem::Tc | Problem::Kcc(_) | Problem::Ksc(_) => Cow::Owned(ordering.orient(&w.graph)),
+        Problem::Tc | Problem::Kcc(_) | Problem::Ksc(_) => Cow::Owned(ordering().orient(&w.graph)),
         Problem::Si4sL => {
             Cow::Owned(LabeledGraph::with_random_vertex_labels(w.graph.clone(), 3, 0xC0FFEE).graph)
         }
@@ -188,7 +189,9 @@ pub fn run_cell(problem: Problem, scheme: Scheme, w: &Workload) -> Measurement {
                 Problem::Tc => triangle_count(rt, &sg, limits),
                 Problem::Kcc(k) => k_clique_count(rt, &sg, k, limits),
                 Problem::Ksc(k) => k_clique_star_count(rt, &sg, k, limits),
-                Problem::Mc => maximal_cliques(rt, &sg, &ordering, limits, false).map(|r| r.count),
+                Problem::Mc => {
+                    maximal_cliques(rt, &sg, &ordering(), limits, false).map(|r| r.count)
+                }
                 Problem::ClJac => {
                     jarvis_patrick_clustering(rt, &sg, SimilarityMeasure::Jaccard, 0.2, limits)
                         .map(|pairs| pairs.len() as u64)
@@ -209,7 +212,7 @@ pub fn run_cell(problem: Problem, scheme: Scheme, w: &Workload) -> Measurement {
                 Problem::Kcc(k) => k_clique_count_baseline(&g, k, mode, &cpu, threads, limits),
                 Problem::Ksc(k) => k_clique_star_count_baseline(&g, k, mode, &cpu, threads, limits),
                 Problem::Mc => {
-                    maximal_cliques_baseline(&g, &ordering, mode, &cpu, threads, limits, false)
+                    maximal_cliques_baseline(&g, &ordering(), mode, &cpu, threads, limits, false)
                         .map(|r| r.count)
                 }
                 Problem::ClJac => jarvis_patrick_baseline(

@@ -216,16 +216,20 @@ impl CsrGraph {
     #[must_use]
     pub fn oriented_by(&self, rank: &[usize]) -> CsrGraph {
         assert_eq!(rank.len(), self.num_vertices());
-        let n = self.num_vertices();
-        let mut adj: Vec<Vec<Vertex>> = vec![Vec::new(); n];
+        // One pass: a row keeps a sorted subsequence of a sorted row.
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(self.targets.len() / 2);
         for u in self.vertices() {
-            for &v in self.neighbors(u) {
-                if rank[u as usize] < rank[v as usize] {
-                    adj[u as usize].push(v);
-                }
-            }
+            let rank_u = rank[u as usize];
+            targets.extend(
+                self.neighbors(u)
+                    .iter()
+                    .filter(|&&v| rank_u < rank[v as usize]),
+            );
+            offsets.push(targets.len());
         }
-        CsrGraph::from_adjacency(adj, true, self.vertex_labels.clone())
+        CsrGraph::from_sorted_parts(offsets, targets, true, self.vertex_labels.clone())
     }
 
     /// Estimated in-memory footprint of the CSR arrays, in bytes.
@@ -307,6 +311,23 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{self, RmatConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `CsrGraph::oriented_by` as it stood: one `Vec` per row, then
+    /// `from_adjacency` re-sorts and re-concatenates them.
+    fn oriented_by_rows(g: &CsrGraph, rank: &[usize]) -> CsrGraph {
+        let mut adj: Vec<Vec<Vertex>> = vec![Vec::new(); g.num_vertices()];
+        for u in g.vertices() {
+            for &v in g.neighbors(u) {
+                if rank[u as usize] < rank[v as usize] {
+                    adj[u as usize].push(v);
+                }
+            }
+        }
+        CsrGraph::from_adjacency(adj, true, g.vertex_labels.clone())
+    }
 
     fn triangle_plus_tail() -> CsrGraph {
         // 0-1, 1-2, 0-2 triangle, plus 2-3 tail.
@@ -383,6 +404,55 @@ mod tests {
         let expected = 5 * std::mem::size_of::<usize>() + 8 * std::mem::size_of::<Vertex>();
         assert_eq!(g.csr_bytes(), expected);
         assert_eq!(g.total_stored_arcs(), 8);
+    }
+
+    #[test]
+    fn oriented_by_matches_the_row_rebuild_bit_for_bit() {
+        let mut graphs = vec![
+            CsrGraph::from_edges(0, &[]),
+            CsrGraph::from_edges(1, &[]),
+            triangle_plus_tail(),
+            triangle_plus_tail().with_vertex_labels(vec![7, 8, 9, 9]),
+            generators::complete(9),
+            generators::erdos_renyi(64, 0.2, 3),
+            generators::erdos_renyi(501, 0.9, 1),
+            generators::kronecker(
+                &RmatConfig {
+                    scale: 9,
+                    edge_factor: 8,
+                    a: 0.9,
+                    b: 0.05,
+                    c: 0.04,
+                },
+                2,
+            ),
+            generators::barabasi_albert(300, 4, 11)
+                .with_vertex_labels((0..300).map(|v| v % 3).collect()),
+        ];
+        // A directed input: orienting an oriented graph again.
+        let oriented = graphs[5].oriented_by(&(0..64).rev().collect::<Vec<_>>());
+        graphs.push(oriented);
+        let mut rng = StdRng::seed_from_u64(45);
+        for g in &graphs {
+            let n = g.num_vertices();
+            let mut shuffled: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                shuffled.swap(i, rng.random_range(0..=i));
+            }
+            let ranks = [
+                crate::degeneracy_order(g).rank,
+                (0..n).collect(),
+                (0..n).rev().collect(),
+                shuffled,
+                // Ties keep neither direction of an edge.
+                (0..n).map(|v| v / 3).collect(),
+            ];
+            for rank in &ranks {
+                let got = g.oriented_by(rank);
+                assert_eq!(got, oriented_by_rows(g, rank), "n {n}, rank {rank:?}");
+                assert_eq!(got.vertex_labels(), g.vertex_labels());
+            }
+        }
     }
 
     #[test]

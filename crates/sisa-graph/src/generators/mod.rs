@@ -4,7 +4,18 @@
 //! graphs for the scalability study (§9.2). Since the original datasets are
 //! not redistributable here, the [`crate::datasets`] registry composes these
 //! generators into *stand-ins* with matching size and structural character.
-//! Every generator is deterministic given its seed.
+//!
+//! Every generator is deterministic given its seed: one seed gives one graph,
+//! in every run and every process, and the figures, the benchmark's answers
+//! and the service's cached results rely on it. `tests/dataset_digests.rs`
+//! pins the CSR arrays of every stand-in at seed 1. A generator therefore
+//! never iterates a hash container (the crate warns on
+//! `clippy::iter_over_hash_type`), and a faster one must draw the same random
+//! numbers in the same order through the same `f64` expressions.
+//!
+//! The cost is what a graph builds: `erdos_renyi` is O(n + m), and
+//! `kronecker` takes one draw per level, O(m · scale), with no walk over the
+//! vertex range per edge.
 
 mod classic;
 mod communities;
@@ -22,15 +33,22 @@ mod tests {
 
     #[test]
     fn generators_are_deterministic() {
-        let a = erdos_renyi(100, 0.05, 42);
-        let b = erdos_renyi(100, 0.05, 42);
-        assert_eq!(a.num_edges(), b.num_edges());
-        let c = barabasi_albert(100, 3, 9);
-        let d = barabasi_albert(100, 3, 9);
-        assert_eq!(c.num_edges(), d.num_edges());
-        let e = kronecker(&RmatConfig::default_scale(8), 5);
-        let f = kronecker(&RmatConfig::default_scale(8), 5);
-        assert_eq!(e.num_edges(), f.num_edges());
+        assert_eq!(erdos_renyi(100, 0.05, 42), erdos_renyi(100, 0.05, 42));
+        assert_eq!(barabasi_albert(100, 3, 9), barabasi_albert(100, 3, 9));
+        let rmat = RmatConfig::default_scale(8);
+        assert_eq!(kronecker(&rmat, 5), kronecker(&rmat, 5));
+        assert_eq!(
+            planted_cliques(&PlantedCliqueConfig::default(), 3),
+            planted_cliques(&PlantedCliqueConfig::default(), 3)
+        );
+        assert_eq!(
+            erdos_renyi_with_edges(200, 1000, 7),
+            erdos_renyi_with_edges(200, 1000, 7)
+        );
+        assert_eq!(
+            watts_strogatz(200, 6, 0.1, 7),
+            watts_strogatz(200, 6, 0.1, 7)
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@ use rand::{Rng, SeedableRng};
 
 /// Erdős–Rényi `G(n, p)`: every unordered pair is an edge with probability `p`.
 ///
-/// Uses geometric skipping so the cost is proportional to the number of edges
-/// generated rather than `n²` when `p` is small.
+/// Uses geometric skipping and a forward-only row cursor, so the cost is
+/// O(n + m) rather than `n²` when `p` is small.
 #[must_use]
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> CsrGraph {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
@@ -28,10 +28,15 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> CsrGraph {
         }
         return builder.build();
     }
-    // Geometric skipping over the implicit list of all C(n,2) pairs.
-    let total_pairs = n as u64 * (n as u64 - 1) / 2;
+    // Geometric skipping over the implicit list of all C(n,2) pairs, row by
+    // row: row u holds the n - 1 - u pairs (u, u + 1..n) and starts at index
+    // `row_start`. The kept indices only grow, so the row cursor only moves
+    // forward and the whole walk is O(n + m).
+    let n = n as u64;
+    let total_pairs = n * (n - 1) / 2;
     let log_q = (1.0 - p).ln();
     let mut idx: i64 = -1;
+    let (mut u, mut row_start) = (0u64, 0u64);
     loop {
         let r: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
         let skip = (r.ln() / log_q).floor() as i64 + 1;
@@ -39,7 +44,11 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> CsrGraph {
         if idx as u64 >= total_pairs {
             break;
         }
-        let (u, v) = pair_from_index(idx as u64, n as u64);
+        while idx as u64 >= row_start + (n - 1 - u) {
+            row_start += n - 1 - u;
+            u += 1;
+        }
+        let v = u + 1 + (idx as u64 - row_start);
         builder.add_edge(u as Vertex, v as Vertex);
     }
     builder.build()
@@ -68,23 +77,6 @@ pub(crate) fn erdos_renyi_with_edges(n: usize, m: usize, seed: u64) -> CsrGraph 
     builder.build()
 }
 
-/// Maps a linear index in `0..C(n,2)` to the corresponding unordered pair.
-fn pair_from_index(idx: u64, n: u64) -> (u64, u64) {
-    // Row u contains (n - 1 - u) pairs. Walk rows; n is small enough here
-    // (≤ a few hundred thousand) that the loop is negligible compared to
-    // edge insertion.
-    let mut u = 0u64;
-    let mut remaining = idx;
-    loop {
-        let row = n - 1 - u;
-        if remaining < row {
-            return (u, u + 1 + remaining);
-        }
-        remaining -= row;
-        u += 1;
-    }
-}
-
 /// Barabási–Albert preferential attachment: starts from a small clique and
 /// attaches each new vertex to `m_attach` existing vertices chosen
 /// proportionally to their degree. Produces the heavy-tailed degree
@@ -106,7 +98,9 @@ pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> CsrGraph {
         }
     }
     for v in seed_size..n {
-        let mut targets = std::collections::HashSet::new();
+        // Distinct targets in draw order, so that the endpoints list, and
+        // with it every later draw, is the same from run to run.
+        let mut targets: Vec<Vertex> = Vec::with_capacity(m_attach);
         let mut guard = 0;
         while targets.len() < m_attach.min(v) && guard < 100 * m_attach {
             guard += 1;
@@ -115,7 +109,9 @@ pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> CsrGraph {
             } else {
                 endpoints[rng.random_range(0..endpoints.len())]
             };
-            targets.insert(t);
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
         }
         for &t in &targets {
             builder.add_edge(v as Vertex, t);
@@ -203,41 +199,31 @@ impl RmatConfig {
 }
 
 /// Generates an R-MAT (stochastic Kronecker) graph.
+///
+/// Each of the `n · edge_factor` arcs descends `scale` levels, one draw `r`
+/// per level: `r < a` picks the top-left quadrant, `r < a + b` the top-right,
+/// `r < a + b + c` the bottom-left and anything above the bottom-right. The
+/// quadrant sets one bit of each endpoint, most significant first.
+/// Self-loops are dropped.
 #[must_use]
 pub fn kronecker(cfg: &RmatConfig, seed: u64) -> CsrGraph {
     let n = cfg.num_vertices();
     let num_edges = n * cfg.edge_factor;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut builder = GraphBuilder::new(n);
+    let (a, ab, abc) = (cfg.a, cfg.a + cfg.b, cfg.a + cfg.b + cfg.c);
     for _ in 0..num_edges {
-        let (mut lo_u, mut hi_u) = (0usize, n);
-        let (mut lo_v, mut hi_v) = (0usize, n);
-        while hi_u - lo_u > 1 {
+        let (mut u, mut v) = (0usize, 0usize);
+        for bit in (0..cfg.scale).rev() {
             let r: f64 = rng.random();
-            let (du, dv) = if r < cfg.a {
-                (0, 0)
-            } else if r < cfg.a + cfg.b {
-                (0, 1)
-            } else if r < cfg.a + cfg.b + cfg.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            let mid_u = (lo_u + hi_u) / 2;
-            let mid_v = (lo_v + hi_v) / 2;
-            if du == 0 {
-                hi_u = mid_u;
-            } else {
-                lo_u = mid_u;
-            }
-            if dv == 0 {
-                hi_v = mid_v;
-            } else {
-                lo_v = mid_v;
-            }
+            let (ge_a, ge_ab, ge_abc) = (r >= a, r >= ab, r >= abc);
+            let du = ge_a & ge_ab;
+            let dv = ge_a & (!ge_ab | ge_abc);
+            u |= usize::from(du) << bit;
+            v |= usize::from(dv) << bit;
         }
-        if lo_u != lo_v {
-            builder.add_edge(lo_u as Vertex, lo_v as Vertex);
+        if u != v {
+            builder.add_edge(u as Vertex, v as Vertex);
         }
     }
     builder.build()
@@ -247,6 +233,132 @@ pub fn kronecker(cfg: &RmatConfig, seed: u64) -> CsrGraph {
 mod tests {
     use super::*;
     use crate::degree::DegreeStats;
+
+    /// Maps a linear index in `0..C(n,2)` to the corresponding unordered
+    /// pair by walking the rows from 0: `erdos_renyi`'s mapping before it
+    /// kept a row cursor.
+    fn pair_from_index(idx: u64, n: u64) -> (u64, u64) {
+        let mut u = 0u64;
+        let mut remaining = idx;
+        loop {
+            let row = n - 1 - u;
+            if remaining < row {
+                return (u, u + 1 + remaining);
+            }
+            remaining -= row;
+            u += 1;
+        }
+    }
+
+    /// `erdos_renyi` as it stood with the per-edge row walk.
+    fn erdos_renyi_row_walk(n: usize, p: f64, seed: u64) -> CsrGraph {
+        let mut builder = GraphBuilder::new(n);
+        if n < 2 || p == 0.0 {
+            return builder.build();
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let total_pairs = n as u64 * (n as u64 - 1) / 2;
+        let log_q = (1.0 - p).ln();
+        let mut idx: i64 = -1;
+        loop {
+            let r: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+            let skip = (r.ln() / log_q).floor() as i64 + 1;
+            idx += skip;
+            if idx as u64 >= total_pairs {
+                break;
+            }
+            let (u, v) = pair_from_index(idx as u64, n as u64);
+            builder.add_edge(u as Vertex, v as Vertex);
+        }
+        builder.build()
+    }
+
+    /// `kronecker` as it stood with the three-way quadrant branch and the
+    /// interval bisection.
+    fn kronecker_branches(cfg: &RmatConfig, seed: u64) -> CsrGraph {
+        let n = cfg.num_vertices();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut builder = GraphBuilder::new(n);
+        for _ in 0..n * cfg.edge_factor {
+            let (mut lo_u, mut hi_u) = (0usize, n);
+            let (mut lo_v, mut hi_v) = (0usize, n);
+            while hi_u - lo_u > 1 {
+                let r: f64 = rng.random();
+                let (du, dv) = if r < cfg.a {
+                    (0, 0)
+                } else if r < cfg.a + cfg.b {
+                    (0, 1)
+                } else if r < cfg.a + cfg.b + cfg.c {
+                    (1, 0)
+                } else {
+                    (1, 1)
+                };
+                let mid_u = (lo_u + hi_u) / 2;
+                let mid_v = (lo_v + hi_v) / 2;
+                if du == 0 {
+                    hi_u = mid_u;
+                } else {
+                    lo_u = mid_u;
+                }
+                if dv == 0 {
+                    hi_v = mid_v;
+                } else {
+                    lo_v = mid_v;
+                }
+            }
+            if lo_u != lo_v {
+                builder.add_edge(lo_u as Vertex, lo_v as Vertex);
+            }
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn erdos_renyi_matches_the_row_walk_bit_for_bit() {
+        for n in [2, 3, 7, 64, 501] {
+            for p in [1e-9, 1e-3, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-9] {
+                for seed in [1, 2, 31] {
+                    assert_eq!(
+                        erdos_renyi(n, p, seed),
+                        erdos_renyi_row_walk(n, p, seed),
+                        "n {n}, p {p}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kronecker_matches_the_quadrant_branches_bit_for_bit() {
+        let skews = [
+            (0.57, 0.19, 0.19),
+            (0.9, 0.05, 0.04),
+            (0.05, 0.05, 0.05),
+            (0.1, 0.7, 0.1),
+            (0.1, 0.1, 0.7),
+            (0.25, 0.25, 0.25),
+            (0.3, 0.5, 0.2),
+            (0.0, 0.0, 0.0),
+        ];
+        for scale in 0..=12 {
+            for &(a, b, c) in &skews {
+                let cfg = RmatConfig {
+                    scale,
+                    edge_factor: 3,
+                    a,
+                    b,
+                    c,
+                };
+                for seed in [5, 33] {
+                    assert_eq!(
+                        kronecker(&cfg, seed),
+                        kronecker_branches(&cfg, seed),
+                        "{cfg:?}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn erdos_renyi_edge_count_is_near_expectation() {

@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod csr;
 pub mod datasets;
